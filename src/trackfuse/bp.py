@@ -6,6 +6,17 @@ number of message-passing iterations produces the association products
 kappa and iota, and the particle beliefs are reweighted, normalized and
 augmented with one potential newborn per measurement.
 
+Within one sensor step, measurement evaluation computes each belief's
+detection probabilities once and hands them to the update through
+`AssociationMessages`. All beliefs are gated together: their innovation
+covariances go through one stacked eigendecomposition. The G gated
+measurements of a belief are then evaluated in one likelihood call (a
+triangular solve for raw payloads, an eigen projection for transformed
+ones), whose (G, Np) rows back that belief's entries of `q_cache`; one more
+call evaluates every measurement under its own birth cloud. The update
+visits only the gated (tau, i) pairs. Particles, weights and likelihoods
+stay in per-belief arrays.
+
 The association messages have a two-value structure (a measurement-to-target
 message takes one value at "assigned to me" and a common value everywhere
 else), so the recursions are run on (eq, neq) pairs; the full vectors are
@@ -24,10 +35,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.linalg import solve_triangular
 
 from .errors import DegenerateBeliefError, InputError
-from .linalg import pinv_psd, psd_eig, symmetrize
+from .linalg import chi2_gate, pinv_psd, psd_eig, psd_quadforms, symmetrize
 from .models import MeasurementBatch, MotionModel
 from .transform import ClutterModel
 
@@ -109,7 +120,9 @@ class AssociationMessages:
     beta is (N, M+1) over a in {0..M}; xi is (M, N+1) over b in {0..N}.
     nu_eq/nu_neq are (M, N): the measurement->target message at a = i and at
     every other a. phi_eq/phi_neq are (N, M) analogously over b. kappa and
-    iota are the final products, normalized per row.
+    iota are the final products, normalized per row. p_detect[tau] holds
+    the detection probabilities at belief tau's particles, computed once by
+    measurement evaluation and reused by the update.
     """
 
     beta: np.ndarray
@@ -120,6 +133,7 @@ class AssociationMessages:
     phi_neq: Optional[np.ndarray] = None
     kappa: Optional[np.ndarray] = None
     iota: Optional[np.ndarray] = None
+    p_detect: Optional[list] = None
 
     def nu_vector(self, i: int, tau: int) -> np.ndarray:
         m = self.beta.shape[1] - 1
@@ -154,24 +168,32 @@ class _BatchLikelihood:
     def dof(self) -> int:
         return self._rank
 
-    def loglik(self, z: np.ndarray, particles: np.ndarray) -> np.ndarray:
-        diffs = z - particles @ self.H.T
-        if self.batch.transformed:
-            proj = diffs @ self._v
-            quad = np.sum(proj * proj / self._w, axis=1)
-        else:
-            y = np.linalg.solve(self._chol, diffs.T)
-            quad = np.sum(y * y, axis=0)
-        return -0.5 * (self._rank * LOG_2PI + self._logdet + quad)
+    def predict(self, particles: np.ndarray) -> np.ndarray:
+        """(m, Np) predicted measurements of the particles, one per column.
 
-    def gate_quadforms(self, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-        """Squared Mahalanobis of every measurement from the belief summary."""
-        z_hat = self.H @ mean
-        s = symmetrize(self.H @ cov @ self.H.T + self.batch.R)
-        diffs = self.batch.zs - z_hat
-        w, v, _ = psd_eig(s)
-        proj = diffs @ v
-        return np.sum(proj * proj / w, axis=1)
+        Arrays over particles are kept particle-last so that elementwise
+        work runs along the long axis.
+        """
+        return self.H @ particles.T
+
+    def loglik(self, zs: np.ndarray, z_pred: np.ndarray) -> np.ndarray:
+        """(G, Np) log-likelihoods of the measurements zs (G, m).
+
+        z_pred holds the predicted measurements, either (m, Np) for every
+        row of zs or (m, G, Np) with one set per row; row g of the result
+        holds the log-likelihood of zs[g] at each of its predictions.
+        """
+        m, n_pred = self.H.shape[0], z_pred.shape[-1]
+        diffs = (zs.T[:, :, None] - z_pred.reshape(m, -1, n_pred)).reshape(m, -1)
+        if self.batch.transformed:
+            proj = self._v.T @ diffs
+            quad = np.sum(proj * proj / self._w[:, None], axis=0)
+        else:
+            y = solve_triangular(self._chol, diffs, lower=True,
+                                 check_finite=False)
+            quad = np.sum(y * y, axis=0)
+        ll = -0.5 * (self._rank * LOG_2PI + self._logdet + quad)
+        return ll.reshape(zs.shape[0], n_pred)
 
 
 def bp_predict(beliefs: Sequence[ParticleBelief], motion: MotionModel,
@@ -239,38 +261,64 @@ def measurement_evaluation(beliefs: Sequence[ParticleBelief],
         raise InputError("belief without particles")
     lik = _BatchLikelihood(batch)
     log_clutter_intensity = math.log(inp.clutter.rate) + inp.clutter.log_density
-    gamma_gate = chi2.ppf(cfg.gate_prob, lik.dof)
 
     beta = np.zeros((n, m + 1))
-    q_cache = {}
+    p_detect = []
     for tau, b in enumerate(beliefs):
         pd_x = inp.detection_probs(b.particles[:, :POS_DIM])
+        p_detect.append(pd_x)
         beta[tau, 0] = float(b.weights @ (1.0 - pd_x)) + (1.0 - b.r_prob)
-        if m == 0:
-            continue
-        total = float(np.sum(b.weights))
+
+    q_cache = {}
+    xi = np.ones((m, n + 1))
+    birth_liks = []
+    if m:
+        for tau, gated in _gate(beliefs, lik, chi2_gate(cfg.gate_prob, lik.dof)):
+            b = beliefs[tau]
+            ll = lik.loglik(batch.zs[gated], lik.predict(b.particles))
+            q = p_detect[tau] * np.exp(ll - log_clutter_intensity)
+            for g, i in enumerate(gated.tolist()):
+                q_cache[(tau, i)] = q[g]
+                beta[tau, i + 1] = float(b.weights @ q[g])
+
+        # measurement i against its own birth cloud: (dim, M, Np) predictions
+        birth_pred = lik.predict(np.concatenate(birth_clouds))
+        lls = lik.loglik(batch.zs, birth_pred.reshape(birth_pred.shape[0], m, -1))
+        for i, lk in enumerate(np.exp(lls)):
+            birth_liks.append(lk)
+            ratio = cfg.birth_rate * float(np.mean(lk)) * math.exp(-log_clutter_intensity)
+            xi[i, 0] = 1.0 + ratio
+    return AssociationMessages(beta, xi, p_detect=p_detect), q_cache, birth_liks
+
+
+def _gate(beliefs: Sequence[ParticleBelief], lik: _BatchLikelihood,
+          gamma_gate: float):
+    """(tau, gated measurement indices) for every belief with a gated measurement.
+
+    Each belief is summarized by the weighted mean and covariance of its
+    particles; the innovation covariances of all beliefs go through one
+    stacked pseudoinverse quadratic form. Beliefs without weight mass gate
+    nothing.
+    """
+    h = lik.H
+    taus, z_hats, covs = [], [], []
+    for tau, b in enumerate(beliefs):
+        total = float(b.weights.sum())
         if total > 0:
             mu = (b.weights @ b.particles) / total
             centered = b.particles - mu
-            cov = symmetrize((centered * b.weights[:, None]).T @ centered / total)
-            d2 = lik.gate_quadforms(mu, cov)
-            gated = np.nonzero(d2 <= gamma_gate)[0]
-        else:
-            gated = np.empty(0, dtype=int)
-        for i in gated:
-            q = pd_x * np.exp(lik.loglik(batch.zs[i], b.particles)
-                              - log_clutter_intensity)
-            q_cache[(tau, int(i))] = q
-            beta[tau, int(i) + 1] = float(b.weights @ q)
-
-    xi = np.ones((m, n + 1))
-    birth_liks = []
-    for i in range(m):
-        ll = np.exp(lik.loglik(batch.zs[i], birth_clouds[i]))
-        birth_liks.append(ll)
-        ratio = cfg.birth_rate * float(np.mean(ll)) * math.exp(-log_clutter_intensity)
-        xi[i, 0] = 1.0 + ratio
-    return AssociationMessages(beta, xi), q_cache, birth_liks
+            cov = (centered * b.weights[:, None]).T @ centered / total
+            taus.append(tau)
+            z_hats.append(h @ mu)
+            covs.append(h @ cov @ h.T)
+    if not taus:
+        return []
+    batch = lik.batch
+    d2 = psd_quadforms(np.array(covs) + batch.R,
+                       batch.zs[None, :, :] - np.array(z_hats)[:, None, :])
+    inside = d2 <= gamma_gate
+    return [(taus[k], np.flatnonzero(inside[k]))
+            for k in np.flatnonzero(inside.any(axis=1))]
 
 
 def iterative_association(msgs: AssociationMessages, iterations: int):
@@ -351,20 +399,26 @@ def measurement_update(beliefs: Sequence[ParticleBelief],
                        msgs: AssociationMessages, q_cache: dict,
                        birth_liks: Sequence[np.ndarray],
                        inp: BpSensorInput, cfg: BpConfig):
-    """Unnormalized posteriors for survived targets and newborns."""
+    """Unnormalized posteriors for survived targets and newborns.
+
+    msgs must come from `measurement_evaluation` of the same beliefs: the
+    detection probabilities are taken from msgs.p_detect. Only the gated
+    pairs of q_cache are visited.
+    """
     kappa, iota = msgs.kappa, msgs.iota
     batch = inp.batch
     log_clutter_intensity = math.log(inp.clutter.rate) + inp.clutter.log_density
+    p_detect = msgs.p_detect
+    if (p_detect is None or len(p_detect) != len(beliefs)
+            or kappa.shape[0] != len(beliefs)):
+        raise InputError("association messages do not come from these beliefs")
 
-    survived_posts = []
-    for tau, b in enumerate(beliefs):
-        pd_x = inp.detection_probs(b.particles[:, :POS_DIM])
-        gamma = kappa[tau, 0] * (1.0 - pd_x)
-        for i in range(batch.n_meas):
-            q = q_cache.get((tau, i))
-            if q is not None and kappa[tau, i + 1] > 0:
-                gamma = gamma + kappa[tau, i + 1] * q
-        survived_posts.append((gamma, kappa[tau, 0]))
+    gammas = [kappa[tau, 0] * (1.0 - pd_x) for tau, pd_x in enumerate(p_detect)]
+    for (tau, i), q in q_cache.items():
+        k = kappa[tau, i + 1]
+        if k > 0:
+            gammas[tau] += k * q
+    survived_posts = [(gamma, kappa[tau, 0]) for tau, gamma in enumerate(gammas)]
 
     newborn_posts = []
     scale = cfg.birth_rate * math.exp(-log_clutter_intensity) / cfg.n_particles
@@ -382,12 +436,25 @@ def _systematic_resample(weights: np.ndarray, n: int, u: float) -> np.ndarray:
     return np.searchsorted(cumulative, positions)
 
 
-def _ess(weights: np.ndarray) -> float:
-    total = float(np.sum(weights))
-    if total <= 0:
-        return 0.0
-    wn = weights / total
-    return 1.0 / float(np.sum(wn * wn))
+def _normalize(particles: np.ndarray, unnorm: np.ndarray, c: float, u: float,
+               cfg: BpConfig):
+    """Weights unnorm / c; resample systematically with uniform u when the
+    effective sample size of the normalized weights is low.
+
+    Returns (particles, weights, r) with r the total weight before any
+    resampling.
+    """
+    if not (c > 0.0) or not math.isfinite(c):
+        raise DegenerateBeliefError("belief normalization constant <= 0")
+    weights = unnorm / c
+    r = float(weights.sum())
+    n = weights.size
+    if r > 0:
+        wn = weights / r
+        if 1.0 / float((wn * wn).sum()) < cfg.resample_ess_frac * n:
+            particles = particles[_systematic_resample(wn, n, u)]
+            weights = np.full(n, r / n)
+    return particles, weights, r
 
 
 def belief_calculation(beliefs: Sequence[ParticleBelief], survived_posts,
@@ -395,42 +462,26 @@ def belief_calculation(beliefs: Sequence[ParticleBelief], survived_posts,
                        rng: np.random.Generator):
     """Normalize posteriors into updated beliefs; resample when ESS is low.
 
-    One resampling uniform is drawn per belief regardless of whether the
-    resample triggers, so paired runs consume identical random streams.
-    Returns (updated survived beliefs, newborn beliefs).
+    One resampling uniform is drawn per belief, survived beliefs first and
+    newborns after, regardless of whether the resample triggers, so paired
+    runs consume identical random streams. Returns (updated survived
+    beliefs, newborn beliefs).
     """
     updated = []
-    for b, (gamma, gamma0) in zip(beliefs, survived_posts):
+    us = rng.random(len(beliefs)).tolist()
+    for b, (gamma, gamma0), u in zip(beliefs, survived_posts, us):
         unnorm1 = b.weights * gamma
-        unnorm0 = (1.0 - b.r_prob) * gamma0
-        c = float(np.sum(unnorm1)) + unnorm0
-        if not (c > 0.0) or not math.isfinite(c):
-            raise DegenerateBeliefError("belief normalization constant <= 0")
-        weights = unnorm1 / c
-        r = float(np.sum(weights))
-        u = float(rng.random())
-        particles = b.particles
-        if r > 0 and _ess(weights) < cfg.resample_ess_frac * b.n_particles:
-            idx = _systematic_resample(weights / r, b.n_particles, u)
-            particles = particles[idx]
-            weights = np.full(b.n_particles, r / b.n_particles)
+        c = float(unnorm1.sum()) + (1.0 - b.r_prob) * gamma0
+        particles, weights, r = _normalize(b.particles, unnorm1, c, u, cfg)
         updated.append(ParticleBelief(particles, weights, min(r, 1.0),
                                       b.label, b.missed_scans))
 
     newborn = []
-    for i, ((w_unnorm, denom), cloud, label) in enumerate(
-            zip(newborn_posts, birth_clouds, labels)):
-        c = float(np.sum(w_unnorm)) + denom
-        if not (c > 0.0) or not math.isfinite(c):
-            raise DegenerateBeliefError("newborn normalization constant <= 0")
-        weights = w_unnorm / c
-        r = float(np.sum(weights))
-        u = float(rng.random())
-        particles = cloud
-        if r > 0 and _ess(weights) < cfg.resample_ess_frac * len(weights):
-            idx = _systematic_resample(weights / r, len(weights), u)
-            particles = cloud[idx]
-            weights = np.full(len(weights), r / len(weights))
+    us = rng.random(len(newborn_posts)).tolist()
+    for (w_unnorm, denom), cloud, label, u in zip(newborn_posts, birth_clouds,
+                                                  labels, us):
+        c = float(w_unnorm.sum()) + denom
+        particles, weights, r = _normalize(cloud, w_unnorm, c, u, cfg)
         newborn.append(ParticleBelief(particles, weights, min(r, 1.0), label))
     return updated, newborn
 
@@ -447,6 +498,40 @@ def declare_estimate_prune(beliefs: Sequence[ParticleBelief], cfg: BpConfig):
     return estimates, surviving
 
 
+def _sensor_step(beliefs: list, inp: BpSensorInput, motion: MotionModel,
+                 cfg: BpConfig, rng_for: Callable[[str, int], np.random.Generator],
+                 l: int, scan: int, trace: Optional[list]):
+    """One sensor's update; returns (updated, newborn, kappa).
+
+    The per-particle terms of measurement evaluation (q_cache, detection
+    probabilities, birth likelihoods) are released before belief
+    calculation, the unnormalized posteriors on return, so a step holds no
+    more than one set of them.
+    """
+    clouds = propose_births(inp, cfg, motion.n, rng_for("birth", l))
+    msgs, q_cache, birth_liks = measurement_evaluation(beliefs, inp, cfg, clouds)
+    kappa, iota = iterative_association(msgs, cfg.iterations)
+    survived_posts, newborn_posts = measurement_update(
+        beliefs, msgs, q_cache, birth_liks, inp, cfg)
+    beta, xi = msgs.beta, msgs.xi
+    del msgs, q_cache, birth_liks  # not needed past the update
+    labels = [(scan, inp.batch.sensor_id, i) for i in range(inp.batch.n_meas)]
+    updated, newborn = belief_calculation(
+        beliefs, survived_posts, newborn_posts, clouds, labels, cfg,
+        rng_for("resample", l))
+    if trace is not None:
+        trace.append({
+            "sensor": inp.batch.sensor_id,
+            "beta": beta.copy(),
+            "xi": xi.copy(),
+            "kappa": kappa.copy(),
+            "iota": iota.copy(),
+            "weights": [b.weights.copy() for b in updated + newborn],
+            "r_prob": np.array([b.r_prob for b in updated + newborn]),
+        })
+    return updated, newborn, kappa
+
+
 def bp_pipeline_step(beliefs: list, inputs: Sequence[BpSensorInput],
                      motion: MotionModel, cfg: BpConfig,
                      rng_for: Callable[[str, int], np.random.Generator],
@@ -461,28 +546,11 @@ def bp_pipeline_step(beliefs: list, inputs: Sequence[BpSensorInput],
     scan_support = [False] * len(beliefs)
 
     for l, inp in enumerate(sorted(inputs, key=lambda s: s.batch.sensor_id)):
-        clouds = propose_births(inp, cfg, motion.n, rng_for("birth", l))
-        msgs, q_cache, birth_liks = measurement_evaluation(beliefs, inp, cfg, clouds)
-        kappa, iota = iterative_association(msgs, cfg.iterations)
-        survived_posts, newborn_posts = measurement_update(
-            beliefs, msgs, q_cache, birth_liks, inp, cfg)
-        labels = [(scan, inp.batch.sensor_id, i) for i in range(inp.batch.n_meas)]
-        updated, newborn = belief_calculation(
-            beliefs, survived_posts, newborn_posts, clouds, labels, cfg,
-            rng_for("resample", l))
-        for tau in range(len(updated)):
-            if kappa.shape[1] > 1 and float(np.sum(kappa[tau, 1:])) >= 0.5 * kappa[tau, 0]:
+        updated, newborn, kappa = _sensor_step(beliefs, inp, motion, cfg,
+                                               rng_for, l, scan, trace)
+        if kappa.shape[1] > 1:
+            for tau in np.flatnonzero(kappa[:, 1:].sum(axis=1) >= 0.5 * kappa[:, 0]):
                 scan_support[tau] = True
-        if trace is not None:
-            trace.append({
-                "sensor": inp.batch.sensor_id,
-                "beta": msgs.beta.copy(),
-                "xi": msgs.xi.copy(),
-                "kappa": kappa.copy(),
-                "iota": iota.copy(),
-                "weights": [b.weights.copy() for b in updated + newborn],
-                "r_prob": np.array([b.r_prob for b in updated + newborn]),
-            })
         beliefs = updated + newborn
         scan_support.extend([True] * len(newborn))
 

@@ -7,7 +7,10 @@ in every module.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+from scipy.special import gammaincinv
 
 from .errors import NumericsError
 
@@ -19,6 +22,27 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
+def _psd_keep(w: np.ndarray, rtol: float) -> np.ndarray:
+    """Mask of the nonzero eigenvalues of symmetric PSD matrices.
+
+    w is (..., m), each row ascending as `np.linalg.eigh` returns it.
+    Eigenvalues below rtol * max count as zero. A matrix whose largest
+    eigenvalue is <= 0 has rank zero and must have no eigenvalue below
+    -rtol; any other must have none below -1e-8 * max. Otherwise raises
+    NumericsError.
+    """
+    if w.shape[-1] == 0:
+        return np.zeros(w.shape, dtype=bool)
+    wmax, wmin = w[..., -1], w[..., 0]
+    flat = wmax <= 0.0
+    if np.any(flat & (wmin < -rtol)):
+        raise NumericsError("matrix has negative eigenvalues")
+    bad = ~flat & (wmin < -1e-8 * wmax)
+    if np.any(bad):
+        raise NumericsError(f"matrix not PSD (min eig {np.min(wmin[bad]):.3e})")
+    return (w > (rtol * wmax)[..., None]) & ~flat[..., None]
+
+
 def psd_eig(m: np.ndarray, rtol: float = RANK_RTOL):
     """Eigendecomposition of a symmetric PSD matrix.
 
@@ -27,16 +51,35 @@ def psd_eig(m: np.ndarray, rtol: float = RANK_RTOL):
     negative eigenvalue is present.
     """
     w, v = np.linalg.eigh(symmetrize(m))
-    wmax = float(np.max(w)) if w.size else 0.0
-    if wmax <= 0.0:
-        if w.size and np.min(w) < -rtol:
-            raise NumericsError("matrix has negative eigenvalues")
-        return np.empty(0), np.empty((m.shape[0], 0)), 0
-    cutoff = rtol * wmax
-    if np.min(w) < -1e-8 * wmax:
-        raise NumericsError(f"matrix not PSD (min eig {np.min(w):.3e})")
-    keep = w > cutoff
+    keep = _psd_keep(w, rtol)
     return w[keep], v[:, keep], int(np.count_nonzero(keep))
+
+
+def psd_quadforms(mats: np.ndarray, diffs: np.ndarray) -> np.ndarray:
+    """Pseudoinverse quadratic forms d^T M^+ d for a stack of PSD matrices.
+
+    mats is (B, m, m) and diffs (B, K, m); returns (B, K). One stacked
+    eigendecomposition replaces B calls of `psd_eig`, with the same rank
+    rule and NumericsError; the forms equal those built from `psd_eig` up
+    to rounding (a rank-zero matrix gives zero forms).
+    """
+    mats = np.asarray(mats, dtype=float)
+    w, v = np.linalg.eigh(0.5 * (mats + mats.swapaxes(-1, -2)))
+    keep = _psd_keep(w, RANK_RTOL)
+    proj = diffs @ v
+    terms = np.divide(proj * proj, w[:, None, :], out=np.zeros_like(proj),
+                      where=keep[:, None, :])
+    return terms.sum(axis=-1)
+
+
+@functools.lru_cache(maxsize=64)
+def chi2_gate(prob: float, dof: int) -> float:
+    """Chi-square quantile: the squared-Mahalanobis gate for `dof` dimensions.
+
+    Equal to scipy.stats.chi2.ppf(prob, dof), which computes the same
+    expression, without importing scipy.stats.
+    """
+    return float(2.0 * gammaincinv(dof / 2, prob))
 
 
 def pinv_psd(m: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:

@@ -21,7 +21,6 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.stats import chi2
 
 from .errors import (
     DegenerateBeliefError,
@@ -29,7 +28,7 @@ from .errors import (
     ResourceLimitError,
     UnobservableHypothesisError,
 )
-from .linalg import pinv_psd, psd_eig, symmetrize
+from .linalg import chi2_gate, pinv_psd, psd_eig, symmetrize
 from .models import (
     GaussianEstimate,
     MeasurementBatch,
@@ -266,7 +265,7 @@ def build_mda_problem(tracks_pred: Sequence[GaussianEstimate],
                 options.append([0])
                 continue
             d2, dof = gate_distances(est, batch)
-            gamma = chi2.ppf(cfg.gate_prob, dof)
+            gamma = chi2_gate(cfg.gate_prob, dof)
             gated = [0] + [i + 1 for i in range(batch.n_meas) if d2[i] <= gamma]
             options.append(gated)
         cands = []
@@ -324,7 +323,7 @@ def build_initiation_problem(batches: Sequence[MeasurementBatch],
     if available is None:
         available = [list(range(1, b.n_meas + 1)) for b in batches]
     back = [_backprojected_positions(b) for b in batches]
-    gamma = chi2.ppf(cfg.init_gate_prob, 2)
+    gamma = chi2_gate(cfg.init_gate_prob, 2)
 
     def compatible(l1, i1, l2, i2):
         if back[l1] is None or back[l2] is None:

@@ -17,12 +17,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.stats import chi2
 
 from . import bp as bp_mod
 from . import mda as mda_mod
 from .errors import ConfigError, InputError
-from .linalg import symmetrize
+from .linalg import chi2_gate, symmetrize
 from .metrics import CommLedger, OspaParams, ospa, ospa2
 from .models import (
     GaussianEstimate,
@@ -72,12 +71,24 @@ class FieldOfView:
             raise ConfigError("need max_range > 0 and 0 < half_angle <= pi")
 
     def contains(self, points: np.ndarray) -> np.ndarray:
+        """Points within max_range whose bearing is within half_angle of boresight.
+
+        With c and s the dot and cross products of a point's offset with the
+        boresight unit vector, c sin(h) - |s| cos(h) = |offset| sin(h - |dtheta|),
+        which is >= 0 exactly when |dtheta| <= h for 0 < h <= pi. The sensor
+        origin (the wedge apex) is inside; half_angle = pi is the full disc.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        rel = pts - self.origin
-        rng = np.hypot(rel[:, 0], rel[:, 1])
-        bearing = np.arctan2(rel[:, 1], rel[:, 0])
-        dber = np.angle(np.exp(1j * (bearing - self.boresight)))
-        return (rng <= self.max_range) & (np.abs(dber) <= self.half_angle)
+        x = pts[:, 0] - self.origin[0]
+        y = pts[:, 1] - self.origin[1]
+        inside = np.hypot(x, y) <= self.max_range
+        if self.half_angle >= math.pi:
+            return inside
+        ux, uy = math.cos(self.boresight), math.sin(self.boresight)
+        dot = x * ux + y * uy
+        cross = np.abs(y * ux - x * uy)
+        return inside & (dot * math.sin(self.half_angle)
+                         >= cross * math.cos(self.half_angle))
 
     @property
     def area(self) -> float:
@@ -316,7 +327,7 @@ class GnnTracker:
         for t in self.tracks:
             t.est = predict(t.est, self.motion)
 
-        gamma = chi2.ppf(cfg.gate_prob, model.m)
+        gamma = chi2_gate(cfg.gate_prob, model.m)
         assigned_meas = set()
         transmit = []
         if self.tracks:

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from scipy.stats import chi2
+
 from conftest import paired_views, position_model
 from trackfuse.bp import (
     AssociationMessages,
@@ -21,8 +23,11 @@ from trackfuse.bp import (
     measurement_update,
     propose_births,
 )
+from trackfuse.linalg import psd_eig
 from trackfuse.models import MeasurementBatch, MotionModel
 from trackfuse.transform import ClutterModel
+
+LOG_2PI = math.log(2.0 * math.pi)
 
 
 def cv_motion(q=0.0):
@@ -229,6 +234,31 @@ class TestMeasurementUpdate:
         q = q_cache[(0, 0)]
         np.testing.assert_allclose(gamma, q)
 
+    def _evaluated(self, rng):
+        beliefs = [uniform_belief(np.hstack([rng.uniform(-5, 5, (60, 2)),
+                                             np.zeros((60, 2))]), 0.7, label=k)
+                   for k in range(2)]
+        inp = simple_input(rng, np.array([[0.5, -0.5], [30.0, 30.0]]))
+        inp.detect_fn = lambda p: 0.5 + 0.4 * (p[:, 0] > 0)
+        cfg = BpConfig(n_particles=60)
+        clouds = propose_births(inp, cfg, 4, np.random.default_rng(13))
+        msgs, q_cache, bl = measurement_evaluation(beliefs, inp, cfg, clouds)
+        iterative_association(msgs, 3)
+        return beliefs, msgs, q_cache, bl, inp, cfg
+
+    def test_messages_of_other_beliefs_rejected(self):
+        from trackfuse.errors import InputError
+        beliefs, msgs, q_cache, bl, inp, cfg = self._evaluated(
+            np.random.default_rng(15))
+        measurement_update(beliefs, msgs, q_cache, bl, inp, cfg)
+        with pytest.raises(InputError):
+            measurement_update(beliefs[:1], msgs, q_cache, bl, inp, cfg)
+        # messages built by hand carry no detection probabilities
+        bare = AssociationMessages(msgs.beta, msgs.xi, kappa=msgs.kappa,
+                                   iota=msgs.iota)
+        with pytest.raises(InputError):
+            measurement_update(beliefs, bare, q_cache, bl, inp, cfg)
+
 
 class TestBeliefCalculation:
     def test_uninformative_update_keeps_existence(self):
@@ -409,6 +439,201 @@ class TestPipeline:
         # N_{k,l+1} = N_{k,l} + M_{k,l}: 2 -> 5 -> 7 potentials
         assert trace[0]["r_prob"].size == 2 + 3
         assert trace[1]["r_prob"].size == 5 + 2
+
+
+def reference_evaluation(beliefs, inp, cfg, birth_clouds):
+    """Per-belief loop with one psd_eig gate and one likelihood call per
+    gated pair, the form the batched evaluation replaced (reference)."""
+    batch = inp.batch
+    h, r, zs = batch.H, batch.R, batch.zs
+    n, m = len(beliefs), batch.n_meas
+    if batch.transformed:
+        w_r, v_r, rank = psd_eig(r)
+        logdet = float(np.sum(np.log(w_r)))
+
+        def quad(d):
+            proj = d @ v_r
+            return np.sum(proj * proj / w_r, axis=1)
+    else:
+        c = np.linalg.cholesky(r)
+        rank = r.shape[0]
+        logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
+
+        def quad(d):
+            y = np.linalg.solve(c, d.T)
+            return np.sum(y * y, axis=0)
+
+    def loglik(z, particles):
+        return -0.5 * (rank * LOG_2PI + logdet + quad(z - particles @ h.T))
+
+    log_ci = math.log(inp.clutter.rate) + inp.clutter.log_density
+    gamma = chi2.ppf(cfg.gate_prob, rank)
+    beta = np.zeros((n, m + 1))
+    q_cache = {}
+    for tau, b in enumerate(beliefs):
+        pd_x = inp.detection_probs(b.particles[:, :2])
+        beta[tau, 0] = float(b.weights @ (1.0 - pd_x)) + (1.0 - b.r_prob)
+        total = float(np.sum(b.weights))
+        if m == 0 or total <= 0:
+            continue
+        mu = (b.weights @ b.particles) / total
+        centered = b.particles - mu
+        cov = (centered * b.weights[:, None]).T @ centered / total
+        w_s, v_s, _ = psd_eig(h @ cov @ h.T + r)
+        proj = (zs - h @ mu) @ v_s
+        for i in np.flatnonzero(np.sum(proj * proj / w_s, axis=1) <= gamma):
+            q = pd_x * np.exp(loglik(zs[i], b.particles) - log_ci)
+            q_cache[(tau, int(i))] = q
+            beta[tau, i + 1] = float(b.weights @ q)
+    xi = np.ones((m, n + 1))
+    for i in range(m):
+        mean_lik = float(np.mean(np.exp(loglik(zs[i], birth_clouds[i]))))
+        xi[i, 0] = 1.0 + cfg.birth_rate * mean_lik * math.exp(-log_ci)
+    return beta, xi, q_cache
+
+
+def reference_belief_calculation(beliefs, survived_posts, cfg, rng):
+    """Per-belief normalization with one scalar uniform per belief (reference)."""
+    out = []
+    for b, (gamma, gamma0) in zip(beliefs, survived_posts):
+        unnorm1 = b.weights * gamma
+        c = float(np.sum(unnorm1)) + (1.0 - b.r_prob) * gamma0
+        weights = unnorm1 / c
+        r = float(np.sum(weights))
+        u = float(rng.random())
+        particles = b.particles
+        if r > 0:
+            wn = weights / r
+            if 1.0 / float(np.sum(wn * wn)) < cfg.resample_ess_frac * b.n_particles:
+                cumulative = np.cumsum(wn)
+                cumulative[-1] = 1.0
+                idx = np.searchsorted(cumulative,
+                                      (u + np.arange(b.n_particles)) / b.n_particles)
+                particles = particles[idx]
+                weights = np.full(b.n_particles, r / b.n_particles)
+        out.append((particles, weights, min(r, 1.0)))
+    return out
+
+
+def run_step(beliefs, inputs, cfg, trace):
+    """One pipeline scan with fixed streams, recording the per-sensor trace."""
+    def rng_for(purpose, sensor):
+        purposes = ("predict", "birth", "resample")
+        return np.random.default_rng([7, purposes.index(purpose), sensor % 2 ** 32])
+    return bp_pipeline_step(beliefs, inputs, cv_motion(q=0.1), cfg, rng_for, 1,
+                            trace)
+
+
+class TestBatchedSensorStep:
+    def _beliefs(self, rng, counts, spread=4.0):
+        beliefs = []
+        for k, n_p in enumerate(counts):
+            centre = np.array([15.0 * k, -10.0 * k, 1.0, 0.5])
+            particles = centre + rng.standard_normal((n_p, 4)) * [spread, spread, 1, 1]
+            beliefs.append(uniform_belief(particles, 0.4 + 0.1 * k, label=k))
+        return beliefs
+
+    def test_evaluation_matches_per_belief_reference(self):
+        rng = np.random.default_rng(60)
+        for kind in ("raw", "type2", "generic"):
+            views_raw, views_tr, trs = paired_views(
+                rng, 1, "type2" if kind == "raw" else kind)
+            beliefs = self._beliefs(rng, (200, 350, 500))
+            beliefs.append(ParticleBelief(beliefs[0].particles.copy(),
+                                          np.zeros(200), 0.0, "empty"))
+            zs = np.array([[0.0, 0.0], [15.0, -10.0], [31.0, -19.0], [400.0, 0.0]])
+            raw_z = zs @ views_raw[0].H[:, :2].T
+            if kind == "raw":
+                batch = MeasurementBatch(0, raw_z, views_raw[0].H, views_raw[0].R)
+                inp = BpSensorInput(batch, 0.9, views_raw[0].clutter,
+                                    detect_fn=lambda p: 0.8 * (p[:, 0] < 20.0))
+            else:
+                batch = MeasurementBatch(0, raw_z @ trs[0].A.T, views_tr[0].H,
+                                         views_tr[0].R, kind)
+                inp = BpSensorInput(batch, 0.9, views_tr[0].clutter,
+                                    detect_fn=lambda p: 0.8 * (p[:, 0] < 20.0))
+            cfg = BpConfig(n_particles=100)
+            clouds = propose_births(inp, cfg, 4, np.random.default_rng(61))
+            msgs, q_cache, _ = measurement_evaluation(beliefs, inp, cfg, clouds)
+            beta, xi, q_ref = reference_evaluation(beliefs, inp, cfg, clouds)
+            assert sorted(q_cache) == sorted(q_ref)
+            assert {tau for tau, _ in q_cache} == {0, 1, 2}
+            np.testing.assert_allclose(msgs.beta, beta, rtol=1e-12, atol=1e-300)
+            np.testing.assert_allclose(msgs.xi, xi, rtol=1e-12)
+            for key, q in q_ref.items():
+                np.testing.assert_allclose(q_cache[key], q, rtol=1e-12, atol=1e-300)
+
+    def test_belief_calculation_matches_per_belief_reference(self):
+        rng = np.random.default_rng(62)
+        beliefs = self._beliefs(rng, (100, 250, 400, 50))
+        # a peaked likelihood forces resampling on some beliefs, a flat one
+        # keeps the weights of the others
+        posts = [(np.exp(-0.5 * np.sum(b.particles[:, :2] ** 2, axis=1) / s), 0.3)
+                 for b, s in zip(beliefs, (1.0, 1e6, 4.0, 1e6))]
+        cfg = BpConfig(n_particles=100)
+        updated, _ = belief_calculation(beliefs, posts, [], [], [], cfg,
+                                        np.random.default_rng(63))
+        expected = reference_belief_calculation(beliefs, posts, cfg,
+                                                 np.random.default_rng(63))
+        resampled = 0
+        for b, new, (particles, weights, r) in zip(beliefs, updated, expected):
+            np.testing.assert_array_equal(new.particles, particles)
+            np.testing.assert_array_equal(new.weights, weights)
+            assert new.r_prob == r
+            resampled += new.particles is not b.particles
+        assert 0 < resampled < len(beliefs)
+
+    def test_detect_fn_called_once_per_belief_and_sensor(self):
+        rng = np.random.default_rng(64)
+        calls = []
+
+        def detect(positions):
+            calls.append(positions.shape[0])
+            return np.full(positions.shape[0], 0.9)
+
+        inputs = []
+        for l, m in enumerate((3, 2)):
+            inp = simple_input(rng, rng.uniform(-20, 20, (m, 2)), sensor_id=l)
+            inp.detect_fn = detect
+            inputs.append(inp)
+        beliefs = self._beliefs(rng, (80, 80, 80), spread=10.0)
+        cfg = BpConfig(n_particles=80, prune_threshold=1e-300)
+        trace = []
+        run_step(beliefs, inputs, cfg, trace)
+        # sensor 0 sees the 3 beliefs, sensor 1 also its 3 newborns
+        assert len(calls) == 3 + 6
+        assert [step["r_prob"].size for step in trace] == [6, 8]
+
+    def test_mixed_particle_counts_keep_raw_type2_traces_equal(self):
+        rng = np.random.default_rng(65)
+        views_raw, views_tr, trs = paired_views(rng, 2, "type2")
+        beliefs_raw = self._beliefs(rng, (300, 500))
+        beliefs_tr = [ParticleBelief(b.particles.copy(), b.weights.copy(),
+                                     b.r_prob, b.label) for b in beliefs_raw]
+        zs = np.array([[1.0, 0.5], [16.0, -9.0], [-30.0, 25.0]])
+        inputs_raw, inputs_tr = [], []
+        for l in range(2):
+            raw_z = zs @ views_raw[l].H[:, :2].T
+            inputs_raw.append(BpSensorInput(
+                MeasurementBatch(l, raw_z, views_raw[l].H, views_raw[l].R, "raw"),
+                0.9, views_raw[l].clutter))
+            inputs_tr.append(BpSensorInput(
+                MeasurementBatch(l, raw_z @ trs[l].A.T, views_tr[l].H,
+                                 views_tr[l].R, "type2"),
+                0.9, views_tr[l].clutter))
+        cfg = BpConfig(n_particles=400)
+        trace_raw, trace_tr = [], []
+        run_step(beliefs_raw, inputs_raw, cfg, trace_raw)
+        run_step(beliefs_tr, inputs_tr, cfg, trace_tr)
+        # both old beliefs gate a measurement at the first sensor
+        assert np.all(trace_raw[0]["beta"][:2, 1:].max(axis=1) > 0)
+        assert [w.size for w in trace_raw[0]["weights"][:2]] == [300, 500]
+        for step_raw, step_tr in zip(trace_raw, trace_tr):
+            for key in ("beta", "xi", "kappa", "iota", "r_prob"):
+                np.testing.assert_allclose(step_raw[key], step_tr[key],
+                                           rtol=1e-9, atol=1e-300)
+            for w_raw, w_tr in zip(step_raw["weights"], step_tr["weights"]):
+                np.testing.assert_allclose(w_raw, w_tr, rtol=1e-9, atol=1e-300)
 
 
 class TestErrorPaths:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trackfuse.models import GaussianEstimate
 from trackfuse.sim import (
@@ -15,6 +17,7 @@ from trackfuse.sim import (
     generate_truth,
     monte_carlo,
     motion_model,
+    prepare_run,
     rng_stream,
     run_single,
     scenario1,
@@ -109,7 +112,94 @@ class TestMeasurements:
             np.testing.assert_array_equal(sa.model.H, sb.model.H)
 
 
+def reference_contains(fov, points):
+    """Wedge membership by the complex-exponential angle wrap, plus the
+    wrapped bearing offset of every point."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    rel = pts - fov.origin
+    rng = np.hypot(rel[:, 0], rel[:, 1])
+    bearing = np.arctan2(rel[:, 1], rel[:, 0])
+    dber = np.angle(np.exp(1j * (bearing - fov.boresight)))
+    return (rng <= fov.max_range) & (np.abs(dber) <= fov.half_angle), dber
+
+
 class TestFieldOfView:
+    @settings(max_examples=200, deadline=None)
+    @given(origin=st.tuples(st.floats(-2000, 2000), st.floats(-2000, 2000)),
+           boresight=st.floats(-math.pi, math.pi),
+           half_angle=st.floats(1e-6, math.pi),
+           max_range=st.floats(1.0, 3000.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_agrees_with_angle_wrap_away_from_the_edge(
+            self, origin, boresight, half_angle, max_range, seed):
+        fov = FieldOfView(np.array(origin), boresight, half_angle, max_range)
+        rng = np.random.default_rng(seed)
+        offsets = np.concatenate([
+            rng.uniform(-math.pi, math.pi, 300),
+            # just inside and just outside both edges
+            np.outer([-1.0, 1.0], half_angle + np.array(
+                [-1e-3, -1e-6, -1e-8, 1e-8, 1e-6, 1e-3])).ravel(),
+        ])
+        radii = max_range * rng.uniform(0.0, 1.5, offsets.size)
+        bearings = boresight + offsets
+        pts = fov.origin + np.column_stack([radii * np.cos(bearings),
+                                            radii * np.sin(bearings)])
+        expected, dber = reference_contains(fov, pts)
+        far = ((np.abs(np.abs(dber) - half_angle) > 1e-9)
+               & np.any(pts != fov.origin, axis=1))
+        np.testing.assert_array_equal(fov.contains(pts)[far], expected[far])
+
+    def test_full_disc_at_half_angle_pi(self):
+        fov = FieldOfView(np.array([3.0, -2.0]), 0.7, math.pi, 100.0)
+        ang = np.linspace(-math.pi, math.pi, 73)
+        ring = np.column_stack([np.cos(ang), np.sin(ang)])
+        assert fov.contains(fov.origin + 99.0 * ring).all()
+        assert not fov.contains(fov.origin + 101.0 * ring).any()
+
+    @pytest.mark.parametrize("boresight", [math.pi, -math.pi])
+    def test_boresight_at_plus_minus_pi(self, boresight):
+        fov = FieldOfView(np.zeros(2), boresight, math.pi / 4, 100.0)
+        pts = np.array([[-50.0, 0.0], [-50.0, 1e-3], [-50.0, -1e-3],
+                        [-50.0, 49.0], [-50.0, -49.0], [-50.0, 51.0],
+                        [50.0, 0.0], [0.0, 50.0]])
+        np.testing.assert_array_equal(
+            fov.contains(pts), [True, True, True, True, True, False, False, False])
+        np.testing.assert_array_equal(fov.contains(pts),
+                                      reference_contains(fov, pts)[0])
+
+    def test_points_on_the_range_circle(self):
+        # Pythagorean points lie exactly on the circle of radius 5
+        fov = FieldOfView(np.zeros(2), 0.0, math.pi / 2 - 0.1, 5.0)
+        pts = np.array([[5.0, 0.0], [3.0, 4.0], [4.0, -3.0], [-3.0, 4.0],
+                        [3.0, 4.000001]])
+        np.testing.assert_array_equal(fov.contains(pts),
+                                      [True, True, True, False, False])
+        np.testing.assert_array_equal(fov.contains(pts),
+                                      reference_contains(fov, pts)[0])
+
+    @pytest.mark.parametrize("boresight", [0.0, 2.0, math.pi, -math.pi / 2])
+    @pytest.mark.parametrize("half_angle", [1e-3, math.pi / 4, math.pi])
+    def test_sensor_origin_is_inside(self, boresight, half_angle):
+        fov = FieldOfView(np.array([10.0, -4.0]), boresight, half_angle, 50.0)
+        assert fov.contains(fov.origin)[0]
+
+    @pytest.mark.parametrize("cfg, seeds", [
+        (scenario1().with_overrides(clutter_rate=40.0), (0, 1)),
+        (scenario2(), (0,)),
+    ])
+    def test_tapes_match_angle_wrap(self, monkeypatch, cfg, seeds):
+        for seed in seeds:
+            tapes, sends = prepare_run(cfg, seed)
+            with monkeypatch.context() as patched:
+                patched.setattr(FieldOfView, "contains",
+                                lambda fov, pts: reference_contains(fov, pts)[0])
+                ref_tapes, ref_sends = prepare_run(cfg, seed)
+            assert sends == ref_sends
+            for scans, ref_scans in zip(tapes["scans"], ref_tapes["scans"]):
+                for scan, ref in zip(scans, ref_scans):
+                    np.testing.assert_array_equal(scan.zs, ref.zs)
+                    np.testing.assert_array_equal(scan.E, ref.E)
+
     def test_wedge_membership(self):
         fov = FieldOfView(np.zeros(2), 0.0, math.pi / 4, 100.0)
         assert fov.contains(np.array([[50.0, 0.0]]))[0]
