@@ -6,16 +6,29 @@ number of message-passing iterations produces the association products
 kappa and iota, and the particle beliefs are reweighted, normalized and
 augmented with one potential newborn per measurement.
 
-Within one sensor step, measurement evaluation computes each belief's
-detection probabilities once and hands them to the update through
-`AssociationMessages`. All beliefs are gated together: their innovation
-covariances go through one stacked eigendecomposition. The G gated
-measurements of a belief are then evaluated in one likelihood call (a
-triangular solve for raw payloads, an eigen projection for transformed
-ones), whose (G, Np) rows back that belief's entries of `q_cache`; one more
-call evaluates every measurement under its own birth cloud. The update
-visits only the gated (tau, i) pairs. Particles, weights and likelihoods
-stay in per-belief arrays.
+Inside each stage (prediction, measurement evaluation, belief calculation)
+the beliefs are stacked into blocks: consecutive runs of beliefs with equal
+particle counts, particles (B, Np, n) and weights (B, Np), of at most
+BLOCK_PARTICLES particles each (a larger belief is a block of its own).
+Runs keep the belief order, so random draws stay in belief order. Blocks
+are built one at a time because of peak memory: a late sensor of a scan can
+carry over a hundred beliefs, and one block of all of them, with its
+centred copies, would stay alive through the whole stage.
+
+Prediction draws the process noise once per block. Per block, measurement
+evaluation makes one detection-probability call over all particles, gates
+every belief with batched weighted moments and one stacked
+eigendecomposition of the innovation covariances, and evaluates all gated
+(belief, measurement) pairs in one likelihood call (a triangular solve for
+raw payloads, an eigen projection for transformed ones); the (G, Np) rows
+back `q_cache`. The detection probabilities go to the update through
+`AssociationMessages`, and the update visits only the gated (tau, i) pairs.
+Belief calculation normalizes, sums and takes the effective sample size of
+a block's rows together and resamples only the rows that need it. Stacked
+moments and dot products go through batched `@`, whose per-slice BLAS calls
+are those of the per-belief form (einsum would reorder the sums); the
+scenario-2 BP traces and curves equal those of the per-belief form bit for
+bit.
 
 The association messages have a two-value structure (a measurement-to-target
 message takes one value at "assigned to me" and a common value everywhere
@@ -44,6 +57,8 @@ from .transform import ClutterModel
 
 LOG_2PI = math.log(2.0 * math.pi)
 POS_DIM = 2
+# Most particles stacked into one block (see the module docstring).
+BLOCK_PARTICLES = 8192
 
 
 @dataclass
@@ -65,6 +80,16 @@ class ParticleBelief:
         self.weights = np.asarray(self.weights, dtype=float).reshape(-1)
         if self.weights.size != self.particles.shape[0]:
             raise InputError("weights do not match particle count")
+
+    @classmethod
+    def _trusted(cls, particles: np.ndarray, weights: np.ndarray,
+                 r_prob: float, label: object, missed_scans: int = 0):
+        """A belief from arrays this module built: (Np, n) float particles
+        and (Np,) float weights, taken without validation or copy."""
+        b = cls.__new__(cls)
+        b.particles, b.weights, b.r_prob = particles, weights, r_prob
+        b.label, b.missed_scans = label, missed_scans
+        return b
 
     @property
     def n_particles(self) -> int:
@@ -196,18 +221,40 @@ class _BatchLikelihood:
         return ll.reshape(zs.shape[0], n_pred)
 
 
+def _blocks(counts: Sequence[int]):
+    """Index ranges of the blocks over beliefs with these particle counts:
+    consecutive beliefs with equal counts, at most BLOCK_PARTICLES particles
+    (and at least one belief) each."""
+    start = 0
+    for end in range(1, len(counts) + 1):
+        if (end == len(counts) or counts[end] != counts[start]
+                or (end - start + 1) * counts[start] > BLOCK_PARTICLES):
+            yield range(start, end)
+            start = end
+
+
+def _counts(beliefs: Sequence[ParticleBelief]):
+    return [b.n_particles for b in beliefs]
+
+
 def bp_predict(beliefs: Sequence[ParticleBelief], motion: MotionModel,
                survival_prob: float, rng: np.random.Generator):
-    """Propagate particles through the motion model and decay existence."""
+    """Propagate particles through the motion model and decay existence.
+
+    The process noise is drawn once per block, the same stream as one draw
+    per belief. Each belief gets particles of its own, so that a belief
+    resampled later frees them.
+    """
     w, v = np.linalg.eigh(motion.Q)
     sqrt_q = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
     out = []
-    for b in beliefs:
-        noise = rng.standard_normal(b.particles.shape) @ sqrt_q.T
-        particles = b.particles @ motion.F.T + noise
-        out.append(ParticleBelief(particles, b.weights * survival_prob,
-                                  b.r_prob * survival_prob, b.label,
-                                  b.missed_scans))
+    for blk in _blocks(_counts(beliefs)):
+        shape = (len(blk),) + beliefs[blk.start].particles.shape
+        noise = rng.standard_normal(shape) @ sqrt_q.T
+        for b, e in zip((beliefs[t] for t in blk), noise):
+            out.append(ParticleBelief._trusted(
+                b.particles @ motion.F.T + e, b.weights * survival_prob,
+                b.r_prob * survival_prob, b.label, b.missed_scans))
     return out
 
 
@@ -261,26 +308,35 @@ def measurement_evaluation(beliefs: Sequence[ParticleBelief],
         raise InputError("belief without particles")
     lik = _BatchLikelihood(batch)
     log_clutter_intensity = math.log(inp.clutter.rate) + inp.clutter.log_density
+    gamma_gate = chi2_gate(cfg.gate_prob, lik.dof) if m else None
 
     beta = np.zeros((n, m + 1))
     p_detect = []
-    for tau, b in enumerate(beliefs):
-        pd_x = inp.detection_probs(b.particles[:, :POS_DIM])
-        p_detect.append(pd_x)
-        beta[tau, 0] = float(b.weights @ (1.0 - pd_x)) + (1.0 - b.r_prob)
-
     q_cache = {}
+    for blk in _blocks(_counts(beliefs)):
+        particles = np.stack([beliefs[t].particles for t in blk])
+        weights = np.stack([beliefs[t].weights for t in blk])
+        pd_x = inp.detection_probs(
+            particles[:, :, :POS_DIM].reshape(-1, POS_DIM)).reshape(weights.shape)
+        p_detect.extend(pd_x)
+        r_prob = np.array([beliefs[t].r_prob for t in blk])
+        beta[blk.start:blk.stop, 0] = _row_dots(weights, 1.0 - pd_x) + (1.0 - r_prob)
+        if not m:
+            continue
+        rows, cols = np.nonzero(_gate(particles, weights, lik, gamma_gate))
+        if not rows.size:
+            continue
+        z_pred = lik.predict(particles.reshape(-1, particles.shape[2]))
+        ll = lik.loglik(batch.zs[cols],
+                        z_pred.reshape(z_pred.shape[0], len(blk), -1)[:, rows])
+        q = pd_x[rows] * np.exp(ll - log_clutter_intensity)
+        taus = blk.start + rows
+        beta[taus, cols + 1] = _row_dots(weights[rows], q)
+        q_cache.update(zip(zip(taus.tolist(), cols.tolist()), q))
+
     xi = np.ones((m, n + 1))
     birth_liks = []
     if m:
-        for tau, gated in _gate(beliefs, lik, chi2_gate(cfg.gate_prob, lik.dof)):
-            b = beliefs[tau]
-            ll = lik.loglik(batch.zs[gated], lik.predict(b.particles))
-            q = p_detect[tau] * np.exp(ll - log_clutter_intensity)
-            for g, i in enumerate(gated.tolist()):
-                q_cache[(tau, i)] = q[g]
-                beta[tau, i + 1] = float(b.weights @ q[g])
-
         # measurement i against its own birth cloud: (dim, M, Np) predictions
         birth_pred = lik.predict(np.concatenate(birth_clouds))
         lls = lik.loglik(batch.zs, birth_pred.reshape(birth_pred.shape[0], m, -1))
@@ -291,34 +347,32 @@ def measurement_evaluation(beliefs: Sequence[ParticleBelief],
     return AssociationMessages(beta, xi, p_detect=p_detect), q_cache, birth_liks
 
 
-def _gate(beliefs: Sequence[ParticleBelief], lik: _BatchLikelihood,
-          gamma_gate: float):
-    """(tau, gated measurement indices) for every belief with a gated measurement.
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(B,) dot products of the rows of two (B, Np) arrays, each one BLAS dot
+    as for a single pair of vectors."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _gate(particles: np.ndarray, weights: np.ndarray, lik: _BatchLikelihood,
+          gamma_gate: float) -> np.ndarray:
+    """(B, M) mask of the measurements inside each stacked belief's gate.
 
     Each belief is summarized by the weighted mean and covariance of its
-    particles; the innovation covariances of all beliefs go through one
+    particles; the innovation covariances of the block go through one
     stacked pseudoinverse quadratic form. Beliefs without weight mass gate
     nothing.
     """
-    h = lik.H
-    taus, z_hats, covs = [], [], []
-    for tau, b in enumerate(beliefs):
-        total = float(b.weights.sum())
-        if total > 0:
-            mu = (b.weights @ b.particles) / total
-            centered = b.particles - mu
-            cov = (centered * b.weights[:, None]).T @ centered / total
-            taus.append(tau)
-            z_hats.append(h @ mu)
-            covs.append(h @ cov @ h.T)
-    if not taus:
-        return []
-    batch = lik.batch
-    d2 = psd_quadforms(np.array(covs) + batch.R,
-                       batch.zs[None, :, :] - np.array(z_hats)[:, None, :])
-    inside = d2 <= gamma_gate
-    return [(taus[k], np.flatnonzero(inside[k]))
-            for k in np.flatnonzero(inside.any(axis=1))]
+    total = weights.sum(axis=1)
+    live = total > 0
+    total = np.where(live, total, 1.0)[:, None]
+    mu = (weights[:, None, :] @ particles)[:, 0] / total
+    centred = particles - mu[:, None, :]
+    cov = (centred * weights[..., None]).transpose(0, 2, 1) @ centred / total[:, :, None]
+    h, batch = lik.H, lik.batch
+    z_hat = (h @ mu[:, :, None])[..., 0]
+    d2 = psd_quadforms(h @ cov @ h.T + batch.R,
+                       batch.zs[None, :, :] - z_hat[:, None, :])
+    return (d2 <= gamma_gate) & live[:, None]
 
 
 def iterative_association(msgs: AssociationMessages, iterations: int):
@@ -436,25 +490,32 @@ def _systematic_resample(weights: np.ndarray, n: int, u: float) -> np.ndarray:
     return np.searchsorted(cumulative, positions)
 
 
-def _normalize(particles: np.ndarray, unnorm: np.ndarray, c: float, u: float,
-               cfg: BpConfig):
-    """Weights unnorm / c; resample systematically with uniform u when the
-    effective sample size of the normalized weights is low.
+def _normalize(particles: Sequence[np.ndarray], unnorm: np.ndarray,
+               rest: np.ndarray, us: np.ndarray, cfg: BpConfig):
+    """Normalize the rows of one block; resample low-ESS rows.
 
-    Returns (particles, weights, r) with r the total weight before any
-    resampling.
+    Row k has weights unnorm[k] / c with c = sum(unnorm[k]) + rest[k]; it is
+    resampled systematically with uniform us[k] when the effective sample
+    size of its normalized weights is low, and otherwise keeps
+    particles[k]. Yields (particles, weights, r) per row, r the total weight
+    before any resampling, capped at one.
     """
-    if not (c > 0.0) or not math.isfinite(c):
+    c = unnorm.sum(axis=1) + rest
+    if not np.all(c > 0.0) or not np.all(np.isfinite(c)):
         raise DegenerateBeliefError("belief normalization constant <= 0")
-    weights = unnorm / c
-    r = float(weights.sum())
-    n = weights.size
-    if r > 0:
-        wn = weights / r
-        if 1.0 / float((wn * wn).sum()) < cfg.resample_ess_frac * n:
-            particles = particles[_systematic_resample(wn, n, u)]
-            weights = np.full(n, r / n)
-    return particles, weights, r
+    weights = unnorm / c[:, None]
+    r = weights.sum(axis=1)
+    live = r > 0
+    wn = weights / np.where(live, r, 1.0)[:, None]
+    n = weights.shape[1]
+    ess = np.divide(1.0, (wn * wn).sum(axis=1), out=np.full(r.shape, np.inf),
+                    where=live)
+    resample = (ess < cfg.resample_ess_frac * n).tolist()
+    for k, (p, w, r_k) in enumerate(zip(particles, weights, r.tolist())):
+        if resample[k]:
+            p = p[_systematic_resample(wn[k], n, us[k])]
+            w = np.full(n, r_k / n)
+        yield p, w, min(r_k, 1.0)
 
 
 def belief_calculation(beliefs: Sequence[ParticleBelief], survived_posts,
@@ -468,21 +529,26 @@ def belief_calculation(beliefs: Sequence[ParticleBelief], survived_posts,
     beliefs, newborn beliefs).
     """
     updated = []
-    us = rng.random(len(beliefs)).tolist()
-    for b, (gamma, gamma0), u in zip(beliefs, survived_posts, us):
-        unnorm1 = b.weights * gamma
-        c = float(unnorm1.sum()) + (1.0 - b.r_prob) * gamma0
-        particles, weights, r = _normalize(b.particles, unnorm1, c, u, cfg)
-        updated.append(ParticleBelief(particles, weights, min(r, 1.0),
-                                      b.label, b.missed_scans))
+    us = rng.random(len(beliefs))
+    for blk in _blocks(_counts(beliefs)):
+        olds = [beliefs[t] for t in blk]
+        posts = [survived_posts[t] for t in blk]
+        unnorm = np.stack([b.weights for b in olds]) * np.stack([g for g, _ in posts])
+        rest = np.array([1.0 - b.r_prob for b in olds]) * np.array([g0 for _, g0 in posts])
+        for b, (p, w, r) in zip(olds, _normalize(
+                [b.particles for b in olds], unnorm, rest, us[blk.start:blk.stop], cfg)):
+            updated.append(ParticleBelief._trusted(p, w, r, b.label, b.missed_scans))
 
     newborn = []
-    us = rng.random(len(newborn_posts)).tolist()
-    for (w_unnorm, denom), cloud, label, u in zip(newborn_posts, birth_clouds,
-                                                  labels, us):
-        c = float(w_unnorm.sum()) + denom
-        particles, weights, r = _normalize(cloud, w_unnorm, c, u, cfg)
-        newborn.append(ParticleBelief(particles, weights, min(r, 1.0), label))
+    us = rng.random(len(newborn_posts))
+    for blk in _blocks([c.shape[0] for c in birth_clouds]):
+        posts = [newborn_posts[i] for i in blk]
+        unnorm = np.stack([w for w, _ in posts])
+        rest = np.array([denom for _, denom in posts])
+        for i, (p, w, r) in zip(blk, _normalize(
+                birth_clouds[blk.start:blk.stop], unnorm, rest,
+                us[blk.start:blk.stop], cfg)):
+            newborn.append(ParticleBelief._trusted(p, w, r, labels[i]))
     return updated, newborn
 
 

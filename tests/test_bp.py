@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scipy.stats import chi2
 
 from conftest import paired_views, position_model
+from trackfuse import bp
 from trackfuse.bp import (
     AssociationMessages,
     BpConfig,
@@ -23,6 +26,7 @@ from trackfuse.bp import (
     measurement_update,
     propose_births,
 )
+from trackfuse.errors import InputError
 from trackfuse.linalg import psd_eig
 from trackfuse.models import MeasurementBatch, MotionModel
 from trackfuse.transform import ClutterModel
@@ -94,6 +98,25 @@ class TestPredict:
         out = bp_predict([belief], cv_motion(), 0.95, np.random.default_rng(3))
         assert out[0].r_prob == pytest.approx(0.76)
         assert np.sum(out[0].weights) == pytest.approx(0.76)
+
+    def test_block_draws_equal_per_belief_draws(self):
+        rng = np.random.default_rng(4)
+        # runs of 300 and 500 particles; the run of 18 beliefs of 500
+        # splits at the block cap
+        counts = (300, 500, 500, 300) + (500,) * 18
+        beliefs = [uniform_belief(rng.standard_normal((n, 4)), 0.5, label=k)
+                   for k, n in enumerate(counts)]
+        motion = cv_motion(q=0.3)
+        out = bp_predict(beliefs, motion, 0.9, np.random.default_rng(5))
+        w, v = np.linalg.eigh(motion.Q)
+        sqrt_q = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
+        ref_rng = np.random.default_rng(5)
+        for b, new in zip(beliefs, out):
+            noise = ref_rng.standard_normal(b.particles.shape) @ sqrt_q.T
+            np.testing.assert_array_equal(new.particles,
+                                          b.particles @ motion.F.T + noise)
+            np.testing.assert_array_equal(new.weights, b.weights * 0.9)
+            assert (new.r_prob, new.label) == (b.r_prob * 0.9, b.label)
 
 
 class TestMeasurementEvaluation:
@@ -247,7 +270,6 @@ class TestMeasurementUpdate:
         return beliefs, msgs, q_cache, bl, inp, cfg
 
     def test_messages_of_other_beliefs_rejected(self):
-        from trackfuse.errors import InputError
         beliefs, msgs, q_cache, bl, inp, cfg = self._evaluated(
             np.random.default_rng(15))
         measurement_update(beliefs, msgs, q_cache, bl, inp, cfg)
@@ -583,26 +605,32 @@ class TestBatchedSensorStep:
             resampled += new.particles is not b.particles
         assert 0 < resampled < len(beliefs)
 
-    def test_detect_fn_called_once_per_belief_and_sensor(self):
+    def test_detect_fn_sees_every_particle_once_per_sensor(self):
         rng = np.random.default_rng(64)
-        calls = []
-
-        def detect(positions):
-            calls.append(positions.shape[0])
-            return np.full(positions.shape[0], 0.9)
-
-        inputs = []
+        n_p = 3000
+        per_block = bp.BLOCK_PARTICLES // n_p
+        inputs, calls = [], []
         for l, m in enumerate((3, 2)):
             inp = simple_input(rng, rng.uniform(-20, 20, (m, 2)), sensor_id=l)
+            sizes = []
+
+            def detect(positions, sizes=sizes):
+                sizes.append(positions.shape[0])
+                return np.full(positions.shape[0], 0.9)
+
             inp.detect_fn = detect
             inputs.append(inp)
-        beliefs = self._beliefs(rng, (80, 80, 80), spread=10.0)
-        cfg = BpConfig(n_particles=80, prune_threshold=1e-300)
+            calls.append(sizes)
+        beliefs = self._beliefs(rng, (n_p,) * 3, spread=10.0)
+        cfg = BpConfig(n_particles=n_p, prune_threshold=1e-300)
         trace = []
         run_step(beliefs, inputs, cfg, trace)
-        # sensor 0 sees the 3 beliefs, sensor 1 also its 3 newborns
-        assert len(calls) == 3 + 6
+        # sensor 0 sees the 3 beliefs, sensor 1 also its 3 newborns: every
+        # particle once, in one call per block
         assert [step["r_prob"].size for step in trace] == [6, 8]
+        for sizes, n_beliefs in zip(calls, (3, 6)):
+            assert sum(sizes) == n_beliefs * n_p
+            assert len(sizes) == -(-n_beliefs // per_block) > 1
 
     def test_mixed_particle_counts_keep_raw_type2_traces_equal(self):
         rng = np.random.default_rng(65)
@@ -636,11 +664,80 @@ class TestBatchedSensorStep:
                 np.testing.assert_allclose(w_raw, w_tr, rtol=1e-9, atol=1e-300)
 
 
+class TestBlockProperties:
+    """Blocked stages against the per-belief references on random mixes."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           # 4096 fills a block with two beliefs; three of 2731 exceed it by one
+           counts=st.lists(st.sampled_from((1, 2, 300, 500, 2731, 4096, 5000)),
+                           min_size=1, max_size=7),
+           zero_weight=st.integers(-1, 6),
+           meas=st.sampled_from(("none", "far", "near")),
+           kind=st.sampled_from(("raw", "type2")))
+    def test_blocks_match_per_belief_references(self, seed, counts, zero_weight,
+                                                meas, kind):
+        rng = np.random.default_rng(seed)
+        beliefs = []
+        for k, n_p in enumerate(counts):
+            centre = np.array([15.0 * k, -10.0 * k, 1.0, 0.5])
+            particles = centre + rng.standard_normal((n_p, 4)) * [4.0, 4.0, 1, 1]
+            if k == zero_weight:
+                beliefs.append(ParticleBelief(particles, np.zeros(n_p), 0.0, k))
+            else:
+                weights = rng.uniform(0.1, 1.0, n_p)
+                r = rng.uniform(0.05, 0.95)
+                beliefs.append(ParticleBelief(particles, weights * r / weights.sum(),
+                                              r, k))
+        zs = {"none": np.zeros((0, 2)),
+              "far": np.array([[1e5, 1e5], [-1e5, 3e4]]),
+              "near": np.array([[0.0, 0.0], [16.0, -9.0], [44.0, -31.0],
+                                [-30.0, 25.0]])}[meas]
+        views_raw, views_tr, trs = paired_views(rng, 1, "type2")
+        raw_z = zs @ views_raw[0].H[:, :2].T
+        if kind == "raw":
+            batch = MeasurementBatch(0, raw_z, views_raw[0].H, views_raw[0].R)
+            clutter = views_raw[0].clutter
+        else:
+            batch = MeasurementBatch(0, raw_z @ trs[0].A.T, views_tr[0].H,
+                                     views_tr[0].R, kind)
+            clutter = views_tr[0].clutter
+        inp = BpSensorInput(batch, 0.9, clutter,
+                            detect_fn=lambda p: 0.8 * (p[:, 0] < 20.0) + 0.1)
+        cfg = BpConfig(n_particles=50)
+        clouds = propose_births(inp, cfg, 4, rng)
+
+        msgs, q_cache, _ = measurement_evaluation(beliefs, inp, cfg, clouds)
+        beta, xi, q_ref = reference_evaluation(beliefs, inp, cfg, clouds)
+        assert sorted(q_cache) == sorted(q_ref)
+        if meas != "near":
+            assert not q_cache
+        np.testing.assert_allclose(msgs.beta, beta, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(msgs.xi, xi, rtol=1e-12)
+        for key, q in q_ref.items():
+            np.testing.assert_allclose(q_cache[key], q, rtol=1e-12, atol=1e-300)
+
+        # a peaked likelihood on some beliefs forces resampling
+        posts = [(np.exp(-0.5 * np.sum(b.particles[:, :2] ** 2, axis=1)
+                         / rng.choice((1.0, 1e6))), 0.3) for b in beliefs]
+        updated, _ = belief_calculation(beliefs, posts, [], [], [], cfg,
+                                        np.random.default_rng(seed))
+        expected = reference_belief_calculation(beliefs, posts, cfg,
+                                                np.random.default_rng(seed))
+        for b, new, (particles, weights, r) in zip(beliefs, updated, expected):
+            np.testing.assert_array_equal(new.particles, particles)
+            np.testing.assert_array_equal(new.weights, weights)
+            assert new.r_prob == r
+            assert (new.label, new.missed_scans) == (b.label, b.missed_scans)
+
+
 class TestErrorPaths:
+    def test_weights_not_matching_particles_rejected(self):
+        with pytest.raises(InputError):
+            ParticleBelief(np.zeros((5, 4)), np.full(4, 0.1), 0.4, "x")
     def test_empty_belief_rejected(self):
         rng = np.random.default_rng(40)
         inp = simple_input(rng, np.zeros((0, 2)))
-        from trackfuse.errors import InputError
         bad = ParticleBelief(np.zeros((0, 4)), np.zeros(0), 0.5, "x")
         with pytest.raises(InputError):
             measurement_evaluation([bad], inp, BpConfig(n_particles=10), [])

@@ -12,9 +12,18 @@ traced runs (`--trace 1`, seed 0) for the per-layer metrics.
 For every end-to-end metric of `BENCHMARK.json` (read from the head) the
 file holds each side's runs, median and quartiles, the relative change of
 the medians, how many pairs the head won (ties count for neither side),
-and `gain_shown`: the head won at least nine tenths of the pairs and its
-median is better than the base median by more than the distance between
-the base quartiles. Per-layer metrics are the medians over the traced runs.
+and three flags:
+
+- `gain_shown`: the head won at least nine tenths of the pairs and its
+  median is better than the base median by more than the distance between
+  the base quartiles.
+- `regressed`: the head median is worse than the base median by more than
+  the metric's bound, relative to the base median.
+- `unresolved`: the quartile spread of either side exceeds the bound,
+  relative to that side's median, and not every head run beats every base
+  run; such a metric cannot be called unchanged.
+
+Per-layer metrics are the medians over the traced runs.
 """
 
 from __future__ import annotations
@@ -70,11 +79,16 @@ def summarize(spec, base_runs, head_runs):
             b1, b2, b3 = quartiles(b_ok)
             h1, h2, h3 = quartiles(h_ok)
             gain = (b2 - h2) if lower else (h2 - b2)
+            bound = metric["bound"]
+            head_beats_all = (max(h_ok) < min(b_ok)) if lower else (min(h_ok) > max(b_ok))
             entry.update({
                 "base": {"median": b2, "q1": b1, "q3": b3, "runs": base},
                 "head": {"median": h2, "q1": h1, "q3": h3, "runs": head},
                 "change": (h2 - b2) / b2 if b2 else 0.0,
                 "gain_shown": (wins >= 0.9 * len(base) and gain > (b3 - b1)),
+                "regressed": -gain > bound * abs(b2),
+                "unresolved": ((b3 - b1) > bound * abs(b2) or (h3 - h1) > bound * abs(h2))
+                              and not head_beats_all,
             })
         out[name] = entry
     return out
