@@ -18,8 +18,11 @@ RANK_RTOL = 1e-12
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Return (M + M^T)/2; applied after every covariance arithmetic step."""
-    return 0.5 * (m + m.T)
+    """Return (M + M^T)/2; applied after every covariance arithmetic step.
+
+    A (..., n, n) stack is symmetrized slice by slice.
+    """
+    return 0.5 * (m + (m.T if m.ndim < 3 else m.swapaxes(-1, -2)))
 
 
 def _psd_keep(w: np.ndarray, rtol: float) -> np.ndarray:
@@ -90,23 +93,28 @@ def pinv_psd(m: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     return symmetrize((v / w) @ v.T)
 
 
-def inv_spd(m: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """Inverse of a symmetric positive-definite matrix via Cholesky."""
+def cholesky(m: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """Lower Cholesky factor of a symmetric positive-definite matrix.
+
+    m may be a (..., n, n) stack; a slice that is not positive definite
+    raises NumericsError naming `what`.
+    """
     try:
-        c = np.linalg.cholesky(symmetrize(m))
+        return np.linalg.cholesky(symmetrize(m))
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"{what} is not positive definite") from exc
-    ident = np.eye(m.shape[0])
-    ci = np.linalg.solve(c, ident)
-    return symmetrize(ci.T @ ci)
+
+
+def inv_spd(m: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """Inverse of a symmetric positive-definite matrix (or a stack) via Cholesky."""
+    c = cholesky(m, what)
+    ci = np.linalg.solve(c, np.eye(m.shape[-1]))
+    return symmetrize(ci.swapaxes(-1, -2) @ ci)
 
 
 def chol_logdet_and_solve(s: np.ndarray, d: np.ndarray, what: str = "covariance"):
     """Return (log det S, S^-1 d) for SPD S; d may be (m,) or (m, k)."""
-    try:
-        c = np.linalg.cholesky(symmetrize(s))
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"{what} is not positive definite") from exc
+    c = cholesky(s, what)
     logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
     y = np.linalg.solve(c, d)
     return logdet, np.linalg.solve(c.T, y)

@@ -45,6 +45,9 @@ from .transform import (
 )
 
 BIG = 1e12
+# Deepest branch-and-bound recursion `solve_assignment_exact` starts: one
+# level per group, well under the interpreter's default limit of 1000.
+EXACT_MAX_GROUPS = 500
 
 
 @dataclass
@@ -383,8 +386,14 @@ def solve_assignment_exact(problem: AssignmentProblem,
 
     Candidates in each group are visited in (cost, indices) order with an
     admissible suffix bound, so ties resolve to the lexicographically
-    smallest tuple set.
+    smallest tuple set. The search recurses once per group, so a problem
+    of more than EXACT_MAX_GROUPS groups raises ResourceLimitError before
+    any node is visited.
     """
+    if len(problem.groups) > EXACT_MAX_GROUPS:
+        raise ResourceLimitError(
+            f"branch and bound over {len(problem.groups)} groups exceeds the "
+            f"depth cap ({EXACT_MAX_GROUPS})")
     groups = [_by_cost(g) for g in problem.groups]
     n_groups = len(groups)
     if n_groups == 0:

@@ -1,5 +1,15 @@
 """Linear-Gaussian dynamics / measurement models and Kalman-style updates.
 
+The Kalman equations are written once, in a stacked core that works on N
+estimates at a time, (N, n) means and (N, n, n) covariances:
+`predict_stack`, `innovation_stack` and `update_raw_stack`. Their products
+are batched `@`, which makes per slice the BLAS calls of the one-estimate
+form, so a row of a stack equals the N = 1 result bit for bit. `predict`,
+`innovation` and `update_raw` are thin N = 1 wrappers over the core for
+callers that hold one `GaussianEstimate` (the MDA pipeline and
+`update_transformed`); the local GNN trackers call the core on all their
+tracks at once.
+
 The fusion center consumes *effective* measurement models (H, R): either the
 sensor's raw model or its transformed counterpart. The raw update is the
 textbook covariance-form Kalman filter; the transformed update switches to
@@ -79,6 +89,14 @@ class GaussianEstimate:
         if self.cov.shape != (self.mean.size, self.mean.size):
             raise ConfigError("covariance does not match state dimension")
 
+    @classmethod
+    def _trusted(cls, mean: np.ndarray, cov: np.ndarray, timestamp: int = 0):
+        """An estimate from arrays this package built: an (n,) float mean and
+        a symmetric (n, n) float covariance, taken without validation or copy."""
+        est = cls.__new__(cls)
+        est.mean, est.cov, est.timestamp = mean, cov, timestamp
+        return est
+
 
 @dataclass
 class MeasurementBatch:
@@ -113,37 +131,63 @@ class MeasurementBatch:
         return self.zs.shape[0]
 
 
-def predict(est: GaussianEstimate, model: MotionModel) -> GaussianEstimate:
-    """One-step prediction: mean' = F mean, cov' = F cov F^T + Q."""
-    if model.n != est.mean.size:
+def predict_stack(means: np.ndarray, covs: np.ndarray, model: MotionModel):
+    """One-step prediction of N estimates: mean' = F mean, cov' = F cov F^T + Q."""
+    if model.n != means.shape[1]:
         raise ConfigError("motion model dimension does not match estimate")
-    mean = model.F @ est.mean
-    cov = symmetrize(model.F @ est.cov @ model.F.T + model.Q)
-    return GaussianEstimate(mean, cov, est.timestamp + 1)
+    return ((model.F @ means[:, :, None])[:, :, 0],
+            symmetrize(model.F @ covs @ model.F.T + model.Q))
+
+
+def innovation_stack(means: np.ndarray, covs: np.ndarray, model: MeasurementModel):
+    """(N, m) predicted measurements H mean and (N, m, m) innovation
+    covariances H P H^T + R of N predicted estimates."""
+    if model.n != means.shape[1]:
+        raise ConfigError("measurement model dimension does not match estimate")
+    return ((model.H @ means[:, :, None])[:, :, 0],
+            symmetrize(model.H @ covs @ model.H.T + model.R))
+
+
+def update_raw_stack(means: np.ndarray, covs: np.ndarray, zs: np.ndarray,
+                     model: MeasurementModel):
+    """Covariance-form Kalman update of N predicted estimates, row k by the
+    raw measurement zs[k]; returns the (N, n) means and (N, n, n) covariances.
+
+    Raises NumericsError if any innovation covariance has a condition number
+    above 1e12 (or not finite) or is not positive definite.
+    """
+    z_hat, s = innovation_stack(means, covs, model)
+    cond = np.linalg.cond(s)
+    bad = ~np.isfinite(cond) | (cond > 1e12)
+    if np.any(bad):
+        raise NumericsError("innovation covariance ill-conditioned "
+                            f"(cond={cond[bad][0]:.3e})")
+    gain = covs @ model.H.T @ inv_spd(s, "innovation covariance")
+    means = means + (gain @ (zs - z_hat)[:, :, None])[:, :, 0]
+    i_kh = np.eye(means.shape[1]) - gain @ model.H
+    covs = symmetrize(i_kh @ covs @ i_kh.swapaxes(1, 2)
+                      + gain @ model.R @ gain.swapaxes(1, 2))
+    return means, covs
+
+
+def predict(est: GaussianEstimate, model: MotionModel) -> GaussianEstimate:
+    """One-step prediction of one estimate (`predict_stack` with N = 1)."""
+    means, covs = predict_stack(est.mean[None], est.cov[None], model)
+    return GaussianEstimate._trusted(means[0], covs[0], est.timestamp + 1)
 
 
 def innovation(est_pred: GaussianEstimate, model: MeasurementModel):
     """Predicted measurement and innovation covariance (H mean, H P H^T + R)."""
-    if model.n != est_pred.mean.size:
-        raise ConfigError("measurement model dimension does not match estimate")
-    z_hat = model.H @ est_pred.mean
-    s = symmetrize(model.H @ est_pred.cov @ model.H.T + model.R)
-    return z_hat, s
+    z_hat, s = innovation_stack(est_pred.mean[None], est_pred.cov[None], model)
+    return z_hat[0], s[0]
 
 
 def update_raw(est_pred: GaussianEstimate, z: np.ndarray,
                model: MeasurementModel) -> GaussianEstimate:
-    """Covariance-form Kalman update with a raw measurement."""
-    z = np.asarray(z, dtype=float).reshape(-1)
-    z_hat, s = innovation(est_pred, model)
-    cond = np.linalg.cond(s)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise NumericsError(f"innovation covariance ill-conditioned (cond={cond:.3e})")
-    gain = est_pred.cov @ model.H.T @ inv_spd(s, "innovation covariance")
-    mean = est_pred.mean + gain @ (z - z_hat)
-    i_kh = np.eye(est_pred.mean.size) - gain @ model.H
-    cov = symmetrize(i_kh @ est_pred.cov @ i_kh.T + gain @ model.R @ gain.T)
-    return GaussianEstimate(mean, cov, est_pred.timestamp)
+    """Covariance-form Kalman update with a raw measurement (N = 1)."""
+    z = np.asarray(z, dtype=float).reshape(1, -1)
+    means, covs = update_raw_stack(est_pred.mean[None], est_pred.cov[None], z, model)
+    return GaussianEstimate._trusted(means[0], covs[0], est_pred.timestamp)
 
 
 def update_transformed(est_pred: GaussianEstimate, zt: np.ndarray,

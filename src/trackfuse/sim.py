@@ -21,16 +21,16 @@ from scipy.optimize import linear_sum_assignment
 from . import bp as bp_mod
 from . import mda as mda_mod
 from .errors import ConfigError, InputError
-from .linalg import chi2_gate, symmetrize
+from .linalg import chi2_gate, cholesky, symmetrize
 from .metrics import CommLedger, OspaParams, ospa, ospa2
 from .models import (
     GaussianEstimate,
     MeasurementBatch,
     MeasurementModel,
     MotionModel,
-    innovation,
-    predict,
-    update_raw,
+    innovation_stack,
+    predict_stack,
+    update_raw_stack,
 )
 from .transform import (
     ClutterModel,
@@ -310,6 +310,15 @@ class GnnTracker:
     differencing initiation, M-of-N style confirmation/deletion. Returns
     the measurement indices of confirmed tracks updated this scan (the
     payload the sensor transmits).
+
+    A scan runs on stacked arrays of all tracks: one `predict_stack`, one
+    `innovation_stack` and one Cholesky of the innovation covariances for
+    the log-determinants and whitened residuals, the (N, M) cost table by
+    `np.where`, one `linear_sum_assignment`, and one `update_raw_stack` of
+    the tracks that got a measurement. The tracks stay `_LocalTrack`
+    objects, so that callers can seed and inspect them one by one; the
+    stacks are built from them at the start of a scan and their estimates
+    written back at the end, without re-validation.
     """
 
     def __init__(self, motion: MotionModel, dt: float,
@@ -323,61 +332,26 @@ class GnnTracker:
     def step(self, scan_data: SensorScan):
         cfg = self.cfg
         zs, model = scan_data.zs, scan_data.model
-        m = zs.shape[0]
-        for t in self.tracks:
-            t.est = predict(t.est, self.motion)
-
-        gamma = chi2_gate(cfg.gate_prob, model.m)
-        assigned_meas = set()
-        transmit = []
-        if self.tracks:
-            n_t = len(self.tracks)
-            mat = np.full((n_t, m + n_t), BIG)
-            for ti, t in enumerate(self.tracks):
-                z_hat, s = innovation(t.est, model)
-                c = np.linalg.cholesky(s)
-                logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
-                base = logdet + model.m * math.log(2.0 * math.pi)
-                if m:
-                    y = np.linalg.solve(c, (zs - z_hat).T)
-                    d2 = np.sum(y * y, axis=0)
-                    inside = d2 <= gamma
-                    mat[ti, :m][inside] = 0.5 * (d2[inside] + base)
-                mat[ti, m + ti] = 0.5 * (gamma + base)
-            rows, cols = linear_sum_assignment(mat)
-            for ti, col in zip(rows, cols):
-                t = self.tracks[ti]
-                if col < m and mat[ti, col] < BIG:
-                    t.est = update_raw(t.est, zs[col], model)
-                    t.hits += 1
-                    t.misses = 0
-                    assigned_meas.add(int(col))
-                    if t.hits >= cfg.confirm_hits:
-                        t.confirmed = True
-                    if t.confirmed:
-                        transmit.append(int(col))
-                else:
-                    t.misses += 1
+        transmit, taken = self._maintain(zs, model) if self.tracks else ([], [])
         self.tracks = [t for t in self.tracks if t.misses < cfg.delete_misses]
 
-        leftovers = [i for i in range(m) if i not in assigned_meas]
+        leftovers = np.setdiff1d(np.arange(zs.shape[0]), taken)
         e_inv = np.linalg.inv(scan_data.E)
         pos_cov = symmetrize(e_inv @ model.R @ e_inv.T)
-        positions = zs[leftovers] @ e_inv.T if leftovers else np.zeros((0, 2))
+        positions = zs[leftovers] @ e_inv.T
 
         paired = set()
-        if self.initiators and leftovers:
+        if self.initiators and leftovers.size:
             capture = cfg.capture_speed * self.dt + 4.0 * math.sqrt(
                 float(np.max(np.linalg.eigvalsh(2.0 * pos_cov))))
             n_i = len(self.initiators)
-            mat = np.full((n_i, len(leftovers) + n_i), capture ** 2)
-            for ii, (p0, c0) in enumerate(self.initiators):
-                d = np.linalg.norm(positions - p0, axis=1)
-                ok = d <= capture
-                mat[ii, :len(leftovers)][ok] = d[ok] ** 2
+            starts = np.array([p0 for p0, _ in self.initiators])
+            d = np.linalg.norm(positions[None, :, :] - starts[:, None, :], axis=2)
+            mat = np.full((n_i, leftovers.size + n_i), capture ** 2)
+            mat[:, :leftovers.size] = np.where(d <= capture, d ** 2, capture ** 2)
             rows, cols = linear_sum_assignment(mat)
             for ii, col in zip(rows, cols):
-                if col >= len(leftovers) or mat[ii, col] >= capture ** 2:
+                if col >= leftovers.size or mat[ii, col] >= capture ** 2:
                     continue
                 p0, c0 = self.initiators[ii]
                 p1 = positions[col]
@@ -388,13 +362,59 @@ class GnnTracker:
                 cov[:2, 2:] = pos_cov / self.dt
                 cov[2:, :2] = pos_cov / self.dt
                 cov[2:, 2:] = (c0 + pos_cov) / (self.dt ** 2)
-                self.tracks.append(_LocalTrack(GaussianEstimate(mean, cov),
+                # symmetric by construction: pos_cov and c0 are symmetrized
+                self.tracks.append(_LocalTrack(GaussianEstimate._trusted(mean, cov),
                                                hits=2))
                 paired.add(int(col))
 
         self.initiators = [(positions[j], pos_cov)
-                           for j in range(len(leftovers)) if j not in paired]
+                           for j in range(leftovers.size) if j not in paired]
         return sorted(transmit)
+
+    def _maintain(self, zs: np.ndarray, model: MeasurementModel):
+        """Predict, gate, assign and update every track in stacked calls.
+
+        Returns the indices of the measurements taken by confirmed tracks
+        (the sends) and of all measurements taken.
+        """
+        cfg = self.cfg
+        tracks = self.tracks
+        n_t, m = len(tracks), zs.shape[0]
+        means, covs = predict_stack(np.stack([t.est.mean for t in tracks]),
+                                    np.stack([t.est.cov for t in tracks]),
+                                    self.motion)
+        z_hat, s = innovation_stack(means, covs, model)
+        c = cholesky(s, "innovation covariance")
+        logdet = 2.0 * np.sum(np.log(np.diagonal(c, axis1=1, axis2=2)), axis=1)
+        base = logdet + model.m * math.log(2.0 * math.pi)
+        gamma = chi2_gate(cfg.gate_prob, model.m)
+        mat = np.full((n_t, m + n_t), BIG)
+        if m:
+            y = np.linalg.solve(c, (zs[None, :, :] - z_hat[:, None, :]).swapaxes(1, 2))
+            d2 = np.sum(y * y, axis=1)
+            mat[:, :m] = np.where(d2 <= gamma, 0.5 * (d2 + base[:, None]), BIG)
+        mat[np.arange(n_t), m + np.arange(n_t)] = 0.5 * (gamma + base)
+        rows, cols = linear_sum_assignment(mat)
+        hit = (cols < m) & (mat[rows, cols] < BIG)
+        if np.any(hit):
+            means[rows[hit]], covs[rows[hit]] = update_raw_stack(
+                means[rows[hit]], covs[rows[hit]], zs[cols[hit]], model)
+
+        transmit = []
+        for ti, col, got in zip(rows, cols, hit):
+            t = tracks[ti]
+            t.est = GaussianEstimate._trusted(means[ti], covs[ti],
+                                              t.est.timestamp + 1)
+            if got:
+                t.hits += 1
+                t.misses = 0
+                if t.hits >= cfg.confirm_hits:
+                    t.confirmed = True
+                if t.confirmed:
+                    transmit.append(int(col))
+            else:
+                t.misses += 1
+        return transmit, cols[hit]
 
 
 def encode_batch(scan_data: SensorScan, sent: Sequence[int], payload: str,

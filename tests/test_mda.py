@@ -9,6 +9,7 @@ from scipy.stats import chi2
 from conftest import paired_views, position_model, random_track
 from trackfuse.errors import UnobservableHypothesisError
 from trackfuse.mda import (
+    EXACT_MAX_GROUPS,
     AssignmentProblem,
     Candidate,
     HypothesisCost,
@@ -24,6 +25,7 @@ from trackfuse.mda import (
     mle_state,
     score_with_prior,
     score_without_prior,
+    solve_assignment,
     solve_assignment_exact,
     solve_assignment_relaxed,
 )
@@ -390,3 +392,38 @@ class TestErrorPaths:
         problem = random_maintenance_problem(rng, 3, 5, 5, keep=1.0)
         with pytest.raises(ResourceLimitError):
             solve_assignment_exact(problem, node_cap=3)
+
+
+def disjoint_initiation_problem(n_groups, seed=32):
+    """n_groups optional two-sensor tuples on disjoint measurements."""
+    rng = np.random.default_rng(seed)
+    groups = [[Candidate((g + 1, g + 1), -1.0 - float(rng.random())),
+               Candidate((0, 0), 0.0)] for g in range(n_groups)]
+    return AssignmentProblem("initiation", groups, 2, [n_groups, n_groups])
+
+
+class TestExactDepthCap:
+    def test_auto_mode_falls_back_to_the_relaxation(self):
+        # 3,000 candidates, under auto_exact_candidates, used to recurse
+        # 1,500 levels deep and raise RecursionError
+        problem = disjoint_initiation_problem(1500)
+        assert problem.n_candidates <= MdaConfig().auto_exact_candidates
+        sol = solve_assignment(problem, MdaConfig())
+        assert sol.feasible
+        assert not constraint_violations(problem, sol)
+        assert len(sol.assignments) == 1500
+
+    def test_exact_mode_raises_before_the_search(self):
+        from trackfuse.errors import ResourceLimitError
+        problem = disjoint_initiation_problem(1500)
+        with pytest.raises(ResourceLimitError, match="depth"):
+            solve_assignment(problem, MdaConfig(solver="exact"))
+        with pytest.raises(ResourceLimitError, match="depth"):
+            solve_assignment_exact(problem, node_cap=10 ** 9)
+
+    def test_cap_is_the_deepest_problem_solved(self):
+        from trackfuse.errors import ResourceLimitError
+        sol = solve_assignment_exact(disjoint_initiation_problem(EXACT_MAX_GROUPS))
+        assert len(sol.assignments) == EXACT_MAX_GROUPS
+        with pytest.raises(ResourceLimitError):
+            solve_assignment_exact(disjoint_initiation_problem(EXACT_MAX_GROUPS + 1))

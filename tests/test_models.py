@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from trackfuse.errors import ConfigError, InputError, NumericsError
-from trackfuse.linalg import pinv_psd
+from trackfuse.linalg import inv_spd, pinv_psd, symmetrize
 from trackfuse.models import (
     GaussianEstimate,
     MeasurementModel,
     MotionModel,
     innovation,
+    innovation_stack,
     predict,
+    predict_stack,
     update_raw,
+    update_raw_stack,
     update_transformed,
 )
 
@@ -207,3 +210,80 @@ class TestInvariants:
             np.testing.assert_allclose(seq.mean, stacked.mean, rtol=1e-9,
                                        atol=1e-9)
             np.testing.assert_allclose(seq.cov, stacked.cov, rtol=1e-9)
+
+
+def textbook_predict_update(est, motion, z, model):
+    """Reference: the one-estimate Kalman equations written out in 2-D."""
+    mean = motion.F @ est.mean
+    cov = symmetrize(motion.F @ est.cov @ motion.F.T + motion.Q)
+    z_hat = model.H @ mean
+    s = symmetrize(model.H @ cov @ model.H.T + model.R)
+    gain = cov @ model.H.T @ inv_spd(s)
+    i_kh = np.eye(mean.size) - gain @ model.H
+    return ((mean, cov), (z_hat, s),
+            (mean + gain @ (z - z_hat),
+             symmetrize(i_kh @ cov @ i_kh.T + gain @ model.R @ gain.T)))
+
+
+class TestStackedCore:
+    def _stack(self, rng, n):
+        ests = [GaussianEstimate(rng.standard_normal(4) * 100.0,
+                                 random_spd(rng, 4) * 10.0, int(k))
+                for k in rng.integers(0, 50, n)]
+        return (ests, np.stack([e.mean for e in ests]),
+                np.stack([e.cov for e in ests]))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_rows_equal_one_estimate_calls_bitwise(self, n):
+        rng = np.random.default_rng(40 + n)
+        motion = cv_model(q=0.3)
+        model = MeasurementModel(np.hstack([np.diag([1.01, 0.99]), np.zeros((2, 2))]),
+                                 random_spd(rng, 2) + 25.0 * np.eye(2))
+        ests, means, covs = self._stack(rng, n)
+        zs = rng.standard_normal((n, 2)) * 100.0
+        p_means, p_covs = predict_stack(means, covs, motion)
+        z_hats, ss = innovation_stack(p_means, p_covs, model)
+        u_means, u_covs = update_raw_stack(p_means, p_covs, zs, model)
+        for k, est in enumerate(ests):
+            pred = predict(est, motion)
+            z_hat, s = innovation(pred, model)
+            upd = update_raw(pred, zs[k], model)
+            assert pred.timestamp == est.timestamp + 1
+            assert upd.timestamp == pred.timestamp
+            ref = textbook_predict_update(est, motion, zs[k], model)
+            for got, one, textbook in [
+                    ((p_means[k], p_covs[k]), (pred.mean, pred.cov), ref[0]),
+                    ((z_hats[k], ss[k]), (z_hat, s), ref[1]),
+                    ((u_means[k], u_covs[k]), (upd.mean, upd.cov), ref[2])]:
+                for a, b, c in zip(got, one, textbook):
+                    np.testing.assert_array_equal(a, b)
+                    np.testing.assert_array_equal(a, c)
+
+    def test_one_ill_conditioned_row_raises(self):
+        rng = np.random.default_rng(44)
+        _, means, covs = self._stack(rng, 5)
+        covs[3] = np.zeros((4, 4))
+        model = MeasurementModel(np.hstack([np.eye(2), np.zeros((2, 2))]),
+                                 np.diag([1.0, 1e-14]))
+        with pytest.raises(NumericsError, match="cond"):
+            update_raw_stack(means, covs, np.zeros((5, 2)), model)
+        # the same stack without the bad row updates
+        keep = [0, 1, 2, 4]
+        update_raw_stack(means[keep], covs[keep], np.zeros((4, 2)),
+                         MeasurementModel(model.H, np.eye(2)))
+
+    def test_one_negative_definite_row_raises(self):
+        rng = np.random.default_rng(45)
+        _, means, covs = self._stack(rng, 4)
+        covs[1] = -100.0 * np.eye(4)
+        model = MeasurementModel(np.hstack([np.eye(2), np.zeros((2, 2))]),
+                                 25.0 * np.eye(2))
+        with pytest.raises(NumericsError, match="not positive definite"):
+            update_raw_stack(means, covs, np.zeros((4, 2)), model)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ConfigError):
+            predict_stack(np.zeros((3, 2)), np.zeros((3, 2, 2)), cv_model())
+        model = MeasurementModel(np.hstack([np.eye(2), np.zeros((2, 2))]), np.eye(2))
+        with pytest.raises(ConfigError):
+            innovation_stack(np.zeros((3, 2)), np.zeros((3, 2, 2)), model)

@@ -7,12 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
-from trackfuse.models import GaussianEstimate
+from trackfuse.errors import NumericsError
+from trackfuse.linalg import chi2_gate, symmetrize
+from trackfuse.models import GaussianEstimate, innovation, predict, update_raw
 from trackfuse.sim import (
+    BIG,
     FieldOfView,
     GnnTracker,
     SensorScan,
+    _LocalTrack,
     generate_measurements,
     generate_truth,
     monte_carlo,
@@ -289,6 +294,210 @@ class TestGnnTracker:
         assert sent == [0, 1]
         np.testing.assert_allclose(tracker.tracks[0].est.mean[:2], [2.0, 1.0],
                                    atol=2.0)
+
+
+def reference_gnn_step(tracker, scan_data):
+    """The per-track GNN scan the stacked `GnnTracker.step` replaced: one
+    predict, innovation, Cholesky and update call per track."""
+    cfg = tracker.cfg
+    zs, model = scan_data.zs, scan_data.model
+    m = zs.shape[0]
+    for t in tracker.tracks:
+        t.est = predict(t.est, tracker.motion)
+
+    gamma = chi2_gate(cfg.gate_prob, model.m)
+    assigned_meas = set()
+    transmit = []
+    if tracker.tracks:
+        n_t = len(tracker.tracks)
+        mat = np.full((n_t, m + n_t), BIG)
+        for ti, t in enumerate(tracker.tracks):
+            z_hat, s = innovation(t.est, model)
+            c = np.linalg.cholesky(s)
+            logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
+            base = logdet + model.m * math.log(2.0 * math.pi)
+            if m:
+                y = np.linalg.solve(c, (zs - z_hat).T)
+                d2 = np.sum(y * y, axis=0)
+                inside = d2 <= gamma
+                mat[ti, :m][inside] = 0.5 * (d2[inside] + base)
+            mat[ti, m + ti] = 0.5 * (gamma + base)
+        rows, cols = linear_sum_assignment(mat)
+        for ti, col in zip(rows, cols):
+            t = tracker.tracks[ti]
+            if col < m and mat[ti, col] < BIG:
+                t.est = update_raw(t.est, zs[col], model)
+                t.hits += 1
+                t.misses = 0
+                assigned_meas.add(int(col))
+                if t.hits >= cfg.confirm_hits:
+                    t.confirmed = True
+                if t.confirmed:
+                    transmit.append(int(col))
+            else:
+                t.misses += 1
+    tracker.tracks = [t for t in tracker.tracks if t.misses < cfg.delete_misses]
+
+    leftovers = [i for i in range(m) if i not in assigned_meas]
+    e_inv = np.linalg.inv(scan_data.E)
+    pos_cov = symmetrize(e_inv @ model.R @ e_inv.T)
+    positions = zs[leftovers] @ e_inv.T if leftovers else np.zeros((0, 2))
+
+    paired = set()
+    if tracker.initiators and leftovers:
+        capture = cfg.capture_speed * tracker.dt + 4.0 * math.sqrt(
+            float(np.max(np.linalg.eigvalsh(2.0 * pos_cov))))
+        n_i = len(tracker.initiators)
+        mat = np.full((n_i, len(leftovers) + n_i), capture ** 2)
+        for ii, (p0, c0) in enumerate(tracker.initiators):
+            d = np.linalg.norm(positions - p0, axis=1)
+            ok = d <= capture
+            mat[ii, :len(leftovers)][ok] = d[ok] ** 2
+        rows, cols = linear_sum_assignment(mat)
+        for ii, col in zip(rows, cols):
+            if col >= len(leftovers) or mat[ii, col] >= capture ** 2:
+                continue
+            p0, c0 = tracker.initiators[ii]
+            p1 = positions[col]
+            vel = (p1 - p0) / tracker.dt
+            mean = np.concatenate([p1, vel])
+            cov = np.zeros((4, 4))
+            cov[:2, :2] = pos_cov
+            cov[:2, 2:] = pos_cov / tracker.dt
+            cov[2:, :2] = pos_cov / tracker.dt
+            cov[2:, 2:] = (c0 + pos_cov) / (tracker.dt ** 2)
+            tracker.tracks.append(_LocalTrack(GaussianEstimate(mean, cov), hits=2))
+            paired.add(int(col))
+
+    tracker.initiators = [(positions[j], pos_cov)
+                          for j in range(len(leftovers)) if j not in paired]
+    return sorted(transmit)
+
+
+def assert_same_trackers(a, b):
+    """Bitwise equality of two trackers' tracks and initiators."""
+    assert len(a.tracks) == len(b.tracks)
+    for ta, tb in zip(a.tracks, b.tracks):
+        assert (ta.hits, ta.misses, ta.confirmed, ta.est.timestamp) == (
+            tb.hits, tb.misses, tb.confirmed, tb.est.timestamp)
+        np.testing.assert_array_equal(ta.est.mean, tb.est.mean)
+        np.testing.assert_array_equal(ta.est.cov, tb.est.cov)
+    assert len(a.initiators) == len(b.initiators)
+    for (pa, ca), (pb, cb) in zip(a.initiators, b.initiators):
+        np.testing.assert_array_equal(pa, pb)
+        np.testing.assert_array_equal(ca, cb)
+
+
+def position_only_model(r=25.0):
+    return MeasurementModel(np.hstack([np.eye(2), np.zeros((2, 2))]),
+                            r * np.eye(2), 0)
+
+
+def run_both(tracks, scans):
+    """Step a stacked and a reference tracker, both seeded with `tracks`,
+    through `scans`, asserting equal sends and states after every step."""
+    cfg = scenario1()
+    pair = [GnnTracker(motion_model(cfg), cfg.dt) for _ in range(2)]
+    for tracker in pair:
+        tracker.tracks = [_LocalTrack(GaussianEstimate(est.mean.copy(), est.cov.copy(),
+                                                       est.timestamp),
+                                      hits, misses, confirmed)
+                          for est, hits, misses, confirmed in tracks]
+    stacked, reference = pair
+    for scan_data in scans:
+        assert stacked.step(scan_data) == reference_gnn_step(reference, scan_data)
+        assert_same_trackers(stacked, reference)
+    return stacked
+
+
+class TestStackedGnnStep:
+    def test_scenario1_clutter40_tape_matches_reference(self):
+        cfg = scenario1().with_overrides(clutter_rate=40.0)
+        truth = generate_truth(cfg, seed=3)
+        pairs = [(GnnTracker(motion_model(cfg), cfg.dt),
+                  GnnTracker(motion_model(cfg), cfg.dt)) for _ in cfg.sensors]
+        sent = 0
+        for scan in range(1, cfg.duration + 1):
+            for s in generate_measurements(truth, cfg, scan, seed=3):
+                stacked, reference = pairs[s.sensor_id]
+                out = stacked.step(s)
+                assert out == reference_gnn_step(reference, s)
+                assert_same_trackers(stacked, reference)
+                sent += len(out)
+        assert sent > 100
+
+    def _track(self, pos, vel=(0.0, 0.0), var=9.0, hits=4, misses=0):
+        return (GaussianEstimate(np.concatenate([pos, vel]), np.diag([var] * 4)),
+                hits, misses, hits >= 4)
+
+    @pytest.mark.parametrize("case", [
+        "no tracks", "no measurements", "all gated out", "third miss",
+        "initiation", "crossing"])
+    def test_edge_cases_match_reference(self, case):
+        model = position_only_model()
+        far = np.array([[5000.0, 5000.0], [-4000.0, 300.0]])
+        tracks = [self._track([0.0, 0.0], [1.0, 0.0]),
+                  self._track([40.0, 0.0], [-1.0, 0.0], misses=1)]
+        if case == "no tracks":
+            tracks, zs = [], [np.array([[1.0, 2.0], [50.0, 9.0]])] * 2
+        elif case == "no measurements":
+            zs = [np.zeros((0, 2))] * 3
+        elif case == "all gated out":
+            zs = [far, far + 10.0]
+        elif case == "third miss":
+            tracks = [self._track([0.0, 0.0], misses=2)]
+            zs = [np.zeros((0, 2))]
+        elif case == "initiation":
+            tracks = []
+            zs = [np.array([[10.0, 20.0]]), np.array([[13.0, 19.0]]),
+                  np.array([[16.0, 18.0]])]
+        else:
+            tracks = [self._track([0.0, 0.0], [4.0, 0.0]),
+                      self._track([12.0, 0.0], [-4.0, 0.0])]
+            zs = [np.array([[9.0, 0.5], [3.0, -0.5]]),
+                  np.array([[5.5, 0.0], [6.5, 0.0]]),
+                  np.array([[10.0, 0.0], [2.0, 0.0]])]
+        last = run_both(tracks, [_scan(z, model, np.eye(2)) for z in zs])
+        if case == "third miss":
+            assert last.tracks == []
+        if case == "initiation":
+            assert len(last.tracks) == 1 and last.tracks[0].hits == 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           n_tracks=st.integers(0, 5),
+           counts=st.lists(st.integers(0, 6), min_size=1, max_size=4),
+           near=st.floats(0.0, 1.0))
+    def test_random_scans_match_reference(self, seed, n_tracks, counts, near):
+        rng = np.random.default_rng(seed)
+        model = MeasurementModel(np.hstack([np.diag(1.0 + rng.uniform(-0.02, 0.02, 2)),
+                                            np.zeros((2, 2))]),
+                                 np.diag(25.0 + rng.uniform(0.0, 1.0, 2)), 0)
+        tracks = [(GaussianEstimate(np.concatenate([rng.uniform(-100, 100, 2),
+                                                    rng.uniform(-5, 5, 2)]),
+                                    np.diag(rng.uniform(1.0, 50.0, 4)),
+                                    int(rng.integers(0, 10))),
+                   int(rng.integers(1, 6)), int(rng.integers(0, 3)),
+                   bool(rng.random() < 0.5)) for _ in range(n_tracks)]
+        anchors = np.array([est.mean[:2] for est, *_ in tracks]).reshape(-1, 2)
+        scans = []
+        for count in counts:
+            zs = rng.uniform(-150, 150, (count, 2))
+            # a share of the measurements lands next to a track
+            close = rng.random(count) < near
+            if anchors.size and close.any():
+                zs[close] = (anchors[rng.integers(0, len(anchors), close.sum())]
+                             + rng.normal(0.0, 5.0, (close.sum(), 2)))
+            scans.append(_scan(zs, model, model.H[:, :2]))
+        run_both(tracks, scans)
+
+    def test_non_pd_innovation_raises_typed_error(self):
+        tracker = GnnTracker(motion_model(scenario1()), 1.0)
+        tracker.tracks.append(_LocalTrack(GaussianEstimate(
+            [0.0, 0.0, 0.0, 0.0], -100.0 * np.eye(4)), hits=4, confirmed=True))
+        with pytest.raises(NumericsError, match="innovation covariance"):
+            tracker.step(_scan(np.array([[1.0, 1.0]]), position_only_model(),
+                               np.eye(2)))
 
 
 class TestHarness:

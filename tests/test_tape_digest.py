@@ -1,0 +1,44 @@
+"""tools/tape_digest.py: one digest per tape, sensitive to tracker state."""
+
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+from trackfuse import sim
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("tape_digest", ROOT / "tools" / "tape_digest.py")
+tape_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tape_digest)
+
+CFG = sim.scenario1().with_overrides(clutter_rate=40.0)
+
+
+def test_command_prints_the_digest_of_each_tape():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "tape_digest.py"), "--checkout", str(ROOT),
+         "--workload", "s1-mda-c40", "--seeds", "0", "1"],
+        capture_output=True, text=True, check=True).stdout.split()
+    assert out[0::2] == ["0", "1"]
+    assert out[1::2] == [tape_digest.tape_digest(sim, CFG, 0),
+                         tape_digest.tape_digest(sim, CFG, 1)]
+    assert out[1] != out[3] and len(out[1]) == 64
+
+
+def test_digest_changes_with_one_final_track_state(monkeypatch):
+    plain = tape_digest.tape_digest(sim, CFG, 0)
+    step = sim.GnnTracker.step
+
+    def late_clock(self, scan_data):
+        # moves the timestamps of sensor 1's tracks, which neither the
+        # filtering nor the sends read
+        sent = step(self, scan_data)
+        for t in self.tracks if scan_data.sensor_id == 1 else []:
+            t.est.timestamp += 1
+        return sent
+
+    monkeypatch.setattr(sim.GnnTracker, "step", late_clock)
+    assert tape_digest.tape_digest(sim, CFG, 0) != plain
+    monkeypatch.undo()
+    assert tape_digest.tape_digest(sim, CFG, 0) == plain
