@@ -58,6 +58,18 @@ def psd_eig(m: np.ndarray, rtol: float = RANK_RTOL):
     return w[keep], v[:, keep], int(np.count_nonzero(keep))
 
 
+def psd_eig_stack(mats: np.ndarray):
+    """Stacked `psd_eig` of (B, m, m) symmetric PSD matrices.
+
+    Returns the full eigenvalues (B, m) and eigenvectors (B, m, m) of one
+    stacked `np.linalg.eigh`, and the (B, m) mask of the nonzero
+    eigenvalues by the rank rule of `psd_eig`, whose NumericsError it
+    raises.
+    """
+    w, v = np.linalg.eigh(symmetrize(np.asarray(mats, dtype=float)))
+    return w, v, _psd_keep(w, RANK_RTOL)
+
+
 def psd_quadforms(mats: np.ndarray, diffs: np.ndarray) -> np.ndarray:
     """Pseudoinverse quadratic forms d^T M^+ d for a stack of PSD matrices.
 
@@ -66,9 +78,7 @@ def psd_quadforms(mats: np.ndarray, diffs: np.ndarray) -> np.ndarray:
     rule and NumericsError; the forms equal those built from `psd_eig` up
     to rounding (a rank-zero matrix gives zero forms).
     """
-    mats = np.asarray(mats, dtype=float)
-    w, v = np.linalg.eigh(0.5 * (mats + mats.swapaxes(-1, -2)))
-    keep = _psd_keep(w, RANK_RTOL)
+    w, v, keep = psd_eig_stack(mats)
     proj = diffs @ v
     terms = np.divide(proj * proj, w[:, None, :], out=np.zeros_like(proj),
                       where=keep[:, None, :])

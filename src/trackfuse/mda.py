@@ -1,10 +1,29 @@
 """MDA-based track association and fusion.
 
 Hypothesis scores are log likelihood ratios against the all-clutter
-hypothesis. Candidate tuples are gated, assembled into an assignment
-problem (one tuple per fused track, each measurement used at most once),
-and solved either exactly (depth-first branch and bound, also the oracle
-for the relaxation) or by Lagrangian relaxation onto 2-D subproblems.
+hypothesis.
+
+Track maintenance: the with-prior score of a (track, i_1..i_L) tuple is a
+sum of per-(track, sensor, measurement) terms, so the maintenance problem
+splits exactly into L independent rectangular assignments, one
+N x (M_l + N) table per sensor with one miss column per track (the
+decomposable case of the S-D assignment problem). `build_mda_problem`
+fills each sensor's table from one stacked factorization of the N
+innovation covariances, `solve_maintenance` makes one
+`linear_sum_assignment` call per sensor, and `update_maintained` updates
+sensor by sensor, one stacked Kalman update per sensor. Exact ties
+resolve per sensor, as `linear_sum_assignment` resolves them, not by the
+lexicographic order of the branch and bound. A sensor with P_d = 1 has no
+finite miss cell: a track that lands on a BIG cell on any sensor gets the
+all-zero fallback tuple, and its measurements on the other sensors go back
+to initiation. The tuple enumeration `enumerate_mda_problem` and the exact
+solver stay as the test oracle of this decomposition.
+
+Track initiation is the genuinely multidimensional part: candidate tuples
+are gated, assembled into an assignment problem (one tuple per group, each
+measurement used at most once), and solved either exactly (depth-first
+branch and bound, also the oracle for the relaxation) or by Lagrangian
+relaxation onto 2-D subproblems.
 
 Raw and transformed payloads flow through genuinely different numeric
 routes (Cholesky Gaussian vs eigendecomposition/pseudoinverse generalized
@@ -24,21 +43,33 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import (
     DegenerateBeliefError,
+    InconsistentTransformError,
     InputError,
+    NumericsError,
     ResourceLimitError,
     UnobservableHypothesisError,
 )
-from .linalg import chi2_gate, pinv_psd, psd_eig, symmetrize
+from .linalg import (
+    chi2_gate,
+    cholesky,
+    pinv_psd,
+    psd_eig,
+    psd_eig_stack,
+    symmetrize,
+)
 from .models import (
     GaussianEstimate,
     MeasurementBatch,
     MeasurementModel,
     MotionModel,
-    predict,
-    update_raw,
+    innovation_stack,
+    predict_stack,
+    transformed_model,
+    update_raw_stack,
     update_transformed,
 )
 from .transform import (
+    LOG_2PI,
     ClutterModel,
     gaussian_log_likelihood,
     generalized_log_likelihood,
@@ -119,6 +150,26 @@ class AssignmentProblem:
     @property
     def n_candidates(self) -> int:
         return sum(len(g) for g in self.groups)
+
+
+@dataclass
+class MaintenanceProblem:
+    """Per-sensor maintenance assignment tables.
+
+    tables[l] is (N, M_l + N): row t holds track t's costs against sensor
+    l's M_l measurements, then its miss in column M_l + t. Ungated cells,
+    the other tracks' miss columns and the miss of a P_d = 1 sensor hold
+    BIG.
+    """
+
+    tables: list
+    n_tracks: int
+    meas_counts: list
+
+    @property
+    def n_candidates(self) -> int:
+        """Cells below BIG: gated (track, measurement) pairs and finite misses."""
+        return sum(int(np.count_nonzero(t < BIG)) for t in self.tables)
 
 
 @dataclass
@@ -242,8 +293,14 @@ def gate_distances(est_pred: GaussianEstimate, batch: MeasurementBatch):
 class MdaConfig:
     gate_prob: float = 0.99
     init_gate_prob: float = 0.99
+    # Cap on the candidate tuples of initiation (and of the maintenance
+    # enumeration oracle); maintenance itself builds per-sensor tables.
     max_tuples: int = 200_000
+    # How initiation problems are solved; maintenance is always the exact
+    # per-sensor decomposition.
     solver: str = "auto"            # auto | exact | relaxed
+    # In auto mode, initiation problems of at most this many candidates go
+    # to branch and bound first.
     auto_exact_candidates: int = 4000
     subgradient_iters: int = 200
     confirm_hits: int = 2
@@ -252,11 +309,154 @@ class MdaConfig:
     velocity_prior_var: float = 1e4
 
 
+def padded_table(meas: np.ndarray, miss: np.ndarray) -> np.ndarray:
+    """(N, M + N) rectangular assignment table of N rows over M columns.
+
+    Row t holds meas[t] in the first M columns and miss[t] in its own
+    column M + t; the other miss columns hold BIG, so every row can always
+    be assigned somewhere.
+    """
+    n, m = meas.shape
+    table = np.full((n, m + n), BIG)
+    table[:, :m] = meas
+    table[np.arange(n), m + np.arange(n)] = miss
+    return table
+
+
+def _measurement_costs(means: np.ndarray, covs: np.ndarray,
+                       batch: MeasurementBatch, view: SensorView,
+                       gate_prob: float) -> np.ndarray:
+    """(N, M) costs of N predicted tracks against the batch's measurements.
+
+    One stacked innovation covariance and one stacked factorization of it
+    give every squared Mahalanobis distance and log-likelihood: Cholesky
+    for raw payloads; for transformed ones the eigendecomposition with the
+    PSD rank rule, the rank's chi-square gate and the range check of
+    `generalized_log_likelihood` on the gated pairs. A gated cell is the
+    negative of the with-prior score's term for that sensor (see
+    `score_with_prior`); an ungated one is BIG.
+    """
+    z_hat, s = innovation_stack(means, covs, batch)
+    diffs = batch.zs[None, :, :] - z_hat[:, None, :]
+    if batch.transformed:
+        w, v, keep = psd_eig_stack(s)
+        rank = np.count_nonzero(keep, axis=1)
+        sq = (diffs @ v) ** 2
+        d2 = np.sum(np.divide(sq, w[:, None, :], out=np.zeros_like(sq),
+                              where=keep[:, None, :]), axis=2)
+        gated = d2 <= np.array([chi2_gate(gate_prob, int(r)) for r in rank])[:, None]
+        if np.any(gated & (rank == 0)[:, None]):
+            raise NumericsError("transformed covariance has rank zero")
+        outside = np.sum(np.where(keep[:, None, :], 0.0, sq), axis=2)
+        if np.any(gated & (outside > 1e-16 * np.sum(diffs * diffs, axis=2))):
+            raise InconsistentTransformError(
+                "residual is outside the range of the transformed covariance")
+        norm = rank * LOG_2PI + np.sum(np.log(w, out=np.zeros_like(w), where=keep),
+                                       axis=1)
+    else:
+        c = cholesky(s, "innovation covariance")
+        y = np.linalg.solve(c, diffs.swapaxes(1, 2))
+        d2 = np.sum(y * y, axis=1)
+        gated = d2 <= chi2_gate(gate_prob, s.shape[-1])
+        norm = (s.shape[-1] * LOG_2PI
+                + 2.0 * np.sum(np.log(np.diagonal(c, axis1=1, axis2=2)), axis=1))
+    log_lik = -0.5 * (norm[:, None] + d2)
+    cost = -(math.log(view.p_d) + log_lik - math.log(view.clutter.rate)
+             - view.clutter.log_density)
+    return np.where(gated, cost, BIG)
+
+
 def build_mda_problem(tracks_pred: Sequence[GaussianEstimate],
                       batches: Sequence[MeasurementBatch],
                       sensors: Sequence[SensorView],
-                      cfg: MdaConfig) -> AssignmentProblem:
-    """Gated candidate tuples for track maintenance (one group per track)."""
+                      cfg: MdaConfig) -> MaintenanceProblem:
+    """Per-sensor maintenance tables (see `MaintenanceProblem`).
+
+    The batch supplies the measurements and the effective (H, R) that gate
+    and score them, the view P_d and the clutter model. A miss costs
+    -log(1 - P_d), BIG when P_d = 1.
+    """
+    n = len(tracks_pred)
+    if n:
+        means = np.stack([e.mean for e in tracks_pred])
+        covs = np.stack([e.cov for e in tracks_pred])
+    tables = []
+    for batch, view in zip(batches, sensors):
+        meas = np.full((n, batch.n_meas), BIG)
+        if n and batch.n_meas:
+            meas = _measurement_costs(means, covs, batch, view, cfg.gate_prob)
+        tables.append(padded_table(meas, np.full(n, min(-_log_miss(view.p_d), BIG))))
+    return MaintenanceProblem(tables, n, [b.n_meas for b in batches])
+
+
+def solve_maintenance(problem: MaintenanceProblem) -> AssociationSolution:
+    """Optimal maintenance selection: one `linear_sum_assignment` per sensor.
+
+    Assignments are (tau, i_1..i_L) in track order, i_l = 0 for a miss. A
+    track that lands on a BIG cell on any sensor takes the all-zero
+    fallback tuple at cost BIG, which frees its other measurements; the
+    selection is then feasible but need not be optimal.
+    """
+    n = problem.n_tracks
+    idx = np.zeros((n, len(problem.tables)), dtype=int)
+    cost = np.zeros(n)
+    fallback = np.zeros(n, dtype=bool)
+    for l, (table, m) in enumerate(zip(problem.tables, problem.meas_counts)):
+        rows, cols = linear_sum_assignment(table)
+        idx[rows, l] = np.where(cols < m, cols + 1, 0)
+        cost[rows] += table[rows, cols]
+        fallback[rows] |= table[rows, cols] >= BIG
+    idx[fallback] = 0
+    total = float(np.sum(np.where(fallback, BIG, cost)))
+    assignments = [(t + 1,) + tuple(row) for t, row in enumerate(idx.tolist())]
+    return AssociationSolution(assignments, total, True, 0.0)
+
+
+def update_maintained(preds: Sequence[GaussianEstimate], assignments,
+                      batches: Sequence[MeasurementBatch]) -> list:
+    """Posterior estimates of the maintained tracks.
+
+    Sensor by sensor, in sensor order, one `update_raw_stack` call updates
+    the tracks that took one of the sensor's measurements, with the batch's
+    (H, R) checked once. A transformed batch with singular R keeps the
+    per-track information-form `update_transformed`. Each track sees the
+    arithmetic of its own sequential updates, so the estimates equal the
+    per-track ones bit for bit. A track with no measurement keeps its
+    prediction.
+    """
+    idx = np.array([a[1:] for a in assignments], dtype=int).reshape(
+        len(preds), len(batches))
+    means = np.stack([p.mean for p in preds])
+    covs = np.stack([p.cov for p in preds])
+    for l, batch in enumerate(batches):
+        rows = np.flatnonzero(idx[:, l])
+        if rows.size == 0:
+            continue
+        zs = batch.zs[idx[rows, l] - 1]
+        model = (transformed_model(batch.H, batch.R) if batch.transformed
+                 else MeasurementModel(batch.H, batch.R))
+        if model is None:
+            for t, z in zip(rows, zs):
+                est = update_transformed(GaussianEstimate._trusted(
+                    means[t], covs[t], preds[t].timestamp), z, batch.H, batch.R)
+                means[t], covs[t] = est.mean, est.cov
+        else:
+            means[rows], covs[rows] = update_raw_stack(means[rows], covs[rows],
+                                                       zs, model)
+    return [GaussianEstimate._trusted(means[t], covs[t], p.timestamp)
+            if np.any(idx[t]) else p for t, p in enumerate(preds)]
+
+
+def enumerate_mda_problem(tracks_pred: Sequence[GaussianEstimate],
+                          batches: Sequence[MeasurementBatch],
+                          sensors: Sequence[SensorView],
+                          cfg: MdaConfig) -> AssignmentProblem:
+    """Gated candidate tuples for track maintenance (one group per track).
+
+    The test oracle of `build_mda_problem` and `solve_maintenance`: every
+    product of the per-sensor gated options, each scored by
+    `score_with_prior`, for `solve_assignment_exact`.
+    """
     n_sensors = len(batches)
     meas_counts = [b.n_meas for b in batches]
     groups = []
@@ -486,24 +686,36 @@ def constraint_violations(problem: AssignmentProblem,
     return problems
 
 
+def _candidate_table(groups, l: int, m: int, cost=None):
+    """Sensor l's padded table over candidate groups.
+
+    Each cell holds the cheapest candidate (by `cost`, default its own
+    cost) whose sensor-l index falls there, index 0 in the group's miss
+    column. Returns (table, {(group, column): candidate}).
+    """
+    n_groups = len(groups)
+    table = padded_table(np.full((n_groups, m), BIG), np.full(n_groups, BIG))
+    cell = {}
+    for g, cands in enumerate(groups):
+        for cand in cands:
+            c = cand.cost if cost is None else cost(cand)
+            col = cand.indices[l] - 1 if cand.indices[l] > 0 else m + g
+            if c < table[g, col]:
+                table[g, col] = c
+                cell[(g, col)] = cand
+    return table, cell
+
+
 def _hungarian_2d(problem: AssignmentProblem) -> AssociationSolution:
     """Exact solve when only one measurement dimension is active."""
     groups = [_by_cost(g) for g in problem.groups]
-    n_groups = len(groups)
     active = [l for l in range(problem.n_sensors) if problem.meas_counts[l] > 0
               and any(c.indices[l] > 0 for g in groups for c in g)]
     if len(active) > 1:
         raise InputError("not a 2-D instance")
     l = active[0] if active else 0
     m = problem.meas_counts[l] if problem.meas_counts else 0
-    mat = np.full((n_groups, m + n_groups), BIG)
-    cell = {}
-    for g, cands in enumerate(groups):
-        for cand in cands:
-            col = cand.indices[l] - 1 if cand.indices[l] > 0 else m + g
-            if cand.cost < mat[g, col]:
-                mat[g, col] = cand.cost
-                cell[(g, col)] = cand
+    mat, cell = _candidate_table(groups, l, m)
     rows, cols = linear_sum_assignment(mat)
     sel = []
     for g, col in zip(rows, cols):
@@ -538,11 +750,7 @@ def _restore_feasible(problem, groups):
     feasible = [list(cands) for cands in groups]
     for l in range(problem.n_sensors):
         m = problem.meas_counts[l]
-        mat = np.full((n_groups, m + n_groups), BIG)
-        for g, cands in enumerate(feasible):
-            for cand in cands:
-                col = cand.indices[l] - 1 if cand.indices[l] > 0 else m + g
-                mat[g, col] = min(mat[g, col], cand.cost)
+        mat, _ = _candidate_table(feasible, l, m)
         rows, cols = linear_sum_assignment(mat)
         commit = dict(zip(rows, cols))
         for g in range(n_groups):
@@ -568,7 +776,6 @@ def solve_assignment_relaxed(problem: AssignmentProblem,
     groups = [_by_cost(g) for g in problem.groups]
     if not groups:
         return AssociationSolution([], 0.0, True, 0.0)
-    n_groups = len(groups)
     L = problem.n_sensors
     active = [l for l in range(L)
               if any(c.indices[l] > 0 for g in groups for c in g)]
@@ -585,24 +792,18 @@ def solve_assignment_relaxed(problem: AssignmentProblem,
     best_dual = -math.inf
     scale = 1.0
 
+    def reduced_cost(cand):
+        return cand.cost + sum(u[l][cand.indices[l]]
+                               for l in dual_sets if cand.indices[l] > 0)
+
     for _ in range(max_iters):
-        mat = np.full((n_groups, m_keep + n_groups), BIG)
-        cell = {}
-        for g, cands in enumerate(groups):
-            for cand in cands:
-                rc = cand.cost + sum(u[l][cand.indices[l]]
-                                     for l in dual_sets if cand.indices[l] > 0)
-                col = cand.indices[keep] - 1 if cand.indices[keep] > 0 else m_keep + g
-                if rc < mat[g, col]:
-                    mat[g, col] = rc
-                    cell[(g, col)] = (cand, rc)
+        mat, cell = _candidate_table(groups, keep, m_keep, reduced_cost)
         rows, cols = linear_sum_assignment(mat)
         relaxed_sel = []
         inner = 0.0
         for g, col in zip(rows, cols):
-            cand, rc = cell[(g, col)]
-            relaxed_sel.append(cand)
-            inner += rc
+            relaxed_sel.append(cell[(g, col)])
+            inner += mat[g, col]
         dual = inner - sum(np.sum(u[l][1:]) for l in dual_sets)
         if dual > best_dual + 1e-12:
             best_dual = dual
@@ -695,32 +896,29 @@ def mda_pipeline_step(tracks: list, batches: Sequence[MeasurementBatch],
                       cfg: MdaConfig, next_label: int, scan: int = 0):
     """One scan of predict / maintain / update / initiate / manage.
 
-    Returns (tracks, next_label, info) where info records the selected
-    maintenance and initiation tuples for diagnostics.
+    Maintenance is the per-sensor decomposition (`build_mda_problem`,
+    `solve_maintenance`, `update_maintained`); initiation goes through
+    `solve_assignment`. Returns (tracks, next_label, info) where info
+    records the selected maintenance and initiation tuples for diagnostics.
     """
-    preds = [predict(t.est, motion) for t in tracks]
     info = {"maintenance": [], "initiation": []}
 
     used = [set() for _ in batches]
     if tracks:
+        means, covs = predict_stack(np.stack([t.est.mean for t in tracks]),
+                                    np.stack([t.est.cov for t in tracks]), motion)
+        preds = [GaussianEstimate._trusted(means[k], covs[k], t.est.timestamp + 1)
+                 for k, t in enumerate(tracks)]
         problem = build_mda_problem(preds, batches, sensors, cfg)
-        solution = solve_assignment(problem, cfg)
+        solution = solve_maintenance(problem)
         info["maintenance"] = list(solution.assignments)
-        for assign in solution.assignments:
-            tau, idx = assign[0], assign[1:]
-            track = tracks[tau - 1]
-            est = preds[tau - 1]
+        posts = update_maintained(preds, solution.assignments, batches)
+        for (_, *idx), track, est in zip(solution.assignments, tracks, posts):
             n_hit = 0
             for l, i in enumerate(idx):
-                if i == 0:
-                    continue
-                z = batches[l].zs[i - 1]
-                if batches[l].transformed:
-                    est = update_transformed(est, z, batches[l].H, batches[l].R)
-                else:
-                    est = update_raw(est, z, MeasurementModel(batches[l].H, batches[l].R))
-                used[l].add(i)
-                n_hit += 1
+                if i > 0:
+                    used[l].add(i)
+                    n_hit += 1
             track.est = est
             if n_hit > 0:
                 track.hits += n_hit

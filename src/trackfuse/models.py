@@ -6,9 +6,9 @@ estimates at a time, (N, n) means and (N, n, n) covariances:
 are batched `@`, which makes per slice the BLAS calls of the one-estimate
 form, so a row of a stack equals the N = 1 result bit for bit. `predict`,
 `innovation` and `update_raw` are thin N = 1 wrappers over the core for
-callers that hold one `GaussianEstimate` (the MDA pipeline and
-`update_transformed`); the local GNN trackers call the core on all their
-tracks at once.
+callers that hold one `GaussianEstimate` (`update_transformed`, and the
+per-track reference loops of the tests); the local GNN trackers and the
+MDA pipeline call the core on all their tracks at once.
 
 The fusion center consumes *effective* measurement models (H, R): either the
 sensor's raw model or its transformed counterpart. The raw update is the
@@ -21,6 +21,7 @@ for any full-column-rank transformation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -139,10 +140,14 @@ def predict_stack(means: np.ndarray, covs: np.ndarray, model: MotionModel):
             symmetrize(model.F @ covs @ model.F.T + model.Q))
 
 
-def innovation_stack(means: np.ndarray, covs: np.ndarray, model: MeasurementModel):
+def innovation_stack(means: np.ndarray, covs: np.ndarray, model):
     """(N, m) predicted measurements H mean and (N, m, m) innovation
-    covariances H P H^T + R of N predicted estimates."""
-    if model.n != means.shape[1]:
+    covariances H P H^T + R of N predicted estimates.
+
+    `model` is anything that holds an effective H (m, n) and R (m, m): a
+    MeasurementModel, or a MeasurementBatch whose R may be singular.
+    """
+    if model.H.shape[1] != means.shape[1]:
         raise ConfigError("measurement model dimension does not match estimate")
     return ((model.H @ means[:, :, None])[:, :, 0],
             symmetrize(model.H @ covs @ model.H.T + model.R))
@@ -190,6 +195,21 @@ def update_raw(est_pred: GaussianEstimate, z: np.ndarray,
     return GaussianEstimate._trusted(means[0], covs[0], est_pred.timestamp)
 
 
+def transformed_model(Ht: np.ndarray, Rt: np.ndarray) -> Optional[MeasurementModel]:
+    """The covariance-form model of a transformed payload (Ht, Rt), or None
+    when Rt is singular (its smallest eigenvalue at most 1e-12 times the
+    largest) and the update must take the information form.
+
+    Raises InputError if Rt has a clearly negative eigenvalue.
+    """
+    eigs = np.linalg.eigvalsh(Rt)
+    if np.min(eigs) < -1e-8 * max(np.max(eigs), 1e-300):
+        raise InputError("transformed noise covariance has a negative eigenvalue")
+    if np.min(eigs) > 1e-12 * np.max(eigs):
+        return MeasurementModel(Ht, Rt)
+    return None
+
+
 def update_transformed(est_pred: GaussianEstimate, zt: np.ndarray,
                        Ht: np.ndarray, Rt: np.ndarray) -> GaussianEstimate:
     """Update with a transformed measurement zt = A z, Ht = A H, Rt = A R A^T.
@@ -202,12 +222,9 @@ def update_transformed(est_pred: GaussianEstimate, zt: np.ndarray,
     zt = np.asarray(zt, dtype=float).reshape(-1)
     Ht = np.atleast_2d(np.asarray(Ht, dtype=float))
     Rt = symmetrize(np.atleast_2d(np.asarray(Rt, dtype=float)))
-    eigs = np.linalg.eigvalsh(Rt)
-    if np.min(eigs) < -1e-8 * max(np.max(eigs), 1e-300):
-        raise InputError("transformed noise covariance has a negative eigenvalue")
-    nonsingular = np.min(eigs) > 1e-12 * np.max(eigs)
-    if nonsingular:
-        return update_raw(est_pred, zt, MeasurementModel(Ht, Rt))
+    model = transformed_model(Ht, Rt)
+    if model is not None:
+        return update_raw(est_pred, zt, model)
     rt_pinv = pinv_psd(Rt)
     info_prior = inv_spd(est_pred.cov, "prior covariance")
     info = symmetrize(info_prior + Ht.T @ rt_pinv @ Ht)

@@ -22,6 +22,7 @@ from . import bp as bp_mod
 from . import mda as mda_mod
 from .errors import ConfigError, InputError
 from .linalg import chi2_gate, cholesky, symmetrize
+from .mda import BIG, padded_table
 from .metrics import CommLedger, OspaParams, ospa, ospa2
 from .models import (
     GaussianEstimate,
@@ -38,8 +39,6 @@ from .transform import (
     make_type1,
     make_type2,
 )
-
-BIG = 1e12
 
 
 def _key_part(part) -> int:
@@ -388,12 +387,12 @@ class GnnTracker:
         logdet = 2.0 * np.sum(np.log(np.diagonal(c, axis1=1, axis2=2)), axis=1)
         base = logdet + model.m * math.log(2.0 * math.pi)
         gamma = chi2_gate(cfg.gate_prob, model.m)
-        mat = np.full((n_t, m + n_t), BIG)
+        d2 = np.empty((n_t, 0))
         if m:
             y = np.linalg.solve(c, (zs[None, :, :] - z_hat[:, None, :]).swapaxes(1, 2))
             d2 = np.sum(y * y, axis=1)
-            mat[:, :m] = np.where(d2 <= gamma, 0.5 * (d2 + base[:, None]), BIG)
-        mat[np.arange(n_t), m + np.arange(n_t)] = 0.5 * (gamma + base)
+        mat = padded_table(np.where(d2 <= gamma, 0.5 * (d2 + base[:, None]), BIG),
+                           0.5 * (gamma + base))
         rows, cols = linear_sum_assignment(mat)
         hit = (cols < m) & (mat[rows, cols] < BIG)
         if np.any(hit):

@@ -1,6 +1,7 @@
 """Summary flags of tools/bench_pairs.py on synthetic paired runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -89,3 +90,31 @@ def test_missing_run_loses_its_pair():
     assert out["mc_run_s"]["head_wins"] == 9
     assert out["mc_run_s"]["gain_shown"]
     assert out["mc_run_s"]["head"]["runs"][3] is None
+
+
+def test_untraced_and_traced_runs_alternate_sides(tmp_path, monkeypatch):
+    # Machine drift between blocks of runs must not land on one side, so
+    # the traced runs alternate like the untraced pairs.
+    base, head = tmp_path / "base", tmp_path / "head"
+    base.mkdir()
+    head.mkdir()
+    (head / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": SPEC["end_to_end"]}))
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        calls.append((checkout.name, seed, trace))
+        return {"failed": 0, "correct": True,
+                "metrics": {m["name"]: {"value": 1.0, "unit": m["unit"]}
+                            for m in SPEC["end_to_end"]}}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    out = tmp_path / "out.json"
+    bench_pairs.main(["--base", str(base), "--head", str(head), "--out", str(out),
+                      "--pairs", "3", "--first-seed", "5", "--traced", "3"])
+    assert calls == [("base", 5, 0), ("head", 5, 0), ("head", 6, 0), ("base", 6, 0),
+                     ("base", 7, 0), ("head", 7, 0),
+                     ("base", 0, 1), ("head", 0, 1), ("head", 0, 1), ("base", 0, 1),
+                     ("base", 0, 1), ("head", 0, 1)]
+    report = json.loads(out.read_text())["workloads"]["w"]
+    assert report["correct"] == {"base": [True] * 6, "head": [True] * 6}

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from conftest import paired_views, position_model, random_track
-from trackfuse.errors import UnobservableHypothesisError
+from trackfuse import mda as mda_mod
+from trackfuse.errors import InconsistentTransformError, UnobservableHypothesisError
 from trackfuse.mda import (
+    BIG,
     EXACT_MAX_GROUPS,
     AssignmentProblem,
     Candidate,
@@ -20,6 +24,7 @@ from trackfuse.mda import (
     build_mda_problem,
     constraint_violations,
     enumerate_assignment_minimum,
+    enumerate_mda_problem,
     gate_distances,
     mda_pipeline_step,
     mle_state,
@@ -28,9 +33,17 @@ from trackfuse.mda import (
     solve_assignment,
     solve_assignment_exact,
     solve_assignment_relaxed,
+    solve_maintenance,
+    update_maintained,
 )
-from trackfuse.models import GaussianEstimate, MeasurementBatch
-from trackfuse.sim import motion_model, scenario1
+from trackfuse.models import (
+    GaussianEstimate,
+    MeasurementBatch,
+    MeasurementModel,
+    update_raw,
+    update_transformed,
+)
+from trackfuse.sim import motion_model, prepare_run, run_mda_fusion, scenario1
 from trackfuse.transform import ClutterModel
 
 
@@ -137,7 +150,7 @@ class TestScoreWithoutPrior:
 
 class TestBuildProblem:
     def test_empty_instance(self):
-        problem = build_mda_problem([], [], [], MdaConfig())
+        problem = enumerate_mda_problem([], [], [], MdaConfig())
         assert problem.groups == []
 
     def test_single_track_single_gated_measurement(self):
@@ -147,7 +160,7 @@ class TestBuildProblem:
         z = model.H @ est.mean  # dead center, surely gated
         batch = MeasurementBatch(0, z[None, :], model.H, model.R, "raw")
         view = SensorView(model.H, model.R, 0.9, ClutterModel(10.0, 1e6))
-        problem = build_mda_problem([est], [batch], [view], MdaConfig())
+        problem = enumerate_mda_problem([est], [batch], [view], MdaConfig())
         assert sorted(c.indices for c in problem.groups[0]) == [(0,), (1,)]
         init = build_initiation_problem([batch], [view], MdaConfig())
         # single-sensor singleton tuples cannot initiate
@@ -165,7 +178,7 @@ class TestBuildProblem:
                                             model.R, "raw"))
         views = [SensorView(m.H, m.R, 0.9, ClutterModel(10.0, 1e6))
                  for m in (model0, model1)]
-        problem = build_mda_problem(tracks, batches, views, cfg)
+        problem = enumerate_mda_problem(tracks, batches, views, cfg)
         # oracle: per-track gate recount via direct quadratic forms
         gamma = chi2.ppf(cfg.gate_prob, 2)
         for t_idx, est in enumerate(tracks):
@@ -280,8 +293,8 @@ class TestRelaxedSolver:
                                            views_tr[l].H, views_tr[l].R, kind)
                           for l in range(2)]
             cfg = MdaConfig()
-            prob_raw = build_mda_problem(tracks, batches_raw, views_raw, cfg)
-            prob_tr = build_mda_problem(tracks, batches_tr, views_tr, cfg)
+            prob_raw = enumerate_mda_problem(tracks, batches_raw, views_raw, cfg)
+            prob_tr = enumerate_mda_problem(tracks, batches_tr, views_tr, cfg)
             for g_raw, g_tr in zip(prob_raw.groups, prob_tr.groups):
                 assert [c.indices for c in g_raw] == [c.indices for c in g_tr]
                 np.testing.assert_allclose([c.cost for c in g_raw],
@@ -384,7 +397,7 @@ class TestErrorPaths:
                  for m in (model0, model1)]
         from trackfuse.errors import ResourceLimitError
         with pytest.raises(ResourceLimitError, match="cap"):
-            build_mda_problem(tracks, batches, views, cfg)
+            enumerate_mda_problem(tracks, batches, views, cfg)
 
     def test_exact_solver_node_cap(self):
         from trackfuse.errors import ResourceLimitError
@@ -427,3 +440,243 @@ class TestExactDepthCap:
         assert len(sol.assignments) == EXACT_MAX_GROUPS
         with pytest.raises(ResourceLimitError):
             solve_assignment_exact(disjoint_initiation_problem(EXACT_MAX_GROUPS + 1))
+
+
+def maintenance_instance(rng, n_tracks, meas_counts, kind, p_ds=None):
+    """Predicted tracks and paired raw / transformed (batches, views) of one
+    random maintenance scan; about half the measurements fall near a track."""
+    views_raw, views_tr, trs = paired_views(rng, len(meas_counts), kind)
+    for l, p_d in enumerate(p_ds or []):
+        views_raw[l].p_d = views_tr[l].p_d = p_d
+    tracks = [random_track(rng, spread=20.0) for _ in range(n_tracks)]
+    batches_raw, batches_tr = [], []
+    for l, m in enumerate(meas_counts):
+        pos = rng.uniform(-40.0, 40.0, (m, 2))
+        for k in range(m):
+            if tracks and rng.random() < 0.5:
+                pos[k] = tracks[rng.integers(n_tracks)].mean[:2] + 6.0 * rng.standard_normal(2)
+        zs = pos @ views_raw[l].H[:, :2].T
+        batches_raw.append(MeasurementBatch(l, zs, views_raw[l].H, views_raw[l].R, "raw"))
+        batches_tr.append(MeasurementBatch(l, zs @ trs[l].A.T, views_tr[l].H,
+                                           views_tr[l].R, kind))
+    return tracks, (batches_raw, views_raw), (batches_tr, views_tr)
+
+
+def oracle_cost(oracle, assignments):
+    """Cost of a maintenance selection under the enumerated tuple costs; each
+    selected tuple must be one of its track's candidates."""
+    total = 0.0
+    for tau, *idx in assignments:
+        costs = {c.indices: c.cost for c in oracle.groups[tau - 1]}
+        assert tuple(idx) in costs
+        total += costs[tuple(idx)]
+    return total
+
+
+class TestSensorSplit:
+    """Per-sensor tables and assignments against the tuple enumeration."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_tracks=st.integers(0, 3),
+           meas_counts=st.lists(st.integers(0, 3), min_size=1, max_size=4),
+           kind=st.sampled_from(["raw", "type2", "generic"]))
+    def test_decomposed_optimum_equals_the_enumeration(self, seed, n_tracks,
+                                                       meas_counts, kind):
+        rng = np.random.default_rng(seed)
+        p_ds = list(rng.uniform(0.5, 0.99, len(meas_counts)))
+        tracks, raw, tr = maintenance_instance(rng, n_tracks, meas_counts,
+                                               "type2" if kind == "raw" else kind, p_ds)
+        batches, views = raw if kind == "raw" else tr
+        cfg = MdaConfig()
+        oracle = enumerate_mda_problem(tracks, batches, views, cfg)
+        best = solve_assignment_exact(oracle)
+        sol = solve_maintenance(build_mda_problem(tracks, batches, views, cfg))
+        assert sol.total_cost == pytest.approx(best.total_cost, rel=1e-9, abs=1e-9)
+        assert oracle_cost(oracle, sol.assignments) == pytest.approx(
+            sol.total_cost, rel=1e-9, abs=1e-9)
+        assert not constraint_violations(oracle, sol)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_tracks=st.integers(1, 3),
+           meas_counts=st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    def test_unit_detection_probability(self, seed, n_tracks, meas_counts):
+        # A P_d = 1 sensor has no finite miss: a track that cannot take one
+        # of its measurements falls back to the all-zero tuple at cost BIG.
+        rng = np.random.default_rng(seed)
+        p_ds = [1.0 if rng.random() < 0.6 else 0.9 for _ in meas_counts]
+        tracks, (batches, views), _ = maintenance_instance(
+            rng, n_tracks, meas_counts, "type2", p_ds)
+        cfg = MdaConfig()
+        problem = build_mda_problem(tracks, batches, views, cfg)
+        for table, view, m in zip(problem.tables, views, meas_counts):
+            miss = table[np.arange(n_tracks), m + np.arange(n_tracks)]
+            assert np.all(miss == BIG) if view.p_d == 1.0 else np.all(miss < BIG)
+        oracle = enumerate_mda_problem(tracks, batches, views, cfg)
+        best = solve_assignment_exact(oracle)
+        sol = solve_maintenance(problem)
+        assert not constraint_violations(oracle, sol)
+        assert oracle_cost(oracle, sol.assignments) == pytest.approx(
+            sol.total_cost, rel=1e-9, abs=1e-9)
+        # Below BIG: no track of the optimum takes the fallback; otherwise
+        # the per-sensor selection need only be feasible.
+        if all(oracle_cost(oracle, [a]) < BIG for a in best.assignments):
+            assert sol.total_cost == pytest.approx(best.total_cost, rel=1e-9, abs=1e-9)
+
+    def test_fallback_frees_the_other_sensors_measurement(self):
+        # Sensor 0 (P_d = 1) has no measurement near the track, sensor 1
+        # has one: the track takes the fallback and leaves sensor 1's
+        # measurement to initiation.
+        rng = np.random.default_rng(40)
+        model0, model1 = position_model(rng, 0), position_model(rng, 1)
+        est = GaussianEstimate([0.0, 0.0, 0.0, 0.0], np.diag([10.0] * 4))
+        batches = [MeasurementBatch(0, [[500.0, 500.0]], model0.H, model0.R),
+                   MeasurementBatch(1, [model1.H[:, :2] @ [1.0, 1.0]],
+                                    model1.H, model1.R)]
+        views = [SensorView(model0.H, model0.R, 1.0, ClutterModel(10.0, 1e6)),
+                 SensorView(model1.H, model1.R, 0.9, ClutterModel(10.0, 1e6))]
+        problem = build_mda_problem([est], batches, views, MdaConfig())
+        assert problem.tables[0].tolist() == [[BIG, BIG]]
+        assert problem.tables[1][0, 0] < BIG
+        sol = solve_maintenance(problem)
+        assert sol.assignments == [(1, 0, 0)]
+        assert sol.total_cost == BIG
+
+    def test_raw_and_transformed_tables_agree(self):
+        rng = np.random.default_rng(41)
+        for kind in ("type1", "type2", "generic"):
+            for _ in range(20):
+                tracks, (b_raw, v_raw), (b_tr, v_tr) = maintenance_instance(
+                    rng, 4, [5, 0, 4], kind)
+                p_raw = build_mda_problem(tracks, b_raw, v_raw, MdaConfig())
+                p_tr = build_mda_problem(tracks, b_tr, v_tr, MdaConfig())
+                for t_raw, t_tr in zip(p_raw.tables, p_tr.tables):
+                    np.testing.assert_allclose(t_raw, t_tr, rtol=1e-12, atol=1e-9)
+                assert p_raw.n_candidates == p_tr.n_candidates
+                assert (solve_maintenance(p_raw).assignments
+                        == solve_maintenance(p_tr).assignments)
+
+    def test_cells_are_single_sensor_scores(self):
+        rng = np.random.default_rng(42)
+        for kind in ("raw", "generic"):
+            tracks, raw, tr = maintenance_instance(rng, 3, [6, 2], "generic")
+            batches, views = raw if kind == "raw" else tr
+            problem = build_mda_problem(tracks, batches, views, MdaConfig())
+            count = 0
+            for table, batch, view in zip(problem.tables, batches, views):
+                m = batch.n_meas
+                for t, est in enumerate(tracks):
+                    miss = -score_with_prior(est, [None], [view]).log_score
+                    assert table[t, m + t] == pytest.approx(miss, rel=1e-12)
+                    d2, dof = gate_distances(est, batch)
+                    for i in range(m):
+                        if d2[i] <= chi2.ppf(0.99, dof):
+                            hit = -score_with_prior(est, [batch.zs[i]], [view]).log_score
+                            assert table[t, i] == pytest.approx(hit, rel=1e-12)
+                            count += 1
+                        else:
+                            assert table[t, i] == BIG
+                    off = np.delete(table[t, m:], t)
+                    assert np.all(off == BIG)
+            assert problem.n_candidates == count + 3 * len(batches)
+
+    def test_gated_measurement_outside_the_range_raises(self):
+        rng = np.random.default_rng(43)
+        tracks, _, (batches, views) = maintenance_instance(rng, 1, [1], "generic")
+        est = tracks[0]
+        z = views[0].H @ est.mean
+        _, v = np.linalg.eigh(views[0].R)
+        off_range = v[:, 0] * 1e-3 * np.linalg.norm(z)  # null direction of Rt
+        bad = MeasurementBatch(0, (z + off_range)[None], views[0].H, views[0].R,
+                               "generic")
+        with pytest.raises(InconsistentTransformError):
+            build_mda_problem(tracks, [bad], views, MdaConfig())
+        far = MeasurementBatch(0, (z + off_range + 1e4 * v[:, -1])[None],
+                               views[0].H, views[0].R, "generic")
+        # an ungated measurement is never scored, as in the enumeration
+        problem = build_mda_problem(tracks, [far], views, MdaConfig())
+        assert problem.tables[0][0, 0] == BIG
+
+    def test_pipeline_enumerates_no_maintenance_tuples(self, monkeypatch):
+        kinds = []
+        real_solve = mda_mod.solve_assignment
+
+        def recording_solve(problem, cfg):
+            kinds.append(problem.kind)
+            return real_solve(problem, cfg)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("maintenance must not enumerate tuples")
+
+        monkeypatch.setattr(mda_mod, "solve_assignment", recording_solve)
+        monkeypatch.setattr(mda_mod, "score_with_prior", forbidden)
+        monkeypatch.setattr(mda_mod, "enumerate_mda_problem", forbidden)
+        monkeypatch.setattr(mda_mod, "solve_assignment_exact", forbidden)
+        cfg = scenario1()
+        tapes, sends = prepare_run(cfg, 7)
+        record = run_mda_fusion(cfg, tapes, sends, "raw",
+                                MdaConfig(solver="relaxed"))
+        assert record.card_est.max() > 0
+        assert set(kinds) == {"initiation"}
+
+    def test_unit_detection_scenario_arms_agree(self):
+        cfg = scenario1().with_overrides(p_d=1.0)
+        tapes, sends = prepare_run(cfg, 5)
+        raw = run_mda_fusion(cfg, tapes, sends, "raw")
+        type2 = run_mda_fusion(cfg, tapes, sends, "type2")
+        np.testing.assert_allclose(raw.ospa, type2.ospa, rtol=0, atol=1e-8)
+        assert np.all(raw.card_est == type2.card_est)
+
+
+def sequential_update(preds, assignments, batches):
+    """The per-track loop: each track's updates in sensor order, one
+    measurement model per update."""
+    posts = []
+    for (tau, *idx), est in zip(assignments, preds):
+        for l, i in enumerate(idx):
+            b = batches[l]
+            if i and b.transformed:
+                est = update_transformed(est, b.zs[i - 1], b.H, b.R)
+            elif i:
+                est = update_raw(est, b.zs[i - 1], MeasurementModel(b.H, b.R))
+        posts.append(est)
+    return posts
+
+
+class TestStackedMaintenanceUpdate:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_tracks=st.integers(1, 6),
+           kinds=st.lists(st.sampled_from(["raw", "type1", "type2", "generic"]),
+                          min_size=1, max_size=4))
+    def test_equals_per_track_updates_bit_for_bit(self, seed, n_tracks, kinds):
+        rng = np.random.default_rng(seed)
+        preds = []
+        for _ in range(n_tracks):
+            a = rng.standard_normal((4, 4))
+            preds.append(GaussianEstimate(rng.standard_normal(4) * 50,
+                                          a @ a.T + np.diag(rng.uniform(1, 30, 4)),
+                                          int(rng.integers(0, 9))))
+        batches = []
+        idx = np.zeros((n_tracks, len(kinds)), dtype=int)
+        for l, kind in enumerate(kinds):
+            _, tr_views, trs = paired_views(rng, 1, "type2" if kind == "raw" else kind)
+            m = int(rng.integers(0, n_tracks + 2))
+            zs = rng.standard_normal((m, 2)) * 30
+            if kind == "raw":
+                h, r = np.hstack([np.eye(2), np.zeros((2, 2))]), np.diag([25.0, 30.0])
+                batches.append(MeasurementBatch(l, zs, h, r, "raw"))
+            else:
+                batches.append(MeasurementBatch(l, zs @ trs[0].A.T, tr_views[0].H,
+                                                tr_views[0].R, kind))
+            takers = rng.permutation(n_tracks)[:min(m, n_tracks)]
+            for i, t in enumerate(takers):
+                if rng.random() < 0.8:
+                    idx[t, l] = i + 1
+        assignments = [(t + 1,) + tuple(row) for t, row in enumerate(idx.tolist())]
+        stacked = update_maintained(preds, assignments, batches)
+        for got, want, pred, row in zip(stacked, sequential_update(preds, assignments, batches),
+                                        preds, idx):
+            assert np.array_equal(got.mean, want.mean)
+            assert np.array_equal(got.cov, want.cov)
+            assert got.timestamp == want.timestamp == pred.timestamp
+            if not row.any():
+                assert got is pred

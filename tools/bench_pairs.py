@@ -6,8 +6,10 @@
 
 Each side runs `bench/run.py` of its own checkout, so both sides use their
 own benchmark files and program. Pair k runs `--seed first_seed + k` on both
-sides, alternating which side runs first. Then each side makes `--traced`
-traced runs (`--trace 1`, seed 0) for the per-layer metrics.
+sides, alternating which side runs first. Then the sides make `--traced`
+traced runs each (`--trace 1`, seed 0) for the per-layer metrics, again in
+alternating pairs, so that drift of the machine's speed does not land on
+one side.
 
 For every end-to-end metric of `BENCHMARK.json` (read from the head) the
 file holds each side's runs, median and quartiles, the relative change of
@@ -50,6 +52,16 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: int, trace: int
               f"{proc.stderr[-2000:]}", file=sys.stderr)
         return None
     return json.loads(lines[-1])
+
+
+def alternating(n: int, run):
+    """n runs per side: `run(side, k)` for pair k, base first when k is even
+    and head first when k is odd. Returns {"base": [...], "head": [...]}."""
+    runs = {"base": [], "head": []}
+    for k in range(n):
+        for side in (("base", "head") if k % 2 == 0 else ("head", "base")):
+            runs[side].append(run(side, k))
+    return runs
 
 
 def quartiles(values):
@@ -129,14 +141,10 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     for workload in workloads:
-        runs = {"base": [], "head": []}
-        for k in range(args.pairs):
-            order = ("base", "head") if k % 2 == 0 else ("head", "base")
-            for side in order:
-                runs[side].append(run_bench(sides[side], workload,
-                                            args.first_seed + k, seconds, 0))
-        traced = {side: [run_bench(sides[side], workload, 0, seconds, 1)
-                         for _ in range(args.traced)] for side in sides}
+        runs = alternating(args.pairs, lambda side, k: run_bench(
+            sides[side], workload, args.first_seed + k, seconds, 0))
+        traced = alternating(args.traced, lambda side, k: run_bench(
+            sides[side], workload, 0, seconds, 1))
         report["workloads"][workload] = {
             "failed_ops": {side: [r["failed"] if r else None for r in runs[side]]
                            for side in sides},
