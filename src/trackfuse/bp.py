@@ -51,12 +51,10 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import DegenerateBeliefError, InputError
-from .linalg import chi2_gate, pinv_psd, psd_eig, psd_quadforms, symmetrize
-from .models import MeasurementBatch, MotionModel
-from .transform import ClutterModel
+from .linalg import chi2_gate, psd_quadforms, symmetrize
+from .models import POS_DIM, MeasurementBatch, MotionModel
+from .transform import LOG_2PI, ClutterModel
 
-LOG_2PI = math.log(2.0 * math.pi)
-POS_DIM = 2
 # Most particles stacked into one block (see the module docstring).
 BLOCK_PARTICLES = 8192
 
@@ -174,20 +172,16 @@ class AssociationMessages:
 
 
 class _BatchLikelihood:
-    """Vectorized per-particle measurement log-likelihoods for one batch."""
+    """Vectorized per-particle measurement log-likelihoods for one batch,
+    from the batch's factor (Cholesky for raw payloads, nonzero eigenpairs
+    for transformed ones)."""
 
     def __init__(self, batch: MeasurementBatch):
         self.batch = batch
         self.H = batch.H
-        if batch.transformed:
-            w, v, rank = psd_eig(batch.R)
-            self._w, self._v, self._rank = w, v, rank
-            self._logdet = float(np.sum(np.log(w)))
-        else:
-            c = np.linalg.cholesky(symmetrize(batch.R))
-            self._chol = c
-            self._rank = batch.R.shape[0]
-            self._logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
+        f = batch.factor
+        self._chol, self._w, self._v = f.chol, f.w, f.v
+        self._rank, self._logdet = f.rank, f.logdet
 
     @property
     def dof(self) -> int:
@@ -268,10 +262,8 @@ def propose_births(inp: BpSensorInput, cfg: BpConfig, state_dim: int,
     pdf, so downstream importance ratios reduce to the likelihood.
     """
     batch = inp.batch
-    h, r = batch.H, batch.R
-    r_dag = pinv_psd(r) if batch.transformed else np.linalg.inv(r)
-    info = symmetrize(h.T @ r_dag @ h)
-    info_pinv = pinv_psd(info)
+    h = batch.H
+    r_dag, info_pinv = batch.factor.r_dag, batch.factor.info_pinv
     pos_cov = cfg.birth_cov_inflation * info_pinv[:POS_DIM, :POS_DIM]
     try:
         c_pos = np.linalg.cholesky(symmetrize(pos_cov))

@@ -117,6 +117,12 @@ def parse_scenario_file(path: Path) -> sim_mod.ScenarioConfig:
             raise InputError(f"{path}:{lineno}: '{key}' needs {n} values")
         return vals
 
+    def checked(sec, key, default, ok, rule):
+        value = floats(sec, key, 1, [default])[0]
+        if not ok(value):
+            raise InputError(f"{path}:{sec[1][key][1]}: '{key}' must be {rule}")
+        return value
+
     scen = next((s for s in sections if s[0] == "scenario"), None)
     if scen is None:
         raise InputError(f"{path}: no [scenario] section")
@@ -136,12 +142,14 @@ def parse_scenario_file(path: Path) -> sim_mod.ScenarioConfig:
             else:
                 aim = floats(sec, "aim_at", 2, [0.0, 0.0])
                 boresight = math.atan2(aim[1] - position[1], aim[0] - position[0])
+            p_d = checked(sec, "p_d", 0.9, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+            clutter_rate = checked(sec, "clutter_rate", 10.0, lambda v: v > 0.0,
+                                   "positive")
             sensors.append(sim_mod.SensorConfig(
                 np.array(position), boresight,
                 fov_half_angle=floats(sec, "fov_half_angle", 1, [math.pi / 4])[0],
                 fov_range=floats(sec, "fov_range", 1, [1200.0])[0],
-                p_d=floats(sec, "p_d", 1, [0.9])[0],
-                clutter_rate=floats(sec, "clutter_rate", 1, [10.0])[0]))
+                p_d=p_d, clutter_rate=clutter_rate))
         elif name == "target":
             targets.append(sim_mod.TargetConfig(
                 int(floats(sec, "birth", 1)[0]),

@@ -70,6 +70,34 @@ def psd_eig_stack(mats: np.ndarray):
     return w, v, _psd_keep(w, RANK_RTOL)
 
 
+def psd_eig_groups(mats: np.ndarray):
+    """`psd_eig` of a (B, m, m) stack, one group per rank.
+
+    Eigenvalues come out of `np.linalg.eigh` ascending, so the nonzero ones
+    are the top r. Yields (idx, w, v) for each rank r present: the slices
+    idx of that rank, their nonzero eigenvalues w (G, r) and eigenvectors v
+    (G, m, r), each row laid out as `psd_eig` returns it, so w[j] and v[j]
+    equal `psd_eig(mats[idx[j]])` bit for bit.
+    """
+    w, v, keep = psd_eig_stack(mats)
+    rank = np.count_nonzero(keep, axis=-1)
+    m = w.shape[-1]
+    for r in np.unique(rank).tolist():
+        idx = np.flatnonzero(rank == r)
+        yield idx, w[idx, m - r:], np.ascontiguousarray(v[idx, :, m - r:])
+
+
+def pinv_psd_stack(mats: np.ndarray, groups=None) -> np.ndarray:
+    """`pinv_psd` of a (B, m, m) stack: one batched product per rank group,
+    each slice equal to `pinv_psd` bit for bit. `groups` are the
+    `psd_eig_groups` of mats when the caller has them."""
+    out = np.zeros(np.shape(mats))
+    for idx, w, v in psd_eig_groups(mats) if groups is None else groups:
+        if w.shape[1]:
+            out[idx] = symmetrize((v / w[:, None, :]) @ v.swapaxes(1, 2))
+    return out
+
+
 def psd_quadforms(mats: np.ndarray, diffs: np.ndarray) -> np.ndarray:
     """Pseudoinverse quadratic forms d^T M^+ d for a stack of PSD matrices.
 
@@ -133,24 +161,29 @@ def chol_logdet_and_solve(s: np.ndarray, d: np.ndarray, what: str = "covariance"
 def sym_sqrt_and_invsqrt(m: np.ndarray, clamp: float = 1e-14):
     """Symmetric square root and inverse square root of an SPD matrix.
 
+    m may be a (..., n, n) stack, each slice computed as on its own.
     Eigenvalues are clamped at `clamp` before the inverse root so that a
     barely-PD input yields a deterministic, symmetric result.
     """
     w, v = np.linalg.eigh(symmetrize(m))
-    if np.max(w) <= 0:
+    if np.any(np.max(w, axis=-1) <= 0):
         raise NumericsError("matrix has no positive eigenvalues")
-    w = np.maximum(w, clamp)
-    sq = symmetrize((v * np.sqrt(w)) @ v.T)
-    isq = symmetrize((v / np.sqrt(w)) @ v.T)
-    return sq, isq
+    root = np.sqrt(np.maximum(w, clamp))[..., None, :]
+    vt = v.swapaxes(-1, -2)
+    return symmetrize((v * root) @ vt), symmetrize((v / root) @ vt)
 
 
 def matrix_rank_by_sv(a: np.ndarray, rtol: float = 1e-10) -> int:
     """Rank via singular values with a relative threshold."""
+    return int(ranks_by_sv(np.atleast_2d(a)[None], rtol)[0])
+
+
+def ranks_by_sv(a: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
+    """`matrix_rank_by_sv` of each slice of a (B, m, n) stack."""
+    if 0 in a.shape[1:]:
+        return np.zeros(a.shape[0], dtype=int)
     sv = np.linalg.svd(a, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > rtol * sv[0]))
+    return np.count_nonzero(sv > rtol * sv[:, :1], axis=1)
 
 
 def is_full_column_rank(a: np.ndarray, rtol: float = 1e-10) -> bool:

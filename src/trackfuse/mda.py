@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -60,13 +60,13 @@ from .linalg import (
 from .models import (
     GaussianEstimate,
     MeasurementBatch,
-    MeasurementModel,
     MotionModel,
+    PayloadFactor,
     innovation_stack,
+    payload_factors,
     predict_stack,
-    transformed_model,
+    update_information,
     update_raw_stack,
-    update_transformed,
 )
 from .transform import (
     LOG_2PI,
@@ -94,6 +94,8 @@ class SensorView:
     p_d: float
     clutter: ClutterModel
     transformed: bool = False
+    _factor: Optional[PayloadFactor] = field(default=None, init=False,
+                                             repr=False, compare=False)
 
     def __post_init__(self):
         self.H = np.atleast_2d(np.asarray(self.H, dtype=float))
@@ -104,7 +106,19 @@ class SensorView:
     @classmethod
     def from_batch(cls, batch: MeasurementBatch, p_d: float,
                    clutter: ClutterModel) -> "SensorView":
-        return cls(batch.H, batch.R, p_d, clutter, transformed=batch.transformed)
+        """The view of a batch's payload; it shares the batch's factor."""
+        view = cls(batch.H, batch.R, p_d, clutter, transformed=batch.transformed)
+        view._factor = batch.factor
+        return view
+
+    @property
+    def factor(self) -> PayloadFactor:
+        """The factored (H, R) (see `PayloadFactor`), computed on first use
+        unless the view came from a batch."""
+        if self._factor is None:
+            self._factor = payload_factors(self.H[None], self.R[None],
+                                           self.transformed)[0]
+        return self._factor
 
     def log_meas_likelihood(self, z, z_pred, cov) -> float:
         if self.transformed:
@@ -205,20 +219,18 @@ def score_with_prior(track_pred: GaussianEstimate,
 
 def _stacked_information(meas, sensors):
     """Stacked (info matrix, info vector) over the detecting sensors."""
-    n = None
     info = None
     ivec = None
     for z, sv in zip(meas, sensors):
         if z is None:
             continue
-        h, r = sv.H, sv.R
-        if n is None:
-            n = h.shape[1]
+        f = sv.factor
+        if info is None:
+            n = f.htrh.shape[0]
             info = np.zeros((n, n))
             ivec = np.zeros(n)
-        r_dag = pinv_psd(r) if sv.transformed else np.linalg.inv(r)
-        info += h.T @ r_dag @ h
-        ivec += h.T @ r_dag @ np.asarray(z, dtype=float)
+        info += f.htrh
+        ivec += f.ht_rdag @ np.asarray(z, dtype=float)
     if info is None:
         raise InputError("hypothesis has no measurements")
     return symmetrize(info), ivec
@@ -417,9 +429,10 @@ def update_maintained(preds: Sequence[GaussianEstimate], assignments,
     """Posterior estimates of the maintained tracks.
 
     Sensor by sensor, in sensor order, one `update_raw_stack` call updates
-    the tracks that took one of the sensor's measurements, with the batch's
-    (H, R) checked once. A transformed batch with singular R keeps the
-    per-track information-form `update_transformed`. Each track sees the
+    the tracks that took one of the sensor's measurements, with the
+    covariance-form model of the batch's factor. A transformed batch with
+    singular R keeps the per-track information form (`update_information`
+    with the factor's pseudoinverse). Each track sees the
     arithmetic of its own sequential updates, so the estimates equal the
     per-track ones bit for bit. A track with no measurement keeps its
     prediction.
@@ -433,12 +446,12 @@ def update_maintained(preds: Sequence[GaussianEstimate], assignments,
         if rows.size == 0:
             continue
         zs = batch.zs[idx[rows, l] - 1]
-        model = (transformed_model(batch.H, batch.R) if batch.transformed
-                 else MeasurementModel(batch.H, batch.R))
+        factor = batch.factor
+        model = factor.model
         if model is None:
             for t, z in zip(rows, zs):
-                est = update_transformed(GaussianEstimate._trusted(
-                    means[t], covs[t], preds[t].timestamp), z, batch.H, batch.R)
+                est = update_information(GaussianEstimate._trusted(
+                    means[t], covs[t], preds[t].timestamp), z, batch.H, factor.r_dag)
                 means[t], covs[t] = est.mean, est.cov
         else:
             means[rows], covs[rows] = update_raw_stack(means[rows], covs[rows],
@@ -490,24 +503,17 @@ def enumerate_mda_problem(tracks_pred: Sequence[GaussianEstimate],
     return AssignmentProblem("maintenance", groups, n_sensors, meas_counts)
 
 
-def _backprojected_positions(batch: MeasurementBatch, pos_dim: int = 2):
+def _backprojected_positions(batch: MeasurementBatch):
     """WLS position estimate and covariance for each measurement.
 
     Only valid when the effective H has no velocity component (the
-    [E, 0]-shaped models of this artifact); returns None otherwise.
+    [E, 0]-shaped models of this artifact) and the position information is
+    nonsingular; returns None otherwise (see `PayloadFactor`).
     """
-    h = batch.H
-    if h.shape[1] > pos_dim and np.max(np.abs(h[:, pos_dim:])) > 1e-12:
+    f = batch.factor
+    if f.back_cov is None:
         return None
-    hp = h[:, :pos_dim]
-    r_dag = pinv_psd(batch.R) if batch.transformed else np.linalg.inv(batch.R)
-    info = symmetrize(hp.T @ r_dag @ hp)
-    w = np.linalg.eigvalsh(info)
-    if w[0] <= 1e-10 * max(w[-1], 1e-300):
-        return None
-    cov = np.linalg.inv(info)
-    pts = batch.zs @ (r_dag @ hp) @ cov.T
-    return pts, cov
+    return batch.zs @ f.back_gain @ f.back_cov.T, f.back_cov
 
 
 def build_initiation_problem(batches: Sequence[MeasurementBatch],

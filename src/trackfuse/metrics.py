@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -59,11 +60,14 @@ def ospa(X, Y, params: OspaParams) -> float:
                   / max(n, m)) ** (1.0 / params.p))
 
 
-def _track_base_distance(tx: dict, ty: dict, scans, c: float) -> float:
+def _track_base_distance(tx: dict, ty: dict, scans, c: float,
+                         cache: Optional[dict] = None, key=None) -> float:
     """Time-averaged per-scan distance between two labeled tracks.
 
     Scans where both tracks exist contribute min(d, c), scans where exactly
-    one exists contribute c, scans where neither exists are skipped.
+    one exists contribute c, scans where neither exists are skipped. With
+    `cache`, the min(d, c) of scan s is kept in cache[s][key] and computed
+    once; the terms are summed in scan order either way.
     """
     total = 0.0
     count = 0
@@ -73,31 +77,48 @@ def _track_base_distance(tx: dict, ty: dict, scans, c: float) -> float:
             continue
         count += 1
         if in_x and in_y:
-            total += min(float(np.linalg.norm(tx[s] - ty[s])), c)
+            terms = None if cache is None else cache.setdefault(s, {})
+            term = None if terms is None else terms.get(key)
+            if term is None:
+                term = min(float(np.linalg.norm(tx[s] - ty[s])), c)
+                if terms is not None:
+                    terms[key] = term
+            total += term
         else:
             total += c
     return total / count if count else 0.0
 
 
-def ospa2(tracks_x: dict, tracks_y: dict, scan: int, params: OspaParams) -> float:
+def ospa2(tracks_x: dict, tracks_y: dict, scan: int, params: OspaParams,
+          cache: Optional[dict] = None) -> float:
     """OSPA over labeled trajectories on the window [scan - w + 1, scan].
 
     tracks_* map label -> {scan: position}. Tracks with no presence inside
-    the window are ignored.
+    the window are ignored. `cache` is an optional dict kept across the
+    calls of one run, in which each (x label, y label, scan) base-distance
+    term is computed once and dropped when its scan leaves the window; the
+    result equals the uncached one bit for bit, provided no position at a
+    scan up to `scan` changes between the calls that share it, and the
+    cutoff c stays the same.
     """
     scans = range(scan - params.w + 1, scan + 1)
-    xs = [t for t in tracks_x.values() if any(s in t for s in scans)]
-    ys = [t for t in tracks_y.values() if any(s in t for s in scans)]
+    if cache is not None:
+        for s in [s for s in cache if s < scans.start]:
+            del cache[s]
+    xs = [(k, t) for k, t in tracks_x.items() if any(s in t for s in scans)]
+    ys = [(k, t) for k, t in tracks_y.items() if any(s in t for s in scans)]
     if not xs and not ys:
         return 0.0
     if not xs or not ys:
         return float(params.c)
-    if len(xs) > len(ys):
+    swap = len(xs) > len(ys)
+    if swap:
         xs, ys = ys, xs
     d = np.zeros((len(xs), len(ys)))
-    for i, tx in enumerate(xs):
-        for j, ty in enumerate(ys):
-            d[i, j] = _track_base_distance(tx, ty, scans, params.c)
+    for i, (kx, tx) in enumerate(xs):
+        for j, (ky, ty) in enumerate(ys):
+            key = (ky, kx) if swap else (kx, ky)
+            d[i, j] = _track_base_distance(tx, ty, scans, params.c, cache, key)
     rows, cols = linear_sum_assignment(d ** params.p)
     cost = float(np.sum(d[rows, cols] ** params.p))
     n, m = len(xs), len(ys)

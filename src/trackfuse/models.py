@@ -16,17 +16,39 @@ textbook covariance-form Kalman filter; the transformed update switches to
 the information form with a pseudoinverse whenever the transformed noise
 covariance is singular, which preserves exact equivalence with the raw route
 for any full-column-rank transformation.
+
+Everything the fusion center derives from an effective (H, R) alone lives in
+one `PayloadFactor` per `MeasurementBatch`: the validated covariance-form
+model (or the singular-R flag), the Cholesky factor of a raw R or the
+nonzero eigenpairs of a transformed one, the rank and log
+pseudo-determinant, R^dagger, H^T R^dagger H and its pseudoinverse, and the
+position backprojection. `payload_factors` builds them for K models with
+one stacked call per quantity; the simulator's tape pass calls it once per
+payload arm on every (scan, sensor) model of a tape, before the scan loop.
+A batch built anywhere else computes its factor on first use through the
+same call with K = 1. Raw and transformed payloads keep their own numeric
+routes (Cholesky and inverse; eigendecomposition and pseudoinverse).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, InputError, NumericsError
-from .linalg import inv_spd, pinv_psd, symmetrize
+from .linalg import (
+    cholesky,
+    inv_spd,
+    pinv_psd,
+    pinv_psd_stack,
+    psd_eig_groups,
+    symmetrize,
+)
+
+# State components that hold the position, in front of the velocity.
+POS_DIM = 2
 
 
 @dataclass
@@ -66,6 +88,14 @@ class MeasurementModel:
             raise ConfigError("R must be m x m for H with m rows")
         if np.min(np.linalg.eigvalsh(self.R)) <= 0:
             raise ConfigError("R must be positive definite")
+
+    @classmethod
+    def _trusted(cls, H: np.ndarray, R: np.ndarray):
+        """A model from arrays whose shapes and positive definiteness
+        `payload_factors` has checked, taken without validation or copy."""
+        model = cls.__new__(cls)
+        model.H, model.R, model.sensor_id = H, R, 0
+        return model
 
     @property
     def m(self) -> int:
@@ -113,6 +143,8 @@ class MeasurementBatch:
     H: np.ndarray
     R: np.ndarray
     kind: str = "raw"
+    _factor: Optional["PayloadFactor"] = field(default=None, init=False,
+                                               repr=False, compare=False)
 
     def __post_init__(self):
         self.zs = np.atleast_2d(np.asarray(self.zs, dtype=float))
@@ -123,13 +155,182 @@ class MeasurementBatch:
         if self.zs.shape[1] != self.H.shape[0]:
             raise ConfigError("measurement dimension does not match H")
 
+    @classmethod
+    def from_factor(cls, sensor_id: int, zs: np.ndarray, factor: "PayloadFactor",
+                    kind: str) -> "MeasurementBatch":
+        """A batch of the factor's effective model that carries the factor."""
+        batch = cls(sensor_id, zs, factor.H, factor.R, kind)
+        batch._factor = factor
+        return batch
+
     @property
     def transformed(self) -> bool:
         return self.kind != "raw"
 
     @property
+    def factor(self) -> "PayloadFactor":
+        """The factored effective model; computed on first use (K = 1)
+        unless the batch was built from one."""
+        if self._factor is None:
+            self._factor = payload_factors(self.H[None], self.R[None],
+                                           self.transformed)[0]
+        return self._factor
+
+    @property
     def n_meas(self) -> int:
         return self.zs.shape[0]
+
+
+@dataclass(eq=False)
+class PayloadFactor:
+    """Everything the fusion center derives from one effective (H, R).
+
+    `model` is the covariance-form model, None when a transformed R is
+    singular and updates take the information form. Raw payloads hold the
+    lower Cholesky factor `chol` of R; transformed ones its nonzero
+    eigenvalues `w` and eigenvectors `v` (as `psd_eig` returns them).
+    `logdet` is the log (pseudo-)determinant of R over its `rank` nonzero
+    eigenvalues, `r_dag` is R^-1 or R^+, `ht_rdag` is H^T R^dagger and
+    `htrh` is H^T R^dagger H as that product gives it (not symmetrized);
+    `info_pinv` is the pseudoinverse of its symmetric part. When H has no
+    velocity component and the position information is nonsingular, the
+    backprojection of measurements z is z @ `back_gain` @ `back_cov`.T with
+    covariance `back_cov`; otherwise both are None.
+    """
+
+    H: np.ndarray
+    R: np.ndarray
+    model: Optional[MeasurementModel]
+    chol: Optional[np.ndarray]
+    w: Optional[np.ndarray]
+    v: Optional[np.ndarray]
+    rank: int
+    logdet: float
+    r_dag: np.ndarray
+    ht_rdag: np.ndarray
+    htrh: np.ndarray
+    info_pinv: np.ndarray
+    back_gain: Optional[np.ndarray]
+    back_cov: Optional[np.ndarray]
+
+
+def _covariance_form(eigs: np.ndarray) -> np.ndarray:
+    """Mask of the transformed noise covariances, given their ascending
+    eigenvalues (K, m), that are nonsingular: smallest eigenvalue above
+    1e-12 times the largest. Raises InputError if one has a clearly
+    negative eigenvalue."""
+    lo, hi = eigs[:, 0], eigs[:, -1]
+    if np.any(lo < -1e-8 * np.maximum(hi, 1e-300)):
+        raise InputError("transformed noise covariance has a negative eigenvalue")
+    return lo > 1e-12 * hi
+
+
+@dataclass(eq=False)
+class FactorStack:
+    """The `PayloadFactor`s of K models, held as (K, ...) stacks.
+
+    Item k is a `PayloadFactor` of views into the stacks, made on access,
+    so a tape's factors cost their arrays and not K sets of objects.
+    `cov_form` flags the models with a covariance-form model and `back`
+    those with a backprojection. For a transformed R, `groups` is the
+    `psd_eig_groups` output of the R stack and `chol` None; for a raw one
+    `groups` is None.
+    """
+
+    H: np.ndarray
+    R: np.ndarray
+    cov_form: np.ndarray
+    chol: Optional[np.ndarray]
+    groups: Optional[list]
+    rank: np.ndarray
+    logdet: np.ndarray
+    r_dag: np.ndarray
+    ht_rdag: np.ndarray
+    htrh: np.ndarray
+    info_pinv: np.ndarray
+    back: np.ndarray
+    back_gain: np.ndarray
+    back_cov: np.ndarray
+
+    def __post_init__(self):
+        # model k's eigenpairs are row row_of[k] of group group_of[k]
+        self.group_of = np.zeros(len(self.H), dtype=int)
+        self.row_of = np.zeros(len(self.H), dtype=int)
+        for g, (idx, _, _) in enumerate(self.groups or []):
+            self.group_of[idx] = g
+            self.row_of[idx] = np.arange(len(idx))
+
+    def __len__(self) -> int:
+        return len(self.H)
+
+    def __getitem__(self, k: int) -> PayloadFactor:
+        if not 0 <= k < len(self.H):
+            raise IndexError(k)
+        H, R = self.H[k], self.R[k]
+        w = v = None
+        if self.groups is not None:
+            _, wg, vg = self.groups[self.group_of[k]]
+            w, v = wg[self.row_of[k]], vg[self.row_of[k]]
+        back = bool(self.back[k])
+        return PayloadFactor(
+            H, R, MeasurementModel._trusted(H, R) if self.cov_form[k] else None,
+            None if self.chol is None else self.chol[k], w, v,
+            int(self.rank[k]), float(self.logdet[k]), self.r_dag[k], self.ht_rdag[k],
+            self.htrh[k], self.info_pinv[k],
+            self.back_gain[k] if back else None, self.back_cov[k] if back else None)
+
+
+def payload_factors(H: np.ndarray, R: np.ndarray, transformed: bool) -> FactorStack:
+    """`PayloadFactor`s of K effective models, (K, m, n) H and (K, m, m) R.
+
+    Every quantity comes from one stacked call over the K models (the
+    eigenvalue routes one call per rank present), whose slices equal the
+    one-model calls bit for bit. A raw R must be positive definite
+    (ConfigError, the check of `MeasurementModel`); a transformed R must
+    pass the check of `transformed_model` (InputError) and the rank rule of
+    `psd_eig` (NumericsError).
+    """
+    H = np.asarray(H, dtype=float)
+    R = symmetrize(np.asarray(R, dtype=float))
+    K, m, n = H.shape
+    if R.shape != (K, m, m):
+        raise ConfigError("R must be m x m for H with m rows")
+    eigs = np.linalg.eigvalsh(R)
+    chol = groups = None
+    if transformed:
+        cov_form = _covariance_form(eigs)
+        groups = list(psd_eig_groups(R))
+        rank = np.zeros(K, dtype=int)
+        logdet = np.zeros(K)
+        for idx, wg, _ in groups:
+            rank[idx] = wg.shape[1]
+            logdet[idx] = np.sum(np.log(wg), axis=1)
+        r_dag = pinv_psd_stack(R, groups)
+    else:
+        if np.any(eigs[:, 0] <= 0):
+            raise ConfigError("R must be positive definite")
+        cov_form = np.ones(K, dtype=bool)
+        chol = cholesky(R, "noise covariance")
+        rank = np.full(K, m)
+        logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+        r_dag = np.linalg.inv(R)
+    ht_rdag = H.swapaxes(1, 2) @ r_dag
+    htrh = ht_rdag @ H
+    info_pinv = pinv_psd_stack(htrh)
+
+    hp = H[:, :, :POS_DIM]
+    back = np.ones(K, dtype=bool)
+    if n > POS_DIM:
+        back = np.max(np.abs(H[:, :, POS_DIM:]), axis=(1, 2)) <= 1e-12
+    pos_info = symmetrize(hp.swapaxes(1, 2) @ r_dag @ hp)
+    pw = np.linalg.eigvalsh(pos_info)
+    back &= pw[:, 0] > 1e-10 * np.maximum(pw[:, -1], 1e-300)
+    back_gain = r_dag @ hp
+    back_cov = np.zeros(pos_info.shape)
+    back_cov[back] = np.linalg.inv(pos_info[back])
+
+    return FactorStack(H, R, cov_form, chol, groups, rank, logdet, r_dag, ht_rdag,
+                       htrh, info_pinv, back, back_gain, back_cov)
 
 
 def predict_stack(means: np.ndarray, covs: np.ndarray, model: MotionModel):
@@ -202,10 +403,7 @@ def transformed_model(Ht: np.ndarray, Rt: np.ndarray) -> Optional[MeasurementMod
 
     Raises InputError if Rt has a clearly negative eigenvalue.
     """
-    eigs = np.linalg.eigvalsh(Rt)
-    if np.min(eigs) < -1e-8 * max(np.max(eigs), 1e-300):
-        raise InputError("transformed noise covariance has a negative eigenvalue")
-    if np.min(eigs) > 1e-12 * np.max(eigs):
+    if _covariance_form(np.linalg.eigvalsh(Rt)[None])[0]:
         return MeasurementModel(Ht, Rt)
     return None
 
@@ -225,7 +423,13 @@ def update_transformed(est_pred: GaussianEstimate, zt: np.ndarray,
     model = transformed_model(Ht, Rt)
     if model is not None:
         return update_raw(est_pred, zt, model)
-    rt_pinv = pinv_psd(Rt)
+    return update_information(est_pred, zt, Ht, pinv_psd(Rt))
+
+
+def update_information(est_pred: GaussianEstimate, zt: np.ndarray,
+                       Ht: np.ndarray, rt_pinv: np.ndarray) -> GaussianEstimate:
+    """Information-form update with the pseudoinverse rt_pinv of a singular
+    transformed noise covariance."""
     info_prior = inv_spd(est_pred.cov, "prior covariance")
     info = symmetrize(info_prior + Ht.T @ rt_pinv @ Ht)
     ivec = info_prior @ est_pred.mean + Ht.T @ rt_pinv @ zt

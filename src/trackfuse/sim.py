@@ -5,6 +5,15 @@ All randomness flows through `rng_stream`, a counter-based stream keyed by
 comparison share every key, so they consume identical measurement
 realizations and identical in-pipeline draws; only the payload encoding
 differs.
+
+The (H, R) of every scan and sensor is drawn when the tape is made, so a
+fusion arm encodes and factors its whole tape before its scan loop
+(`encode_tape`): one stacked transformation (`transform.type1_stack` or
+`type2_stack`) and one stacked `models.payload_factors` call over all the
+tape's models. Each scan's batches, views into those stacks with the
+measurements mapped by their own A, are made when the loop reaches the
+scan. `encode_batch` is the same pass over one (scan, sensor)
+transmission; its batches equal the tape pass's bit for bit.
 """
 
 from __future__ import annotations
@@ -30,15 +39,11 @@ from .models import (
     MeasurementModel,
     MotionModel,
     innovation_stack,
+    payload_factors,
     predict_stack,
     update_raw_stack,
 )
-from .transform import (
-    ClutterModel,
-    clutter_density_transformed,
-    make_type1,
-    make_type2,
-)
+from .transform import TYPE1, TYPE2, ClutterModel, type1_stack, type2_stack
 
 
 def _key_part(part) -> int:
@@ -416,26 +421,62 @@ class GnnTracker:
         return transmit, cols[hit]
 
 
+def _encoder(scan_data: Sequence[SensorScan], sent: Sequence[Sequence[int]],
+             payload: str, clutter_rates: Sequence[float]):
+    """One stacked transformation and one stacked factorization of the
+    models of all these transmissions (see the module docstring). Returns
+    pair(k), the (MeasurementBatch, ClutterModel) of transmission k in
+    payload space, built when called."""
+    clutters = [ClutterModel(rate, s.fov_volume)
+                for s, rate in zip(scan_data, clutter_rates)]
+    H = np.stack([s.model.H for s in scan_data])
+    R = np.stack([s.model.R for s in scan_data])
+    if payload == "raw":
+        a = None
+        factors = payload_factors(H, R, False)
+    elif payload in (TYPE1, TYPE2):
+        a, ht, rt, sqrt_det = (type1_stack if payload == TYPE1 else type2_stack)(H, R)
+        factors = payload_factors(ht, rt, True)
+    else:
+        raise InputError(f"unknown payload kind: {payload!r}")
+
+    def pair(k: int):
+        s, idx, clutter = scan_data[k], sent[k], clutters[k]
+        zs = s.zs[list(idx)] if len(idx) else np.zeros((0, s.model.m))
+        if a is not None:
+            zs = zs @ a[k].T
+            clutter = ClutterModel(clutter.rate,
+                                   clutter.region_volume * float(sqrt_det[k]))
+        return (MeasurementBatch.from_factor(s.model.sensor_id, zs, factors[k], payload),
+                clutter)
+
+    return pair
+
+
 def encode_batch(scan_data: SensorScan, sent: Sequence[int], payload: str,
                  clutter_rate: float):
     """Fusion-center view of one sensor's transmission for a payload arm.
 
     Returns (MeasurementBatch, ClutterModel) where both are expressed in
-    the payload's measurement space.
+    the payload's measurement space; the batch carries its factor.
     """
-    model = scan_data.model
-    zs = scan_data.zs[list(sent)] if len(sent) else np.zeros((0, model.m))
-    clutter = ClutterModel(clutter_rate, scan_data.fov_volume)
-    if payload == "raw":
-        return MeasurementBatch(model.sensor_id, zs, model.H, model.R, "raw"), clutter
-    if payload == "type1":
-        tr = make_type1(model)
-    elif payload == "type2":
-        tr = make_type2(model)
-    else:
-        raise InputError(f"unknown payload kind: {payload!r}")
-    batch = MeasurementBatch(model.sensor_id, tr.apply(zs), tr.Ht, tr.Rt, payload)
-    return batch, clutter_density_transformed(clutter, tr)
+    return _encoder([scan_data], [sent], payload, [clutter_rate])(0)
+
+
+def encode_tape(cfg: ScenarioConfig, tapes, sends, payload: str):
+    """`encode_batch` of every transmission of a tape, as one stacked pass.
+
+    The stacked transformation and factorization run on the call; the
+    returned iterator then gives, scan by scan, the list of (batch,
+    clutter) pairs in sensor order, built as it reaches the scan.
+    """
+    scans = tapes["scans"]
+    flat = [s for scan_list in scans for s in scan_list]
+    pair = _encoder(flat, [idx for send_list in sends for idx in send_list], payload,
+                    [cfg.sensors[s.sensor_id].clutter_rate for s in flat])
+    starts = np.cumsum([0] + [len(scan_list) for scan_list in scans])
+    return ([pair(k) for k in range(start, stop)]
+            for start, stop in zip(starts[:-1].tolist(), starts[1:].tolist()))
 
 
 @dataclass
@@ -462,13 +503,13 @@ def _truth_tracks(truth):
 
 
 def _record_metrics(scan, estimates, truth, est_history, truth_tracks,
-                    params: OspaParams):
+                    params: OspaParams, ospa2_cache: dict):
     truth_pos = [traj[scan][:2] for traj in truth if scan in traj]
     est_pos = [pos for _, pos in estimates]
     for label, pos in estimates:
         est_history.setdefault(label, {})[scan] = np.asarray(pos, dtype=float)
     d1 = ospa(est_pos, truth_pos, params)
-    d2 = ospa2(est_history, truth_tracks, scan, params)
+    d2 = ospa2(est_history, truth_tracks, scan, params, ospa2_cache)
     return d1, d2, len(est_pos), len(truth_pos)
 
 
@@ -485,15 +526,16 @@ def run_mda_fusion(cfg: ScenarioConfig, tapes, sends, payload: str,
     tracks: list = []
     next_label = 0
     est_history: dict = {}
+    ospa2_cache: dict = {}
     curves = {k: [] for k in ("ospa", "ospa2", "card_est", "card_true", "comm")}
+    encoded = encode_tape(cfg, tapes, sends, payload)
 
-    for scan in range(1, cfg.duration + 1):
+    for scan, pairs in zip(range(1, cfg.duration + 1), encoded):
         batches = []
         views = []
-        for scan_data, sent in zip(tapes["scans"][scan - 1], sends[scan - 1]):
+        for scan_data, sent, (batch, clutter) in zip(
+                tapes["scans"][scan - 1], sends[scan - 1], pairs):
             sensor = cfg.sensors[scan_data.sensor_id]
-            batch, clutter = encode_batch(scan_data, sent, payload,
-                                          sensor.clutter_rate)
             batches.append(batch)
             views.append(mda_mod.SensorView.from_batch(batch, sensor.p_d, clutter))
             ledger.record(scan, scan_data.sensor_id, len(sent), payload,
@@ -502,7 +544,7 @@ def run_mda_fusion(cfg: ScenarioConfig, tapes, sends, payload: str,
             tracks, batches, views, motion, mda_cfg, next_label, scan)
         estimates = [(t.label, t.est.mean[:2]) for t in tracks if t.confirmed]
         d1, d2, n_est, n_true = _record_metrics(
-            scan, estimates, truth, est_history, truth_tracks, params)
+            scan, estimates, truth, est_history, truth_tracks, params, ospa2_cache)
         curves["ospa"].append(d1)
         curves["ospa2"].append(d2)
         curves["card_est"].append(n_est)
@@ -515,11 +557,17 @@ def run_mda_fusion(cfg: ScenarioConfig, tapes, sends, payload: str,
 
 def bp_scan_inputs(cfg: ScenarioConfig, scan_list, sends_scan, payload: str):
     """Per-sensor BP inputs for one scan of a prepared tape."""
+    return _bp_inputs(cfg, scan_list, [
+        encode_batch(scan_data, sent, payload,
+                     cfg.sensors[scan_data.sensor_id].clutter_rate)
+        for scan_data, sent in zip(scan_list, sends_scan)])
+
+
+def _bp_inputs(cfg: ScenarioConfig, scan_list, encoded):
+    """BP inputs of one scan's encoded (batch, clutter) pairs."""
     inputs = []
-    for scan_data, sent in zip(scan_list, sends_scan):
+    for scan_data, (batch, clutter) in zip(scan_list, encoded):
         sensor = cfg.sensors[scan_data.sensor_id]
-        batch, clutter = encode_batch(scan_data, sent, payload,
-                                      sensor.clutter_rate)
         inputs.append(bp_mod.BpSensorInput(
             batch, sensor.p_d, clutter,
             detect_fn=_fov_detect_fn(sensor.fov(), sensor.p_d)))
@@ -551,11 +599,12 @@ def run_bp_fusion(cfg: ScenarioConfig, tapes, sends, payload: str, seed: int,
     ledger = CommLedger()
     beliefs: list = []
     est_history: dict = {}
+    ospa2_cache: dict = {}
     curves = {k: [] for k in ("ospa", "ospa2", "card_est", "card_true", "comm")}
+    encoded = encode_tape(cfg, tapes, sends, payload)
 
-    for scan in range(1, cfg.duration + 1):
-        inputs = bp_scan_inputs(cfg, tapes["scans"][scan - 1],
-                                sends[scan - 1], payload)
+    for scan, pairs in zip(range(1, cfg.duration + 1), encoded):
+        inputs = _bp_inputs(cfg, tapes["scans"][scan - 1], pairs)
         for scan_data, sent in zip(tapes["scans"][scan - 1], sends[scan - 1]):
             ledger.record(scan, scan_data.sensor_id, len(sent), payload,
                           scan_data.model.m, scan_data.model.n)
@@ -568,7 +617,7 @@ def run_bp_fusion(cfg: ScenarioConfig, tapes, sends, payload: str, seed: int,
             trace_scans[scan] = trace
         est_pairs = [(label, mean[:2]) for label, mean in estimates]
         d1, d2, n_est, n_true = _record_metrics(
-            scan, est_pairs, truth, est_history, truth_tracks, params)
+            scan, est_pairs, truth, est_history, truth_tracks, params, ospa2_cache)
         curves["ospa"].append(d1)
         curves["ospa2"].append(d2)
         curves["card_est"].append(n_est)

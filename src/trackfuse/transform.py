@@ -4,10 +4,19 @@ Two analytical transformations are provided:
 
 * type 1 -- noise whitening built from the full-rank decomposition H = B D,
   A = (B^T R^-1 B)^(-1/2) B^T R^-1, so the transformed noise covariance is
-  the identity and only (z, H) need transmission;
+  the identity and only (z, H) need transmission. Only a full-row-rank H
+  gives a full-column-rank A; its decomposition is B = I, D = H;
 * type 2 -- for H = [E, 0] with invertible E, A = E^-1, so the transformed
   measurement matrix is the constant [I, 0] and only (z, R) need
   transmission.
+
+Both are written once, as stacked cores over K models at a time, (K, m, n)
+H and (K, m, m) R: `type1_stack` and `type2_stack` return the (K, ...) A,
+Ht, Rt and the (K,) sqrt(det(A^T A)). Their products are batched `@` and
+their factorizations stacked LAPACK calls, which make per slice the calls
+of the one-model form, so a slice equals the K = 1 result bit for bit. The
+simulator's tape pass calls them once per payload arm on every (scan,
+sensor) model of a tape; `make_type1` and `make_type2` are K = 1 wrappers.
 
 Likelihoods are evaluated in the log domain: products over ten sensors
 underflow in the linear domain. The generalized likelihood uses the product
@@ -21,13 +30,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InconsistentTransformError, InputError, NumericsError
 from .linalg import (
     is_full_column_rank,
-    matrix_rank_by_sv,
     psd_eig,
+    ranks_by_sv,
     sym_sqrt_and_invsqrt,
     symmetrize,
 )
@@ -60,6 +68,15 @@ class Transformation:
             raise InputError("transformation matrix must have full column rank")
         self.sqrt_det_ata = float(np.prod(sv))
 
+    @classmethod
+    def _trusted(cls, A, kind, Ht, Rt, sqrt_det_ata: float):
+        """A transformation from a stacked core's slice, whose column rank
+        and singular-value product that core has checked and computed."""
+        tr = cls.__new__(cls)
+        tr.A, tr.kind, tr.Ht, tr.Rt = A, kind, Ht, Rt
+        tr.sqrt_det_ata = sqrt_det_ata
+        return tr
+
     def apply(self, zs: np.ndarray) -> np.ndarray:
         """Transform measurements; zs is (M, m) row-wise or a single vector."""
         zs = np.asarray(zs, dtype=float)
@@ -68,57 +85,81 @@ class Transformation:
         return zs @ self.A.T
 
 
-def full_rank_decomposition(H: np.ndarray, rtol: float = 1e-10):
-    """Split H (m x n, rank r) into B (m x r) times D (r x n).
-
-    Column-pivoted QR; when H already has full row rank, B = I and D = H so
-    the decomposition is permutation-free.
-    """
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    m = H.shape[0]
-    r = matrix_rank_by_sv(H, rtol)
-    if r == 0:
-        raise InputError("H has rank zero")
-    if r == m:
-        return np.eye(m), H.copy()
-    q, rr, piv = scipy.linalg.qr(H, pivoting=True)
-    perm = np.empty_like(piv)
-    perm[piv] = np.arange(piv.size)
-    return q[:, :r], rr[:r, :][:, perm]
-
-
 def make_identity(model: MeasurementModel) -> Transformation:
     """No-op transformation (payload identical to raw)."""
     eye = np.eye(model.m)
     return Transformation(eye, IDENTITY, model.H.copy(), model.R.copy())
 
 
-def make_type1(model: MeasurementModel) -> Transformation:
-    """Whitening transformation: Rt = I, Ht = (B^T R^-1 B)^(1/2) D."""
-    b, d = full_rank_decomposition(model.H)
-    r_inv = np.linalg.inv(model.R)
-    core = symmetrize(b.T @ r_inv @ b)
-    if np.min(np.linalg.eigvalsh(core)) <= 1e-12 * np.max(np.linalg.eigvalsh(core)):
+def _column_rank_stack(a: np.ndarray) -> np.ndarray:
+    """sqrt(det(A^T A)) of each slice of a (K, p, m) stack, the product of
+    its singular values; raises InputError unless every slice has full
+    column rank (the check of `Transformation`)."""
+    sv = np.linalg.svd(a, compute_uv=False)
+    if a.shape[1] < a.shape[2] or np.any(sv[:, -1] <= 1e-10 * sv[:, 0]):
+        raise InputError("transformation matrix must have full column rank")
+    return np.prod(sv, axis=1)
+
+
+def type1_stack(H: np.ndarray, R: np.ndarray):
+    """Whitening transformations of K models: (A, Ht, Rt, sqrt_det_ata).
+
+    For each slice Rt = I and Ht = (B^T R^-1 B)^(1/2) D with B = I, D = H
+    (see `make_type1`). An H of rank r < m would leave A with r < m rows,
+    so it raises InputError; so does an H of rank zero. Raises
+    NumericsError if some B^T R^-1 B is rank deficient.
+    """
+    K, m, _ = H.shape
+    ranks = ranks_by_sv(H)
+    if np.any(ranks == 0):
+        raise InputError("H has rank zero")
+    if np.any(ranks < m):
+        raise InputError("transformation matrix must have full column rank")
+    # B = I is multiplied through rather than dropped: products with it
+    # round like those of the general formula, down to the signs of zeros.
+    b = np.tile(np.eye(m), (K, 1, 1))
+    bt = b.swapaxes(1, 2)
+    r_inv = np.linalg.inv(R)
+    core = symmetrize(bt @ r_inv @ b)
+    eigs = np.linalg.eigvalsh(core)
+    if np.any(eigs[:, 0] <= 1e-12 * eigs[:, -1]):
         raise NumericsError("B^T R^-1 B is rank deficient")
     sq, isq = sym_sqrt_and_invsqrt(core)
-    a = isq @ b.T @ r_inv
-    ht = sq @ d
-    return Transformation(a, TYPE1, ht, np.eye(ht.shape[0]))
+    a = isq @ bt @ r_inv
+    ht = sq @ np.ascontiguousarray(H)
+    rt = np.tile(np.eye(m), (K, 1, 1))
+    return a, ht, rt, _column_rank_stack(a)
+
+
+def type2_stack(H: np.ndarray, R: np.ndarray):
+    """Leading-block inverses of K models [E, 0]: (A, Ht, Rt, sqrt_det_ata)
+    with A = E^-1, Ht = [I, 0] and Rt = E^-1 R E^-T (see `make_type2`)."""
+    K, m, n = H.shape
+    e = H[:, :, :m]
+    tail = H[:, :, m:]
+    if tail.size and np.max(np.abs(tail)) > 1e-12:
+        raise InputError("H is not of the [E, 0] shape")
+    if np.any(ranks_by_sv(e) < m):
+        raise InputError("leading block of H is singular")
+    a = np.linalg.inv(e)
+    ht = np.tile(np.hstack([np.eye(m), np.zeros((m, n - m))]), (K, 1, 1))
+    rt = symmetrize(a @ R @ a.swapaxes(1, 2))
+    return a, ht, rt, _column_rank_stack(a)
+
+
+def _one(stack_fn, kind: str, model: MeasurementModel) -> Transformation:
+    a, ht, rt, sqrt_det = stack_fn(model.H[None], model.R[None])
+    return Transformation._trusted(a[0], kind, ht[0], rt[0], float(sqrt_det[0]))
+
+
+def make_type1(model: MeasurementModel) -> Transformation:
+    """Whitening transformation: Rt = I, Ht = (B^T R^-1 B)^(1/2) D."""
+    return _one(type1_stack, TYPE1, model)
 
 
 def make_type2(model: MeasurementModel) -> Transformation:
     """Leading-block inverse for H = [E, 0]: Ht = [I, 0], Rt = E^-1 R E^-T."""
-    m, n = model.m, model.n
-    e = model.H[:, :m]
-    tail = model.H[:, m:]
-    if tail.size and np.max(np.abs(tail)) > 1e-12:
-        raise InputError("H is not of the [E, 0] shape")
-    if matrix_rank_by_sv(e) < m:
-        raise InputError("leading block of H is singular")
-    a = np.linalg.inv(e)
-    ht = np.hstack([np.eye(m), np.zeros((m, n - m))])
-    rt = symmetrize(a @ model.R @ a.T)
-    return Transformation(a, TYPE2, ht, rt)
+    return _one(type2_stack, TYPE2, model)
 
 
 def make_generic(A: np.ndarray, model: MeasurementModel) -> Transformation:

@@ -55,6 +55,18 @@ class TestScenarioFile:
         with pytest.raises(InputError, match="bad2.cfg:2"):
             cli.parse_scenario_file(path)
 
+    @pytest.mark.parametrize("key, value", [("clutter_rate", "0"), ("clutter_rate", "-2"),
+                                            ("p_d", "0"), ("p_d", "1.5")])
+    def test_sensor_rate_out_of_range_reports_line(self, tmp_path, key, value):
+        # clutter_rate = 0 used to pass here and crash the run in math.log
+        text = SCENARIO_FILE.replace("p_d=0.9\nclutter_rate=5",
+                                     "p_d=0.9\nclutter_rate=5\n" + f"{key}={value}")
+        lineno = text.splitlines().index(f"{key}={value}") + 1
+        path = tmp_path / "rates.cfg"
+        path.write_text(text)
+        with pytest.raises(InputError, match=f"rates.cfg:{lineno}: '{key}' must be"):
+            cli.load_scenario(str(path))
+
     def test_missing_file(self):
         with pytest.raises(InputError, match="not found"):
             cli.parse_scenario_file(cli.Path("/nonexistent/file.cfg"))

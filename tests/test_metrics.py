@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trackfuse.errors import InputError
 from trackfuse.metrics import CommLedger, OspaParams, comm_bytes, ospa, ospa2
@@ -67,6 +69,67 @@ class TestOspa2:
         ty = {"b": {10: np.zeros(2)}}
         # scans 9 (one-sided, c) and 10 (match, 0): base = c/2
         assert ospa2(tx, ty, 10, PARAMS) == pytest.approx(25.0, rel=1e-12)
+
+
+def flickering_tracks(rng, n_tracks, n_scans, spread):
+    """label -> presence over scans 1..n_scans, in runs that start, stop and
+    start again, with random-walk positions (some within the cutoff of
+    each other, some beyond it)."""
+    tracks = {}
+    for label in range(n_tracks):
+        present = np.repeat(rng.random(n_scans // 2 + 1) < 0.6, 2)[:n_scans]
+        pos = rng.uniform(-spread, spread, 2)
+        tracks[label] = {}
+        for s in range(1, n_scans + 1):
+            pos = pos + rng.normal(0.0, 5.0, 2)
+            if present[s - 1]:
+                tracks[label][s] = pos
+    return tracks
+
+
+class TestOspa2Cache:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_est=st.integers(0, 6),
+           n_truth=st.integers(0, 5), w=st.integers(1, 8),
+           c=st.sampled_from([5.0, 50.0, 1e4]), spread=st.sampled_from([10.0, 200.0]))
+    def test_cached_equals_uncached_exactly(self, seed, n_est, n_truth, w, c, spread):
+        rng = np.random.default_rng(seed)
+        n_scans = 24
+        est = flickering_tracks(rng, n_est, n_scans, spread)
+        truth = flickering_tracks(rng, n_truth, n_scans, spread)
+        # a track that appears, vanishes and comes back inside every window
+        est["gap"] = {s: np.array([float(s), 1.0]) for s in range(1, n_scans + 1)
+                      if s % 3 != 0}
+        params = OspaParams(c=c, w=w)
+        history, cache, swapped = {}, {}, {}
+        for scan in range(1, n_scans + 1):
+            # grown scan by scan, as the fusion loop records its estimates
+            for label, track in est.items():
+                if scan in track:
+                    history.setdefault(label, {})[scan] = track[scan]
+            cached = ospa2(history, truth, scan, params, cache)
+            assert cached == ospa2(history, truth, scan, params)
+            assert (ospa2(truth, history, scan, params, swapped)
+                    == ospa2(truth, history, scan, params))
+
+    def test_each_term_is_computed_once(self, monkeypatch):
+        import trackfuse.metrics as metrics_mod
+        calls = []
+        norm = np.linalg.norm
+
+        def counting_norm(x):
+            calls.append(1)
+            return norm(x)
+
+        monkeypatch.setattr(metrics_mod.np.linalg, "norm", counting_norm)
+        tx = {"a": {s: np.zeros(2) for s in range(1, 21)}}
+        ty = {"b": {s: np.ones(2) for s in range(1, 21)}}
+        cache = {}
+        for scan in range(1, 21):
+            ospa2(tx, ty, scan, PARAMS, cache)
+        assert len(calls) == 20
+        # only the scans of the last window are kept
+        assert sorted(cache) == list(range(11, 21))
 
 
 class TestCommBytes:

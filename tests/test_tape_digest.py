@@ -42,3 +42,41 @@ def test_digest_changes_with_one_final_track_state(monkeypatch):
     assert tape_digest.tape_digest(sim, CFG, 0) != plain
     monkeypatch.undo()
     assert tape_digest.tape_digest(sim, CFG, 0) == plain
+
+
+def _setup(name):
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        from inputs import build_setup
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    return build_setup(name)
+
+
+def test_curves_command_prints_one_digest_per_tape_and_arm():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "tape_digest.py"), "--checkout", str(ROOT),
+         "--workload", "s1-mda-c40", "--seeds", "0", "--curves"],
+        capture_output=True, text=True, check=True).stdout.split()
+    assert out[0::3] == ["0"] * 3
+    assert out[1::3] == ["raw", "type1", "type2"]
+    digests = tape_digest.curve_digests(sim, _setup("s1-mda-c40"), 0)
+    assert out[2::3] == [digests[arm] for arm in ("raw", "type1", "type2")]
+    assert len(set(out[2::3])) == 3
+
+
+def test_curve_digest_changes_with_one_ospa_value(monkeypatch):
+    setup = _setup("s1-mda-c40")
+    plain = tape_digest.curve_digests(sim, setup, 1)
+    ospa = sim.ospa
+    calls = []
+
+    def nudged(*args):
+        calls.append(1)
+        value = ospa(*args)
+        return value + 1e-12 if len(calls) == 150 else value
+
+    monkeypatch.setattr(sim, "ospa", nudged)
+    moved = tape_digest.curve_digests(sim, setup, 1)
+    # the arms run in order, 100 scans each: call 150 is scan 50 of type1
+    assert [moved[a] == plain[a] for a in ("raw", "type1", "type2")] == [True, False, True]

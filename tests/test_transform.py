@@ -12,7 +12,6 @@ from trackfuse.models import MeasurementModel
 from trackfuse.transform import (
     ClutterModel,
     clutter_density_transformed,
-    full_rank_decomposition,
     gaussian_likelihood,
     gaussian_log_likelihood,
     generalized_log_likelihood,
@@ -59,12 +58,6 @@ class TestType1:
             lhs = tr.Ht.T @ np.linalg.solve(tr.Rt, tr.Ht)
             rhs = h.T @ np.linalg.solve(model.R, h)
             np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-10)
-
-    def test_rank_deficient_h_full_rank_decomposition(self):
-        h = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])  # rank 1
-        b, d = full_rank_decomposition(h)
-        assert b.shape == (2, 1) and d.shape == (1, 3)
-        np.testing.assert_allclose(b @ d, h, atol=1e-12)
 
 
 class TestType2:

@@ -1,6 +1,7 @@
 """SHA-256 digests of the measurement tapes and local-tracker transmissions.
 
     python3 tools/tape_digest.py --checkout DIR --workload NAME --seeds 0 1 2 ...
+        [--curves]
 
 Imports the program from `DIR/src` and the workload's scenario from
 `DIR/bench/inputs.py`, runs `sim.prepare_run` on each tape seed and prints
@@ -9,6 +10,14 @@ local trackers' sends and the trackers' final states (every local track's
 mean, covariance, timestamp, hits, misses and confirmation, and every
 pending initiator). Run on two checkouts, equal lines show that a change to
 the sensor side kept the tape bit for bit.
+
+With `--curves` it fuses each tape once per payload arm of the workload,
+with the workload's fusion engine and configs (a BP arm's streams keyed by
+the tape seed, as in `sim.run_single`), and prints one line per tape and
+arm instead: the seed, the arm and a SHA-256 over the arm's curves (OSPA,
+OSPA(2), estimated and true cardinality, bytes per scan). Equal lines on two
+checkouts show that a change to the fusion side kept its outputs bit for
+bit.
 """
 
 from __future__ import annotations
@@ -68,16 +77,45 @@ def tape_digest(sim, cfg, seed: int) -> str:
     return h.hexdigest()
 
 
+CURVES = ("ospa", "ospa2", "card_est", "card_true", "comm_bytes")
+
+
+def curve_digests(sim, setup, seed: int) -> dict:
+    """{arm: digest of the arm's fusion curves} for one tape of a workload."""
+    cfg = setup.cfg
+    tapes, sends = sim.prepare_run(cfg, seed)
+    out = {}
+    for arm in setup.wl.arms:
+        if setup.wl.fusion == "mda":
+            record = sim.run_mda_fusion(cfg, tapes, sends, arm, setup.mda_cfg,
+                                        setup.ospa_params)
+        else:
+            record = sim.run_bp_fusion(cfg, tapes, sends, arm, seed, setup.bp_cfg,
+                                       setup.ospa_params)
+        h = hashlib.sha256()
+        for name in CURVES:
+            h.update(name.encode())
+            _array(h, getattr(record, name))
+        out[arm] = h.hexdigest()
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="tape digests of one checkout")
     parser.add_argument("--checkout", type=Path, required=True)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--curves", action="store_true",
+                        help="digest each arm's fusion curves instead of the tape")
     args = parser.parse_args(argv)
     sim, build_setup = _load(args.checkout.resolve())
-    cfg = build_setup(args.workload).cfg
+    setup = build_setup(args.workload)
     for seed in args.seeds:
-        print(seed, tape_digest(sim, cfg, seed), flush=True)
+        if args.curves:
+            for arm, digest in curve_digests(sim, setup, seed).items():
+                print(seed, arm, digest, flush=True)
+        else:
+            print(seed, tape_digest(sim, setup.cfg, seed), flush=True)
     return 0
 
 
