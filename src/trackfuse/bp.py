@@ -6,29 +6,50 @@ number of message-passing iterations produces the association products
 kappa and iota, and the particle beliefs are reweighted, normalized and
 augmented with one potential newborn per measurement.
 
-Inside each stage (prediction, measurement evaluation, belief calculation)
-the beliefs are stacked into blocks: consecutive runs of beliefs with equal
-particle counts, particles (B, Np, n) and weights (B, Np), of at most
+Beliefs live in blocks: particles (B, Np, n) and weights (B, Np) for
+consecutive runs of beliefs with equal particle counts, of at most
 BLOCK_PARTICLES particles each (a larger belief is a block of its own).
-Runs keep the belief order, so random draws stay in belief order. Blocks
-are built one at a time because of peak memory: a late sensor of a scan can
-carry over a hundred beliefs, and one block of all of them, with its
-centred copies, would stay alive through the whole stage.
+Every stage walks the same partition of its belief list (`_blocks`); runs
+keep the belief order, so random draws stay in belief order and the
+partition never changes a number. A belief that this module builds is a
+row view of its blocks and records the block and row of its particles and
+of its weights. A stage takes a block's rows through `_block_rows`: a
+slice of the stored block when the run's beliefs are consecutive rows of
+one block, and a stack of their rows otherwise. The stacking branch runs
+for beliefs built outside this module, for the block where a sensor
+step's survivors meet its newborns, and for lists that were pruned or
+reordered. Blocks are visited one at a time because of peak memory: a
+late sensor of a scan can carry over a hundred beliefs.
 
-Prediction draws the process noise once per block. Per block, measurement
-evaluation makes one detection-probability call over all particles, gates
-every belief with batched weighted moments and one stacked
-eigendecomposition of the innovation covariances, and evaluates all gated
-(belief, measurement) pairs in one likelihood call (a triangular solve for
-raw payloads, an eigen projection for transformed ones); the (G, Np) rows
-back `q_cache`. The detection probabilities go to the update through
-`AssociationMessages`, and the update visits only the gated (tau, i) pairs.
-Belief calculation normalizes, sums and takes the effective sample size of
-a block's rows together and resamples only the rows that need it. Stacked
-moments and dot products go through batched `@`, whose per-slice BLAS calls
-are those of the per-belief form (einsum would reorder the sums); the
-scenario-2 BP traces and curves equal those of the per-belief form bit for
-bit.
+When blocks are built and which rows a step rewrites:
+- Prediction writes new particle and weight blocks for every belief (the
+  process noise is drawn once per block).
+- Births draw each measurement's cloud into one (M, Np, n) block, which
+  the newborns keep as particles unless they resample.
+- Measurement evaluation projects a block's particles into measurement
+  space once, z = H x. The gate takes each belief's weighted mean and
+  covariance of z and one stacked eigendecomposition of the innovation
+  covariances; the likelihood of every gated (belief, measurement) pair
+  reads the same z (a triangular solve for raw payloads, through LAPACK
+  `dtrtrs` on Fortran-ordered residuals, an eigen projection for
+  transformed ones). The detection probabilities are one (B, Np) block
+  per block, handed to the update through `AssociationMessages`.
+- The update forms kappa(0) (1 - p_d) per block and adds the gated
+  (tau, i) terms of `q_cache` in its order, into one (B, Np) block of
+  unnormalized posteriors per block.
+- Belief calculation writes a new weight block per block. A block's
+  particles are rewritten only if one of its rows resamples: those rows
+  go into a copy of the block (copy on write), and the block's beliefs
+  move to the copy. Otherwise the beliefs keep their particle rows.
+- After pruning, the survivors of a block that lost rows move to a new
+  block (`_compact`), so the scan's result holds no pruned rows.
+The detection and posterior blocks are dropped when the step is done with
+them, and a superseded block goes with the last belief that views it.
+
+Stacked moments and dot products go through batched `@`, whose per-slice
+BLAS calls are those of the per-belief form (einsum would reorder the
+sums); the scenario-2 BP traces and curves equal those of the per-belief
+form bit for bit.
 
 The association messages have a two-value structure (a measurement-to-target
 message takes one value at "assigned to me" and a common value everywhere
@@ -48,9 +69,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
-from .errors import DegenerateBeliefError, InputError
+from .errors import DegenerateBeliefError, InputError, NumericsError
 from .linalg import chi2_gate, psd_quadforms, symmetrize
 from .models import POS_DIM, MeasurementBatch, MotionModel
 from .transform import LOG_2PI, ClutterModel
@@ -64,7 +85,9 @@ class ParticleBelief:
     """Weighted particle set for one potential target.
 
     Weights sum to the existence probability r_prob; the complementary
-    1 - r_prob mass is implicit.
+    1 - r_prob mass is implicit. A belief built by this module records
+    where its arrays live: `_prow` and `_wrow` are the (block, row) of
+    its particles and weights, None for arrays of its own.
     """
 
     particles: np.ndarray
@@ -72,6 +95,9 @@ class ParticleBelief:
     r_prob: float
     label: object
     missed_scans: int = 0
+
+    _prow = None
+    _wrow = None
 
     def __post_init__(self):
         self.particles = np.atleast_2d(np.asarray(self.particles, dtype=float))
@@ -81,12 +107,15 @@ class ParticleBelief:
 
     @classmethod
     def _trusted(cls, particles: np.ndarray, weights: np.ndarray,
-                 r_prob: float, label: object, missed_scans: int = 0):
+                 r_prob: float, label: object, missed_scans: int = 0,
+                 prow=None, wrow=None):
         """A belief from arrays this module built: (Np, n) float particles
-        and (Np,) float weights, taken without validation or copy."""
+        and (Np,) float weights, taken without validation or copy, with the
+        (block, row) records of both."""
         b = cls.__new__(cls)
         b.particles, b.weights, b.r_prob = particles, weights, r_prob
         b.label, b.missed_scans = label, missed_scans
+        b._prow, b._wrow = prow, wrow
         return b
 
     @property
@@ -145,7 +174,8 @@ class AssociationMessages:
     every other a. phi_eq/phi_neq are (N, M) analogously over b. kappa and
     iota are the final products, normalized per row. p_detect[tau] holds
     the detection probabilities at belief tau's particles, computed once by
-    measurement evaluation and reused by the update.
+    measurement evaluation and reused by the update; measurement evaluation
+    returns it as `_Rows` of its detection blocks.
     """
 
     beta: np.ndarray
@@ -203,16 +233,75 @@ class _BatchLikelihood:
         holds the log-likelihood of zs[g] at each of its predictions.
         """
         m, n_pred = self.H.shape[0], z_pred.shape[-1]
-        diffs = (zs.T[:, :, None] - z_pred.reshape(m, -1, n_pred)).reshape(m, -1)
+        z_pred = z_pred.reshape(m, -1, n_pred)
         if self.batch.transformed:
+            diffs = (zs.T[:, :, None] - z_pred).reshape(m, -1)
             proj = self._v.T @ diffs
             quad = np.sum(proj * proj / self._w[:, None], axis=0)
         else:
-            y = solve_triangular(self._chol, diffs, lower=True,
-                                 check_finite=False)
+            y = self._whiten(zs, z_pred)
             quad = np.sum(y * y, axis=0)
         ll = -0.5 * (self._rank * LOG_2PI + self._logdet + quad)
         return ll.reshape(zs.shape[0], n_pred)
+
+    def _whiten(self, zs: np.ndarray, z_pred: np.ndarray) -> np.ndarray:
+        """L^-1 (z - z_pred) for the raw Cholesky factor L, as an (m, G Np)
+        Fortran-ordered array.
+
+        The residuals are written in Fortran order and solved in place by
+        LAPACK `dtrtrs`, the routine and argument layout that
+        `scipy.linalg.solve_triangular` uses, so the result is the same to
+        the bit without its argument handling.
+        """
+        m, n_pred = z_pred.shape[0], z_pred.shape[-1]
+        store = np.empty((zs.shape[0], n_pred, m))
+        np.subtract(zs.T[:, :, None], z_pred, out=store.transpose(2, 0, 1))
+        diffs = store.reshape(-1, m).T
+        chol = self._chol
+        if chol.flags.f_contiguous:
+            y, info = dtrtrs(chol, diffs, lower=1, overwrite_b=1)
+        else:
+            # the transposed system, as solve_triangular passes a C-ordered factor
+            y, info = dtrtrs(chol.T, diffs, lower=0, trans=1, overwrite_b=1)
+        if info != 0:
+            raise NumericsError(f"triangular solve failed (LAPACK info {info})")
+        return y
+
+
+class _Rows(list):
+    """Row arrays (or tuples led by one), with `at[t]` the (block, row) that
+    entry t views, or None for an array of its own."""
+
+    def __init__(self):
+        super().__init__()
+        self.at = []
+
+    def add_block(self, block: np.ndarray, rest=None):
+        """Append the rows of a (B, ...) block, each paired with the entry of
+        `rest` when given."""
+        self.extend(block if rest is None else zip(block, rest))
+        self.at.extend((block, k) for k in range(len(block)))
+
+
+def _block_rows(rows: Sequence[np.ndarray], at: Optional[Sequence],
+                blk: range):
+    """The arrays rows[t], t in blk, as one (len(blk), ...) array, and
+    whether that array is new.
+
+    at[t] is the (block, row) that rows[t] views, or None. When the rows of
+    blk are consecutive rows of one stored block, the result is a slice of
+    that block; otherwise the rows are stacked (see the module docstring).
+    """
+    first = None if at is None else at[blk.start]
+    if first is not None:
+        block, row = first
+        for t in blk:
+            rec = at[t]
+            if rec is None or rec[0] is not block or rec[1] != row + t - blk.start:
+                break
+        else:
+            return block[row:row + len(blk)], False
+    return np.stack([rows[t] for t in blk]), True
 
 
 def _blocks(counts: Sequence[int]):
@@ -227,8 +316,10 @@ def _blocks(counts: Sequence[int]):
             start = end
 
 
-def _counts(beliefs: Sequence[ParticleBelief]):
-    return [b.n_particles for b in beliefs]
+def _stored(beliefs: Sequence[ParticleBelief]):
+    """(particle rows, their records, weight rows, their records)."""
+    return ([b.particles for b in beliefs], [b._prow for b in beliefs],
+            [b.weights for b in beliefs], [b._wrow for b in beliefs])
 
 
 def bp_predict(beliefs: Sequence[ParticleBelief], motion: MotionModel,
@@ -236,25 +327,30 @@ def bp_predict(beliefs: Sequence[ParticleBelief], motion: MotionModel,
     """Propagate particles through the motion model and decay existence.
 
     The process noise is drawn once per block, the same stream as one draw
-    per belief. Each belief gets particles of its own, so that a belief
-    resampled later frees them.
+    per belief. The predicted beliefs are rows of new particle and weight
+    blocks.
     """
     w, v = np.linalg.eigh(motion.Q)
     sqrt_q = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
+    prows, pat, wrows, wat = _stored(beliefs)
     out = []
-    for blk in _blocks(_counts(beliefs)):
-        shape = (len(blk),) + beliefs[blk.start].particles.shape
-        noise = rng.standard_normal(shape) @ sqrt_q.T
-        for b, e in zip((beliefs[t] for t in blk), noise):
+    for blk in _blocks([p.shape[0] for p in prows]):
+        parts, _ = _block_rows(prows, pat, blk)
+        noise = rng.standard_normal(parts.shape) @ sqrt_q.T
+        particles = parts @ motion.F.T + noise
+        weights = _block_rows(wrows, wat, blk)[0] * survival_prob
+        for k, t in enumerate(blk):
+            b = beliefs[t]
             out.append(ParticleBelief._trusted(
-                b.particles @ motion.F.T + e, b.weights * survival_prob,
-                b.r_prob * survival_prob, b.label, b.missed_scans))
+                particles[k], weights[k], b.r_prob * survival_prob, b.label,
+                b.missed_scans, (particles, k), (weights, k)))
     return out
 
 
 def propose_births(inp: BpSensorInput, cfg: BpConfig, state_dim: int,
                    rng: np.random.Generator):
-    """Measurement-driven birth particle clouds, one per measurement.
+    """Measurement-driven birth particle clouds, one per measurement, as
+    one (M, Np, n) block.
 
     Positions are drawn around the WLS backprojection of the measurement
     with the backprojection covariance inflated by cfg.birth_cov_inflation;
@@ -270,17 +366,15 @@ def propose_births(inp: BpSensorInput, cfg: BpConfig, state_dim: int,
     except np.linalg.LinAlgError as exc:
         raise DegenerateBeliefError("birth position covariance not PD") from exc
     n_vel = min(2, state_dim - POS_DIM)
-    clouds = []
-    for z in batch.zs:
+    clouds = np.zeros((batch.n_meas, cfg.n_particles, state_dim))
+    for z, particles in zip(batch.zs, clouds):
         x0 = info_pinv @ (h.T @ (r_dag @ z))
-        particles = np.zeros((cfg.n_particles, state_dim))
         particles[:, :POS_DIM] = (x0[:POS_DIM]
                                   + rng.standard_normal((cfg.n_particles, POS_DIM))
                                   @ c_pos.T)
         if n_vel > 0:
             particles[:, POS_DIM:POS_DIM + n_vel] = (
                 cfg.vel_prior_std * rng.standard_normal((cfg.n_particles, n_vel)))
-        clouds.append(particles)
     return clouds
 
 
@@ -303,37 +397,39 @@ def measurement_evaluation(beliefs: Sequence[ParticleBelief],
     gamma_gate = chi2_gate(cfg.gate_prob, lik.dof) if m else None
 
     beta = np.zeros((n, m + 1))
-    p_detect = []
+    p_detect = _Rows()
     q_cache = {}
-    for blk in _blocks(_counts(beliefs)):
-        particles = np.stack([beliefs[t].particles for t in blk])
-        weights = np.stack([beliefs[t].weights for t in blk])
+    prows, pat, wrows, wat = _stored(beliefs)
+    for blk in _blocks([p.shape[0] for p in prows]):
+        particles, _ = _block_rows(prows, pat, blk)
+        weights, _ = _block_rows(wrows, wat, blk)
         pd_x = inp.detection_probs(
             particles[:, :, :POS_DIM].reshape(-1, POS_DIM)).reshape(weights.shape)
-        p_detect.extend(pd_x)
+        p_detect.add_block(pd_x)
         r_prob = np.array([beliefs[t].r_prob for t in blk])
         beta[blk.start:blk.stop, 0] = _row_dots(weights, 1.0 - pd_x) + (1.0 - r_prob)
         if not m:
             continue
-        rows, cols = np.nonzero(_gate(particles, weights, lik, gamma_gate))
+        z_pred = lik.predict(particles.reshape(-1, particles.shape[2]))
+        z_pred = z_pred.reshape(z_pred.shape[0], len(blk), -1)
+        rows, cols = np.nonzero(_gate(z_pred, weights, batch, gamma_gate))
         if not rows.size:
             continue
-        z_pred = lik.predict(particles.reshape(-1, particles.shape[2]))
-        ll = lik.loglik(batch.zs[cols],
-                        z_pred.reshape(z_pred.shape[0], len(blk), -1)[:, rows])
+        ll = lik.loglik(batch.zs[cols], z_pred[:, rows])
         q = pd_x[rows] * np.exp(ll - log_clutter_intensity)
         taus = blk.start + rows
         beta[taus, cols + 1] = _row_dots(weights[rows], q)
         q_cache.update(zip(zip(taus.tolist(), cols.tolist()), q))
 
     xi = np.ones((m, n + 1))
-    birth_liks = []
+    birth_liks = _Rows()
     if m:
         # measurement i against its own birth cloud: (dim, M, Np) predictions
-        birth_pred = lik.predict(np.concatenate(birth_clouds))
-        lls = lik.loglik(batch.zs, birth_pred.reshape(birth_pred.shape[0], m, -1))
-        for i, lk in enumerate(np.exp(lls)):
-            birth_liks.append(lk)
+        clouds = np.asarray(birth_clouds)
+        birth_pred = lik.predict(clouds.reshape(-1, clouds.shape[-1]))
+        lks = np.exp(lik.loglik(batch.zs, birth_pred.reshape(birth_pred.shape[0], m, -1)))
+        birth_liks.add_block(lks)
+        for i, lk in enumerate(lks):
             ratio = cfg.birth_rate * float(np.mean(lk)) * math.exp(-log_clutter_intensity)
             xi[i, 0] = 1.0 + ratio
     return AssociationMessages(beta, xi, p_detect=p_detect), q_cache, birth_liks
@@ -345,25 +441,23 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _gate(particles: np.ndarray, weights: np.ndarray, lik: _BatchLikelihood,
+def _gate(z_pred: np.ndarray, weights: np.ndarray, batch: MeasurementBatch,
           gamma_gate: float) -> np.ndarray:
     """(B, M) mask of the measurements inside each stacked belief's gate.
 
-    Each belief is summarized by the weighted mean and covariance of its
-    particles; the innovation covariances of the block go through one
-    stacked pseudoinverse quadratic form. Beliefs without weight mass gate
-    nothing.
+    z_pred (m, B, Np) holds the particles' predicted measurements. Each
+    belief is summarized by their weighted mean and covariance; the
+    innovation covariances of the block go through one stacked
+    pseudoinverse quadratic form. Beliefs without weight mass gate nothing.
     """
     total = weights.sum(axis=1)
     live = total > 0
     total = np.where(live, total, 1.0)[:, None]
-    mu = (weights[:, None, :] @ particles)[:, 0] / total
-    centred = particles - mu[:, None, :]
-    cov = (centred * weights[..., None]).transpose(0, 2, 1) @ centred / total[:, :, None]
-    h, batch = lik.H, lik.batch
-    z_hat = (h @ mu[:, :, None])[..., 0]
-    d2 = psd_quadforms(h @ cov @ h.T + batch.R,
-                       batch.zs[None, :, :] - z_hat[:, None, :])
+    z = z_pred.transpose(1, 0, 2)
+    z_hat = (z @ weights[:, :, None])[..., 0] / total
+    centred = z - z_hat[:, :, None]
+    cov = (centred * weights[:, None, :]) @ centred.transpose(0, 2, 1) / total[:, :, None]
+    d2 = psd_quadforms(cov + batch.R, batch.zs[None, :, :] - z_hat[:, None, :])
     return (d2 <= gamma_gate) & live[:, None]
 
 
@@ -390,10 +484,12 @@ def iterative_association(msgs: AssociationMessages, iterations: int):
             ratio_phi = (phi_eq / phi_neq).T          # (M, N)
             t_i = ratio_phi.sum(axis=1, keepdims=True)
             nu_neq = xi[:, :1] + t_i - ratio_phi
-            nu_eq = np.ones_like(nu_neq)
-            mx = np.maximum(nu_eq, nu_neq)
-            _check_messages(mx)
-            nu_eq, nu_neq = nu_eq / mx, nu_neq / mx
+            # the message at a = i is one before scaling, so the scale is
+            # at least one and only a non-finite value can degenerate
+            mx = np.maximum(nu_neq, 1.0)
+            if not mx.max() < np.inf:
+                raise DegenerateBeliefError("association message vector degenerated")
+            nu_eq, nu_neq = 1.0 / mx, nu_neq / mx
 
             ratio_nu = (nu_eq / nu_neq).T             # (N, M)
             weighted = beta[:, 1:] * ratio_nu
@@ -436,8 +532,14 @@ def iterative_association(msgs: AssociationMessages, iterations: int):
     return kappa, iota
 
 
+def _finite_positive(arr: np.ndarray) -> bool:
+    """Whether every entry is finite and positive (a NaN fails both
+    comparisons)."""
+    return arr.min() > 0.0 and arr.max() < np.inf
+
+
 def _check_messages(arr: np.ndarray):
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+    if not _finite_positive(arr):
         raise DegenerateBeliefError("association message vector degenerated")
 
 
@@ -449,7 +551,9 @@ def measurement_update(beliefs: Sequence[ParticleBelief],
 
     msgs must come from `measurement_evaluation` of the same beliefs: the
     detection probabilities are taken from msgs.p_detect. Only the gated
-    pairs of q_cache are visited.
+    pairs of q_cache are visited. The survived posteriors are rows of one
+    (B, Np) block per block of beliefs, the newborn ones rows of one (M, Np)
+    block.
     """
     kappa, iota = msgs.kappa, msgs.iota
     batch = inp.batch
@@ -459,41 +563,48 @@ def measurement_update(beliefs: Sequence[ParticleBelief],
             or kappa.shape[0] != len(beliefs)):
         raise InputError("association messages do not come from these beliefs")
 
-    gammas = [kappa[tau, 0] * (1.0 - pd_x) for tau, pd_x in enumerate(p_detect)]
+    survived_posts = _Rows()
+    pd_at = getattr(p_detect, "at", None)
+    for blk in _blocks([b.n_particles for b in beliefs]):
+        pd_x, _ = _block_rows(p_detect, pd_at, blk)
+        k0 = kappa[blk.start:blk.stop, 0]
+        survived_posts.add_block(k0[:, None] * (1.0 - pd_x), k0)
     for (tau, i), q in q_cache.items():
         k = kappa[tau, i + 1]
         if k > 0:
-            gammas[tau] += k * q
-    survived_posts = [(gamma, kappa[tau, 0]) for tau, gamma in enumerate(gammas)]
+            gamma = survived_posts[tau][0]
+            gamma += k * q
 
-    newborn_posts = []
-    scale = cfg.birth_rate * math.exp(-log_clutter_intensity) / cfg.n_particles
-    for i in range(batch.n_meas):
-        w_unnorm = iota[i, 0] * scale * birth_liks[i]
-        denom = float(np.sum(iota[i]))
-        newborn_posts.append((w_unnorm, denom))
+    newborn_posts = _Rows()
+    m = batch.n_meas
+    if m:
+        scale = cfg.birth_rate * math.exp(-log_clutter_intensity) / cfg.n_particles
+        lks, _ = _block_rows(birth_liks, getattr(birth_liks, "at", None), range(m))
+        newborn_posts.add_block((iota[:, 0] * scale)[:, None] * lks,
+                                [float(np.sum(row)) for row in iota])
     return survived_posts, newborn_posts
 
 
 def _systematic_resample(weights: np.ndarray, n: int, u: float) -> np.ndarray:
     positions = (u + np.arange(n)) / n
-    cumulative = np.cumsum(weights)
+    cumulative = weights.cumsum()
     cumulative[-1] = 1.0
-    return np.searchsorted(cumulative, positions)
+    return cumulative.searchsorted(positions)
 
 
-def _normalize(particles: Sequence[np.ndarray], unnorm: np.ndarray,
-               rest: np.ndarray, us: np.ndarray, cfg: BpConfig):
-    """Normalize the rows of one block; resample low-ESS rows.
+def _normalize(unnorm: np.ndarray, rest: np.ndarray, us: np.ndarray,
+               cfg: BpConfig):
+    """Normalize the rows of one block; pick the low-ESS rows to resample.
 
     Row k has weights unnorm[k] / c with c = sum(unnorm[k]) + rest[k]; it is
     resampled systematically with uniform us[k] when the effective sample
-    size of its normalized weights is low, and otherwise keeps
-    particles[k]. Yields (particles, weights, r) per row, r the total weight
-    before any resampling, capped at one.
+    size of its normalized weights is low. Returns the (B, Np) weights
+    (a resampled row uniform), r per row (the total weight before any
+    resampling, capped at one), and (row, particle indices) per resampled
+    row.
     """
     c = unnorm.sum(axis=1) + rest
-    if not np.all(c > 0.0) or not np.all(np.isfinite(c)):
+    if not _finite_positive(c):
         raise DegenerateBeliefError("belief normalization constant <= 0")
     weights = unnorm / c[:, None]
     r = weights.sum(axis=1)
@@ -502,12 +613,38 @@ def _normalize(particles: Sequence[np.ndarray], unnorm: np.ndarray,
     n = weights.shape[1]
     ess = np.divide(1.0, (wn * wn).sum(axis=1), out=np.full(r.shape, np.inf),
                     where=live)
-    resample = (ess < cfg.resample_ess_frac * n).tolist()
-    for k, (p, w, r_k) in enumerate(zip(particles, weights, r.tolist())):
-        if resample[k]:
-            p = p[_systematic_resample(wn[k], n, us[k])]
-            w = np.full(n, r_k / n)
-        yield p, w, min(r_k, 1.0)
+    resampled = []
+    r = r.tolist()
+    for k in np.flatnonzero(ess < cfg.resample_ess_frac * n).tolist():
+        resampled.append((k, _systematic_resample(wn[k], n, us[k])))
+        weights[k] = r[k] / n
+    return weights, [min(r_k, 1.0) for r_k in r], resampled
+
+
+def _posteriors(prows, pat, unnorm, rest: np.ndarray, us: np.ndarray,
+                cfg: BpConfig):
+    """Normalized beliefs of one list, block by block: per entry yields
+    (particles, their record, weights, their record, r).
+
+    unnorm(blk) gives the block's unnormalized weights. A block keeps its
+    particle rows unless one of them resamples; then its rows move to a
+    copy of the block with the resampled rows rewritten.
+    """
+    for blk in _blocks([p.shape[0] for p in prows]):
+        sl = slice(blk.start, blk.stop)
+        weights, r, resampled = _normalize(unnorm(blk), rest[sl], us[sl], cfg)
+        particles = None
+        if resampled:
+            particles, fresh = _block_rows(prows, pat, blk)
+            if not fresh:
+                particles = particles.copy()
+            for k, idx in resampled:
+                particles[k] = particles[k][idx]
+        for k, t in enumerate(blk):
+            if particles is None:
+                yield prows[t], pat[t], weights[k], (weights, k), r[k]
+            else:
+                yield particles[k], (particles, k), weights[k], (weights, k), r[k]
 
 
 def belief_calculation(beliefs: Sequence[ParticleBelief], survived_posts,
@@ -520,27 +657,28 @@ def belief_calculation(beliefs: Sequence[ParticleBelief], survived_posts,
     runs consume identical random streams. Returns (updated survived
     beliefs, newborn beliefs).
     """
-    updated = []
-    us = rng.random(len(beliefs))
-    for blk in _blocks(_counts(beliefs)):
-        olds = [beliefs[t] for t in blk]
-        posts = [survived_posts[t] for t in blk]
-        unnorm = np.stack([b.weights for b in olds]) * np.stack([g for g, _ in posts])
-        rest = np.array([1.0 - b.r_prob for b in olds]) * np.array([g0 for _, g0 in posts])
-        for b, (p, w, r) in zip(olds, _normalize(
-                [b.particles for b in olds], unnorm, rest, us[blk.start:blk.stop], cfg)):
-            updated.append(ParticleBelief._trusted(p, w, r, b.label, b.missed_scans))
+    prows, pat, wrows, wat = _stored(beliefs)
+    gammas, gamma_at = [g for g, _ in survived_posts], getattr(survived_posts, "at", None)
 
-    newborn = []
-    us = rng.random(len(newborn_posts))
-    for blk in _blocks([c.shape[0] for c in birth_clouds]):
-        posts = [newborn_posts[i] for i in blk]
-        unnorm = np.stack([w for w, _ in posts])
-        rest = np.array([denom for _, denom in posts])
-        for i, (p, w, r) in zip(blk, _normalize(
-                birth_clouds[blk.start:blk.stop], unnorm, rest,
-                us[blk.start:blk.stop], cfg)):
-            newborn.append(ParticleBelief._trusted(p, w, r, labels[i]))
+    def survived(blk):
+        weights, _ = _block_rows(wrows, wat, blk)
+        return weights * _block_rows(gammas, gamma_at, blk)[0]
+
+    rest = (np.array([1.0 - b.r_prob for b in beliefs])
+            * np.array([g0 for _, g0 in survived_posts]))
+    updated = [ParticleBelief._trusted(p, w, r, b.label, b.missed_scans, p_at, w_at)
+               for b, (p, p_at, w, w_at, r) in zip(beliefs, _posteriors(
+                   prows, pat, survived, rest, rng.random(len(beliefs)), cfg))]
+
+    clouds = list(birth_clouds)
+    cloud_at = ([(birth_clouds, i) for i in range(len(clouds))]
+                if isinstance(birth_clouds, np.ndarray) else [None] * len(clouds))
+    unnorms, unnorm_at = [w for w, _ in newborn_posts], getattr(newborn_posts, "at", None)
+    rest = np.array([denom for _, denom in newborn_posts])
+    newborn = [ParticleBelief._trusted(p, w, r, labels[i], 0, p_at, w_at)
+               for i, (p, p_at, w, w_at, r) in enumerate(_posteriors(
+                   clouds, cloud_at, lambda blk: _block_rows(unnorms, unnorm_at, blk)[0],
+                   rest, rng.random(len(newborn_posts)), cfg))]
     return updated, newborn
 
 
@@ -563,8 +701,8 @@ def _sensor_step(beliefs: list, inp: BpSensorInput, motion: MotionModel,
 
     The per-particle terms of measurement evaluation (q_cache, detection
     probabilities, birth likelihoods) are released before belief
-    calculation, the unnormalized posteriors on return, so a step holds no
-    more than one set of them.
+    calculation, the unnormalized posteriors right after it, so a step
+    holds no more than one set of them.
     """
     clouds = propose_births(inp, cfg, motion.n, rng_for("birth", l))
     msgs, q_cache, birth_liks = measurement_evaluation(beliefs, inp, cfg, clouds)
@@ -577,6 +715,7 @@ def _sensor_step(beliefs: list, inp: BpSensorInput, motion: MotionModel,
     updated, newborn = belief_calculation(
         beliefs, survived_posts, newborn_posts, clouds, labels, cfg,
         rng_for("resample", l))
+    del survived_posts, newborn_posts, clouds
     if trace is not None:
         trace.append({
             "sensor": inp.batch.sensor_id,
@@ -615,4 +754,31 @@ def bp_pipeline_step(beliefs: list, inputs: Sequence[BpSensorInput],
     for b, supported in zip(beliefs, scan_support):
         b.missed_scans = 0 if supported else b.missed_scans + 1
     estimates, beliefs = declare_estimate_prune(beliefs, cfg)
-    return beliefs, estimates
+    return _compact(beliefs), estimates
+
+
+def _compact(beliefs: Sequence[ParticleBelief]):
+    """The beliefs on blocks that hold no other rows.
+
+    Pruning leaves rows of dropped beliefs in the survivors' blocks, which
+    the caller would keep alive until the next scan's prediction replaces
+    them. A block's survivors are moved to a new block unless they fill
+    their stored blocks.
+    """
+    prows, pat, wrows, wat = _stored(beliefs)
+    out = []
+    for blk in _blocks([p.shape[0] for p in prows]):
+        parts = _whole_rows(prows, pat, blk)
+        weights = _whole_rows(wrows, wat, blk)
+        for k, t in enumerate(blk):
+            b = beliefs[t]
+            out.append(ParticleBelief._trusted(
+                parts[k], weights[k], b.r_prob, b.label, b.missed_scans,
+                (parts, k), (weights, k)))
+    return out
+
+
+def _whole_rows(rows, at, blk: range) -> np.ndarray:
+    """`_block_rows` of blk, copied unless it is a whole stored block."""
+    block, fresh = _block_rows(rows, at, blk)
+    return block if fresh or len(blk) == len(at[blk.start][0]) else block.copy()

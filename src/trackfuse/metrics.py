@@ -89,24 +89,65 @@ def _track_base_distance(tx: dict, ty: dict, scans, c: float,
     return total / count if count else 0.0
 
 
+class TrackHistory(dict):
+    """Labeled trajectories, label -> {scan: position}, that index the
+    labels recorded at each scan.
+
+    `ospa2` reads the index to find the tracks present in its window
+    without visiting every label the run ever recorded. Positions must be
+    added through `record`.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._by_scan: dict = {}
+        self._rank: dict = {}
+
+    def record(self, label, scan: int, pos):
+        track = self.get(label)
+        if track is None:
+            track = self[label] = {}
+            self._rank[label] = len(self._rank)
+        track[scan] = pos
+        self._by_scan.setdefault(scan, set()).add(label)
+
+    def present(self, scans) -> list:
+        """(label, track) of the tracks with a position at one of `scans`,
+        in the order the labels were first recorded."""
+        labels = set()
+        for s in scans:
+            labels.update(self._by_scan.get(s, ()))
+        return [(k, self[k]) for k in sorted(labels, key=self._rank.__getitem__)]
+
+
+def _present(tracks: dict, scans) -> list:
+    """(label, track) of the tracks with a position at one of `scans`, in
+    the tracks' order. The index of a `TrackHistory` is read when it has
+    more labels than the window has scans; otherwise visiting every label
+    is the cheaper way."""
+    if isinstance(tracks, TrackHistory) and len(tracks) > len(scans):
+        return tracks.present(scans)
+    return [(k, t) for k, t in tracks.items() if any(s in t for s in scans)]
+
+
 def ospa2(tracks_x: dict, tracks_y: dict, scan: int, params: OspaParams,
           cache: Optional[dict] = None) -> float:
     """OSPA over labeled trajectories on the window [scan - w + 1, scan].
 
     tracks_* map label -> {scan: position}. Tracks with no presence inside
-    the window are ignored. `cache` is an optional dict kept across the
-    calls of one run, in which each (x label, y label, scan) base-distance
-    term is computed once and dropped when its scan leaves the window; the
-    result equals the uncached one bit for bit, provided no position at a
-    scan up to `scan` changes between the calls that share it, and the
-    cutoff c stays the same.
+    the window are ignored; a `TrackHistory` finds the others through its
+    index, a plain dict by visiting every label. `cache` is an optional
+    dict kept across the calls of one run, in which each (x label,
+    y label, scan) base-distance term is computed once and dropped when its
+    scan leaves the window; the result equals the uncached one bit for bit,
+    provided no position at a scan up to `scan` changes between the calls
+    that share it, and the cutoff c stays the same.
     """
     scans = range(scan - params.w + 1, scan + 1)
     if cache is not None:
         for s in [s for s in cache if s < scans.start]:
             del cache[s]
-    xs = [(k, t) for k, t in tracks_x.items() if any(s in t for s in scans)]
-    ys = [(k, t) for k, t in tracks_y.items() if any(s in t for s in scans)]
+    xs, ys = _present(tracks_x, scans), _present(tracks_y, scans)
     if not xs and not ys:
         return 0.0
     if not xs or not ys:
@@ -151,6 +192,7 @@ class CommLedger:
 
     records: list = field(default_factory=list)
     total_bytes: int = 0
+    per_scan: dict = field(default_factory=dict)
 
     def record(self, scan: int, sensor: int, n_tracks_sent: int,
                kind: str, m: int, n: int):
@@ -159,9 +201,10 @@ class CommLedger:
         bytes_sent = BYTES_PER_SCALAR * payload_scalars(kind, m, n) * n_tracks_sent
         self.records.append((scan, sensor, kind, n_tracks_sent, bytes_sent))
         self.total_bytes += bytes_sent
+        self.per_scan[scan] = self.per_scan.get(scan, 0) + bytes_sent
 
     def bytes_for_scan(self, scan: int) -> int:
-        return sum(r[4] for r in self.records if r[0] == scan)
+        return self.per_scan.get(scan, 0)
 
     def mean_bytes_per_scan(self, n_scans: int) -> float:
         if n_scans <= 0:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.linalg import solve_triangular
 from scipy.stats import chi2
 
 from conftest import paired_views, position_model
@@ -26,7 +27,7 @@ from trackfuse.bp import (
     measurement_update,
     propose_births,
 )
-from trackfuse.errors import InputError
+from trackfuse.errors import DegenerateBeliefError, InputError, NumericsError
 from trackfuse.linalg import psd_eig
 from trackfuse.models import MeasurementBatch, MotionModel
 from trackfuse.transform import ClutterModel
@@ -130,6 +131,35 @@ class TestMeasurementEvaluation:
         msgs, _, _ = measurement_evaluation([belief], inp,
                                             BpConfig(n_particles=50), clouds)
         assert msgs.beta[0, 1] <= 1e-12 * msgs.beta[0, 0]
+
+    @pytest.mark.parametrize("kind", ["raw", "type2"])
+    def test_gate_edge_from_weighted_innovation_moments(self, kind):
+        rng = np.random.default_rng(9)
+        particles = rng.standard_normal((400, 4)) * [6.0, 3.0, 1.0, 1.0]
+        weights = rng.uniform(0.2, 1.0, 400)
+        belief = ParticleBelief(particles, 0.8 * weights / weights.sum(), 0.8, "b")
+        h = np.array([[1.0, 0.3, 0.0, 0.0], [-0.2, 1.0, 0.0, 0.0]])
+        r = np.array([[9.0, 2.0], [2.0, 4.0]])
+        total = belief.weights.sum()
+        mu = belief.weights @ particles / total
+        centred = particles - mu
+        cov = (centred * belief.weights[:, None]).T @ centred / total
+        s_cov = h @ cov @ h.T + r
+        cfg = BpConfig(n_particles=20)
+        gamma = chi2.ppf(cfg.gate_prob, 2)
+        # two measurements along one direction at squared distances just
+        # inside and just outside the gate
+        u = np.array([0.6, 0.8])
+        step = u / math.sqrt(u @ np.linalg.solve(s_cov, u))
+        zs = h @ mu + np.outer(np.sqrt([0.999 * gamma, 1.001 * gamma]), step)
+        batch = MeasurementBatch(0, zs, h, r, "raw")
+        if kind == "type2":
+            a = np.array([[2.0, 1.0], [0.5, 3.0]])
+            batch = MeasurementBatch(0, zs @ a.T, a @ h, a @ r @ a.T, "type2")
+        inp = BpSensorInput(batch, 0.9, ClutterModel(10.0, 1e6))
+        clouds = propose_births(inp, cfg, 4, np.random.default_rng(10))
+        _, q_cache, _ = measurement_evaluation([belief], inp, cfg, clouds)
+        assert list(q_cache) == [(0, 0)]
 
     def test_zero_detection_probability(self):
         rng = np.random.default_rng(6)
@@ -602,8 +632,40 @@ class TestBatchedSensorStep:
             np.testing.assert_array_equal(new.particles, particles)
             np.testing.assert_array_equal(new.weights, weights)
             assert new.r_prob == r
-            resampled += new.particles is not b.particles
+            if np.array_equal(new.particles, b.particles):
+                # each belief is a block of its own here: a block with no
+                # resampled row keeps its particle array
+                assert new.particles is b.particles
+            else:
+                resampled += 1
         assert 0 < resampled < len(beliefs)
+
+    def test_block_copy_on_write(self):
+        rng = np.random.default_rng(66)
+        # 20 beliefs of 500 particles: predicted blocks of 16 and 4 rows
+        beliefs = bp_predict([uniform_belief(rng.standard_normal((500, 4)) * 5.0, 0.5, k)
+                              for k in range(20)], cv_motion(q=0.1), 1.0,
+                             np.random.default_rng(67))
+        before = [b.particles.copy() for b in beliefs]
+        flat = [(np.ones(500), 0.3) for _ in beliefs]
+        # one peaked row in the second block
+        flat[18] = (np.exp(-0.5 * np.sum((beliefs[18].particles[:, :2]
+                                          - beliefs[18].particles[0, :2]) ** 2,
+                                         axis=1)), 0.3)
+        cfg = BpConfig(n_particles=500)
+        updated, _ = belief_calculation(beliefs, flat, [], [], [], cfg,
+                                        np.random.default_rng(68))
+        assert all(new.particles is b.particles for b, new in zip(beliefs[:16], updated))
+        moved = [new._prow for new in updated[16:]]
+        assert [row for _, row in moved] == [0, 1, 2, 3]
+        assert all(block is moved[0][0] for block, _ in moved)
+        assert moved[0][0] is not beliefs[16]._prow[0]
+        assert not np.array_equal(updated[18].particles, beliefs[18].particles)
+        for k in (16, 17, 19):
+            np.testing.assert_array_equal(updated[k].particles, beliefs[k].particles)
+        # the old block, which the input beliefs view, is unchanged
+        for b, old in zip(beliefs, before):
+            np.testing.assert_array_equal(b.particles, old)
 
     def test_detect_fn_sees_every_particle_once_per_sensor(self):
         rng = np.random.default_rng(64)
@@ -731,6 +793,168 @@ class TestBlockProperties:
             assert (new.label, new.missed_scans) == (b.label, b.missed_scans)
 
 
+def independent(beliefs):
+    """The beliefs rebuilt on arrays of their own."""
+    return [ParticleBelief(b.particles.copy(), b.weights.copy(), b.r_prob, b.label,
+                           b.missed_scans) for b in beliefs]
+
+
+def assert_beliefs_identical(got, expected):
+    assert len(got) == len(expected)
+    for x, y in zip(got, expected):
+        np.testing.assert_array_equal(x.particles, y.particles)
+        np.testing.assert_array_equal(x.weights, y.weights)
+        assert (x.r_prob, x.label, x.missed_scans) == (y.r_prob, y.label, y.missed_scans)
+
+
+def every_stage(beliefs, inp, cfg, clouds, seed, plain_posts=False):
+    """The outputs of every stage of one sensor step on these beliefs."""
+    pred = bp_predict(beliefs, cv_motion(q=0.2), 0.95, np.random.default_rng(seed))
+    msgs, q_cache, birth_liks = measurement_evaluation(beliefs, inp, cfg, clouds)
+    iterative_association(msgs, cfg.iterations)
+    survived, newborn_posts = measurement_update(beliefs, msgs, q_cache, birth_liks,
+                                                 inp, cfg)
+    if plain_posts:
+        survived = [(g.copy(), g0) for g, g0 in survived]
+        newborn_posts = [(w.copy(), d) for w, d in newborn_posts]
+    labels = [("new", i) for i in range(inp.batch.n_meas)]
+    updated, newborn = belief_calculation(beliefs, survived, newborn_posts, clouds,
+                                          labels, cfg, np.random.default_rng(seed + 1))
+    return dict(pred=pred, msgs=msgs, q_cache=q_cache, birth_liks=birth_liks,
+                survived=survived, newborn_posts=newborn_posts, updated=updated,
+                newborn=newborn)
+
+
+class TestPersistentBlocks:
+    """Stages on pipeline-built beliefs (rows of stored blocks) against the
+    same beliefs on arrays of their own, bit for bit."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           # 4096 fills a block with two beliefs; three of 2731 exceed it by one
+           counts=st.lists(st.sampled_from((1, 300, 500, 2731, 4096)),
+                           min_size=1, max_size=6),
+           n_newborn=st.sampled_from((300, 500, 4096)),
+           edit=st.sampled_from(("none", "prune", "reorder", "both")),
+           kind=st.sampled_from(("raw", "type2")))
+    def test_block_rows_equal_independent_arrays(self, seed, counts, n_newborn, edit,
+                                                 kind):
+        rng = np.random.default_rng(seed)
+        views_raw, views_tr, trs = paired_views(rng, 2, "type2")
+
+        def sensor(l, zs):
+            raw_z = zs @ views_raw[l].H[:, :2].T
+            if kind == "raw":
+                batch = MeasurementBatch(l, raw_z, views_raw[l].H, views_raw[l].R)
+                clutter = views_raw[l].clutter
+            else:
+                batch = MeasurementBatch(l, raw_z @ trs[l].A.T, views_tr[l].H,
+                                         views_tr[l].R, kind)
+                clutter = views_tr[l].clutter
+            return BpSensorInput(batch, 0.9, clutter,
+                                 detect_fn=lambda p: 0.8 * (p[:, 0] < 20.0) + 0.1)
+
+        zs = np.array([[0.0, 0.0], [16.0, -9.0], [44.0, -31.0], [-30.0, 25.0]])
+        cfg = BpConfig(n_particles=n_newborn)
+        # one pipeline step: predicted blocks, then survivors and newborns
+        outside = []
+        for k, n_p in enumerate(counts):
+            centre = np.array([15.0 * k, -10.0 * k, 1.0, 0.5])
+            particles = centre + rng.standard_normal((n_p, 4)) * [4.0, 4.0, 1, 1]
+            outside.append(uniform_belief(particles, rng.uniform(0.05, 0.95), label=k))
+        first = sensor(0, zs[:3])
+        step = every_stage(bp_predict(outside, cv_motion(q=0.1), 0.99, rng), first,
+                           cfg, propose_births(first, cfg, 4, rng), seed)
+        built = step["updated"] + step["newborn"]
+        if edit in ("prune", "both"):
+            keep = rng.random(len(built)) < 0.6
+            keep[int(rng.integers(len(built)))] = True
+            built = [b for b, k in zip(built, keep) if k]
+        if edit in ("reorder", "both"):
+            built = [built[i] for i in rng.permutation(len(built))]
+        assert all(b._prow is not None and b._wrow is not None for b in built)
+
+        second = sensor(1, zs[1:])
+        clouds = propose_births(second, cfg, 4, rng)
+        got = every_stage(built, second, cfg, clouds, seed + 7)
+        expected = every_stage(independent(built), second, cfg,
+                               [c.copy() for c in clouds], seed + 7, plain_posts=True)
+
+        assert_beliefs_identical(got["pred"], expected["pred"])
+        for key in ("beta", "xi", "kappa", "iota"):
+            np.testing.assert_array_equal(getattr(got["msgs"], key),
+                                          getattr(expected["msgs"], key))
+        assert list(got["q_cache"]) == list(expected["q_cache"])
+        for key, q in expected["q_cache"].items():
+            np.testing.assert_array_equal(got["q_cache"][key], q)
+        for name in ("birth_liks",):
+            assert len(got[name]) == len(expected[name])
+            for a, b in zip(got[name], expected[name]):
+                np.testing.assert_array_equal(a, b)
+        for a, b in zip(got["msgs"].p_detect, expected["msgs"].p_detect):
+            np.testing.assert_array_equal(a, b)
+        for name in ("survived", "newborn_posts"):
+            assert len(got[name]) == len(expected[name])
+            for (a, a0), (b, b0) in zip(got[name], expected[name]):
+                np.testing.assert_array_equal(a, b)
+                assert a0 == b0
+        assert_beliefs_identical(got["updated"], expected["updated"])
+        assert_beliefs_identical(got["newborn"], expected["newborn"])
+
+
+    @pytest.mark.parametrize("pruned", [
+        lambda k: k % 3 == 0,  # survivors are stacked into new blocks
+        lambda k: k >= 12,     # survivors are the first rows of one block
+    ])
+    def test_survivors_of_pruning_fill_their_blocks(self, pruned):
+        rng = np.random.default_rng(70)
+        # the rows of the pruned beliefs leave the survivors' blocks
+        beliefs = [uniform_belief(rng.standard_normal((500, 4)) + [10.0 * k, 0, 0, 0],
+                                  1e-9 if pruned(k) else 0.9, k) for k in range(40)]
+        inp = simple_input(rng, np.zeros((0, 2)))
+        cfg = BpConfig(n_particles=500, prune_threshold=1e-7)
+        out, _ = run_step(beliefs, [inp], cfg, [])
+        assert [b.label for b in out] == [k for k in range(40) if not pruned(k)]
+        for record in ("_prow", "_wrow"):
+            users = {}
+            for b in out:
+                block, row = getattr(b, record)
+                users.setdefault(id(block), (block, []))[1].append(row)
+            for block, rows in users.values():
+                assert block.base is None
+                assert sorted(rows) == list(range(block.shape[0]))
+        expected, _ = run_step(independent(beliefs), [inp], cfg, [])
+        assert_beliefs_identical(out, expected)
+
+
+class TestRawLikelihood:
+    def _lik(self, fortran):
+        rng = np.random.default_rng(69)
+        h = np.hstack([np.eye(2), np.zeros((2, 2))])
+        batch = MeasurementBatch(0, rng.uniform(-20, 20, (3, 2)), h,
+                                 [[9.0, 2.0], [2.0, 4.0]])
+        lik = bp._BatchLikelihood(batch)
+        assert lik._chol[1, 0] != 0.0
+        if fortran:
+            lik._chol = np.asfortranarray(lik._chol)
+        return lik, batch.zs, rng.uniform(-20, 20, (2, 3, 50))
+
+    @pytest.mark.parametrize("fortran", [False, True])
+    def test_lapack_solve_equals_solve_triangular(self, fortran):
+        lik, zs, z_pred = self._lik(fortran)
+        diffs = (zs.T[:, :, None] - z_pred).reshape(2, -1)
+        np.testing.assert_array_equal(
+            lik._whiten(zs, z_pred), solve_triangular(lik._chol, diffs, lower=True))
+
+    @pytest.mark.parametrize("fortran", [False, True])
+    def test_zero_diagonal_raises_numerics_error(self, fortran):
+        lik, zs, z_pred = self._lik(fortran)
+        lik._chol = lik._chol.copy(order="F" if fortran else "C")
+        lik._chol[1, 1] = 0.0
+        with pytest.raises(NumericsError):
+            lik.loglik(zs, z_pred)
+
+
 class TestErrorPaths:
     def test_weights_not_matching_particles_rejected(self):
         with pytest.raises(InputError):
@@ -743,13 +967,29 @@ class TestErrorPaths:
             measurement_evaluation([bad], inp, BpConfig(n_particles=10), [])
 
     def test_all_zero_messages_degenerate(self):
-        from trackfuse.errors import DegenerateBeliefError
         msgs = AssociationMessages(np.zeros((1, 2)), np.ones((1, 2)))
         with pytest.raises(DegenerateBeliefError):
             iterative_association(msgs, 3)
 
+    @pytest.mark.parametrize("beta, xi", [
+        ([[np.nan, 0.5]], [[1.0, 1.0]]),          # phi check: not finite
+        ([[0.2, 0.5], [0.0, 0.0]], [[1.0, 1.0, 1.0]]),  # phi check: a zero row
+        ([[0.2, 0.5]], [[np.inf, 1.0]]),          # nu check: infinite
+        ([[0.2, 0.5]], [[np.nan, 1.0]]),          # nu check: not a number
+        ([[0.0, 0.5]], [[1.0, 1.0]]),             # nu check: phi_neq = 0 gives inf - inf
+    ])
+    def test_degenerate_messages_raise(self, beta, xi):
+        msgs = AssociationMessages(np.array(beta), np.array(xi))
+        with np.errstate(all="ignore"), pytest.raises(DegenerateBeliefError):
+            iterative_association(msgs, 3)
+
+    def test_message_check_needs_finite_positive_entries(self):
+        assert bp._check_messages(np.array([[1e-300, 1.0], [2.0, 1e300]])) is None
+        for bad in (0.0, -1.0, np.inf, -np.inf, np.nan):
+            with pytest.raises(DegenerateBeliefError):
+                bp._check_messages(np.array([[1.0, bad], [2.0, 3.0]]))
+
     def test_nonpositive_normalization_degenerate(self):
-        from trackfuse.errors import DegenerateBeliefError
         belief = uniform_belief(np.zeros((5, 4)), 1.0)
         with pytest.raises(DegenerateBeliefError):
             belief_calculation([belief], [(np.zeros(5), 0.0)], [], [], [],

@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trackfuse.errors import InputError
-from trackfuse.metrics import CommLedger, OspaParams, comm_bytes, ospa, ospa2
+from trackfuse.metrics import (
+    CommLedger,
+    OspaParams,
+    TrackHistory,
+    comm_bytes,
+    ospa,
+    ospa2,
+)
 
 PARAMS = OspaParams(c=50.0, p=2.0, w=10)
 
@@ -132,6 +139,56 @@ class TestOspa2Cache:
         assert sorted(cache) == list(range(11, 21))
 
 
+class TestTrackHistory:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), w=st.integers(1, 8),
+           c=st.sampled_from([5.0, 50.0]), cached=st.booleans())
+    def test_indexed_window_equals_full_scan_exactly(self, seed, w, c, cached):
+        # many short-lived labels, most expired long before the last scans,
+        # some coming back; truth tracks flicker
+        rng = np.random.default_rng(seed)
+        n_scans = 40
+        est = {}
+        for label in range(60):
+            first = int(rng.integers(1, n_scans + 1))
+            scans = range(first, min(n_scans, first + int(rng.integers(1, 4))) + 1)
+            est[("tr", label)] = {s: rng.uniform(-100, 100, 2) for s in scans}
+        est["back"] = {s: rng.uniform(-100, 100, 2) for s in (2, 3, 30, 31)}
+        truth = flickering_tracks(rng, 4, n_scans, 100.0)
+        params = OspaParams(c=c, w=w)
+        plain, indexed, truth_indexed = {}, TrackHistory(), TrackHistory()
+        for label, track in truth.items():
+            for s, pos in track.items():
+                truth_indexed.record(label, s, pos)
+        cache_plain, cache_indexed = ({}, {}) if cached else (None, None)
+        for scan in range(1, n_scans + 1):
+            # recorded scan by scan, in label order, as the fusion loop does
+            for label, track in est.items():
+                if scan in track:
+                    plain.setdefault(label, {})[scan] = track[scan]
+                    indexed.record(label, scan, track[scan])
+            assert indexed == plain
+            assert (ospa2(indexed, truth_indexed, scan, params, cache_indexed)
+                    == ospa2(plain, truth, scan, params, cache_plain))
+            assert (ospa2(truth_indexed, indexed, scan, params)
+                    == ospa2(truth, plain, scan, params))
+            # the index itself, whichever way ospa2 went
+            scans = range(scan - w + 1, scan + 1)
+            assert indexed.present(scans) == [
+                (k, t) for k, t in plain.items() if any(s in t for s in scans)]
+
+    def test_present_keeps_first_recorded_order(self):
+        hist = TrackHistory()
+        hist.record("b", 1, np.zeros(2))
+        hist.record("a", 1, np.zeros(2))
+        hist.record("c", 5, np.ones(2))
+        hist.record("a", 6, np.ones(2))
+        hist.record("b", 6, np.ones(2))
+        assert [k for k, _ in hist.present(range(1, 7))] == ["b", "a", "c"]
+        assert [k for k, _ in hist.present(range(6, 7))] == ["b", "a"]
+        assert hist.present(range(2, 5)) == []
+
+
 class TestCommBytes:
     def test_reference_byte_values(self):
         assert comm_bytes("raw", 2, 4, 100) == 10400
@@ -175,3 +232,15 @@ class TestCommLedger:
             t1.record(scan, 0, 2, "type1", 2, 4)
         assert raw.total_bytes > t1.total_bytes
         assert raw.mean_bytes_per_scan(5) == pytest.approx(raw.total_bytes / 5)
+
+    def test_per_scan_totals_equal_a_sum_over_records(self):
+        rng = np.random.default_rng(3)
+        ledger = CommLedger()
+        for scan in range(1, 200):
+            for sensor in range(int(rng.integers(0, 4))):
+                ledger.record(scan, sensor, int(rng.integers(0, 9)),
+                              str(rng.choice(["raw", "type1", "type2"])), 2, 4)
+        for scan in range(0, 202):
+            assert ledger.bytes_for_scan(scan) == sum(
+                r[4] for r in ledger.records if r[0] == scan)
+        assert sum(ledger.bytes_for_scan(s) for s in range(202)) == ledger.total_bytes

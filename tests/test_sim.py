@@ -154,6 +154,33 @@ class TestFieldOfView:
                & np.any(pts != fov.origin, axis=1))
         np.testing.assert_array_equal(fov.contains(pts)[far], expected[far])
 
+    @settings(max_examples=200, deadline=None)
+    @given(origin=st.one_of(st.just((0.0, 0.0)),
+                            st.tuples(st.floats(-2000, 2000), st.floats(-2000, 2000))),
+           max_range=st.one_of(st.floats(1e-3, 1e6),
+                               st.sampled_from((1e-120, 1e-100, 1e100, 1e120))),
+           seed=st.integers(0, 2 ** 32 - 1),
+           # below and above RANGE_SQUARED_MIN_POINTS in all
+           n_ring=st.sampled_from((2, 300)))
+    def test_range_test_equals_hypot_rule(self, origin, max_range, seed, n_ring):
+        # half_angle = pi leaves the range test alone
+        fov = FieldOfView(np.array(origin), 0.3, math.pi, max_range)
+        rng = np.random.default_rng(seed)
+        ang = rng.uniform(-math.pi, math.pi, n_ring)
+        ring = np.column_stack([np.cos(ang), np.sin(ang)])
+        on = max_range * ring
+        offsets = [max_range * rng.uniform(0.0, 1.5, (n_ring, 1)) * ring, on,
+                   max_range * np.array([[1.0, 0.0], [0.6, 0.8], [-0.8, 0.6]])]
+        # one to three ulps inside and outside the circle
+        for direction in (0.0, np.inf):
+            step = on
+            for _ in range(3):
+                step = np.nextafter(step, np.copysign(direction, on) if direction else 0.0)
+                offsets.append(step)
+        pts = fov.origin + np.concatenate(offsets)
+        x, y = pts[:, 0] - fov.origin[0], pts[:, 1] - fov.origin[1]
+        np.testing.assert_array_equal(fov.contains(pts), np.hypot(x, y) <= max_range)
+
     def test_full_disc_at_half_angle_pi(self):
         fov = FieldOfView(np.array([3.0, -2.0]), 0.7, math.pi, 100.0)
         ang = np.linspace(-math.pi, math.pi, 73)

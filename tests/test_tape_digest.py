@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from trackfuse import sim
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -80,3 +82,58 @@ def test_curve_digest_changes_with_one_ospa_value(monkeypatch):
     moved = tape_digest.curve_digests(sim, setup, 1)
     # the arms run in order, 100 scans each: call 150 is scan 50 of type1
     assert [moved[a] == plain[a] for a in ("raw", "type1", "type2")] == [True, False, True]
+
+
+def _small_bp_setup():
+    """Scenario 1 fused by BP at 20 particles: a BP workload that runs in
+    about a second per arm."""
+    from types import SimpleNamespace
+    from trackfuse import bp, mda, metrics
+    wl = SimpleNamespace(fusion="bp", arms=("raw", "type2"))
+    return SimpleNamespace(wl=wl, cfg=sim.scenario1(), mda_cfg=mda.MdaConfig(),
+                           bp_cfg=bp.BpConfig(n_particles=20),
+                           ospa_params=metrics.OspaParams())
+
+
+def test_bp_trace_digest_hashes_every_traced_scan(monkeypatch):
+    setup = _small_bp_setup()
+    both = tape_digest.curve_digests(sim, setup, 0, bp_traces=True)
+    assert {arm: d[0] for arm, d in both.items()} == tape_digest.curve_digests(
+        sim, setup, 0)
+    assert both["raw"][1] != both["type2"][1]
+    # the digest of the raw arm's traces, kept whole and hashed afterwards
+    tapes, sends = sim.prepare_run(setup.cfg, 0)
+    kept = {}
+    sim.run_bp_fusion(setup.cfg, tapes, sends, "raw", 0, setup.bp_cfg,
+                      setup.ospa_params, kept)
+    hasher = tape_digest.TraceHasher()
+    for scan, trace in kept.items():
+        hasher[scan] = trace
+    assert hasher.hexdigest() == both["raw"][1]
+    # one ulp in one weight of one step changes it
+    step = kept[50][1]
+    step["weights"][0] = step["weights"][0].copy()
+    step["weights"][0][3] = np.nextafter(step["weights"][0][3], 1.0)
+    moved = tape_digest.TraceHasher()
+    for scan, trace in kept.items():
+        moved[scan] = trace
+    assert moved.hexdigest() != hasher.hexdigest()
+
+    # the command prints the seed, the arm and the digests asked for
+    monkeypatch.setattr(tape_digest, "_load", lambda checkout: (sim, lambda name: setup))
+    lines = []
+    monkeypatch.setattr("builtins.print", lambda *args, **kw: lines.append(args))
+    tape_digest.main(["--checkout", str(ROOT), "--workload", "small", "--seeds", "0",
+                      "--bp-traces"])
+    tape_digest.main(["--checkout", str(ROOT), "--workload", "small", "--seeds", "0",
+                      "--curves", "--bp-traces"])
+    assert lines == [(0, arm, both[arm][1]) for arm in ("raw", "type2")] + [
+        (0, arm, f"{both[arm][0]} {both[arm][1]}") for arm in ("raw", "type2")]
+
+
+def test_bp_traces_refused_for_an_mda_workload():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "tape_digest.py"), "--checkout", str(ROOT),
+         "--workload", "s1-mda-c40", "--seeds", "0", "--bp-traces"],
+        capture_output=True, text=True)
+    assert proc.returncode != 0 and "--bp-traces needs a BP workload" in proc.stderr

@@ -1,7 +1,7 @@
 """SHA-256 digests of the measurement tapes and local-tracker transmissions.
 
     python3 tools/tape_digest.py --checkout DIR --workload NAME --seeds 0 1 2 ...
-        [--curves]
+        [--curves] [--bp-traces]
 
 Imports the program from `DIR/src` and the workload's scenario from
 `DIR/bench/inputs.py`, runs `sim.prepare_run` on each tape seed and prints
@@ -18,6 +18,13 @@ arm instead: the seed, the arm and a SHA-256 over the arm's curves (OSPA,
 OSPA(2), estimated and true cardinality, bytes per scan). Equal lines on two
 checkouts show that a change to the fusion side kept its outputs bit for
 bit.
+
+With `--bp-traces` (BP workloads) each tape and arm gets a SHA-256 over
+the arm's per-sensor BP traces instead (beta, xi, kappa, iota, the
+beliefs' weights and r_prob, sensor by sensor and scan by scan), hashed as
+each scan is traced so a run's traces are never held at once. With both
+flags a line holds the seed, the arm, the curve digest and the trace
+digest, from one fusion pass.
 """
 
 from __future__ import annotations
@@ -78,25 +85,52 @@ def tape_digest(sim, cfg, seed: int) -> str:
 
 
 CURVES = ("ospa", "ospa2", "card_est", "card_true", "comm_bytes")
+BP_TRACE_KEYS = ("beta", "xi", "kappa", "iota", "r_prob")
 
 
-def curve_digests(sim, setup, seed: int) -> dict:
-    """{arm: digest of the arm's fusion curves} for one tape of a workload."""
+class TraceHasher:
+    """A `run_bp_fusion(trace_scans=...)` sink that hashes each scan's
+    per-sensor traces as they arrive and keeps none of them."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+
+    def __setitem__(self, scan, trace):
+        self.hash.update(f"scan {scan} {len(trace)}".encode())
+        for step in trace:
+            self.hash.update(f"sensor {step['sensor']}".encode())
+            for key in BP_TRACE_KEYS:
+                self.hash.update(key.encode())
+                _array(self.hash, step[key])
+            self.hash.update(f"weights {len(step['weights'])}".encode())
+            for w in step["weights"]:
+                _array(self.hash, w)
+
+    def hexdigest(self) -> str:
+        return self.hash.hexdigest()
+
+
+def curve_digests(sim, setup, seed: int, bp_traces: bool = False) -> dict:
+    """{arm: digest of the arm's fusion curves} for one tape of a workload;
+    with `bp_traces`, {arm: (curve digest, BP trace digest)}."""
+    if bp_traces and setup.wl.fusion != "bp":
+        raise SystemExit(f"--bp-traces needs a BP workload, not {setup.wl.fusion}")
     cfg = setup.cfg
     tapes, sends = sim.prepare_run(cfg, seed)
     out = {}
     for arm in setup.wl.arms:
+        traces = TraceHasher() if bp_traces else None
         if setup.wl.fusion == "mda":
             record = sim.run_mda_fusion(cfg, tapes, sends, arm, setup.mda_cfg,
                                         setup.ospa_params)
         else:
             record = sim.run_bp_fusion(cfg, tapes, sends, arm, seed, setup.bp_cfg,
-                                       setup.ospa_params)
+                                       setup.ospa_params, traces)
         h = hashlib.sha256()
         for name in CURVES:
             h.update(name.encode())
             _array(h, getattr(record, name))
-        out[arm] = h.hexdigest()
+        out[arm] = (h.hexdigest(), traces.hexdigest()) if bp_traces else h.hexdigest()
     return out
 
 
@@ -107,13 +141,17 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--curves", action="store_true",
                         help="digest each arm's fusion curves instead of the tape")
+    parser.add_argument("--bp-traces", action="store_true",
+                        help="digest each BP arm's per-sensor traces instead of the tape")
     args = parser.parse_args(argv)
     sim, build_setup = _load(args.checkout.resolve())
     setup = build_setup(args.workload)
     for seed in args.seeds:
-        if args.curves:
-            for arm, digest in curve_digests(sim, setup, seed).items():
-                print(seed, arm, digest, flush=True)
+        if args.curves or args.bp_traces:
+            for arm, digests in curve_digests(sim, setup, seed, args.bp_traces).items():
+                if args.bp_traces:
+                    digests = " ".join(digests if args.curves else digests[1:])
+                print(seed, arm, digests, flush=True)
         else:
             print(seed, tape_digest(sim, setup.cfg, seed), flush=True)
     return 0
