@@ -272,9 +272,9 @@ class _Rows(list):
     """Row arrays (or tuples led by one), with `at[t]` the (block, row) that
     entry t views, or None for an array of its own."""
 
-    def __init__(self):
-        super().__init__()
-        self.at = []
+    def __init__(self, rows=(), at=None):
+        super().__init__(rows)
+        self.at = [None] * len(self) if at is None else at
 
     def add_block(self, block: np.ndarray, rest=None):
         """Append the rows of a (B, ...) block, each paired with the entry of
@@ -283,16 +283,24 @@ class _Rows(list):
         self.at.extend((block, k) for k in range(len(block)))
 
 
-def _block_rows(rows: Sequence[np.ndarray], at: Optional[Sequence],
-                blk: range):
-    """The arrays rows[t], t in blk, as one (len(blk), ...) array, and
-    whether that array is new.
+def _records(rows: Sequence) -> Sequence:
+    """The (block, row) records of `_Rows`; None for each entry of any other
+    sequence, whose arrays view no stored block."""
+    at = getattr(rows, "at", None)
+    return [None] * len(rows) if at is None else at
 
-    at[t] is the (block, row) that rows[t] views, or None. When the rows of
-    blk are consecutive rows of one stored block, the result is a slice of
-    that block; otherwise the rows are stacked (see the module docstring).
+
+def _block_rows(rows: Sequence, blk: range, lead: bool = False):
+    """The arrays rows[t], t in blk, as one (len(blk), ...) array, and
+    whether that array is new. With `lead`, the entries are tuples and
+    their first arrays are taken.
+
+    When the rows of blk are consecutive rows of one stored block (see
+    `_Rows`), the result is a slice of that block; otherwise the rows are
+    stacked (see the module docstring).
     """
-    first = None if at is None else at[blk.start]
+    at = _records(rows)
+    first = at[blk.start]
     if first is not None:
         block, row = first
         for t in blk:
@@ -301,6 +309,8 @@ def _block_rows(rows: Sequence[np.ndarray], at: Optional[Sequence],
                 break
         else:
             return block[row:row + len(blk)], False
+    if lead:
+        return np.stack([rows[t][0] for t in blk]), True
     return np.stack([rows[t] for t in blk]), True
 
 
@@ -317,9 +327,9 @@ def _blocks(counts: Sequence[int]):
 
 
 def _stored(beliefs: Sequence[ParticleBelief]):
-    """(particle rows, their records, weight rows, their records)."""
-    return ([b.particles for b in beliefs], [b._prow for b in beliefs],
-            [b.weights for b in beliefs], [b._wrow for b in beliefs])
+    """(particle rows, weight rows) of the beliefs, as `_Rows`."""
+    return (_Rows([b.particles for b in beliefs], [b._prow for b in beliefs]),
+            _Rows([b.weights for b in beliefs], [b._wrow for b in beliefs]))
 
 
 def bp_predict(beliefs: Sequence[ParticleBelief], motion: MotionModel,
@@ -332,13 +342,13 @@ def bp_predict(beliefs: Sequence[ParticleBelief], motion: MotionModel,
     """
     w, v = np.linalg.eigh(motion.Q)
     sqrt_q = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
-    prows, pat, wrows, wat = _stored(beliefs)
+    prows, wrows = _stored(beliefs)
     out = []
     for blk in _blocks([p.shape[0] for p in prows]):
-        parts, _ = _block_rows(prows, pat, blk)
+        parts, _ = _block_rows(prows, blk)
         noise = rng.standard_normal(parts.shape) @ sqrt_q.T
         particles = parts @ motion.F.T + noise
-        weights = _block_rows(wrows, wat, blk)[0] * survival_prob
+        weights = _block_rows(wrows, blk)[0] * survival_prob
         for k, t in enumerate(blk):
             b = beliefs[t]
             out.append(ParticleBelief._trusted(
@@ -349,8 +359,8 @@ def bp_predict(beliefs: Sequence[ParticleBelief], motion: MotionModel,
 
 def propose_births(inp: BpSensorInput, cfg: BpConfig, state_dim: int,
                    rng: np.random.Generator):
-    """Measurement-driven birth particle clouds, one per measurement, as
-    one (M, Np, n) block.
+    """Measurement-driven birth particle clouds, one per measurement: the
+    `_Rows` of one (M, Np, n) block.
 
     Positions are drawn around the WLS backprojection of the measurement
     with the backprojection covariance inflated by cfg.birth_cov_inflation;
@@ -375,7 +385,9 @@ def propose_births(inp: BpSensorInput, cfg: BpConfig, state_dim: int,
         if n_vel > 0:
             particles[:, POS_DIM:POS_DIM + n_vel] = (
                 cfg.vel_prior_std * rng.standard_normal((cfg.n_particles, n_vel)))
-    return clouds
+    out = _Rows()
+    out.add_block(clouds)
+    return out
 
 
 def measurement_evaluation(beliefs: Sequence[ParticleBelief],
@@ -399,10 +411,10 @@ def measurement_evaluation(beliefs: Sequence[ParticleBelief],
     beta = np.zeros((n, m + 1))
     p_detect = _Rows()
     q_cache = {}
-    prows, pat, wrows, wat = _stored(beliefs)
+    prows, wrows = _stored(beliefs)
     for blk in _blocks([p.shape[0] for p in prows]):
-        particles, _ = _block_rows(prows, pat, blk)
-        weights, _ = _block_rows(wrows, wat, blk)
+        particles, _ = _block_rows(prows, blk)
+        weights, _ = _block_rows(wrows, blk)
         pd_x = inp.detection_probs(
             particles[:, :, :POS_DIM].reshape(-1, POS_DIM)).reshape(weights.shape)
         p_detect.add_block(pd_x)
@@ -425,7 +437,7 @@ def measurement_evaluation(beliefs: Sequence[ParticleBelief],
     birth_liks = _Rows()
     if m:
         # measurement i against its own birth cloud: (dim, M, Np) predictions
-        clouds = np.asarray(birth_clouds)
+        clouds, _ = _block_rows(birth_clouds, range(m))
         birth_pred = lik.predict(clouds.reshape(-1, clouds.shape[-1]))
         lks = np.exp(lik.loglik(batch.zs, birth_pred.reshape(birth_pred.shape[0], m, -1)))
         birth_liks.add_block(lks)
@@ -564,9 +576,8 @@ def measurement_update(beliefs: Sequence[ParticleBelief],
         raise InputError("association messages do not come from these beliefs")
 
     survived_posts = _Rows()
-    pd_at = getattr(p_detect, "at", None)
     for blk in _blocks([b.n_particles for b in beliefs]):
-        pd_x, _ = _block_rows(p_detect, pd_at, blk)
+        pd_x, _ = _block_rows(p_detect, blk)
         k0 = kappa[blk.start:blk.stop, 0]
         survived_posts.add_block(k0[:, None] * (1.0 - pd_x), k0)
     for (tau, i), q in q_cache.items():
@@ -579,7 +590,7 @@ def measurement_update(beliefs: Sequence[ParticleBelief],
     m = batch.n_meas
     if m:
         scale = cfg.birth_rate * math.exp(-log_clutter_intensity) / cfg.n_particles
-        lks, _ = _block_rows(birth_liks, getattr(birth_liks, "at", None), range(m))
+        lks, _ = _block_rows(birth_liks, range(m))
         newborn_posts.add_block((iota[:, 0] * scale)[:, None] * lks,
                                 [float(np.sum(row)) for row in iota])
     return survived_posts, newborn_posts
@@ -621,7 +632,7 @@ def _normalize(unnorm: np.ndarray, rest: np.ndarray, us: np.ndarray,
     return weights, [min(r_k, 1.0) for r_k in r], resampled
 
 
-def _posteriors(prows, pat, unnorm, rest: np.ndarray, us: np.ndarray,
+def _posteriors(prows, unnorm, rest: np.ndarray, us: np.ndarray,
                 cfg: BpConfig):
     """Normalized beliefs of one list, block by block: per entry yields
     (particles, their record, weights, their record, r).
@@ -630,12 +641,13 @@ def _posteriors(prows, pat, unnorm, rest: np.ndarray, us: np.ndarray,
     particle rows unless one of them resamples; then its rows move to a
     copy of the block with the resampled rows rewritten.
     """
+    pat = _records(prows)
     for blk in _blocks([p.shape[0] for p in prows]):
         sl = slice(blk.start, blk.stop)
         weights, r, resampled = _normalize(unnorm(blk), rest[sl], us[sl], cfg)
         particles = None
         if resampled:
-            particles, fresh = _block_rows(prows, pat, blk)
+            particles, fresh = _block_rows(prows, blk)
             if not fresh:
                 particles = particles.copy()
             for k, idx in resampled:
@@ -657,27 +669,22 @@ def belief_calculation(beliefs: Sequence[ParticleBelief], survived_posts,
     runs consume identical random streams. Returns (updated survived
     beliefs, newborn beliefs).
     """
-    prows, pat, wrows, wat = _stored(beliefs)
-    gammas, gamma_at = [g for g, _ in survived_posts], getattr(survived_posts, "at", None)
+    prows, wrows = _stored(beliefs)
 
     def survived(blk):
-        weights, _ = _block_rows(wrows, wat, blk)
-        return weights * _block_rows(gammas, gamma_at, blk)[0]
+        weights, _ = _block_rows(wrows, blk)
+        return weights * _block_rows(survived_posts, blk, lead=True)[0]
 
     rest = (np.array([1.0 - b.r_prob for b in beliefs])
             * np.array([g0 for _, g0 in survived_posts]))
     updated = [ParticleBelief._trusted(p, w, r, b.label, b.missed_scans, p_at, w_at)
                for b, (p, p_at, w, w_at, r) in zip(beliefs, _posteriors(
-                   prows, pat, survived, rest, rng.random(len(beliefs)), cfg))]
+                   prows, survived, rest, rng.random(len(beliefs)), cfg))]
 
-    clouds = list(birth_clouds)
-    cloud_at = ([(birth_clouds, i) for i in range(len(clouds))]
-                if isinstance(birth_clouds, np.ndarray) else [None] * len(clouds))
-    unnorms, unnorm_at = [w for w, _ in newborn_posts], getattr(newborn_posts, "at", None)
     rest = np.array([denom for _, denom in newborn_posts])
     newborn = [ParticleBelief._trusted(p, w, r, labels[i], 0, p_at, w_at)
                for i, (p, p_at, w, w_at, r) in enumerate(_posteriors(
-                   clouds, cloud_at, lambda blk: _block_rows(unnorms, unnorm_at, blk)[0],
+                   birth_clouds, lambda blk: _block_rows(newborn_posts, blk, lead=True)[0],
                    rest, rng.random(len(newborn_posts)), cfg))]
     return updated, newborn
 
@@ -765,11 +772,11 @@ def _compact(beliefs: Sequence[ParticleBelief]):
     them. A block's survivors are moved to a new block unless they fill
     their stored blocks.
     """
-    prows, pat, wrows, wat = _stored(beliefs)
+    prows, wrows = _stored(beliefs)
     out = []
     for blk in _blocks([p.shape[0] for p in prows]):
-        parts = _whole_rows(prows, pat, blk)
-        weights = _whole_rows(wrows, wat, blk)
+        parts = _whole_rows(prows, blk)
+        weights = _whole_rows(wrows, blk)
         for k, t in enumerate(blk):
             b = beliefs[t]
             out.append(ParticleBelief._trusted(
@@ -778,7 +785,7 @@ def _compact(beliefs: Sequence[ParticleBelief]):
     return out
 
 
-def _whole_rows(rows, at, blk: range) -> np.ndarray:
+def _whole_rows(rows, blk: range) -> np.ndarray:
     """`_block_rows` of blk, copied unless it is a whole stored block."""
-    block, fresh = _block_rows(rows, at, blk)
-    return block if fresh or len(blk) == len(at[blk.start][0]) else block.copy()
+    block, fresh = _block_rows(rows, blk)
+    return block if fresh or len(blk) == len(rows.at[blk.start][0]) else block.copy()

@@ -89,24 +89,24 @@ def _track_base_distance(tx: dict, ty: dict, scans, c: float,
     return total / count if count else 0.0
 
 
-class TrackHistory(dict):
+class TrackHistory:
     """Labeled trajectories, label -> {scan: position}, that index the
     labels recorded at each scan.
 
     `ospa2` reads the index to find the tracks present in its window
-    without visiting every label the run ever recorded. Positions must be
-    added through `record`.
+    without visiting every label the run ever recorded. Positions are
+    added through `record` only, so the index holds every one of them.
     """
 
     def __init__(self):
-        super().__init__()
+        self._tracks: dict = {}
         self._by_scan: dict = {}
         self._rank: dict = {}
 
     def record(self, label, scan: int, pos):
-        track = self.get(label)
+        track = self._tracks.get(label)
         if track is None:
-            track = self[label] = {}
+            track = self._tracks[label] = {}
             self._rank[label] = len(self._rank)
         track[scan] = pos
         self._by_scan.setdefault(scan, set()).add(label)
@@ -117,26 +117,27 @@ class TrackHistory(dict):
         labels = set()
         for s in scans:
             labels.update(self._by_scan.get(s, ()))
-        return [(k, self[k]) for k in sorted(labels, key=self._rank.__getitem__)]
+        return [(k, self._tracks[k])
+                for k in sorted(labels, key=self._rank.__getitem__)]
 
 
-def _present(tracks: dict, scans) -> list:
+def _present(tracks, scans) -> list:
     """(label, track) of the tracks with a position at one of `scans`, in
-    the tracks' order. The index of a `TrackHistory` is read when it has
-    more labels than the window has scans; otherwise visiting every label
-    is the cheaper way."""
-    if isinstance(tracks, TrackHistory) and len(tracks) > len(scans):
+    the tracks' order: from the index of a `TrackHistory`, by visiting
+    every label of a plain dict."""
+    if isinstance(tracks, TrackHistory):
         return tracks.present(scans)
     return [(k, t) for k, t in tracks.items() if any(s in t for s in scans)]
 
 
-def ospa2(tracks_x: dict, tracks_y: dict, scan: int, params: OspaParams,
+def ospa2(tracks_x, tracks_y, scan: int, params: OspaParams,
           cache: Optional[dict] = None) -> float:
     """OSPA over labeled trajectories on the window [scan - w + 1, scan].
 
-    tracks_* map label -> {scan: position}. Tracks with no presence inside
-    the window are ignored; a `TrackHistory` finds the others through its
-    index, a plain dict by visiting every label. `cache` is an optional
+    tracks_* are a `TrackHistory` or a plain dict, label -> {scan:
+    position}. Tracks with no presence inside the window are ignored; a
+    `TrackHistory` finds the others through its index, a plain dict by
+    visiting every label. `cache` is an optional
     dict kept across the calls of one run, in which each (x label,
     y label, scan) base-distance term is computed once and dropped when its
     scan leaves the window; the result equals the uncached one bit for bit,
