@@ -13,10 +13,13 @@ Every stage walks the same partition of its belief list (`_blocks`); runs
 keep the belief order, so random draws stay in belief order and the
 partition never changes a number. A belief that this module builds is a
 row view of its blocks and records the block and row of its particles and
-of its weights. A stage takes a block's rows through `_block_rows`: a
-slice of the stored block when the run's beliefs are consecutive rows of
-one block, and a stack of their rows otherwise. The stacking branch runs
-for beliefs built outside this module, for the block where a sensor
+of its weights; the per-row outputs of the stages (detection
+probabilities, birth clouds and likelihoods, posteriors) are `_Rows`,
+which record the same for their rows. A stage passes any sequence of rows
+to `_block_rows` (the records are looked up in `_records` alone): it
+returns a slice of the stored block when the run's rows are consecutive
+rows of one block, and a stack of the rows otherwise. The stacking branch
+runs for beliefs built outside this module, for the block where a sensor
 step's survivors meet its newborns, and for lists that were pruned or
 reordered. Blocks are visited one at a time because of peak memory: a
 late sensor of a scan can carry over a hundred beliefs.
@@ -788,4 +791,5 @@ def _compact(beliefs: Sequence[ParticleBelief]):
 def _whole_rows(rows, blk: range) -> np.ndarray:
     """`_block_rows` of blk, copied unless it is a whole stored block."""
     block, fresh = _block_rows(rows, blk)
-    return block if fresh or len(blk) == len(rows.at[blk.start][0]) else block.copy()
+    return (block if fresh or len(blk) == len(_records(rows)[blk.start][0])
+            else block.copy())
