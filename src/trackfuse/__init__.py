@@ -21,7 +21,6 @@ from .transform import (
     clutter_density_transformed,
     gaussian_likelihood,
     gaussian_log_likelihood,
-    generalized_likelihood,
     generalized_log_likelihood,
     make_generic,
     make_identity,
@@ -35,7 +34,7 @@ __all__ = [
     "innovation", "predict", "update_raw", "update_transformed",
     "ClutterModel", "Transformation", "clutter_density_transformed",
     "gaussian_likelihood", "gaussian_log_likelihood",
-    "generalized_likelihood", "generalized_log_likelihood",
+    "generalized_log_likelihood",
     "make_generic", "make_identity", "make_type1", "make_type2",
     "CommLedger", "OspaParams", "comm_bytes", "ospa", "ospa2",
 ]

@@ -7,28 +7,25 @@ kappa and iota, and the particle beliefs are reweighted, normalized and
 augmented with one potential newborn per measurement.
 
 Beliefs live in blocks: particles (B, Np, n) and weights (B, Np) for
-consecutive runs of beliefs with equal particle counts, of at most
-BLOCK_PARTICLES particles each (a larger belief is a block of its own).
-Every stage walks the same partition of its belief list (`_blocks`); runs
-keep the belief order, so random draws stay in belief order and the
-partition never changes a number. A belief that this module builds is a
-row view of its blocks and records the block and row of its particles and
-of its weights; the per-row outputs of the stages (detection
+consecutive beliefs with equal particle counts. A belief that this module
+builds is a row view of its blocks and records the block and row of its
+particles and of its weights; the per-row outputs of the stages (detection
 probabilities, birth clouds and likelihoods, posteriors) are `_Rows`,
-which record the same for their rows. A stage passes any sequence of rows
-to `_block_rows` (the records are looked up in `_records` alone): it
-returns a slice of the stored block when the run's rows are consecutive
-rows of one block, and a stack of the rows otherwise. The stacking branch
-runs for beliefs built outside this module, for the block where a sensor
-step's survivors meet its newborns, and for lists that were pruned or
-reordered. Blocks are visited one at a time because of peak memory: a
-late sensor of a scan can carry over a hundred beliefs.
+which record the same for their rows.
+
+Every stage walks the same partition of its belief list into stage blocks
+(`_blocks`): the runs of equal particle counts (`_runs`), cut into pieces
+of at most BLOCK_PARTICLES particles (a larger belief is a piece of its
+own). Pieces keep the belief order, so random draws stay in belief order
+and the partition never changes a number. A stage passes any sequence of
+rows to `_block_rows` (the records are looked up in `_records` alone): it
+returns a slice of the stored block when the piece's rows are consecutive
+rows of one block, and a stack of the rows otherwise.
 
 When blocks are built and which rows a step rewrites:
-- Prediction writes new particle and weight blocks for every belief (the
+- Prediction writes new particle and weight blocks per stage block (the
   process noise is drawn once per block).
-- Births draw each measurement's cloud into one (M, Np, n) block, which
-  the newborns keep as particles unless they resample.
+- Births draw each measurement's cloud into one (M, Np, n) block.
 - Measurement evaluation projects a block's particles into measurement
   space once, z = H x. The gate takes each belief's weighted mean and
   covariance of z and one stacked eigendecomposition of the innovation
@@ -40,14 +37,32 @@ When blocks are built and which rows a step rewrites:
 - The update forms kappa(0) (1 - p_d) per block and adds the gated
   (tau, i) terms of `q_cache` in its order, into one (B, Np) block of
   unnormalized posteriors per block.
-- Belief calculation writes a new weight block per block. A block's
-  particles are rewritten only if one of its rows resamples: those rows
-  go into a copy of the block (copy on write), and the block's beliefs
-  move to the copy. Otherwise the beliefs keep their particle rows.
-- After pruning, the survivors of a block that lost rows move to a new
+- Belief calculation writes one output block per step: the updated
+  survivors, then the newborns, go into one new (N+M, Np, n) particle
+  block and one (N+M, Np) weight block (one of each per run of equal
+  particle counts). Weights are normalized into their rows, particles are
+  copied into theirs, and a resampled row is written from its indices.
+  Every stage of the next sensor step reads slices of these two arrays.
+- After pruning, the survivors of a run that lost rows move to a new
   block (`_compact`), so the scan's result holds no pruned rows.
 The detection and posterior blocks are dropped when the step is done with
 them, and a superseded block goes with the last belief that views it.
+Stacking still runs for beliefs built outside this module, for lists that
+were pruned or reordered outside the pipeline, and in `_compact`.
+
+The cap bounds the temporaries of a stage, which grow with its stage
+block (the projections, gated likelihoods, detection and posterior
+blocks); the stored blocks hold a whole step whatever the cap. It is the
+smallest power of two at which a typical scenario-2 step is one stage
+block: at Np = 500 a block holds 65 beliefs, and a step carries 54 on
+average (p50 51, p95 110, max 136). Measured on the `s2-bp` benchmark
+workload (2-core VM, one BLAS thread), the CPU time of both arms' fusion
+on tape 0 read 10.9 / 10.4 / 10.1 / 9.9 s at caps 16384 / 32768 / 65536
+/ none (medians of four; 11.9 s with copy-on-write blocks at 8192), and
+the benchmark's peak RSS 109.0 / 109.5 / 110.0-111.9 / 110.4-110.8 MB
+(103.1-103.5 MB before). Past 32768 the time gain is inside the noise
+while the peak keeps rising, and an unbounded block would let the
+temporaries grow with the whole belief list.
 
 Stacked moments and dot products go through batched `@`, whose per-slice
 BLAS calls are those of the per-belief form (einsum would reorder the
@@ -79,8 +94,8 @@ from .linalg import chi2_gate, psd_quadforms, symmetrize
 from .models import POS_DIM, MeasurementBatch, MotionModel
 from .transform import LOG_2PI, ClutterModel
 
-# Most particles stacked into one block (see the module docstring).
-BLOCK_PARTICLES = 8192
+# Most particles in one stage block (see the module docstring).
+BLOCK_PARTICLES = 32768
 
 
 @dataclass
@@ -197,12 +212,6 @@ class AssociationMessages:
         vec[i + 1] = self.nu_eq[i, tau]
         return vec
 
-    def phi_vector(self, tau: int, i: int) -> np.ndarray:
-        n = self.xi.shape[1] - 1
-        vec = np.full(n + 1, self.phi_neq[tau, i])
-        vec[tau + 1] = self.phi_eq[tau, i]
-        return vec
-
 
 class _BatchLikelihood:
     """Vectorized per-particle measurement log-likelihoods for one batch,
@@ -317,16 +326,25 @@ def _block_rows(rows: Sequence, blk: range, lead: bool = False):
     return np.stack([rows[t] for t in blk]), True
 
 
-def _blocks(counts: Sequence[int]):
-    """Index ranges of the blocks over beliefs with these particle counts:
-    consecutive beliefs with equal counts, at most BLOCK_PARTICLES particles
-    (and at least one belief) each."""
+def _runs(counts: Sequence[int]):
+    """Index ranges of the maximal runs of consecutive beliefs with equal
+    particle counts."""
     start = 0
     for end in range(1, len(counts) + 1):
-        if (end == len(counts) or counts[end] != counts[start]
-                or (end - start + 1) * counts[start] > BLOCK_PARTICLES):
+        if end == len(counts) or counts[end] != counts[start]:
             yield range(start, end)
             start = end
+
+
+def _blocks(counts: Sequence[int]):
+    """Index ranges of the stage blocks over beliefs with these particle
+    counts: each run of equal counts cut into pieces of at most
+    BLOCK_PARTICLES particles (and at least one belief)."""
+    for run in _runs(counts):
+        count = counts[run.start]
+        size = max(1, BLOCK_PARTICLES // count) if count else len(run)
+        for start in range(run.start, run.stop, size):
+            yield range(start, min(start + size, run.stop))
 
 
 def _stored(beliefs: Sequence[ParticleBelief]):
@@ -606,21 +624,21 @@ def _systematic_resample(weights: np.ndarray, n: int, u: float) -> np.ndarray:
     return cumulative.searchsorted(positions)
 
 
-def _normalize(unnorm: np.ndarray, rest: np.ndarray, us: np.ndarray,
+def _normalize(weights: np.ndarray, rest: np.ndarray, us: np.ndarray,
                cfg: BpConfig):
-    """Normalize the rows of one block; pick the low-ESS rows to resample.
+    """Normalize the rows of one block of unnormalized weights in place;
+    pick the low-ESS rows to resample.
 
-    Row k has weights unnorm[k] / c with c = sum(unnorm[k]) + rest[k]; it is
+    Row k becomes weights[k] / c with c = sum(weights[k]) + rest[k]; it is
     resampled systematically with uniform us[k] when the effective sample
-    size of its normalized weights is low. Returns the (B, Np) weights
-    (a resampled row uniform), r per row (the total weight before any
-    resampling, capped at one), and (row, particle indices) per resampled
-    row.
+    size of its normalized weights is low, and its weights are then made
+    uniform. Returns r per row (the total weight before any resampling,
+    capped at one) and (row, particle indices) per resampled row.
     """
-    c = unnorm.sum(axis=1) + rest
+    c = weights.sum(axis=1) + rest
     if not _finite_positive(c):
         raise DegenerateBeliefError("belief normalization constant <= 0")
-    weights = unnorm / c[:, None]
+    weights /= c[:, None]
     r = weights.sum(axis=1)
     live = r > 0
     wn = weights / np.where(live, r, 1.0)[:, None]
@@ -632,34 +650,43 @@ def _normalize(unnorm: np.ndarray, rest: np.ndarray, us: np.ndarray,
     for k in np.flatnonzero(ess < cfg.resample_ess_frac * n).tolist():
         resampled.append((k, _systematic_resample(wn[k], n, us[k])))
         weights[k] = r[k] / n
-    return weights, [min(r_k, 1.0) for r_k in r], resampled
+    return [min(r_k, 1.0) for r_k in r], resampled
+
+
+def _output_blocks(rows: Sequence[np.ndarray]) -> list:
+    """New blocks for these particle rows: one (R, Np, n) particle block and
+    one (R, Np) weight block per run of R rows with equal particle counts.
+    Entry t is (particle block, weight block, row) of row t."""
+    out = []
+    for run in _runs([p.shape[0] for p in rows]):
+        particles = np.empty((len(run),) + rows[run.start].shape)
+        weights = np.empty(particles.shape[:2])
+        out.extend((particles, weights, k) for k in range(len(run)))
+    return out
 
 
 def _posteriors(prows, unnorm, rest: np.ndarray, us: np.ndarray,
-                cfg: BpConfig):
-    """Normalized beliefs of one list, block by block: per entry yields
-    (particles, their record, weights, their record, r).
+                cfg: BpConfig, out: Sequence) -> list:
+    """Normalize one list block by block into the rows of `out` (see
+    `_output_blocks`); returns r per entry.
 
-    unnorm(blk) gives the block's unnormalized weights. A block keeps its
-    particle rows unless one of them resamples; then its rows move to a
-    copy of the block with the resampled rows rewritten.
+    unnorm(blk, dest) writes the block's unnormalized weights to dest, the
+    block's weight rows. A block's particles are copied into their rows, a
+    resampled row's from its indices.
     """
-    pat = _records(prows)
+    r = []
     for blk in _blocks([p.shape[0] for p in prows]):
         sl = slice(blk.start, blk.stop)
-        weights, r, resampled = _normalize(unnorm(blk), rest[sl], us[sl], cfg)
-        particles = None
-        if resampled:
-            particles, fresh = _block_rows(prows, blk)
-            if not fresh:
-                particles = particles.copy()
-            for k, idx in resampled:
-                particles[k] = particles[k][idx]
-        for k, t in enumerate(blk):
-            if particles is None:
-                yield prows[t], pat[t], weights[k], (weights, k), r[k]
-            else:
-                yield particles[k], (particles, k), weights[k], (weights, k), r[k]
+        particles, weights, row = out[blk.start]
+        dest = weights[row:row + len(blk)]
+        unnorm(blk, dest)
+        r_blk, resampled = _normalize(dest, rest[sl], us[sl], cfg)
+        src, _ = _block_rows(prows, blk)
+        particles[row:row + len(blk)] = src
+        for k, idx in resampled:
+            np.take(src[k], idx, axis=0, out=particles[row + k])
+        r.extend(r_blk)
+    return r
 
 
 def belief_calculation(beliefs: Sequence[ParticleBelief], survived_posts,
@@ -669,27 +696,35 @@ def belief_calculation(beliefs: Sequence[ParticleBelief], survived_posts,
 
     One resampling uniform is drawn per belief, survived beliefs first and
     newborns after, regardless of whether the resample triggers, so paired
-    runs consume identical random streams. Returns (updated survived
-    beliefs, newborn beliefs).
+    runs consume identical random streams. The updated beliefs, then the
+    newborns, are rows of one new particle block and one new weight block
+    (one of each per run of equal particle counts). Returns (updated
+    survived beliefs, newborn beliefs).
     """
     prows, wrows = _stored(beliefs)
+    n = len(beliefs)
+    out = _output_blocks(list(prows) + list(birth_clouds))
 
-    def survived(blk):
-        weights, _ = _block_rows(wrows, blk)
-        return weights * _block_rows(survived_posts, blk, lead=True)[0]
+    def survived(blk, dest):
+        np.multiply(_block_rows(wrows, blk)[0],
+                    _block_rows(survived_posts, blk, lead=True)[0], out=dest)
+
+    def newborn(blk, dest):
+        dest[...] = _block_rows(newborn_posts, blk, lead=True)[0]
 
     rest = (np.array([1.0 - b.r_prob for b in beliefs])
             * np.array([g0 for _, g0 in survived_posts]))
-    updated = [ParticleBelief._trusted(p, w, r, b.label, b.missed_scans, p_at, w_at)
-               for b, (p, p_at, w, w_at, r) in zip(beliefs, _posteriors(
-                   prows, survived, rest, rng.random(len(beliefs)), cfg))]
+    r = _posteriors(prows, survived, rest, rng.random(n), cfg, out)
+    updated = [ParticleBelief._trusted(p[k], w[k], r_t, b.label, b.missed_scans,
+                                       (p, k), (w, k))
+               for b, (p, w, k), r_t in zip(beliefs, out, r)]
 
     rest = np.array([denom for _, denom in newborn_posts])
-    newborn = [ParticleBelief._trusted(p, w, r, labels[i], 0, p_at, w_at)
-               for i, (p, p_at, w, w_at, r) in enumerate(_posteriors(
-                   birth_clouds, lambda blk: _block_rows(newborn_posts, blk, lead=True)[0],
-                   rest, rng.random(len(newborn_posts)), cfg))]
-    return updated, newborn
+    r = _posteriors(birth_clouds, newborn, rest, rng.random(len(newborn_posts)), cfg,
+                    out[n:])
+    born = [ParticleBelief._trusted(p[k], w[k], r_i, label, 0, (p, k), (w, k))
+            for label, (p, w, k), r_i in zip(labels, out[n:], r)]
+    return updated, born
 
 
 def declare_estimate_prune(beliefs: Sequence[ParticleBelief], cfg: BpConfig):
@@ -772,15 +807,15 @@ def _compact(beliefs: Sequence[ParticleBelief]):
 
     Pruning leaves rows of dropped beliefs in the survivors' blocks, which
     the caller would keep alive until the next scan's prediction replaces
-    them. A block's survivors are moved to a new block unless they fill
-    their stored blocks.
+    them. The survivors of a run of equal particle counts are moved to a
+    new block unless they fill one stored block.
     """
     prows, wrows = _stored(beliefs)
     out = []
-    for blk in _blocks([p.shape[0] for p in prows]):
-        parts = _whole_rows(prows, blk)
-        weights = _whole_rows(wrows, blk)
-        for k, t in enumerate(blk):
+    for run in _runs([p.shape[0] for p in prows]):
+        parts = _whole_rows(prows, run)
+        weights = _whole_rows(wrows, run)
+        for k, t in enumerate(run):
             b = beliefs[t]
             out.append(ParticleBelief._trusted(
                 parts[k], weights[k], b.r_prob, b.label, b.missed_scans,

@@ -215,10 +215,6 @@ def generalized_log_likelihood(zt: np.ndarray, zt_hat: np.ndarray,
     return -0.5 * (rank * LOG_2PI + float(np.sum(np.log(w))) + quad)
 
 
-def generalized_likelihood(zt, zt_hat, St) -> float:
-    return math.exp(generalized_log_likelihood(zt, zt_hat, St))
-
-
 @dataclass
 class ClutterModel:
     """Poisson clutter, uniform over a surveillance volume."""

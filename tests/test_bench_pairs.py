@@ -118,3 +118,39 @@ def test_untraced_and_traced_runs_alternate_sides(tmp_path, monkeypatch):
                      ("base", 0, 1), ("head", 0, 1)]
     report = json.loads(out.read_text())["workloads"]["w"]
     assert report["correct"] == {"base": [True] * 6, "head": [True] * 6}
+
+
+def test_prints_one_row_per_workload_and_metric(tmp_path, monkeypatch, capsys):
+    base, head = tmp_path / "base", tmp_path / "head"
+    base.mkdir()
+    head.mkdir()
+    (head / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": [{"name": "w1"}, {"name": "w2"}],
+         "end_to_end": SPEC["end_to_end"]}))
+    values = {"base": {"mc_run_s": 10.0, "peak_rss_mb": 97.0, "throughput": 100.0},
+              "head": {"mc_run_s": 9.0, "peak_rss_mb": 112.0, "throughput": 100.0}}
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        if workload == "w2" and checkout.name == "head":
+            return None
+        return {"failed": 0, "correct": True,
+                "metrics": {name: {"value": v, "unit": "u"}
+                            for name, v in values[checkout.name].items()}}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    out = tmp_path / "out.json"
+    bench_pairs.main(["--base", str(base), "--head", str(head), "--out", str(out),
+                      "--pairs", "4", "--traced", "0"])
+    lines = capsys.readouterr().out.splitlines()
+    assert json.loads(out.read_text())["workloads"].keys() == {"w1", "w2"}
+    assert lines[0].split() == ["workload", "metric", "base", "head", "change",
+                                "wins", "flags"]
+    rows = [line.split() for line in lines[1:]]
+    assert rows == [
+        ["w1", "mc_run_s", "10", "9", "-10.0%", "4/4", "gain_shown"],
+        ["w1", "peak_rss_mb", "97", "112", "+15.5%", "0/4", "regressed"],
+        ["w1", "throughput", "100", "100", "+0.0%", "0/4", "-"],
+        ["w2", "mc_run_s", "n/a", "n/a", "n/a", "0/4", "-"],
+        ["w2", "peak_rss_mb", "n/a", "n/a", "n/a", "0/4", "-"],
+        ["w2", "throughput", "n/a", "n/a", "n/a", "0/4", "-"],
+    ]

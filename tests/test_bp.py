@@ -30,9 +30,7 @@ from trackfuse.bp import (
 from trackfuse.errors import DegenerateBeliefError, InputError, NumericsError
 from trackfuse.linalg import psd_eig
 from trackfuse.models import MeasurementBatch, MotionModel
-from trackfuse.transform import ClutterModel
-
-LOG_2PI = math.log(2.0 * math.pi)
+from trackfuse.transform import LOG_2PI, ClutterModel
 
 
 def cv_motion(q=0.0):
@@ -632,45 +630,57 @@ class TestBatchedSensorStep:
             np.testing.assert_array_equal(new.particles, particles)
             np.testing.assert_array_equal(new.weights, weights)
             assert new.r_prob == r
-            if np.array_equal(new.particles, b.particles):
-                # each belief is a block of its own here: a block with no
-                # resampled row keeps its particle array
-                assert new.particles is b.particles
-            else:
-                resampled += 1
+            resampled += not np.array_equal(new.particles, b.particles)
         assert 0 < resampled < len(beliefs)
+        # four particle counts are four runs: each updated belief is the one
+        # row of a new particle block and a new weight block
+        assert [(new._prow[0].shape, new._prow[1]) for new in updated] == [
+            ((1, n_p, 4), 0) for n_p in (100, 250, 400, 50)]
+        assert [(new._wrow[0].shape, new._wrow[1]) for new in updated] == [
+            ((1, n_p), 0) for n_p in (100, 250, 400, 50)]
 
-    def test_block_copy_on_write(self):
+    def test_step_writes_one_block(self):
         rng = np.random.default_rng(66)
-        # 20 beliefs of 500 particles: predicted blocks of 16 and 4 rows
+        # predicted stage blocks of per_block and 4 rows, then 2 newborns
+        per_block = bp.BLOCK_PARTICLES // 500
+        n = per_block + 4
         beliefs = bp_predict([uniform_belief(rng.standard_normal((500, 4)) * 5.0, 0.5, k)
-                              for k in range(20)], cv_motion(q=0.1), 1.0,
+                              for k in range(n)], cv_motion(q=0.1), 1.0,
                              np.random.default_rng(67))
+        assert len({id(b._prow[0]) for b in beliefs}) == 2
         before = [b.particles.copy() for b in beliefs]
         flat = [(np.ones(500), 0.3) for _ in beliefs]
-        # one peaked row in the second block
-        flat[18] = (np.exp(-0.5 * np.sum((beliefs[18].particles[:, :2]
-                                          - beliefs[18].particles[0, :2]) ** 2,
-                                         axis=1)), 0.3)
+        # one peaked row in the second stage block
+        peaked = per_block + 2
+        flat[peaked] = (np.exp(-0.5 * np.sum((beliefs[peaked].particles[:, :2]
+                                              - beliefs[peaked].particles[0, :2]) ** 2,
+                                             axis=1)), 0.3)
         cfg = BpConfig(n_particles=500)
-        updated, _ = belief_calculation(beliefs, flat, [], [], [], cfg,
-                                        np.random.default_rng(68))
-        assert all(new.particles is b.particles for b, new in zip(beliefs[:16], updated))
-        moved = [new._prow for new in updated[16:]]
-        assert [row for _, row in moved] == [0, 1, 2, 3]
-        assert all(block is moved[0][0] for block, _ in moved)
-        assert moved[0][0] is not beliefs[16]._prow[0]
-        assert not np.array_equal(updated[18].particles, beliefs[18].particles)
-        for k in (16, 17, 19):
-            np.testing.assert_array_equal(updated[k].particles, beliefs[k].particles)
-        # the old block, which the input beliefs view, is unchanged
+        clouds = propose_births(simple_input(rng, np.array([[0.0, 0.0], [5.0, 5.0]])),
+                                cfg, 4, rng)
+        newborn_posts = [(np.ones(500), 1.0), (np.ones(500), 2.0)]
+        updated, newborn = belief_calculation(beliefs, flat, newborn_posts, clouds,
+                                              ["a", "b"], cfg, np.random.default_rng(68))
+        out = updated + newborn
+        for record, shape in (("_prow", (n + 2, 500, 4)), ("_wrow", (n + 2, 500))):
+            assert [getattr(b, record)[1] for b in out] == list(range(n + 2))
+            block = getattr(out[0], record)[0]
+            assert block.shape == shape
+            assert all(getattr(b, record)[0] is block for b in out)
+        assert out[0]._prow[0] is not beliefs[0]._prow[0]
+        for k in range(n):
+            changed = not np.array_equal(updated[k].particles, beliefs[k].particles)
+            assert changed == (k == peaked)
+        for b, cloud in zip(newborn, clouds):
+            np.testing.assert_array_equal(b.particles, cloud)
+        # the input blocks are unchanged
         for b, old in zip(beliefs, before):
             np.testing.assert_array_equal(b.particles, old)
 
     def test_detect_fn_sees_every_particle_once_per_sensor(self):
         rng = np.random.default_rng(64)
-        n_p = 3000
-        per_block = bp.BLOCK_PARTICLES // n_p
+        # two beliefs fill a stage block
+        n_p = bp.BLOCK_PARTICLES // 2
         inputs, calls = [], []
         for l, m in enumerate((3, 2)):
             inp = simple_input(rng, rng.uniform(-20, 20, (m, 2)), sensor_id=l)
@@ -688,11 +698,9 @@ class TestBatchedSensorStep:
         trace = []
         run_step(beliefs, inputs, cfg, trace)
         # sensor 0 sees the 3 beliefs, sensor 1 also its 3 newborns: every
-        # particle once, in one call per block
+        # particle once, in one call per stage block
         assert [step["r_prob"].size for step in trace] == [6, 8]
-        for sizes, n_beliefs in zip(calls, (3, 6)):
-            assert sum(sizes) == n_beliefs * n_p
-            assert len(sizes) == -(-n_beliefs // per_block) > 1
+        assert calls == [[2 * n_p, n_p], [2 * n_p] * 3]
 
     def test_mixed_particle_counts_keep_raw_type2_traces_equal(self):
         rng = np.random.default_rng(65)
@@ -726,13 +734,18 @@ class TestBatchedSensorStep:
                 np.testing.assert_allclose(w_raw, w_tr, rtol=1e-9, atol=1e-300)
 
 
+CAP = bp.BLOCK_PARTICLES
+
+
 class TestBlockProperties:
     """Blocked stages against the per-belief references on random mixes."""
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
-           # 4096 fills a block with two beliefs; three of 2731 exceed it by one
-           counts=st.lists(st.sampled_from((1, 2, 300, 500, 2731, 4096, 5000)),
+           # CAP // 2 fills a stage block with two beliefs; three of
+           # CAP // 3 + 1 exceed one by one particle
+           counts=st.lists(st.sampled_from((1, 2, 300, 500, CAP // 3 + 1, CAP // 2,
+                                            5 * CAP // 8)),
                            min_size=1, max_size=7),
            zero_weight=st.integers(-1, 6),
            meas=st.sampled_from(("none", "far", "near")),
@@ -825,22 +838,35 @@ def every_stage(beliefs, inp, cfg, clouds, seed, plain_posts=False):
                 newborn=newborn)
 
 
+def assert_one_block_per_run(beliefs):
+    """Beliefs of equal particle counts view consecutive rows of one
+    particle block and one weight block, from row 0."""
+    if len({b.n_particles for b in beliefs}) != 1:
+        return
+    for record in ("_prow", "_wrow"):
+        block = getattr(beliefs[0], record)[0]
+        assert len(block) == len(beliefs)
+        assert [getattr(b, record)[1] for b in beliefs] == list(range(len(beliefs)))
+        assert all(getattr(b, record)[0] is block for b in beliefs)
+
+
 class TestPersistentBlocks:
     """Stages on pipeline-built beliefs (rows of stored blocks) against the
     same beliefs on arrays of their own, bit for bit."""
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
-           # 4096 fills a block with two beliefs; three of 2731 exceed it by one
-           counts=st.lists(st.sampled_from((1, 300, 500, 2731, 4096)),
+           # CAP // 2 fills a stage block with two beliefs; three of
+           # CAP // 3 + 1 exceed one by one particle
+           counts=st.lists(st.sampled_from((1, 300, 500, CAP // 3 + 1, CAP // 2)),
                            min_size=1, max_size=6),
-           n_newborn=st.sampled_from((300, 500, 4096)),
+           n_newborn=st.sampled_from((300, 500, CAP // 2)),
            edit=st.sampled_from(("none", "prune", "reorder", "both")),
            kind=st.sampled_from(("raw", "type2")))
     def test_block_rows_equal_independent_arrays(self, seed, counts, n_newborn, edit,
                                                  kind):
         rng = np.random.default_rng(seed)
-        views_raw, views_tr, trs = paired_views(rng, 2, "type2")
+        views_raw, views_tr, trs = paired_views(rng, 3, "type2")
 
         def sensor(l, zs):
             raw_z = zs @ views_raw[l].H[:, :2].T
@@ -866,6 +892,7 @@ class TestPersistentBlocks:
         step = every_stage(bp_predict(outside, cv_motion(q=0.1), 0.99, rng), first,
                            cfg, propose_births(first, cfg, 4, rng), seed)
         built = step["updated"] + step["newborn"]
+        assert_one_block_per_run(built)
         if edit in ("prune", "both"):
             keep = rng.random(len(built)) < 0.6
             keep[int(rng.integers(len(built)))] = True
@@ -900,7 +927,25 @@ class TestPersistentBlocks:
                 assert a0 == b0
         assert_beliefs_identical(got["updated"], expected["updated"])
         assert_beliefs_identical(got["newborn"], expected["newborn"])
+        assert_one_block_per_run(got["updated"] + got["newborn"])
+        assert_one_block_per_run(expected["updated"] + expected["newborn"])
 
+        # a whole scan of two sensors on the same lists
+        inputs = [second, sensor(2, zs[:2] + 0.5)]
+        trace_got, trace_expected = [], []
+        out, est = run_step(built, inputs, cfg, trace_got)
+        out_ref, est_ref = run_step(independent(built), inputs, cfg, trace_expected)
+        assert_beliefs_identical(out, out_ref)
+        assert [label for label, _ in est] == [label for label, _ in est_ref]
+        for (_, x), (_, y) in zip(est, est_ref):
+            np.testing.assert_array_equal(x, y)
+        assert len(trace_got) == len(trace_expected) == 2
+        for a, b in zip(trace_got, trace_expected):
+            for key in ("beta", "xi", "kappa", "iota", "r_prob"):
+                np.testing.assert_array_equal(a[key], b[key])
+            assert len(a["weights"]) == len(b["weights"])
+            for wa, wb in zip(a["weights"], b["weights"]):
+                np.testing.assert_array_equal(wa, wb)
 
     @pytest.mark.parametrize("pruned", [
         lambda k: k % 3 == 0,  # survivors are stacked into new blocks

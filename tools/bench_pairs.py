@@ -25,7 +25,10 @@ and three flags:
   relative to that side's median, and not every head run beats every base
   run; such a metric cannot be called unchanged.
 
-Per-layer metrics are the medians over the traced runs.
+Per-layer metrics are the medians over the traced runs. After the file is
+written, one table row per (workload, end-to-end metric) is printed: the
+base and head medians, the change, the head's wins and the flags that are
+set.
 """
 
 from __future__ import annotations
@@ -115,6 +118,28 @@ def per_layer(runs):
                    "unit": names[name]["unit"]} for name in names}
 
 
+FLAGS = ("gain_shown", "regressed", "unresolved")
+
+
+def table(report) -> list:
+    """The printed summary of a report: a header and one row per (workload,
+    end-to-end metric)."""
+    rows = [f"{'workload':<12} {'metric':<26} {'base':>12} {'head':>12} "
+            f"{'change':>8} {'wins':>6}  flags"]
+    for workload, result in report["workloads"].items():
+        for name, e in result["end_to_end"].items():
+            if "base" in e:
+                base, head = f"{e['base']['median']:.6g}", f"{e['head']['median']:.6g}"
+                change = f"{100 * e['change']:+.1f}%"
+                flags = ",".join(f for f in FLAGS if e[f]) or "-"
+            else:
+                base = head = change = "n/a"
+                flags = "-"
+            rows.append(f"{workload:<12} {name:<26} {base:>12} {head:>12} "
+                        f"{change:>8} {e['head_wins']:>3}/{e['pairs']:<2}  {flags}")
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="paired benchmark runs")
     parser.add_argument("--base", type=Path, required=True)
@@ -154,6 +179,7 @@ def main(argv=None) -> int:
             "per_layer": {side: per_layer(traced[side]) for side in sides},
         }
         args.out.write_text(json.dumps(report, indent=1) + "\n")
+    print("\n".join(table(report)))
     return 0
 
 
