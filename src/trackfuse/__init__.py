@@ -19,7 +19,6 @@ from .transform import (
     ClutterModel,
     Transformation,
     clutter_density_transformed,
-    gaussian_likelihood,
     gaussian_log_likelihood,
     generalized_log_likelihood,
     make_generic,
@@ -33,8 +32,7 @@ __all__ = [
     "GaussianEstimate", "MeasurementBatch", "MeasurementModel", "MotionModel",
     "innovation", "predict", "update_raw", "update_transformed",
     "ClutterModel", "Transformation", "clutter_density_transformed",
-    "gaussian_likelihood", "gaussian_log_likelihood",
-    "generalized_log_likelihood",
+    "gaussian_log_likelihood", "generalized_log_likelihood",
     "make_generic", "make_identity", "make_type1", "make_type2",
     "CommLedger", "OspaParams", "comm_bytes", "ospa", "ospa2",
 ]

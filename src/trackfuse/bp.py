@@ -30,8 +30,8 @@ When blocks are built and which rows a step rewrites:
   space once, z = H x. The gate takes each belief's weighted mean and
   covariance of z and one stacked eigendecomposition of the innovation
   covariances; the likelihood of every gated (belief, measurement) pair
-  reads the same z (a triangular solve for raw payloads, through LAPACK
-  `dtrtrs` on Fortran-ordered residuals, an eigen projection for
+  reads the same z (a triangular solve for raw payloads, one right-side
+  BLAS `dtrsm` on the residuals, see `_whiten`; an eigen projection for
   transformed ones). The detection probabilities are one (B, Np) block
   per block, handed to the update through `AssociationMessages`.
 - The update forms kappa(0) (1 - p_d) per block and adds the gated
@@ -87,7 +87,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.blas import dtrsm
 
 from .errors import DegenerateBeliefError, InputError, NumericsError
 from .linalg import chi2_gate, psd_quadforms, symmetrize
@@ -166,6 +166,9 @@ class BpConfig:
             raise InputError("need 0 < P_pr < P_th < 1")
         if self.iterations < 1:
             raise InputError("need at least one message-passing iteration")
+        n = self.n_particles
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise InputError("need an integer particle count >= 1")
 
 
 @dataclass
@@ -258,26 +261,25 @@ class _BatchLikelihood:
 
     def _whiten(self, zs: np.ndarray, z_pred: np.ndarray) -> np.ndarray:
         """L^-1 (z - z_pred) for the raw Cholesky factor L, as an (m, G Np)
-        Fortran-ordered array.
+        C-ordered array.
 
-        The residuals are written in Fortran order and solved in place by
-        LAPACK `dtrtrs`, the routine and argument layout that
-        `scipy.linalg.solve_triangular` uses, so the result is the same to
-        the bit without its argument handling.
+        One right-side BLAS `dtrsm` solves X L^T = D^T in place on the
+        Fortran-ordered transpose of a C-ordered (m, G Np) residual store.
+        Posed left-side (`solve_triangular`, LAPACK `dtrtrs`), the (m, G Np)
+        right-hand side is a shape OpenBLAS handles badly: 184 against 71 us
+        per call at m = 2, G Np = 15,000. This equals `solve_triangular` bit
+        for bit at m <= 3 and G Np > 1 (for one residual `dtrtrs` divides by
+        the diagonal, `dtrsm` multiplies by its reciprocal; from m = 4 sums
+        may round differently). An exact zero on the diagonal (LAPACK's
+        info > 0, which `dtrsm` does not report) is checked here.
         """
-        m, n_pred = z_pred.shape[0], z_pred.shape[-1]
-        store = np.empty((zs.shape[0], n_pred, m))
-        np.subtract(zs.T[:, :, None], z_pred, out=store.transpose(2, 0, 1))
-        diffs = store.reshape(-1, m).T
-        chol = self._chol
-        if chol.flags.f_contiguous:
-            y, info = dtrtrs(chol, diffs, lower=1, overwrite_b=1)
-        else:
-            # the transposed system, as solve_triangular passes a C-ordered factor
-            y, info = dtrtrs(chol.T, diffs, lower=0, trans=1, overwrite_b=1)
-        if info != 0:
-            raise NumericsError(f"triangular solve failed (LAPACK info {info})")
-        return y
+        m = z_pred.shape[0]
+        if not np.diagonal(self._chol).all():
+            raise NumericsError("triangular solve failed (zero on the factor's diagonal)")
+        store = np.empty((m, zs.shape[0], z_pred.shape[-1]))
+        np.subtract(zs.T[:, :, None], z_pred, out=store)
+        return dtrsm(1.0, self._chol, store.reshape(m, -1).T, side=1, lower=1,
+                     trans_a=1, overwrite_b=1).T
 
 
 class _Rows(list):
@@ -321,9 +323,7 @@ def _block_rows(rows: Sequence, blk: range, lead: bool = False):
                 break
         else:
             return block[row:row + len(blk)], False
-    if lead:
-        return np.stack([rows[t][0] for t in blk]), True
-    return np.stack([rows[t] for t in blk]), True
+    return np.stack([rows[t][0] if lead else rows[t] for t in blk]), True
 
 
 def _runs(counts: Sequence[int]):
@@ -479,17 +479,17 @@ def _gate(z_pred: np.ndarray, weights: np.ndarray, batch: MeasurementBatch,
     """(B, M) mask of the measurements inside each stacked belief's gate.
 
     z_pred (m, B, Np) holds the particles' predicted measurements. Each
-    belief is summarized by their weighted mean and covariance; the
-    innovation covariances of the block go through one stacked
-    pseudoinverse quadratic form. Beliefs without weight mass gate nothing.
+    belief is summarized by their weighted mean and covariance, centred in
+    that layout; one stacked pseudoinverse quadratic form takes the block's
+    innovation covariances. Beliefs without weight mass gate nothing.
     """
     total = weights.sum(axis=1)
     live = total > 0
     total = np.where(live, total, 1.0)[:, None]
-    z = z_pred.transpose(1, 0, 2)
-    z_hat = (z @ weights[:, :, None])[..., 0] / total
-    centred = z - z_hat[:, :, None]
-    cov = (centred * weights[:, None, :]) @ centred.transpose(0, 2, 1) / total[:, :, None]
+    z_hat = (z_pred.transpose(1, 0, 2) @ weights[:, :, None])[..., 0] / total
+    centred = z_pred - z_hat.T[:, :, None]
+    cov = ((centred * weights).transpose(1, 0, 2) @ centred.transpose(1, 2, 0)
+           / total[:, :, None])
     d2 = psd_quadforms(cov + batch.R, batch.zs[None, :, :] - z_hat[:, None, :])
     return (d2 <= gamma_gate) & live[:, None]
 

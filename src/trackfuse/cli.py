@@ -69,6 +69,9 @@ class ExperimentSpec:
                 raise InputError("sweep values must be positive")
         if self.runs < 1:
             raise InputError("runs must be >= 1")
+        if self.workers < 1:
+            raise InputError("workers must be >= 1")
+        bp_mod.BpConfig(n_particles=self.n_particles)  # checks the particle count
 
 
 def load_scenario(name: str) -> sim_mod.ScenarioConfig:
@@ -179,6 +182,12 @@ def _run_one_job(args):
     return sweep_value, run_idx, single
 
 
+def pool_size(workers: int, n_jobs: int) -> int:
+    """Worker processes for n_jobs jobs: no more than requested, than there
+    are jobs, or than the machine has CPUs."""
+    return min(workers, n_jobs, os.cpu_count() or 1)
+
+
 def run_experiment(spec: ExperimentSpec) -> int:
     """Execute the experiment and write curves.csv, comm.csv, summary.txt."""
     out_dir = Path(spec.output_dir)
@@ -190,8 +199,9 @@ def run_experiment(spec: ExperimentSpec) -> int:
     for job in jobs:
         job[0]["payloads"] = list(spec.payloads)
         job[0]["sweep_values"] = list(spec.sweep_values)
-    if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+    workers = pool_size(spec.workers, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             raw_results = list(pool.map(_run_one_job, jobs))
     else:
         raw_results = [_run_one_job(job) for job in jobs]

@@ -627,7 +627,9 @@ def run_bp_fusion(cfg: ScenarioConfig, tapes, sends, payload: str, seed: int,
     truth = tapes["truth"]
     truth_tracks = _truth_tracks(truth)
     ledger = CommLedger()
-    beliefs: list = []
+    # the belief list between scans; each step is handed the only reference
+    # to it, so that its prediction frees the previous scan's blocks
+    carried: list = [[]]
     est_history = TrackHistory()
     ospa2_cache: dict = {}
     curves = {k: [] for k in ("ospa", "ospa2", "card_est", "card_true", "comm")}
@@ -641,8 +643,10 @@ def run_bp_fusion(cfg: ScenarioConfig, tapes, sends, payload: str, seed: int,
 
         trace = [] if trace_scans is not None else None
         beliefs, estimates = bp_mod.bp_pipeline_step(
-            beliefs, inputs, motion, bp_cfg, bp_rng_factory(seed, scan),
+            carried.pop(), inputs, motion, bp_cfg, bp_rng_factory(seed, scan),
             scan, trace)
+        carried.append(beliefs)
+        del beliefs
         if trace_scans is not None:
             trace_scans[scan] = trace
         est_pairs = [(label, mean[:2]) for label, mean in estimates]

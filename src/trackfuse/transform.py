@@ -185,10 +185,6 @@ def gaussian_log_likelihood(z: np.ndarray, z_hat: np.ndarray, S: np.ndarray) -> 
     return -0.5 * (z.size * LOG_2PI + logdet + float(y @ y))
 
 
-def gaussian_likelihood(z, z_hat, S) -> float:
-    return math.exp(gaussian_log_likelihood(z, z_hat, S))
-
-
 def generalized_log_likelihood(zt: np.ndarray, zt_hat: np.ndarray,
                                St: np.ndarray) -> float:
     """Generalized Gaussian log-density with a PSD covariance.

@@ -999,8 +999,82 @@ class TestRawLikelihood:
         with pytest.raises(NumericsError):
             lik.loglik(zs, z_pred)
 
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 4), g=st.integers(1, 4), n_pred=st.integers(1, 600),
+           fortran=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_whiten_equals_solve_triangular(self, m, g, n_pred, fortran, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((m, m))
+        batch = MeasurementBatch(0, rng.uniform(-20, 20, (g, m)),
+                                 np.hstack([np.eye(m), np.zeros((m, 2))]),
+                                 a @ a.T + 0.5 * np.eye(m))
+        lik = bp._BatchLikelihood(batch)
+        lik._chol = lik._chol.copy(order="F" if fortran else "C")
+        z_pred = rng.uniform(-20, 20, (m, g, n_pred))
+        diffs = (batch.zs.T[:, :, None] - z_pred).reshape(m, -1)
+        got = lik._whiten(batch.zs, z_pred)
+        want = solve_triangular(lik._chol, diffs, lower=True)
+        if m <= 3 and g * n_pred > 1:
+            np.testing.assert_array_equal(got, want)
+        else:
+            # from m = 4 the sums may round differently, and for a single
+            # residual LAPACK divides by the diagonal where dtrsm multiplies
+            # by its reciprocal; an entry can cancel to far below its terms,
+            # so the bound is relative to |L^-1| |D|
+            scale = np.abs(solve_triangular(lik._chol, np.eye(m), lower=True)) @ np.abs(diffs)
+            assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+def reference_gate(z_pred, weights, batch, gamma_gate):
+    """`bp._gate` with the centring on the (B, m, Np) transpose of z_pred;
+    returns the mask and the arguments of its quadratic forms."""
+    total = weights.sum(axis=1)
+    live = total > 0
+    total = np.where(live, total, 1.0)[:, None]
+    z = z_pred.transpose(1, 0, 2)
+    z_hat = (z @ weights[:, :, None])[..., 0] / total
+    centred = z - z_hat[:, :, None]
+    cov = (centred * weights[:, None, :]) @ centred.transpose(0, 2, 1) / total[:, :, None]
+    args = (cov + batch.R, batch.zs[None, :, :] - z_hat[:, None, :])
+    d2 = bp.psd_quadforms(*args)
+    return (d2 <= gamma_gate) & live[:, None], args
+
+
+class TestGate:
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 3), n_beliefs=st.integers(1, 6), n_pred=st.integers(1, 300),
+           n_meas=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+    def test_gate_equals_transposed_centring(self, m, n_beliefs, n_pred, n_meas, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((m, m))
+        batch = MeasurementBatch(0, rng.uniform(-30, 30, (n_meas, m)),
+                                 np.hstack([np.eye(m), np.zeros((m, 2))]),
+                                 a @ a.T + 0.5 * np.eye(m))
+        z_pred = (rng.uniform(-30, 30, (m, n_beliefs, 1))
+                  + rng.normal(0.0, 3.0, (m, n_beliefs, n_pred)))
+        weights = rng.uniform(0.0, 1.0, (n_beliefs, n_pred)) / n_pred
+        weights[rng.random(n_beliefs) < 0.2] = 0.0    # beliefs without mass
+        gamma = chi2.ppf(0.99, m)
+        want, want_args = reference_gate(z_pred, weights, batch, gamma)
+        calls = []
+        quadforms = bp.psd_quadforms
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bp, "psd_quadforms",
+                       lambda *args: calls.append(args) or quadforms(*args))
+            got = bp._gate(z_pred, weights, batch, gamma)
+        np.testing.assert_array_equal(got, want)
+        (got_args,) = calls
+        for got_arg, want_arg in zip(got_args, want_args):
+            np.testing.assert_array_equal(got_arg, want_arg)
+
 
 class TestErrorPaths:
+    def test_particle_count_must_be_a_positive_integer(self):
+        for bad in (0, -1, 2.5, True):
+            with pytest.raises(InputError, match="particle count"):
+                BpConfig(n_particles=bad)
+        assert BpConfig(n_particles=np.int64(3)).n_particles == 3
+
     def test_weights_not_matching_particles_rejected(self):
         with pytest.raises(InputError):
             ParticleBelief(np.zeros((5, 4)), np.full(4, 0.1), 0.4, "x")

@@ -102,6 +102,24 @@ class TestSpec:
         assert spec.seed == 77
         assert spec.output_dir.endswith("envout")
 
+    @pytest.mark.parametrize("flags", [["--particles", "0"], ["--particles", "-1"],
+                                       ["--workers", "0"]])
+    def test_bad_count_exits_with_error(self, tmp_path, capsys, flags):
+        # a particle count below one used to end in numpy's ValueError
+        rc = cli.main(["run", "--fusion", "mda", "--runs", "1",
+                       "--out", str(tmp_path / "out")] + flags)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_pool_size_is_capped_by_jobs_and_cpus(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        assert cli.pool_size(10 ** 9, 5) == 2
+        assert cli.pool_size(10 ** 9, 1) == 1
+        assert cli.pool_size(1, 5) == 1
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli.pool_size(10 ** 9, 5) == 1
+
     def test_bad_config_exits_nonzero(self, capsys):
         rc = cli.main(["run", "--sweep", "banana=1"])
         assert rc == 2
@@ -137,6 +155,32 @@ class TestRunExperiment:
             scan, metric, sv, payload, fusion, _ = row.split(",")
             keys.append((int(scan), float(sv), payload, metric))
         assert keys == sorted(keys)
+
+    def test_pool_is_sized_before_it_starts(self, tmp_path, monkeypatch):
+        # a stand-in executor records its size and runs the jobs in-process
+        sizes = []
+
+        class Executor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Executor)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        scenario = tmp_path / "toy.cfg"
+        scenario.write_text(SCENARIO_FILE)
+        argv = ["run", "--scenario", str(scenario), "--payload", "raw",
+                "--runs", "2", "--out", str(tmp_path / "o"), "--workers", "100000"]
+        assert cli.main(argv) == 0
+        assert sizes == [2]
 
     def test_workers_match_serial(self, tmp_path):
         scenario = tmp_path / "toy.cfg"

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from trackfuse import bp as bp_mod
 from trackfuse.errors import NumericsError
 from trackfuse.linalg import chi2_gate, symmetrize
 from trackfuse.models import GaussianEstimate, innovation, predict, update_raw
@@ -24,6 +26,7 @@ from trackfuse.sim import (
     motion_model,
     prepare_run,
     rng_stream,
+    run_bp_fusion,
     run_single,
     scenario1,
     scenario2,
@@ -558,6 +561,31 @@ class TestHarness:
         res = monte_carlo(cfg, "mda", ["raw"], runs=2, base_seed=0)
         assert len(res["raw"]) == 2
         assert res["raw"][0].ospa.shape == (100,)
+
+    def test_bp_scan_frees_the_previous_scans_blocks(self, monkeypatch):
+        # the fusion loop keeps no reference to the beliefs that the last
+        # scan returned, so the next scan's prediction frees their blocks
+        cfg = scenario1()
+        cfg.duration = 8
+        tapes, sends = prepare_run(cfg, 3)
+        compact, evaluate = bp_mod._compact, bp_mod.measurement_evaluation
+        returned = []      # weakrefs to the last scan's particle blocks
+        checked = []       # (blocks returned, blocks alive) per evaluation
+
+        def recording_compact(beliefs):
+            out = compact(beliefs)
+            returned[:] = [weakref.ref(b._prow[0]) for b in out]
+            return out
+
+        def checking_evaluation(*args):
+            checked.append((len(returned), sum(r() is not None for r in returned)))
+            return evaluate(*args)
+
+        monkeypatch.setattr(bp_mod, "_compact", recording_compact)
+        monkeypatch.setattr(bp_mod, "measurement_evaluation", checking_evaluation)
+        run_bp_fusion(cfg, tapes, sends, "raw", 3, bp_mod.BpConfig(n_particles=50))
+        assert sum(n for n, _ in checked) > 0
+        assert [alive for _, alive in checked] == [0] * len(checked)
 
     def test_rng_stream_independence_and_reproducibility(self):
         a = rng_stream(5, "x", 1).standard_normal(4)

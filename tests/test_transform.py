@@ -12,7 +12,6 @@ from trackfuse.models import MeasurementModel
 from trackfuse.transform import (
     ClutterModel,
     clutter_density_transformed,
-    gaussian_likelihood,
     gaussian_log_likelihood,
     generalized_log_likelihood,
     make_generic,
@@ -92,12 +91,12 @@ class TestType2:
 
 class TestGaussianLikelihood:
     def test_mode_of_standard_normal(self):
-        val = gaussian_likelihood(np.zeros(2), np.zeros(2), np.eye(2))
+        val = math.exp(gaussian_log_likelihood(np.zeros(2), np.zeros(2), np.eye(2)))
         assert val == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-12)
 
     def test_scalar_unit_residual(self):
-        val = gaussian_likelihood(np.array([1.0]), np.array([0.0]),
-                                  np.array([[1.0]]))
+        val = math.exp(gaussian_log_likelihood(np.array([1.0]), np.array([0.0]),
+                                               np.array([[1.0]])))
         assert val == pytest.approx(math.exp(-0.5) / math.sqrt(2 * math.pi),
                                     rel=1e-12)
 
@@ -105,7 +104,7 @@ class TestGaussianLikelihood:
         s = np.diag([26.0, 27.0])
         z = np.array([5.0, 5.0])
         expected = multivariate_normal(mean=np.zeros(2), cov=s).pdf(z)
-        assert gaussian_likelihood(z, np.zeros(2), s) == pytest.approx(
+        assert math.exp(gaussian_log_likelihood(z, np.zeros(2), s)) == pytest.approx(
             expected, rel=1e-12)
 
 
