@@ -2,14 +2,13 @@
 
 `trackfuse run` dispatches Monte Carlo experiments and writes plot-ready
 CSV files plus a human-readable communication summary. `trackfuse check`
-runs the numerical property batteries (lemmas, solvers, bp-exactness,
-metrics) with fixed seeds and exits nonzero on any failure.
+prints the results of the property batteries of `checks` (lemmas,
+solvers, bp-exactness, metrics) and exits nonzero on any failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import os
 import sys
@@ -21,17 +20,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bp as bp_mod
-from . import mda as mda_mod
-from . import metrics as metrics_mod
+from . import checks
 from . import sim as sim_mod
 from .errors import InputError
-from .linalg import pinv_psd
-from .models import MeasurementModel
-from .transform import (
-    ClutterModel,
-    clutter_density_transformed,
-    make_generic,
-)
+from .models import PAYLOADS
 
 ENV_SEED = "TRACKFUSE_SEED"
 ENV_OUT = "TRACKFUSE_OUT"
@@ -43,7 +35,7 @@ SWEEP_PARAMS = ("clutter_rate", "p_d")
 class ExperimentSpec:
     scenario: str = "scenario1"
     fusion: str = "mda"
-    payloads: Sequence[str] = ("raw", "type1", "type2")
+    payloads: Sequence[str] = PAYLOADS
     sweep_param: Optional[str] = None
     sweep_values: Sequence[float] = ()
     runs: int = 10
@@ -56,7 +48,7 @@ class ExperimentSpec:
         if self.fusion not in ("mda", "bp"):
             raise InputError(f"unknown fusion kind: {self.fusion!r}")
         for p in self.payloads:
-            if p not in ("raw", "type1", "type2"):
+            if p not in PAYLOADS:
                 raise InputError(f"unknown payload: {p!r}")
         if self.sweep_param is not None and self.sweep_param not in SWEEP_PARAMS:
             raise InputError(f"sweep parameter must be one of {SWEEP_PARAMS}")
@@ -121,18 +113,27 @@ def parse_scenario_file(path: Path) -> sim_mod.ScenarioConfig:
         return vals
 
     def checked(sec, key, default, ok, rule):
-        value = floats(sec, key, 1, [default])[0]
+        value = floats(sec, key, 1, None if default is None else [default])[0]
         if not ok(value):
             raise InputError(f"{path}:{sec[1][key][1]}: '{key}' must be {rule}")
         return value
 
+    def positive(sec, key, default):
+        return checked(sec, key, default, lambda v: 0.0 < v < math.inf,
+                       "finite and positive")
+
+    def integer(sec, key, low=None):
+        rule = "an integer" if low is None else f"an integer >= {low}"
+        return int(checked(sec, key, None,
+                           lambda v: v.is_integer() and (low is None or v >= low), rule))
+
     scen = next((s for s in sections if s[0] == "scenario"), None)
     if scen is None:
         raise InputError(f"{path}: no [scenario] section")
-    duration = int(floats(scen, "duration", 1)[0])
-    dt = floats(scen, "dt", 1, [1.0])[0]
-    q = floats(scen, "q", 1, [0.1])[0]
-    sigma = floats(scen, "sigma", 1, [5.0])[0]
+    duration = integer(scen, "duration", 1)
+    dt = positive(scen, "dt", 1.0)
+    q = checked(scen, "q", 0.1, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+    sigma = positive(scen, "sigma", 5.0)
 
     sensors = []
     targets = []
@@ -145,18 +146,16 @@ def parse_scenario_file(path: Path) -> sim_mod.ScenarioConfig:
             else:
                 aim = floats(sec, "aim_at", 2, [0.0, 0.0])
                 boresight = math.atan2(aim[1] - position[1], aim[0] - position[0])
-            p_d = checked(sec, "p_d", 0.9, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
-            clutter_rate = checked(sec, "clutter_rate", 10.0, lambda v: v > 0.0,
-                                   "positive")
             sensors.append(sim_mod.SensorConfig(
                 np.array(position), boresight,
-                fov_half_angle=floats(sec, "fov_half_angle", 1, [math.pi / 4])[0],
-                fov_range=floats(sec, "fov_range", 1, [1200.0])[0],
-                p_d=p_d, clutter_rate=clutter_rate))
+                fov_half_angle=checked(sec, "fov_half_angle", math.pi / 4,
+                                       lambda v: 0.0 < v <= math.pi, "in (0, pi]"),
+                fov_range=positive(sec, "fov_range", 1200.0),
+                p_d=checked(sec, "p_d", 0.9, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+                clutter_rate=positive(sec, "clutter_rate", 10.0)))
         elif name == "target":
             targets.append(sim_mod.TargetConfig(
-                int(floats(sec, "birth", 1)[0]),
-                int(floats(sec, "death", 1)[0]),
+                integer(sec, "birth"), integer(sec, "death"),
                 np.array(floats(sec, "state", 4))))
         elif name != "scenario":
             raise InputError(f"{path}:{sec[2]}: unknown section [{name}]")
@@ -307,224 +306,20 @@ def _report(name: str, ok: bool, detail: str) -> bool:
     return ok
 
 
-def check_lemmas(seed: int = 1234) -> bool:
-    """Pseudoinverse, determinant, clutter-volume and MLE identities."""
-    rng = np.random.default_rng(seed)
-    worst = {"pinv": 0.0, "det": 0.0, "volume": 0.0, "mle": 0.0}
-    for _ in range(200):
-        m = int(rng.integers(1, 5))
-        extra = int(rng.integers(0, 4))
-        g = rng.standard_normal((m, m))
-        s = g @ g.T + 0.1 * np.eye(m)
-        a = rng.standard_normal((m + extra, m))
-
-        lhs = a.T @ pinv_psd(a @ s @ a.T) @ a
-        rhs = np.linalg.inv(s)
-        worst["pinv"] = max(worst["pinv"],
-                            np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
-
-        eig = np.linalg.eigvalsh(a @ s @ a.T)
-        nonzero = eig[eig > 1e-12 * eig.max()]
-        prod_e = float(np.prod(nonzero))
-        det_form = float(np.linalg.det(s) * np.linalg.det(a.T @ a))
-        worst["det"] = max(worst["det"], abs(prod_e - det_form) / abs(det_form))
-
-        clutter = ClutterModel(10.0, 1000.0)
-        h = rng.standard_normal((m, 4))
-        tr = make_generic(a, MeasurementModel(h, s))
-        scaled = clutter_density_transformed(clutter, tr)
-        ratio = clutter.density / scaled.density
-        worst["volume"] = max(worst["volume"],
-                              abs(ratio - math.sqrt(det_form / np.linalg.det(s)))
-                              / ratio)
-
-    rng2 = np.random.default_rng(seed + 1)
-    done = 0
-    while done < 200:
-        views_raw, views_tr, meas, meas_t = [], [], [], []
-        x_true = rng2.standard_normal(4) * 50
-        conditioned = True
-        for l in range(2):
-            h = rng2.standard_normal((2, 4)) if l else np.hstack(
-                [np.eye(2), np.eye(2)])
-            g = rng2.standard_normal((2, 2))
-            r = g @ g.T + 0.5 * np.eye(2)
-            a = rng2.standard_normal((int(rng2.integers(2, 6)), 2))
-            # near-rank-deficient draws measure fp amplification, not the
-            # identity; keep instances numerically well posed
-            if np.linalg.cond(a) > 100 or np.linalg.cond(r) > 1e3:
-                conditioned = False
-                break
-            clut = ClutterModel(10.0, 1e6)
-            tr = make_generic(a, MeasurementModel(h, r))
-            z = h @ x_true + rng2.standard_normal(2)
-            meas.append(z)
-            meas_t.append(a @ z)
-            views_raw.append(mda_mod.SensorView(h, r, 0.9, clut, False))
-            views_tr.append(mda_mod.SensorView(
-                tr.Ht, tr.Rt, 0.9, clutter_density_transformed(clut, tr), True))
-        if not conditioned:
-            continue
-        info, _ = mda_mod._stacked_information(meas, views_raw)
-        if np.linalg.cond(info) > 1e6:
-            continue
-        x_raw = mda_mod.mle_state(meas, views_raw)
-        x_tr = mda_mod.mle_state(meas_t, views_tr)
-        worst["mle"] = max(worst["mle"],
-                           np.linalg.norm(x_raw - x_tr)
-                           / max(np.linalg.norm(x_raw), 1e-12))
-        done += 1
-
-    ok = True
-    ok &= _report("pinv identity A'(ASA')+A = S^-1", worst["pinv"] <= 1e-8,
-                  f"worst rel residual {worst['pinv']:.3e}")
-    ok &= _report("det identity prod(e) = |S||A'A|", worst["det"] <= 1e-8,
-                  f"worst rel residual {worst['det']:.3e}")
-    ok &= _report("clutter volume ratio sqrt|A'A|", worst["volume"] <= 1e-8,
-                  f"worst rel residual {worst['volume']:.3e}")
-    ok &= _report("MLE raw = MLE transformed", worst["mle"] <= 1e-8,
-                  f"worst rel residual {worst['mle']:.3e}")
-    return ok
-
-
-def check_solvers(seed: int = 77) -> bool:
-    """Exact solver vs enumeration; relaxation within 5% of optimal."""
-    rng = np.random.default_rng(seed)
-    exact_ok = 0
-    within = 0
-    n_tables = 100
-    worst_gap = 0.0
-    for _ in range(n_tables):
-        n_tracks = int(rng.integers(2, 4))
-        m1, m2 = int(rng.integers(3, 6)), int(rng.integers(3, 6))
-        groups = []
-        for _t in range(n_tracks):
-            cands = [mda_mod.Candidate((0, 0), float(abs(rng.normal())) * 0.5)]
-            for i in range(m1 + 1):
-                for j in range(m2 + 1):
-                    if (i, j) == (0, 0) or rng.random() > 0.7:
-                        continue
-                    cands.append(mda_mod.Candidate((i, j), float(rng.normal())))
-            groups.append(cands)
-        prob = mda_mod.AssignmentProblem("maintenance", groups, 2, [m1, m2])
-        exact = mda_mod.solve_assignment_exact(prob)
-        enum_cost, _ = mda_mod.enumerate_assignment_minimum(prob)
-        if abs(exact.total_cost - enum_cost) < 1e-12 and \
-                not mda_mod.constraint_violations(prob, exact):
-            exact_ok += 1
-        relaxed = mda_mod.solve_assignment_relaxed(prob)
-        rel = (relaxed.total_cost - exact.total_cost) / max(abs(exact.total_cost),
-                                                            1e-12)
-        worst_gap = max(worst_gap, rel)
-        if rel <= 0.05 and not mda_mod.constraint_violations(prob, relaxed):
-            within += 1
-    ok = True
-    ok &= _report("branch-and-bound = enumeration", exact_ok == n_tables,
-                  f"{exact_ok}/{n_tables} exact")
-    ok &= _report("relaxation within 5% of optimal", within >= 95,
-                  f"{within}/{n_tables} within 5%, worst {worst_gap:.4f}")
-    return ok
-
-
-def _enum_association_marginals(beta: np.ndarray, xi: np.ndarray):
-    """Brute-force marginals of the constrained association distribution."""
-    n, m = beta.shape[0], beta.shape[1] - 1
-    pa = np.zeros_like(beta)
-    pb = np.zeros_like(xi)
-    for avec in itertools.product(range(m + 1), repeat=n):
-        for bvec in itertools.product(range(n + 1), repeat=m):
-            ok = True
-            for t in range(n):
-                for i in range(m):
-                    a, b = avec[t], bvec[i]
-                    if (a == i + 1 and b != t + 1) or (b == t + 1 and a != i + 1):
-                        ok = False
-            if not ok:
-                continue
-            w = np.prod([beta[t, avec[t]] for t in range(n)]) * \
-                np.prod([xi[i, bvec[i]] for i in range(m)])
-            for t in range(n):
-                pa[t, avec[t]] += w
-            for i in range(m):
-                pb[i, bvec[i]] += w
-    return (pa / pa.sum(axis=1, keepdims=True),
-            pb / pb.sum(axis=1, keepdims=True))
-
-
-def check_bp_exactness(seed: int = 99) -> bool:
-    """BP association marginals equal enumeration on tree instances."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for trial in range(50):
-        if trial % 2 == 0:
-            n, m = 1, int(rng.integers(1, 5))
-        else:
-            n, m = int(rng.integers(1, 5)), 1
-        beta = rng.uniform(0.1, 2.0, (n, m + 1))
-        xi = np.ones((m, n + 1))
-        xi[:, 0] = rng.uniform(0.5, 3.0, m)
-        msgs = bp_mod.AssociationMessages(beta.copy(), xi.copy())
-        kappa, iota = bp_mod.iterative_association(msgs, 10)
-        pa = beta * kappa
-        pa /= pa.sum(axis=1, keepdims=True)
-        pb = xi * iota
-        pb /= pb.sum(axis=1, keepdims=True)
-        pa_ref, pb_ref = _enum_association_marginals(beta, xi)
-        worst = max(worst, float(np.max(np.abs(pa - pa_ref))),
-                    float(np.max(np.abs(pb - pb_ref))))
-    return _report("BP tree exactness vs enumeration", worst <= 1e-12,
-                   f"worst abs deviation {worst:.3e}")
-
-
-def check_metrics(seed: int = 5) -> bool:
-    """Byte-table spot checks; OSPA metric axioms."""
-    ok = True
-    expected = {"raw": 10400, "info_filter": 22400, "type1": 8000, "type2": 4000}
-    got = {k: metrics_mod.comm_bytes(k, 2, 4, 100) for k in expected}
-    ok &= _report("byte table (m=2, n=4, N=100)", got == expected, f"{got}")
-
-    rng = np.random.default_rng(seed)
-    params = metrics_mod.OspaParams(c=50.0, p=2.0)
-    worst_tri = 0.0
-    sym_ok = True
-    for _ in range(200):
-        sets = [rng.uniform(-100, 100, (int(rng.integers(0, 6)), 2))
-                for _ in range(3)]
-        dxy = metrics_mod.ospa(sets[0], sets[1], params)
-        dyx = metrics_mod.ospa(sets[1], sets[0], params)
-        sym_ok &= dxy == dyx
-        dyz = metrics_mod.ospa(sets[1], sets[2], params)
-        dxz = metrics_mod.ospa(sets[0], sets[2], params)
-        worst_tri = max(worst_tri, dxz - (dxy + dyz))
-        ok_id = metrics_mod.ospa(sets[0], sets[0], params) == 0.0
-        sym_ok &= ok_id
-    ok &= _report("OSPA symmetry and identity", sym_ok, "exact")
-    ok &= _report("OSPA triangle inequality", worst_tri <= 1e-9,
-                  f"worst violation {worst_tri:.3e}")
-    return ok
-
-
-CHECK_SUITES = {
-    "lemmas": check_lemmas,
-    "solvers": check_solvers,
-    "bp-exactness": check_bp_exactness,
-    "metrics": check_metrics,
-}
-
-
 def run_checks(suite: str) -> int:
     if suite == "all":
-        names = list(CHECK_SUITES)
-    elif suite in CHECK_SUITES:
+        names = list(checks.SUITES)
+    elif suite in checks.SUITES:
         names = [suite]
     else:
         print(f"unknown check suite {suite!r}; choose from "
-              f"{sorted(CHECK_SUITES)} or 'all'", file=sys.stderr)
+              f"{sorted(checks.SUITES)} or 'all'", file=sys.stderr)
         return 2
     all_ok = True
     for name in names:
         print(f"== {name} ==")
-        all_ok &= CHECK_SUITES[name]()
+        for result in checks.SUITES[name]():
+            all_ok &= _report(*result)
     return 0 if all_ok else 1
 
 
@@ -550,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="particles per BP target")
 
     check_p = sub.add_parser("check", help="run a property-check suite")
-    check_p.add_argument("suite", choices=sorted(CHECK_SUITES) + ["all"])
+    check_p.add_argument("suite", choices=sorted(checks.SUITES) + ["all"])
     return parser
 
 

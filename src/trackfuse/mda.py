@@ -643,55 +643,6 @@ def solve_assignment_exact(problem: AssignmentProblem,
     return AssociationSolution(assignments, total, True, 0.0)
 
 
-def enumerate_assignment_minimum(problem: AssignmentProblem):
-    """Plain exhaustive enumeration (test oracle; no bounding)."""
-    groups = [_by_cost(g) for g in problem.groups]
-    best = [math.inf, None]
-
-    def rec(g, used, total, sel):
-        if g == len(groups):
-            if total < best[0]:
-                best[0], best[1] = total, sel.copy()
-            return
-        for cand in groups[g]:
-            keys = _meas_keys(cand.indices)
-            if any(k in used for k in keys):
-                continue
-            rec(g + 1, used | set(keys), total + cand.cost, sel + [cand])
-
-    rec(0, frozenset(), 0.0, [])
-    if best[1] is None:
-        return math.inf, []
-    assignments, total = _solution_from_selection(problem, best[1])
-    return total, assignments
-
-
-def constraint_violations(problem: AssignmentProblem,
-                          solution: AssociationSolution):
-    """Independent check of the one-per-group / one-use-per-measurement sums."""
-    problems = []
-    if problem.kind == "maintenance":
-        seen_tracks = [a[0] for a in solution.assignments]
-        expected = list(range(1, len(problem.groups) + 1))
-        if sorted(seen_tracks) != expected:
-            problems.append("each track must appear in exactly one tuple")
-        index_tuples = [a[1:] for a in solution.assignments]
-    else:
-        index_tuples = list(solution.assignments)
-    used = {}
-    for tup in index_tuples:
-        for key in _meas_keys(tup):
-            used[key] = used.get(key, 0) + 1
-    for key, count in used.items():
-        if count > 1:
-            problems.append(f"measurement {key} used {count} times")
-    for l, count in enumerate(problem.meas_counts):
-        for tup in index_tuples:
-            if tup[l] > count:
-                problems.append(f"tuple index {tup[l]} out of range for sensor {l}")
-    return problems
-
-
 def _candidate_table(groups, l: int, m: int, cost=None):
     """Sensor l's padded table over candidate groups.
 

@@ -9,13 +9,11 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError
+from .models import RAW, TYPE1, TYPE2
 
 BYTES_PER_SCALAR = 8
 
-RAW = "raw"
 INFO_FILTER = "info_filter"
-TYPE1 = "type1"
-TYPE2 = "type2"
 
 
 @dataclass

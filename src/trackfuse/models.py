@@ -50,6 +50,12 @@ from .linalg import (
 # State components that hold the position, in front of the velocity.
 POS_DIM = 2
 
+# Payload kinds a sensor can send: raw measurements or a transformation.
+RAW = "raw"
+TYPE1 = "type1"
+TYPE2 = "type2"
+PAYLOADS = (RAW, TYPE1, TYPE2)
+
 
 @dataclass
 class MotionModel:
@@ -142,7 +148,7 @@ class MeasurementBatch:
     zs: np.ndarray
     H: np.ndarray
     R: np.ndarray
-    kind: str = "raw"
+    kind: str = RAW
     _factor: Optional["PayloadFactor"] = field(default=None, init=False,
                                                repr=False, compare=False)
 
@@ -165,7 +171,7 @@ class MeasurementBatch:
 
     @property
     def transformed(self) -> bool:
-        return self.kind != "raw"
+        return self.kind != RAW
 
     @property
     def factor(self) -> "PayloadFactor":

@@ -34,6 +34,9 @@ from .linalg import chi2_gate, cholesky, symmetrize
 from .mda import BIG, padded_table
 from .metrics import CommLedger, OspaParams, TrackHistory, ospa, ospa2
 from .models import (
+    RAW,
+    TYPE1,
+    TYPE2,
     GaussianEstimate,
     MeasurementBatch,
     MeasurementModel,
@@ -43,7 +46,7 @@ from .models import (
     predict_stack,
     update_raw_stack,
 )
-from .transform import TYPE1, TYPE2, ClutterModel, type1_stack, type2_stack
+from .transform import ClutterModel, type1_stack, type2_stack
 
 
 def _key_part(part) -> int:
@@ -461,7 +464,7 @@ def _encoder(scan_data: Sequence[SensorScan], sent: Sequence[Sequence[int]],
                 for s, rate in zip(scan_data, clutter_rates)]
     H = np.stack([s.model.H for s in scan_data])
     R = np.stack([s.model.R for s in scan_data])
-    if payload == "raw":
+    if payload == RAW:
         a = None
         factors = payload_factors(H, R, False)
     elif payload in (TYPE1, TYPE2):

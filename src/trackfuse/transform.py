@@ -39,11 +39,9 @@ from .linalg import (
     sym_sqrt_and_invsqrt,
     symmetrize,
 )
-from .models import MeasurementModel
+from .models import TYPE1, TYPE2, MeasurementModel
 
 IDENTITY = "identity"
-TYPE1 = "type1"
-TYPE2 = "type2"
 GENERIC = "generic"
 
 LOG_2PI = math.log(2.0 * math.pi)

@@ -4,24 +4,16 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 pass/fail lines including measured residuals and runtimes.
 """
 
-import math
 import time
 
 import numpy as np
 
 from conftest import paired_views, random_track
 from trackfuse import bp as bp_mod
-from trackfuse import cli
+from trackfuse import checks, cli
 from trackfuse import mda as mda_mod
 from trackfuse import sim as sim_mod
-from trackfuse.linalg import pinv_psd
-from trackfuse.metrics import OspaParams, comm_bytes, ospa
-from trackfuse.models import MeasurementModel
-from trackfuse.transform import (
-    ClutterModel,
-    clutter_density_transformed,
-    make_generic,
-)
+from trackfuse.metrics import comm_bytes
 
 
 def _criterion(num, desc, ok, detail="", elapsed=None, budget=None):
@@ -33,83 +25,27 @@ def _criterion(num, desc, ok, detail="", elapsed=None, budget=None):
     assert ok, f"criterion {num} failed: {desc} {detail}"
 
 
+def _battery(results):
+    """Whether every result of a `checks` battery passed, and their details."""
+    return (all(ok for _, ok, _ in results),
+            "; ".join(f"{name}: {detail}" for name, _, detail in results))
+
+
 def test_criterion_01_comm_table_exact():
     comm_bytes("raw", 2, 4, 100)  # warm up import paths before timing
     t0 = time.perf_counter()
-    got = {kind: comm_bytes(kind, 2, 4, 100)
-           for kind in ("raw", "info_filter", "type1", "type2")}
+    got = {kind: comm_bytes(kind, 2, 4, 100) for kind in checks.BYTE_TABLE}
     elapsed = time.perf_counter() - t0
-    expected = {"raw": 10400, "info_filter": 22400, "type1": 8000,
-                "type2": 4000}
-    _criterion(1, "byte table m=2 n=4 N=100 exact", got == expected
+    _criterion(1, "byte table m=2 n=4 N=100 exact", got == checks.BYTE_TABLE
                and elapsed < 1e-3, f"{got}", elapsed, 1e-3)
 
 
 def test_criterion_02_identity_suite():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(1234)
-    worst = {"pinv": 0.0, "det": 0.0, "volume": 0.0, "mle": 0.0}
-    for _ in range(200):
-        m = int(rng.integers(1, 5))
-        g = rng.standard_normal((m, m))
-        s = g @ g.T + 0.1 * np.eye(m)
-        a = rng.standard_normal((m + int(rng.integers(0, 4)), m))
-        lhs = a.T @ pinv_psd(a @ s @ a.T) @ a
-        rhs = np.linalg.inv(s)
-        worst["pinv"] = max(worst["pinv"],
-                            np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
-        eig = np.linalg.eigvalsh(a @ s @ a.T)
-        prod_e = float(np.prod(eig[eig > 1e-12 * eig.max()]))
-        det_form = float(np.linalg.det(s) * np.linalg.det(a.T @ a))
-        worst["det"] = max(worst["det"],
-                           abs(prod_e - det_form) / abs(det_form))
-        clutter = ClutterModel(10.0, 1234.5)
-        tr = make_generic(a, MeasurementModel(rng.standard_normal((m, 4)), s))
-        scaled = clutter_density_transformed(clutter, tr)
-        ratio = clutter.density / scaled.density
-        target = math.sqrt(np.linalg.det(a.T @ a))
-        worst["volume"] = max(worst["volume"], abs(ratio - target) / target)
-
-    rng2 = np.random.default_rng(4321)
-    done = 0
-    while done < 200:
-        x_true = rng2.standard_normal(4) * 50
-        views_raw, views_tr, meas, meas_t = [], [], [], []
-        bad = False
-        for l in range(2):
-            h = np.hstack([np.eye(2), np.eye(2)]) if l == 0 else \
-                rng2.standard_normal((2, 4))
-            g = rng2.standard_normal((2, 2))
-            r = g @ g.T + 0.5 * np.eye(2)
-            a = rng2.standard_normal((int(rng2.integers(2, 6)), 2))
-            if np.linalg.cond(a) > 100 or np.linalg.cond(r) > 1e3:
-                bad = True
-                break
-            tr = make_generic(a, MeasurementModel(h, r))
-            clut = ClutterModel(10.0, 1e6)
-            z = h @ x_true + rng2.standard_normal(2)
-            meas.append(z)
-            meas_t.append(a @ z)
-            views_raw.append(mda_mod.SensorView(h, r, 0.9, clut, False))
-            views_tr.append(mda_mod.SensorView(
-                tr.Ht, tr.Rt, 0.9, clutter_density_transformed(clut, tr),
-                True))
-        if bad:
-            continue
-        info, _ = mda_mod._stacked_information(meas, views_raw)
-        if np.linalg.cond(info) > 1e6:
-            continue
-        x_raw = mda_mod.mle_state(meas, views_raw)
-        x_tr = mda_mod.mle_state(meas_t, views_tr)
-        worst["mle"] = max(worst["mle"], np.linalg.norm(x_raw - x_tr)
-                           / max(np.linalg.norm(x_raw), 1e-12))
-        done += 1
+    ok, detail = _battery(checks.check_lemmas(1234))
     elapsed = time.perf_counter() - t0
-    ok = all(v <= 1e-8 for v in worst.values()) and elapsed < 5.0
-    _criterion(2, "matrix identities on 200 instances each", ok,
-               "worst residuals " + ", ".join(f"{k}={v:.2e}"
-                                              for k, v in worst.items()),
-               elapsed, 5.0)
+    _criterion(2, "matrix identities on 200 instances each",
+               ok and elapsed < 5.0, detail, elapsed, 5.0)
 
 
 def test_criterion_03_score_equivalence():
@@ -212,65 +148,16 @@ def test_criterion_04_bp_single_scan_equivalence():
 
 def test_criterion_05_assignment_oracle():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(11)
-    exact_ok = 0
-    within = 0
-    for _ in range(100):
-        n_tracks = int(rng.integers(2, 4))
-        m1, m2 = int(rng.integers(3, 6)), int(rng.integers(3, 6))
-        groups = []
-        for _t in range(n_tracks):
-            cands = [mda_mod.Candidate((0, 0), float(abs(rng.normal())) * 0.5)]
-            for i in range(m1 + 1):
-                for j in range(m2 + 1):
-                    if (i, j) == (0, 0) or rng.random() > 0.7:
-                        continue
-                    cands.append(mda_mod.Candidate((i, j),
-                                                   float(rng.normal())))
-            groups.append(cands)
-        problem = mda_mod.AssignmentProblem("maintenance", groups, 2,
-                                            [m1, m2])
-        exact = mda_mod.solve_assignment_exact(problem)
-        enum_cost, _ = mda_mod.enumerate_assignment_minimum(problem)
-        if abs(exact.total_cost - enum_cost) < 1e-12 and \
-                not mda_mod.constraint_violations(problem, exact):
-            exact_ok += 1
-        relaxed = mda_mod.solve_assignment_relaxed(problem)
-        rel = (relaxed.total_cost - exact.total_cost) / max(
-            abs(exact.total_cost), 1e-12)
-        if rel <= 0.05 and not mda_mod.constraint_violations(problem,
-                                                             relaxed):
-            within += 1
+    ok, detail = _battery(checks.check_solvers(11))
     elapsed = time.perf_counter() - t0
-    ok = exact_ok == 100 and within >= 95 and elapsed < 60.0
-    _criterion(5, "assignment: exact = enumeration, relaxed within 5%", ok,
-               f"exact {exact_ok}/100, relaxed {within}/100", elapsed, 60.0)
+    _criterion(5, "assignment: exact = enumeration, relaxed within 5%",
+               ok and elapsed < 60.0, detail, elapsed, 60.0)
 
 
 def test_criterion_06_bp_tree_exactness():
-    from test_bp import enum_association_marginals
-
-    rng = np.random.default_rng(99)
-    worst = 0.0
-    for trial in range(50):
-        if trial % 2 == 0:
-            n, m = 1, int(rng.integers(1, 5))
-        else:
-            n, m = int(rng.integers(1, 5)), 1
-        beta = rng.uniform(0.1, 2.0, (n, m + 1))
-        xi = np.ones((m, n + 1))
-        xi[:, 0] = rng.uniform(0.5, 3.0, m)
-        msgs = bp_mod.AssociationMessages(beta.copy(), xi.copy())
-        kappa, iota = bp_mod.iterative_association(msgs, 10)
-        pa = beta * kappa
-        pa /= pa.sum(axis=1, keepdims=True)
-        pb = xi * iota
-        pb /= pb.sum(axis=1, keepdims=True)
-        pa_ref, pb_ref = enum_association_marginals(beta, xi)
-        worst = max(worst, float(np.max(np.abs(pa - pa_ref))),
-                    float(np.max(np.abs(pb - pb_ref))))
-    _criterion(6, "BP tree instances match enumeration", worst <= 1e-12,
-               f"worst abs deviation {worst:.2e} over 50 instances")
+    ok, detail = _battery(checks.check_bp_exactness(99))
+    _criterion(6, "BP tree instances match enumeration", ok,
+               f"{detail} over 50 instances")
 
 
 def test_criterion_07_scenario1_scaled():
@@ -359,23 +246,8 @@ def test_criterion_08_scenario2_scaled():
 
 
 def test_criterion_09_ospa_axioms():
-    rng = np.random.default_rng(2)
-    params = OspaParams(c=50.0, p=2.0)
-    worst_tri = -np.inf
-    sym_exact = True
-    identity_ok = True
-    for _ in range(500):
-        x, y, z = (rng.uniform(-200, 200, (int(rng.integers(0, 7)), 2))
-                   for _ in range(3))
-        dxy, dyx = ospa(x, y, params), ospa(y, x, params)
-        sym_exact &= dxy == dyx
-        worst_tri = max(worst_tri,
-                        ospa(x, z, params) - (dxy + ospa(y, z, params)))
-        identity_ok &= ospa(x, x, params) == 0.0
-    ok = sym_exact and identity_ok and worst_tri <= 1e-9
-    _criterion(9, "OSPA metric axioms on 500 random triples", ok,
-               f"symmetry exact={sym_exact}, worst triangle slack "
-               f"{worst_tri:.2e}")
+    ok, detail = _battery(checks.check_metrics(2))
+    _criterion(9, "OSPA metric axioms on 500 random triples", ok, detail)
 
 
 def test_criterion_10_determinism(tmp_path):

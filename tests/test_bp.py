@@ -1,6 +1,5 @@
 """Particle-BP tracker: messages, updates, beliefs, pipeline equivalence."""
 
-import itertools
 import math
 
 import numpy as np
@@ -27,6 +26,7 @@ from trackfuse.bp import (
     measurement_update,
     propose_births,
 )
+from trackfuse.checks import enum_association_marginals
 from trackfuse.errors import DegenerateBeliefError, InputError, NumericsError
 from trackfuse.linalg import psd_eig
 from trackfuse.models import MeasurementBatch, MotionModel
@@ -37,32 +37,6 @@ def cv_motion(q=0.0):
     f = np.kron(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
     gamma = np.kron(np.array([[0.5], [1.0]]), np.eye(2))
     return MotionModel(f, gamma @ (q ** 2 * np.eye(2)) @ gamma.T)
-
-
-def enum_association_marginals(beta, xi):
-    """Exhaustive marginals over admissible association events (oracle)."""
-    n, m = beta.shape[0], beta.shape[1] - 1
-    pa = np.zeros_like(beta)
-    pb = np.zeros_like(xi)
-    for avec in itertools.product(range(m + 1), repeat=n):
-        for bvec in itertools.product(range(n + 1), repeat=m):
-            admissible = True
-            for t in range(n):
-                for i in range(m):
-                    a, b = avec[t], bvec[i]
-                    if (a == i + 1 and b != t + 1) or \
-                            (b == t + 1 and a != i + 1):
-                        admissible = False
-            if not admissible:
-                continue
-            w = np.prod([beta[t, avec[t]] for t in range(n)]) * \
-                np.prod([xi[i, bvec[i]] for i in range(m)])
-            for t in range(n):
-                pa[t, avec[t]] += w
-            for i in range(m):
-                pb[i, bvec[i]] += w
-    return (pa / pa.sum(axis=1, keepdims=True),
-            pb / pb.sum(axis=1, keepdims=True))
 
 
 def uniform_belief(particles, r, label=0):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from trackfuse import cli
+from trackfuse import checks, cli
 from trackfuse.errors import InputError
 
 SCENARIO_FILE = """
@@ -56,7 +56,11 @@ class TestScenarioFile:
             cli.parse_scenario_file(path)
 
     @pytest.mark.parametrize("key, value", [("clutter_rate", "0"), ("clutter_rate", "-2"),
-                                            ("p_d", "0"), ("p_d", "1.5")])
+                                            ("clutter_rate", "inf"),
+                                            ("p_d", "0"), ("p_d", "1.5"),
+                                            ("fov_range", "nan"), ("fov_range", "0"),
+                                            ("fov_half_angle", "0"),
+                                            ("fov_half_angle", "3.2")])
     def test_sensor_rate_out_of_range_reports_line(self, tmp_path, key, value):
         # clutter_rate = 0 used to pass here and crash the run in math.log
         text = SCENARIO_FILE.replace("p_d=0.9\nclutter_rate=5",
@@ -65,6 +69,23 @@ class TestScenarioFile:
         path = tmp_path / "rates.cfg"
         path.write_text(text)
         with pytest.raises(InputError, match=f"rates.cfg:{lineno}: '{key}' must be"):
+            cli.load_scenario(str(path))
+
+    @pytest.mark.parametrize("line, bad", [
+        ("duration=20", "duration=nan"), ("duration=20", "duration=inf"),
+        ("duration=20", "duration=0"), ("duration=20", "duration=2.5"),
+        ("dt=1.0", "dt=0"), ("dt=1.0", "dt=nan"), ("q=0.1", "q=-1"),
+        ("q=0.1", "q=inf"), ("sigma=5.0", "sigma=-1"), ("birth=1", "birth=1.5"),
+        ("death=20", "death=inf")])
+    def test_scenario_and_target_numbers_report_line(self, tmp_path, line, bad):
+        # duration=nan used to raise a bare ValueError, and dt=0 and sigma=-1
+        # used to run to exit code 0
+        text = SCENARIO_FILE.replace(line, bad)
+        lineno = text.splitlines().index(bad) + 1
+        path = tmp_path / "numbers.cfg"
+        path.write_text(text)
+        key = bad.split("=")[0]
+        with pytest.raises(InputError, match=f"numbers.cfg:{lineno}: '{key}' must be"):
             cli.load_scenario(str(path))
 
     def test_missing_file(self):
@@ -205,6 +226,13 @@ class TestChecks:
 
     def test_unknown_suite(self, capsys):
         assert cli.run_checks("nope") == 2
+
+    def test_failing_battery_exits_nonzero(self, monkeypatch, capsys):
+        monkeypatch.setitem(checks.SUITES, "metrics",
+                            lambda: [("holds", True, "fine"), ("breaks", False, "off by 1")])
+        assert cli.run_checks("metrics") == 1
+        out = capsys.readouterr().out
+        assert "[PASS] holds: fine" in out and "[FAIL] breaks: off by 1" in out
 
 
 class TestIoErrors:

@@ -10,6 +10,11 @@ from scipy.stats import chi2
 
 from conftest import paired_views, position_model, random_track
 from trackfuse import mda as mda_mod
+from trackfuse.checks import (
+    constraint_violations,
+    enumerate_assignment_minimum,
+    random_maintenance_problem,
+)
 from trackfuse.errors import InconsistentTransformError, UnobservableHypothesisError
 from trackfuse.mda import (
     BIG,
@@ -22,8 +27,6 @@ from trackfuse.mda import (
     SensorView,
     build_initiation_problem,
     build_mda_problem,
-    constraint_violations,
-    enumerate_assignment_minimum,
     enumerate_mda_problem,
     gate_distances,
     mda_pipeline_step,
@@ -45,19 +48,6 @@ from trackfuse.models import (
 )
 from trackfuse.sim import motion_model, prepare_run, run_mda_fusion, scenario1
 from trackfuse.transform import ClutterModel
-
-
-def random_maintenance_problem(rng, n_tracks, m1, m2, keep=0.7):
-    groups = []
-    for _ in range(n_tracks):
-        cands = [Candidate((0, 0), float(abs(rng.normal())) * 0.5)]
-        for i in range(m1 + 1):
-            for j in range(m2 + 1):
-                if (i, j) == (0, 0) or rng.random() > keep:
-                    continue
-                cands.append(Candidate((i, j), float(rng.normal())))
-        groups.append(cands)
-    return AssignmentProblem("maintenance", groups, 2, [m1, m2])
 
 
 class TestScoreWithPrior:
