@@ -96,6 +96,10 @@ from .transform import LOG_2PI, ClutterModel
 
 # Most particles in one stage block (see the module docstring).
 BLOCK_PARTICLES = 32768
+# Most particles per belief. A step's input and output blocks together hold
+# up to 2 x 136 beliefs (the most a scenario-2 step carried) x Np x 40 B:
+# about 0.54 GB at this cap.
+MAX_PARTICLES = 50_000
 
 
 @dataclass
@@ -169,6 +173,8 @@ class BpConfig:
         n = self.n_particles
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise InputError("need an integer particle count >= 1")
+        if n > MAX_PARTICLES:
+            raise InputError(f"need at most {MAX_PARTICLES} particles, got {n}")
 
 
 @dataclass

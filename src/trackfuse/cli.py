@@ -112,6 +112,12 @@ def parse_scenario_file(path: Path) -> sim_mod.ScenarioConfig:
             raise InputError(f"{path}:{lineno}: '{key}' needs {n} values")
         return vals
 
+    def finite(sec, key, n, default=None):
+        vals = floats(sec, key, n, default)
+        if not all(map(math.isfinite, vals)):
+            raise InputError(f"{path}:{sec[1][key][1]}: '{key}' must be finite")
+        return vals
+
     def checked(sec, key, default, ok, rule):
         value = floats(sec, key, 1, None if default is None else [default])[0]
         if not ok(value):
@@ -140,11 +146,11 @@ def parse_scenario_file(path: Path) -> sim_mod.ScenarioConfig:
     for sec in sections:
         name = sec[0]
         if name == "sensor":
-            position = floats(sec, "position", 2)
+            position = finite(sec, "position", 2)
             if "boresight" in sec[1]:
-                boresight = floats(sec, "boresight", 1)[0]
+                boresight = finite(sec, "boresight", 1)[0]
             else:
-                aim = floats(sec, "aim_at", 2, [0.0, 0.0])
+                aim = finite(sec, "aim_at", 2, [0.0, 0.0])
                 boresight = math.atan2(aim[1] - position[1], aim[0] - position[0])
             sensors.append(sim_mod.SensorConfig(
                 np.array(position), boresight,
@@ -156,7 +162,7 @@ def parse_scenario_file(path: Path) -> sim_mod.ScenarioConfig:
         elif name == "target":
             targets.append(sim_mod.TargetConfig(
                 integer(sec, "birth"), integer(sec, "death"),
-                np.array(floats(sec, "state", 4))))
+                np.array(finite(sec, "state", 4))))
         elif name != "scenario":
             raise InputError(f"{path}:{sec[2]}: unknown section [{name}]")
     if not sensors or not targets:
@@ -342,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", default="out")
     run_p.add_argument("--workers", type=int, default=1)
     run_p.add_argument("--particles", type=int, default=1000,
-                       help="particles per BP target")
+                       help=f"particles per BP target (at most {bp_mod.MAX_PARTICLES})")
 
     check_p = sub.add_parser("check", help="run a property-check suite")
     check_p.add_argument("suite", choices=sorted(checks.SUITES) + ["all"])

@@ -150,14 +150,6 @@ def inv_spd(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     return symmetrize(ci.swapaxes(-1, -2) @ ci)
 
 
-def chol_logdet_and_solve(s: np.ndarray, d: np.ndarray, what: str = "covariance"):
-    """Return (log det S, S^-1 d) for SPD S; d may be (m,) or (m, k)."""
-    c = cholesky(s, what)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
-    y = np.linalg.solve(c, d)
-    return logdet, np.linalg.solve(c.T, y)
-
-
 def sym_sqrt_and_invsqrt(m: np.ndarray, clamp: float = 1e-14):
     """Symmetric square root and inverse square root of an SPD matrix.
 

@@ -120,11 +120,6 @@ class SensorView:
                                            self.transformed)[0]
         return self._factor
 
-    def log_meas_likelihood(self, z, z_pred, cov) -> float:
-        if self.transformed:
-            return generalized_log_likelihood(z, z_pred, cov)
-        return gaussian_log_likelihood(z, z_pred, cov)
-
 
 @dataclass
 class HypothesisCost:
@@ -211,8 +206,9 @@ def score_with_prior(track_pred: GaussianEstimate,
         else:
             z_hat = sv.H @ track_pred.mean
             s = symmetrize(sv.H @ track_pred.cov @ sv.H.T + sv.R)
-            log_l += (math.log(sv.p_d)
-                      + sv.log_meas_likelihood(z, z_hat, s)
+            loglik = (generalized_log_likelihood if sv.transformed
+                      else gaussian_log_likelihood)
+            log_l += (math.log(sv.p_d) + loglik(z, z_hat, s)
                       - math.log(sv.clutter.rate) - sv.clutter.log_density)
     return HypothesisCost(indices, log_l)
 
@@ -257,14 +253,34 @@ def mle_state(meas: Sequence[Optional[np.ndarray]],
     return np.linalg.solve(info, ivec)
 
 
+def _noise_log_likelihood(sv: SensorView, z, z_pred) -> float:
+    """log N(z; z_pred, R) from the view's factor: the Cholesky factor of R
+    for raw payloads; for transformed ones the nonzero eigenpairs, and the
+    residual must lie in the range of R (as in `generalized_log_likelihood`)."""
+    f = sv.factor
+    d = np.asarray(z, dtype=float).reshape(-1) - z_pred
+    if not sv.transformed:
+        y = np.linalg.solve(f.chol, d)
+        return -0.5 * (d.size * LOG_2PI + f.logdet + float(y @ y))
+    if f.rank == 0:
+        raise NumericsError("transformed covariance has rank zero")
+    proj = f.v.T @ d
+    dn = float(np.linalg.norm(d))
+    if dn > 0 and float(np.linalg.norm(d - f.v @ proj)) > 1e-8 * dn:
+        raise InconsistentTransformError(
+            "residual is outside the range of the transformed covariance")
+    return -0.5 * (f.rank * LOG_2PI + f.logdet + float(np.sum(proj * proj / f.w)))
+
+
 def score_without_prior(meas: Sequence[Optional[np.ndarray]],
                         sensors: Sequence[SensorView],
                         indices: Optional[tuple] = None) -> HypothesisCost:
     """Generalized likelihood-ratio score for a prior-free tuple.
 
     The likelihood is evaluated at the WLS estimate with the measurement
-    noise covariance itself (no prior spread). Tuples with fewer than two
-    measurements cannot corroborate a new track and get cost +inf.
+    noise covariance itself (no prior spread), from the view's factor.
+    Tuples with fewer than two measurements cannot corroborate a new track
+    and get cost +inf.
     """
     n_meas = sum(z is not None for z in meas)
     if n_meas < 2:
@@ -275,9 +291,7 @@ def score_without_prior(meas: Sequence[Optional[np.ndarray]],
         if z is None:
             log_l += _log_miss(sv.p_d)
         else:
-            z_pred = sv.H @ x_ml
-            log_l += (math.log(sv.p_d)
-                      + sv.log_meas_likelihood(z, z_pred, sv.R)
+            log_l += (math.log(sv.p_d) + _noise_log_likelihood(sv, z, sv.H @ x_ml)
                       - math.log(sv.clutter.rate) - sv.clutter.log_density)
     return HypothesisCost(indices, log_l)
 

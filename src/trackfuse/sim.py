@@ -14,6 +14,10 @@ tape's models. Each scan's batches, views into those stacks with the
 measurements mapped by their own A, are made when the loop reaches the
 scan. `encode_batch` is the same pass over one (scan, sensor)
 transmission; its batches equal the tape pass's bit for bit.
+
+Both engines run in one per-scan fusion loop (`_fuse`); `run_mda_fusion`
+and `run_bp_fusion` supply only its engine step, and the BP step builds
+its inputs from one scan of `encode_tape` with `bp_inputs`.
 """
 
 from __future__ import annotations
@@ -531,19 +535,36 @@ class RunRecord:
         return float(np.mean(self.comm_bytes))
 
 
-def _truth_tracks(truth):
-    return {i: {s: x[:2] for s, x in traj.items()} for i, traj in enumerate(truth)}
-
-
-def _record_metrics(scan, estimates, truth, est_history, truth_tracks,
-                    params: OspaParams, ospa2_cache: dict):
-    truth_pos = [traj[scan][:2] for traj in truth if scan in traj]
-    est_pos = [pos for _, pos in estimates]
-    for label, pos in estimates:
-        est_history.record(label, scan, np.asarray(pos, dtype=float))
-    d1 = ospa(est_pos, truth_pos, params)
-    d2 = ospa2(est_history, truth_tracks, scan, params, ospa2_cache)
-    return d1, d2, len(est_pos), len(truth_pos)
+def _fuse(cfg: ScenarioConfig, tapes, sends, payload: str,
+          ospa_params: Optional[OspaParams], step) -> RunRecord:
+    """Encode the tape, then per scan book the transmissions, run
+    `step(scan, scan_list, pairs) -> [(label, position)]` on the scan's
+    sensor outputs and encoded (batch, clutter) pairs, and score its
+    estimates (OSPA, OSPA(2), cardinalities, bytes)."""
+    params = ospa_params or OspaParams()
+    truth = tapes["truth"]
+    truth_tracks = {i: {s: x[:2] for s, x in traj.items()}
+                    for i, traj in enumerate(truth)}
+    ledger = CommLedger()
+    est_history = TrackHistory()
+    ospa2_cache: dict = {}
+    rows = []  # per scan: OSPA, OSPA(2), estimated and true cardinality, bytes
+    encoded = encode_tape(cfg, tapes, sends, payload)
+    for scan, scan_list, sent_list, pairs in zip(
+            range(1, cfg.duration + 1), tapes["scans"], sends, encoded):
+        for scan_data, sent in zip(scan_list, sent_list):
+            ledger.record(scan, scan_data.sensor_id, len(sent), payload,
+                          scan_data.model.m, scan_data.model.n)
+        estimates = step(scan, scan_list, pairs)
+        for label, pos in estimates:
+            est_history.record(label, scan, np.asarray(pos, dtype=float))
+        est_pos = [pos for _, pos in estimates]
+        truth_pos = [traj[scan][:2] for traj in truth if scan in traj]
+        rows.append((ospa(est_pos, truth_pos, params),
+                     ospa2(est_history, truth_tracks, scan, params, ospa2_cache),
+                     len(est_pos), len(truth_pos), ledger.bytes_for_scan(scan)))
+    columns = [np.array(c) for c in zip(*rows)] or [np.zeros(0)] * 5
+    return RunRecord(*columns[:4], columns[4].astype(float))
 
 
 def run_mda_fusion(cfg: ScenarioConfig, tapes, sends, payload: str,
@@ -551,60 +572,29 @@ def run_mda_fusion(cfg: ScenarioConfig, tapes, sends, payload: str,
                    ospa_params: Optional[OspaParams] = None) -> RunRecord:
     """Fuse a prepared measurement tape with the MDA pipeline."""
     mda_cfg = mda_cfg or mda_mod.MdaConfig()
-    params = ospa_params or OspaParams()
     motion = motion_model(cfg)
-    truth = tapes["truth"]
-    truth_tracks = _truth_tracks(truth)
-    ledger = CommLedger()
-    tracks: list = []
-    next_label = 0
-    est_history = TrackHistory()
-    ospa2_cache: dict = {}
-    curves = {k: [] for k in ("ospa", "ospa2", "card_est", "card_true", "comm")}
-    encoded = encode_tape(cfg, tapes, sends, payload)
+    tracks, next_label = [], 0
 
-    for scan, pairs in zip(range(1, cfg.duration + 1), encoded):
-        batches = []
-        views = []
-        for scan_data, sent, (batch, clutter) in zip(
-                tapes["scans"][scan - 1], sends[scan - 1], pairs):
-            sensor = cfg.sensors[scan_data.sensor_id]
-            batches.append(batch)
-            views.append(mda_mod.SensorView.from_batch(batch, sensor.p_d, clutter))
-            ledger.record(scan, scan_data.sensor_id, len(sent), payload,
-                          scan_data.model.m, scan_data.model.n)
+    def step(scan, scan_list, pairs):
+        nonlocal tracks, next_label
+        views = [mda_mod.SensorView.from_batch(
+                     batch, cfg.sensors[scan_data.sensor_id].p_d, clutter)
+                 for scan_data, (batch, clutter) in zip(scan_list, pairs)]
         tracks, next_label, _ = mda_mod.mda_pipeline_step(
-            tracks, batches, views, motion, mda_cfg, next_label, scan)
-        estimates = [(t.label, t.est.mean[:2]) for t in tracks if t.confirmed]
-        d1, d2, n_est, n_true = _record_metrics(
-            scan, estimates, truth, est_history, truth_tracks, params, ospa2_cache)
-        curves["ospa"].append(d1)
-        curves["ospa2"].append(d2)
-        curves["card_est"].append(n_est)
-        curves["card_true"].append(n_true)
-        curves["comm"].append(ledger.bytes_for_scan(scan))
-    return RunRecord(np.array(curves["ospa"]), np.array(curves["ospa2"]),
-                     np.array(curves["card_est"]), np.array(curves["card_true"]),
-                     np.array(curves["comm"], dtype=float))
+            tracks, [batch for batch, _ in pairs], views, motion, mda_cfg,
+            next_label, scan)
+        return [(t.label, t.est.mean[:2]) for t in tracks if t.confirmed]
+
+    return _fuse(cfg, tapes, sends, payload, ospa_params, step)
 
 
-def bp_scan_inputs(cfg: ScenarioConfig, scan_list, sends_scan, payload: str):
-    """Per-sensor BP inputs for one scan of a prepared tape."""
-    return _bp_inputs(cfg, scan_list, [
-        encode_batch(scan_data, sent, payload,
-                     cfg.sensors[scan_data.sensor_id].clutter_rate)
-        for scan_data, sent in zip(scan_list, sends_scan)])
-
-
-def _bp_inputs(cfg: ScenarioConfig, scan_list, encoded):
-    """BP inputs of one scan's encoded (batch, clutter) pairs."""
-    inputs = []
-    for scan_data, (batch, clutter) in zip(scan_list, encoded):
-        sensor = cfg.sensors[scan_data.sensor_id]
-        inputs.append(bp_mod.BpSensorInput(
-            batch, sensor.p_d, clutter,
-            detect_fn=_fov_detect_fn(sensor.fov(), sensor.p_d)))
-    return inputs
+def bp_inputs(cfg: ScenarioConfig, scan_list, pairs):
+    """Per-sensor BP inputs of one scan: the sensor outputs `scan_list` and
+    their encoded (batch, clutter) `pairs`, one item of `encode_tape`."""
+    sensors = [cfg.sensors[scan_data.sensor_id] for scan_data in scan_list]
+    return [bp_mod.BpSensorInput(batch, sensor.p_d, clutter,
+                                 detect_fn=_fov_detect_fn(sensor.fov(), sensor.p_d))
+            for sensor, (batch, clutter) in zip(sensors, pairs)]
 
 
 def bp_rng_factory(seed: int, scan: int):
@@ -625,44 +615,22 @@ def run_bp_fusion(cfg: ScenarioConfig, tapes, sends, payload: str, seed: int,
     it per scan index.
     """
     bp_cfg = bp_cfg or bp_mod.BpConfig()
-    params = ospa_params or OspaParams()
     motion = motion_model(cfg)
-    truth = tapes["truth"]
-    truth_tracks = _truth_tracks(truth)
-    ledger = CommLedger()
     # the belief list between scans; each step is handed the only reference
     # to it, so that its prediction frees the previous scan's blocks
     carried: list = [[]]
-    est_history = TrackHistory()
-    ospa2_cache: dict = {}
-    curves = {k: [] for k in ("ospa", "ospa2", "card_est", "card_true", "comm")}
-    encoded = encode_tape(cfg, tapes, sends, payload)
 
-    for scan, pairs in zip(range(1, cfg.duration + 1), encoded):
-        inputs = _bp_inputs(cfg, tapes["scans"][scan - 1], pairs)
-        for scan_data, sent in zip(tapes["scans"][scan - 1], sends[scan - 1]):
-            ledger.record(scan, scan_data.sensor_id, len(sent), payload,
-                          scan_data.model.m, scan_data.model.n)
-
+    def step(scan, scan_list, pairs):
         trace = [] if trace_scans is not None else None
         beliefs, estimates = bp_mod.bp_pipeline_step(
-            carried.pop(), inputs, motion, bp_cfg, bp_rng_factory(seed, scan),
-            scan, trace)
+            carried.pop(), bp_inputs(cfg, scan_list, pairs), motion, bp_cfg,
+            bp_rng_factory(seed, scan), scan, trace)
         carried.append(beliefs)
-        del beliefs
         if trace_scans is not None:
             trace_scans[scan] = trace
-        est_pairs = [(label, mean[:2]) for label, mean in estimates]
-        d1, d2, n_est, n_true = _record_metrics(
-            scan, est_pairs, truth, est_history, truth_tracks, params, ospa2_cache)
-        curves["ospa"].append(d1)
-        curves["ospa2"].append(d2)
-        curves["card_est"].append(n_est)
-        curves["card_true"].append(n_true)
-        curves["comm"].append(ledger.bytes_for_scan(scan))
-    return RunRecord(np.array(curves["ospa"]), np.array(curves["ospa2"]),
-                     np.array(curves["card_est"]), np.array(curves["card_true"]),
-                     np.array(curves["comm"], dtype=float))
+        return [(label, mean[:2]) for label, mean in estimates]
+
+    return _fuse(cfg, tapes, sends, payload, ospa_params, step)
 
 
 def _fov_detect_fn(fov: FieldOfView, p_d: float):

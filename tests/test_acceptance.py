@@ -130,7 +130,8 @@ def test_criterion_04_bp_single_scan_equivalence():
     base = _synthetic_scenario2_beliefs(cfg, truth, scan, 500, seed)
     traces = {}
     for payload in ("raw", "type2"):
-        inputs = sim_mod.bp_scan_inputs(cfg, scan_list, sends, payload)
+        pairs = next(sim_mod.encode_tape(cfg, {"scans": [scan_list]}, [sends], payload))
+        inputs = sim_mod.bp_inputs(cfg, scan_list, pairs)
         trace = []
         bp_mod.bp_pipeline_step(_copy_beliefs(base), inputs, motion, bp_cfg,
                                 sim_mod.bp_rng_factory(seed, scan), scan,
@@ -213,13 +214,14 @@ def test_criterion_08_scenario2_scaled():
         seed = 100 + run
         tapes, sends = sim_mod.prepare_run(cfg, seed)
         beliefs = {"raw": [], "type2": []}
+        encoded = {p: sim_mod.encode_tape(cfg, tapes, sends, p) for p in beliefs}
         reached_ten = False
         for scan in range(1, cfg.duration + 1):
             traces = {}
             cards = {}
             for payload in ("raw", "type2"):
-                inputs = sim_mod.bp_scan_inputs(
-                    cfg, tapes["scans"][scan - 1], sends[scan - 1], payload)
+                inputs = sim_mod.bp_inputs(
+                    cfg, tapes["scans"][scan - 1], next(encoded[payload]))
                 trace = []
                 beliefs[payload], estimates = bp_mod.bp_pipeline_step(
                     beliefs[payload], inputs, motion, bp_cfg,

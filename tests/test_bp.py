@@ -1049,6 +1049,12 @@ class TestErrorPaths:
                 BpConfig(n_particles=bad)
         assert BpConfig(n_particles=np.int64(3)).n_particles == 3
 
+    def test_particle_count_is_capped(self):
+        # checked before anything is allocated: the cap itself is accepted
+        assert BpConfig(n_particles=bp.MAX_PARTICLES).n_particles == 50_000
+        with pytest.raises(InputError, match="at most 50000 particles"):
+            BpConfig(n_particles=bp.MAX_PARTICLES + 1)
+
     def test_weights_not_matching_particles_rejected(self):
         with pytest.raises(InputError):
             ParticleBelief(np.zeros((5, 4)), np.full(4, 0.1), 0.4, "x")

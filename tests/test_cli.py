@@ -2,6 +2,7 @@
 
 import pytest
 
+from trackfuse import bp as bp_mod
 from trackfuse import checks, cli
 from trackfuse.errors import InputError
 
@@ -88,6 +89,22 @@ class TestScenarioFile:
         with pytest.raises(InputError, match=f"numbers.cfg:{lineno}: '{key}' must be"):
             cli.load_scenario(str(path))
 
+    @pytest.mark.parametrize("line, bad", [
+        ("position=-600,-800", "position=nan,-800"),
+        ("aim_at=0,-200", "aim_at=inf,-200"),
+        ("aim_at=0,-200", "boresight=-inf"),
+        ("state=-100,-100,8,1", "state=nan,-100,8,1")])
+    def test_list_fields_must_be_finite(self, tmp_path, line, bad):
+        # a nan state or sensor position used to run to exit code 0, the
+        # target or sensor silently missing from the curves
+        text = SCENARIO_FILE.replace(line, bad, 1)
+        lineno = text.splitlines().index(bad) + 1
+        path = tmp_path / "lists.cfg"
+        path.write_text(text)
+        key = bad.split("=")[0]
+        with pytest.raises(InputError, match=f"lists.cfg:{lineno}: '{key}' must be finite"):
+            cli.load_scenario(str(path))
+
     def test_missing_file(self):
         with pytest.raises(InputError, match="not found"):
             cli.parse_scenario_file(cli.Path("/nonexistent/file.cfg"))
@@ -124,7 +141,8 @@ class TestSpec:
         assert spec.output_dir.endswith("envout")
 
     @pytest.mark.parametrize("flags", [["--particles", "0"], ["--particles", "-1"],
-                                       ["--workers", "0"]])
+                                       ["--workers", "0"],
+                                       ["--particles", str(bp_mod.MAX_PARTICLES + 1)]])
     def test_bad_count_exits_with_error(self, tmp_path, capsys, flags):
         # a particle count below one used to end in numpy's ValueError
         rc = cli.main(["run", "--fusion", "mda", "--runs", "1",
@@ -132,6 +150,12 @@ class TestSpec:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
+
+    def test_particle_count_at_the_cap_is_accepted(self):
+        # parsed only: a run at the cap would allocate about 0.5 GB per step
+        args = cli.build_parser().parse_args(
+            ["run", "--fusion", "bp", "--particles", str(bp_mod.MAX_PARTICLES)])
+        assert cli.spec_from_args(args).n_particles == 50_000
 
     def test_pool_size_is_capped_by_jobs_and_cpus(self, monkeypatch):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)

@@ -47,7 +47,11 @@ from trackfuse.models import (
     update_transformed,
 )
 from trackfuse.sim import motion_model, prepare_run, run_mda_fusion, scenario1
-from trackfuse.transform import ClutterModel
+from trackfuse.transform import (
+    ClutterModel,
+    gaussian_log_likelihood,
+    generalized_log_likelihood,
+)
 
 
 class TestScoreWithPrior:
@@ -136,6 +140,34 @@ class TestScoreWithoutPrior:
                 s_tr = score_without_prior(meas_t, views_tr)
                 assert s_raw.log_score == pytest.approx(s_tr.log_score,
                                                         abs=1e-9)
+
+    def test_factor_route_equals_the_likelihood_functions(self):
+        # the score reads each view's factor; it equals, bit for bit, the
+        # same sum built from log-likelihoods that factor R on every call
+        rng = np.random.default_rng(6)
+        for kind in ("type1", "type2", "generic"):
+            for _ in range(20):
+                views_raw, views_tr, trs = paired_views(rng, 2, kind)
+                x_true = rng.standard_normal(4) * 50
+                meas = [v.H @ x_true + rng.standard_normal(2) for v in views_raw]
+                meas_t = [tr.A @ z for tr, z in zip(trs, meas)]
+                for views, zs, loglik in ((views_raw, meas, gaussian_log_likelihood),
+                                          (views_tr, meas_t, generalized_log_likelihood)):
+                    x_ml = mle_state(zs, views, observable_subspace=True)
+                    want = 0.0
+                    for z, v in zip(zs, views):
+                        want += (math.log(v.p_d) + loglik(z, v.H @ x_ml, v.R)
+                                 - math.log(v.clutter.rate) - v.clutter.log_density)
+                    assert score_without_prior(zs, views).log_score == want
+
+    def test_residual_outside_the_noise_range_is_rejected(self):
+        h = np.hstack([np.eye(2), np.zeros((2, 2))])
+        views = [SensorView(h, np.diag([25.0, 0.0]), 0.9, ClutterModel(5.0, 1e6),
+                            transformed=True) for _ in range(2)]
+        in_range = [np.array([1.0, 0.0]), np.array([2.0, 0.0])]
+        assert math.isfinite(score_without_prior(in_range, views).log_score)
+        with pytest.raises(InconsistentTransformError):
+            score_without_prior([np.array([1.0, 3.0]), np.array([2.0, 0.0])], views)
 
 
 class TestBuildProblem:

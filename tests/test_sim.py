@@ -1,5 +1,6 @@
 """Scenario generation, the local GNN tracker, and harness determinism."""
 
+import dataclasses
 import itertools
 import math
 import weakref
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from trackfuse import bp as bp_mod
+from trackfuse import mda as mda_mod
 from trackfuse.errors import NumericsError
 from trackfuse.linalg import chi2_gate, symmetrize
 from trackfuse.models import GaussianEstimate, innovation, predict, update_raw
@@ -26,7 +28,9 @@ from trackfuse.sim import (
     motion_model,
     prepare_run,
     rng_stream,
+    RunRecord,
     run_bp_fusion,
+    run_mda_fusion,
     run_single,
     scenario1,
     scenario2,
@@ -586,6 +590,36 @@ class TestHarness:
         run_bp_fusion(cfg, tapes, sends, "raw", 3, bp_mod.BpConfig(n_particles=50))
         assert sum(n for n, _ in checked) > 0
         assert [alive for _, alive in checked] == [0] * len(checked)
+
+    @pytest.mark.parametrize("fusion", ["mda", "bp"])
+    def test_fusion_loop_calls_the_module_step_once_per_scan(self, monkeypatch, fusion):
+        # the benchmark times the scans and hands turns between payload arms
+        # by patching the engine step into its module, so the loop has to
+        # look the step up there at every scan
+        cfg = scenario1()
+        cfg.duration = 12
+        tapes, sends = prepare_run(cfg, 7)
+        if fusion == "mda":
+            module, name = mda_mod, "mda_pipeline_step"
+            fuse = lambda: run_mda_fusion(cfg, tapes, sends, "type2")
+        else:
+            module, name = bp_mod, "bp_pipeline_step"
+            fuse = lambda: run_bp_fusion(cfg, tapes, sends, "type2", 7,
+                                         bp_mod.BpConfig(n_particles=50))
+        plain = fuse()
+        step, calls = getattr(module, name), []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        counted = fuse()
+        assert len(calls) == cfg.duration
+        for f in dataclasses.fields(RunRecord):
+            np.testing.assert_array_equal(getattr(counted, f.name),
+                                          getattr(plain, f.name))
+        assert plain.card_est.any()
 
     def test_rng_stream_independence_and_reproducibility(self):
         a = rng_stream(5, "x", 1).standard_normal(4)
