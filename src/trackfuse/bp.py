@@ -6,63 +6,49 @@ number of message-passing iterations produces the association products
 kappa and iota, and the particle beliefs are reweighted, normalized and
 augmented with one potential newborn per measurement.
 
-Beliefs live in blocks: particles (B, Np, n) and weights (B, Np) for
-consecutive beliefs with equal particle counts. A belief that this module
-builds is a row view of its blocks and records the block and row of its
-particles and of its weights; the per-row outputs of the stages (detection
-probabilities, birth clouds and likelihoods, posteriors) are `_Rows`,
-which record the same for their rows.
+The beliefs of a scan are one struct of arrays, `Beliefs`: particles
+(N, Np, n), weights (N, Np), existence probabilities and missed-scan counts
+(N,) each, and a list of labels. Every belief has cfg.n_particles
+particles: births draw that many, and prediction and resampling keep the
+count. The stages that take the config reject other counts before any
+work. Every stage walks the rows in stage blocks, the slices of at most
+BLOCK_PARTICLES particles and at least one belief (`_blocks`). Random draws
+stay in belief order, so the partition never changes a number.
 
-Every stage walks the same partition of its belief list into stage blocks
-(`_blocks`): the runs of equal particle counts (`_runs`), cut into pieces
-of at most BLOCK_PARTICLES particles (a larger belief is a piece of its
-own). Pieces keep the belief order, so random draws stay in belief order
-and the partition never changes a number. A stage passes any sequence of
-rows to `_block_rows` (the records are looked up in `_records` alone): it
-returns a slice of the stored block when the piece's rows are consecutive
-rows of one block, and a stack of the rows otherwise.
-
-When blocks are built and which rows a step rewrites:
-- Prediction writes new particle and weight blocks per stage block (the
-  process noise is drawn once per block).
-- Births draw each measurement's cloud into one (M, Np, n) block.
+Per sensor step:
+- Prediction (once per scan) writes new (N, Np, n) particles, drawing the
+  process noise once per block, and new (N, Np) weights.
+- Births draw each measurement's cloud into one (M, Np, n) array.
 - Measurement evaluation projects a block's particles into measurement
   space once, z = H x. The gate takes each belief's weighted mean and
   covariance of z and one stacked eigendecomposition of the innovation
   covariances; the likelihood of every gated (belief, measurement) pair
   reads the same z (a triangular solve for raw payloads, one right-side
   BLAS `dtrsm` on the residuals, see `_whiten`; an eigen projection for
-  transformed ones). The detection probabilities are one (B, Np) block
-  per block, handed to the update through `AssociationMessages`.
-- The update forms kappa(0) (1 - p_d) per block and adds the gated
-  (tau, i) terms of `q_cache` in its order, into one (B, Np) block of
-  unnormalized posteriors per block.
-- Belief calculation writes one output block per step: the updated
-  survivors, then the newborns, go into one new (N+M, Np, n) particle
-  block and one (N+M, Np) weight block (one of each per run of equal
-  particle counts). Weights are normalized into their rows, particles are
-  copied into theirs, and a resampled row is written from its indices.
-  Every stage of the next sensor step reads slices of these two arrays.
-- After pruning, the survivors of a run that lost rows move to a new
-  block (`_compact`), so the scan's result holds no pruned rows.
-The detection and posterior blocks are dropped when the step is done with
-them, and a superseded block goes with the last belief that views it.
-Stacking still runs for beliefs built outside this module, for lists that
-were pruned or reordered outside the pipeline, and in `_compact`.
+  transformed ones). The detection probabilities are one (N, Np) array,
+  handed to the update through `AssociationMessages`.
+- The update forms kappa(0) (1 - p_d) and adds the gated (tau, i) terms of
+  `q_cache` in its order, into one (N, Np) array of unnormalized
+  posteriors; the newborns' are one (M, Np) array.
+- Belief calculation writes the updated survivors, then the newborns, into
+  one new (N+M, Np, n) particle array and one (N+M, Np) weight array:
+  weights are normalized block by block in place, particles are copied,
+  and a resampled row is written from its indices.
+- After the last sensor, pruning keeps the surviving rows by a mask; the
+  copy holds no pruned rows.
 
-The cap bounds the temporaries of a stage, which grow with its stage
-block (the projections, gated likelihoods, detection and posterior
-blocks); the stored blocks hold a whole step whatever the cap. It is the
-smallest power of two at which a typical scenario-2 step is one stage
-block: at Np = 500 a block holds 65 beliefs, and a step carries 54 on
-average (p50 51, p95 110, max 136). Measured on the `s2-bp` benchmark
-workload (2-core VM, one BLAS thread), the CPU time of both arms' fusion
-on tape 0 read 10.9 / 10.4 / 10.1 / 9.9 s at caps 16384 / 32768 / 65536
-/ none (medians of four; 11.9 s with copy-on-write blocks at 8192), and
-the benchmark's peak RSS 109.0 / 109.5 / 110.0-111.9 / 110.4-110.8 MB
-(103.1-103.5 MB before). Past 32768 the time gain is inside the noise
-while the peak keeps rising, and an unbounded block would let the
-temporaries grow with the whole belief list.
+The cap bounds the temporaries of a stage, which grow with its stage block
+(the projections and gated likelihoods); the step's arrays hold all its
+beliefs whatever the cap. It is the smallest power of two at which a
+typical scenario-2 step is one stage block: at Np = 500 a block holds 65
+beliefs, and a step carries 54 on average (p50 51, p95 110, max 136).
+Measured on the `s2-bp` benchmark workload (2-core VM, one BLAS thread),
+the CPU time of both arms' fusion on tape 0 read 10.9 / 10.4 / 10.1 / 9.9 s
+at caps 16384 / 32768 / 65536 / none (medians of four; 11.9 s with
+copy-on-write blocks at 8192), and the benchmark's peak RSS 109.0 / 109.5 /
+110.0-111.9 / 110.4-110.8 MB (103.1-103.5 MB before). Past 32768 the time
+gain is inside the noise while the peak keeps rising, and an unbounded
+block would let the temporaries grow with the whole belief set.
 
 Stacked moments and dot products go through batched `@`, whose per-slice
 BLAS calls are those of the per-belief form (einsum would reorder the
@@ -75,9 +61,8 @@ else), so the recursions are run on (eq, neq) pairs; the full vectors are
 reconstructable for inspection. Messages are renormalized by their maximum
 entry every iteration, a global scale that cancels in the belief updates.
 
-The r = 0 component of a belief is carried as the scalar 1 - r_prob; the
-dummy pdf for nonexistent newborns integrates to one and never needs
-particles.
+The r = 0 component of a belief is carried as the scalar 1 - r; the dummy
+pdf for nonexistent newborns integrates to one and never needs particles.
 """
 
 from __future__ import annotations
@@ -96,59 +81,61 @@ from .transform import LOG_2PI, ClutterModel
 
 # Most particles in one stage block (see the module docstring).
 BLOCK_PARTICLES = 32768
-# Most particles per belief. A step's input and output blocks together hold
+# Most particles per belief. A step's input and output arrays together hold
 # up to 2 x 136 beliefs (the most a scenario-2 step carried) x Np x 40 B:
 # about 0.54 GB at this cap.
 MAX_PARTICLES = 50_000
 
 
 @dataclass
-class ParticleBelief:
-    """Weighted particle set for one potential target.
+class Beliefs:
+    """The potential targets of one scan as one struct of arrays.
 
-    Weights sum to the existence probability r_prob; the complementary
-    1 - r_prob mass is implicit. A belief built by this module records
-    where its arrays live: `_prow` and `_wrow` are the (block, row) of
-    its particles and weights, None for arrays of its own.
+    Row t is one belief: particles[t] (Np, n) with weights[t] (Np,) summing
+    to its existence probability r[t] (the complementary 1 - r[t] mass is
+    implicit), missed[t] scans without support, and labels[t].
     """
 
     particles: np.ndarray
     weights: np.ndarray
-    r_prob: float
-    label: object
-    missed_scans: int = 0
-
-    _prow = None
-    _wrow = None
+    r: np.ndarray
+    missed: np.ndarray
+    labels: list
 
     def __post_init__(self):
-        self.particles = np.atleast_2d(np.asarray(self.particles, dtype=float))
-        self.weights = np.asarray(self.weights, dtype=float).reshape(-1)
-        if self.weights.size != self.particles.shape[0]:
-            raise InputError("weights do not match particle count")
+        self.particles = np.asarray(self.particles, dtype=float)
+        self.weights = np.asarray(self.weights, dtype=float)
+        self.r = np.asarray(self.r, dtype=float)
+        self.missed = np.asarray(self.missed, dtype=int)
+        self.labels = list(self.labels)
+        n = len(self.labels)
+        if (self.particles.ndim != 3 or self.weights.shape != self.particles.shape[:2]
+                or len(self.weights) != n or self.r.shape != (n,)
+                or self.missed.shape != (n,)):
+            raise InputError(f"belief arrays do not match {n} labels: particles "
+                             f"{self.particles.shape}, weights {self.weights.shape}, "
+                             f"r {self.r.shape}, missed {self.missed.shape}")
+        if not self.particles.shape[1]:
+            raise InputError("beliefs without particles")
 
     @classmethod
-    def _trusted(cls, particles: np.ndarray, weights: np.ndarray,
-                 r_prob: float, label: object, missed_scans: int = 0,
-                 prow=None, wrow=None):
-        """A belief from arrays this module built: (Np, n) float particles
-        and (Np,) float weights, taken without validation or copy, with the
-        (block, row) records of both."""
-        b = cls.__new__(cls)
-        b.particles, b.weights, b.r_prob = particles, weights, r_prob
-        b.label, b.missed_scans = label, missed_scans
-        b._prow, b._wrow = prow, wrow
-        return b
+    def empty(cls, n_particles: int, state_dim: int) -> "Beliefs":
+        return cls(np.empty((0, n_particles, state_dim)), np.empty((0, n_particles)),
+                   np.empty(0), np.empty(0, dtype=int), [])
 
     @property
     def n_particles(self) -> int:
-        return self.particles.shape[0]
+        return self.weights.shape[1]
 
-    def mean(self) -> np.ndarray:
-        total = float(np.sum(self.weights))
-        if total <= 0:
-            return self.particles.mean(axis=0)
-        return (self.weights @ self.particles) / total
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, rows) -> "Beliefs":
+        """The beliefs at `rows`: a slice (views), or an index array or a
+        boolean mask (copies)."""
+        kept = np.arange(len(self))[rows]
+        return Beliefs(self.particles[rows], self.weights[rows], self.r[rows],
+                       self.missed[rows], [self.labels[t] for t in kept])
 
 
 @dataclass
@@ -199,10 +186,9 @@ class AssociationMessages:
     beta is (N, M+1) over a in {0..M}; xi is (M, N+1) over b in {0..N}.
     nu_eq/nu_neq are (M, N): the measurement->target message at a = i and at
     every other a. phi_eq/phi_neq are (N, M) analogously over b. kappa and
-    iota are the final products, normalized per row. p_detect[tau] holds
-    the detection probabilities at belief tau's particles, computed once by
-    measurement evaluation and reused by the update; measurement evaluation
-    returns it as `_Rows` of its detection blocks.
+    iota are the final products, normalized per row. p_detect (N, Np) holds
+    the detection probabilities at the beliefs' particles, computed once by
+    measurement evaluation and reused by the update.
     """
 
     beta: np.ndarray
@@ -213,7 +199,7 @@ class AssociationMessages:
     phi_neq: Optional[np.ndarray] = None
     kappa: Optional[np.ndarray] = None
     iota: Optional[np.ndarray] = None
-    p_detect: Optional[list] = None
+    p_detect: Optional[np.ndarray] = None
 
     def nu_vector(self, i: int, tau: int) -> np.ndarray:
         m = self.beta.shape[1] - 1
@@ -288,106 +274,41 @@ class _BatchLikelihood:
                      trans_a=1, overwrite_b=1).T
 
 
-class _Rows(list):
-    """Row arrays (or tuples led by one), with `at[t]` the (block, row) that
-    entry t views, or None for an array of its own."""
-
-    def __init__(self, rows=(), at=None):
-        super().__init__(rows)
-        self.at = [None] * len(self) if at is None else at
-
-    def add_block(self, block: np.ndarray, rest=None):
-        """Append the rows of a (B, ...) block, each paired with the entry of
-        `rest` when given."""
-        self.extend(block if rest is None else zip(block, rest))
-        self.at.extend((block, k) for k in range(len(block)))
+def _check_count(beliefs: Beliefs, cfg: BpConfig):
+    if beliefs.n_particles != cfg.n_particles:
+        raise InputError(f"beliefs of {beliefs.n_particles} particles, "
+                         f"configured for {cfg.n_particles}")
 
 
-def _records(rows: Sequence) -> Sequence:
-    """The (block, row) records of `_Rows`; None for each entry of any other
-    sequence, whose arrays view no stored block."""
-    at = getattr(rows, "at", None)
-    return [None] * len(rows) if at is None else at
+def _blocks(n: int, n_particles: int) -> list:
+    """The stage blocks of n beliefs: row slices of at most BLOCK_PARTICLES
+    particles (and at least one belief)."""
+    size = max(1, BLOCK_PARTICLES // n_particles)
+    return [slice(start, min(start + size, n)) for start in range(0, n, size)]
 
 
-def _block_rows(rows: Sequence, blk: range, lead: bool = False):
-    """The arrays rows[t], t in blk, as one (len(blk), ...) array, and
-    whether that array is new. With `lead`, the entries are tuples and
-    their first arrays are taken.
-
-    When the rows of blk are consecutive rows of one stored block (see
-    `_Rows`), the result is a slice of that block; otherwise the rows are
-    stacked (see the module docstring).
-    """
-    at = _records(rows)
-    first = at[blk.start]
-    if first is not None:
-        block, row = first
-        for t in blk:
-            rec = at[t]
-            if rec is None or rec[0] is not block or rec[1] != row + t - blk.start:
-                break
-        else:
-            return block[row:row + len(blk)], False
-    return np.stack([rows[t][0] if lead else rows[t] for t in blk]), True
-
-
-def _runs(counts: Sequence[int]):
-    """Index ranges of the maximal runs of consecutive beliefs with equal
-    particle counts."""
-    start = 0
-    for end in range(1, len(counts) + 1):
-        if end == len(counts) or counts[end] != counts[start]:
-            yield range(start, end)
-            start = end
-
-
-def _blocks(counts: Sequence[int]):
-    """Index ranges of the stage blocks over beliefs with these particle
-    counts: each run of equal counts cut into pieces of at most
-    BLOCK_PARTICLES particles (and at least one belief)."""
-    for run in _runs(counts):
-        count = counts[run.start]
-        size = max(1, BLOCK_PARTICLES // count) if count else len(run)
-        for start in range(run.start, run.stop, size):
-            yield range(start, min(start + size, run.stop))
-
-
-def _stored(beliefs: Sequence[ParticleBelief]):
-    """(particle rows, weight rows) of the beliefs, as `_Rows`."""
-    return (_Rows([b.particles for b in beliefs], [b._prow for b in beliefs]),
-            _Rows([b.weights for b in beliefs], [b._wrow for b in beliefs]))
-
-
-def bp_predict(beliefs: Sequence[ParticleBelief], motion: MotionModel,
-               survival_prob: float, rng: np.random.Generator):
+def bp_predict(beliefs: Beliefs, motion: MotionModel, survival_prob: float,
+               rng: np.random.Generator) -> Beliefs:
     """Propagate particles through the motion model and decay existence.
 
     The process noise is drawn once per block, the same stream as one draw
-    per belief. The predicted beliefs are rows of new particle and weight
-    blocks.
+    per belief.
     """
     w, v = np.linalg.eigh(motion.Q)
     sqrt_q = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
-    prows, wrows = _stored(beliefs)
-    out = []
-    for blk in _blocks([p.shape[0] for p in prows]):
-        parts, _ = _block_rows(prows, blk)
+    particles = np.empty(beliefs.particles.shape)
+    for blk in _blocks(len(beliefs), beliefs.n_particles):
+        parts = beliefs.particles[blk]
         noise = rng.standard_normal(parts.shape) @ sqrt_q.T
-        particles = parts @ motion.F.T + noise
-        weights = _block_rows(wrows, blk)[0] * survival_prob
-        for k, t in enumerate(blk):
-            b = beliefs[t]
-            out.append(ParticleBelief._trusted(
-                particles[k], weights[k], b.r_prob * survival_prob, b.label,
-                b.missed_scans, (particles, k), (weights, k)))
-    return out
+        np.add(parts @ motion.F.T, noise, out=particles[blk])
+    return Beliefs(particles, beliefs.weights * survival_prob,
+                   beliefs.r * survival_prob, beliefs.missed, beliefs.labels)
 
 
 def propose_births(inp: BpSensorInput, cfg: BpConfig, state_dim: int,
-                   rng: np.random.Generator):
-    """Measurement-driven birth particle clouds, one per measurement: the
-    `_Rows` of one (M, Np, n) block.
+                   rng: np.random.Generator) -> np.ndarray:
+    """Measurement-driven birth particle clouds, one per measurement, as one
+    (M, Np, n) array.
 
     Positions are drawn around the WLS backprojection of the measurement
     with the backprojection covariance inflated by cfg.birth_cov_inflation;
@@ -412,45 +333,38 @@ def propose_births(inp: BpSensorInput, cfg: BpConfig, state_dim: int,
         if n_vel > 0:
             particles[:, POS_DIM:POS_DIM + n_vel] = (
                 cfg.vel_prior_std * rng.standard_normal((cfg.n_particles, n_vel)))
-    out = _Rows()
-    out.add_block(clouds)
-    return out
+    return clouds
 
 
-def measurement_evaluation(beliefs: Sequence[ParticleBelief],
-                           inp: BpSensorInput, cfg: BpConfig,
-                           birth_clouds: Sequence[np.ndarray]):
+def measurement_evaluation(beliefs: Beliefs, inp: BpSensorInput, cfg: BpConfig,
+                           birth_clouds: np.ndarray):
     """Factors beta (survived) and xi (newborn) for one sensor.
 
     Returns (messages, q_cache, birth_liks): q_cache[(tau, i)] holds the
     per-particle detection-weighted likelihood ratio for gated pairs,
-    birth_liks[i] the per-particle likelihood of measurement i under its
-    birth cloud.
+    birth_liks (M, Np) the per-particle likelihood of each measurement under
+    its birth cloud.
     """
+    _check_count(beliefs, cfg)
     batch = inp.batch
     n, m = len(beliefs), batch.n_meas
-    if any(b.n_particles == 0 for b in beliefs):
-        raise InputError("belief without particles")
     lik = _BatchLikelihood(batch)
     log_clutter_intensity = math.log(inp.clutter.rate) + inp.clutter.log_density
     gamma_gate = chi2_gate(cfg.gate_prob, lik.dof) if m else None
 
     beta = np.zeros((n, m + 1))
-    p_detect = _Rows()
+    p_detect = np.empty(beliefs.weights.shape)
     q_cache = {}
-    prows, wrows = _stored(beliefs)
-    for blk in _blocks([p.shape[0] for p in prows]):
-        particles, _ = _block_rows(prows, blk)
-        weights, _ = _block_rows(wrows, blk)
-        pd_x = inp.detection_probs(
+    for blk in _blocks(n, cfg.n_particles):
+        particles, weights = beliefs.particles[blk], beliefs.weights[blk]
+        pd_x = p_detect[blk]
+        pd_x[...] = inp.detection_probs(
             particles[:, :, :POS_DIM].reshape(-1, POS_DIM)).reshape(weights.shape)
-        p_detect.add_block(pd_x)
-        r_prob = np.array([beliefs[t].r_prob for t in blk])
-        beta[blk.start:blk.stop, 0] = _row_dots(weights, 1.0 - pd_x) + (1.0 - r_prob)
+        beta[blk, 0] = _row_dots(weights, 1.0 - pd_x) + (1.0 - beliefs.r[blk])
         if not m:
             continue
         z_pred = lik.predict(particles.reshape(-1, particles.shape[2]))
-        z_pred = z_pred.reshape(z_pred.shape[0], len(blk), -1)
+        z_pred = z_pred.reshape(z_pred.shape[0], len(weights), -1)
         rows, cols = np.nonzero(_gate(z_pred, weights, batch, gamma_gate))
         if not rows.size:
             continue
@@ -461,14 +375,13 @@ def measurement_evaluation(beliefs: Sequence[ParticleBelief],
         q_cache.update(zip(zip(taus.tolist(), cols.tolist()), q))
 
     xi = np.ones((m, n + 1))
-    birth_liks = _Rows()
+    birth_liks = np.empty((0, cfg.n_particles))
     if m:
         # measurement i against its own birth cloud: (dim, M, Np) predictions
-        clouds, _ = _block_rows(birth_clouds, range(m))
-        birth_pred = lik.predict(clouds.reshape(-1, clouds.shape[-1]))
-        lks = np.exp(lik.loglik(batch.zs, birth_pred.reshape(birth_pred.shape[0], m, -1)))
-        birth_liks.add_block(lks)
-        for i, lk in enumerate(lks):
+        birth_pred = lik.predict(birth_clouds.reshape(-1, birth_clouds.shape[-1]))
+        birth_liks = np.exp(lik.loglik(batch.zs,
+                                       birth_pred.reshape(birth_pred.shape[0], m, -1)))
+        for i, lk in enumerate(birth_liks):
             ratio = cfg.birth_rate * float(np.mean(lk)) * math.exp(-log_clutter_intensity)
             xi[i, 0] = 1.0 + ratio
     return AssociationMessages(beta, xi, p_detect=p_detect), q_cache, birth_liks
@@ -582,45 +495,32 @@ def _check_messages(arr: np.ndarray):
         raise DegenerateBeliefError("association message vector degenerated")
 
 
-def measurement_update(beliefs: Sequence[ParticleBelief],
-                       msgs: AssociationMessages, q_cache: dict,
-                       birth_liks: Sequence[np.ndarray],
-                       inp: BpSensorInput, cfg: BpConfig):
+def measurement_update(beliefs: Beliefs, msgs: AssociationMessages, q_cache: dict,
+                       birth_liks: np.ndarray, inp: BpSensorInput, cfg: BpConfig):
     """Unnormalized posteriors for survived targets and newborns.
 
     msgs must come from `measurement_evaluation` of the same beliefs: the
     detection probabilities are taken from msgs.p_detect. Only the gated
-    pairs of q_cache are visited. The survived posteriors are rows of one
-    (B, Np) block per block of beliefs, the newborn ones rows of one (M, Np)
-    block.
+    pairs of q_cache are visited. Returns ((N, Np) survived posteriors,
+    kappa(0) per belief) and ((M, Np) newborn posteriors, the sum of iota
+    per measurement).
     """
     kappa, iota = msgs.kappa, msgs.iota
-    batch = inp.batch
-    log_clutter_intensity = math.log(inp.clutter.rate) + inp.clutter.log_density
     p_detect = msgs.p_detect
     if (p_detect is None or len(p_detect) != len(beliefs)
             or kappa.shape[0] != len(beliefs)):
         raise InputError("association messages do not come from these beliefs")
-
-    survived_posts = _Rows()
-    for blk in _blocks([b.n_particles for b in beliefs]):
-        pd_x, _ = _block_rows(p_detect, blk)
-        k0 = kappa[blk.start:blk.stop, 0]
-        survived_posts.add_block(k0[:, None] * (1.0 - pd_x), k0)
+    k0 = kappa[:, 0]
+    survived = k0[:, None] * (1.0 - p_detect)
     for (tau, i), q in q_cache.items():
         k = kappa[tau, i + 1]
         if k > 0:
-            gamma = survived_posts[tau][0]
-            gamma += k * q
+            survived[tau] += k * q
 
-    newborn_posts = _Rows()
-    m = batch.n_meas
-    if m:
-        scale = cfg.birth_rate * math.exp(-log_clutter_intensity) / cfg.n_particles
-        lks, _ = _block_rows(birth_liks, range(m))
-        newborn_posts.add_block((iota[:, 0] * scale)[:, None] * lks,
-                                [float(np.sum(row)) for row in iota])
-    return survived_posts, newborn_posts
+    log_clutter_intensity = math.log(inp.clutter.rate) + inp.clutter.log_density
+    scale = cfg.birth_rate * math.exp(-log_clutter_intensity) / cfg.n_particles
+    newborn = (iota[:, 0] * scale)[:, None] * birth_liks
+    return (survived, k0), (newborn, iota.sum(axis=1))
 
 
 def _systematic_resample(weights: np.ndarray, n: int, u: float) -> np.ndarray:
@@ -652,103 +552,72 @@ def _normalize(weights: np.ndarray, rest: np.ndarray, us: np.ndarray,
     ess = np.divide(1.0, (wn * wn).sum(axis=1), out=np.full(r.shape, np.inf),
                     where=live)
     resampled = []
-    r = r.tolist()
     for k in np.flatnonzero(ess < cfg.resample_ess_frac * n).tolist():
         resampled.append((k, _systematic_resample(wn[k], n, us[k])))
         weights[k] = r[k] / n
-    return [min(r_k, 1.0) for r_k in r], resampled
+    return np.minimum(r, 1.0), resampled
 
 
-def _output_blocks(rows: Sequence[np.ndarray]) -> list:
-    """New blocks for these particle rows: one (R, Np, n) particle block and
-    one (R, Np) weight block per run of R rows with equal particle counts.
-    Entry t is (particle block, weight block, row) of row t."""
-    out = []
-    for run in _runs([p.shape[0] for p in rows]):
-        particles = np.empty((len(run),) + rows[run.start].shape)
-        weights = np.empty(particles.shape[:2])
-        out.extend((particles, weights, k) for k in range(len(run)))
-    return out
-
-
-def _posteriors(prows, unnorm, rest: np.ndarray, us: np.ndarray,
-                cfg: BpConfig, out: Sequence) -> list:
-    """Normalize one list block by block into the rows of `out` (see
-    `_output_blocks`); returns r per entry.
-
-    unnorm(blk, dest) writes the block's unnormalized weights to dest, the
-    block's weight rows. A block's particles are copied into their rows, a
-    resampled row's from its indices.
-    """
-    r = []
-    for blk in _blocks([p.shape[0] for p in prows]):
-        sl = slice(blk.start, blk.stop)
-        particles, weights, row = out[blk.start]
-        dest = weights[row:row + len(blk)]
-        unnorm(blk, dest)
-        r_blk, resampled = _normalize(dest, rest[sl], us[sl], cfg)
-        src, _ = _block_rows(prows, blk)
-        particles[row:row + len(blk)] = src
+def _posteriors(particles: np.ndarray, weights: np.ndarray, r: np.ndarray,
+                src: np.ndarray, rest: np.ndarray, us: np.ndarray, cfg: BpConfig):
+    """Normalize the unnormalized `weights` block by block into beliefs:
+    their r into `r`, the particles of `src` into `particles` (a resampled
+    row's from its indices)."""
+    for blk in _blocks(len(rest), cfg.n_particles):
+        r[blk], resampled = _normalize(weights[blk], rest[blk], us[blk], cfg)
+        particles[blk] = src[blk]
         for k, idx in resampled:
-            np.take(src[k], idx, axis=0, out=particles[row + k])
-        r.extend(r_blk)
-    return r
+            np.take(src[blk][k], idx, axis=0, out=particles[blk][k])
 
 
-def belief_calculation(beliefs: Sequence[ParticleBelief], survived_posts,
-                       newborn_posts, birth_clouds, labels, cfg: BpConfig,
-                       rng: np.random.Generator):
+def belief_calculation(beliefs: Beliefs, survived, newborn, birth_clouds: np.ndarray,
+                       labels: Sequence, cfg: BpConfig,
+                       rng: np.random.Generator) -> Beliefs:
     """Normalize posteriors into updated beliefs; resample when ESS is low.
 
-    One resampling uniform is drawn per belief, survived beliefs first and
+    survived and newborn are the two pairs of `measurement_update`. One
+    resampling uniform is drawn per belief, survived beliefs first and
     newborns after, regardless of whether the resample triggers, so paired
-    runs consume identical random streams. The updated beliefs, then the
-    newborns, are rows of one new particle block and one new weight block
-    (one of each per run of equal particle counts). Returns (updated
-    survived beliefs, newborn beliefs).
+    runs consume identical random streams. Returns the updated beliefs,
+    then the newborns (labelled by `labels`), in one new particle array and
+    one new weight array.
     """
-    prows, wrows = _stored(beliefs)
-    n = len(beliefs)
-    out = _output_blocks(list(prows) + list(birth_clouds))
-
-    def survived(blk, dest):
-        np.multiply(_block_rows(wrows, blk)[0],
-                    _block_rows(survived_posts, blk, lead=True)[0], out=dest)
-
-    def newborn(blk, dest):
-        dest[...] = _block_rows(newborn_posts, blk, lead=True)[0]
-
-    rest = (np.array([1.0 - b.r_prob for b in beliefs])
-            * np.array([g0 for _, g0 in survived_posts]))
-    r = _posteriors(prows, survived, rest, rng.random(n), cfg, out)
-    updated = [ParticleBelief._trusted(p[k], w[k], r_t, b.label, b.missed_scans,
-                                       (p, k), (w, k))
-               for b, (p, w, k), r_t in zip(beliefs, out, r)]
-
-    rest = np.array([denom for _, denom in newborn_posts])
-    r = _posteriors(birth_clouds, newborn, rest, rng.random(len(newborn_posts)), cfg,
-                    out[n:])
-    born = [ParticleBelief._trusted(p[k], w[k], r_i, label, 0, (p, k), (w, k))
-            for label, (p, w, k), r_i in zip(labels, out[n:], r)]
-    return updated, born
+    _check_count(beliefs, cfg)
+    (survived, k0), (newborn, iota_sums) = survived, newborn
+    n, m = len(beliefs), len(labels)
+    particles = np.empty((n + m,) + beliefs.particles.shape[1:])
+    weights = np.empty((n + m, cfg.n_particles))
+    r = np.empty(n + m)
+    np.multiply(beliefs.weights, survived, out=weights[:n])
+    _posteriors(particles[:n], weights[:n], r[:n], beliefs.particles,
+                (1.0 - beliefs.r) * k0, rng.random(n), cfg)
+    weights[n:] = newborn
+    _posteriors(particles[n:], weights[n:], r[n:], birth_clouds, iota_sums,
+                rng.random(m), cfg)
+    return Beliefs(particles, weights, r,
+                   np.concatenate([beliefs.missed, np.zeros(m, dtype=int)]),
+                   beliefs.labels + list(labels))
 
 
-def declare_estimate_prune(beliefs: Sequence[ParticleBelief], cfg: BpConfig):
+def declare_estimate_prune(beliefs: Beliefs, cfg: BpConfig):
     """MMSE estimates of declared targets; prune dead or stale beliefs."""
-    estimates = []
-    surviving = []
-    for b in beliefs:
-        if b.r_prob > cfg.declare_threshold:
-            estimates.append((b.label, b.mean()))
-        if b.r_prob >= cfg.prune_threshold and b.missed_scans <= cfg.max_missed_scans:
-            surviving.append(b)
-    return estimates, surviving
+    estimates = [(beliefs.labels[t], _mean(beliefs.particles[t], beliefs.weights[t]))
+                 for t in np.flatnonzero(beliefs.r > cfg.declare_threshold)]
+    keep = (beliefs.r >= cfg.prune_threshold) & (beliefs.missed <= cfg.max_missed_scans)
+    return estimates, beliefs if keep.all() else beliefs[keep]
 
 
-def _sensor_step(beliefs: list, inp: BpSensorInput, motion: MotionModel,
+def _mean(particles: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    total = float(np.sum(weights))
+    if total <= 0:
+        return particles.mean(axis=0)
+    return (weights @ particles) / total
+
+
+def _sensor_step(beliefs: Beliefs, inp: BpSensorInput, motion: MotionModel,
                  cfg: BpConfig, rng_for: Callable[[str, int], np.random.Generator],
                  l: int, scan: int, trace: Optional[list]):
-    """One sensor's update; returns (updated, newborn, kappa).
+    """One sensor's update; returns (updated beliefs then newborns, kappa).
 
     The per-particle terms of measurement evaluation (q_cache, detection
     probabilities, birth likelihoods) are released before belief
@@ -758,15 +627,13 @@ def _sensor_step(beliefs: list, inp: BpSensorInput, motion: MotionModel,
     clouds = propose_births(inp, cfg, motion.n, rng_for("birth", l))
     msgs, q_cache, birth_liks = measurement_evaluation(beliefs, inp, cfg, clouds)
     kappa, iota = iterative_association(msgs, cfg.iterations)
-    survived_posts, newborn_posts = measurement_update(
-        beliefs, msgs, q_cache, birth_liks, inp, cfg)
+    survived, newborn = measurement_update(beliefs, msgs, q_cache, birth_liks, inp, cfg)
     beta, xi = msgs.beta, msgs.xi
     del msgs, q_cache, birth_liks  # not needed past the update
     labels = [(scan, inp.batch.sensor_id, i) for i in range(inp.batch.n_meas)]
-    updated, newborn = belief_calculation(
-        beliefs, survived_posts, newborn_posts, clouds, labels, cfg,
-        rng_for("resample", l))
-    del survived_posts, newborn_posts, clouds
+    out = belief_calculation(beliefs, survived, newborn, clouds, labels, cfg,
+                             rng_for("resample", l))
+    del survived, newborn, clouds
     if trace is not None:
         trace.append({
             "sensor": inp.batch.sensor_id,
@@ -774,13 +641,13 @@ def _sensor_step(beliefs: list, inp: BpSensorInput, motion: MotionModel,
             "xi": xi.copy(),
             "kappa": kappa.copy(),
             "iota": iota.copy(),
-            "weights": [b.weights.copy() for b in updated + newborn],
-            "r_prob": np.array([b.r_prob for b in updated + newborn]),
+            "weights": out.weights.copy(),
+            "r_prob": out.r.copy(),
         })
-    return updated, newborn, kappa
+    return out, kappa
 
 
-def bp_pipeline_step(beliefs: list, inputs: Sequence[BpSensorInput],
+def bp_pipeline_step(beliefs: Beliefs, inputs: Sequence[BpSensorInput],
                      motion: MotionModel, cfg: BpConfig,
                      rng_for: Callable[[str, int], np.random.Generator],
                      scan: int = 0, trace: Optional[list] = None):
@@ -790,47 +657,15 @@ def bp_pipeline_step(beliefs: list, inputs: Sequence[BpSensorInput],
     stream; paired raw/transformed runs that share the factory consume
     identical draws. Returns (beliefs, estimates).
     """
+    _check_count(beliefs, cfg)
     beliefs = bp_predict(beliefs, motion, cfg.survival_prob, rng_for("predict", -1))
-    scan_support = [False] * len(beliefs)
-
+    supported = np.zeros(len(beliefs), dtype=bool)
     for l, inp in enumerate(sorted(inputs, key=lambda s: s.batch.sensor_id)):
-        updated, newborn, kappa = _sensor_step(beliefs, inp, motion, cfg,
-                                               rng_for, l, scan, trace)
+        beliefs, kappa = _sensor_step(beliefs, inp, motion, cfg, rng_for, l, scan, trace)
         if kappa.shape[1] > 1:
-            for tau in np.flatnonzero(kappa[:, 1:].sum(axis=1) >= 0.5 * kappa[:, 0]):
-                scan_support[tau] = True
-        beliefs = updated + newborn
-        scan_support.extend([True] * len(newborn))
-
-    for b, supported in zip(beliefs, scan_support):
-        b.missed_scans = 0 if supported else b.missed_scans + 1
+            supported |= kappa[:, 1:].sum(axis=1) >= 0.5 * kappa[:, 0]
+        supported = np.concatenate([supported,
+                                    np.ones(len(beliefs) - len(kappa), dtype=bool)])
+    beliefs.missed = np.where(supported, 0, beliefs.missed + 1)
     estimates, beliefs = declare_estimate_prune(beliefs, cfg)
-    return _compact(beliefs), estimates
-
-
-def _compact(beliefs: Sequence[ParticleBelief]):
-    """The beliefs on blocks that hold no other rows.
-
-    Pruning leaves rows of dropped beliefs in the survivors' blocks, which
-    the caller would keep alive until the next scan's prediction replaces
-    them. The survivors of a run of equal particle counts are moved to a
-    new block unless they fill one stored block.
-    """
-    prows, wrows = _stored(beliefs)
-    out = []
-    for run in _runs([p.shape[0] for p in prows]):
-        parts = _whole_rows(prows, run)
-        weights = _whole_rows(wrows, run)
-        for k, t in enumerate(run):
-            b = beliefs[t]
-            out.append(ParticleBelief._trusted(
-                parts[k], weights[k], b.r_prob, b.label, b.missed_scans,
-                (parts, k), (weights, k)))
-    return out
-
-
-def _whole_rows(rows, blk: range) -> np.ndarray:
-    """`_block_rows` of blk, copied unless it is a whole stored block."""
-    block, fresh = _block_rows(rows, blk)
-    return (block if fresh or len(blk) == len(_records(rows)[blk.start][0])
-            else block.copy())
+    return beliefs, estimates

@@ -22,13 +22,23 @@ import numpy as np
 from . import bp as bp_mod
 from . import checks
 from . import sim as sim_mod
-from .errors import InputError
+from .errors import InputError, TrackfuseError
 from .models import PAYLOADS
 
 ENV_SEED = "TRACKFUSE_SEED"
 ENV_OUT = "TRACKFUSE_OUT"
 
 SWEEP_PARAMS = ("clutter_rate", "p_d")
+
+# Upper bounds on the scenario-file numbers. Beyond them a run would not end
+# in useful time (scans), the clutter draws and their pairwise tables would
+# not fit in memory (clutter_rate), or the squares of the numbers would
+# overflow; dt and q keep Q = q^2 G G^T inside the absolute tolerance of the
+# motion model's positive-semidefinite test (q^2 dt^4 <= 1e8). A clutter rate
+# below CLUTTER_RATE[0] would overflow the inverse clutter intensity.
+MAX_SCANS = 10_000
+MAX_SCALE = {"dt": 10.0, "q": 100.0, "sigma": 1e4, "fov_range": 1e6}
+CLUTTER_RATE = (1e-6, 1e3)
 
 
 @dataclass
@@ -56,9 +66,11 @@ class ExperimentSpec:
             for v in self.sweep_values:
                 if not 0.0 < v <= 1.0:
                     raise InputError("P_d sweep values must be in (0, 1]")
-        for v in self.sweep_values:
-            if v <= 0:
-                raise InputError("sweep values must be positive")
+        if self.sweep_param == "clutter_rate":
+            for v in self.sweep_values:
+                if not CLUTTER_RATE[0] <= v <= CLUTTER_RATE[1]:
+                    raise InputError("clutter_rate sweep values must be in "
+                                     "[{:g}, {:g}]".format(*CLUTTER_RATE))
         if self.runs < 1:
             raise InputError("runs must be >= 1")
         if self.workers < 1:
@@ -125,20 +137,20 @@ def parse_scenario_file(path: Path) -> sim_mod.ScenarioConfig:
         return value
 
     def positive(sec, key, default):
-        return checked(sec, key, default, lambda v: 0.0 < v < math.inf,
-                       "finite and positive")
+        high = MAX_SCALE[key]
+        return checked(sec, key, default, lambda v: 0.0 < v <= high, f"in (0, {high:g}]")
 
-    def integer(sec, key, low=None):
-        rule = "an integer" if low is None else f"an integer >= {low}"
-        return int(checked(sec, key, None,
-                           lambda v: v.is_integer() and (low is None or v >= low), rule))
+    def integer(sec, key, low, high):
+        return int(checked(sec, key, None, lambda v: v.is_integer() and low <= v <= high,
+                           f"an integer in [{low}, {high}]"))
 
     scen = next((s for s in sections if s[0] == "scenario"), None)
     if scen is None:
         raise InputError(f"{path}: no [scenario] section")
-    duration = integer(scen, "duration", 1)
+    duration = integer(scen, "duration", 1, MAX_SCANS)
     dt = positive(scen, "dt", 1.0)
-    q = checked(scen, "q", 0.1, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+    q = checked(scen, "q", 0.1, lambda v: 0.0 <= v <= MAX_SCALE["q"],
+                f"in [0, {MAX_SCALE['q']:g}]")
     sigma = positive(scen, "sigma", 5.0)
 
     sensors = []
@@ -158,10 +170,13 @@ def parse_scenario_file(path: Path) -> sim_mod.ScenarioConfig:
                                        lambda v: 0.0 < v <= math.pi, "in (0, pi]"),
                 fov_range=positive(sec, "fov_range", 1200.0),
                 p_d=checked(sec, "p_d", 0.9, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-                clutter_rate=positive(sec, "clutter_rate", 10.0)))
+                clutter_rate=checked(sec, "clutter_rate", 10.0,
+                                     lambda v: CLUTTER_RATE[0] <= v <= CLUTTER_RATE[1],
+                                     "in [{:g}, {:g}]".format(*CLUTTER_RATE))))
         elif name == "target":
+            birth = integer(sec, "birth", 0, duration - 1)
             targets.append(sim_mod.TargetConfig(
-                integer(sec, "birth"), integer(sec, "death"),
+                birth, integer(sec, "death", birth + 1, duration),
                 np.array(finite(sec, "state", 4))))
         elif name != "scenario":
             raise InputError(f"{path}:{sec[2]}: unknown section [{name}]")
@@ -174,9 +189,8 @@ def parse_scenario_file(path: Path) -> sim_mod.ScenarioConfig:
 
 def _run_one_job(args):
     """Worker entry: one (sweep value, run index) pair across payload arms."""
-    spec_dict, sweep_value, run_idx = args
+    spec_dict, cfg, sweep_value, run_idx = args
     spec = ExperimentSpec(**spec_dict)
-    cfg = load_scenario(spec.scenario)
     if spec.sweep_param == "clutter_rate":
         cfg = cfg.with_overrides(clutter_rate=sweep_value)
     elif spec.sweep_param == "p_d":
@@ -194,12 +208,17 @@ def pool_size(workers: int, n_jobs: int) -> int:
 
 
 def run_experiment(spec: ExperimentSpec) -> int:
-    """Execute the experiment and write curves.csv, comm.csv, summary.txt."""
+    """Execute the experiment and write curves.csv, comm.csv, summary.txt.
+
+    The scenario is loaded before the output directory is made, so a bad
+    scenario file leaves nothing behind.
+    """
+    cfg = load_scenario(spec.scenario)
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sweep_values = list(spec.sweep_values) if spec.sweep_param else [None]
 
-    jobs = [(spec.__dict__.copy(), sv, run)
+    jobs = [(spec.__dict__.copy(), cfg, sv, run)
             for sv in sweep_values for run in range(spec.runs)]
     for job in jobs:
         job[0]["payloads"] = list(spec.payloads)
@@ -218,8 +237,7 @@ def run_experiment(spec: ExperimentSpec) -> int:
         for payload, record in single.items():
             results.setdefault((sweep_value, payload), []).append(record)
 
-    duration = load_scenario(spec.scenario).duration
-    _write_curves(out_dir / "curves.csv", spec, results, duration)
+    _write_curves(out_dir / "curves.csv", spec, results, cfg.duration)
     _write_comm(out_dir / "comm.csv", spec, results)
     _write_summary(out_dir / "summary.txt", spec, results)
     return 0
@@ -385,7 +403,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "run":
             return run_experiment(spec_from_args(args))
         return run_checks(args.suite)
-    except InputError as exc:
+    except TrackfuseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

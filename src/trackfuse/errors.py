@@ -1,19 +1,24 @@
 """Exception types shared across the package."""
 
 
-class ConfigError(ValueError):
+class TrackfuseError(Exception):
+    """Base of the types below; the command line reports any of them as an
+    `error:` line with exit code 2."""
+
+
+class ConfigError(TrackfuseError, ValueError):
     """Inconsistent model/configuration (e.g. dimension mismatch)."""
 
 
-class InputError(ValueError):
+class InputError(TrackfuseError, ValueError):
     """Input violates a documented precondition."""
 
 
-class NumericsError(ArithmeticError):
+class NumericsError(TrackfuseError, ArithmeticError):
     """Numerical failure (singular / non-PD matrix, overflow)."""
 
 
-class ResourceLimitError(RuntimeError):
+class ResourceLimitError(TrackfuseError, RuntimeError):
     """Problem size exceeds a configured cap."""
 
 

@@ -79,6 +79,11 @@ BIG = 1e12
 # Deepest branch-and-bound recursion `solve_assignment_exact` starts: one
 # level per group, well under the interpreter's default limit of 1000.
 EXACT_MAX_GROUPS = 500
+# Initiation problems of at most this many candidates go to branch and bound
+# first; larger ones, and those over a cap of the search, to the relaxation.
+AUTO_EXACT_CANDIDATES = 4000
+# Subgradient iterations of the Lagrangian relaxation.
+SUBGRADIENT_ITERS = 200
 
 
 @dataclass
@@ -322,13 +327,6 @@ class MdaConfig:
     # Cap on the candidate tuples of initiation (and of the maintenance
     # enumeration oracle); maintenance itself builds per-sensor tables.
     max_tuples: int = 200_000
-    # How initiation problems are solved; maintenance is always the exact
-    # per-sensor decomposition.
-    solver: str = "auto"            # auto | exact | relaxed
-    # In auto mode, initiation problems of at most this many candidates go
-    # to branch and bound first.
-    auto_exact_candidates: int = 4000
-    subgradient_iters: int = 200
     confirm_hits: int = 2
     delete_misses: int = 3
     init_min_meas: int = 2
@@ -735,7 +733,7 @@ def _restore_feasible(problem, groups):
 
 
 def solve_assignment_relaxed(problem: AssignmentProblem,
-                             max_iters: int = 200,
+                             max_iters: int = SUBGRADIENT_ITERS,
                              tol: float = 1e-9) -> AssociationSolution:
     """Lagrangian relaxation with subgradient multiplier updates.
 
@@ -816,17 +814,17 @@ def solve_assignment_relaxed(problem: AssignmentProblem,
     return AssociationSolution(assignments, total, True, gap)
 
 
-def solve_assignment(problem: AssignmentProblem, cfg: MdaConfig) -> AssociationSolution:
-    if cfg.solver == "exact":
-        return solve_assignment_exact(problem)
-    if cfg.solver == "relaxed":
-        return solve_assignment_relaxed(problem, cfg.subgradient_iters)
-    if problem.n_candidates <= cfg.auto_exact_candidates:
+def solve_assignment(problem: AssignmentProblem) -> AssociationSolution:
+    """An initiation problem's solution: branch and bound at or below
+    AUTO_EXACT_CANDIDATES candidates, the relaxation above that or when the
+    search hits one of its caps (maintenance is always the exact per-sensor
+    decomposition)."""
+    if problem.n_candidates <= AUTO_EXACT_CANDIDATES:
         try:
             return solve_assignment_exact(problem)
         except ResourceLimitError:
             pass
-    return solve_assignment_relaxed(problem, cfg.subgradient_iters)
+    return solve_assignment_relaxed(problem)
 
 
 @dataclass
@@ -904,7 +902,7 @@ def mda_pipeline_step(tracks: list, batches: Sequence[MeasurementBatch],
     if any(available):
         init_problem = build_initiation_problem(batches, sensors, cfg, available)
         if init_problem.groups:
-            init_solution = solve_assignment(init_problem, cfg)
+            init_solution = solve_assignment(init_problem)
             info["initiation"] = list(init_solution.assignments)
             for tup in init_solution.assignments:
                 meas = [batches[l].zs[i - 1] if i > 0 else None

@@ -365,12 +365,19 @@ def update_raw_stack(means: np.ndarray, covs: np.ndarray, zs: np.ndarray,
     """Covariance-form Kalman update of N predicted estimates, row k by the
     raw measurement zs[k]; returns the (N, n) means and (N, n, n) covariances.
 
-    Raises NumericsError if any innovation covariance has a condition number
-    above 1e12 (or not finite) or is not positive definite.
+    Raises NumericsError if any innovation covariance is not finite, is not
+    positive definite or has a condition number above 1e12. The condition
+    number is the ratio of the extreme eigenvalues of one stacked `eigvalsh`
+    (the 2-norm condition number of an SPD matrix).
     """
     z_hat, s = innovation_stack(means, covs, model)
-    cond = np.linalg.cond(s)
-    bad = ~np.isfinite(cond) | (cond > 1e12)
+    if not np.isfinite(s).all():
+        raise NumericsError("innovation covariance is not finite")
+    w = np.linalg.eigvalsh(s)
+    if np.any(w[:, 0] < 0):
+        raise NumericsError("innovation covariance is not positive definite")
+    cond = np.divide(w[:, -1], w[:, 0], out=np.full(len(w), np.inf), where=w[:, 0] > 0)
+    bad = cond > 1e12
     if np.any(bad):
         raise NumericsError("innovation covariance ill-conditioned "
                             f"(cond={cond[bad][0]:.3e})")

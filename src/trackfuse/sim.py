@@ -616,9 +616,9 @@ def run_bp_fusion(cfg: ScenarioConfig, tapes, sends, payload: str, seed: int,
     """
     bp_cfg = bp_cfg or bp_mod.BpConfig()
     motion = motion_model(cfg)
-    # the belief list between scans; each step is handed the only reference
-    # to it, so that its prediction frees the previous scan's blocks
-    carried: list = [[]]
+    # the beliefs between scans; each step is handed the only reference to
+    # them, so that its prediction frees the previous scan's arrays
+    carried = [bp_mod.Beliefs.empty(bp_cfg.n_particles, motion.n)]
 
     def step(scan, scan_list, pairs):
         trace = [] if trace_scans is not None else None

@@ -87,22 +87,22 @@ def test_criterion_03_score_equivalence():
 
 def _synthetic_scenario2_beliefs(cfg, truth, scan, n_particles, seed):
     rng = sim_mod.rng_stream(seed, "accept-beliefs")
-    beliefs = []
+    particles, labels = [], []
     for i, traj in enumerate(truth):
         if scan not in traj:
             continue
-        particles = traj[scan] + rng.standard_normal((n_particles, 4)) \
-            * np.array([5.0, 5.0, 1.0, 1.0])
-        weights = np.full(n_particles, 0.9 / n_particles)
-        beliefs.append(bp_mod.ParticleBelief(particles, weights, 0.9,
-                                             ("t", i)))
-    return beliefs
+        particles.append(traj[scan] + rng.standard_normal((n_particles, 4))
+                         * np.array([5.0, 5.0, 1.0, 1.0]))
+        labels.append(("t", i))
+    n = len(labels)
+    return bp_mod.Beliefs(np.array(particles).reshape(n, n_particles, 4),
+                          np.full((n, n_particles), 0.9 / n_particles),
+                          np.full(n, 0.9), np.zeros(n, dtype=int), labels)
 
 
 def _copy_beliefs(beliefs):
-    return [bp_mod.ParticleBelief(b.particles.copy(), b.weights.copy(),
-                                  b.r_prob, b.label, b.missed_scans)
-            for b in beliefs]
+    return bp_mod.Beliefs(beliefs.particles.copy(), beliefs.weights.copy(),
+                          beliefs.r.copy(), beliefs.missed.copy(), beliefs.labels)
 
 
 def _compare_traces(tr_a, tr_b, rtol):
@@ -213,7 +213,7 @@ def test_criterion_08_scenario2_scaled():
     for run in range(3):
         seed = 100 + run
         tapes, sends = sim_mod.prepare_run(cfg, seed)
-        beliefs = {"raw": [], "type2": []}
+        beliefs = {p: bp_mod.Beliefs.empty(500, 4) for p in ("raw", "type2")}
         encoded = {p: sim_mod.encode_tape(cfg, tapes, sends, p) for p in beliefs}
         reached_ten = False
         for scan in range(1, cfg.duration + 1):
@@ -230,11 +230,11 @@ def test_criterion_08_scenario2_scaled():
                 cards[payload] = len(estimates)
             _compare_traces(traces["raw"], traces["type2"], rtol=1e-9)
             assert cards["raw"] == cards["type2"]
-            labels_raw = [b.label for b in beliefs["raw"]]
-            labels_tr = [b.label for b in beliefs["type2"]]
+            labels_raw = beliefs["raw"].labels
+            labels_tr = beliefs["type2"].labels
             assert labels_raw == labels_tr
-            r_raw = np.array([b.r_prob for b in beliefs["raw"]])
-            r_tr = np.array([b.r_prob for b in beliefs["type2"]])
+            r_raw = beliefs["raw"].r
+            r_tr = beliefs["type2"].r
             np.testing.assert_allclose(r_raw, r_tr, rtol=1e-9, atol=1e-300)
             if 45 <= scan <= 75 and cards["raw"] >= 10:
                 reached_ten = True

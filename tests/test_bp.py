@@ -14,9 +14,9 @@ from conftest import paired_views, position_model
 from trackfuse import bp
 from trackfuse.bp import (
     AssociationMessages,
+    Beliefs,
     BpConfig,
     BpSensorInput,
-    ParticleBelief,
     belief_calculation,
     bp_pipeline_step,
     bp_predict,
@@ -40,8 +40,24 @@ def cv_motion(q=0.0):
 
 
 def uniform_belief(particles, r, label=0):
+    """One belief: (Np, n) particles of equal weight summing to r."""
     n = particles.shape[0]
-    return ParticleBelief(particles, np.full(n, r / n), r, label)
+    return Beliefs(particles[None], np.full((1, n), r / n), [r], [0], [label])
+
+
+def stacked(*beliefs):
+    """The rows of several Beliefs, in order, as one."""
+    return Beliefs(np.concatenate([b.particles for b in beliefs]),
+                   np.concatenate([b.weights for b in beliefs]),
+                   np.concatenate([b.r for b in beliefs]),
+                   np.concatenate([b.missed for b in beliefs]),
+                   [label for b in beliefs for label in b.labels])
+
+
+def no_newborns(n_p, dim=4):
+    """The newborn posteriors, birth clouds and labels of a measurement-free
+    sensor step."""
+    return (np.zeros((0, n_p)), np.zeros(0)), np.zeros((0, n_p, dim)), []
 
 
 def simple_input(rng, zs, p_d=0.9, rate=10.0, volume=1.13e6, sensor_id=0):
@@ -55,41 +71,43 @@ class TestPredict:
         rng = np.random.default_rng(0)
         particles = rng.standard_normal((100, 4))
         belief = uniform_belief(particles, 0.8)
-        out = bp_predict([belief], cv_motion(q=0.0), 1.0,
+        out = bp_predict(belief, cv_motion(q=0.0), 1.0,
                          np.random.default_rng(1))
-        np.testing.assert_allclose(out[0].particles,
+        np.testing.assert_allclose(out.particles[0],
                                    particles @ cv_motion().F.T)
-        assert out[0].r_prob == pytest.approx(0.8)
+        assert out.r[0] == pytest.approx(0.8)
 
     def test_nonexistent_stays_nonexistent(self):
         belief = uniform_belief(np.zeros((10, 4)), 0.0)
-        out = bp_predict([belief], cv_motion(), 0.95, np.random.default_rng(2))
-        assert out[0].r_prob == 0.0
+        out = bp_predict(belief, cv_motion(), 0.95, np.random.default_rng(2))
+        assert out.r[0] == 0.0
 
     def test_survival_decay(self):
         belief = uniform_belief(np.zeros((10, 4)), 0.8)
-        out = bp_predict([belief], cv_motion(), 0.95, np.random.default_rng(3))
-        assert out[0].r_prob == pytest.approx(0.76)
-        assert np.sum(out[0].weights) == pytest.approx(0.76)
+        out = bp_predict(belief, cv_motion(), 0.95, np.random.default_rng(3))
+        assert out.r[0] == pytest.approx(0.76)
+        assert np.sum(out.weights[0]) == pytest.approx(0.76)
 
-    def test_block_draws_equal_per_belief_draws(self):
+    @pytest.mark.parametrize("n_p, n", [(500, 150), (bp.BLOCK_PARTICLES // 2, 3)])
+    def test_block_draws_equal_per_belief_draws(self, n_p, n):
         rng = np.random.default_rng(4)
-        # runs of 300 and 500 particles; the run of 18 beliefs of 500
-        # splits at the block cap
-        counts = (300, 500, 500, 300) + (500,) * 18
-        beliefs = [uniform_belief(rng.standard_normal((n, 4)), 0.5, label=k)
-                   for k, n in enumerate(counts)]
+        # n beliefs span three stage blocks of 65 at 500 particles, two of
+        # two at half the cap
+        beliefs = stacked(*[uniform_belief(rng.standard_normal((n_p, 4)), 0.5, label=k)
+                            for k in range(n)])
         motion = cv_motion(q=0.3)
         out = bp_predict(beliefs, motion, 0.9, np.random.default_rng(5))
         w, v = np.linalg.eigh(motion.Q)
         sqrt_q = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
         ref_rng = np.random.default_rng(5)
-        for b, new in zip(beliefs, out):
-            noise = ref_rng.standard_normal(b.particles.shape) @ sqrt_q.T
-            np.testing.assert_array_equal(new.particles,
-                                          b.particles @ motion.F.T + noise)
-            np.testing.assert_array_equal(new.weights, b.weights * 0.9)
-            assert (new.r_prob, new.label) == (b.r_prob * 0.9, b.label)
+        for t in range(n):
+            particles = beliefs.particles[t]
+            noise = ref_rng.standard_normal(particles.shape) @ sqrt_q.T
+            np.testing.assert_array_equal(out.particles[t],
+                                          particles @ motion.F.T + noise)
+            np.testing.assert_array_equal(out.weights[t], beliefs.weights[t] * 0.9)
+            assert out.r[t] == beliefs.r[t] * 0.9
+        assert out.labels == beliefs.labels
 
 
 class TestMeasurementEvaluation:
@@ -98,10 +116,10 @@ class TestMeasurementEvaluation:
         inp = simple_input(rng, np.array([[500.0, 500.0]]))
         particles = np.zeros((200, 4))
         belief = uniform_belief(particles, 0.9)
-        clouds = propose_births(inp, BpConfig(n_particles=50), 4,
+        clouds = propose_births(inp, BpConfig(n_particles=200), 4,
                                 np.random.default_rng(5))
-        msgs, _, _ = measurement_evaluation([belief], inp,
-                                            BpConfig(n_particles=50), clouds)
+        msgs, _, _ = measurement_evaluation(belief, inp,
+                                            BpConfig(n_particles=200), clouds)
         assert msgs.beta[0, 1] <= 1e-12 * msgs.beta[0, 0]
 
     @pytest.mark.parametrize("kind", ["raw", "type2"])
@@ -109,15 +127,16 @@ class TestMeasurementEvaluation:
         rng = np.random.default_rng(9)
         particles = rng.standard_normal((400, 4)) * [6.0, 3.0, 1.0, 1.0]
         weights = rng.uniform(0.2, 1.0, 400)
-        belief = ParticleBelief(particles, 0.8 * weights / weights.sum(), 0.8, "b")
+        weights = 0.8 * weights / weights.sum()
+        belief = Beliefs(particles[None], weights[None], [0.8], [0], ["b"])
         h = np.array([[1.0, 0.3, 0.0, 0.0], [-0.2, 1.0, 0.0, 0.0]])
         r = np.array([[9.0, 2.0], [2.0, 4.0]])
-        total = belief.weights.sum()
-        mu = belief.weights @ particles / total
+        total = weights.sum()
+        mu = weights @ particles / total
         centred = particles - mu
-        cov = (centred * belief.weights[:, None]).T @ centred / total
+        cov = (centred * weights[:, None]).T @ centred / total
         s_cov = h @ cov @ h.T + r
-        cfg = BpConfig(n_particles=20)
+        cfg = BpConfig(n_particles=400)
         gamma = chi2.ppf(cfg.gate_prob, 2)
         # two measurements along one direction at squared distances just
         # inside and just outside the gate
@@ -130,7 +149,7 @@ class TestMeasurementEvaluation:
             batch = MeasurementBatch(0, zs @ a.T, a @ h, a @ r @ a.T, "type2")
         inp = BpSensorInput(batch, 0.9, ClutterModel(10.0, 1e6))
         clouds = propose_births(inp, cfg, 4, np.random.default_rng(10))
-        _, q_cache, _ = measurement_evaluation([belief], inp, cfg, clouds)
+        _, q_cache, _ = measurement_evaluation(belief, inp, cfg, clouds)
         assert list(q_cache) == [(0, 0)]
 
     def test_zero_detection_probability(self):
@@ -141,10 +160,10 @@ class TestMeasurementEvaluation:
         inp = BpSensorInput(batch, 0.5, ClutterModel(10.0, 1e6),
                             detect_fn=lambda pos: np.zeros(pos.shape[0]))
         belief = uniform_belief(np.zeros((100, 4)), 0.7)
-        clouds = propose_births(inp, BpConfig(n_particles=20), 4,
+        clouds = propose_births(inp, BpConfig(n_particles=100), 4,
                                 np.random.default_rng(7))
-        msgs, _, _ = measurement_evaluation([belief], inp,
-                                            BpConfig(n_particles=20), clouds)
+        msgs, _, _ = measurement_evaluation(belief, inp,
+                                            BpConfig(n_particles=100), clouds)
         assert msgs.beta[0, 1] == 0.0
         # r-marginalized miss term: 1*w-mass + (1 - r) = 0.7 + 0.3
         assert msgs.beta[0, 0] == pytest.approx(1.0)
@@ -162,7 +181,7 @@ class TestMeasurementEvaluation:
                                          views_raw[0].H, views_raw[0].R, "raw")
             batch_tr = MeasurementBatch(0, batch_raw.zs @ tr.A.T,
                                         views_tr[0].H, views_tr[0].R, kind)
-            cfg = BpConfig(n_particles=60)
+            cfg = BpConfig(n_particles=400)
             inp_raw = BpSensorInput(batch_raw, 0.9, views_raw[0].clutter)
             inp_tr = BpSensorInput(batch_tr, 0.9, views_tr[0].clutter)
             rng_a = np.random.default_rng(1234)
@@ -170,9 +189,9 @@ class TestMeasurementEvaluation:
             clouds_raw = propose_births(inp_raw, cfg, 4, rng_a)
             clouds_tr = propose_births(inp_tr, cfg, 4, rng_b)
             m_raw, q_raw, bl_raw = measurement_evaluation(
-                [belief], inp_raw, cfg, clouds_raw)
+                belief, inp_raw, cfg, clouds_raw)
             m_tr, q_tr, bl_tr = measurement_evaluation(
-                [belief], inp_tr, cfg, clouds_tr)
+                belief, inp_tr, cfg, clouds_tr)
             np.testing.assert_allclose(m_raw.beta, m_tr.beta, rtol=1e-9,
                                        atol=1e-300)
             np.testing.assert_allclose(m_raw.xi, m_tr.xi, rtol=1e-9)
@@ -231,14 +250,13 @@ class TestMeasurementUpdate:
         inp = simple_input(rng, np.zeros((0, 2)))
         belief = uniform_belief(np.zeros((50, 4)), 0.6)
         cfg = BpConfig(n_particles=50)
-        clouds = []
-        msgs, q_cache, bl = measurement_evaluation([belief], inp, cfg, clouds)
+        clouds = np.zeros((0, 50, 4))
+        msgs, q_cache, bl = measurement_evaluation(belief, inp, cfg, clouds)
         kappa, iota = iterative_association(msgs, 3)
-        posts, newborn = measurement_update([belief], msgs, q_cache, bl, inp,
-                                            cfg)
-        gamma, gamma0 = posts[0]
-        np.testing.assert_allclose(gamma, (1 - 0.9) * np.ones(50))
-        assert gamma0 == 1.0
+        (gamma, gamma0), newborn = measurement_update(belief, msgs, q_cache, bl, inp,
+                                                      cfg)
+        np.testing.assert_allclose(gamma[0], (1 - 0.9) * np.ones(50))
+        assert gamma0[0] == 1.0
 
     def test_certain_association_weights_proportional_to_likelihood(self):
         rng = np.random.default_rng(11)
@@ -248,21 +266,20 @@ class TestMeasurementUpdate:
         belief = uniform_belief(particles, 0.99)
         z = np.zeros(2)
         inp = simple_input(rng, z[None, :] @ np.eye(2))
-        cfg = BpConfig(n_particles=30)
+        cfg = BpConfig(n_particles=300)
         clouds = propose_births(inp, cfg, 4, np.random.default_rng(12))
-        msgs, q_cache, bl = measurement_evaluation([belief], inp, cfg, clouds)
+        msgs, q_cache, bl = measurement_evaluation(belief, inp, cfg, clouds)
         kappa = np.array([[0.0, 1.0]])
         iota = np.ones((1, 2))
         msgs.kappa, msgs.iota = kappa, iota
-        posts, _ = measurement_update([belief], msgs, q_cache, bl, inp, cfg)
-        gamma, _ = posts[0]
+        (gamma, _), _ = measurement_update(belief, msgs, q_cache, bl, inp, cfg)
         q = q_cache[(0, 0)]
-        np.testing.assert_allclose(gamma, q)
+        np.testing.assert_allclose(gamma[0], q)
 
     def _evaluated(self, rng):
-        beliefs = [uniform_belief(np.hstack([rng.uniform(-5, 5, (60, 2)),
-                                             np.zeros((60, 2))]), 0.7, label=k)
-                   for k in range(2)]
+        beliefs = stacked(*[uniform_belief(np.hstack([rng.uniform(-5, 5, (60, 2)),
+                                                      np.zeros((60, 2))]), 0.7, label=k)
+                            for k in range(2)])
         inp = simple_input(rng, np.array([[0.5, -0.5], [30.0, 30.0]]))
         inp.detect_fn = lambda p: 0.5 + 0.4 * (p[:, 0] > 0)
         cfg = BpConfig(n_particles=60)
@@ -287,18 +304,20 @@ class TestMeasurementUpdate:
 class TestBeliefCalculation:
     def test_uninformative_update_keeps_existence(self):
         belief = uniform_belief(np.zeros((40, 4)), 0.55)
-        posts = [(np.full(40, 2.5), 2.5)]
-        updated, _ = belief_calculation([belief], posts, [], [], [],
-                                        BpConfig(n_particles=40),
-                                        np.random.default_rng(13))
-        assert updated[0].r_prob == pytest.approx(0.55, rel=1e-12)
+        posts = (np.full((1, 40), 2.5), np.array([2.5]))
+        updated = belief_calculation(belief, posts, *no_newborns(40),
+                                     BpConfig(n_particles=40),
+                                     np.random.default_rng(13))
+        assert updated.r[0] == pytest.approx(0.55, rel=1e-12)
 
     def test_zero_newborn_mass(self):
-        cloud = np.zeros((20, 4))
-        updated, newborn = belief_calculation(
-            [], [], [(np.zeros(20), 3.0)], [cloud], ["x"],
+        clouds = np.zeros((1, 20, 4))
+        newborn = belief_calculation(
+            Beliefs.empty(20, 4), (np.zeros((0, 20)), np.zeros(0)),
+            (np.zeros((1, 20)), np.array([3.0])), clouds, ["x"],
             BpConfig(n_particles=20), np.random.default_rng(14))
-        assert newborn[0].r_prob == 0.0
+        assert newborn.labels == ["x"]
+        assert newborn.r[0] == 0.0
 
     def test_existence_matches_grid_oracle(self):
         # 2-D toy state, one measurement, known kappa: compare the particle
@@ -335,30 +354,30 @@ class TestBeliefCalculation:
         batch = MeasurementBatch(0, z[None, :], h, r_meas, "raw")
         inp = BpSensorInput(batch, p_d, ClutterModel(lam, vol))
         cfg = BpConfig(n_particles=n_p)
-        msgs, q_cache, bl = measurement_evaluation([belief], inp, cfg,
-                                                   [particles.copy()])
+        msgs, q_cache, bl = measurement_evaluation(belief, inp, cfg,
+                                                   particles[None].copy())
         msgs.kappa, msgs.iota = kappa, np.ones((1, 2))
-        posts, _ = measurement_update([belief], msgs, q_cache, bl, inp, cfg)
-        updated, _ = belief_calculation([belief], posts, [], [], [], cfg,
-                                        np.random.default_rng(16))
-        assert updated[0].r_prob == pytest.approx(r_oracle, abs=0.01)
+        posts, _ = measurement_update(belief, msgs, q_cache, bl, inp, cfg)
+        updated = belief_calculation(belief, posts, *no_newborns(n_p, 2), cfg,
+                                     np.random.default_rng(16))
+        assert updated.r[0] == pytest.approx(r_oracle, abs=0.01)
 
 
 class TestDeclareEstimatePrune:
     def test_declaration_threshold(self):
         belief = uniform_belief(np.zeros((10, 4)), 0.71)
-        estimates, _ = declare_estimate_prune([belief], BpConfig())
+        estimates, _ = declare_estimate_prune(belief, BpConfig())
         assert len(estimates) == 1
 
     def test_prune_threshold(self):
         belief = uniform_belief(np.zeros((10, 4)), 1e-7)
-        _, surviving = declare_estimate_prune([belief], BpConfig())
-        assert surviving == []
+        _, surviving = declare_estimate_prune(belief, BpConfig())
+        assert len(surviving) == 0
 
     def test_mmse_estimate_is_weighted_mean(self):
         particles = np.array([[0.0, 0.0, 0.0, 0.0], [2.0, 2.0, 0.0, 0.0]])
-        belief = ParticleBelief(particles, np.array([0.4, 0.4]), 0.8, "t")
-        estimates, _ = declare_estimate_prune([belief], BpConfig())
+        belief = Beliefs(particles[None], [[0.4, 0.4]], [0.8], [0], ["t"])
+        estimates, _ = declare_estimate_prune(belief, BpConfig())
         np.testing.assert_allclose(estimates[0][1][:2], [1.0, 1.0])
 
 
@@ -382,18 +401,18 @@ class TestPipeline:
                               detect_fn=lambda pos: np.zeros(pos.shape[0]))
         belief = uniform_belief(rng.standard_normal((100, 4)), 0.9)
         cfg = BpConfig(n_particles=100, survival_prob=0.95)
-        beliefs, _ = bp_pipeline_step([belief], [blind], cv_motion(q=0.1),
+        beliefs, _ = bp_pipeline_step(belief, [blind], cv_motion(q=0.1),
                                       cfg, self._rng_factory(1), scan=1)
         assert len(beliefs) == 1
-        assert beliefs[0].r_prob == pytest.approx(0.95 * 0.9, rel=1e-9)
+        assert beliefs.r[0] == pytest.approx(0.95 * 0.9, rel=1e-9)
 
         seeing = simple_input(rng, np.zeros((0, 2)))
         belief2 = uniform_belief(rng.standard_normal((100, 4)), 0.9)
-        beliefs2, _ = bp_pipeline_step([belief2], [seeing], cv_motion(q=0.1),
+        beliefs2, _ = bp_pipeline_step(belief2, [seeing], cv_motion(q=0.1),
                                        cfg, self._rng_factory(1), scan=1)
         decayed = 0.95 * 0.9
         expected = decayed * 0.1 / (decayed * 0.1 + (1 - decayed))
-        assert beliefs2[0].r_prob == pytest.approx(expected, rel=1e-9)
+        assert beliefs2.r[0] == pytest.approx(expected, rel=1e-9)
 
     def test_measurement_at_prediction_raises_existence(self):
         rng = np.random.default_rng(18)
@@ -407,20 +426,18 @@ class TestPipeline:
         batch = MeasurementBatch(0, z[None, :], model.H, model.R, "raw")
         inp = BpSensorInput(batch, 0.9, ClutterModel(10.0, 1.13e6))
         cfg = BpConfig(n_particles=500)
-        beliefs, _ = bp_pipeline_step([belief], [inp], motion, cfg,
+        beliefs, _ = bp_pipeline_step(belief, [inp], motion, cfg,
                                       self._rng_factory(2), scan=1)
-        assert beliefs[0].r_prob > 0.5
+        assert beliefs.r[0] > 0.5
 
     def test_raw_vs_transformed_full_step(self):
         rng = np.random.default_rng(19)
         views_raw, views_tr, trs = paired_views(rng, 3, "type2")
         state = np.array([0.0, 0.0, 2.0, -1.0])
-        beliefs_raw = []
-        for i in range(2):
-            particles = state + rng.standard_normal((300, 4)) * [5, 5, 1, 1]
-            beliefs_raw.append(uniform_belief(particles, 0.7, label=i))
-        beliefs_tr = [ParticleBelief(b.particles.copy(), b.weights.copy(),
-                                     b.r_prob, b.label) for b in beliefs_raw]
+        beliefs_raw = stacked(*[
+            uniform_belief(state + rng.standard_normal((300, 4)) * [5, 5, 1, 1], 0.7,
+                           label=i) for i in range(2)])
+        beliefs_tr = independent(beliefs_raw)
         zs = rng.uniform(-30, 30, (4, 2))
         inputs_raw, inputs_tr = [], []
         for l in range(3):
@@ -451,8 +468,8 @@ class TestPipeline:
 
     def test_sensor_count_bookkeeping(self):
         rng = np.random.default_rng(20)
-        beliefs = [uniform_belief(rng.standard_normal((50, 4)) * 10, 0.8,
-                                  label=i) for i in range(2)]
+        beliefs = stacked(*[uniform_belief(rng.standard_normal((50, 4)) * 10, 0.8,
+                                           label=i) for i in range(2)])
         inputs = [simple_input(rng, rng.uniform(-50, 50, (3, 2)), sensor_id=0),
                   simple_input(rng, rng.uniform(-50, 50, (2, 2)), sensor_id=1)]
         cfg = BpConfig(n_particles=50, prune_threshold=1e-300)
@@ -494,21 +511,22 @@ def reference_evaluation(beliefs, inp, cfg, birth_clouds):
     gamma = chi2.ppf(cfg.gate_prob, rank)
     beta = np.zeros((n, m + 1))
     q_cache = {}
-    for tau, b in enumerate(beliefs):
-        pd_x = inp.detection_probs(b.particles[:, :2])
-        beta[tau, 0] = float(b.weights @ (1.0 - pd_x)) + (1.0 - b.r_prob)
-        total = float(np.sum(b.weights))
+    for tau in range(n):
+        particles, weights = beliefs.particles[tau], beliefs.weights[tau]
+        pd_x = inp.detection_probs(particles[:, :2])
+        beta[tau, 0] = float(weights @ (1.0 - pd_x)) + (1.0 - beliefs.r[tau])
+        total = float(np.sum(weights))
         if m == 0 or total <= 0:
             continue
-        mu = (b.weights @ b.particles) / total
-        centered = b.particles - mu
-        cov = (centered * b.weights[:, None]).T @ centered / total
+        mu = (weights @ particles) / total
+        centered = particles - mu
+        cov = (centered * weights[:, None]).T @ centered / total
         w_s, v_s, _ = psd_eig(h @ cov @ h.T + r)
         proj = (zs - h @ mu) @ v_s
         for i in np.flatnonzero(np.sum(proj * proj / w_s, axis=1) <= gamma):
-            q = pd_x * np.exp(loglik(zs[i], b.particles) - log_ci)
+            q = pd_x * np.exp(loglik(zs[i], particles) - log_ci)
             q_cache[(tau, int(i))] = q
-            beta[tau, i + 1] = float(b.weights @ q)
+            beta[tau, i + 1] = float(weights @ q)
     xi = np.ones((m, n + 1))
     for i in range(m):
         mean_lik = float(np.mean(np.exp(loglik(zs[i], birth_clouds[i]))))
@@ -519,22 +537,22 @@ def reference_evaluation(beliefs, inp, cfg, birth_clouds):
 def reference_belief_calculation(beliefs, survived_posts, cfg, rng):
     """Per-belief normalization with one scalar uniform per belief (reference)."""
     out = []
-    for b, (gamma, gamma0) in zip(beliefs, survived_posts):
-        unnorm1 = b.weights * gamma
-        c = float(np.sum(unnorm1)) + (1.0 - b.r_prob) * gamma0
+    n_p = beliefs.n_particles
+    for tau, (gamma, gamma0) in enumerate(zip(*survived_posts)):
+        unnorm1 = beliefs.weights[tau] * gamma
+        c = float(np.sum(unnorm1)) + (1.0 - beliefs.r[tau]) * gamma0
         weights = unnorm1 / c
         r = float(np.sum(weights))
         u = float(rng.random())
-        particles = b.particles
+        particles = beliefs.particles[tau]
         if r > 0:
             wn = weights / r
-            if 1.0 / float(np.sum(wn * wn)) < cfg.resample_ess_frac * b.n_particles:
+            if 1.0 / float(np.sum(wn * wn)) < cfg.resample_ess_frac * n_p:
                 cumulative = np.cumsum(wn)
                 cumulative[-1] = 1.0
-                idx = np.searchsorted(cumulative,
-                                      (u + np.arange(b.n_particles)) / b.n_particles)
+                idx = np.searchsorted(cumulative, (u + np.arange(n_p)) / n_p)
                 particles = particles[idx]
-                weights = np.full(b.n_particles, r / b.n_particles)
+                weights = np.full(n_p, r / n_p)
         out.append((particles, weights, min(r, 1.0)))
     return out
 
@@ -548,23 +566,33 @@ def run_step(beliefs, inputs, cfg, trace):
                             trace)
 
 
-class TestBatchedSensorStep:
-    def _beliefs(self, rng, counts, spread=4.0):
-        beliefs = []
-        for k, n_p in enumerate(counts):
-            centre = np.array([15.0 * k, -10.0 * k, 1.0, 0.5])
-            particles = centre + rng.standard_normal((n_p, 4)) * [spread, spread, 1, 1]
-            beliefs.append(uniform_belief(particles, 0.4 + 0.1 * k, label=k))
-        return beliefs
+def spread_beliefs(rng, n, n_p, spread=4.0):
+    """n beliefs of n_p particles, belief k around (15 k, -10 k) with
+    existence 0.4 + 0.1 k."""
+    return stacked(*[
+        uniform_belief(np.array([15.0 * k, -10.0 * k, 1.0, 0.5])
+                       + rng.standard_normal((n_p, 4)) * [spread, spread, 1, 1],
+                       0.4 + 0.1 * k, label=k) for k in range(n)])
 
+
+def peaked_posts(beliefs, scales):
+    """Survived posteriors peaked at the origin with width scales[t] per
+    belief, and kappa(0) = 0.3."""
+    gamma = np.exp(-0.5 * np.sum(beliefs.particles[:, :, :2] ** 2, axis=2)
+                   / np.asarray(scales)[:, None])
+    return gamma, np.full(len(beliefs), 0.3)
+
+
+class TestBatchedSensorStep:
     def test_evaluation_matches_per_belief_reference(self):
         rng = np.random.default_rng(60)
         for kind in ("raw", "type2", "generic"):
             views_raw, views_tr, trs = paired_views(
                 rng, 1, "type2" if kind == "raw" else kind)
-            beliefs = self._beliefs(rng, (200, 350, 500))
-            beliefs.append(ParticleBelief(beliefs[0].particles.copy(),
-                                          np.zeros(200), 0.0, "empty"))
+            beliefs = spread_beliefs(rng, 3, 500)
+            beliefs = stacked(beliefs, Beliefs(beliefs.particles[:1].copy(),
+                                               np.zeros((1, 500)), [0.0], [0],
+                                               ["empty"]))
             zs = np.array([[0.0, 0.0], [15.0, -10.0], [31.0, -19.0], [400.0, 0.0]])
             raw_z = zs @ views_raw[0].H[:, :2].T
             if kind == "raw":
@@ -576,7 +604,7 @@ class TestBatchedSensorStep:
                                          views_tr[0].R, kind)
                 inp = BpSensorInput(batch, 0.9, views_tr[0].clutter,
                                     detect_fn=lambda p: 0.8 * (p[:, 0] < 20.0))
-            cfg = BpConfig(n_particles=100)
+            cfg = BpConfig(n_particles=500)
             clouds = propose_births(inp, cfg, 4, np.random.default_rng(61))
             msgs, q_cache, _ = measurement_evaluation(beliefs, inp, cfg, clouds)
             beta, xi, q_ref = reference_evaluation(beliefs, inp, cfg, clouds)
@@ -589,67 +617,54 @@ class TestBatchedSensorStep:
 
     def test_belief_calculation_matches_per_belief_reference(self):
         rng = np.random.default_rng(62)
-        beliefs = self._beliefs(rng, (100, 250, 400, 50))
+        beliefs = spread_beliefs(rng, 4, 400)
         # a peaked likelihood forces resampling on some beliefs, a flat one
         # keeps the weights of the others
-        posts = [(np.exp(-0.5 * np.sum(b.particles[:, :2] ** 2, axis=1) / s), 0.3)
-                 for b, s in zip(beliefs, (1.0, 1e6, 4.0, 1e6))]
-        cfg = BpConfig(n_particles=100)
-        updated, _ = belief_calculation(beliefs, posts, [], [], [], cfg,
-                                        np.random.default_rng(63))
+        posts = peaked_posts(beliefs, (1.0, 1e6, 4.0, 1e6))
+        cfg = BpConfig(n_particles=400)
+        updated = belief_calculation(beliefs, posts, *no_newborns(400), cfg,
+                                     np.random.default_rng(63))
         expected = reference_belief_calculation(beliefs, posts, cfg,
-                                                 np.random.default_rng(63))
+                                                np.random.default_rng(63))
         resampled = 0
-        for b, new, (particles, weights, r) in zip(beliefs, updated, expected):
-            np.testing.assert_array_equal(new.particles, particles)
-            np.testing.assert_array_equal(new.weights, weights)
-            assert new.r_prob == r
-            resampled += not np.array_equal(new.particles, b.particles)
+        for t, (particles, weights, r) in enumerate(expected):
+            np.testing.assert_array_equal(updated.particles[t], particles)
+            np.testing.assert_array_equal(updated.weights[t], weights)
+            assert updated.r[t] == r
+            resampled += not np.array_equal(updated.particles[t], beliefs.particles[t])
         assert 0 < resampled < len(beliefs)
-        # four particle counts are four runs: each updated belief is the one
-        # row of a new particle block and a new weight block
-        assert [(new._prow[0].shape, new._prow[1]) for new in updated] == [
-            ((1, n_p, 4), 0) for n_p in (100, 250, 400, 50)]
-        assert [(new._wrow[0].shape, new._wrow[1]) for new in updated] == [
-            ((1, n_p), 0) for n_p in (100, 250, 400, 50)]
 
     def test_step_writes_one_block(self):
         rng = np.random.default_rng(66)
         # predicted stage blocks of per_block and 4 rows, then 2 newborns
         per_block = bp.BLOCK_PARTICLES // 500
         n = per_block + 4
-        beliefs = bp_predict([uniform_belief(rng.standard_normal((500, 4)) * 5.0, 0.5, k)
-                              for k in range(n)], cv_motion(q=0.1), 1.0,
-                             np.random.default_rng(67))
-        assert len({id(b._prow[0]) for b in beliefs}) == 2
-        before = [b.particles.copy() for b in beliefs]
-        flat = [(np.ones(500), 0.3) for _ in beliefs]
+        beliefs = bp_predict(stacked(*[uniform_belief(rng.standard_normal((500, 4)) * 5.0,
+                                                      0.5, k) for k in range(n)]),
+                             cv_motion(q=0.1), 1.0, np.random.default_rng(67))
+        before = beliefs.particles.copy()
+        gamma = np.ones((n, 500))
         # one peaked row in the second stage block
         peaked = per_block + 2
-        flat[peaked] = (np.exp(-0.5 * np.sum((beliefs[peaked].particles[:, :2]
-                                              - beliefs[peaked].particles[0, :2]) ** 2,
-                                             axis=1)), 0.3)
+        gamma[peaked] = np.exp(-0.5 * np.sum((beliefs.particles[peaked, :, :2]
+                                              - beliefs.particles[peaked, 0, :2]) ** 2,
+                                             axis=1))
         cfg = BpConfig(n_particles=500)
         clouds = propose_births(simple_input(rng, np.array([[0.0, 0.0], [5.0, 5.0]])),
                                 cfg, 4, rng)
-        newborn_posts = [(np.ones(500), 1.0), (np.ones(500), 2.0)]
-        updated, newborn = belief_calculation(beliefs, flat, newborn_posts, clouds,
-                                              ["a", "b"], cfg, np.random.default_rng(68))
-        out = updated + newborn
-        for record, shape in (("_prow", (n + 2, 500, 4)), ("_wrow", (n + 2, 500))):
-            assert [getattr(b, record)[1] for b in out] == list(range(n + 2))
-            block = getattr(out[0], record)[0]
-            assert block.shape == shape
-            assert all(getattr(b, record)[0] is block for b in out)
-        assert out[0]._prow[0] is not beliefs[0]._prow[0]
+        newborn_posts = (np.ones((2, 500)), np.array([1.0, 2.0]))
+        out = belief_calculation(beliefs, (gamma, np.full(n, 0.3)), newborn_posts,
+                                 clouds, ["a", "b"], cfg, np.random.default_rng(68))
+        assert out.particles.shape == (n + 2, 500, 4)
+        assert out.weights.shape == (n + 2, 500)
+        assert out.labels == list(range(n)) + ["a", "b"]
+        assert not np.shares_memory(out.particles, beliefs.particles)
         for k in range(n):
-            changed = not np.array_equal(updated[k].particles, beliefs[k].particles)
+            changed = not np.array_equal(out.particles[k], beliefs.particles[k])
             assert changed == (k == peaked)
-        for b, cloud in zip(newborn, clouds):
-            np.testing.assert_array_equal(b.particles, cloud)
-        # the input blocks are unchanged
-        for b, old in zip(beliefs, before):
-            np.testing.assert_array_equal(b.particles, old)
+        np.testing.assert_array_equal(out.particles[n:], clouds)
+        # the input arrays are unchanged
+        np.testing.assert_array_equal(beliefs.particles, before)
 
     def test_detect_fn_sees_every_particle_once_per_sensor(self):
         rng = np.random.default_rng(64)
@@ -667,7 +682,7 @@ class TestBatchedSensorStep:
             inp.detect_fn = detect
             inputs.append(inp)
             calls.append(sizes)
-        beliefs = self._beliefs(rng, (n_p,) * 3, spread=10.0)
+        beliefs = spread_beliefs(rng, 3, n_p, spread=10.0)
         cfg = BpConfig(n_particles=n_p, prune_threshold=1e-300)
         trace = []
         run_step(beliefs, inputs, cfg, trace)
@@ -676,12 +691,13 @@ class TestBatchedSensorStep:
         assert [step["r_prob"].size for step in trace] == [6, 8]
         assert calls == [[2 * n_p, n_p], [2 * n_p] * 3]
 
-    def test_mixed_particle_counts_keep_raw_type2_traces_equal(self):
+    def test_stage_slices_keep_raw_type2_traces_equal(self):
         rng = np.random.default_rng(65)
         views_raw, views_tr, trs = paired_views(rng, 2, "type2")
-        beliefs_raw = self._beliefs(rng, (300, 500))
-        beliefs_tr = [ParticleBelief(b.particles.copy(), b.weights.copy(),
-                                     b.r_prob, b.label) for b in beliefs_raw]
+        # three beliefs of half the cap make two stage blocks
+        n_p = bp.BLOCK_PARTICLES // 2
+        beliefs_raw = spread_beliefs(rng, 3, n_p)
+        beliefs_tr = independent(beliefs_raw)
         zs = np.array([[1.0, 0.5], [16.0, -9.0], [-30.0, 25.0]])
         inputs_raw, inputs_tr = [], []
         for l in range(2):
@@ -693,13 +709,12 @@ class TestBatchedSensorStep:
                 MeasurementBatch(l, raw_z @ trs[l].A.T, views_tr[l].H,
                                  views_tr[l].R, "type2"),
                 0.9, views_tr[l].clutter))
-        cfg = BpConfig(n_particles=400)
+        cfg = BpConfig(n_particles=n_p)
         trace_raw, trace_tr = [], []
         run_step(beliefs_raw, inputs_raw, cfg, trace_raw)
         run_step(beliefs_tr, inputs_tr, cfg, trace_tr)
-        # both old beliefs gate a measurement at the first sensor
+        # both first beliefs gate a measurement at the first sensor
         assert np.all(trace_raw[0]["beta"][:2, 1:].max(axis=1) > 0)
-        assert [w.size for w in trace_raw[0]["weights"][:2]] == [300, 500]
         for step_raw, step_tr in zip(trace_raw, trace_tr):
             for key in ("beta", "xi", "kappa", "iota", "r_prob"):
                 np.testing.assert_allclose(step_raw[key], step_tr[key],
@@ -711,33 +726,37 @@ class TestBatchedSensorStep:
 CAP = bp.BLOCK_PARTICLES
 
 
+def slice_count(n_p, slices, extra):
+    """A belief count that spans `slices` stage blocks of n_p particles."""
+    size = max(1, CAP // n_p)
+    return (slices - 1) * size + 1 + extra % size
+
+
 class TestBlockProperties:
-    """Blocked stages against the per-belief references on random mixes."""
+    """Blocked stages against the per-belief references on random sets."""
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
-           # CAP // 2 fills a stage block with two beliefs; three of
-           # CAP // 3 + 1 exceed one by one particle
-           counts=st.lists(st.sampled_from((1, 2, 300, 500, CAP // 3 + 1, CAP // 2,
-                                            5 * CAP // 8)),
-                           min_size=1, max_size=7),
+           # CAP // 2 fills a stage block with two beliefs, 500 with 65
+           n_p=st.sampled_from((500, CAP // 2)),
+           slices=st.integers(1, 3),
+           extra=st.integers(0, CAP),
            zero_weight=st.integers(-1, 6),
            meas=st.sampled_from(("none", "far", "near")),
            kind=st.sampled_from(("raw", "type2")))
-    def test_blocks_match_per_belief_references(self, seed, counts, zero_weight,
-                                                meas, kind):
+    def test_blocks_match_per_belief_references(self, seed, n_p, slices, extra,
+                                                zero_weight, meas, kind):
         rng = np.random.default_rng(seed)
-        beliefs = []
-        for k, n_p in enumerate(counts):
-            centre = np.array([15.0 * k, -10.0 * k, 1.0, 0.5])
-            particles = centre + rng.standard_normal((n_p, 4)) * [4.0, 4.0, 1, 1]
-            if k == zero_weight:
-                beliefs.append(ParticleBelief(particles, np.zeros(n_p), 0.0, k))
-            else:
-                weights = rng.uniform(0.1, 1.0, n_p)
-                r = rng.uniform(0.05, 0.95)
-                beliefs.append(ParticleBelief(particles, weights * r / weights.sum(),
-                                              r, k))
+        n = slice_count(n_p, slices, extra)
+        centres = np.array([[15.0 * k, -10.0 * k, 1.0, 0.5] for k in range(n)])
+        particles = (centres[:, None, :]
+                     + rng.standard_normal((n, n_p, 4)) * [4.0, 4.0, 1, 1])
+        weights = rng.uniform(0.1, 1.0, (n, n_p))
+        r = rng.uniform(0.05, 0.95, n)
+        weights *= (r / weights.sum(axis=1))[:, None]
+        if 0 <= zero_weight < n:
+            weights[zero_weight], r[zero_weight] = 0.0, 0.0
+        beliefs = Beliefs(particles, weights, r, np.zeros(n, dtype=int), list(range(n)))
         zs = {"none": np.zeros((0, 2)),
               "far": np.array([[1e5, 1e5], [-1e5, 3e4]]),
               "near": np.array([[0.0, 0.0], [16.0, -9.0], [44.0, -31.0],
@@ -753,7 +772,7 @@ class TestBlockProperties:
             clutter = views_tr[0].clutter
         inp = BpSensorInput(batch, 0.9, clutter,
                             detect_fn=lambda p: 0.8 * (p[:, 0] < 20.0) + 0.1)
-        cfg = BpConfig(n_particles=50)
+        cfg = BpConfig(n_particles=n_p)
         clouds = propose_births(inp, cfg, 4, rng)
 
         msgs, q_cache, _ = measurement_evaluation(beliefs, inp, cfg, clouds)
@@ -767,31 +786,31 @@ class TestBlockProperties:
             np.testing.assert_allclose(q_cache[key], q, rtol=1e-12, atol=1e-300)
 
         # a peaked likelihood on some beliefs forces resampling
-        posts = [(np.exp(-0.5 * np.sum(b.particles[:, :2] ** 2, axis=1)
-                         / rng.choice((1.0, 1e6))), 0.3) for b in beliefs]
-        updated, _ = belief_calculation(beliefs, posts, [], [], [], cfg,
-                                        np.random.default_rng(seed))
+        posts = peaked_posts(beliefs, rng.choice((1.0, 1e6), n))
+        updated = belief_calculation(beliefs, posts, *no_newborns(n_p), cfg,
+                                     np.random.default_rng(seed))
         expected = reference_belief_calculation(beliefs, posts, cfg,
                                                 np.random.default_rng(seed))
-        for b, new, (particles, weights, r) in zip(beliefs, updated, expected):
-            np.testing.assert_array_equal(new.particles, particles)
-            np.testing.assert_array_equal(new.weights, weights)
-            assert new.r_prob == r
-            assert (new.label, new.missed_scans) == (b.label, b.missed_scans)
+        for t, (particles, weights, r) in enumerate(expected):
+            np.testing.assert_array_equal(updated.particles[t], particles)
+            np.testing.assert_array_equal(updated.weights[t], weights)
+            assert updated.r[t] == r
+        assert updated.labels == beliefs.labels
+        np.testing.assert_array_equal(updated.missed, beliefs.missed)
 
 
 def independent(beliefs):
     """The beliefs rebuilt on arrays of their own."""
-    return [ParticleBelief(b.particles.copy(), b.weights.copy(), b.r_prob, b.label,
-                           b.missed_scans) for b in beliefs]
+    return Beliefs(beliefs.particles.copy(), beliefs.weights.copy(), beliefs.r.copy(),
+                   beliefs.missed.copy(), list(beliefs.labels))
 
 
 def assert_beliefs_identical(got, expected):
-    assert len(got) == len(expected)
-    for x, y in zip(got, expected):
-        np.testing.assert_array_equal(x.particles, y.particles)
-        np.testing.assert_array_equal(x.weights, y.weights)
-        assert (x.r_prob, x.label, x.missed_scans) == (y.r_prob, y.label, y.missed_scans)
+    np.testing.assert_array_equal(got.particles, expected.particles)
+    np.testing.assert_array_equal(got.weights, expected.weights)
+    np.testing.assert_array_equal(got.r, expected.r)
+    np.testing.assert_array_equal(got.missed, expected.missed)
+    assert got.labels == expected.labels
 
 
 def every_stage(beliefs, inp, cfg, clouds, seed, plain_posts=False):
@@ -802,42 +821,29 @@ def every_stage(beliefs, inp, cfg, clouds, seed, plain_posts=False):
     survived, newborn_posts = measurement_update(beliefs, msgs, q_cache, birth_liks,
                                                  inp, cfg)
     if plain_posts:
-        survived = [(g.copy(), g0) for g, g0 in survived]
-        newborn_posts = [(w.copy(), d) for w, d in newborn_posts]
+        survived = tuple(a.copy() for a in survived)
+        newborn_posts = tuple(a.copy() for a in newborn_posts)
     labels = [("new", i) for i in range(inp.batch.n_meas)]
-    updated, newborn = belief_calculation(beliefs, survived, newborn_posts, clouds,
-                                          labels, cfg, np.random.default_rng(seed + 1))
+    out = belief_calculation(beliefs, survived, newborn_posts, clouds, labels, cfg,
+                             np.random.default_rng(seed + 1))
     return dict(pred=pred, msgs=msgs, q_cache=q_cache, birth_liks=birth_liks,
-                survived=survived, newborn_posts=newborn_posts, updated=updated,
-                newborn=newborn)
-
-
-def assert_one_block_per_run(beliefs):
-    """Beliefs of equal particle counts view consecutive rows of one
-    particle block and one weight block, from row 0."""
-    if len({b.n_particles for b in beliefs}) != 1:
-        return
-    for record in ("_prow", "_wrow"):
-        block = getattr(beliefs[0], record)[0]
-        assert len(block) == len(beliefs)
-        assert [getattr(b, record)[1] for b in beliefs] == list(range(len(beliefs)))
-        assert all(getattr(b, record)[0] is block for b in beliefs)
+                survived=survived, newborn_posts=newborn_posts, out=out)
 
 
 class TestPersistentBlocks:
-    """Stages on pipeline-built beliefs (rows of stored blocks) against the
-    same beliefs on arrays of their own, bit for bit."""
+    """Stages on pipeline-built beliefs (the step's arrays, or copies of
+    their rows after pruning or reordering) against the same beliefs on
+    arrays of their own, bit for bit; no stage writes into its inputs."""
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
-           # CAP // 2 fills a stage block with two beliefs; three of
-           # CAP // 3 + 1 exceed one by one particle
-           counts=st.lists(st.sampled_from((1, 300, 500, CAP // 3 + 1, CAP // 2)),
-                           min_size=1, max_size=6),
-           n_newborn=st.sampled_from((300, 500, CAP // 2)),
+           # CAP // 2 fills a stage block with two beliefs, 500 with 65
+           n_p=st.sampled_from((500, CAP // 2)),
+           slices=st.integers(1, 3),
+           extra=st.integers(0, CAP),
            edit=st.sampled_from(("none", "prune", "reorder", "both")),
            kind=st.sampled_from(("raw", "type2")))
-    def test_block_rows_equal_independent_arrays(self, seed, counts, n_newborn, edit,
+    def test_block_rows_equal_independent_arrays(self, seed, n_p, slices, extra, edit,
                                                  kind):
         rng = np.random.default_rng(seed)
         views_raw, views_tr, trs = paired_views(rng, 3, "type2")
@@ -855,56 +861,44 @@ class TestPersistentBlocks:
                                  detect_fn=lambda p: 0.8 * (p[:, 0] < 20.0) + 0.1)
 
         zs = np.array([[0.0, 0.0], [16.0, -9.0], [44.0, -31.0], [-30.0, 25.0]])
-        cfg = BpConfig(n_particles=n_newborn)
-        # one pipeline step: predicted blocks, then survivors and newborns
-        outside = []
-        for k, n_p in enumerate(counts):
-            centre = np.array([15.0 * k, -10.0 * k, 1.0, 0.5])
-            particles = centre + rng.standard_normal((n_p, 4)) * [4.0, 4.0, 1, 1]
-            outside.append(uniform_belief(particles, rng.uniform(0.05, 0.95), label=k))
+        cfg = BpConfig(n_particles=n_p)
+        # one pipeline step: predicted arrays, then survivors and newborns
+        n = slice_count(n_p, slices, extra)
+        outside = spread_beliefs(rng, n, n_p)
+        outside.r = rng.uniform(0.05, 0.95, n)
+        outside.weights = np.repeat((outside.r / n_p)[:, None], n_p, axis=1)
         first = sensor(0, zs[:3])
-        step = every_stage(bp_predict(outside, cv_motion(q=0.1), 0.99, rng), first,
-                           cfg, propose_births(first, cfg, 4, rng), seed)
-        built = step["updated"] + step["newborn"]
-        assert_one_block_per_run(built)
+        built = every_stage(bp_predict(outside, cv_motion(q=0.1), 0.99, rng), first,
+                            cfg, propose_births(first, cfg, 4, rng), seed)["out"]
         if edit in ("prune", "both"):
             keep = rng.random(len(built)) < 0.6
             keep[int(rng.integers(len(built)))] = True
-            built = [b for b, k in zip(built, keep) if k]
+            built = built[keep]
         if edit in ("reorder", "both"):
-            built = [built[i] for i in rng.permutation(len(built))]
-        assert all(b._prow is not None and b._wrow is not None for b in built)
+            built = built[rng.permutation(len(built))]
+        copies = independent(built)
 
         second = sensor(1, zs[1:])
         clouds = propose_births(second, cfg, 4, rng)
         got = every_stage(built, second, cfg, clouds, seed + 7)
-        expected = every_stage(independent(built), second, cfg,
-                               [c.copy() for c in clouds], seed + 7, plain_posts=True)
+        assert_beliefs_identical(built, copies)
+        expected = every_stage(copies, second, cfg, clouds.copy(), seed + 7,
+                               plain_posts=True)
 
         assert_beliefs_identical(got["pred"], expected["pred"])
-        for key in ("beta", "xi", "kappa", "iota"):
+        for key in ("beta", "xi", "kappa", "iota", "p_detect"):
             np.testing.assert_array_equal(getattr(got["msgs"], key),
                                           getattr(expected["msgs"], key))
         assert list(got["q_cache"]) == list(expected["q_cache"])
         for key, q in expected["q_cache"].items():
             np.testing.assert_array_equal(got["q_cache"][key], q)
-        for name in ("birth_liks",):
-            assert len(got[name]) == len(expected[name])
+        np.testing.assert_array_equal(got["birth_liks"], expected["birth_liks"])
+        for name in ("survived", "newborn_posts"):
             for a, b in zip(got[name], expected[name]):
                 np.testing.assert_array_equal(a, b)
-        for a, b in zip(got["msgs"].p_detect, expected["msgs"].p_detect):
-            np.testing.assert_array_equal(a, b)
-        for name in ("survived", "newborn_posts"):
-            assert len(got[name]) == len(expected[name])
-            for (a, a0), (b, b0) in zip(got[name], expected[name]):
-                np.testing.assert_array_equal(a, b)
-                assert a0 == b0
-        assert_beliefs_identical(got["updated"], expected["updated"])
-        assert_beliefs_identical(got["newborn"], expected["newborn"])
-        assert_one_block_per_run(got["updated"] + got["newborn"])
-        assert_one_block_per_run(expected["updated"] + expected["newborn"])
+        assert_beliefs_identical(got["out"], expected["out"])
 
-        # a whole scan of two sensors on the same lists
+        # a whole scan of two sensors on the same beliefs
         inputs = [second, sensor(2, zs[:2] + 0.5)]
         trace_got, trace_expected = [], []
         out, est = run_step(built, inputs, cfg, trace_got)
@@ -922,26 +916,22 @@ class TestPersistentBlocks:
                 np.testing.assert_array_equal(wa, wb)
 
     @pytest.mark.parametrize("pruned", [
-        lambda k: k % 3 == 0,  # survivors are stacked into new blocks
-        lambda k: k >= 12,     # survivors are the first rows of one block
+        lambda k: k % 3 == 0,  # survivors scattered over the step's arrays
+        lambda k: k >= 12,     # survivors are the first rows
     ])
     def test_survivors_of_pruning_fill_their_blocks(self, pruned):
         rng = np.random.default_rng(70)
-        # the rows of the pruned beliefs leave the survivors' blocks
-        beliefs = [uniform_belief(rng.standard_normal((500, 4)) + [10.0 * k, 0, 0, 0],
-                                  1e-9 if pruned(k) else 0.9, k) for k in range(40)]
+        # the rows of the pruned beliefs leave the survivors' arrays
+        beliefs = stacked(*[uniform_belief(rng.standard_normal((500, 4))
+                                           + [10.0 * k, 0, 0, 0],
+                                           1e-9 if pruned(k) else 0.9, k)
+                            for k in range(40)])
         inp = simple_input(rng, np.zeros((0, 2)))
         cfg = BpConfig(n_particles=500, prune_threshold=1e-7)
         out, _ = run_step(beliefs, [inp], cfg, [])
-        assert [b.label for b in out] == [k for k in range(40) if not pruned(k)]
-        for record in ("_prow", "_wrow"):
-            users = {}
-            for b in out:
-                block, row = getattr(b, record)
-                users.setdefault(id(block), (block, []))[1].append(row)
-            for block, rows in users.values():
-                assert block.base is None
-                assert sorted(rows) == list(range(block.shape[0]))
+        assert out.labels == [k for k in range(40) if not pruned(k)]
+        assert out.particles.shape == (len(out), 500, 4)
+        assert out.particles.base is None and out.weights.base is None
         expected, _ = run_step(independent(beliefs), [inp], cfg, [])
         assert_beliefs_identical(out, expected)
 
@@ -1057,13 +1047,38 @@ class TestErrorPaths:
 
     def test_weights_not_matching_particles_rejected(self):
         with pytest.raises(InputError):
-            ParticleBelief(np.zeros((5, 4)), np.full(4, 0.1), 0.4, "x")
+            Beliefs(np.zeros((1, 5, 4)), np.full((1, 4), 0.1), [0.4], [0], ["x"])
+        with pytest.raises(InputError):
+            Beliefs(np.zeros((1, 5, 4)), np.full((1, 5), 0.1), [0.4, 0.2], [0], ["x"])
+
     def test_empty_belief_rejected(self):
         rng = np.random.default_rng(40)
         inp = simple_input(rng, np.zeros((0, 2)))
-        bad = ParticleBelief(np.zeros((0, 4)), np.zeros(0), 0.5, "x")
         with pytest.raises(InputError):
-            measurement_evaluation([bad], inp, BpConfig(n_particles=10), [])
+            bad = Beliefs(np.zeros((1, 0, 4)), np.zeros((1, 0)), [0.5], [0], ["x"])
+            measurement_evaluation(bad, inp, BpConfig(n_particles=10),
+                                   np.zeros((0, 10, 4)))
+
+    def test_particle_count_mismatch_rejected_before_any_work(self):
+        rng = np.random.default_rng(41)
+        inp = simple_input(rng, np.array([[0.0, 0.0]]))
+        beliefs = spread_beliefs(rng, 2, 40)
+        cfg = BpConfig(n_particles=50)
+        streams = []
+
+        def rng_for(purpose, sensor):
+            streams.append(purpose)
+            return np.random.default_rng(0)
+
+        with pytest.raises(InputError, match="40 particles"):
+            bp_pipeline_step(beliefs, [inp], cv_motion(q=0.1), cfg, rng_for)
+        assert streams == []
+        clouds = propose_births(inp, cfg, 4, np.random.default_rng(1))
+        with pytest.raises(InputError, match="configured for 50"):
+            measurement_evaluation(beliefs, inp, cfg, clouds)
+        with pytest.raises(InputError, match="configured for 50"):
+            belief_calculation(beliefs, (np.ones((2, 40)), np.ones(2)),
+                               *no_newborns(40), cfg, np.random.default_rng(2))
 
     def test_all_zero_messages_degenerate(self):
         msgs = AssociationMessages(np.zeros((1, 2)), np.ones((1, 2)))
@@ -1091,6 +1106,6 @@ class TestErrorPaths:
     def test_nonpositive_normalization_degenerate(self):
         belief = uniform_belief(np.zeros((5, 4)), 1.0)
         with pytest.raises(DegenerateBeliefError):
-            belief_calculation([belief], [(np.zeros(5), 0.0)], [], [], [],
+            belief_calculation(belief, (np.zeros((1, 5)), np.zeros(1)), *no_newborns(5),
                                BpConfig(n_particles=5),
                                np.random.default_rng(0))

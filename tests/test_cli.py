@@ -1,6 +1,12 @@
 """CLI argument handling, scenario files, CSV outputs, check suites."""
 
+import contextlib
+import io
+import signal
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trackfuse import bp as bp_mod
 from trackfuse import checks, cli
@@ -61,7 +67,10 @@ class TestScenarioFile:
                                             ("p_d", "0"), ("p_d", "1.5"),
                                             ("fov_range", "nan"), ("fov_range", "0"),
                                             ("fov_half_angle", "0"),
-                                            ("fov_half_angle", "3.2")])
+                                            ("fov_half_angle", "3.2"),
+                                            ("clutter_rate", "1e308"),
+                                            ("clutter_rate", "1e-320"),
+                                            ("fov_range", "1e308")])
     def test_sensor_rate_out_of_range_reports_line(self, tmp_path, key, value):
         # clutter_rate = 0 used to pass here and crash the run in math.log
         text = SCENARIO_FILE.replace("p_d=0.9\nclutter_rate=5",
@@ -77,10 +86,16 @@ class TestScenarioFile:
         ("duration=20", "duration=0"), ("duration=20", "duration=2.5"),
         ("dt=1.0", "dt=0"), ("dt=1.0", "dt=nan"), ("q=0.1", "q=-1"),
         ("q=0.1", "q=inf"), ("sigma=5.0", "sigma=-1"), ("birth=1", "birth=1.5"),
-        ("death=20", "death=inf")])
+        ("death=20", "death=inf"),
+        ("duration=20", "duration=1e6"), ("dt=1.0", "dt=1e6"), ("q=0.1", "q=1e308"),
+        ("sigma=5.0", "sigma=1e308"), ("birth=1", "birth=-1e308"),
+        ("death=20", "death=21"), ("death=20", "death=1")])
     def test_scenario_and_target_numbers_report_line(self, tmp_path, line, bad):
         # duration=nan used to raise a bare ValueError, and dt=0 and sigma=-1
-        # used to run to exit code 0
+        # used to run to exit code 0; huge numbers overflowed in the run
+        # (OverflowError, numpy's LinAlgError or ValueError) or did not end
+        # (birth=-1e308), and a death outside (birth, duration] raised an
+        # untyped ConfigError from the scenario
         text = SCENARIO_FILE.replace(line, bad)
         lineno = text.splitlines().index(bad) + 1
         path = tmp_path / "numbers.cfg"
@@ -165,6 +180,16 @@ class TestSpec:
         monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
         assert cli.pool_size(10 ** 9, 5) == 1
 
+    @pytest.mark.parametrize("sweep", ["clutter_rate=1e308", "clutter_rate=nan",
+                                       "p_d=nan"])
+    def test_sweep_value_out_of_range_exits_with_error(self, tmp_path, capsys, sweep):
+        # clutter_rate=1e308 used to end in numpy's ValueError in the run
+        rc = cli.main(["run", "--runs", "1", "--sweep", sweep,
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_config_exits_nonzero(self, capsys):
         rc = cli.main(["run", "--sweep", "banana=1"])
         assert rc == 2
@@ -172,6 +197,18 @@ class TestSpec:
 
 
 class TestRunExperiment:
+    def test_bad_scenario_file_leaves_no_output_dir(self, tmp_path, capsys):
+        # the output directory used to be made before the scenario was read
+        scenario = tmp_path / "toy.cfg"
+        scenario.write_text(SCENARIO_FILE.replace("state=-100,-100,8,1",
+                                                  "state=nan,-100,8,1"))
+        out = tmp_path / "toy_out"
+        rc = cli.main(["run", "--scenario", str(scenario), "--runs", "1",
+                       "--out", str(out)])
+        assert rc == 2
+        assert "'state' must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_outputs_and_determinism(self, tmp_path):
         scenario = tmp_path / "toy.cfg"
         scenario.write_text(SCENARIO_FILE)
@@ -267,3 +304,111 @@ class TestIoErrors:
                        "--runs", "1", "--out", str(blocker / "nested")])
         assert rc == 1
         assert "i/o error" in capsys.readouterr().err
+
+
+# -- fuzzing the command line -------------------------------------------------
+
+VALID_SCENARIO = {
+    "scenario": {"dt": ("1.0", "0.5", "2"), "q": ("0", "0.1", "1"),
+                 "sigma": ("5.0", "1", "20")},
+    "sensor": {"aim_at": ("0,-200", "0,0"), "boresight": ("1.2", "-0.5"),
+               "fov_half_angle": ("0.7853981633974483", "3.14159", "0.1"),
+               "fov_range": ("1200", "300"), "p_d": ("0.9", "1", "0.5"),
+               "clutter_rate": ("5", "10", "40")},
+    "target": {},
+}
+# what a mutation writes over a value
+BAD_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e308", "-1e308", "2.5", "abc", "",
+              "1,2", "1,2,3,4,5", "0x10", "1e-320")
+
+
+@st.composite
+def scenario_texts(draw):
+    """Scenario-file text: a valid file of 2 or 3 scans and up to three
+    sensors and targets, then up to two mutations (a value overwritten, a
+    line dropped or doubled, a stray line)."""
+    duration = draw(st.integers(2, 3))
+    lines = []
+    for name in (["scenario"] + ["sensor"] * draw(st.integers(1, 3))
+                 + ["target"] * draw(st.integers(1, 3))):
+        lines.append(f"[{name}]")
+        if name == "scenario":
+            lines.append(f"duration={duration}")
+        elif name == "sensor":
+            lines.append("position=" + draw(st.sampled_from(("-600,-800", "600,-800",
+                                                             "0,500"))))
+        else:
+            birth = draw(st.integers(0, duration - 1))
+            lines += [f"birth={birth}", f"death={draw(st.integers(birth + 1, duration))}",
+                      "state=" + draw(st.sampled_from(("-100,-100,8,1", "0,0,0,0",
+                                                       "500,200,-5,3")))]
+        for key, values in VALID_SCENARIO[name].items():
+            if draw(st.booleans()):
+                lines.append(f"{key}={draw(st.sampled_from(values))}")
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(("value", "value", "drop", "double", "stray")))
+        if kind == "value" and "=" in lines[k]:
+            lines[k] = lines[k].split("=")[0] + "=" + draw(st.sampled_from(BAD_VALUES))
+        elif kind == "drop":
+            del lines[k]
+        elif kind == "double":
+            lines.insert(k, lines[k])
+        else:
+            lines.insert(k, draw(st.sampled_from(("[bogus]", "no equals sign", "=5",
+                                                  "# comment", "[sensor"))))
+    return "\n".join(lines) + "\n"
+
+
+def count_flag(name, values):
+    """`--name value` with a value from `values` three times in four."""
+    return st.one_of(st.sampled_from(values), st.sampled_from(values),
+                     st.sampled_from(values), st.sampled_from(("0", "-1", "2.5", "x"))
+                     ).map(lambda v: [f"--{name}", v])
+
+
+class RunTooLong(BaseException):
+    """Raised into a run that exceeds the fuzzer's time bound."""
+
+
+class TestFuzz:
+    """Every generated scenario file and count flag either runs a 1-run
+    experiment of at most 3 scans to exit code 0 inside the time bound, or
+    exits 2 with an `error:` line and leaves no output directory."""
+
+    SECONDS = 3.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=scenario_texts(), fusion=st.sampled_from(("mda", "bp")),
+           particles=count_flag("particles", ("1", "20", "50001")),
+           workers=count_flag("workers", ("1", "99999999999")),
+           runs=count_flag("runs", ("1",)))
+    def test_inputs_run_or_exit_with_a_typed_error(self, tmp_path_factory, text,
+                                                   fusion, particles, workers, runs):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        scenario, out = tmp / "fuzz.cfg", tmp / "out"
+        scenario.write_text(text)
+        argv = (["run", "--scenario", str(scenario), "--fusion", fusion,
+                 "--payload", "raw,type2", "--out", str(out)]
+                + particles + workers + runs)
+
+        def too_long(signum, frame):
+            raise RunTooLong(f"{argv} ran past {self.SECONDS} s on\n{text}")
+
+        err = io.StringIO()
+        previous = signal.signal(signal.SIGALRM, too_long)
+        signal.setitimer(signal.ITIMER_REAL, self.SECONDS)
+        try:
+            with contextlib.redirect_stderr(err):
+                rc = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects a count that is no integer
+            rc = exc.code
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        if rc == 0:
+            assert (out / "curves.csv").exists()
+        else:
+            assert rc == 2, err.getvalue()
+            assert "error: " in err.getvalue().splitlines()[-1]
+            assert not out.exists()

@@ -439,11 +439,11 @@ def disjoint_initiation_problem(n_groups, seed=32):
 
 class TestExactDepthCap:
     def test_auto_mode_falls_back_to_the_relaxation(self):
-        # 3,000 candidates, under auto_exact_candidates, used to recurse
+        # 3,000 candidates, under AUTO_EXACT_CANDIDATES, used to recurse
         # 1,500 levels deep and raise RecursionError
         problem = disjoint_initiation_problem(1500)
-        assert problem.n_candidates <= MdaConfig().auto_exact_candidates
-        sol = solve_assignment(problem, MdaConfig())
+        assert problem.n_candidates <= mda_mod.AUTO_EXACT_CANDIDATES
+        sol = solve_assignment(problem)
         assert sol.feasible
         assert not constraint_violations(problem, sol)
         assert len(sol.assignments) == 1500
@@ -452,7 +452,7 @@ class TestExactDepthCap:
         from trackfuse.errors import ResourceLimitError
         problem = disjoint_initiation_problem(1500)
         with pytest.raises(ResourceLimitError, match="depth"):
-            solve_assignment(problem, MdaConfig(solver="exact"))
+            solve_assignment_exact(problem)
         with pytest.raises(ResourceLimitError, match="depth"):
             solve_assignment_exact(problem, node_cap=10 ** 9)
 
@@ -619,26 +619,32 @@ class TestSensorSplit:
         assert problem.tables[0][0, 0] == BIG
 
     def test_pipeline_enumerates_no_maintenance_tuples(self, monkeypatch):
-        kinds = []
+        from trackfuse.errors import ResourceLimitError
+        kinds, exact_kinds = [], []
         real_solve = mda_mod.solve_assignment
 
-        def recording_solve(problem, cfg):
+        def recording_solve(problem):
             kinds.append(problem.kind)
-            return real_solve(problem, cfg)
+            return real_solve(problem)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("maintenance must not enumerate tuples")
 
+        def capped(problem, *args, **kwargs):
+            # every initiation problem goes on to the relaxation
+            exact_kinds.append(problem.kind)
+            raise ResourceLimitError("search cap")
+
         monkeypatch.setattr(mda_mod, "solve_assignment", recording_solve)
         monkeypatch.setattr(mda_mod, "score_with_prior", forbidden)
         monkeypatch.setattr(mda_mod, "enumerate_mda_problem", forbidden)
-        monkeypatch.setattr(mda_mod, "solve_assignment_exact", forbidden)
+        monkeypatch.setattr(mda_mod, "solve_assignment_exact", capped)
         cfg = scenario1()
         tapes, sends = prepare_run(cfg, 7)
-        record = run_mda_fusion(cfg, tapes, sends, "raw",
-                                MdaConfig(solver="relaxed"))
+        record = run_mda_fusion(cfg, tapes, sends, "raw")
         assert record.card_est.max() > 0
         assert set(kinds) == {"initiation"}
+        assert set(exact_kinds) == {"initiation"}
 
     def test_unit_detection_scenario_arms_agree(self):
         cfg = scenario1().with_overrides(p_d=1.0)

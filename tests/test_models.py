@@ -126,6 +126,25 @@ class TestUpdateRaw:
         with pytest.raises(NumericsError, match="cond"):
             update_raw(est, np.zeros(2), model)
 
+    @pytest.mark.parametrize("cond, accepted", [(0.5e12, True), (2e12, False)])
+    def test_condition_threshold(self, cond, accepted):
+        # the innovation covariance is R = diag(1, 1 / cond)
+        est = GaussianEstimate([0.0, 0.0], np.zeros((2, 2)))
+        model = MeasurementModel(np.eye(2), np.diag([1.0, 1.0 / cond]))
+        if accepted:
+            out = update_raw(est, np.ones(2), model)
+            np.testing.assert_array_equal(out.mean, [0.0, 0.0])
+        else:
+            with pytest.raises(NumericsError, match="cond=2.000e"):
+                update_raw(est, np.ones(2), model)
+
+    def test_nan_covariance_raises_numerics_error(self):
+        # used to end in numpy's untyped LinAlgError("SVD did not converge")
+        est = GaussianEstimate([0.0, 0.0], [[np.nan, 0.0], [0.0, 1.0]])
+        model = MeasurementModel(np.eye(2), np.eye(2))
+        with pytest.raises(NumericsError, match="not finite"):
+            update_raw(est, np.zeros(2), model)
+
 
 class TestUpdateTransformed:
     def test_identity_transform_matches_raw(self):

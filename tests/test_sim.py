@@ -568,24 +568,25 @@ class TestHarness:
 
     def test_bp_scan_frees_the_previous_scans_blocks(self, monkeypatch):
         # the fusion loop keeps no reference to the beliefs that the last
-        # scan returned, so the next scan's prediction frees their blocks
+        # scan returned, so the next scan's prediction frees their arrays
         cfg = scenario1()
         cfg.duration = 8
         tapes, sends = prepare_run(cfg, 3)
-        compact, evaluate = bp_mod._compact, bp_mod.measurement_evaluation
-        returned = []      # weakrefs to the last scan's particle blocks
-        checked = []       # (blocks returned, blocks alive) per evaluation
+        prune, evaluate = bp_mod.declare_estimate_prune, bp_mod.measurement_evaluation
+        returned = []      # weakrefs to the last scan's arrays
+        checked = []       # (arrays returned, arrays alive) per evaluation
 
-        def recording_compact(beliefs):
-            out = compact(beliefs)
-            returned[:] = [weakref.ref(b._prow[0]) for b in out]
-            return out
+        def recording_prune(beliefs, bp_cfg):
+            estimates, out = prune(beliefs, bp_cfg)
+            returned[:] = ([weakref.ref(out.particles), weakref.ref(out.weights)]
+                           if len(out) else [])
+            return estimates, out
 
         def checking_evaluation(*args):
             checked.append((len(returned), sum(r() is not None for r in returned)))
             return evaluate(*args)
 
-        monkeypatch.setattr(bp_mod, "_compact", recording_compact)
+        monkeypatch.setattr(bp_mod, "declare_estimate_prune", recording_prune)
         monkeypatch.setattr(bp_mod, "measurement_evaluation", checking_evaluation)
         run_bp_fusion(cfg, tapes, sends, "raw", 3, bp_mod.BpConfig(n_particles=50))
         assert sum(n for n, _ in checked) > 0
