@@ -88,26 +88,28 @@ class TestPredict:
         assert out.r[0] == pytest.approx(0.76)
         assert np.sum(out.weights[0]) == pytest.approx(0.76)
 
-    @pytest.mark.parametrize("n_p, n", [(500, 150), (bp.BLOCK_PARTICLES // 2, 3)])
-    def test_block_draws_equal_per_belief_draws(self, n_p, n):
-        rng = np.random.default_rng(4)
-        # n beliefs span three stage blocks of 65 at 500 particles, two of
-        # two at half the cap
-        beliefs = stacked(*[uniform_belief(rng.standard_normal((n_p, 4)), 0.5, label=k)
-                            for k in range(n)])
-        motion = cv_motion(q=0.3)
-        out = bp_predict(beliefs, motion, 0.9, np.random.default_rng(5))
-        w, v = np.linalg.eigh(motion.Q)
-        sqrt_q = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
-        ref_rng = np.random.default_rng(5)
-        for t in range(n):
-            particles = beliefs.particles[t]
-            noise = ref_rng.standard_normal(particles.shape) @ sqrt_q.T
-            np.testing.assert_array_equal(out.particles[t],
-                                          particles @ motion.F.T + noise)
-            np.testing.assert_array_equal(out.weights[t], beliefs.weights[t] * 0.9)
-            assert out.r[t] == beliefs.r[t] * 0.9
-        assert out.labels == beliefs.labels
+    def test_block_draws_equal_per_belief_draws(self):
+        # 150 beliefs span three stage blocks of 65 at 500 particles; three
+        # span two blocks, of two and one, at half the cap
+        for n_p, n in [(500, 150), (bp.BLOCK_PARTICLES // 2, 3)]:
+            rng = np.random.default_rng(4)
+            beliefs = stacked(*[uniform_belief(rng.standard_normal((n_p, 4)), 0.5,
+                                               label=k)
+                                for k in range(n)])
+            motion = cv_motion(q=0.3)
+            out = bp_predict(beliefs, motion, 0.9, np.random.default_rng(5))
+            w, v = np.linalg.eigh(motion.Q)
+            sqrt_q = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
+            ref_rng = np.random.default_rng(5)
+            for t in range(n):
+                particles = beliefs.particles[t]
+                noise = ref_rng.standard_normal(particles.shape) @ sqrt_q.T
+                np.testing.assert_array_equal(out.particles[t],
+                                              particles @ motion.F.T + noise)
+                np.testing.assert_array_equal(out.weights[t],
+                                              beliefs.weights[t] * 0.9)
+                assert out.r[t] == beliefs.r[t] * 0.9
+            assert out.labels == beliefs.labels
 
 
 class TestMeasurementEvaluation:
