@@ -46,14 +46,23 @@ def _psd_keep(w: np.ndarray, rtol: float) -> np.ndarray:
     return (w > (rtol * wmax)[..., None]) & ~flat[..., None]
 
 
+def _finite(m: np.ndarray) -> np.ndarray:
+    """m as a float array; raises NumericsError on a nan or inf entry, for
+    which `np.linalg.eigh` may return finite eigenpairs."""
+    m = np.asarray(m, dtype=float)
+    if not np.isfinite(m).all():
+        raise NumericsError("matrix is not finite")
+    return m
+
+
 def psd_eig(m: np.ndarray, rtol: float = RANK_RTOL):
     """Eigendecomposition of a symmetric PSD matrix.
 
     Returns (nonzero eigenvalues, matching eigenvectors, rank). Eigenvalues
-    below rtol * max are treated as zero. Raises NumericsError if a clearly
-    negative eigenvalue is present.
+    below rtol * max are treated as zero. Raises NumericsError if an entry
+    is not finite or a clearly negative eigenvalue is present.
     """
-    w, v = np.linalg.eigh(symmetrize(m))
+    w, v = np.linalg.eigh(symmetrize(_finite(m)))
     keep = _psd_keep(w, rtol)
     return w[keep], v[:, keep], int(np.count_nonzero(keep))
 
@@ -66,7 +75,7 @@ def psd_eig_stack(mats: np.ndarray):
     eigenvalues by the rank rule of `psd_eig`, whose NumericsError it
     raises.
     """
-    w, v = np.linalg.eigh(symmetrize(np.asarray(mats, dtype=float)))
+    w, v = np.linalg.eigh(symmetrize(_finite(mats)))
     return w, v, _psd_keep(w, RANK_RTOL)
 
 

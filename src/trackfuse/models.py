@@ -39,6 +39,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError, NumericsError
 from .linalg import (
+    RANK_RTOL,
     cholesky,
     inv_spd,
     pinv_psd,
@@ -71,7 +72,12 @@ class MotionModel:
             raise ConfigError("F must be square")
         if self.Q.shape != self.F.shape:
             raise ConfigError("Q must match F")
-        if np.min(np.linalg.eigvalsh(self.Q)) < -1e-10:
+        if not np.isfinite(self.Q).all():
+            raise ConfigError("Q must be finite")
+        # rounding leaves eigenvalues of an exactly PSD Q slightly negative,
+        # in proportion to its largest
+        w = np.linalg.eigvalsh(self.Q)
+        if w[0] < -RANK_RTOL * max(w[-1], 0.0):
             raise ConfigError("Q must be positive semidefinite")
 
     @property
@@ -96,11 +102,12 @@ class MeasurementModel:
             raise ConfigError("R must be positive definite")
 
     @classmethod
-    def _trusted(cls, H: np.ndarray, R: np.ndarray):
-        """A model from arrays whose shapes and positive definiteness
-        `payload_factors` has checked, taken without validation or copy."""
+    def _trusted(cls, H: np.ndarray, R: np.ndarray, sensor_id: int = 0):
+        """A model from float arrays of valid shapes and a symmetric
+        positive-definite R (checked by `payload_factors`, or built so by
+        the simulator), taken without validation or copy."""
         model = cls.__new__(cls)
-        model.H, model.R, model.sensor_id = H, R, 0
+        model.H, model.R, model.sensor_id = H, R, sensor_id
         return model
 
     @property

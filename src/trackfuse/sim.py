@@ -18,6 +18,11 @@ transmission; its batches equal the tape pass's bit for bit.
 Both engines run in one per-scan fusion loop (`_fuse`); `run_mda_fusion`
 and `run_bp_fusion` supply only its engine step, and the BP step builds
 its inputs from one scan of `encode_tape` with `bp_inputs`.
+
+The sensor side (`prepare_run`) works on arrays too: `generate_measurements`
+makes one field-of-view test of all alive targets per sensor and scan, and
+each sensor's `GnnTracker` keeps its tracks and initiators as a struct of
+arrays that every scan updates with stacked calls and row masks.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ from .models import (
     RAW,
     TYPE1,
     TYPE2,
-    GaussianEstimate,
     MeasurementBatch,
     MeasurementModel,
     MotionModel,
@@ -295,10 +299,13 @@ def generate_measurements(truth, cfg: ScenarioConfig, scan: int, seed: int):
 
     The time-varying H = [diag(1 + theta), 0] and R = diag(sigma^2 +
     vartheta) parameters are drawn per scan and sensor and are carried in
-    the returned models (they are known to all trackers).
+    the returned models (they are known to all trackers). Each sensor tests
+    all alive targets against its field of view in one call before its
+    draws.
     """
     scans = []
     alive = [traj[scan] for traj in truth if scan in traj]
+    alive_pos = np.array([x[:2] for x in alive]).reshape(-1, 2)
     for sensor_id, sc in enumerate(cfg.sensors):
         rng = rng_stream(seed, "meas", scan, sensor_id)
         theta = rng.uniform(cfg.theta_range[0], cfg.theta_range[1], 2)
@@ -306,21 +313,16 @@ def generate_measurements(truth, cfg: ScenarioConfig, scan: int, seed: int):
         e = np.diag(1.0 + theta)
         h = np.hstack([e, np.zeros((2, 2))])
         r = np.diag(cfg.sigma ** 2 + vartheta)
-        model = MeasurementModel(h, r, sensor_id)
+        model = MeasurementModel._trusted(h, r, sensor_id)
         fov = sc.fov()
 
-        zs = []
         chol_r = np.linalg.cholesky(r)
-        for x in alive:
-            if not fov.contains(x[:2])[0]:
-                continue
-            if rng.random() <= sc.p_d:
-                zs.append(h @ x + chol_r @ rng.standard_normal(2))
+        detections = [h @ x + chol_r @ rng.standard_normal(2)
+                      for x, seen in zip(alive, fov.contains(alive_pos).tolist())
+                      if seen and rng.random() <= sc.p_d]
         n_clutter = rng.poisson(sc.clutter_rate)
-        if n_clutter:
-            clutter_pos = fov.sample(rng, n_clutter)
-            zs.extend(list(clutter_pos @ e.T))
-        zs = np.array(zs) if zs else np.zeros((0, 2))
+        clutter = fov.sample(rng, n_clutter) @ e.T if n_clutter else np.zeros((0, 2))
+        zs = np.concatenate([np.reshape(detections, (-1, 2)), clutter])
         if len(zs):
             zs = zs[rng.permutation(len(zs))]
         volume = fov.area * float(np.linalg.det(e))
@@ -336,14 +338,6 @@ class LocalTrackerConfig:
     capture_speed: float = 30.0
 
 
-@dataclass
-class _LocalTrack:
-    est: GaussianEstimate
-    hits: int = 1
-    misses: int = 0
-    confirmed: bool = False
-
-
 class GnnTracker:
     """Single-sensor global-nearest-neighbor tracker.
 
@@ -352,14 +346,16 @@ class GnnTracker:
     the measurement indices of confirmed tracks updated this scan (the
     payload the sensor transmits).
 
-    A scan runs on stacked arrays of all tracks: one `predict_stack`, one
-    `innovation_stack` and one Cholesky of the innovation covariances for
-    the log-determinants and whitened residuals, the (N, M) cost table by
-    `np.where`, one `linear_sum_assignment`, and one `update_raw_stack` of
-    the tracks that got a measurement. The tracks stay `_LocalTrack`
-    objects, so that callers can seed and inspect them one by one; the
-    stacks are built from them at the start of a scan and their estimates
-    written back at the end, without re-validation.
+    The state is a struct of arrays. Track k is row k of `means` (N, 4),
+    `covs` (N, 4, 4), `timestamps`, `hits`, `misses` and `confirmed`;
+    pending initiator j is row j of `init_pos` (K, 2) and `init_covs`
+    (K, 2, 2). A scan is one `predict_stack`, one `innovation_stack` and
+    one Cholesky of the innovation covariances for the log-determinants
+    and whitened residuals, the (N, M) cost table by `np.where`, one
+    `linear_sum_assignment`, and one `update_raw_stack` of the tracks that
+    got a measurement; hits, misses, confirmation and deletion are masks
+    over the assignment's rows. The newborns of all initiator pairings are
+    built as one block and follow the surviving rows, in assignment order.
     """
 
     def __init__(self, motion: MotionModel, dt: float,
@@ -367,63 +363,68 @@ class GnnTracker:
         self.motion = motion
         self.dt = dt
         self.cfg = cfg or LocalTrackerConfig()
-        self.tracks: list = []
-        self.initiators: list = []  # (position, covariance)
+        self.means, self.covs = np.zeros((0, 4)), np.zeros((0, 4, 4))
+        self.timestamps, self.hits, self.misses = (np.zeros(0, dtype=int) for _ in range(3))
+        self.confirmed = np.zeros(0, dtype=bool)
+        self.init_pos, self.init_covs = np.zeros((0, 2)), np.zeros((0, 2, 2))
 
     def step(self, scan_data: SensorScan):
-        cfg = self.cfg
+        cfg, dt = self.cfg, self.dt
         zs, model = scan_data.zs, scan_data.model
-        transmit, taken = self._maintain(zs, model) if self.tracks else ([], [])
-        self.tracks = [t for t in self.tracks if t.misses < cfg.delete_misses]
+        free = np.ones(zs.shape[0], dtype=bool)  # measurements no track took
+        transmit = self._maintain(zs, model, free) if len(self.means) else []
 
-        leftovers = np.setdiff1d(np.arange(zs.shape[0]), taken)
         e_inv = np.linalg.inv(scan_data.E)
         pos_cov = symmetrize(e_inv @ model.R @ e_inv.T)
-        positions = zs[leftovers] @ e_inv.T
-
-        paired = set()
-        if self.initiators and leftovers.size:
-            capture = cfg.capture_speed * self.dt + 4.0 * math.sqrt(
+        positions = zs[free] @ e_inv.T
+        n_left, n_i = positions.shape[0], self.init_pos.shape[0]
+        left = np.ones(n_left, dtype=bool)
+        born = np.zeros((0, 4)), np.zeros((0, 4, 4))
+        if n_i and n_left:
+            capture = cfg.capture_speed * dt + 4.0 * math.sqrt(
                 float(np.max(np.linalg.eigvalsh(2.0 * pos_cov))))
-            n_i = len(self.initiators)
-            starts = np.array([p0 for p0, _ in self.initiators])
-            d = np.linalg.norm(positions[None, :, :] - starts[:, None, :], axis=2)
-            mat = np.full((n_i, leftovers.size + n_i), capture ** 2)
-            mat[:, :leftovers.size] = np.where(d <= capture, d ** 2, capture ** 2)
+            d = np.linalg.norm(positions[None, :, :] - self.init_pos[:, None, :], axis=2)
+            mat = np.full((n_i, n_left + n_i), capture ** 2)
+            mat[:, :n_left] = np.where(d <= capture, d ** 2, capture ** 2)
             rows, cols = linear_sum_assignment(mat)
-            for ii, col in zip(rows, cols):
-                if col >= leftovers.size or mat[ii, col] >= capture ** 2:
-                    continue
-                p0, c0 = self.initiators[ii]
-                p1 = positions[col]
-                vel = (p1 - p0) / self.dt
-                mean = np.concatenate([p1, vel])
-                cov = np.zeros((4, 4))
-                cov[:2, :2] = pos_cov
-                cov[:2, 2:] = pos_cov / self.dt
-                cov[2:, :2] = pos_cov / self.dt
-                cov[2:, 2:] = (c0 + pos_cov) / (self.dt ** 2)
-                # symmetric by construction: pos_cov and c0 are symmetrized
-                self.tracks.append(_LocalTrack(GaussianEstimate._trusted(mean, cov),
-                                               hits=2))
-                paired.add(int(col))
-
-        self.initiators = [(positions[j], pos_cov)
-                           for j in range(leftovers.size) if j not in paired]
+            # the padding columns hold capture^2, so they never pair
+            paired = mat[rows, cols] < capture ** 2
+            rows, cols = rows[paired], cols[paired]
+            left[cols] = False
+            p1 = positions[cols]
+            cov = np.zeros((cols.size, 4, 4))
+            cov[:, :2, :2] = pos_cov
+            cov[:, :2, 2:] = pos_cov / dt
+            cov[:, 2:, :2] = pos_cov / dt
+            cov[:, 2:, 2:] = (self.init_covs[rows] + pos_cov) / (dt ** 2)
+            # symmetric by construction: pos_cov and the initiators' are symmetrized
+            born = np.concatenate([p1, (p1 - self.init_pos[rows]) / dt], axis=1), cov
+        self._keep_and_add(self.misses < cfg.delete_misses, *born)
+        self.init_pos = positions[left]
+        self.init_covs = np.repeat(pos_cov[None], self.init_pos.shape[0], axis=0)
         return sorted(transmit)
 
-    def _maintain(self, zs: np.ndarray, model: MeasurementModel):
+    def _keep_and_add(self, keep: np.ndarray, means: np.ndarray, covs: np.ndarray):
+        """Keep the track rows of the mask `keep`, then append newborn tracks
+        (timestamp 0, two hits, unconfirmed) of these means and covariances."""
+        k = means.shape[0]
+        if k or not keep.all():
+            self.means = np.concatenate([self.means[keep], means])
+            self.covs = np.concatenate([self.covs[keep], covs])
+            self.timestamps = np.concatenate([self.timestamps[keep], np.zeros(k, int)])
+            self.hits = np.concatenate([self.hits[keep], np.full(k, 2)])
+            self.misses = np.concatenate([self.misses[keep], np.zeros(k, int)])
+            self.confirmed = np.concatenate([self.confirmed[keep], np.zeros(k, bool)])
+
+    def _maintain(self, zs: np.ndarray, model: MeasurementModel, free: np.ndarray):
         """Predict, gate, assign and update every track in stacked calls.
 
-        Returns the indices of the measurements taken by confirmed tracks
-        (the sends) and of all measurements taken.
+        Clears `free` at the measurements taken and returns the indices of
+        those taken by confirmed tracks (the sends).
         """
         cfg = self.cfg
-        tracks = self.tracks
-        n_t, m = len(tracks), zs.shape[0]
-        means, covs = predict_stack(np.stack([t.est.mean for t in tracks]),
-                                    np.stack([t.est.cov for t in tracks]),
-                                    self.motion)
+        n_t, m = self.means.shape[0], zs.shape[0]
+        means, covs = predict_stack(self.means, self.covs, self.motion)
         z_hat, s = innovation_stack(means, covs, model)
         c = cholesky(s, "innovation covariance")
         logdet = 2.0 * np.sum(np.log(np.diagonal(c, axis1=1, axis2=2)), axis=1)
@@ -435,27 +436,19 @@ class GnnTracker:
             d2 = np.sum(y * y, axis=1)
         mat = padded_table(np.where(d2 <= gamma, 0.5 * (d2 + base[:, None]), BIG),
                            0.5 * (gamma + base))
+        # rows is every track in order: the table has more columns than rows
         rows, cols = linear_sum_assignment(mat)
         hit = (cols < m) & (mat[rows, cols] < BIG)
         if np.any(hit):
-            means[rows[hit]], covs[rows[hit]] = update_raw_stack(
-                means[rows[hit]], covs[rows[hit]], zs[cols[hit]], model)
-
-        transmit = []
-        for ti, col, got in zip(rows, cols, hit):
-            t = tracks[ti]
-            t.est = GaussianEstimate._trusted(means[ti], covs[ti],
-                                              t.est.timestamp + 1)
-            if got:
-                t.hits += 1
-                t.misses = 0
-                if t.hits >= cfg.confirm_hits:
-                    t.confirmed = True
-                if t.confirmed:
-                    transmit.append(int(col))
-            else:
-                t.misses += 1
-        return transmit, cols[hit]
+            means[hit], covs[hit] = update_raw_stack(means[hit], covs[hit],
+                                                     zs[cols[hit]], model)
+        self.means, self.covs = means, covs
+        self.timestamps = self.timestamps + 1
+        self.hits = self.hits + hit
+        self.misses = np.where(hit, 0, self.misses + 1)
+        self.confirmed = self.confirmed | (hit & (self.hits >= cfg.confirm_hits))
+        free[cols[hit]] = False
+        return cols[hit & self.confirmed].tolist()
 
 
 def _encoder(scan_data: Sequence[SensorScan], sent: Sequence[Sequence[int]],

@@ -13,7 +13,13 @@ from scipy.stats import chi2
 import trackfuse
 from trackfuse.bp import BpConfig
 from trackfuse.errors import NumericsError
-from trackfuse.linalg import chi2_gate, psd_eig, psd_quadforms
+from trackfuse.linalg import (
+    chi2_gate,
+    pinv_psd,
+    psd_eig,
+    psd_eig_stack,
+    psd_quadforms,
+)
 from trackfuse.mda import MdaConfig
 from trackfuse.sim import LocalTrackerConfig
 
@@ -78,6 +84,18 @@ class TestPsdQuadforms:
     def test_negative_semidefinite_raises(self):
         with pytest.raises(NumericsError):
             psd_quadforms(-np.eye(2)[None], np.ones((1, 1, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_raises(self, bad):
+        # eigh returns finite eigenpairs for a nan matrix: psd_eig once
+        # took [[nan, 0], [0, 1]] as rank 1 and psd_quadforms gave 1.0
+        m = np.array([[bad, 0.0], [0.0, 1.0]])
+        mats = np.array([np.eye(2), m])
+        for call in (lambda: psd_eig(m), lambda: pinv_psd(m),
+                     lambda: psd_eig_stack(mats),
+                     lambda: psd_quadforms(mats, np.ones((2, 1, 2)))):
+            with pytest.raises(NumericsError, match="not finite"):
+                call()
 
     def test_empty_stack(self):
         assert psd_quadforms(np.zeros((0, 2, 2)), np.zeros((0, 3, 2))).shape == (0, 3)

@@ -1,5 +1,7 @@
 """Prediction, innovation and the raw/transformed update routes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from trackfuse.models import (
     update_raw_stack,
     update_transformed,
 )
+from trackfuse.sim import motion_model, scenario1
 
 
 def cv_model(dt=1.0, q=0.0):
@@ -59,6 +62,31 @@ class TestPredict:
         est = GaussianEstimate([1.0, 2.0], np.eye(2))
         with pytest.raises(ConfigError):
             predict(est, cv_model())
+
+
+class TestMotionModelCheck:
+    @pytest.mark.parametrize("dt, q", [(100.0, 100.0), (1000.0, 10.0), (30.0, 1000.0),
+                                       (1.0, 0.1), (1.0, 0.0)])
+    def test_exactly_psd_q_constructs_at_any_scale(self, dt, q):
+        # Q = q^2 G G^T has rank 2; eigvalsh leaves its zero eigenvalues
+        # slightly negative in proportion to the largest
+        model = motion_model(dataclasses.replace(scenario1(), dt=dt, q=q))
+        np.testing.assert_array_equal(model.Q, cv_model(dt, q).Q)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e11])
+    def test_clearly_indefinite_q_raises(self, scale):
+        f = np.eye(4)
+        with pytest.raises(ConfigError, match="positive semidefinite"):
+            MotionModel(f, scale * np.diag([1.0, 1.0, 1.0, -1e-3]))
+        with pytest.raises(ConfigError, match="positive semidefinite"):
+            MotionModel(f[:2, :2], scale * np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(ConfigError, match="positive semidefinite"):
+            MotionModel(f[:2, :2], -scale * np.eye(2))
+
+    def test_non_finite_q_raises(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ConfigError, match="finite"):
+                MotionModel(np.eye(2), np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 class TestInnovation:

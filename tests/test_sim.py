@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,8 +21,9 @@ from trackfuse.sim import (
     BIG,
     FieldOfView,
     GnnTracker,
+    SensorConfig,
     SensorScan,
-    _LocalTrack,
+    TargetConfig,
     generate_measurements,
     generate_truth,
     monte_carlo,
@@ -29,6 +31,7 @@ from trackfuse.sim import (
     prepare_run,
     rng_stream,
     RunRecord,
+    ScenarioConfig,
     run_bp_fusion,
     run_mda_fusion,
     run_single,
@@ -122,6 +125,101 @@ class TestMeasurements:
         for sa, sb in zip(a, b):
             np.testing.assert_array_equal(sa.zs, sb.zs)
             np.testing.assert_array_equal(sa.model.H, sb.model.H)
+
+
+def reference_measurements(truth, cfg, scan, seed):
+    """`generate_measurements` with one FoV test and one checked model per
+    target and sensor, and the detections and clutter gathered in a list."""
+    scans = []
+    alive = [traj[scan] for traj in truth if scan in traj]
+    for sensor_id, sc in enumerate(cfg.sensors):
+        rng = rng_stream(seed, "meas", scan, sensor_id)
+        theta = rng.uniform(cfg.theta_range[0], cfg.theta_range[1], 2)
+        vartheta = rng.uniform(cfg.vartheta_range[0], cfg.vartheta_range[1], 2)
+        e = np.diag(1.0 + theta)
+        h = np.hstack([e, np.zeros((2, 2))])
+        r = np.diag(cfg.sigma ** 2 + vartheta)
+        model = MeasurementModel(h, r, sensor_id)
+        fov = sc.fov()
+        zs = []
+        chol_r = np.linalg.cholesky(r)
+        for x in alive:
+            if not fov.contains(x[:2])[0]:
+                continue
+            if rng.random() <= sc.p_d:
+                zs.append(h @ x + chol_r @ rng.standard_normal(2))
+        n_clutter = rng.poisson(sc.clutter_rate)
+        if n_clutter:
+            zs.extend(list(fov.sample(rng, n_clutter) @ e.T))
+        zs = np.array(zs) if zs else np.zeros((0, 2))
+        if len(zs):
+            zs = zs[rng.permutation(len(zs))]
+        volume = fov.area * float(np.linalg.det(e))
+        scans.append(SensorScan(sensor_id, zs, model, e, volume))
+    return scans
+
+
+class TestMeasurementsMatchReference:
+    """`generate_measurements` equals the per-target reference bit for bit."""
+
+    @staticmethod
+    def _facing_pair(p_d, clutter_rate):
+        # Two sensors 1200 m apart, each looking at the other: one still
+        # target sits on sensor 0's apex and exactly at sensor 1's range,
+        # the other the reverse. Both are born at scan 3, so scans 1 and 2
+        # have no alive target; q = 0 keeps them in place.
+        sensors = [SensorConfig(np.array([0.0, 0.0]), 0.0, math.pi / 4, 1200.0,
+                                p_d, clutter_rate),
+                   SensorConfig(np.array([1200.0, 0.0]), math.pi, math.pi / 4, 1200.0,
+                                p_d, clutter_rate)]
+        targets = [TargetConfig(3, 12, [0.0, 0.0, 0.0, 0.0]),
+                   TargetConfig(3, 12, [1200.0, 0.0, 0.0, 0.0]),
+                   TargetConfig(3, 12, [600.0, 900.0, 0.0, 0.0])]
+        return ScenarioConfig(duration=12, dt=1.0, q=0.0, sigma=5.0,
+                              sensors=sensors, targets=targets)
+
+    @staticmethod
+    def _assert_same(scans, ref):
+        assert len(scans) == len(ref)
+        for a, b in zip(scans, ref):
+            assert a.sensor_id == b.sensor_id == a.model.sensor_id == b.model.sensor_id
+            np.testing.assert_array_equal(a.zs, b.zs)
+            assert a.zs.shape == b.zs.shape
+            for x, y in ((a.model.H, b.model.H), (a.model.R, b.model.R), (a.E, b.E)):
+                np.testing.assert_array_equal(x, y)
+            assert a.fov_volume == b.fov_volume
+
+    @pytest.mark.parametrize("p_d, clutter_rate", [(1.0, 0.0), (0.6, 0.0), (0.9, 6.0)])
+    def test_edge_targets_match_reference(self, p_d, clutter_rate):
+        cfg = self._facing_pair(p_d, clutter_rate)
+        fov0, fov1 = (s.fov() for s in cfg.sensors)
+        apex, rim = np.array([[0.0, 0.0]]), np.array([[1200.0, 0.0]])
+        assert fov0.contains(apex)[0] and fov1.contains(rim)[0]
+        assert fov0.contains(rim)[0] and fov1.contains(apex)[0]
+        detected = 0
+        for seed in range(3):
+            truth = generate_truth(cfg, seed)
+            assert all(np.array_equal(traj[12][:2], traj[3][:2]) for traj in truth)
+            for scan in range(1, cfg.duration + 1):
+                scans = generate_measurements(truth, cfg, scan, seed)
+                self._assert_same(scans, reference_measurements(truth, cfg, scan, seed))
+                if scan < 3 and clutter_rate == 0.0:
+                    assert all(s.n_meas == 0 for s in scans)
+                detected += sum(s.n_meas for s in scans)
+        # p_d = 1 and no clutter: both edge targets seen by both sensors
+        if (p_d, clutter_rate) == (1.0, 0.0):
+            assert detected == 3 * 10 * 2 * 2
+        assert detected > 0
+
+    @pytest.mark.parametrize("cfg, seed", [
+        (scenario1().with_overrides(clutter_rate=40.0), 0),
+        (scenario2(), 1),
+    ])
+    def test_paper_scenarios_match_reference(self, cfg, seed):
+        truth = generate_truth(cfg, seed)
+        for scan in (1, 10, 45, 90, 100):
+            self._assert_same(generate_measurements(truth, cfg, scan, seed),
+                              reference_measurements(truth, cfg, scan, seed))
 
 
 def reference_contains(fov, points):
@@ -268,23 +366,19 @@ class TestGnnTracker:
 
     def test_single_track_single_gated_measurement(self):
         tracker, model = self._tracker()
-        from trackfuse.sim import _LocalTrack
-        tracker.tracks.append(_LocalTrack(GaussianEstimate(
-            [0.0, 0.0, 1.0, 0.0], np.diag([10.0, 10.0, 2.0, 2.0])),
-            hits=4, confirmed=True))
+        seed_tracks(tracker, [(GaussianEstimate(
+            [0.0, 0.0, 1.0, 0.0], np.diag([10.0, 10.0, 2.0, 2.0])), 4, 0, True)])
         sent = tracker.step(_scan(np.array([[1.1, 0.2]]), model, np.eye(2)))
         assert sent == [0]
-        assert tracker.tracks[0].hits == 5
+        assert tracker.hits[0] == 5
 
     def test_track_deleted_after_three_empty_scans(self):
         tracker, model = self._tracker()
-        from trackfuse.sim import _LocalTrack
-        tracker.tracks.append(_LocalTrack(GaussianEstimate(
-            [0.0, 0.0, 0.0, 0.0], np.diag([4.0] * 4)), hits=4,
-            confirmed=True))
+        seed_tracks(tracker, [(GaussianEstimate(
+            [0.0, 0.0, 0.0, 0.0], np.diag([4.0] * 4)), 4, 0, True)])
         for _ in range(3):
             tracker.step(_scan([], model, np.eye(2)))
-        assert tracker.tracks == []
+        assert len(tracker.means) == 0
 
     def test_two_point_initiation_and_confirmation(self):
         tracker, model = self._tracker()
@@ -293,22 +387,18 @@ class TestGnnTracker:
         for k in range(5):
             z = pos + k * vel
             tracker.step(_scan(z[None, :], model, np.eye(2)))
-        assert len(tracker.tracks) == 1
-        track = tracker.tracks[0]
-        assert track.confirmed
-        np.testing.assert_allclose(track.est.mean[2:], vel, atol=1.0)
+        assert len(tracker.means) == 1
+        assert tracker.confirmed[0]
+        np.testing.assert_allclose(tracker.means[0][2:], vel, atol=1.0)
 
     def test_crossing_assignment_matches_enumeration(self):
         tracker, model = self._tracker()
-        from trackfuse.sim import _LocalTrack
         from trackfuse.models import innovation
         from trackfuse.transform import gaussian_log_likelihood
         ests = [GaussianEstimate([0.0, 0.0, 0.0, 0.0], np.diag([9.0] * 4)),
                 GaussianEstimate([30.0, 0.0, 0.0, 0.0], np.diag([9.0] * 4))]
-        for est in ests:
-            tracker.tracks.append(_LocalTrack(
-                GaussianEstimate(est.mean.copy(), est.cov.copy()),
-                hits=4, confirmed=True))
+        seed_tracks(tracker, [(GaussianEstimate(est.mean.copy(), est.cov.copy()),
+                               4, 0, True) for est in ests])
         zs = np.array([[2.0, 1.0], [28.0, -1.0]])
         sent = tracker.step(_scan(zs, model, np.eye(2)))
         # brute force over the two permutations on predicted tracks
@@ -326,26 +416,45 @@ class TestGnnTracker:
                 best, best_perm = total, perm
         assert best_perm == (0, 1)
         assert sent == [0, 1]
-        np.testing.assert_allclose(tracker.tracks[0].est.mean[:2], [2.0, 1.0],
-                                   atol=2.0)
+        np.testing.assert_allclose(tracker.means[0][:2], [2.0, 1.0], atol=2.0)
+
+
+def seed_tracks(tracker, tracks):
+    """Set a tracker's track arrays to (estimate, hits, misses, confirmed)
+    tracks, row by row."""
+    tracker.means = np.array([est.mean for est, *_ in tracks]).reshape(-1, 4)
+    tracker.covs = np.array([est.cov for est, *_ in tracks]).reshape(-1, 4, 4)
+    tracker.timestamps = np.array([est.timestamp for est, *_ in tracks], dtype=int)
+    tracker.hits = np.array([t[1] for t in tracks], dtype=int)
+    tracker.misses = np.array([t[2] for t in tracks], dtype=int)
+    tracker.confirmed = np.array([t[3] for t in tracks], dtype=bool)
 
 
 def reference_gnn_step(tracker, scan_data):
     """The per-track GNN scan the stacked `GnnTracker.step` replaced: one
-    predict, innovation, Cholesky and update call per track."""
+    predict, innovation, Cholesky and update call per track, on one record
+    per track and per initiator read from the tracker's arrays and written
+    back to them at the end."""
     cfg = tracker.cfg
     zs, model = scan_data.zs, scan_data.model
     m = zs.shape[0]
-    for t in tracker.tracks:
+    tracks = [SimpleNamespace(est=GaussianEstimate._trusted(mean, cov, stamp),
+                              hits=hits, misses=misses, confirmed=confirmed)
+              for mean, cov, stamp, hits, misses, confirmed in zip(
+                  tracker.means, tracker.covs, tracker.timestamps.tolist(),
+                  tracker.hits.tolist(), tracker.misses.tolist(),
+                  tracker.confirmed.tolist())]
+    initiators = list(zip(tracker.init_pos, tracker.init_covs))
+    for t in tracks:
         t.est = predict(t.est, tracker.motion)
 
     gamma = chi2_gate(cfg.gate_prob, model.m)
     assigned_meas = set()
     transmit = []
-    if tracker.tracks:
-        n_t = len(tracker.tracks)
+    if tracks:
+        n_t = len(tracks)
         mat = np.full((n_t, m + n_t), BIG)
-        for ti, t in enumerate(tracker.tracks):
+        for ti, t in enumerate(tracks):
             z_hat, s = innovation(t.est, model)
             c = np.linalg.cholesky(s)
             logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
@@ -358,7 +467,7 @@ def reference_gnn_step(tracker, scan_data):
             mat[ti, m + ti] = 0.5 * (gamma + base)
         rows, cols = linear_sum_assignment(mat)
         for ti, col in zip(rows, cols):
-            t = tracker.tracks[ti]
+            t = tracks[ti]
             if col < m and mat[ti, col] < BIG:
                 t.est = update_raw(t.est, zs[col], model)
                 t.hits += 1
@@ -370,7 +479,7 @@ def reference_gnn_step(tracker, scan_data):
                     transmit.append(int(col))
             else:
                 t.misses += 1
-    tracker.tracks = [t for t in tracker.tracks if t.misses < cfg.delete_misses]
+    tracks = [t for t in tracks if t.misses < cfg.delete_misses]
 
     leftovers = [i for i in range(m) if i not in assigned_meas]
     e_inv = np.linalg.inv(scan_data.E)
@@ -378,12 +487,12 @@ def reference_gnn_step(tracker, scan_data):
     positions = zs[leftovers] @ e_inv.T if leftovers else np.zeros((0, 2))
 
     paired = set()
-    if tracker.initiators and leftovers:
+    if initiators and leftovers:
         capture = cfg.capture_speed * tracker.dt + 4.0 * math.sqrt(
             float(np.max(np.linalg.eigvalsh(2.0 * pos_cov))))
-        n_i = len(tracker.initiators)
+        n_i = len(initiators)
         mat = np.full((n_i, len(leftovers) + n_i), capture ** 2)
-        for ii, (p0, c0) in enumerate(tracker.initiators):
+        for ii, (p0, c0) in enumerate(initiators):
             d = np.linalg.norm(positions - p0, axis=1)
             ok = d <= capture
             mat[ii, :len(leftovers)][ok] = d[ok] ** 2
@@ -391,7 +500,7 @@ def reference_gnn_step(tracker, scan_data):
         for ii, col in zip(rows, cols):
             if col >= len(leftovers) or mat[ii, col] >= capture ** 2:
                 continue
-            p0, c0 = tracker.initiators[ii]
+            p0, c0 = initiators[ii]
             p1 = positions[col]
             vel = (p1 - p0) / tracker.dt
             mean = np.concatenate([p1, vel])
@@ -400,26 +509,27 @@ def reference_gnn_step(tracker, scan_data):
             cov[:2, 2:] = pos_cov / tracker.dt
             cov[2:, :2] = pos_cov / tracker.dt
             cov[2:, 2:] = (c0 + pos_cov) / (tracker.dt ** 2)
-            tracker.tracks.append(_LocalTrack(GaussianEstimate(mean, cov), hits=2))
+            tracks.append(SimpleNamespace(est=GaussianEstimate(mean, cov), hits=2,
+                                          misses=0, confirmed=False))
             paired.add(int(col))
 
-    tracker.initiators = [(positions[j], pos_cov)
-                          for j in range(len(leftovers)) if j not in paired]
+    seed_tracks(tracker, [(t.est, t.hits, t.misses, t.confirmed) for t in tracks])
+    unpaired = [j for j in range(len(leftovers)) if j not in paired]
+    tracker.init_pos = np.array([positions[j] for j in unpaired]).reshape(-1, 2)
+    tracker.init_covs = np.array([pos_cov for _ in unpaired]).reshape(-1, 2, 2)
     return sorted(transmit)
 
 
 def assert_same_trackers(a, b):
     """Bitwise equality of two trackers' tracks and initiators."""
-    assert len(a.tracks) == len(b.tracks)
-    for ta, tb in zip(a.tracks, b.tracks):
-        assert (ta.hits, ta.misses, ta.confirmed, ta.est.timestamp) == (
-            tb.hits, tb.misses, tb.confirmed, tb.est.timestamp)
-        np.testing.assert_array_equal(ta.est.mean, tb.est.mean)
-        np.testing.assert_array_equal(ta.est.cov, tb.est.cov)
-    assert len(a.initiators) == len(b.initiators)
-    for (pa, ca), (pb, cb) in zip(a.initiators, b.initiators):
-        np.testing.assert_array_equal(pa, pb)
-        np.testing.assert_array_equal(ca, cb)
+    assert len(a.means) == len(b.means)
+    for name in ("hits", "misses", "confirmed", "timestamps"):
+        assert getattr(a, name).tolist() == getattr(b, name).tolist()
+    np.testing.assert_array_equal(a.means, b.means)
+    np.testing.assert_array_equal(a.covs, b.covs)
+    assert len(a.init_pos) == len(b.init_pos)
+    np.testing.assert_array_equal(a.init_pos, b.init_pos)
+    np.testing.assert_array_equal(a.init_covs, b.init_covs)
 
 
 def position_only_model(r=25.0):
@@ -433,10 +543,7 @@ def run_both(tracks, scans):
     cfg = scenario1()
     pair = [GnnTracker(motion_model(cfg), cfg.dt) for _ in range(2)]
     for tracker in pair:
-        tracker.tracks = [_LocalTrack(GaussianEstimate(est.mean.copy(), est.cov.copy(),
-                                                       est.timestamp),
-                                      hits, misses, confirmed)
-                          for est, hits, misses, confirmed in tracks]
+        seed_tracks(tracker, tracks)
     stacked, reference = pair
     for scan_data in scans:
         assert stacked.step(scan_data) == reference_gnn_step(reference, scan_data)
@@ -493,9 +600,9 @@ class TestStackedGnnStep:
                   np.array([[10.0, 0.0], [2.0, 0.0]])]
         last = run_both(tracks, [_scan(z, model, np.eye(2)) for z in zs])
         if case == "third miss":
-            assert last.tracks == []
+            assert len(last.means) == 0
         if case == "initiation":
-            assert len(last.tracks) == 1 and last.tracks[0].hits == 3
+            assert len(last.means) == 1 and last.hits[0] == 3
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -527,8 +634,8 @@ class TestStackedGnnStep:
 
     def test_non_pd_innovation_raises_typed_error(self):
         tracker = GnnTracker(motion_model(scenario1()), 1.0)
-        tracker.tracks.append(_LocalTrack(GaussianEstimate(
-            [0.0, 0.0, 0.0, 0.0], -100.0 * np.eye(4)), hits=4, confirmed=True))
+        seed_tracks(tracker, [(GaussianEstimate(
+            [0.0, 0.0, 0.0, 0.0], -100.0 * np.eye(4)), 4, 0, True)])
         with pytest.raises(NumericsError, match="innovation covariance"):
             tracker.step(_scan(np.array([[1.0, 1.0]]), position_only_model(),
                                np.eye(2)))

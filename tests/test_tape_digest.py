@@ -36,8 +36,8 @@ def test_digest_changes_with_one_final_track_state(monkeypatch):
         # moves the timestamps of sensor 1's tracks, which neither the
         # filtering nor the sends read
         sent = step(self, scan_data)
-        for t in self.tracks if scan_data.sensor_id == 1 else []:
-            t.est.timestamp += 1
+        if scan_data.sensor_id == 1:
+            self.timestamps += 1
         return sent
 
     monkeypatch.setattr(sim.GnnTracker, "step", late_clock)

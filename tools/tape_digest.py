@@ -73,12 +73,15 @@ def tape_digest(sim, cfg, seed: int) -> str:
         for scan in scan_list:
             _array(h, scan.zs)
     for tracker in trackers:
-        h.update(f"tracker {len(tracker.tracks)} {len(tracker.initiators)}".encode())
-        for t in tracker.tracks:
-            h.update(f"{t.est.timestamp} {t.hits} {t.misses} {t.confirmed}".encode())
-            _array(h, t.est.mean)
-            _array(h, t.est.cov)
-        for pos, cov in tracker.initiators:
+        h.update(f"tracker {len(tracker.means)} {len(tracker.init_pos)}".encode())
+        flags = zip(tracker.timestamps.tolist(), tracker.hits.tolist(),
+                    tracker.misses.tolist(), tracker.confirmed.tolist())
+        for (stamp, hits, misses, confirmed), mean, cov in zip(flags, tracker.means,
+                                                               tracker.covs):
+            h.update(f"{stamp} {hits} {misses} {confirmed}".encode())
+            _array(h, mean)
+            _array(h, cov)
+        for pos, cov in zip(tracker.init_pos, tracker.init_covs):
             _array(h, pos)
             _array(h, cov)
     return h.hexdigest()
