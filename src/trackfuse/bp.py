@@ -74,7 +74,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.linalg.blas import dtrsm
 
-from .errors import DegenerateBeliefError, InputError, NumericsError
+from .errors import DegenerateBeliefError, InputError, NumericsError, ResourceLimitError
 from .linalg import chi2_gate, psd_quadforms, symmetrize
 from .models import POS_DIM, MeasurementBatch, MotionModel
 from .transform import LOG_2PI, ClutterModel
@@ -85,6 +85,11 @@ BLOCK_PARTICLES = 32768
 # up to 2 x 136 beliefs (the most a scenario-2 step carried) x Np x 40 B:
 # about 0.54 GB at this cap.
 MAX_PARTICLES = 50_000
+# Most particles one sensor step may hold per belief array, (beliefs +
+# measurements) x Np: the scenario-2 step above at MAX_PARTICLES. A larger
+# step (a clutter rate near its cap with many particles) raises before births
+# are drawn.
+MAX_STEP_PARTICLES = 136 * MAX_PARTICLES
 
 
 @dataclass
@@ -622,8 +627,16 @@ def _sensor_step(beliefs: Beliefs, inp: BpSensorInput, motion: MotionModel,
     The per-particle terms of measurement evaluation (q_cache, detection
     probabilities, birth likelihoods) are released before belief
     calculation, the unnormalized posteriors right after it, so a step
-    holds no more than one set of them.
+    holds no more than one set of them. A step of more than
+    MAX_STEP_PARTICLES particles raises ResourceLimitError before any of
+    them is allocated.
     """
+    size = (len(beliefs) + inp.batch.n_meas) * cfg.n_particles
+    if size > MAX_STEP_PARTICLES:
+        raise ResourceLimitError(
+            f"sensor step of {len(beliefs)} beliefs and {inp.batch.n_meas} "
+            f"measurements at {cfg.n_particles} particles exceeds the cap "
+            f"({size} > {MAX_STEP_PARTICLES} particles)")
     clouds = propose_births(inp, cfg, motion.n, rng_for("birth", l))
     msgs, q_cache, birth_liks = measurement_evaluation(beliefs, inp, cfg, clouds)
     kappa, iota = iterative_association(msgs, cfg.iterations)

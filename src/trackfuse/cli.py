@@ -39,6 +39,10 @@ SWEEP_PARAMS = ("clutter_rate", "p_d")
 MAX_SCANS = 10_000
 MAX_SCALE = {"dt": 10.0, "q": 100.0, "sigma": 1e4, "fov_range": 1e6}
 CLUTTER_RATE = (1e-6, 1e3)
+# Most jobs (runs x sweep values) of one experiment: each job is a Monte
+# Carlo run over every payload arm, a tenth of a second to seconds, and its
+# job tuple is built before the first one starts.
+MAX_JOBS = 100_000
 
 
 @dataclass
@@ -73,6 +77,10 @@ class ExperimentSpec:
                                      "[{:g}, {:g}]".format(*CLUTTER_RATE))
         if self.runs < 1:
             raise InputError("runs must be >= 1")
+        n_values = len(self.sweep_values) if self.sweep_param else 1
+        if self.runs * n_values > MAX_JOBS:
+            raise InputError(f"runs x sweep values must be at most {MAX_JOBS}, "
+                             f"got {self.runs} x {n_values}")
         if self.workers < 1:
             raise InputError("workers must be >= 1")
         bp_mod.BpConfig(n_particles=self.n_particles)  # checks the particle count
@@ -218,11 +226,9 @@ def run_experiment(spec: ExperimentSpec) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     sweep_values = list(spec.sweep_values) if spec.sweep_param else [None]
 
-    jobs = [(spec.__dict__.copy(), cfg, sv, run)
-            for sv in sweep_values for run in range(spec.runs)]
-    for job in jobs:
-        job[0]["payloads"] = list(spec.payloads)
-        job[0]["sweep_values"] = list(spec.sweep_values)
+    spec_dict = dict(spec.__dict__, payloads=list(spec.payloads),
+                     sweep_values=list(spec.sweep_values))
+    jobs = [(spec_dict, cfg, sv, run) for sv in sweep_values for run in range(spec.runs)]
     workers = pool_size(spec.workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -8,16 +8,24 @@ sum of per-(track, sensor, measurement) terms, so the maintenance problem
 splits exactly into L independent rectangular assignments, one
 N x (M_l + N) table per sensor with one miss column per track (the
 decomposable case of the S-D assignment problem). `build_mda_problem`
-fills each sensor's table from one stacked factorization of the N
-innovation covariances, `solve_maintenance` makes one
-`linear_sum_assignment` call per sensor, and `update_maintained` updates
-sensor by sensor, one stacked Kalman update per sensor. Exact ties
-resolve per sensor, as `linear_sum_assignment` resolves them, not by the
-lexicographic order of the branch and bound. A sensor with P_d = 1 has no
-finite miss cell: a track that lands on a BIG cell on any sensor gets the
-all-zero fallback tuple, and its measurements on the other sensors go back
-to initiation. The tuple enumeration `enumerate_mda_problem` and the exact
-solver stay as the test oracle of this decomposition.
+fills every sensor's table in one pass: one (L, N) stack of innovation
+covariances and one stacked factorization of it (Cholesky, or the
+eigendecomposition for transformed payloads), then the gates and costs of
+all sensors at once; only each sensor's whitening runs on its own M_l
+measurements. `solve_maintenance` makes one `linear_sum_assignment` call
+per sensor, and `update_maintained` updates sensor by sensor, one stacked
+Kalman update per sensor. Exact ties resolve per sensor, as
+`linear_sum_assignment` resolves them, not by the lexicographic order of
+the branch and bound. A sensor with P_d = 1 has no finite miss cell: a
+track that lands on a BIG cell on any sensor gets the all-zero fallback
+tuple, and its measurements on the other sensors go back to initiation.
+The tuple enumeration `enumerate_mda_problem` and the exact solver stay as
+the test oracle of this decomposition.
+
+The fused tracks are one struct of arrays (`FusedTracks`): a scan predicts,
+scores and updates them as stacks, counts hits and misses as array
+updates, appends the newborns in initiation order and deletes by one row
+mask.
 
 Track initiation is the genuinely multidimensional part: candidate tuples
 are gated, assembled into an assignment problem (one tuple per group, each
@@ -35,7 +43,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -47,6 +56,7 @@ from .errors import (
     InputError,
     NumericsError,
     ResourceLimitError,
+    TrackfuseError,
     UnobservableHypothesisError,
 )
 from .linalg import (
@@ -58,6 +68,7 @@ from .linalg import (
     symmetrize,
 )
 from .models import (
+    EstimateStack,
     GaussianEstimate,
     MeasurementBatch,
     MotionModel,
@@ -111,9 +122,13 @@ class SensorView:
     @classmethod
     def from_batch(cls, batch: MeasurementBatch, p_d: float,
                    clutter: ClutterModel) -> "SensorView":
-        """The view of a batch's payload; it shares the batch's factor."""
-        view = cls(batch.H, batch.R, p_d, clutter, transformed=batch.transformed)
-        view._factor = batch.factor
+        """The view of a batch's payload; it shares the batch's (H, R),
+        validated when the batch was made, and its factor."""
+        if not 0.0 < p_d <= 1.0:
+            raise InputError("detection probability must be in (0, 1]")
+        view = cls.__new__(cls)
+        view.H, view.R, view.transformed = batch.H, batch.R, batch.transformed
+        view.p_d, view.clutter, view._factor = p_d, clutter, batch.factor
         return view
 
     @property
@@ -347,70 +362,118 @@ def padded_table(meas: np.ndarray, miss: np.ndarray) -> np.ndarray:
     return table
 
 
-def _measurement_costs(means: np.ndarray, covs: np.ndarray,
-                       batch: MeasurementBatch, view: SensorView,
-                       gate_prob: float) -> np.ndarray:
-    """(N, M) costs of N predicted tracks against the batch's measurements.
+def _model_stacks(batches: Sequence[MeasurementBatch]):
+    """(L, m, n) H and (L, m, m) R of the batches: rows of their factors'
+    common `FactorStack` (the batches of one tape scan), else stacked."""
+    factors = [b._factor for b in batches]
+    stack = factors[0].stack if factors[0] is not None else None
+    if stack is None or any(f is None or f.stack is not stack for f in factors):
+        return np.stack([b.H for b in batches]), np.stack([b.R for b in batches])
+    rows = [f.row for f in factors]
+    if rows == list(range(rows[0], rows[0] + len(rows))):
+        rows = slice(rows[0], rows[0] + len(rows))
+    return stack.H[rows], stack.R[rows]
 
-    One stacked innovation covariance and one stacked factorization of it
+
+def _cost_tables(means: np.ndarray, covs: np.ndarray,
+                 batches: Sequence[MeasurementBatch], views: Sequence[SensorView],
+                 gate_prob: float) -> list:
+    """(N, M_l) costs of N predicted tracks against each batch's measurements,
+    for batches of one route (raw or transformed) and one model shape.
+
+    One (L, N) stack of innovation covariances and one stacked factorization
     give every squared Mahalanobis distance and log-likelihood: Cholesky
     for raw payloads; for transformed ones the eigendecomposition with the
     PSD rank rule, the rank's chi-square gate and the range check of
-    `generalized_log_likelihood` on the gated pairs. A gated cell is the
-    negative of the with-prior score's term for that sensor (see
-    `score_with_prior`); an ungated one is BIG.
+    `generalized_log_likelihood` on the gated pairs. Measurements are padded
+    to the widest batch, but each batch's whitening (the raw solve, the
+    transformed eigen projection) takes exactly its own M_l rows, as these
+    calls round differently for other sizes. A gated cell is the negative
+    of the with-prior score's term for that sensor (see `score_with_prior`);
+    an ungated one is BIG.
     """
-    z_hat, s = innovation_stack(means, covs, batch)
-    diffs = batch.zs[None, :, :] - z_hat[:, None, :]
-    if batch.transformed:
+    counts = [b.n_meas for b in batches]
+    width = max(counts)
+    H, R = _model_stacks(batches)
+    z_hat, s = innovation_stack(means, covs, SimpleNamespace(H=H[:, None], R=R[:, None]))
+    zs = np.zeros((len(batches), width, H.shape[1]))
+    for z, b in zip(zs, batches):
+        z[:b.n_meas] = b.zs
+    diffs = zs[:, None, :, :] - z_hat[:, :, None, :]
+    valid = (np.arange(width) < np.array(counts)[:, None])[:, None, :]
+    if batches[0].transformed:
         w, v, keep = psd_eig_stack(s)
-        rank = np.count_nonzero(keep, axis=1)
-        sq = (diffs @ v) ** 2
-        d2 = np.sum(np.divide(sq, w[:, None, :], out=np.zeros_like(sq),
-                              where=keep[:, None, :]), axis=2)
-        gated = d2 <= np.array([chi2_gate(gate_prob, int(r)) for r in rank])[:, None]
-        if np.any(gated & (rank == 0)[:, None]):
+        rank = np.count_nonzero(keep, axis=-1)
+        sq = np.zeros(diffs.shape)
+        for l, m in enumerate(counts):
+            sq[l, :, :m] = (diffs[l, :, :m] @ v[l]) ** 2
+        d2 = np.sum(np.divide(sq, w[:, :, None, :], out=np.zeros_like(sq),
+                              where=keep[:, :, None, :]), axis=-1)
+        gates = np.array([chi2_gate(gate_prob, r) for r in range(H.shape[1] + 1)])
+        gated = valid & (d2 <= gates[rank][..., None])
+        if np.any(gated & (rank == 0)[..., None]):
             raise NumericsError("transformed covariance has rank zero")
-        outside = np.sum(np.where(keep[:, None, :], 0.0, sq), axis=2)
-        if np.any(gated & (outside > 1e-16 * np.sum(diffs * diffs, axis=2))):
+        outside = np.sum(np.where(keep[:, :, None, :], 0.0, sq), axis=-1)
+        if np.any(gated & (outside > 1e-16 * np.sum(diffs * diffs, axis=-1))):
             raise InconsistentTransformError(
                 "residual is outside the range of the transformed covariance")
         norm = rank * LOG_2PI + np.sum(np.log(w, out=np.zeros_like(w), where=keep),
-                                       axis=1)
+                                       axis=-1)
     else:
         c = cholesky(s, "innovation covariance")
-        y = np.linalg.solve(c, diffs.swapaxes(1, 2))
-        d2 = np.sum(y * y, axis=1)
-        gated = d2 <= chi2_gate(gate_prob, s.shape[-1])
+        d2 = np.zeros(diffs.shape[:-1])
+        for l, m in enumerate(counts):
+            y = np.linalg.solve(c[l], diffs[l, :, :m].swapaxes(1, 2))
+            d2[l, :, :m] = np.sum(y * y, axis=1)
+        gated = valid & (d2 <= chi2_gate(gate_prob, s.shape[-1]))
         norm = (s.shape[-1] * LOG_2PI
-                + 2.0 * np.sum(np.log(np.diagonal(c, axis1=1, axis2=2)), axis=1))
-    log_lik = -0.5 * (norm[:, None] + d2)
-    cost = -(math.log(view.p_d) + log_lik - math.log(view.clutter.rate)
-             - view.clutter.log_density)
-    return np.where(gated, cost, BIG)
+                + 2.0 * np.sum(np.log(np.diagonal(c, axis1=-2, axis2=-1)), axis=-1))
+    log_lik = -0.5 * (norm[..., None] + d2)
+    terms = np.array([(math.log(v.p_d), math.log(v.clutter.rate), v.clutter.log_density)
+                      for v in views])[:, :, None, None]
+    cost = -(terms[:, 0] + log_lik - terms[:, 1] - terms[:, 2])
+    table = np.where(gated, cost, BIG)
+    return [table[l, :, :m] for l, m in enumerate(counts)]
 
 
 def build_mda_problem(tracks_pred: Sequence[GaussianEstimate],
                       batches: Sequence[MeasurementBatch],
                       sensors: Sequence[SensorView],
                       cfg: MdaConfig) -> MaintenanceProblem:
-    """Per-sensor maintenance tables (see `MaintenanceProblem`).
+    """Per-sensor maintenance tables (see `MaintenanceProblem`), in one pass.
 
     The batch supplies the measurements and the effective (H, R) that gate
-    and score them, the view P_d and the clutter model. A miss costs
-    -log(1 - P_d), BIG when P_d = 1.
+    and score them, the view P_d and the clutter model. Every sensor with
+    measurements is scored at once (`_cost_tables`), one pass per route and
+    model shape, on the tracks' stacked arrays (an `EstimateStack` is used
+    as it is). A miss costs -log(1 - P_d), BIG when P_d = 1.
+
+    The checks are those of scoring sensor by sensor: when one fails, the
+    sensors are checked again one at a time, in order, so the first sensor
+    that fails raises its own first error.
     """
-    n = len(tracks_pred)
-    if n:
-        means = np.stack([e.mean for e in tracks_pred])
-        covs = np.stack([e.cov for e in tracks_pred])
-    tables = []
-    for batch, view in zip(batches, sensors):
-        meas = np.full((n, batch.n_meas), BIG)
-        if n and batch.n_meas:
-            meas = _measurement_costs(means, covs, batch, view, cfg.gate_prob)
-        tables.append(padded_table(meas, np.full(n, min(-_log_miss(view.p_d), BIG))))
-    return MaintenanceProblem(tables, n, [b.n_meas for b in batches])
+    preds = EstimateStack.of(tracks_pred)
+    n = len(preds)
+    counts = [b.n_meas for b in batches]
+    live = [l for l, m in enumerate(counts) if m and n]
+    costs = [None if l in live else np.full((n, m), BIG) for l, m in enumerate(counts)]
+    routes: dict = {}
+    for l in live:
+        routes.setdefault((batches[l].transformed, batches[l].H.shape), []).append(l)
+    try:
+        for group in routes.values():
+            tables = _cost_tables(preds.means, preds.covs, [batches[l] for l in group],
+                                  [sensors[l] for l in group], cfg.gate_prob)
+            for l, table in zip(group, tables):
+                costs[l] = table
+    except (TrackfuseError, ValueError):
+        for l in live:
+            _cost_tables(preds.means, preds.covs, [batches[l]], [sensors[l]],
+                         cfg.gate_prob)
+        raise
+    tables = [padded_table(c, np.full(n, min(-_log_miss(v.p_d), BIG)))
+              for c, v in zip(costs, sensors)]
+    return MaintenanceProblem(tables, n, counts)
 
 
 def solve_maintenance(problem: MaintenanceProblem) -> AssociationSolution:
@@ -436,23 +499,27 @@ def solve_maintenance(problem: MaintenanceProblem) -> AssociationSolution:
     return AssociationSolution(assignments, total, True, 0.0)
 
 
+def _assigned_indices(assignments, n_tracks: int, n_sensors: int) -> np.ndarray:
+    """(N, L) measurement indices of maintenance assignments (0 for a miss)."""
+    return np.array([a[1:] for a in assignments], dtype=int).reshape(n_tracks, n_sensors)
+
+
 def update_maintained(preds: Sequence[GaussianEstimate], assignments,
-                      batches: Sequence[MeasurementBatch]) -> list:
-    """Posterior estimates of the maintained tracks.
+                      batches: Sequence[MeasurementBatch]) -> EstimateStack:
+    """Posterior estimates of the maintained tracks, as an `EstimateStack`
+    (the predictions' own arrays are not written).
 
     Sensor by sensor, in sensor order, one `update_raw_stack` call updates
     the tracks that took one of the sensor's measurements, with the
     covariance-form model of the batch's factor. A transformed batch with
     singular R keeps the per-track information form (`update_information`
-    with the factor's pseudoinverse). Each track sees the
-    arithmetic of its own sequential updates, so the estimates equal the
-    per-track ones bit for bit. A track with no measurement keeps its
-    prediction.
+    with the factor's pseudoinverse). Each track sees the arithmetic of its
+    own sequential updates, so the estimates equal the per-track ones bit
+    for bit. A track with no measurement keeps its prediction.
     """
-    idx = np.array([a[1:] for a in assignments], dtype=int).reshape(
-        len(preds), len(batches))
-    means = np.stack([p.mean for p in preds])
-    covs = np.stack([p.cov for p in preds])
+    preds = EstimateStack.of(preds)
+    idx = _assigned_indices(assignments, len(preds), len(batches))
+    means, covs = preds.means.copy(), preds.covs.copy()
     for l, batch in enumerate(batches):
         rows = np.flatnonzero(idx[:, l])
         if rows.size == 0:
@@ -462,14 +529,13 @@ def update_maintained(preds: Sequence[GaussianEstimate], assignments,
         model = factor.model
         if model is None:
             for t, z in zip(rows, zs):
-                est = update_information(GaussianEstimate._trusted(
-                    means[t], covs[t], preds[t].timestamp), z, batch.H, factor.r_dag)
+                est = update_information(GaussianEstimate._trusted(means[t], covs[t]),
+                                         z, batch.H, factor.r_dag)
                 means[t], covs[t] = est.mean, est.cov
         else:
             means[rows], covs[rows] = update_raw_stack(means[rows], covs[rows],
                                                        zs, model)
-    return [GaussianEstimate._trusted(means[t], covs[t], p.timestamp)
-            if np.any(idx[t]) else p for t, p in enumerate(preds)]
+    return EstimateStack(means, covs, preds.timestamps)
 
 
 def enumerate_mda_problem(tracks_pred: Sequence[GaussianEstimate],
@@ -827,19 +893,45 @@ def solve_assignment(problem: AssignmentProblem) -> AssociationSolution:
     return solve_assignment_relaxed(problem)
 
 
-@dataclass
-class MdaTrack:
-    """Fused track with confirmation bookkeeping."""
+@dataclass(eq=False)
+class FusedTracks:
+    """The fused tracks as one struct of arrays.
 
-    est: GaussianEstimate
-    label: int
-    hits: int = 0
-    misses: int = 0
-    confirmed: bool = False
+    Track k is row k of `means` (N, n), `covs` (N, n, n) and the (N,)
+    arrays `timestamps`, `labels`, `hits`, `misses` and `confirmed`.
+    """
+
+    means: np.ndarray
+    covs: np.ndarray
+    timestamps: np.ndarray
+    labels: np.ndarray
+    hits: np.ndarray
+    misses: np.ndarray
+    confirmed: np.ndarray
+
+    @classmethod
+    def empty(cls, state_dim: int) -> "FusedTracks":
+        ints = (np.zeros(0, dtype=int) for _ in range(4))
+        return cls(np.zeros((0, state_dim)), np.zeros((0, state_dim, state_dim)),
+                   *ints, np.zeros(0, dtype=bool))
+
+    def __len__(self) -> int:
+        return len(self.means)
+
+    def _arrays(self) -> list:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def __getitem__(self, rows) -> "FusedTracks":
+        """The tracks at `rows` (an index array or a boolean mask)."""
+        return FusedTracks(*(a[rows] for a in self._arrays()))
+
+    def extended(self, other: "FusedTracks") -> "FusedTracks":
+        """These tracks followed by `other`'s."""
+        return FusedTracks(*map(np.concatenate, zip(self._arrays(), other._arrays())))
 
 
-def _initial_estimate(meas, sensors, cfg: MdaConfig, timestamp: int) -> GaussianEstimate:
-    """Newborn state from a tuple: WLS on the observable subspace.
+def _initial_estimate(meas, sensors, cfg: MdaConfig):
+    """Newborn (mean, covariance) from a tuple: WLS on the observable subspace.
 
     Unobservable directions (velocity for position-only payloads) get a
     zero-mean prior with variance cfg.velocity_prior_var.
@@ -857,61 +949,65 @@ def _initial_estimate(meas, sensors, cfg: MdaConfig, timestamp: int) -> Gaussian
     if np.any(~obs):
         vn = v[:, ~obs]
         cov += cfg.velocity_prior_var * (vn @ vn.T)
-    return GaussianEstimate(mean, symmetrize(cov), timestamp)
+    return mean, symmetrize(cov)
 
 
-def mda_pipeline_step(tracks: list, batches: Sequence[MeasurementBatch],
+def mda_pipeline_step(tracks: FusedTracks, batches: Sequence[MeasurementBatch],
                       sensors: Sequence[SensorView], motion: MotionModel,
                       cfg: MdaConfig, next_label: int, scan: int = 0):
     """One scan of predict / maintain / update / initiate / manage.
 
     Maintenance is the per-sensor decomposition (`build_mda_problem`,
-    `solve_maintenance`, `update_maintained`); initiation goes through
-    `solve_assignment`. Returns (tracks, next_label, info) where info
-    records the selected maintenance and initiation tuples for diagnostics.
+    `solve_maintenance`, `update_maintained`) on the tracks' arrays, with
+    hits, misses and confirmation as array updates; initiation goes through
+    `solve_assignment`. The newborns (timestamp `scan`) follow the tracks in
+    initiation order, and deletion is one row mask over both. Returns
+    (tracks, next_label, info), new `FusedTracks` and info the selected
+    maintenance and initiation tuples for diagnostics.
     """
     info = {"maintenance": [], "initiation": []}
-
-    used = [set() for _ in batches]
-    if tracks:
-        means, covs = predict_stack(np.stack([t.est.mean for t in tracks]),
-                                    np.stack([t.est.cov for t in tracks]), motion)
-        preds = [GaussianEstimate._trusted(means[k], covs[k], t.est.timestamp + 1)
-                 for k, t in enumerate(tracks)]
-        problem = build_mda_problem(preds, batches, sensors, cfg)
-        solution = solve_maintenance(problem)
+    n = len(tracks)
+    idx = np.zeros((n, len(batches)), dtype=int)
+    posts = EstimateStack(tracks.means, tracks.covs, tracks.timestamps + 1)
+    if n:
+        means, covs = predict_stack(tracks.means, tracks.covs, motion)
+        preds = EstimateStack(means, covs, posts.timestamps)
+        solution = solve_maintenance(build_mda_problem(preds, batches, sensors, cfg))
         info["maintenance"] = list(solution.assignments)
+        idx = _assigned_indices(solution.assignments, n, len(batches))
         posts = update_maintained(preds, solution.assignments, batches)
-        for (_, *idx), track, est in zip(solution.assignments, tracks, posts):
-            n_hit = 0
-            for l, i in enumerate(idx):
-                if i > 0:
-                    used[l].add(i)
-                    n_hit += 1
-            track.est = est
-            if n_hit > 0:
-                track.hits += n_hit
-                track.misses = 0
-            else:
-                track.misses += 1
-            if track.hits >= cfg.confirm_hits:
-                track.confirmed = True
+    n_hit = np.count_nonzero(idx, axis=1)
+    hits = tracks.hits + n_hit
+    tracks = FusedTracks(posts.means, posts.covs, posts.timestamps, tracks.labels, hits,
+                         np.where(n_hit > 0, 0, tracks.misses + 1),
+                         tracks.confirmed | (hits >= cfg.confirm_hits))
 
-    available = [[i for i in range(1, b.n_meas + 1) if i not in used[l]]
+    taken = [set(col) for col in idx.T.tolist()]
+    available = [[i for i in range(1, b.n_meas + 1) if i not in taken[l]]
                  for l, b in enumerate(batches)]
     if any(available):
         init_problem = build_initiation_problem(batches, sensors, cfg, available)
         if init_problem.groups:
-            init_solution = solve_assignment(init_problem)
-            info["initiation"] = list(init_solution.assignments)
-            for tup in init_solution.assignments:
-                meas = [batches[l].zs[i - 1] if i > 0 else None
-                        for l, i in enumerate(tup)]
-                est = _initial_estimate(meas, sensors, cfg, scan)
-                n_meas = sum(i > 0 for i in tup)
-                tracks.append(MdaTrack(est, next_label, hits=n_meas,
-                                       confirmed=n_meas >= cfg.confirm_hits))
-                next_label += 1
+            info["initiation"] = list(solve_assignment(init_problem).assignments)
+    if info["initiation"]:
+        tracks = tracks.extended(_newborns(info["initiation"], batches, sensors, cfg,
+                                           next_label, scan))
+        next_label += len(info["initiation"])
 
-    tracks = [t for t in tracks if t.misses < cfg.delete_misses]
-    return tracks, next_label, info
+    keep = tracks.misses < cfg.delete_misses
+    return (tracks if keep.all() else tracks[keep]), next_label, info
+
+
+def _newborns(tuples, batches, sensors, cfg: MdaConfig, first_label: int,
+              scan: int) -> FusedTracks:
+    """One newborn per initiation tuple (at least one), labelled from
+    `first_label` in tuple order."""
+    born = [_initial_estimate([batches[l].zs[i - 1] if i > 0 else None
+                               for l, i in enumerate(tup)], sensors, cfg)
+            for tup in tuples]
+    k = len(born)
+    n_meas = np.count_nonzero(np.array(tuples, dtype=int), axis=1)
+    return FusedTracks(np.stack([mean for mean, _ in born]),
+                       np.stack([cov for _, cov in born]), np.full(k, scan),
+                       np.arange(first_label, first_label + k), n_meas,
+                       np.zeros(k, dtype=int), n_meas >= cfg.confirm_hits)

@@ -8,7 +8,9 @@ form, so a row of a stack equals the N = 1 result bit for bit. `predict`,
 `innovation` and `update_raw` are thin N = 1 wrappers over the core for
 callers that hold one `GaussianEstimate` (`update_transformed`, and the
 per-track reference loops of the tests); the local GNN trackers and the
-MDA pipeline call the core on all their tracks at once.
+MDA pipeline call the core on all their tracks at once, the MDA pipeline
+holding them as an `EstimateStack` (the arrays, item k a `GaussianEstimate`
+of views into row k).
 
 The fusion center consumes *effective* measurement models (H, R): either the
 sensor's raw model or its transformed counterpart. The raw update is the
@@ -32,6 +34,7 @@ routes (Cholesky and inverse; eigendecomposition and pseudoinverse).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -142,6 +145,35 @@ class GaussianEstimate:
         return est
 
 
+@dataclass(eq=False)
+class EstimateStack(Sequence):
+    """N estimates as (N, n) means, (N, n, n) covariances and (N,) integer
+    timestamps; item k is the `GaussianEstimate` of views into row k."""
+
+    means: np.ndarray
+    covs: np.ndarray
+    timestamps: np.ndarray
+
+    @classmethod
+    def of(cls, estimates) -> "EstimateStack":
+        """The estimates as a stack: themselves if they are one, else their
+        arrays stacked."""
+        if isinstance(estimates, cls):
+            return estimates
+        if not estimates:
+            return cls(np.zeros((0, 0)), np.zeros((0, 0, 0)), np.zeros(0, dtype=int))
+        return cls(np.stack([e.mean for e in estimates]),
+                   np.stack([e.cov for e in estimates]),
+                   np.array([e.timestamp for e in estimates], dtype=int))
+
+    def __len__(self) -> int:
+        return len(self.means)
+
+    def __getitem__(self, k: int) -> GaussianEstimate:
+        return GaussianEstimate._trusted(self.means[k], self.covs[k],
+                                         int(self.timestamps[k]))
+
+
 @dataclass
 class MeasurementBatch:
     """One sensor's per-scan payload as seen by the fusion center.
@@ -171,9 +203,15 @@ class MeasurementBatch:
     @classmethod
     def from_factor(cls, sensor_id: int, zs: np.ndarray, factor: "PayloadFactor",
                     kind: str) -> "MeasurementBatch":
-        """A batch of the factor's effective model that carries the factor."""
-        batch = cls(sensor_id, zs, factor.H, factor.R, kind)
-        batch._factor = factor
+        """A batch of the factor's effective model that carries the factor.
+
+        The factor's (H, R) were validated when it was made and `zs` must be
+        a float (M, m) array in its measurement space; they are taken
+        without validation or copy.
+        """
+        batch = cls.__new__(cls)
+        batch.sensor_id, batch.zs, batch.kind = sensor_id, zs, kind
+        batch.H, batch.R, batch._factor = factor.H, factor.R, factor
         return batch
 
     @property
@@ -208,7 +246,8 @@ class PayloadFactor:
     `info_pinv` is the pseudoinverse of its symmetric part. When H has no
     velocity component and the position information is nonsingular, the
     backprojection of measurements z is z @ `back_gain` @ `back_cov`.T with
-    covariance `back_cov`; otherwise both are None.
+    covariance `back_cov`; otherwise both are None. A factor taken from a
+    `FactorStack` names it and its row there in `stack` and `row`.
     """
 
     H: np.ndarray
@@ -225,6 +264,9 @@ class PayloadFactor:
     info_pinv: np.ndarray
     back_gain: Optional[np.ndarray]
     back_cov: Optional[np.ndarray]
+    # not fields: set by `FactorStack.__getitem__` on the factors it makes
+    stack = None
+    row = 0
 
 
 def _covariance_form(eigs: np.ndarray) -> np.ndarray:
@@ -285,12 +327,14 @@ class FactorStack:
             _, wg, vg = self.groups[self.group_of[k]]
             w, v = wg[self.row_of[k]], vg[self.row_of[k]]
         back = bool(self.back[k])
-        return PayloadFactor(
+        factor = PayloadFactor(
             H, R, MeasurementModel._trusted(H, R) if self.cov_form[k] else None,
             None if self.chol is None else self.chol[k], w, v,
             int(self.rank[k]), float(self.logdet[k]), self.r_dag[k], self.ht_rdag[k],
             self.htrh[k], self.info_pinv[k],
             self.back_gain[k] if back else None, self.back_cov[k] if back else None)
+        factor.stack, factor.row = self, k
+        return factor
 
 
 def payload_factors(H: np.ndarray, R: np.ndarray, transformed: bool) -> FactorStack:
@@ -359,12 +403,14 @@ def innovation_stack(means: np.ndarray, covs: np.ndarray, model):
     covariances H P H^T + R of N predicted estimates.
 
     `model` is anything that holds an effective H (m, n) and R (m, m): a
-    MeasurementModel, or a MeasurementBatch whose R may be singular.
+    MeasurementModel, or a MeasurementBatch whose R may be singular. H and
+    R may also be stacks (..., m, n) and (..., m, m) whose leading axes
+    broadcast against the N estimates; the results then carry them too.
     """
-    if model.H.shape[1] != means.shape[1]:
+    if model.H.shape[-1] != means.shape[1]:
         raise ConfigError("measurement model dimension does not match estimate")
-    return ((model.H @ means[:, :, None])[:, :, 0],
-            symmetrize(model.H @ covs @ model.H.T + model.R))
+    return ((model.H @ means[:, :, None])[..., 0],
+            symmetrize(model.H @ covs @ model.H.swapaxes(-1, -2) + model.R))
 
 
 def update_raw_stack(means: np.ndarray, covs: np.ndarray, zs: np.ndarray,

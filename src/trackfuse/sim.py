@@ -566,7 +566,7 @@ def run_mda_fusion(cfg: ScenarioConfig, tapes, sends, payload: str,
     """Fuse a prepared measurement tape with the MDA pipeline."""
     mda_cfg = mda_cfg or mda_mod.MdaConfig()
     motion = motion_model(cfg)
-    tracks, next_label = [], 0
+    tracks, next_label = mda_mod.FusedTracks.empty(motion.n), 0
 
     def step(scan, scan_list, pairs):
         nonlocal tracks, next_label
@@ -576,7 +576,8 @@ def run_mda_fusion(cfg: ScenarioConfig, tapes, sends, payload: str,
         tracks, next_label, _ = mda_mod.mda_pipeline_step(
             tracks, [batch for batch, _ in pairs], views, motion, mda_cfg,
             next_label, scan)
-        return [(t.label, t.est.mean[:2]) for t in tracks if t.confirmed]
+        confirmed = tracks.confirmed
+        return list(zip(tracks.labels[confirmed].tolist(), tracks.means[confirmed, :2]))
 
     return _fuse(cfg, tapes, sends, payload, ospa_params, step)
 

@@ -27,7 +27,12 @@ from trackfuse.bp import (
     propose_births,
 )
 from trackfuse.checks import enum_association_marginals
-from trackfuse.errors import DegenerateBeliefError, InputError, NumericsError
+from trackfuse.errors import (
+    DegenerateBeliefError,
+    InputError,
+    NumericsError,
+    ResourceLimitError,
+)
 from trackfuse.linalg import psd_eig
 from trackfuse.models import MeasurementBatch, MotionModel
 from trackfuse.transform import LOG_2PI, ClutterModel
@@ -1081,6 +1086,26 @@ class TestErrorPaths:
         with pytest.raises(InputError, match="configured for 50"):
             belief_calculation(beliefs, (np.ones((2, 40)), np.ones(2)),
                                *no_newborns(40), cfg, np.random.default_rng(2))
+
+    def test_step_size_is_capped_before_births_are_drawn(self, monkeypatch):
+        # 2 beliefs and 3 measurements at 50 particles: 250 particles a step
+        rng = np.random.default_rng(42)
+        inp = simple_input(rng, np.array([[0.0, 0.0], [5.0, 5.0], [-5.0, 5.0]]))
+        beliefs = spread_beliefs(rng, 2, 50)
+        cfg = BpConfig(n_particles=50)
+        drawn = []
+        propose = bp.propose_births
+        monkeypatch.setattr(bp, "propose_births",
+                            lambda *args: drawn.append(1) or propose(*args))
+        monkeypatch.setattr(bp, "MAX_STEP_PARTICLES", 249)
+        with pytest.raises(ResourceLimitError, match="250 > 249 particles"):
+            bp_pipeline_step(beliefs, [inp], cv_motion(q=0.1), cfg,
+                             lambda purpose, sensor: np.random.default_rng(0))
+        assert drawn == []
+        monkeypatch.setattr(bp, "MAX_STEP_PARTICLES", 250)
+        bp_pipeline_step(beliefs, [inp], cv_motion(q=0.1), cfg,
+                         lambda purpose, sensor: np.random.default_rng(0))
+        assert drawn == [1]
 
     def test_all_zero_messages_degenerate(self):
         msgs = AssociationMessages(np.zeros((1, 2)), np.ones((1, 2)))

@@ -180,6 +180,43 @@ class TestSpec:
         monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
         assert cli.pool_size(10 ** 9, 5) == 1
 
+    def test_runs_times_sweep_values_is_capped_before_any_job(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # --runs 1000000000 used to build a billion job tuples, each with its
+        # own copy of the spec and the sweep list, before the first job ran
+        with pytest.raises(InputError, match="runs x sweep values"):
+            cli.ExperimentSpec(runs=10 ** 9)
+        half = cli.MAX_JOBS // 2
+        with pytest.raises(InputError, match=f"{half + 1} x 2"):
+            cli.ExperimentSpec(runs=half + 1, sweep_param="p_d", sweep_values=(0.5, 0.9))
+        assert cli.ExperimentSpec(runs=half, sweep_param="p_d",
+                                  sweep_values=(0.5, 0.9)).runs == half
+        started = []
+        monkeypatch.setattr(cli, "_run_one_job", started.append)
+        rc = cli.main(["run", "--runs", str(10 ** 9), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "runs x sweep values" in capsys.readouterr().err
+        assert started == [] and not (tmp_path / "out").exists()
+
+    def test_jobs_share_one_spec_dict(self, tmp_path, monkeypatch):
+        jobs = []
+
+        def record(job):
+            jobs.append(job)
+            return job[2], job[3], {}
+
+        monkeypatch.setattr(cli, "_run_one_job", record)
+        monkeypatch.setattr(cli, "_write_curves", lambda *args: None)
+        monkeypatch.setattr(cli, "_write_comm", lambda *args: None)
+        monkeypatch.setattr(cli, "_write_summary", lambda *args: None)
+        spec = cli.ExperimentSpec(runs=3, sweep_param="p_d", sweep_values=(0.5, 0.9),
+                                  payloads=("raw",), output_dir=str(tmp_path / "out"))
+        assert cli.run_experiment(spec) == 0
+        assert [(sv, run) for _, _, sv, run in jobs] == [
+            (sv, run) for sv in (0.5, 0.9) for run in range(3)]
+        assert all(job[0] is jobs[0][0] for job in jobs)
+        assert jobs[0][0] == dict(spec.__dict__, payloads=["raw"], sweep_values=[0.5, 0.9])
+
     @pytest.mark.parametrize("sweep", ["clutter_rate=1e308", "clutter_rate=nan",
                                        "p_d=nan"])
     def test_sweep_value_out_of_range_exits_with_error(self, tmp_path, capsys, sweep):
@@ -367,14 +404,27 @@ def count_flag(name, values):
                      ).map(lambda v: [f"--{name}", v])
 
 
+@st.composite
+def job_flags(draw):
+    """`--runs` (see `count_flag`) and, two times in three, a `--sweep` of one
+    or two P_d values; one time in five instead a run count that takes runs x
+    sweep values just past `cli.MAX_JOBS`."""
+    values = draw(st.sampled_from(((), ("0.9",), ("0.5", "1"))))
+    sweep = ["--sweep", "p_d=" + ",".join(values)] if values else []
+    if draw(st.integers(0, 4)) == 0:
+        return ["--runs", str(cli.MAX_JOBS // max(len(values), 1) + 1)] + sweep
+    return draw(count_flag("runs", ("1",))) + sweep
+
+
 class RunTooLong(BaseException):
     """Raised into a run that exceeds the fuzzer's time bound."""
 
 
 class TestFuzz:
-    """Every generated scenario file and count flag either runs a 1-run
-    experiment of at most 3 scans to exit code 0 inside the time bound, or
-    exits 2 with an `error:` line and leaves no output directory."""
+    """Every generated scenario file, count flag and sweep either runs a
+    1-run experiment of at most 3 scans per sweep value to exit code 0
+    inside the time bound, or exits 2 with an `error:` line and leaves no
+    output directory."""
 
     SECONDS = 3.0
 
@@ -382,7 +432,7 @@ class TestFuzz:
     @given(text=scenario_texts(), fusion=st.sampled_from(("mda", "bp")),
            particles=count_flag("particles", ("1", "20", "50001")),
            workers=count_flag("workers", ("1", "99999999999")),
-           runs=count_flag("runs", ("1",)))
+           runs=job_flags())
     def test_inputs_run_or_exit_with_a_typed_error(self, tmp_path_factory, text,
                                                    fusion, particles, workers, runs):
         tmp = tmp_path_factory.mktemp("fuzz")

@@ -15,15 +15,21 @@ from trackfuse.checks import (
     enumerate_assignment_minimum,
     random_maintenance_problem,
 )
-from trackfuse.errors import InconsistentTransformError, UnobservableHypothesisError
+from trackfuse.errors import (
+    InconsistentTransformError,
+    NumericsError,
+    TrackfuseError,
+    UnobservableHypothesisError,
+)
+from trackfuse.linalg import chi2_gate, cholesky, psd_eig_stack
 from trackfuse.mda import (
     BIG,
     EXACT_MAX_GROUPS,
     AssignmentProblem,
     Candidate,
     HypothesisCost,
+    FusedTracks,
     MdaConfig,
-    MdaTrack,
     SensorView,
     build_initiation_problem,
     build_mda_problem,
@@ -31,6 +37,7 @@ from trackfuse.mda import (
     gate_distances,
     mda_pipeline_step,
     mle_state,
+    padded_table,
     score_with_prior,
     score_without_prior,
     solve_assignment,
@@ -40,14 +47,18 @@ from trackfuse.mda import (
     update_maintained,
 )
 from trackfuse.models import (
+    EstimateStack,
     GaussianEstimate,
     MeasurementBatch,
     MeasurementModel,
+    innovation_stack,
+    payload_factors,
     update_raw,
     update_transformed,
 )
 from trackfuse.sim import motion_model, prepare_run, run_mda_fusion, scenario1
 from trackfuse.transform import (
+    LOG_2PI,
     ClutterModel,
     gaussian_log_likelihood,
     generalized_log_likelihood,
@@ -326,6 +337,16 @@ class TestRelaxedSolver:
             assert sol_raw.assignments == sol_tr.assignments
 
 
+def fused_tracks(estimates, hits, labels=None):
+    """Confirmed fused tracks of these estimates, no misses, labelled 0, 1, ...
+    unless `labels` are given."""
+    stack = EstimateStack.of(estimates)
+    n = len(stack)
+    return FusedTracks(stack.means, stack.covs, stack.timestamps,
+                       np.arange(n) if labels is None else np.asarray(labels),
+                       np.full(n, hits), np.zeros(n, dtype=int), np.ones(n, dtype=bool))
+
+
 class TestPipeline:
     def _make_scene(self, rng, payload="raw"):
         cfg = scenario1()
@@ -336,22 +357,22 @@ class TestPipeline:
     def test_zero_measurements_coast(self):
         rng = np.random.default_rng(14)
         cfg, motion, (model0, model1) = self._make_scene(rng)
-        track = MdaTrack(random_track(rng), label=0, hits=3, confirmed=True)
+        track = fused_tracks([random_track(rng)], hits=3)
         batches = [MeasurementBatch(l, np.zeros((0, 2)), m.H, m.R, "raw")
                    for l, m in enumerate((model0, model1))]
         views = [SensorView(m.H, m.R, 0.9, ClutterModel(10.0, 1e6))
                  for m in (model0, model1)]
-        before = track.est.mean.copy()
-        tracks, _, _ = mda_pipeline_step([track], batches, views, motion,
+        before = track.means[0].copy()
+        tracks, _, _ = mda_pipeline_step(track, batches, views, motion,
                                          MdaConfig(), 1)
-        assert tracks[0].misses == 1
-        np.testing.assert_allclose(tracks[0].est.mean, motion.F @ before)
+        assert tracks.misses.tolist() == [1]
+        np.testing.assert_allclose(tracks.means[0], motion.F @ before)
 
     def test_single_track_single_measurement_updates(self):
         rng = np.random.default_rng(15)
         _, motion, (model0, model1) = self._make_scene(rng)
         est = GaussianEstimate([50.0, 60.0, 1.0, -1.0], np.diag([20.0] * 4))
-        track = MdaTrack(est, label=0, hits=2, confirmed=True)
+        track = fused_tracks([est], hits=2)
         pred_mean = motion.F @ est.mean
         batches, views = [], []
         for l, model in enumerate((model0, model1)):
@@ -360,12 +381,12 @@ class TestPipeline:
                                             "raw"))
             views.append(SensorView(model.H, model.R, 0.9,
                                     ClutterModel(10.0, 1e6)))
-        tracks, _, info = mda_pipeline_step([track], batches, views, motion,
+        tracks, _, info = mda_pipeline_step(track, batches, views, motion,
                                             MdaConfig(), 1)
         assert len(tracks) == 1
         assert info["maintenance"] == [(1, 1, 1)]
         assert info["initiation"] == []
-        assert tracks[0].hits == 4
+        assert tracks.hits.tolist() == [4]
 
     def test_dual_path_pipelines_identical(self):
         # one scan of a scenario-1-sized instance through both payload arms
@@ -378,14 +399,15 @@ class TestPipeline:
         truth = generate_truth(cfg, seed=99)
         scan_list = generate_measurements(truth, cfg, 50, seed=99)
         rng = np.random.default_rng(16)
-        tracks_raw = [MdaTrack(GaussianEstimate(
-            np.concatenate([traj[49][:2], traj[49][2:]]),
-            np.diag([25.0, 25.0, 4.0, 4.0])), label=i, hits=4, confirmed=True)
-            for i, traj in enumerate(truth) if 49 in traj]
-        tracks_tr = [MdaTrack(GaussianEstimate(t.est.mean.copy(),
-                                               t.est.cov.copy()),
-                              label=t.label, hits=t.hits, confirmed=True)
-                     for t in tracks_raw]
+        alive = [(i, traj[49]) for i, traj in enumerate(truth) if 49 in traj]
+        tracks_raw = fused_tracks(
+            [GaussianEstimate(np.concatenate([x[:2], x[2:]]),
+                              np.diag([25.0, 25.0, 4.0, 4.0])) for _, x in alive],
+            hits=4, labels=[i for i, _ in alive])
+        tracks_tr = FusedTracks(tracks_raw.means.copy(), tracks_raw.covs.copy(),
+                                tracks_raw.timestamps, tracks_raw.labels,
+                                tracks_raw.hits, tracks_raw.misses,
+                                tracks_raw.confirmed)
         sent = [list(range(s.n_meas)) for s in scan_list]
         arms = {}
         for payload, tracks in (("raw", tracks_raw), ("type2", tracks_tr)):
@@ -398,11 +420,10 @@ class TestPipeline:
                 views.append(SensorView.from_batch(batch, sensor.p_d, clutter))
             arms[payload], _, _ = mda_pipeline_step(
                 tracks, batches, views, motion, MdaConfig(), 100, scan=50)
-        assert len(arms["raw"]) == len(arms["type2"])
-        for a, b in zip(arms["raw"], arms["type2"]):
-            np.testing.assert_allclose(a.est.mean, b.est.mean, rtol=0,
-                                       atol=1e-8)
-            assert a.hits == b.hits and a.misses == b.misses
+        a, b = arms["raw"], arms["type2"]
+        assert len(a) == len(b)
+        np.testing.assert_allclose(a.means, b.means, rtol=0, atol=1e-8)
+        assert np.array_equal(a.hits, b.hits) and np.array_equal(a.misses, b.misses)
 
 
 class TestErrorPaths:
@@ -655,6 +676,137 @@ class TestSensorSplit:
         assert np.all(raw.card_est == type2.card_est)
 
 
+def measurement_costs(means, covs, batch, view, gate_prob):
+    """The per-sensor cost route the one-pass build replaced, kept as its
+    reference: one sensor's (N, M) table from its own innovation stack."""
+    z_hat, s = innovation_stack(means, covs, batch)
+    diffs = batch.zs[None, :, :] - z_hat[:, None, :]
+    if batch.transformed:
+        w, v, keep = psd_eig_stack(s)
+        rank = np.count_nonzero(keep, axis=1)
+        sq = (diffs @ v) ** 2
+        d2 = np.sum(np.divide(sq, w[:, None, :], out=np.zeros_like(sq),
+                              where=keep[:, None, :]), axis=2)
+        gated = d2 <= np.array([chi2_gate(gate_prob, int(r)) for r in rank])[:, None]
+        if np.any(gated & (rank == 0)[:, None]):
+            raise NumericsError("transformed covariance has rank zero")
+        outside = np.sum(np.where(keep[:, None, :], 0.0, sq), axis=2)
+        if np.any(gated & (outside > 1e-16 * np.sum(diffs * diffs, axis=2))):
+            raise InconsistentTransformError(
+                "residual is outside the range of the transformed covariance")
+        norm = rank * LOG_2PI + np.sum(np.log(w, out=np.zeros_like(w), where=keep),
+                                       axis=1)
+    else:
+        c = cholesky(s, "innovation covariance")
+        y = np.linalg.solve(c, diffs.swapaxes(1, 2))
+        d2 = np.sum(y * y, axis=1)
+        gated = d2 <= chi2_gate(gate_prob, s.shape[-1])
+        norm = (s.shape[-1] * LOG_2PI
+                + 2.0 * np.sum(np.log(np.diagonal(c, axis1=1, axis2=2)), axis=1))
+    log_lik = -0.5 * (norm[:, None] + d2)
+    cost = -(math.log(view.p_d) + log_lik - math.log(view.clutter.rate)
+             - view.clutter.log_density)
+    return np.where(gated, cost, BIG)
+
+
+def per_sensor_tables(preds, batches, views, cfg):
+    """Maintenance tables scored sensor by sensor (`measurement_costs`)."""
+    n = len(preds)
+    if n:
+        means = np.stack([e.mean for e in preds])
+        covs = np.stack([e.cov for e in preds])
+    tables = []
+    for batch, view in zip(batches, views):
+        meas = np.full((n, batch.n_meas), BIG)
+        if n and batch.n_meas:
+            meas = measurement_costs(means, covs, batch, view, cfg.gate_prob)
+        tables.append(padded_table(meas, np.full(n, min(-math.log1p(-view.p_d), BIG)
+                                                 if view.p_d < 1 else BIG)))
+    return tables
+
+
+def outcome(fn):
+    """fn()'s value, or the type and message of the TrackfuseError it raises."""
+    try:
+        return fn()
+    except TrackfuseError as exc:
+        return type(exc), str(exc)
+
+
+class TestOnePassBuild:
+    """The one-pass build against the per-sensor reference, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_tracks=st.integers(0, 6),
+           meas_counts=st.lists(st.integers(0, 5), min_size=1, max_size=4),
+           kind=st.sampled_from(["raw", "type1", "type2", "generic"]),
+           from_stack=st.booleans(),
+           fault=st.sampled_from([None, "nan", "indefinite", "off_range", "off_range"]))
+    def test_tables_and_errors_equal_the_per_sensor_route(
+            self, seed, n_tracks, meas_counts, kind, from_stack, fault):
+        rng = np.random.default_rng(seed)
+        p_ds = [1.0 if rng.random() < 0.3 else float(rng.uniform(0.5, 0.99))
+                for _ in meas_counts]
+        tracks, raw, tr = maintenance_instance(
+            rng, n_tracks, meas_counts, "type2" if kind == "raw" else kind, p_ds)
+        batches, views = raw if kind == "raw" else tr
+        if from_stack:
+            # views into one FactorStack, as a tape scan's batches are
+            factors = payload_factors(np.stack([b.H for b in batches]),
+                                      np.stack([b.R for b in batches]), kind != "raw")
+            batches = [MeasurementBatch.from_factor(l, b.zs, factors[l], b.kind)
+                       for l, b in enumerate(batches)]
+        if fault in ("nan", "indefinite") and tracks:
+            t = int(rng.integers(n_tracks))
+            cov = tracks[t].cov.copy()
+            if fault == "nan":
+                cov[0, 0] = np.nan
+            else:
+                cov = cov - 2.0 * np.max(np.abs(cov)) * np.eye(4)
+            tracks[t] = GaussianEstimate._trusted(tracks[t].mean, cov)
+        if fault == "off_range" and kind == "generic":
+            for l, b in enumerate(batches):
+                if b.n_meas and rng.random() < 0.5:
+                    # along the null direction of the rank-deficient R
+                    _, v = np.linalg.eigh(b.R)
+                    zs = b.zs + 1e-3 * np.linalg.norm(b.zs, axis=1)[:, None] * v[:, 0]
+                    batches[l] = MeasurementBatch(l, zs, b.H, b.R, b.kind)
+        cfg = MdaConfig()
+        want = outcome(lambda: per_sensor_tables(tracks, batches, views, cfg))
+        got = outcome(lambda: build_mda_problem(tracks, batches, views, cfg))
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert [t.shape for t in got.tables] == [t.shape for t in want]
+        for g, w in zip(got.tables, want):
+            assert np.array_equal(g, w)
+        assert got.n_candidates == sum(int(np.count_nonzero(t < BIG)) for t in want)
+
+    def test_single_measurement_sensors_and_the_first_failing_sensor(self):
+        # M_l = 1 next to wider sensors takes its own one-row whitening; when
+        # two sensors fail, the first in sensor order raises its own error
+        rng = np.random.default_rng(44)
+        cfg = MdaConfig()
+        for _ in range(10):
+            tracks, raw, tr = maintenance_instance(rng, 3, [1, 4, 1], "generic")
+            for batches, views in (raw, tr):
+                for g, w in zip(build_mda_problem(tracks, batches, views, cfg).tables,
+                                per_sensor_tables(tracks, batches, views, cfg)):
+                    assert np.array_equal(g, w)
+        est = tracks[0]
+        _, v = np.linalg.eigh(views[0].R)
+        z = views[0].H @ est.mean
+        off_range = MeasurementBatch(0, (z + v[:, 0] * 1e-3 * np.linalg.norm(z))[None],
+                                     views[0].H, views[0].R, "generic")
+        nan_noise = MeasurementBatch(1, batches[1].zs, batches[1].H,
+                                     np.full(batches[1].R.shape, np.nan), "generic")
+        for pair, error in (((off_range, nan_noise), InconsistentTransformError),
+                            ((nan_noise, off_range), NumericsError)):
+            want = outcome(lambda: per_sensor_tables([est], pair, views[:2], cfg))
+            assert want[0] is error
+            assert outcome(lambda: build_mda_problem([est], pair, views[:2], cfg)) == want
+
+
 def sequential_update(preds, assignments, batches):
     """The per-track loop: each track's updates in sensor order, one
     measurement model per update."""
@@ -707,4 +859,5 @@ class TestStackedMaintenanceUpdate:
             assert np.array_equal(got.cov, want.cov)
             assert got.timestamp == want.timestamp == pred.timestamp
             if not row.any():
-                assert got is pred
+                assert np.array_equal(got.mean, pred.mean)
+                assert np.array_equal(got.cov, pred.cov)

@@ -137,3 +137,64 @@ def test_bp_traces_refused_for_an_mda_workload():
          "--workload", "s1-mda-c40", "--seeds", "0", "--bp-traces"],
         capture_output=True, text=True)
     assert proc.returncode != 0 and "--bp-traces needs a BP workload" in proc.stderr
+
+
+def test_mda_steps_command_prints_one_digest_per_tape_and_arm():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "tape_digest.py"), "--checkout", str(ROOT),
+         "--workload", "s1-mda-c40", "--seeds", "0", "--mda-steps"],
+        capture_output=True, text=True, check=True).stdout.split()
+    assert out[0::3] == ["0"] * 3
+    assert out[1::3] == ["raw", "type1", "type2"]
+    digests = tape_digest.mda_step_digests(sim, _setup("s1-mda-c40"), 0)
+    assert out[2::3] == [digests[arm] for arm in ("raw", "type1", "type2")]
+    assert len(set(out[2::3])) == 3
+
+
+def test_mda_step_digest_changes_with_one_track_value(monkeypatch):
+    from trackfuse import mda
+    setup = _setup("s1-mda-c40")
+    plain = tape_digest.mda_step_digests(sim, setup, 2)
+    step, calls = mda.mda_pipeline_step, []
+
+    def nudged(*args, **kwargs):
+        # one ulp in one covariance entry, returned at scan 60 of type1 only
+        tracks, next_label, info = step(*args, **kwargs)
+        calls.append(1)
+        if len(calls) == 160:
+            assert len(tracks)
+            tracks = tracks[np.arange(len(tracks))]
+            tracks.covs[0, 3, 3] = np.nextafter(tracks.covs[0, 3, 3], np.inf)
+        return tracks, next_label, info
+
+    monkeypatch.setattr(mda, "mda_pipeline_step", nudged)
+    moved = tape_digest.mda_step_digests(sim, setup, 2)
+    assert [moved[a] == plain[a] for a in ("raw", "type1", "type2")] == [True, False, True]
+
+
+def test_track_rows_read_a_list_of_tracks_as_the_arrays():
+    from types import SimpleNamespace
+    from trackfuse import mda
+    from trackfuse.models import GaussianEstimate
+    rng = np.random.default_rng(3)
+    tracks = mda.FusedTracks(rng.standard_normal((3, 4)), rng.standard_normal((3, 4, 4)),
+                             np.array([4, 5, 6]), np.array([7, 1, 9]), np.array([2, 5, 3]),
+                             np.array([0, 1, 2]), np.array([False, True, True]))
+    listed = [SimpleNamespace(label=label, hits=hits, misses=misses, confirmed=conf,
+                              est=GaussianEstimate._trusted(mean, cov, stamp))
+              for label, stamp, hits, misses, conf, mean, cov in zip(
+                  [7, 1, 9], [4, 5, 6], [2, 5, 3], [0, 1, 2], [False, True, True],
+                  tracks.means, tracks.covs)]
+    rows, list_rows = tape_digest._track_rows(tracks), tape_digest._track_rows(listed)
+    assert len(rows) == len(list_rows) == 3
+    for row, list_row in zip(rows, list_rows):
+        assert row[:5] == list_row[:5]
+        assert np.array_equal(row[5], list_row[5]) and np.array_equal(row[6], list_row[6])
+
+
+def test_mda_steps_refused_for_a_bp_workload():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "tape_digest.py"), "--checkout", str(ROOT),
+         "--workload", "s2-bp", "--seeds", "0", "--mda-steps"],
+        capture_output=True, text=True)
+    assert proc.returncode != 0 and "--mda-steps needs an MDA workload" in proc.stderr

@@ -1,7 +1,7 @@
 """SHA-256 digests of the measurement tapes and local-tracker transmissions.
 
     python3 tools/tape_digest.py --checkout DIR --workload NAME --seeds 0 1 2 ...
-        [--curves] [--bp-traces]
+        [--curves] [--bp-traces | --mda-steps]
 
 Imports the program from `DIR/src` and the workload's scenario from
 `DIR/bench/inputs.py`, runs `sim.prepare_run` on each tape seed and prints
@@ -18,6 +18,13 @@ arm instead: the seed, the arm and a SHA-256 over the arm's curves (OSPA,
 OSPA(2), estimated and true cardinality, bytes per scan). Equal lines on two
 checkouts show that a change to the fusion side kept its outputs bit for
 bit.
+
+With `--mda-steps` (MDA workloads) each tape and arm gets a SHA-256 over
+every scan of the arm's MDA pipeline instead: the selected maintenance and
+initiation tuples and the fused tracks it returns (each track's label,
+timestamp, hits, misses, confirmation, mean and covariance, in track
+order). It reads the tracks as a list of track objects or as one struct of
+arrays, so checkouts on either side of that change compare.
 
 With `--bp-traces` (BP workloads) each tape and arm gets a SHA-256 over
 the arm's per-sensor BP traces instead (beta, xi, kappa, iota, the
@@ -113,6 +120,61 @@ class TraceHasher:
         return self.hash.hexdigest()
 
 
+def _track_rows(tracks):
+    """(label, timestamp, hits, misses, confirmed, mean, cov) of each fused
+    track, from a list of track objects or a struct of arrays."""
+    if hasattr(tracks, "means"):
+        flags = zip(tracks.labels.tolist(), tracks.timestamps.tolist(),
+                    tracks.hits.tolist(), tracks.misses.tolist(),
+                    tracks.confirmed.tolist())
+        return [(*f, mean, cov) for f, mean, cov in zip(flags, tracks.means, tracks.covs)]
+    return [(t.label, t.est.timestamp, t.hits, t.misses, t.confirmed, t.est.mean,
+             t.est.cov) for t in tracks]
+
+
+class StepHasher:
+    """Wraps `mda_pipeline_step` in its module and hashes what each call
+    selects and returns, scan by scan."""
+
+    def __init__(self, mda):
+        self.hash = hashlib.sha256()
+        self.mda, self.step = mda, mda.mda_pipeline_step
+
+    def __enter__(self):
+        def hashed(*args, **kwargs):
+            tracks, next_label, info = self.step(*args, **kwargs)
+            self.hash.update(json.dumps([info["maintenance"], info["initiation"],
+                                         next_label]).encode())
+            for *flags, mean, cov in _track_rows(tracks):
+                self.hash.update(json.dumps([int(x) for x in flags]).encode())
+                _array(self.hash, mean)
+                _array(self.hash, cov)
+            return tracks, next_label, info
+
+        self.mda.mda_pipeline_step = hashed
+        return self
+
+    def __exit__(self, *exc):
+        self.mda.mda_pipeline_step = self.step
+
+    def hexdigest(self) -> str:
+        return self.hash.hexdigest()
+
+
+def mda_step_digests(sim, setup, seed: int) -> dict:
+    """{arm: digest of the arm's MDA steps} for one tape of an MDA workload."""
+    if setup.wl.fusion != "mda":
+        raise SystemExit(f"--mda-steps needs an MDA workload, not {setup.wl.fusion}")
+    cfg = setup.cfg
+    tapes, sends = sim.prepare_run(cfg, seed)
+    out = {}
+    for arm in setup.wl.arms:
+        with StepHasher(sim.mda_mod) as steps:
+            sim.run_mda_fusion(cfg, tapes, sends, arm, setup.mda_cfg, setup.ospa_params)
+        out[arm] = steps.hexdigest()
+    return out
+
+
 def curve_digests(sim, setup, seed: int, bp_traces: bool = False) -> dict:
     """{arm: digest of the arm's fusion curves} for one tape of a workload;
     with `bp_traces`, {arm: (curve digest, BP trace digest)}."""
@@ -144,13 +206,19 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--curves", action="store_true",
                         help="digest each arm's fusion curves instead of the tape")
-    parser.add_argument("--bp-traces", action="store_true",
-                        help="digest each BP arm's per-sensor traces instead of the tape")
+    steps = parser.add_mutually_exclusive_group()
+    steps.add_argument("--bp-traces", action="store_true",
+                       help="digest each BP arm's per-sensor traces instead of the tape")
+    steps.add_argument("--mda-steps", action="store_true",
+                       help="digest each MDA arm's per-scan selections and tracks")
     args = parser.parse_args(argv)
     sim, build_setup = _load(args.checkout.resolve())
     setup = build_setup(args.workload)
     for seed in args.seeds:
-        if args.curves or args.bp_traces:
+        if args.mda_steps:
+            for arm, digest in mda_step_digests(sim, setup, seed).items():
+                print(seed, arm, digest, flush=True)
+        elif args.curves or args.bp_traces:
             for arm, digests in curve_digests(sim, setup, seed, args.bp_traces).items():
                 if args.bp_traces:
                     digests = " ".join(digests if args.curves else digests[1:])
