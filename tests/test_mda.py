@@ -27,8 +27,8 @@ from trackfuse.mda import (
     EXACT_MAX_GROUPS,
     AssignmentProblem,
     Candidate,
-    HypothesisCost,
     FusedTracks,
+    HypothesisCost,
     MdaConfig,
     SensorView,
     build_initiation_problem,
