@@ -12,15 +12,18 @@ fills every sensor's table in one pass: one (L, N) stack of innovation
 covariances and one stacked factorization of it (Cholesky, or the
 eigendecomposition for transformed payloads), then the gates and costs of
 all sensors at once; only each sensor's whitening runs on its own M_l
-measurements. `solve_maintenance` makes one `linear_sum_assignment` call
-per sensor, and `update_maintained` updates sensor by sensor, one stacked
-Kalman update per sensor. Exact ties resolve per sensor, as
-`linear_sum_assignment` resolves them, not by the lexicographic order of
-the branch and bound. A sensor with P_d = 1 has no finite miss cell: a
-track that lands on a BIG cell on any sensor gets the all-zero fallback
-tuple, and its measurements on the other sensors go back to initiation.
-The tuple enumeration `enumerate_mda_problem` and the exact solver stay as
-the test oracle of this decomposition.
+measurements; it keeps each sensor's innovations (and raw Cholesky
+factors) on the problem. `solve_maintenance` makes one
+`linear_sum_assignment` call per sensor, and `update_maintained` updates
+sensor by sensor, one stacked Kalman update per sensor, reusing the kept
+innovations of a sensor whose tracks no earlier sensor has updated in the
+scan. Exact ties resolve per sensor, as `linear_sum_assignment` resolves
+them, not by the lexicographic order of the branch and bound. A sensor
+with P_d = 1 has no finite miss cell: a track that lands on a BIG cell on
+any sensor gets the all-zero fallback tuple, and its measurements on the
+other sensors go back to initiation. The tuple enumeration
+`enumerate_mda_problem` and the exact solver stay as the test oracle of
+this decomposition.
 
 The fused tracks are one struct of arrays (`FusedTracks`): a scan predicts,
 scores and updates them as stacks, counts hits and misses as array
@@ -28,10 +31,12 @@ updates, appends the newborns in initiation order and deletes by one row
 mask.
 
 Track initiation is the genuinely multidimensional part: candidate tuples
-are gated, assembled into an assignment problem (one tuple per group, each
-measurement used at most once), and solved either exactly (depth-first
-branch and bound, also the oracle for the relaxation) or by Lagrangian
-relaxation onto 2-D subproblems.
+are gated (the pairwise position gate decided once per sensor pair, for
+all its measurement pairs in one stacked solve), assembled into an
+assignment problem (one tuple per group, each measurement used at most
+once), and solved either exactly (depth-first branch and bound, also the
+oracle for the relaxation) or by Lagrangian relaxation onto 2-D
+subproblems.
 
 Raw and transformed payloads flow through genuinely different numeric
 routes (Cholesky Gaussian vs eigendecomposition/pseudoinverse generalized
@@ -73,11 +78,11 @@ from .models import (
     MeasurementBatch,
     MotionModel,
     PayloadFactor,
+    _update_with_innovation,
     innovation_stack,
     payload_factors,
     predict_stack,
     update_information,
-    update_raw_stack,
 )
 from .transform import (
     LOG_2PI,
@@ -188,12 +193,17 @@ class MaintenanceProblem:
     tables[l] is (N, M_l + N): row t holds track t's costs against sensor
     l's M_l measurements, then its miss in column M_l + t. Ungated cells,
     the other tracks' miss columns and the miss of a P_d = 1 sensor hold
-    BIG.
+    BIG. innovations[l] holds what scoring sensor l computed for the
+    predicted tracks, for `update_maintained`: the (N, m) predicted
+    measurements, the (N, m, m) innovation covariances and, for a raw
+    payload, their lower Cholesky factors (None for a transformed one); it
+    is None for a sensor that was not scored (no measurements or no tracks).
     """
 
     tables: list
     n_tracks: int
     meas_counts: list
+    innovations: list
 
     @property
     def n_candidates(self) -> int:
@@ -391,6 +401,9 @@ def _cost_tables(means: np.ndarray, covs: np.ndarray,
     calls round differently for other sizes. A gated cell is the negative
     of the with-prior score's term for that sensor (see `score_with_prior`);
     an ungated one is BIG.
+
+    Returns each batch's table and its (z_hat, S, chol) innovations (see
+    `MaintenanceProblem`).
     """
     counts = [b.n_meas for b in batches]
     width = max(counts)
@@ -401,6 +414,7 @@ def _cost_tables(means: np.ndarray, covs: np.ndarray,
         z[:b.n_meas] = b.zs
     diffs = zs[:, None, :, :] - z_hat[:, :, None, :]
     valid = (np.arange(width) < np.array(counts)[:, None])[:, None, :]
+    c = None
     if batches[0].transformed:
         w, v, keep = psd_eig_stack(s)
         rank = np.count_nonzero(keep, axis=-1)
@@ -433,7 +447,8 @@ def _cost_tables(means: np.ndarray, covs: np.ndarray,
                       for v in views])[:, :, None, None]
     cost = -(terms[:, 0] + log_lik - terms[:, 1] - terms[:, 2])
     table = np.where(gated, cost, BIG)
-    return [table[l, :, :m] for l, m in enumerate(counts)]
+    return [(table[l, :, :m], (z_hat[l], s[l], None if c is None else c[l]))
+            for l, m in enumerate(counts)]
 
 
 def build_mda_problem(tracks_pred: Sequence[GaussianEstimate],
@@ -446,7 +461,9 @@ def build_mda_problem(tracks_pred: Sequence[GaussianEstimate],
     and score them, the view P_d and the clutter model. Every sensor with
     measurements is scored at once (`_cost_tables`), one pass per route and
     model shape, on the tracks' stacked arrays (an `EstimateStack` is used
-    as it is). A miss costs -log(1 - P_d), BIG when P_d = 1.
+    as it is). A miss costs -log(1 - P_d), BIG when P_d = 1. The problem
+    keeps each scored sensor's innovations (and raw Cholesky factors), which
+    `update_maintained` reuses.
 
     The checks are those of scoring sensor by sensor: when one fails, the
     sensors are checked again one at a time, in order, so the first sensor
@@ -457,6 +474,7 @@ def build_mda_problem(tracks_pred: Sequence[GaussianEstimate],
     counts = [b.n_meas for b in batches]
     live = [l for l, m in enumerate(counts) if m and n]
     costs = [None if l in live else np.full((n, m), BIG) for l, m in enumerate(counts)]
+    innovations = [None] * len(batches)
     routes: dict = {}
     for l in live:
         routes.setdefault((batches[l].transformed, batches[l].H.shape), []).append(l)
@@ -464,8 +482,8 @@ def build_mda_problem(tracks_pred: Sequence[GaussianEstimate],
         for group in routes.values():
             tables = _cost_tables(preds.means, preds.covs, [batches[l] for l in group],
                                   [sensors[l] for l in group], cfg.gate_prob)
-            for l, table in zip(group, tables):
-                costs[l] = table
+            for l, (table, innovation) in zip(group, tables):
+                costs[l], innovations[l] = table, innovation
     except (TrackfuseError, ValueError):
         for l in live:
             _cost_tables(preds.means, preds.covs, [batches[l]], [sensors[l]],
@@ -473,7 +491,7 @@ def build_mda_problem(tracks_pred: Sequence[GaussianEstimate],
         raise
     tables = [padded_table(c, np.full(n, min(-_log_miss(v.p_d), BIG)))
               for c, v in zip(costs, sensors)]
-    return MaintenanceProblem(tables, n, counts)
+    return MaintenanceProblem(tables, n, counts, innovations)
 
 
 def solve_maintenance(problem: MaintenanceProblem) -> AssociationSolution:
@@ -504,37 +522,68 @@ def _assigned_indices(assignments, n_tracks: int, n_sensors: int) -> np.ndarray:
     return np.array([a[1:] for a in assignments], dtype=int).reshape(n_tracks, n_sensors)
 
 
-def update_maintained(preds: Sequence[GaussianEstimate], assignments,
-                      batches: Sequence[MeasurementBatch]) -> EstimateStack:
-    """Posterior estimates of the maintained tracks, as an `EstimateStack`
-    (the predictions' own arrays are not written).
+def update_maintained(preds: Sequence[GaussianEstimate], idx: np.ndarray,
+                      batches: Sequence[MeasurementBatch],
+                      problem: Optional[MaintenanceProblem] = None) -> EstimateStack:
+    """Posterior estimates of the maintained tracks, as an `EstimateStack`.
 
-    Sensor by sensor, in sensor order, one `update_raw_stack` call updates
-    the tracks that took one of the sensor's measurements, with the
-    covariance-form model of the batch's factor. A transformed batch with
-    singular R keeps the per-track information form (`update_information`
-    with the factor's pseudoinverse). Each track sees the arithmetic of its
-    own sequential updates, so the estimates equal the per-track ones bit
-    for bit. A track with no measurement keeps its prediction.
+    `idx` is the (N, L) array of the measurement each track took on each
+    sensor, 0 for a miss. Sensor by sensor, in sensor order, one Kalman
+    update (the core of `update_raw_stack`) updates the tracks that took one
+    of the sensor's measurements, with the covariance-form model of the
+    batch's factor. When no earlier sensor has updated any of these tracks
+    in this scan, they take their innovations (and raw Cholesky factors)
+    from `problem`, the `build_mda_problem` output the predictions were
+    scored by; otherwise, and when `problem` is None, one `innovation_stack`
+    call computes them (a track still at its prediction gets the same bits,
+    and the call costs about the same for any number of rows). A
+    transformed batch with singular R keeps the per-track information form
+    (`update_information` with the factor's pseudoinverse). Each track sees
+    the arithmetic of its own sequential updates, so the estimates equal
+    the per-track ones bit for bit. A track with no measurement keeps its
+    prediction.
+
+    The predictions' arrays are never written: an update of every track
+    replaces the arrays, and the first update of only some copies them, so
+    they are returned as they are when no track took a measurement.
     """
     preds = EstimateStack.of(preds)
-    idx = _assigned_indices(assignments, len(preds), len(batches))
-    means, covs = preds.means.copy(), preds.covs.copy()
+    means, covs = preds.means, preds.covs
     for l, batch in enumerate(batches):
         rows = np.flatnonzero(idx[:, l])
         if rows.size == 0:
             continue
+        # all rows: views in, the result replaces the arrays, nothing copied
+        whole = rows.size == len(means)
+        sel = slice(None) if whole else rows
         zs = batch.zs[idx[rows, l] - 1]
         factor = batch.factor
         model = factor.model
         if model is None:
+            if means is preds.means:
+                means, covs = means.copy(), covs.copy()
             for t, z in zip(rows, zs):
                 est = update_information(GaussianEstimate._trusted(means[t], covs[t]),
                                          z, batch.H, factor.r_dag)
                 means[t], covs[t] = est.mean, est.cov
+            continue
+        held = None
+        if problem is not None and not idx[sel, :l].any():
+            held = problem.innovations[l]
+        if held is None:
+            z_hat, s = innovation_stack(means[sel], covs[sel], model)
+            chol = None
         else:
-            means[rows], covs[rows] = update_raw_stack(means[rows], covs[rows],
-                                                       zs, model)
+            z_hat, s, chol = held
+            z_hat, s = z_hat[sel], s[sel]
+            chol = None if chol is None else chol[sel]
+        post = _update_with_innovation(means[sel], covs[sel], zs, model, z_hat, s, chol)
+        if whole:
+            means, covs = post
+        else:
+            if means is preds.means:
+                means, covs = means.copy(), covs.copy()
+            means[rows], covs[rows] = post
     return EstimateStack(means, covs, preds.timestamps)
 
 
@@ -594,6 +643,31 @@ def _backprojected_positions(batch: MeasurementBatch):
     return batch.zs @ f.back_gain @ f.back_cov.T, f.back_cov
 
 
+def _pair_gates(back, available, gamma: float) -> dict:
+    """{(l1, l2): gate} of the pairwise position gate, for l1 < l2 sensors
+    that both have a backprojection and available measurements.
+
+    gate[k1][k2] (nested lists over the positions k1, k2 of measurements in
+    `available[l1]` and `available[l2]`) is d^T (C1 + C2)^-1 d <= gamma for
+    the difference d of the two measurements' backprojected positions,
+    whose covariances are C1 and C2. One `np.linalg.solve` over all
+    available pairs and one stacked (K, 1, 2) @ (K, 2, 1) product give the
+    sensor pair's decisions; each slice rounds as the solve of one 2-vector
+    and its dot product do.
+    """
+    pos = [None if b is None or not a else b[0].take([i - 1 for i in a], axis=0)
+           for b, a in zip(back, available)]
+    gates = {}
+    for l1, l2 in itertools.combinations(range(len(back)), 2):
+        if pos[l1] is None or pos[l2] is None:
+            continue
+        d = (pos[l1][:, None] - pos[l2]).reshape(-1, 2, 1)
+        x = np.linalg.solve(back[l1][1] + back[l2][1], d)
+        form = (d.swapaxes(1, 2) @ x).reshape(len(pos[l1]), len(pos[l2]))
+        gates[l1, l2] = (form <= gamma).tolist()
+    return gates
+
+
 def build_initiation_problem(batches: Sequence[MeasurementBatch],
                              sensors: Sequence[SensorView],
                              cfg: MdaConfig,
@@ -603,32 +677,35 @@ def build_initiation_problem(batches: Sequence[MeasurementBatch],
 
     Tuples are pruned by a pairwise position gate where the payload admits
     a position backprojection; each candidate group is (tuple, null) so the
-    solver may leave any measurement to the clutter explanation.
+    solver may leave any measurement to the clutter explanation. The gate
+    is decided once per sensor pair, for all its available measurement
+    pairs at once (`_pair_gates`); the tuples, in `itertools.product` order
+    over the sensors' options, look their pairs' decisions up. `available`
+    lists each sensor's measurement indices (1-based) that may start a
+    track, all of them by default.
     """
     n_sensors = len(batches)
     meas_counts = [b.n_meas for b in batches]
     if available is None:
         available = [list(range(1, b.n_meas + 1)) for b in batches]
+    groups = []
+    if sum(1 for avail in available if avail) < cfg.init_min_meas:
+        # no tuple can pick enough measurements
+        return AssignmentProblem("initiation", groups, n_sensors, meas_counts)
     back = [_backprojected_positions(b) for b in batches]
-    gamma = chi2_gate(cfg.init_gate_prob, 2)
-
-    def compatible(l1, i1, l2, i2):
-        if back[l1] is None or back[l2] is None:
-            return True
-        p1, c1 = back[l1][0][i1 - 1], back[l1][1]
-        p2, c2 = back[l2][0][i2 - 1], back[l2][1]
-        d = p1 - p2
-        return float(d @ np.linalg.solve(c1 + c2, d)) <= gamma
+    gates = _pair_gates(back, available, chi2_gate(cfg.init_gate_prob, 2))
+    # where[l][i]: the position of measurement i in available[l]
+    where = [dict(zip(avail, range(len(avail)))) for avail in available]
 
     options = [[0] + list(avail) for avail in available]
-    groups = []
     total = 0
     for combo in itertools.product(*options):
         picked = [(l, i) for l, i in enumerate(combo) if i > 0]
         if len(picked) < cfg.init_min_meas:
             continue
-        if any(not compatible(l1, i1, l2, i2)
-               for (l1, i1), (l2, i2) in itertools.combinations(picked, 2)):
+        if not all(gates[l1, l2][where[l1][i1]][where[l2][i2]]
+                   for (l1, i1), (l2, i2) in itertools.combinations(picked, 2)
+                   if (l1, l2) in gates):
             continue
         meas = [batches[l].zs[i - 1] if i > 0 else None
                 for l, i in enumerate(combo)]
@@ -972,10 +1049,11 @@ def mda_pipeline_step(tracks: FusedTracks, batches: Sequence[MeasurementBatch],
     if n:
         means, covs = predict_stack(tracks.means, tracks.covs, motion)
         preds = EstimateStack(means, covs, posts.timestamps)
-        solution = solve_maintenance(build_mda_problem(preds, batches, sensors, cfg))
+        problem = build_mda_problem(preds, batches, sensors, cfg)
+        solution = solve_maintenance(problem)
         info["maintenance"] = list(solution.assignments)
         idx = _assigned_indices(solution.assignments, n, len(batches))
-        posts = update_maintained(preds, solution.assignments, batches)
+        posts = update_maintained(preds, idx, batches, problem)
     n_hit = np.count_nonzero(idx, axis=1)
     hits = tracks.hits + n_hit
     tracks = FusedTracks(posts.means, posts.covs, posts.timestamps, tracks.labels, hits,

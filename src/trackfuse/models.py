@@ -4,7 +4,12 @@ The Kalman equations are written once, in a stacked core that works on N
 estimates at a time, (N, n) means and (N, n, n) covariances:
 `predict_stack`, `innovation_stack` and `update_raw_stack`. Their products
 are batched `@`, which makes per slice the BLAS calls of the one-estimate
-form, so a row of a stack equals the N = 1 result bit for bit. `predict`,
+form, so a row of a stack equals the N = 1 result bit for bit. There is one
+covariance-form update route: `update_raw_stack` computes the innovations
+and hands them to the core `_update_with_innovation`, which the local GNN
+trackers and the MDA maintenance update call directly with the predicted
+measurements, innovation covariances and (when they have them) Cholesky
+factors that their gates already computed for the same rows. `predict`,
 `innovation` and `update_raw` are thin N = 1 wrappers over the core for
 callers that hold one `GaussianEstimate` (`update_transformed`, and the
 per-track reference loops of the tests); the local GNN trackers and the
@@ -34,6 +39,7 @@ routes (Cholesky and inverse; eigendecomposition and pseudoinverse).
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
@@ -418,12 +424,33 @@ def update_raw_stack(means: np.ndarray, covs: np.ndarray, zs: np.ndarray,
     """Covariance-form Kalman update of N predicted estimates, row k by the
     raw measurement zs[k]; returns the (N, n) means and (N, n, n) covariances.
 
-    Raises NumericsError if any innovation covariance is not finite, is not
-    positive definite or has a condition number above 1e12. The condition
-    number is the ratio of the extreme eigenvalues of one stacked `eigvalsh`
-    (the 2-norm condition number of an SPD matrix).
+    Computes the innovations (`innovation_stack`) and hands them to the one
+    update core, `_update_with_innovation`, whose checks it raises.
     """
     z_hat, s = innovation_stack(means, covs, model)
+    return _update_with_innovation(means, covs, zs, model, z_hat, s)
+
+
+@functools.lru_cache(maxsize=8)
+def _identity(n: int) -> np.ndarray:
+    """The n x n identity, built once per n and read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+def _update_with_innovation(means, covs, zs, model, z_hat, s, chol=None):
+    """The Kalman update core: `update_raw_stack` given the rows' predicted
+    measurements z_hat (N, m) and innovation covariances s (N, m, m), as
+    `innovation_stack` gives them (so s is exactly symmetric), and, when the
+    caller holds it, their lower Cholesky factor `chol`.
+
+    Raises NumericsError if any innovation covariance is not finite, is not
+    positive definite or has a condition number above 1e12, in that order.
+    The condition number is the ratio of the extreme eigenvalues of one
+    stacked `eigvalsh` (the 2-norm condition number of an SPD matrix). The
+    inverse of s is that of its Cholesky factor, (L^-1)^T L^-1, symmetrized.
+    """
     if not np.isfinite(s).all():
         raise NumericsError("innovation covariance is not finite")
     w = np.linalg.eigvalsh(s)
@@ -434,9 +461,15 @@ def update_raw_stack(means: np.ndarray, covs: np.ndarray, zs: np.ndarray,
     if np.any(bad):
         raise NumericsError("innovation covariance ill-conditioned "
                             f"(cond={cond[bad][0]:.3e})")
-    gain = covs @ model.H.T @ inv_spd(s, "innovation covariance")
+    if chol is None:
+        try:
+            chol = np.linalg.cholesky(s)
+        except np.linalg.LinAlgError as exc:
+            raise NumericsError("innovation covariance is not positive definite") from exc
+    ci = np.linalg.solve(chol, _identity(s.shape[-1]))
+    gain = covs @ model.H.T @ symmetrize(ci.swapaxes(-1, -2) @ ci)
     means = means + (gain @ (zs - z_hat)[:, :, None])[:, :, 0]
-    i_kh = np.eye(means.shape[1]) - gain @ model.H
+    i_kh = _identity(means.shape[1]) - gain @ model.H
     covs = symmetrize(i_kh @ covs @ i_kh.swapaxes(1, 2)
                       + gain @ model.R @ gain.swapaxes(1, 2))
     return means, covs

@@ -49,10 +49,10 @@ from .models import (
     MeasurementBatch,
     MeasurementModel,
     MotionModel,
+    _update_with_innovation,
     innovation_stack,
     payload_factors,
     predict_stack,
-    update_raw_stack,
 )
 from .transform import ClutterModel, type1_stack, type2_stack
 
@@ -352,8 +352,10 @@ class GnnTracker:
     (K, 2, 2). A scan is one `predict_stack`, one `innovation_stack` and
     one Cholesky of the innovation covariances for the log-determinants
     and whitened residuals, the (N, M) cost table by `np.where`, one
-    `linear_sum_assignment`, and one `update_raw_stack` of the tracks that
-    got a measurement; hits, misses, confirmation and deletion are masks
+    `linear_sum_assignment`, and one Kalman update of the tracks that got a
+    measurement, which reuses the gate's predicted measurements, innovation
+    covariances and Cholesky factors for those rows (the core of
+    `update_raw_stack`); hits, misses, confirmation and deletion are masks
     over the assignment's rows. The newborns of all initiator pairings are
     built as one block and follow the surviving rows, in assignment order.
     """
@@ -440,8 +442,8 @@ class GnnTracker:
         rows, cols = linear_sum_assignment(mat)
         hit = (cols < m) & (mat[rows, cols] < BIG)
         if np.any(hit):
-            means[hit], covs[hit] = update_raw_stack(means[hit], covs[hit],
-                                                     zs[cols[hit]], model)
+            means[hit], covs[hit] = _update_with_innovation(
+                means[hit], covs[hit], zs[cols[hit]], model, z_hat[hit], s[hit], c[hit])
         self.means, self.covs = means, covs
         self.timestamps = self.timestamps + 1
         self.hits = self.hits + hit

@@ -1,6 +1,8 @@
 """Association scoring, assignment solvers, and the MDA pipeline."""
 
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from conftest import paired_views, position_model, random_track
+from conftest import make_transformation, paired_views, position_model, random_track
 from trackfuse import mda as mda_mod
 from trackfuse.checks import (
     constraint_violations,
@@ -46,6 +48,7 @@ from trackfuse.mda import (
     solve_maintenance,
     update_maintained,
 )
+from trackfuse.mda import _backprojected_positions, _pair_gates
 from trackfuse.models import (
     EstimateStack,
     GaussianEstimate,
@@ -852,7 +855,7 @@ class TestStackedMaintenanceUpdate:
                 if rng.random() < 0.8:
                     idx[t, l] = i + 1
         assignments = [(t + 1,) + tuple(row) for t, row in enumerate(idx.tolist())]
-        stacked = update_maintained(preds, assignments, batches)
+        stacked = update_maintained(preds, idx, batches)
         for got, want, pred, row in zip(stacked, sequential_update(preds, assignments, batches),
                                         preds, idx):
             assert np.array_equal(got.mean, want.mean)
@@ -861,3 +864,202 @@ class TestStackedMaintenanceUpdate:
             if not row.any():
                 assert np.array_equal(got.mean, pred.mean)
                 assert np.array_equal(got.cov, pred.cov)
+
+
+class TestHeldInnovations:
+    """`update_maintained` fed the build's innovations gives the bits of
+    the update that computes its own."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_tracks=st.integers(0, 6),
+           meas_counts=st.lists(st.integers(0, 5), min_size=1, max_size=4),
+           kind=st.sampled_from(["raw", "type1", "type2", "generic"]),
+           from_stack=st.booleans())
+    def test_equals_the_update_that_computes_its_own(self, seed, n_tracks, meas_counts,
+                                                    kind, from_stack):
+        rng = np.random.default_rng(seed)
+        tracks, raw, tr = maintenance_instance(
+            rng, n_tracks, meas_counts, "type2" if kind == "raw" else kind)
+        batches, views = raw if kind == "raw" else tr
+        if from_stack:
+            factors = payload_factors(np.stack([b.H for b in batches]),
+                                      np.stack([b.R for b in batches]), kind != "raw")
+            batches = [MeasurementBatch.from_factor(l, b.zs, factors[l], b.kind)
+                       for l, b in enumerate(batches)]
+        preds = EstimateStack.of(tracks)
+        idx = np.zeros((n_tracks, len(batches)), dtype=int)
+        for l, m in enumerate(meas_counts):
+            for i, t in enumerate(rng.permutation(n_tracks)[:m]):
+                if rng.random() < 0.7:
+                    idx[t, l] = i + 1
+        problem = build_mda_problem(preds, batches, views, MdaConfig())
+        before = preds.means.tobytes(), preds.covs.tobytes()
+        calls = []
+        innovation = mda_mod.innovation_stack
+        with mock.patch.object(mda_mod, "innovation_stack",
+                               lambda *args: calls.append(1) or innovation(*args)):
+            got = update_maintained(preds, idx, batches, problem)
+        # only rows an earlier sensor updated compute their innovations
+        if kind != "generic" and np.all(np.count_nonzero(idx, axis=1) <= 1):
+            assert calls == []
+        want = update_maintained(preds, idx, batches)
+        assert got.means.tobytes() == want.means.tobytes()
+        assert got.covs.tobytes() == want.covs.tobytes()
+        assert np.array_equal(got.timestamps, preds.timestamps)
+        assert (preds.means.tobytes(), preds.covs.tobytes()) == before
+        if not idx.any():
+            # nothing changed, nothing copied
+            assert got.means is preds.means and got.covs is preds.covs
+
+
+def reference_initiation_problem(batches, sensors, cfg, available):
+    """The initiation build with one `np.linalg.solve` per measurement pair,
+    kept as the reference of the per-sensor-pair gate."""
+    n_sensors = len(batches)
+    back = [_backprojected_positions(b) for b in batches]
+    gamma = chi2_gate(cfg.init_gate_prob, 2)
+
+    def compatible(l1, i1, l2, i2):
+        if back[l1] is None or back[l2] is None:
+            return True
+        p1, c1 = back[l1][0][i1 - 1], back[l1][1]
+        p2, c2 = back[l2][0][i2 - 1], back[l2][1]
+        d = p1 - p2
+        return float(d @ np.linalg.solve(c1 + c2, d)) <= gamma
+
+    groups = []
+    for combo in itertools.product(*[[0] + list(avail) for avail in available]):
+        picked = [(l, i) for l, i in enumerate(combo) if i > 0]
+        if len(picked) < cfg.init_min_meas:
+            continue
+        if any(not compatible(l1, i1, l2, i2)
+               for (l1, i1), (l2, i2) in itertools.combinations(picked, 2)):
+            continue
+        meas = [batches[l].zs[i - 1] if i > 0 else None for l, i in enumerate(combo)]
+        hyp = score_without_prior(meas, sensors, combo)
+        if math.isfinite(hyp.cost):
+            groups.append([Candidate(combo, hyp.cost), Candidate((0,) * n_sensors, 0.0)])
+    return groups, compatible
+
+
+def initiation_instance(rng, kinds, meas_counts):
+    """Batches and views of one initiation scan: sensors of position models
+    (raw or type2, with a backprojection) or of models that see velocity
+    (without one), measuring three targets, with a spread drawn per scan,
+    or clutter in an 80 m box, so that the pairwise gate both passes and
+    fails and many pairs fall near its threshold."""
+    targets = rng.uniform(-30.0, 30.0, (3, 2))
+    spread = rng.uniform(2.0, 15.0)
+    batches, views = [], []
+    for l, (kind, m) in enumerate(zip(kinds, meas_counts)):
+        model = position_model(rng, l)
+        if kind == "velocity":
+            model = MeasurementModel(np.hstack([model.H[:, :2], 0.3 * np.eye(2)]), model.R, l)
+        pos = rng.uniform(-40.0, 40.0, (m, 2))
+        near = rng.random(m) < 0.6
+        pos[near] = targets[rng.integers(3, size=int(near.sum()))] + spread * rng.standard_normal(
+            (int(near.sum()), 2))
+        zs = pos @ model.H[:, :2].T
+        clutter = ClutterModel(10.0, 1e6)
+        if kind == "type2":
+            tr = make_transformation("type2", model, rng)
+            batches.append(MeasurementBatch(l, zs @ tr.A.T, tr.Ht, tr.Rt, "type2"))
+            views.append(SensorView(tr.Ht, tr.Rt, 0.9, clutter, True))
+        else:
+            batches.append(MeasurementBatch(l, zs, model.H, model.R, "raw"))
+            views.append(SensorView(model.H, model.R, 0.9, clutter, False))
+    return batches, views
+
+
+class TestInitiationGate:
+    """One stacked gate per sensor pair against the per-pair solves."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kinds=st.lists(st.sampled_from(["raw", "type2", "velocity"]),
+                          min_size=2, max_size=4),
+           data=st.data())
+    def test_decisions_and_groups_equal_the_per_pair_solves(self, seed, kinds, data):
+        rng = np.random.default_rng(seed)
+        meas_counts = data.draw(st.lists(st.integers(0, 4), min_size=len(kinds),
+                                         max_size=len(kinds)))
+        batches, views = initiation_instance(rng, kinds, meas_counts)
+        available = [sorted(data.draw(st.sets(st.integers(1, m), max_size=m)))
+                     if m else [] for m in meas_counts]
+        cfg = MdaConfig()
+        want_groups, compatible = reference_initiation_problem(batches, views, cfg,
+                                                               available)
+        back = [_backprojected_positions(b) for b in batches]
+        gates = _pair_gates(back, available, chi2_gate(cfg.init_gate_prob, 2))
+        for l1, l2 in itertools.combinations(range(len(kinds)), 2):
+            both = back[l1] is not None and back[l2] is not None
+            assert ((l1, l2) in gates) == (both and bool(available[l1])
+                                           and bool(available[l2]))
+            for k1, i1 in enumerate(available[l1]):
+                for k2, i2 in enumerate(available[l2]):
+                    got = gates[l1, l2][k1][k2] if (l1, l2) in gates else True
+                    assert got == compatible(l1, i1, l2, i2)
+        problem = build_initiation_problem(batches, views, cfg, available)
+        assert problem.groups == want_groups
+        assert problem.meas_counts == meas_counts
+
+    def test_gated_pairs_occur_on_both_sides_of_the_gate(self):
+        # the instances above exercise both decisions, not one
+        rng = np.random.default_rng(5)
+        batches, views = initiation_instance(rng, ["raw", "type2", "raw"], [4, 4, 4])
+        back = [_backprojected_positions(b) for b in batches]
+        available = [[1, 2, 3, 4]] * 3
+        gates = _pair_gates(back, available, chi2_gate(0.99, 2))
+        decided = [gates[pair][k1][k2] for pair in gates
+                   for k1 in range(4) for k2 in range(4)]
+        assert len(gates) == 3 and 0 < sum(decided) < len(decided)
+
+    def test_decisions_at_the_threshold_equal_the_per_pair_solves(self):
+        # sensor 1's backprojected positions put the quadratic form within
+        # about 20 ulps of the gate, where a form rounded differently from
+        # the per-pair solve and dot product flips decisions
+        rng = np.random.default_rng(11)
+        batches, views = initiation_instance(rng, ["raw", "type2"], [1, 1])
+        back = [_backprojected_positions(b) for b in batches]
+        cfg = MdaConfig()
+        gamma = chi2_gate(cfg.init_gate_prob, 2)
+        c = back[0][1] + back[1][1]
+        angle = rng.uniform(0.0, 2.0 * math.pi, 60)
+        u = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+        q = np.array([float(v @ np.linalg.solve(c, v)) for v in u])
+        r = np.sqrt(gamma / q) * (1.0 + rng.uniform(-2e-15, 2e-15, 60))
+        # a type2 payload's measurements are positions
+        batches[1] = MeasurementBatch(1, back[0][0][0] + r[:, None] * u, batches[1].H,
+                                      batches[1].R, "type2")
+        available = [[1], list(range(1, 61))]
+        want_groups, compatible = reference_initiation_problem(batches, views, cfg,
+                                                               available)
+        back = [_backprojected_positions(b) for b in batches]
+        gate = _pair_gates(back, available, gamma)[0, 1][0]
+        assert gate == [compatible(0, 1, 1, i) for i in range(1, 61)]
+        assert 0 < sum(gate) < 60
+        assert build_initiation_problem(batches, views, cfg, available).groups == want_groups
+
+    def test_one_stacked_solve_per_sensor_pair(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        kinds = ["raw", "type2", "velocity", "raw"]
+        batches, views = initiation_instance(rng, kinds, [6, 5, 4, 6])
+        for b in batches:
+            b.factor  # factored before counting
+        solves = []
+        solve = np.linalg.solve
+
+        def counting(a, b):
+            solves.append(np.shape(b))
+            return solve(a, b)
+
+        # scoring solves per tuple; stubbed, the gate's solves are all that is left
+        monkeypatch.setattr(mda_mod, "score_without_prior",
+                            lambda meas, sensors, combo: HypothesisCost(combo, 0.0))
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        problem = build_initiation_problem(batches, views, MdaConfig(),
+                                           [[1, 2, 3, 4, 5, 6], [2, 3, 5], [1, 4], []])
+        # the pairs of the backprojecting sensors 0 and 1 (sensor 3 has
+        # nothing available, sensor 2 no backprojection)
+        assert solves == [(18, 2, 1)]
+        assert problem.groups

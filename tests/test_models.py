@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trackfuse.errors import ConfigError, InputError, NumericsError
 from trackfuse.linalg import inv_spd, pinv_psd, symmetrize
@@ -11,6 +13,7 @@ from trackfuse.models import (
     GaussianEstimate,
     MeasurementModel,
     MotionModel,
+    _update_with_innovation,
     innovation,
     innovation_stack,
     predict,
@@ -334,3 +337,79 @@ class TestStackedCore:
         model = MeasurementModel(np.hstack([np.eye(2), np.zeros((2, 2))]), np.eye(2))
         with pytest.raises(ConfigError):
             innovation_stack(np.zeros((3, 2)), np.zeros((3, 2, 2)), model)
+
+
+def reference_update_raw_stack(means, covs, zs, model):
+    """The stacked raw update before it was split into innovation and core,
+    kept as the reference of the core's bits and errors."""
+    z_hat, s = innovation_stack(means, covs, model)
+    if not np.isfinite(s).all():
+        raise NumericsError("innovation covariance is not finite")
+    w = np.linalg.eigvalsh(s)
+    if np.any(w[:, 0] < 0):
+        raise NumericsError("innovation covariance is not positive definite")
+    cond = np.divide(w[:, -1], w[:, 0], out=np.full(len(w), np.inf), where=w[:, 0] > 0)
+    bad = cond > 1e12
+    if np.any(bad):
+        raise NumericsError("innovation covariance ill-conditioned "
+                            f"(cond={cond[bad][0]:.3e})")
+    gain = covs @ model.H.T @ inv_spd(s, "innovation covariance")
+    means = means + (gain @ (zs - z_hat)[:, :, None])[:, :, 0]
+    i_kh = np.eye(means.shape[1]) - gain @ model.H
+    covs = symmetrize(i_kh @ covs @ i_kh.swapaxes(1, 2)
+                      + gain @ model.R @ gain.swapaxes(1, 2))
+    return means, covs
+
+
+def update_outcome(fn):
+    """The bytes of fn()'s arrays (so -0.0 differs from 0.0), or the type
+    and message of the NumericsError it raises."""
+    try:
+        return [a.tobytes() for a in fn()]
+    except NumericsError as exc:
+        return type(exc), str(exc)
+
+
+class TestUpdateCore:
+    """The core fed a caller's innovation rows, and `update_raw_stack`
+    computing its own, both equal the reference bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 6), m=st.integers(1, 3),
+           fault=st.sampled_from([None, None, "nan", "inf", "indefinite",
+                                  "ill_conditioned"]))
+    def test_core_equals_the_reference(self, seed, n, m, fault):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(m, 6))
+        h = rng.standard_normal((m, dim))
+        model = MeasurementModel(h, random_spd(rng, m) * rng.uniform(0.1, 30.0))
+        means = rng.standard_normal((n, dim)) * 100.0
+        covs = np.array([random_spd(rng, dim) * 10.0 for _ in range(n)]).reshape(
+            n, dim, dim)
+        zs = rng.standard_normal((n, m)) * 100.0
+        if fault and n:
+            k = int(rng.integers(n))
+            if fault == "nan":
+                covs[k, 0, 0] = np.nan
+            elif fault == "inf":
+                covs[k] = np.inf
+            elif fault == "indefinite":
+                covs[k] = -100.0 * np.max(np.abs(model.R)) * np.eye(dim)
+            elif m > 1:
+                # row k's innovation covariance is a noise covariance of
+                # condition number 1e14
+                covs[k] = 0.0
+                w, v = np.linalg.eigh(model.R)
+                w[0] = 1e-14 * w[-1]
+                model = MeasurementModel(h, (v * w) @ v.T)
+        want = update_outcome(lambda: reference_update_raw_stack(means, covs, zs, model))
+        assert update_outcome(lambda: update_raw_stack(means, covs, zs, model)) == want
+
+        z_hat, s = innovation_stack(means, covs, model)
+        try:
+            chol = np.linalg.cholesky(s)
+        except np.linalg.LinAlgError:
+            chol = None
+        for held in (chol, None):
+            assert update_outcome(lambda: _update_with_innovation(
+                means, covs, zs, model, z_hat, s, held)) == want

@@ -198,3 +198,31 @@ def test_mda_steps_refused_for_a_bp_workload():
          "--workload", "s2-bp", "--seeds", "0", "--mda-steps"],
         capture_output=True, text=True)
     assert proc.returncode != 0 and "--mda-steps needs an MDA workload" in proc.stderr
+
+
+def test_clutter_rate_overrides_the_workload_scenario_in_every_mode(monkeypatch):
+    # the tape digest is that of the scenario at the given clutter rate
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main() prepends the checkout
+    lines = []
+    monkeypatch.setattr("builtins.print", lambda *args, **kw: lines.append(args))
+    tape_digest.main(["--checkout", str(ROOT), "--workload", "s1-mda-c40", "--seeds", "0",
+                      "--clutter-rate", "10"])
+    ten = sim.scenario1().with_overrides(clutter_rate=10.0)
+    assert lines == [(0, tape_digest.tape_digest(sim, ten, 0))]
+    assert lines[0][1] != tape_digest.tape_digest(sim, CFG, 0)
+    # the fusion modes get the same scenario
+    rates = []
+
+    def recorded(sim_, setup, seed, *args):
+        rates.append(sorted({s.clutter_rate for s in setup.cfg.sensors}))
+        return {}
+
+    monkeypatch.setattr(tape_digest, "curve_digests", recorded)
+    monkeypatch.setattr(tape_digest, "mda_step_digests", recorded)
+    for mode in ("--curves", "--mda-steps", "--bp-traces"):
+        tape_digest.main(["--checkout", str(ROOT), "--workload", "s2-mda", "--seeds", "0",
+                          mode, "--clutter-rate", "40"])
+    tape_digest.main(["--checkout", str(ROOT), "--workload", "s2-mda", "--seeds", "0",
+                      "--curves"])
+    assert rates == [[40.0]] * 3 + [sorted({s.clutter_rate
+                                            for s in sim.scenario2().sensors})]

@@ -1,7 +1,7 @@
 """SHA-256 digests of the measurement tapes and local-tracker transmissions.
 
     python3 tools/tape_digest.py --checkout DIR --workload NAME --seeds 0 1 2 ...
-        [--curves] [--bp-traces | --mda-steps]
+        [--curves] [--bp-traces | --mda-steps] [--clutter-rate R]
 
 Imports the program from `DIR/src` and the workload's scenario from
 `DIR/bench/inputs.py`, runs `sim.prepare_run` on each tape seed and prints
@@ -32,6 +32,10 @@ beliefs' weights and r_prob, sensor by sensor and scan by scan), hashed as
 each scan is traced so a run's traces are never held at once. With both
 flags a line holds the seed, the arm, the curve digest and the trace
 digest, from one fusion pass.
+
+`--clutter-rate R` sets every sensor's clutter rate of the workload's
+scenario to R in each mode, so that a workload can be compared across
+checkouts at a clutter rate it does not declare (say `s2-mda` at 40).
 """
 
 from __future__ import annotations
@@ -211,9 +215,13 @@ def main(argv=None) -> int:
                        help="digest each BP arm's per-sensor traces instead of the tape")
     steps.add_argument("--mda-steps", action="store_true",
                        help="digest each MDA arm's per-scan selections and tracks")
+    parser.add_argument("--clutter-rate", type=float,
+                        help="every sensor's clutter rate, in place of the workload's")
     args = parser.parse_args(argv)
     sim, build_setup = _load(args.checkout.resolve())
     setup = build_setup(args.workload)
+    if args.clutter_rate is not None:
+        setup.cfg = setup.cfg.with_overrides(clutter_rate=args.clutter_rate)
     for seed in args.seeds:
         if args.mda_steps:
             for arm, digest in mda_step_digests(sim, setup, seed).items():
