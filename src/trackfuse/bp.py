@@ -23,10 +23,11 @@ Per sensor step:
   space once, z = H x. The gate takes each belief's weighted mean and
   covariance of z and one stacked eigendecomposition of the innovation
   covariances; the likelihood of every gated (belief, measurement) pair
-  reads the same z (a triangular solve for raw payloads, one right-side
-  BLAS `dtrsm` on the residuals, see `_whiten`; an eigen projection for
-  transformed ones). The detection probabilities are one (N, Np) array,
-  handed to the update through `AssociationMessages`.
+  reads the same z through the batch factor's noise likelihood
+  (`models.PayloadFactor.loglik`: one right-side BLAS `dtrsm` on raw
+  residuals, an eigen projection for transformed ones). The detection
+  probabilities are one (N, Np) array, handed to the update through
+  `AssociationMessages`.
 - The update forms kappa(0) (1 - p_d) and adds the gated (tau, i) terms of
   `q_cache` in its order, into one (N, Np) array of unnormalized
   posteriors; the newborns' are one (M, Np) array.
@@ -72,12 +73,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg.blas import dtrsm
 
-from .errors import DegenerateBeliefError, InputError, NumericsError, ResourceLimitError
+from .errors import DegenerateBeliefError, InputError, ResourceLimitError
 from .linalg import chi2_gate, psd_quadforms, symmetrize
 from .models import POS_DIM, MeasurementBatch, MotionModel
-from .transform import LOG_2PI, ClutterModel
+from .transform import ClutterModel
 
 # Most particles in one stage block (see the module docstring).
 BLOCK_PARTICLES = 32768
@@ -213,72 +213,6 @@ class AssociationMessages:
         return vec
 
 
-class _BatchLikelihood:
-    """Vectorized per-particle measurement log-likelihoods for one batch,
-    from the batch's factor (Cholesky for raw payloads, nonzero eigenpairs
-    for transformed ones)."""
-
-    def __init__(self, batch: MeasurementBatch):
-        self.batch = batch
-        self.H = batch.H
-        f = batch.factor
-        self._chol, self._w, self._v = f.chol, f.w, f.v
-        self._rank, self._logdet = f.rank, f.logdet
-
-    @property
-    def dof(self) -> int:
-        return self._rank
-
-    def predict(self, particles: np.ndarray) -> np.ndarray:
-        """(m, Np) predicted measurements of the particles, one per column.
-
-        Arrays over particles are kept particle-last so that elementwise
-        work runs along the long axis.
-        """
-        return self.H @ particles.T
-
-    def loglik(self, zs: np.ndarray, z_pred: np.ndarray) -> np.ndarray:
-        """(G, Np) log-likelihoods of the measurements zs (G, m).
-
-        z_pred holds the predicted measurements, either (m, Np) for every
-        row of zs or (m, G, Np) with one set per row; row g of the result
-        holds the log-likelihood of zs[g] at each of its predictions.
-        """
-        m, n_pred = self.H.shape[0], z_pred.shape[-1]
-        z_pred = z_pred.reshape(m, -1, n_pred)
-        if self.batch.transformed:
-            diffs = (zs.T[:, :, None] - z_pred).reshape(m, -1)
-            proj = self._v.T @ diffs
-            quad = np.sum(proj * proj / self._w[:, None], axis=0)
-        else:
-            y = self._whiten(zs, z_pred)
-            quad = np.sum(y * y, axis=0)
-        ll = -0.5 * (self._rank * LOG_2PI + self._logdet + quad)
-        return ll.reshape(zs.shape[0], n_pred)
-
-    def _whiten(self, zs: np.ndarray, z_pred: np.ndarray) -> np.ndarray:
-        """L^-1 (z - z_pred) for the raw Cholesky factor L, as an (m, G Np)
-        C-ordered array.
-
-        One right-side BLAS `dtrsm` solves X L^T = D^T in place on the
-        Fortran-ordered transpose of a C-ordered (m, G Np) residual store.
-        Posed left-side (`solve_triangular`, LAPACK `dtrtrs`), the (m, G Np)
-        right-hand side is a shape OpenBLAS handles badly: 184 against 71 us
-        per call at m = 2, G Np = 15,000. This equals `solve_triangular` bit
-        for bit at m <= 3 and G Np > 1 (for one residual `dtrtrs` divides by
-        the diagonal, `dtrsm` multiplies by its reciprocal; from m = 4 sums
-        may round differently). An exact zero on the diagonal (LAPACK's
-        info > 0, which `dtrsm` does not report) is checked here.
-        """
-        m = z_pred.shape[0]
-        if not np.diagonal(self._chol).all():
-            raise NumericsError("triangular solve failed (zero on the factor's diagonal)")
-        store = np.empty((m, zs.shape[0], z_pred.shape[-1]))
-        np.subtract(zs.T[:, :, None], z_pred, out=store)
-        return dtrsm(1.0, self._chol, store.reshape(m, -1).T, side=1, lower=1,
-                     trans_a=1, overwrite_b=1).T
-
-
 def _check_count(beliefs: Beliefs, cfg: BpConfig):
     if beliefs.n_particles != cfg.n_particles:
         raise InputError(f"beliefs of {beliefs.n_particles} particles, "
@@ -353,9 +287,9 @@ def measurement_evaluation(beliefs: Beliefs, inp: BpSensorInput, cfg: BpConfig,
     _check_count(beliefs, cfg)
     batch = inp.batch
     n, m = len(beliefs), batch.n_meas
-    lik = _BatchLikelihood(batch)
+    h, loglik = batch.H, batch.factor.loglik
     log_clutter_intensity = math.log(inp.clutter.rate) + inp.clutter.log_density
-    gamma_gate = chi2_gate(cfg.gate_prob, lik.dof) if m else None
+    gamma_gate = chi2_gate(cfg.gate_prob, batch.factor.rank) if m else None
 
     beta = np.zeros((n, m + 1))
     p_detect = np.empty(beliefs.weights.shape)
@@ -368,12 +302,13 @@ def measurement_evaluation(beliefs: Beliefs, inp: BpSensorInput, cfg: BpConfig,
         beta[blk, 0] = _row_dots(weights, 1.0 - pd_x) + (1.0 - beliefs.r[blk])
         if not m:
             continue
-        z_pred = lik.predict(particles.reshape(-1, particles.shape[2]))
-        z_pred = z_pred.reshape(z_pred.shape[0], len(weights), -1)
+        # (m, B, Np): particles last, so elementwise work runs along them
+        z_pred = (h @ particles.reshape(-1, particles.shape[2]).T).reshape(
+            h.shape[0], len(weights), -1)
         rows, cols = np.nonzero(_gate(z_pred, weights, batch, gamma_gate))
         if not rows.size:
             continue
-        ll = lik.loglik(batch.zs[cols], z_pred[:, rows])
+        ll = loglik(batch.zs[cols], z_pred[:, rows])
         q = pd_x[rows] * np.exp(ll - log_clutter_intensity)
         taus = blk.start + rows
         beta[taus, cols + 1] = _row_dots(weights[rows], q)
@@ -383,9 +318,8 @@ def measurement_evaluation(beliefs: Beliefs, inp: BpSensorInput, cfg: BpConfig,
     birth_liks = np.empty((0, cfg.n_particles))
     if m:
         # measurement i against its own birth cloud: (dim, M, Np) predictions
-        birth_pred = lik.predict(birth_clouds.reshape(-1, birth_clouds.shape[-1]))
-        birth_liks = np.exp(lik.loglik(batch.zs,
-                                       birth_pred.reshape(birth_pred.shape[0], m, -1)))
+        birth_pred = h @ birth_clouds.reshape(-1, birth_clouds.shape[-1]).T
+        birth_liks = np.exp(loglik(batch.zs, birth_pred.reshape(h.shape[0], m, -1)))
         for i, lk in enumerate(birth_liks):
             ratio = cfg.birth_rate * float(np.mean(lk)) * math.exp(-log_clutter_intensity)
             xi[i, 0] = 1.0 + ratio

@@ -11,7 +11,8 @@ association marginals against enumeration on trees) and `check_metrics`
 acceptance tests run them with their own seeds.
 
 The oracles are plain exhaustive enumerations with no bounding or
-decomposition, so they share no shortcut with the code they test.
+decomposition (`enumerate_mda_problem` is MDA maintenance's), so they share
+no shortcut with the code they test.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import numpy as np
 
 from . import bp as bp_mod
 from . import mda as mda_mod
-from .linalg import pinv_psd
+from .errors import ResourceLimitError
+from .linalg import chi2_gate, pinv_psd, psd_eig, symmetrize
 from .metrics import INFO_FILTER, OspaParams, comm_bytes, ospa
 from .models import RAW, TYPE1, TYPE2, MeasurementModel
 from .transform import ClutterModel, clutter_density_transformed, make_generic
@@ -235,6 +237,64 @@ def enum_association_marginals(beta: np.ndarray, xi: np.ndarray):
                 pb[i, bvec[i]] += w
     return (pa / pa.sum(axis=1, keepdims=True),
             pb / pb.sum(axis=1, keepdims=True))
+
+
+def gate_distances(est_pred, batch):
+    """Squared Mahalanobis innovation of every measurement in the batch.
+
+    Returns (d2 array, degrees of freedom). Transformed batches use the
+    pseudoinverse quadratic form, which equals the raw one exactly.
+    """
+    z_hat = batch.H @ est_pred.mean
+    s = symmetrize(batch.H @ est_pred.cov @ batch.H.T + batch.R)
+    diffs = batch.zs - z_hat
+    if batch.transformed:
+        w, v, rank = psd_eig(s)
+        proj = diffs @ v
+        d2 = np.sum(proj * proj / w, axis=1)
+        return d2, rank
+    c = np.linalg.cholesky(s)
+    y = np.linalg.solve(c, diffs.T)
+    return np.sum(y * y, axis=0), s.shape[0]
+
+
+def enumerate_mda_problem(tracks_pred, batches, sensors,
+                          cfg: mda_mod.MdaConfig) -> mda_mod.AssignmentProblem:
+    """Gated candidate tuples for track maintenance (one group per track).
+
+    The oracle of `mda.build_mda_problem` and `mda.solve_maintenance`:
+    every product of the per-sensor gated options, each scored by
+    `mda.score_with_prior`, for `mda.solve_assignment_exact`.
+    """
+    meas_counts = [b.n_meas for b in batches]
+    groups = []
+    total = 0
+    for est in tracks_pred:
+        options = []
+        for batch in batches:
+            if batch.n_meas == 0:
+                options.append([0])
+                continue
+            d2, dof = gate_distances(est, batch)
+            gamma = chi2_gate(cfg.gate_prob, dof)
+            options.append([0] + [i + 1 for i in range(batch.n_meas) if d2[i] <= gamma])
+        cands = []
+        for combo in itertools.product(*options):
+            meas = [batches[l].zs[i - 1] if i > 0 else None
+                    for l, i in enumerate(combo)]
+            hyp = mda_mod.score_with_prior(est, meas, sensors, combo)
+            if math.isfinite(hyp.cost):
+                cands.append(mda_mod.Candidate(combo, hyp.cost))
+            elif not any(combo):
+                # the all-zero fallback must stay selectable even when a
+                # P_d = 1 sensor makes "missed everywhere" impossible
+                cands.append(mda_mod.Candidate(combo, mda_mod.BIG))
+        total += len(cands)
+        if total > cfg.max_tuples:
+            raise ResourceLimitError(
+                f"maintenance tuple count exceeded cap ({total} > {cfg.max_tuples})")
+        groups.append(mda_mod._by_cost(cands))
+    return mda_mod.AssignmentProblem("maintenance", groups, len(batches), meas_counts)
 
 
 def enumerate_assignment_minimum(problem: mda_mod.AssignmentProblem):

@@ -2,7 +2,8 @@
 
 Rank decisions everywhere use a relative cutoff of 1e-12 times the largest
 singular value / eigenvalue, so "nonzero eigenvalues" means the same thing
-in every module.
+in every module. Whether a residual lies in the range of a rank-deficient
+covariance is decided in one place too, `require_in_range`.
 """
 
 from __future__ import annotations
@@ -12,9 +13,12 @@ import functools
 import numpy as np
 from scipy.special import gammaincinv
 
-from .errors import NumericsError
+from .errors import InconsistentTransformError, NumericsError
 
 RANK_RTOL = 1e-12
+# Off-range part of a residual z - z_hat, relative to |z| + |z_hat|, that
+# still counts as in the range (see `require_in_range`).
+RANGE_RTOL = 1e-8
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -120,6 +124,19 @@ def psd_quadforms(mats: np.ndarray, diffs: np.ndarray) -> np.ndarray:
     terms = np.divide(proj * proj, w[:, None, :], out=np.zeros_like(proj),
                       where=keep[:, None, :])
     return terms.sum(axis=-1)
+
+
+def require_in_range(off2, z_norm, z_hat_norm) -> None:
+    """Raise InconsistentTransformError if a residual z - z_hat has a
+    component off the range of its rank-deficient covariance, of squared
+    norm off2, above RANGE_RTOL (|z| + |z_hat|); the arguments broadcast.
+
+    Scaled to the measurement, an exact fit (a residual of rounding size)
+    stays in range; the bound is never tighter than RANGE_RTOL |z - z_hat|.
+    """
+    if np.any(off2 > np.square(RANGE_RTOL * (z_norm + z_hat_norm))):
+        raise InconsistentTransformError(
+            "residual is outside the range of the transformed covariance")
 
 
 @functools.lru_cache(maxsize=64)

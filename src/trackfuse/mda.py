@@ -22,8 +22,8 @@ them, not by the lexicographic order of the branch and bound. A sensor
 with P_d = 1 has no finite miss cell: a track that lands on a BIG cell on
 any sensor gets the all-zero fallback tuple, and its measurements on the
 other sensors go back to initiation. The tuple enumeration
-`enumerate_mda_problem` and the exact solver stay as the test oracle of
-this decomposition.
+(`checks.enumerate_mda_problem`, scored by `score_with_prior`) and the
+exact solver are the oracle of this decomposition.
 
 The fused tracks are one struct of arrays (`FusedTracks`): a scan predicts,
 scores and updates them as stacks, counts hits and misses as array
@@ -42,6 +42,8 @@ Raw and transformed payloads flow through genuinely different numeric
 routes (Cholesky Gaussian vs eigendecomposition/pseudoinverse generalized
 likelihood); their score tables agree to floating-point accuracy for any
 full-column-rank transformation, which is what the property tests pin down.
+Initiation scores take the payload factor's noise likelihood, as BP does
+(`PayloadFactor.loglik`); every range check is `linalg.require_in_range`.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import (
     DegenerateBeliefError,
-    InconsistentTransformError,
     InputError,
     NumericsError,
     ResourceLimitError,
@@ -68,11 +69,13 @@ from .linalg import (
     chi2_gate,
     cholesky,
     pinv_psd,
-    psd_eig,
+    psd_eig,  # noqa: F401 -- bench/layers.py counts its calls through this binding
     psd_eig_stack,
+    require_in_range,
     symmetrize,
 )
 from .models import (
+    LOG_2PI,
     EstimateStack,
     GaussianEstimate,
     MeasurementBatch,
@@ -85,7 +88,6 @@ from .models import (
     update_information,
 )
 from .transform import (
-    LOG_2PI,
     ClutterModel,
     gaussian_log_likelihood,
     generalized_log_likelihood,
@@ -283,32 +285,13 @@ def mle_state(meas: Sequence[Optional[np.ndarray]],
     return np.linalg.solve(info, ivec)
 
 
-def _noise_log_likelihood(sv: SensorView, z, z_pred) -> float:
-    """log N(z; z_pred, R) from the view's factor: the Cholesky factor of R
-    for raw payloads; for transformed ones the nonzero eigenpairs, and the
-    residual must lie in the range of R (as in `generalized_log_likelihood`)."""
-    f = sv.factor
-    d = np.asarray(z, dtype=float).reshape(-1) - z_pred
-    if not sv.transformed:
-        y = np.linalg.solve(f.chol, d)
-        return -0.5 * (d.size * LOG_2PI + f.logdet + float(y @ y))
-    if f.rank == 0:
-        raise NumericsError("transformed covariance has rank zero")
-    proj = f.v.T @ d
-    dn = float(np.linalg.norm(d))
-    if dn > 0 and float(np.linalg.norm(d - f.v @ proj)) > 1e-8 * dn:
-        raise InconsistentTransformError(
-            "residual is outside the range of the transformed covariance")
-    return -0.5 * (f.rank * LOG_2PI + f.logdet + float(np.sum(proj * proj / f.w)))
-
-
 def score_without_prior(meas: Sequence[Optional[np.ndarray]],
                         sensors: Sequence[SensorView],
                         indices: Optional[tuple] = None) -> HypothesisCost:
     """Generalized likelihood-ratio score for a prior-free tuple.
 
     The likelihood is evaluated at the WLS estimate with the measurement
-    noise covariance itself (no prior spread), from the view's factor.
+    noise covariance itself (no prior spread), by the view's factor.
     Tuples with fewer than two measurements cannot corroborate a new track
     and get cost +inf.
     """
@@ -321,28 +304,11 @@ def score_without_prior(meas: Sequence[Optional[np.ndarray]],
         if z is None:
             log_l += _log_miss(sv.p_d)
         else:
-            log_l += (math.log(sv.p_d) + _noise_log_likelihood(sv, z, sv.H @ x_ml)
+            loglik = sv.factor.loglik(np.asarray(z, dtype=float).reshape(1, -1),
+                                      (sv.H @ x_ml)[:, None])
+            log_l += (math.log(sv.p_d) + float(loglik[0, 0])
                       - math.log(sv.clutter.rate) - sv.clutter.log_density)
     return HypothesisCost(indices, log_l)
-
-
-def gate_distances(est_pred: GaussianEstimate, batch: MeasurementBatch):
-    """Squared Mahalanobis innovation of every measurement in the batch.
-
-    Returns (d2 array, degrees of freedom). Transformed batches use the
-    pseudoinverse quadratic form, which equals the raw one exactly.
-    """
-    z_hat = batch.H @ est_pred.mean
-    s = symmetrize(batch.H @ est_pred.cov @ batch.H.T + batch.R)
-    diffs = batch.zs - z_hat
-    if batch.transformed:
-        w, v, rank = psd_eig(s)
-        proj = diffs @ v
-        d2 = np.sum(proj * proj / w, axis=1)
-        return d2, rank
-    c = np.linalg.cholesky(s)
-    y = np.linalg.solve(c, diffs.T)
-    return np.sum(y * y, axis=0), s.shape[0]
 
 
 @dataclass
@@ -394,8 +360,8 @@ def _cost_tables(means: np.ndarray, covs: np.ndarray,
     One (L, N) stack of innovation covariances and one stacked factorization
     give every squared Mahalanobis distance and log-likelihood: Cholesky
     for raw payloads; for transformed ones the eigendecomposition with the
-    PSD rank rule, the rank's chi-square gate and the range check of
-    `generalized_log_likelihood` on the gated pairs. Measurements are padded
+    PSD rank rule, the rank's chi-square gate and the range check on the
+    gated pairs of rank-deficient rows. Measurements are padded
     to the widest batch, but each batch's whitening (the raw solve, the
     transformed eigen projection) takes exactly its own M_l rows, as these
     calls round differently for other sizes. A gated cell is the negative
@@ -427,10 +393,12 @@ def _cost_tables(means: np.ndarray, covs: np.ndarray,
         gated = valid & (d2 <= gates[rank][..., None])
         if np.any(gated & (rank == 0)[..., None]):
             raise NumericsError("transformed covariance has rank zero")
-        outside = np.sum(np.where(keep[:, :, None, :], 0.0, sq), axis=-1)
-        if np.any(gated & (outside > 1e-16 * np.sum(diffs * diffs, axis=-1))):
-            raise InconsistentTransformError(
-                "residual is outside the range of the transformed covariance")
+        deficient = gated & (rank < H.shape[1])[..., None]
+        if np.any(deficient):
+            off2 = np.sum(np.where(keep[:, :, None, :], 0.0, sq), axis=-1)
+            require_in_range(np.where(deficient, off2, 0.0),
+                             np.linalg.norm(zs, axis=-1)[:, None, :],
+                             np.linalg.norm(z_hat, axis=-1)[..., None])
         norm = rank * LOG_2PI + np.sum(np.log(w, out=np.zeros_like(w), where=keep),
                                        axis=-1)
     else:
@@ -585,49 +553,6 @@ def update_maintained(preds: Sequence[GaussianEstimate], idx: np.ndarray,
                 means, covs = means.copy(), covs.copy()
             means[rows], covs[rows] = post
     return EstimateStack(means, covs, preds.timestamps)
-
-
-def enumerate_mda_problem(tracks_pred: Sequence[GaussianEstimate],
-                          batches: Sequence[MeasurementBatch],
-                          sensors: Sequence[SensorView],
-                          cfg: MdaConfig) -> AssignmentProblem:
-    """Gated candidate tuples for track maintenance (one group per track).
-
-    The test oracle of `build_mda_problem` and `solve_maintenance`: every
-    product of the per-sensor gated options, each scored by
-    `score_with_prior`, for `solve_assignment_exact`.
-    """
-    n_sensors = len(batches)
-    meas_counts = [b.n_meas for b in batches]
-    groups = []
-    total = 0
-    for est in tracks_pred:
-        options = []
-        for batch in batches:
-            if batch.n_meas == 0:
-                options.append([0])
-                continue
-            d2, dof = gate_distances(est, batch)
-            gamma = chi2_gate(cfg.gate_prob, dof)
-            gated = [0] + [i + 1 for i in range(batch.n_meas) if d2[i] <= gamma]
-            options.append(gated)
-        cands = []
-        for combo in itertools.product(*options):
-            meas = [batches[l].zs[i - 1] if i > 0 else None
-                    for l, i in enumerate(combo)]
-            hyp = score_with_prior(est, meas, sensors, combo)
-            if math.isfinite(hyp.cost):
-                cands.append(Candidate(combo, hyp.cost))
-            elif not any(combo):
-                # the all-zero fallback must stay selectable even when a
-                # P_d = 1 sensor makes "missed everywhere" impossible
-                cands.append(Candidate(combo, BIG))
-        total += len(cands)
-        if total > cfg.max_tuples:
-            raise ResourceLimitError(
-                f"maintenance tuple count exceeded cap ({total} > {cfg.max_tuples})")
-        groups.append(_by_cost(cands))
-    return AssignmentProblem("maintenance", groups, n_sensors, meas_counts)
 
 
 def _backprojected_positions(batch: MeasurementBatch):

@@ -31,20 +31,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InconsistentTransformError, InputError, NumericsError
+from .errors import InputError, NumericsError
 from .linalg import (
     is_full_column_rank,
     psd_eig,
     ranks_by_sv,
+    require_in_range,
     sym_sqrt_and_invsqrt,
     symmetrize,
 )
-from .models import TYPE1, TYPE2, MeasurementModel
+from .models import LOG_2PI, TYPE1, TYPE2, MeasurementModel
 
 IDENTITY = "identity"
 GENERIC = "generic"
-
-LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass
@@ -188,9 +187,8 @@ def generalized_log_likelihood(zt: np.ndarray, zt_hat: np.ndarray,
     """Generalized Gaussian log-density with a PSD covariance.
 
     Uses the product of the nonzero eigenvalues of St and the pseudoinverse
-    quadratic form. The residual must lie in the range of St (up to 1e-8
-    relative); a violation means the payload was not produced by a
-    consistent linear transformation.
+    quadratic form. When St is rank-deficient the residual must lie in its
+    range (`require_in_range`, InconsistentTransformError).
     """
     zt = np.asarray(zt, dtype=float).reshape(-1)
     zt_hat = np.asarray(zt_hat, dtype=float).reshape(-1)
@@ -200,11 +198,9 @@ def generalized_log_likelihood(zt: np.ndarray, zt_hat: np.ndarray,
         raise NumericsError("transformed covariance has rank zero")
     d = zt - zt_hat
     proj = v.T @ d
-    resid = d - v @ proj
-    dn = float(np.linalg.norm(d))
-    if dn > 0 and float(np.linalg.norm(resid)) > 1e-8 * dn:
-        raise InconsistentTransformError(
-            "residual is outside the range of the transformed covariance")
+    if rank < d.size:
+        off = d - v @ proj
+        require_in_range(float(off @ off), np.linalg.norm(zt), np.linalg.norm(zt_hat))
     quad = float(np.sum(proj * proj / w))
     return -0.5 * (rank * LOG_2PI + float(np.sum(np.log(w))) + quad)
 

@@ -12,6 +12,7 @@ from scipy.stats import chi2
 
 from conftest import paired_views, position_model
 from trackfuse import bp
+from trackfuse import mda as mda_mod
 from trackfuse.bp import (
     AssociationMessages,
     Beliefs,
@@ -29,12 +30,13 @@ from trackfuse.bp import (
 from trackfuse.checks import enum_association_marginals
 from trackfuse.errors import (
     DegenerateBeliefError,
+    InconsistentTransformError,
     InputError,
     NumericsError,
     ResourceLimitError,
 )
 from trackfuse.linalg import psd_eig
-from trackfuse.models import MeasurementBatch, MotionModel
+from trackfuse.models import GaussianEstimate, MeasurementBatch, MotionModel
 from trackfuse.transform import LOG_2PI, ClutterModel
 
 
@@ -174,6 +176,31 @@ class TestMeasurementEvaluation:
         assert msgs.beta[0, 1] == 0.0
         # r-marginalized miss term: 1*w-mass + (1 - r) = 0.7 + 0.3
         assert msgs.beta[0, 0] == pytest.approx(1.0)
+
+    def test_out_of_range_generic_payload_raises(self):
+        # a measurement off the range of the singular Rt raises, as in MDA
+        rng = np.random.default_rng(16)
+        _, views_tr, trs = paired_views(rng, 1, "generic")
+        view = views_tr[0]
+        belief = uniform_belief(np.hstack([rng.uniform(-5, 5, (200, 2)),
+                                           np.zeros((200, 2))]), 0.9)
+        z = trs[0].A @ np.array([1.0, -1.0])
+        off = z + 1e-3 * np.linalg.norm(z) * np.linalg.eigh(view.R)[1][:, 0]
+        cfg = BpConfig(n_particles=200)
+        for zt, fails in ((z, False), (off, True)):
+            batch = MeasurementBatch(0, zt[None], view.H, view.R, "generic")
+            inp = BpSensorInput(batch, 0.9, view.clutter)
+            clouds = propose_births(inp, cfg, 4, np.random.default_rng(17))
+            track = GaussianEstimate(np.zeros(4), np.eye(4))
+            runs = (lambda: measurement_evaluation(belief, inp, cfg, clouds),
+                    lambda: mda_mod.build_mda_problem([track], [batch], [view],
+                                                      mda_mod.MdaConfig()))
+            for run in runs:
+                if fails:
+                    with pytest.raises(InconsistentTransformError):
+                        run()
+                else:
+                    run()
 
     def test_raw_vs_transformed_messages_agree(self):
         rng = np.random.default_rng(8)
@@ -944,31 +971,31 @@ class TestPersistentBlocks:
 
 
 class TestRawLikelihood:
-    def _lik(self, fortran):
+    def _factor(self, fortran):
         rng = np.random.default_rng(69)
         h = np.hstack([np.eye(2), np.zeros((2, 2))])
         batch = MeasurementBatch(0, rng.uniform(-20, 20, (3, 2)), h,
                                  [[9.0, 2.0], [2.0, 4.0]])
-        lik = bp._BatchLikelihood(batch)
-        assert lik._chol[1, 0] != 0.0
+        factor = batch.factor
+        assert factor.chol[1, 0] != 0.0
         if fortran:
-            lik._chol = np.asfortranarray(lik._chol)
-        return lik, batch.zs, rng.uniform(-20, 20, (2, 3, 50))
+            factor.chol = np.asfortranarray(factor.chol)
+        return factor, batch.zs, rng.uniform(-20, 20, (2, 3, 50))
 
     @pytest.mark.parametrize("fortran", [False, True])
     def test_lapack_solve_equals_solve_triangular(self, fortran):
-        lik, zs, z_pred = self._lik(fortran)
+        factor, zs, z_pred = self._factor(fortran)
         diffs = (zs.T[:, :, None] - z_pred).reshape(2, -1)
         np.testing.assert_array_equal(
-            lik._whiten(zs, z_pred), solve_triangular(lik._chol, diffs, lower=True))
+            factor._whiten(zs, z_pred), solve_triangular(factor.chol, diffs, lower=True))
 
     @pytest.mark.parametrize("fortran", [False, True])
     def test_zero_diagonal_raises_numerics_error(self, fortran):
-        lik, zs, z_pred = self._lik(fortran)
-        lik._chol = lik._chol.copy(order="F" if fortran else "C")
-        lik._chol[1, 1] = 0.0
+        factor, zs, z_pred = self._factor(fortran)
+        factor.chol = factor.chol.copy(order="F" if fortran else "C")
+        factor.chol[1, 1] = 0.0
         with pytest.raises(NumericsError):
-            lik.loglik(zs, z_pred)
+            factor.loglik(zs, z_pred)
 
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(1, 4), g=st.integers(1, 4), n_pred=st.integers(1, 600),
@@ -979,12 +1006,12 @@ class TestRawLikelihood:
         batch = MeasurementBatch(0, rng.uniform(-20, 20, (g, m)),
                                  np.hstack([np.eye(m), np.zeros((m, 2))]),
                                  a @ a.T + 0.5 * np.eye(m))
-        lik = bp._BatchLikelihood(batch)
-        lik._chol = lik._chol.copy(order="F" if fortran else "C")
+        factor = batch.factor
+        factor.chol = factor.chol.copy(order="F" if fortran else "C")
         z_pred = rng.uniform(-20, 20, (m, g, n_pred))
         diffs = (batch.zs.T[:, :, None] - z_pred).reshape(m, -1)
-        got = lik._whiten(batch.zs, z_pred)
-        want = solve_triangular(lik._chol, diffs, lower=True)
+        got = factor._whiten(batch.zs, z_pred)
+        want = solve_triangular(factor.chol, diffs, lower=True)
         if m <= 3 and g * n_pred > 1:
             np.testing.assert_array_equal(got, want)
         else:
@@ -992,7 +1019,8 @@ class TestRawLikelihood:
             # residual LAPACK divides by the diagonal where dtrsm multiplies
             # by its reciprocal; an entry can cancel to far below its terms,
             # so the bound is relative to |L^-1| |D|
-            scale = np.abs(solve_triangular(lik._chol, np.eye(m), lower=True)) @ np.abs(diffs)
+            inv = solve_triangular(factor.chol, np.eye(m), lower=True)
+            scale = np.abs(inv) @ np.abs(diffs)
             assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
 

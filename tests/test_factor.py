@@ -34,6 +34,8 @@ from trackfuse.transform import (
     ClutterModel,
     Transformation,
     clutter_density_transformed,
+    gaussian_log_likelihood,
+    generalized_log_likelihood,
     make_generic,
     make_type1,
     make_type2,
@@ -133,7 +135,7 @@ def reference_information(meas, sensors):
 
 
 def reference_likelihood_terms(batch):
-    """(chol, w, v, rank, logdet) as the BP batch likelihood built them."""
+    """(chol, w, v, rank, logdet) as the per-batch likelihood code built them."""
     if batch.transformed:
         w, v, rank = psd_eig(batch.R)
         return None, w, v, rank, float(np.sum(np.log(w)))
@@ -322,10 +324,10 @@ class TestConsumers:
             if want is not None:
                 assert same(got[0], want[0]) and same(got[1], want[1])
 
-            lik = bp_mod._BatchLikelihood(batch)
+            f = batch.factor
             chol, w, v, rank, logdet = reference_likelihood_terms(batch)
-            assert same(lik._chol, chol) and same(lik._w, w) and same(lik._v, v)
-            assert lik.dof == rank and lik._logdet == logdet
+            assert same(f.chol, chol) and same(f.w, w) and same(f.v, v)
+            assert f.rank == rank and f.logdet == logdet
 
             view = mda_mod.SensorView.from_batch(batch, 0.9, ClutterModel(10.0, 1e6))
             lone = mda_mod.SensorView(batch.H, batch.R, 0.9, ClutterModel(10.0, 1e6),
@@ -342,6 +344,35 @@ class TestConsumers:
             want = reference_births(inp, cfg, 4, np.random.default_rng(seed))
             assert len(clouds) == len(want)
             assert all(same(c, w) for c, w in zip(clouds, want))
+
+
+# -- the payload noise likelihood ------------------------------------------
+
+class TestNoiseLikelihood:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), g=st.integers(1, 4),
+           n_pred=st.integers(1, 8), per_row=st.booleans())
+    def test_loglik_equals_the_likelihood_functions(self, seed, g, n_pred, per_row):
+        # BP's (G, Np) evaluation and MDA's single residual, against the
+        # Gaussian (raw) and generalized (transformed) log-densities
+        rng = np.random.default_rng(seed)
+        for batch in batches_of_every_kind(rng, g):
+            f = batch.factor
+            loglik = (generalized_log_likelihood if batch.transformed
+                      else gaussian_log_likelihood)
+            # predictions H x keep a generic payload's residuals in range(R)
+            x = rng.standard_normal((g if per_row else 1, n_pred, batch.H.shape[1])) * 30
+            z_pred = (x @ batch.H.T).transpose(2, 0, 1)
+            got = f.loglik(batch.zs, z_pred if per_row else z_pred[:, 0])
+            assert got.shape == (g, n_pred)
+            for k, z in enumerate(batch.zs):
+                for p in range(n_pred):
+                    zp = z_pred[:, k if per_row else 0, p]
+                    want = loglik(z, zp, batch.R)
+                    single = f.loglik(z[None], zp[:, None])
+                    assert single.shape == (1, 1)
+                    np.testing.assert_allclose([got[k, p], single[0, 0]], want,
+                                               rtol=1e-9, atol=0)
 
 
 # -- the tape pass ---------------------------------------------------------

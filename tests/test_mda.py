@@ -11,10 +11,13 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from conftest import make_transformation, paired_views, position_model, random_track
+from trackfuse import checks as checks_mod
 from trackfuse import mda as mda_mod
 from trackfuse.checks import (
     constraint_violations,
     enumerate_assignment_minimum,
+    enumerate_mda_problem,
+    gate_distances,
     random_maintenance_problem,
 )
 from trackfuse.errors import (
@@ -35,8 +38,6 @@ from trackfuse.mda import (
     SensorView,
     build_initiation_problem,
     build_mda_problem,
-    enumerate_mda_problem,
-    gate_distances,
     mda_pipeline_step,
     mle_state,
     padded_table,
@@ -173,6 +174,24 @@ class TestScoreWithoutPrior:
                         want += (math.log(v.p_d) + loglik(z, v.H @ x_ml, v.R)
                                  - math.log(v.clutter.rate) - v.clutter.log_density)
                     assert score_without_prior(zs, views).log_score == want
+
+    def test_noise_free_raw_and_generic_tuples_score(self):
+        # an exact fit leaves residuals of rounding size off range(R); the
+        # range check scales with the measurements, so they score as the raw
+        # route does, on all-generic and mixed raw/generic tuples
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            views_raw, views_tr, trs = paired_views(rng, 3, "generic")
+            x_true = rng.standard_normal(4) * 50
+            meas = [v.H @ x_true for v in views_raw]
+            meas_t = [tr.A @ z for tr, z in zip(trs, meas)]
+            raw = score_without_prior(meas, views_raw).log_score
+            mixed = [int(k) for k in rng.integers(0, 2, 3)]
+            for views, zs in ((views_tr, meas_t),
+                              ([(views_raw, views_tr)[k][l] for l, k in enumerate(mixed)],
+                               [(meas, meas_t)[k][l] for l, k in enumerate(mixed)])):
+                assert score_without_prior(zs, views).log_score == pytest.approx(
+                    raw, rel=0, abs=1e-9)
 
     def test_residual_outside_the_noise_range_is_rejected(self):
         h = np.hstack([np.eye(2), np.zeros((2, 2))])
@@ -625,6 +644,25 @@ class TestSensorSplit:
                     assert np.all(off == BIG)
             assert problem.n_candidates == count + 3 * len(batches)
 
+    def test_generic_measurement_at_the_prediction_scores(self):
+        # z = H mean exactly: the residual is rounding off range(S); the
+        # table and the with-prior score equal the raw route's
+        rng = np.random.default_rng(9)
+        cfg = MdaConfig()
+        for _ in range(100):
+            views_raw, views_tr, trs = paired_views(rng, 1, "generic")
+            est = random_track(rng)
+            z = views_raw[0].H @ est.mean
+            raw = MeasurementBatch(0, z[None], views_raw[0].H, views_raw[0].R, "raw")
+            tr = MeasurementBatch(0, trs[0].apply(z)[None], views_tr[0].H,
+                                  views_tr[0].R, "generic")
+            want = -score_with_prior(est, [z], views_raw).log_score
+            assert -score_with_prior(est, [tr.zs[0]], views_tr).log_score == \
+                pytest.approx(want, rel=0, abs=1e-9)
+            for batch, views in ((raw, views_raw), (tr, views_tr)):
+                table = build_mda_problem([est], [batch], views, cfg).tables[0]
+                assert table[0, 0] == pytest.approx(want, rel=0, abs=1e-9)
+
     def test_gated_measurement_outside_the_range_raises(self):
         rng = np.random.default_rng(43)
         tracks, _, (batches, views) = maintenance_instance(rng, 1, [1], "generic")
@@ -661,7 +699,7 @@ class TestSensorSplit:
 
         monkeypatch.setattr(mda_mod, "solve_assignment", recording_solve)
         monkeypatch.setattr(mda_mod, "score_with_prior", forbidden)
-        monkeypatch.setattr(mda_mod, "enumerate_mda_problem", forbidden)
+        monkeypatch.setattr(checks_mod, "enumerate_mda_problem", forbidden)
         monkeypatch.setattr(mda_mod, "solve_assignment_exact", capped)
         cfg = scenario1()
         tapes, sends = prepare_run(cfg, 7)
@@ -693,8 +731,11 @@ def measurement_costs(means, covs, batch, view, gate_prob):
         gated = d2 <= np.array([chi2_gate(gate_prob, int(r)) for r in rank])[:, None]
         if np.any(gated & (rank == 0)[:, None]):
             raise NumericsError("transformed covariance has rank zero")
+        # out of range: the part off range(S) above 1e-8 (|z| + |z_hat|)
         outside = np.sum(np.where(keep[:, None, :], 0.0, sq), axis=2)
-        if np.any(gated & (outside > 1e-16 * np.sum(diffs * diffs, axis=2))):
+        scale = (np.linalg.norm(batch.zs, axis=1)[None, :]
+                 + np.linalg.norm(z_hat, axis=1)[:, None])
+        if np.any(gated & (outside > (1e-8 * scale) ** 2)):
             raise InconsistentTransformError(
                 "residual is outside the range of the transformed covariance")
         norm = rank * LOG_2PI + np.sum(np.log(w, out=np.zeros_like(w), where=keep),
