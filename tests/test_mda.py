@@ -186,10 +186,10 @@ class TestScoreWithoutPrior:
             meas = [v.H @ x_true for v in views_raw]
             meas_t = [tr.A @ z for tr, z in zip(trs, meas)]
             raw = score_without_prior(meas, views_raw).log_score
-            mixed = [int(k) for k in rng.integers(0, 2, 3)]
-            for views, zs in ((views_tr, meas_t),
-                              ([(views_raw, views_tr)[k][l] for l, k in enumerate(mixed)],
-                               [(meas, meas_t)[k][l] for l, k in enumerate(mixed)])):
+            pick = rng.random(3) < 0.5  # the sensors that send generic payloads
+            mixed = ([t if p else r for r, t, p in zip(views_raw, views_tr, pick)],
+                     [zt if p else z for z, zt, p in zip(meas, meas_t, pick)])
+            for views, zs in ((views_tr, meas_t), mixed):
                 assert score_without_prior(zs, views).log_score == pytest.approx(
                     raw, rel=0, abs=1e-9)
 
