@@ -1,9 +1,11 @@
 """Command-line entry point: experiments, sweeps, and invariant checks.
 
-`trackfuse run` dispatches Monte Carlo experiments and writes plot-ready
-CSV files plus a human-readable communication summary. `trackfuse check`
-prints the results of the property batteries of `checks` (lemmas,
-solvers, bp-exactness, metrics) and exits nonzero on any failure.
+`trackfuse run` makes one scenario config per sweep value, runs all their
+Monte Carlo jobs through `sim.monte_carlo_sweep` (`--workers` processes)
+and writes plot-ready CSV files plus a human-readable communication
+summary. `trackfuse check` prints the results of the property batteries
+of `checks` (lemmas, solvers, bp-exactness, metrics) and exits nonzero on
+any failure.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -40,8 +41,8 @@ MAX_SCANS = 10_000
 MAX_SCALE = {"dt": 10.0, "q": 100.0, "sigma": 1e4, "fov_range": 1e6}
 CLUTTER_RATE = (1e-6, 1e3)
 # Most jobs (runs x sweep values) of one experiment: each job is a Monte
-# Carlo run over every payload arm, a tenth of a second to seconds, and its
-# job tuple is built before the first one starts.
+# Carlo run over every payload arm, a tenth of a second to seconds, and the
+# harness lists every job's config before the first one starts.
 MAX_JOBS = 100_000
 
 
@@ -195,55 +196,27 @@ def parse_scenario_file(path: Path) -> sim_mod.ScenarioConfig:
                                   name=path.stem)
 
 
-def _run_one_job(args):
-    """Worker entry: one (sweep value, run index) pair across payload arms."""
-    spec_dict, cfg, sweep_value, run_idx = args
-    spec = ExperimentSpec(**spec_dict)
-    if spec.sweep_param == "clutter_rate":
-        cfg = cfg.with_overrides(clutter_rate=sweep_value)
-    elif spec.sweep_param == "p_d":
-        cfg = cfg.with_overrides(p_d=sweep_value)
-    bp_cfg = bp_mod.BpConfig(n_particles=spec.n_particles)
-    single = sim_mod.run_single(cfg, spec.fusion, list(spec.payloads), run_idx,
-                                spec.seed, bp_cfg=bp_cfg)
-    return sweep_value, run_idx, single
-
-
-def pool_size(workers: int, n_jobs: int) -> int:
-    """Worker processes for n_jobs jobs: no more than requested, than there
-    are jobs, or than the machine has CPUs."""
-    return min(workers, n_jobs, os.cpu_count() or 1)
-
-
 def run_experiment(spec: ExperimentSpec) -> int:
     """Execute the experiment and write curves.csv, comm.csv, summary.txt.
 
-    The scenario is loaded before the output directory is made, so a bad
-    scenario file leaves nothing behind.
+    One `sim.monte_carlo_sweep` call runs every (sweep value, run) job, a
+    repeated sweep value once. The scenario is loaded before the output
+    directory is made, so a bad scenario file leaves nothing behind.
     """
     cfg = load_scenario(spec.scenario)
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sweep_values = list(spec.sweep_values) if spec.sweep_param else [None]
-
-    spec_dict = dict(spec.__dict__, payloads=list(spec.payloads),
-                     sweep_values=list(spec.sweep_values))
-    jobs = [(spec_dict, cfg, sv, run) for sv in sweep_values for run in range(spec.runs)]
-    workers = pool_size(spec.workers, len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw_results = list(pool.map(_run_one_job, jobs))
-    else:
-        raw_results = [_run_one_job(job) for job in jobs]
-
+    sweep_values = list(dict.fromkeys(spec.sweep_values)) if spec.sweep_param else [None]
+    cfgs = [cfg if sv is None else cfg.with_overrides(**{spec.sweep_param: sv})
+            for sv in sweep_values]
+    per_cfg = sim_mod.monte_carlo_sweep(
+        cfgs, spec.fusion, spec.payloads, spec.runs, spec.seed,
+        bp_cfg=bp_mod.BpConfig(n_particles=spec.n_particles), workers=spec.workers)
     # results[(sweep_value, payload)] -> list of RunRecord in run order
-    results = {}
-    for sweep_value, run_idx, single in sorted(
-            raw_results, key=lambda r: (_sweep_key(r[0]), r[1])):
-        for payload, record in single.items():
-            results.setdefault((sweep_value, payload), []).append(record)
+    results = {(sv, payload): records for sv, per_payload in zip(sweep_values, per_cfg)
+               for payload, records in per_payload.items()}
 
-    _write_curves(out_dir / "curves.csv", spec, results, cfg.duration)
+    _write_curves(out_dir / "curves.csv", spec, results)
     _write_comm(out_dir / "comm.csv", spec, results)
     _write_summary(out_dir / "summary.txt", spec, results)
     return 0
@@ -257,20 +230,14 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _write_curves(path: Path, spec: ExperimentSpec, results, duration: int):
+def _write_curves(path: Path, spec: ExperimentSpec, results):
     rows = []
     for (sweep_value, payload), records in results.items():
-        curves = {
-            "ospa": np.mean([r.ospa for r in records], axis=0),
-            "ospa2": np.mean([r.ospa2 for r in records], axis=0),
-            "card_est": np.mean([r.card_est for r in records], axis=0),
-            "card_true": np.mean([r.card_true for r in records], axis=0),
-        }
         sv = "" if sweep_value is None else _fmt(sweep_value)
-        for metric in sorted(curves):
-            for scan in range(1, duration + 1):
-                rows.append((scan, _sweep_key(sweep_value), payload, metric,
-                             sv, _fmt(float(curves[metric][scan - 1]))))
+        for metric in ("card_est", "card_true", "ospa", "ospa2"):
+            curve = np.mean([getattr(r, metric) for r in records], axis=0)
+            rows += [(scan, _sweep_key(sweep_value), payload, metric, sv, _fmt(mean))
+                     for scan, mean in enumerate(curve.tolist(), start=1)]
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("scan,metric,sweep_value,payload,fusion,mean\n")
@@ -294,36 +261,24 @@ def _write_comm(path: Path, spec: ExperimentSpec, results):
 
 def _write_summary(path: Path, spec: ExperimentSpec, results):
     sweep_values = sorted({k[0] for k in results}, key=_sweep_key)
-    payloads = list(spec.payloads)
-    label = spec.sweep_param or "default"
-    lines = [
-        "Communication requirements at the fusion center (mean bytes/scan)",
-        f"scenario={spec.scenario} fusion={spec.fusion} runs={spec.runs} "
-        f"seed={spec.seed}",
-        "",
-        f"{'payload':<10}" + "".join(
-            f"{(label + '=' + _fmt(sv)) if sv is not None else 'default':>18}"
-            for sv in sweep_values),
-    ]
-    for payload in payloads:
-        cells = []
-        for sv in sweep_values:
-            records = results.get((sv, payload), [])
-            mean_bytes = float(np.mean([r.mean_comm_bytes for r in records]))
-            cells.append(f"{mean_bytes:>17.1f}B")
-        lines.append(f"{payload:<10}" + "".join(cells))
-    lines.append("")
-    lines.append("Mean OSPA (m) over scans and runs")
-    lines.append(f"{'payload':<10}" + "".join(
-        f"{(label + '=' + _fmt(sv)) if sv is not None else 'default':>18}"
-        for sv in sweep_values))
-    for payload in payloads:
-        cells = []
-        for sv in sweep_values:
-            records = results.get((sv, payload), [])
-            mean_ospa = float(np.mean([r.mean_ospa for r in records]))
-            cells.append(f"{mean_ospa:>18.3f}")
-        lines.append(f"{payload:<10}" + "".join(cells))
+    header = f"{'payload':<10}" + "".join(
+        f"{'default' if sv is None else spec.sweep_param + '=' + _fmt(sv):>18}"
+        for sv in sweep_values)
+
+    def table(cell):
+        """The header and one row per payload of `cell(records)` columns."""
+        return [header] + [f"{payload:<10}" + "".join(
+            cell(results[(sv, payload)]) for sv in sweep_values)
+            for payload in spec.payloads]
+
+    lines = ["Communication requirements at the fusion center (mean bytes/scan)",
+             f"scenario={spec.scenario} fusion={spec.fusion} runs={spec.runs} "
+             f"seed={spec.seed}", ""]
+    lines += table(lambda records: "{:>17.1f}B".format(
+        float(np.mean([r.mean_comm_bytes for r in records]))))
+    lines += ["", "Mean OSPA (m) over scans and runs"]
+    lines += table(lambda records: "{:>18.3f}".format(
+        float(np.mean([r.mean_ospa for r in records]))))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

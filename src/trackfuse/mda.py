@@ -219,6 +219,8 @@ class AssociationSolution:
     total_cost: float
     feasible: bool
     gap: float = 0.0
+    # maintenance only: the (N, L) measurement indices of `assignments`
+    indices: Optional[np.ndarray] = None
 
 
 def score_with_prior(track_pred: GaussianEstimate,
@@ -465,10 +467,11 @@ def build_mda_problem(tracks_pred: Sequence[GaussianEstimate],
 def solve_maintenance(problem: MaintenanceProblem) -> AssociationSolution:
     """Optimal maintenance selection: one `linear_sum_assignment` per sensor.
 
-    Assignments are (tau, i_1..i_L) in track order, i_l = 0 for a miss. A
-    track that lands on a BIG cell on any sensor takes the all-zero
-    fallback tuple at cost BIG, which frees its other measurements; the
-    selection is then feasible but need not be optimal.
+    Assignments are (tau, i_1..i_L) in track order, i_l = 0 for a miss,
+    and `indices` is their (N, L) array of i_l. A track that lands on a
+    BIG cell on any sensor takes the all-zero fallback tuple at cost BIG,
+    which frees its other measurements; the selection is then feasible but
+    need not be optimal.
     """
     n = problem.n_tracks
     idx = np.zeros((n, len(problem.tables)), dtype=int)
@@ -482,12 +485,7 @@ def solve_maintenance(problem: MaintenanceProblem) -> AssociationSolution:
     idx[fallback] = 0
     total = float(np.sum(np.where(fallback, BIG, cost)))
     assignments = [(t + 1,) + tuple(row) for t, row in enumerate(idx.tolist())]
-    return AssociationSolution(assignments, total, True, 0.0)
-
-
-def _assigned_indices(assignments, n_tracks: int, n_sensors: int) -> np.ndarray:
-    """(N, L) measurement indices of maintenance assignments (0 for a miss)."""
-    return np.array([a[1:] for a in assignments], dtype=int).reshape(n_tracks, n_sensors)
+    return AssociationSolution(assignments, total, True, 0.0, idx)
 
 
 def update_maintained(preds: Sequence[GaussianEstimate], idx: np.ndarray,
@@ -976,8 +974,8 @@ def mda_pipeline_step(tracks: FusedTracks, batches: Sequence[MeasurementBatch],
         preds = EstimateStack(means, covs, posts.timestamps)
         problem = build_mda_problem(preds, batches, sensors, cfg)
         solution = solve_maintenance(problem)
-        info["maintenance"] = list(solution.assignments)
-        idx = _assigned_indices(solution.assignments, n, len(batches))
+        info["maintenance"] = solution.assignments
+        idx = solution.indices
         posts = update_maintained(preds, idx, batches, problem)
     n_hit = np.count_nonzero(idx, axis=1)
     hits = tracks.hits + n_hit

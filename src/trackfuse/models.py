@@ -339,7 +339,7 @@ def _covariance_form(eigs: np.ndarray) -> np.ndarray:
     lo, hi = eigs[:, 0], eigs[:, -1]
     if np.any(lo < -1e-8 * np.maximum(hi, 1e-300)):
         raise InputError("transformed noise covariance has a negative eigenvalue")
-    return lo > 1e-12 * hi
+    return lo > RANK_RTOL * hi
 
 
 @dataclass(eq=False)

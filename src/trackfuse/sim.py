@@ -23,14 +23,22 @@ The sensor side (`prepare_run`) works on arrays too: `generate_measurements`
 makes one field-of-view test of all alive targets per sensor and scan, and
 each sensor's `GnnTracker` keeps its tracks and initiators as a struct of
 arrays that every scan updates with stacked calls and row masks.
+
+`monte_carlo_sweep` is the one Monte Carlo harness, serial or in one
+process pool; `monte_carlo` runs it on one config, and `trackfuse run` on
+one config per sweep value.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import zlib
+from concurrent import futures  # loads the process pool's module on first use
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,6 +51,7 @@ from .linalg import chi2_gate, cholesky, symmetrize
 from .mda import BIG, padded_table
 from .metrics import CommLedger, OspaParams, TrackHistory, ospa, ospa2
 from .models import (
+    LOG_2PI,
     RAW,
     TYPE1,
     TYPE2,
@@ -430,7 +439,7 @@ class GnnTracker:
         z_hat, s = innovation_stack(means, covs, model)
         c = cholesky(s, "innovation covariance")
         logdet = 2.0 * np.sum(np.log(np.diagonal(c, axis1=1, axis2=2)), axis=1)
-        base = logdet + model.m * math.log(2.0 * math.pi)
+        base = logdet + model.m * LOG_2PI
         gamma = chi2_gate(cfg.gate_prob, model.m)
         d2 = np.empty((n_t, 0))
         if m:
@@ -674,16 +683,39 @@ def run_single(cfg: ScenarioConfig, fusion: str, payloads: Sequence[str],
     return out
 
 
-def monte_carlo(cfg: ScenarioConfig, fusion: str, payloads: Sequence[str],
-                runs: int, base_seed: int = 0, mda_cfg=None, bp_cfg=None,
-                ospa_params=None, local_cfg=None):
-    """Monte Carlo harness: results[payload] is a list of RunRecords."""
+def pool_size(workers: int, n_jobs: int) -> int:
+    """Worker processes for n_jobs jobs: no more than requested, than there
+    are jobs, or than the machine has CPUs."""
+    return min(workers, n_jobs, os.cpu_count() or 1)
+
+
+def monte_carlo_sweep(cfgs: Sequence[ScenarioConfig], fusion: str,
+                      payloads: Sequence[str], runs: int, base_seed: int = 0,
+                      mda_cfg=None, bp_cfg=None, ospa_params=None, local_cfg=None,
+                      workers: int = 1):
+    """`run_single` over every (config, run index) job, in-process or in one
+    pool of `pool_size(workers, jobs)` processes: one results[payload] per
+    config, each a list of RunRecords in run order whatever `workers`."""
     if runs < 1:
         raise InputError("need at least one run")
-    results = {p: [] for p in payloads}
-    for run_idx in range(runs):
-        single = run_single(cfg, fusion, payloads, run_idx, base_seed,
-                            mda_cfg, bp_cfg, ospa_params, local_cfg)
-        for payload in payloads:
-            results[payload].append(single[payload])
-    return results
+    run = partial(run_single, base_seed=base_seed, mda_cfg=mda_cfg, bp_cfg=bp_cfg,
+                  ospa_params=ospa_params, local_cfg=local_cfg)
+    cfg_args = [cfg for cfg in cfgs for _ in range(runs)]
+    args = (cfg_args, repeat(fusion), repeat(payloads), list(range(runs)) * len(cfgs))
+    n_procs = pool_size(workers, len(cfg_args))
+    if n_procs > 1:
+        with futures.ProcessPoolExecutor(max_workers=n_procs) as pool:
+            singles = list(pool.map(run, *args))
+    else:
+        singles = list(map(run, *args))
+    return [{p: [single[p] for single in singles[k * runs:(k + 1) * runs]]
+             for p in payloads} for k in range(len(cfgs))]
+
+
+def monte_carlo(cfg: ScenarioConfig, fusion: str, payloads: Sequence[str],
+                runs: int, base_seed: int = 0, mda_cfg=None, bp_cfg=None,
+                ospa_params=None, local_cfg=None, workers: int = 1):
+    """`monte_carlo_sweep` on one config: results[payload] is a list of
+    RunRecords in run order."""
+    return monte_carlo_sweep([cfg], fusion, payloads, runs, base_seed, mda_cfg,
+                             bp_cfg, ospa_params, local_cfg, workers)[0]

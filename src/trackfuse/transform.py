@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import InputError, NumericsError
 from .linalg import (
+    RANK_RTOL,
     is_full_column_rank,
     psd_eig,
     ranks_by_sv,
@@ -119,7 +120,7 @@ def type1_stack(H: np.ndarray, R: np.ndarray):
     r_inv = np.linalg.inv(R)
     core = symmetrize(bt @ r_inv @ b)
     eigs = np.linalg.eigvalsh(core)
-    if np.any(eigs[:, 0] <= 1e-12 * eigs[:, -1]):
+    if np.any(eigs[:, 0] <= RANK_RTOL * eigs[:, -1]):
         raise NumericsError("B^T R^-1 B is rank deficient")
     sq, isq = sym_sqrt_and_invsqrt(core)
     a = isq @ bt @ r_inv

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from trackfuse import bp as bp_mod
 from trackfuse import checks, cli
+from trackfuse import sim as sim_mod
 from trackfuse.errors import InputError
 
 SCENARIO_FILE = """
@@ -173,12 +174,12 @@ class TestSpec:
         assert cli.spec_from_args(args).n_particles == 50_000
 
     def test_pool_size_is_capped_by_jobs_and_cpus(self, monkeypatch):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        assert cli.pool_size(10 ** 9, 5) == 2
-        assert cli.pool_size(10 ** 9, 1) == 1
-        assert cli.pool_size(1, 5) == 1
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-        assert cli.pool_size(10 ** 9, 5) == 1
+        monkeypatch.setattr(sim_mod.os, "cpu_count", lambda: 2)
+        assert sim_mod.pool_size(10 ** 9, 5) == 2
+        assert sim_mod.pool_size(10 ** 9, 1) == 1
+        assert sim_mod.pool_size(1, 5) == 1
+        monkeypatch.setattr(sim_mod.os, "cpu_count", lambda: None)
+        assert sim_mod.pool_size(10 ** 9, 5) == 1
 
     def test_runs_times_sweep_values_is_capped_before_any_job(self, tmp_path, capsys,
                                                              monkeypatch):
@@ -192,30 +193,29 @@ class TestSpec:
         assert cli.ExperimentSpec(runs=half, sweep_param="p_d",
                                   sweep_values=(0.5, 0.9)).runs == half
         started = []
-        monkeypatch.setattr(cli, "_run_one_job", started.append)
+        monkeypatch.setattr(sim_mod, "run_single",
+                            lambda *args, **kw: started.append(args))
         rc = cli.main(["run", "--runs", str(10 ** 9), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "runs x sweep values" in capsys.readouterr().err
         assert started == [] and not (tmp_path / "out").exists()
 
-    def test_jobs_share_one_spec_dict(self, tmp_path, monkeypatch):
+    def test_one_harness_call_runs_every_sweep_value_and_run(self, tmp_path,
+                                                             monkeypatch):
         jobs = []
 
-        def record(job):
-            jobs.append(job)
-            return job[2], job[3], {}
+        def record(cfg, fusion, payloads, run_idx, **kw):
+            jobs.append((cfg.sensors[0].p_d, run_idx))
+            return {"raw": None}
 
-        monkeypatch.setattr(cli, "_run_one_job", record)
+        monkeypatch.setattr(sim_mod, "run_single", record)
         monkeypatch.setattr(cli, "_write_curves", lambda *args: None)
         monkeypatch.setattr(cli, "_write_comm", lambda *args: None)
         monkeypatch.setattr(cli, "_write_summary", lambda *args: None)
         spec = cli.ExperimentSpec(runs=3, sweep_param="p_d", sweep_values=(0.5, 0.9),
                                   payloads=("raw",), output_dir=str(tmp_path / "out"))
         assert cli.run_experiment(spec) == 0
-        assert [(sv, run) for _, _, sv, run in jobs] == [
-            (sv, run) for sv in (0.5, 0.9) for run in range(3)]
-        assert all(job[0] is jobs[0][0] for job in jobs)
-        assert jobs[0][0] == dict(spec.__dict__, payloads=["raw"], sweep_values=[0.5, 0.9])
+        assert jobs == [(sv, run) for sv in (0.5, 0.9) for run in range(3)]
 
     @pytest.mark.parametrize("sweep", ["clutter_rate=1e308", "clutter_rate=nan",
                                        "p_d=nan"])
@@ -289,11 +289,11 @@ class TestRunExperiment:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                return map(fn, jobs)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Executor)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(sim_mod.futures, "ProcessPoolExecutor", Executor)
+        monkeypatch.setattr(sim_mod.os, "cpu_count", lambda: 3)
         scenario = tmp_path / "toy.cfg"
         scenario.write_text(SCENARIO_FILE)
         argv = ["run", "--scenario", str(scenario), "--payload", "raw",
@@ -306,11 +306,12 @@ class TestRunExperiment:
         scenario.write_text(SCENARIO_FILE)
         argv = ["run", "--scenario", str(scenario), "--payload", "raw",
                 "--runs", "2", "--seed", "4"]
-        assert cli.main(argv + ["--out", str(tmp_path / "serial")]) == 0
-        assert cli.main(argv + ["--out", str(tmp_path / "pool"),
-                                "--workers", "2"]) == 0
-        assert ((tmp_path / "serial" / "curves.csv").read_bytes()
-                == (tmp_path / "pool" / "curves.csv").read_bytes())
+        for k, sweep in enumerate(([], ["--sweep", "clutter_rate=5,20"])):
+            serial, pool = tmp_path / f"serial{k}", tmp_path / f"pool{k}"
+            assert cli.main(argv + sweep + ["--out", str(serial)]) == 0
+            assert cli.main(argv + sweep + ["--out", str(pool), "--workers", "2"]) == 0
+            for name in ("curves.csv", "comm.csv", "summary.txt"):
+                assert (serial / name).read_bytes() == (pool / name).read_bytes(), name
 
 
 class TestChecks:

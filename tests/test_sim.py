@@ -673,6 +673,18 @@ class TestHarness:
         assert len(res["raw"]) == 2
         assert res["raw"][0].ospa.shape == (100,)
 
+    def test_monte_carlo_pool_matches_serial(self):
+        cfg = scenario1()
+        cfg.duration = 10
+        serial, pooled = (monte_carlo(cfg, "mda", ["raw", "type2"], runs=2, base_seed=5,
+                                      workers=workers) for workers in (1, 2))
+        assert list(pooled) == ["raw", "type2"]
+        for payload, records in serial.items():
+            assert len(pooled[payload]) == len(records) == 2
+            for a, b in zip(records, pooled[payload]):
+                for field in dataclasses.fields(a):
+                    assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
+
     def test_bp_scan_frees_the_previous_scans_blocks(self, monkeypatch):
         # the fusion loop keeps no reference to the beliefs that the last
         # scan returned, so the next scan's prediction frees their arrays
