@@ -3,12 +3,12 @@
 The paper's losslessness results are identities, and each battery here
 checks a family of them on random instances drawn from a fixed seed:
 `check_lemmas` (pseudoinverse, determinant, clutter-volume and MLE
-identities), `check_solvers` (branch and bound against enumeration, the
-Lagrangian relaxation against the optimum), `check_bp_exactness` (BP
-association marginals against enumeration on trees) and `check_metrics`
-(the byte table and the OSPA metric axioms). Each returns a list of
-`(name, ok, detail)` results; `trackfuse check` prints them and the
-acceptance tests run them with their own seeds.
+identities), `check_solvers` (branch and bound and the initiation cluster
+solver against enumeration, the Lagrangian relaxation against the optimum),
+`check_bp_exactness` (BP association marginals against enumeration on
+trees) and `check_metrics` (the byte table and the OSPA metric axioms).
+Each returns a list of `(name, ok, detail)` results; `trackfuse check`
+prints them and the acceptance tests run them with their own seeds.
 
 The oracles are plain exhaustive enumerations with no bounding or
 decomposition (`enumerate_mda_problem` is MDA maintenance's), so they share
@@ -128,8 +128,26 @@ def random_maintenance_problem(rng: np.random.Generator, n_tracks: int, m1: int,
     return mda_mod.AssignmentProblem("maintenance", groups, 2, [m1, m2])
 
 
+def random_initiation_problem(rng: np.random.Generator, n_groups: int,
+                              meas_counts: list):
+    """Initiation problem of overlapping (tuple, null) groups: each tuple
+    takes 1-4 measurements on distinct sensors and costs 12 x an integer in
+    [-4, 2], so that ties, exact zeros and cost shares are exact."""
+    n_sensors = len(meas_counts)
+    groups = []
+    for _ in range(n_groups):
+        sensors = rng.permutation(n_sensors)[:int(rng.integers(1, min(4, n_sensors) + 1))]
+        tup = [0] * n_sensors
+        for l in sensors:
+            tup[l] = int(rng.integers(1, meas_counts[l] + 1))
+        groups.append([mda_mod.Candidate(tuple(tup), 12.0 * int(rng.integers(-4, 3))),
+                       mda_mod.Candidate((0,) * n_sensors, 0.0)])
+    return mda_mod.AssignmentProblem("initiation", groups, n_sensors, list(meas_counts))
+
+
 def check_solvers(seed: int = 77) -> list[Result]:
-    """Exact solver vs enumeration; relaxation within 5% of optimal."""
+    """Exact solver vs enumeration; relaxation within 5% of optimal; the
+    initiation cluster solver vs enumeration."""
     rng = np.random.default_rng(seed)
     exact_ok = 0
     within = 0
@@ -150,10 +168,20 @@ def check_solvers(seed: int = 77) -> list[Result]:
         worst_gap = max(worst_gap, rel)
         if rel <= 0.05 and not constraint_violations(prob, relaxed):
             within += 1
+    cluster_ok = 0
+    for _ in range(n_tables):
+        prob = random_initiation_problem(rng, int(rng.integers(1, 9)),
+                                         list(rng.integers(1, 5, int(rng.integers(2, 5)))))
+        sol = mda_mod.solve_assignment(prob)
+        if sol.total_cost == enumerate_assignment_minimum(prob)[0] and \
+                not constraint_violations(prob, sol):
+            cluster_ok += 1
     return [("branch-and-bound = enumeration", exact_ok == n_tables,
              f"{exact_ok}/{n_tables} exact"),
             ("relaxation within 5% of optimal", within >= 95,
-             f"{within}/{n_tables} within 5%, worst {worst_gap:.4f}")]
+             f"{within}/{n_tables} within 5%, worst {worst_gap:.4f}"),
+            ("initiation: cluster solver = enumeration", cluster_ok == n_tables,
+             f"{cluster_ok}/{n_tables} exact")]
 
 
 def check_bp_exactness(seed: int = 99) -> list[Result]:
@@ -316,8 +344,8 @@ def enumerate_assignment_minimum(problem: mda_mod.AssignmentProblem):
     rec(0, frozenset(), 0.0, [])
     if best[1] is None:
         return math.inf, []
-    assignments, total = mda_mod._solution_from_selection(problem, best[1])
-    return total, assignments
+    sol = mda_mod._solution_from_selection(problem, best[1])
+    return sol.total_cost, sol.assignments
 
 
 def constraint_violations(problem: mda_mod.AssignmentProblem,

@@ -65,6 +65,8 @@ class ExperimentSpec:
         for p in self.payloads:
             if p not in PAYLOADS:
                 raise InputError(f"unknown payload: {p!r}")
+            if self.payloads.count(p) > 1:
+                raise InputError(f"payload named twice: {p!r}")
         if self.sweep_param is not None and self.sweep_param not in SWEEP_PARAMS:
             raise InputError(f"sweep parameter must be one of {SWEEP_PARAMS}")
         if self.sweep_param == "p_d":

@@ -18,7 +18,7 @@ factors) on the problem. `solve_maintenance` makes one
 sensor by sensor, one stacked Kalman update per sensor, reusing the kept
 innovations of a sensor whose tracks no earlier sensor has updated in the
 scan. Exact ties resolve per sensor, as `linear_sum_assignment` resolves
-them, not by the lexicographic order of the branch and bound. A sensor
+them, not by the visiting order of the branch and bound. A sensor
 with P_d = 1 has no finite miss cell: a track that lands on a BIG cell on
 any sensor gets the all-zero fallback tuple, and its measurements on the
 other sensors go back to initiation. The tuple enumeration
@@ -30,13 +30,15 @@ scores and updates them as stacks, counts hits and misses as array
 updates, appends the newborns in initiation order and deletes by one row
 mask.
 
-Track initiation is the genuinely multidimensional part: candidate tuples
-are gated (the pairwise position gate decided once per sensor pair, for
-all its measurement pairs in one stacked solve), assembled into an
-assignment problem (one tuple per group, each measurement used at most
-once), and solved either exactly (depth-first branch and bound, also the
-oracle for the relaxation) or by Lagrangian relaxation onto 2-D
-subproblems.
+Track initiation is the genuinely multidimensional part: candidate tuples,
+gated pair by pair (one stacked solve per sensor pair), form an assignment
+problem (one tuple per group, each measurement used at most once).
+`solve_assignment` gives each group whose tuple costs >= 0 its null,
+splits the rest into clusters that share a measurement (the track clusters
+of Reid, IEEE TAC 24(6), 1979) and solves each by branch and bound: groups
+cheapest first, bounded by the larger of their cheapest costs and a
+per-measurement sum of cost shares. Only a cluster past a cap of the
+search goes to the Lagrangian relaxation.
 
 Raw and transformed payloads flow through genuinely different numeric
 routes (Cholesky Gaussian vs eigendecomposition/pseudoinverse generalized
@@ -50,7 +52,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from types import SimpleNamespace
 from typing import NamedTuple, Optional, Sequence
 
@@ -97,9 +99,6 @@ BIG = 1e12
 # Deepest branch-and-bound recursion `solve_assignment_exact` starts: one
 # level per group, well under the interpreter's default limit of 1000.
 EXACT_MAX_GROUPS = 500
-# Initiation problems of at most this many candidates go to branch and bound
-# first; larger ones, and those over a cap of the search, to the relaxation.
-AUTO_EXACT_CANDIDATES = 4000
 # Subgradient iterations of the Lagrangian relaxation.
 SUBGRADIENT_ITERS = 200
 
@@ -219,7 +218,7 @@ class AssociationSolution:
     total_cost: float
     feasible: bool
     gap: float = 0.0
-    # maintenance only: the (N, L) measurement indices of `assignments`
+    # the (groups, L) measurement indices each group selected (0 for a null)
     indices: Optional[np.ndarray] = None
 
 
@@ -652,7 +651,7 @@ def _by_cost(cands):
     return sorted(cands, key=lambda c: (c.cost, c.indices))
 
 
-def _solution_from_selection(problem, selection):
+def _solution_from_selection(problem, selection, gap=0.0):
     assignments = []
     total = 0.0
     for g, cand in enumerate(selection):
@@ -661,64 +660,79 @@ def _solution_from_selection(problem, selection):
             assignments.append((g + 1,) + cand.indices)
         elif any(i > 0 for i in cand.indices):
             assignments.append(cand.indices)
-    return assignments, total
+    indices = np.array([c.indices for c in selection], dtype=int).reshape(-1, problem.n_sensors)
+    return AssociationSolution(assignments, total, True, gap, indices)
 
 
 def solve_assignment_exact(problem: AssignmentProblem,
                            node_cap: int = 5_000_000) -> AssociationSolution:
     """Depth-first branch and bound; globally optimal, gap 0.
 
-    Candidates in each group are visited in (cost, indices) order with an
-    admissible suffix bound, so ties resolve to the lexicographically
-    smallest tuple set. The search recurses once per group, so a problem
-    of more than EXACT_MAX_GROUPS groups raises ResourceLimitError before
-    any node is visited.
+    Groups are visited by (cheapest cost, index), each group's candidates
+    by (cost, indices), and each candidate's measurements are one bitmask.
+    A branch is cut once its cost plus a lower bound on the groups still to
+    visit cannot beat the incumbent. The bound is the larger of their
+    cheapest costs' sum and a per-measurement sum: each measurement's most
+    negative share (a candidate's cost over the number of measurements it
+    uses) plus each group's most negative measurement-free cost. Only a
+    strictly cheaper selection replaces the incumbent, so the tie rule is:
+    of equal-cost optima, the first in this visiting order wins (for
+    initiation, the tuples of the cheapest groups). The search recurses once
+    per group, so a problem of more than EXACT_MAX_GROUPS groups raises
+    ResourceLimitError before any node is visited.
     """
     if len(problem.groups) > EXACT_MAX_GROUPS:
         raise ResourceLimitError(
             f"branch and bound over {len(problem.groups)} groups exceeds the "
             f"depth cap ({EXACT_MAX_GROUPS})")
-    groups = [_by_cost(g) for g in problem.groups]
+    order = sorted(range(len(problem.groups)), key=lambda g: (
+        min((c.cost for c in problem.groups[g]), default=0.0), g))
+    groups = [_by_cost(problem.groups[g]) for g in order]
     n_groups = len(groups)
-    if n_groups == 0:
-        return AssociationSolution([], 0.0, True, 0.0)
-    suffix = [0.0] * (n_groups + 1)
+    bits = {}
+    masks = [[sum(1 << bits.setdefault(k, len(bits)) for k in _meas_keys(c.indices))
+              for c in cands] for cands in groups]
+    # bound[g] bounds groups g.. below; measurement-free candidates use key g
+    bound = [0.0] * (n_groups + 1)
+    cheapest, per_meas, low = 0.0, 0.0, {}
     for g in range(n_groups - 1, -1, -1):
-        suffix[g] = suffix[g + 1] + (groups[g][0].cost if groups[g] else 0.0)
+        cheapest += groups[g][0].cost if groups[g] else 0.0
+        for cand in groups[g]:
+            keys = _meas_keys(cand.indices) or [g]
+            for k in keys:
+                share = cand.cost / len(keys)
+                if share < low.get(k, 0.0):
+                    per_meas += share - low.get(k, 0.0)
+                    low[k] = share
+        bound[g] = max(cheapest, per_meas)
 
     best_cost = math.inf
     best_sel = None
     sel = [None] * n_groups
-    used = set()
     nodes = 0
 
-    def rec(g, total):
+    def rec(g, total, used):
         nonlocal best_cost, best_sel, nodes
         if g == n_groups:
             if total < best_cost:
                 best_cost = total
                 best_sel = sel.copy()
             return
-        for cand in groups[g]:
+        for cand, mask in zip(groups[g], masks[g]):
             nodes += 1
             if nodes > node_cap:
                 raise ResourceLimitError("branch-and-bound node cap exceeded")
-            if total + cand.cost + suffix[g + 1] >= best_cost:
+            if total + cand.cost + bound[g + 1] >= best_cost:
                 break
-            keys = _meas_keys(cand.indices)
-            if any(k in used for k in keys):
+            if used & mask:
                 continue
-            used.update(keys)
             sel[g] = cand
-            rec(g + 1, total + cand.cost)
-            used.difference_update(keys)
-        sel[g] = None
+            rec(g + 1, total + cand.cost, used | mask)
 
-    rec(0, 0.0)
+    rec(0, 0.0, 0)
     if best_sel is None:
         raise DegenerateBeliefError("no feasible assignment exists")
-    assignments, total = _solution_from_selection(problem, best_sel)
-    return AssociationSolution(assignments, total, True, 0.0)
+    return _solution_from_selection(problem, [c for _, c in sorted(zip(order, best_sel))])
 
 
 def _candidate_table(groups, l: int, m: int, cost=None):
@@ -739,26 +753,6 @@ def _candidate_table(groups, l: int, m: int, cost=None):
                 table[g, col] = c
                 cell[(g, col)] = cand
     return table, cell
-
-
-def _hungarian_2d(problem: AssignmentProblem) -> AssociationSolution:
-    """Exact solve when only one measurement dimension is active."""
-    groups = [_by_cost(g) for g in problem.groups]
-    active = [l for l in range(problem.n_sensors) if problem.meas_counts[l] > 0
-              and any(c.indices[l] > 0 for g in groups for c in g)]
-    if len(active) > 1:
-        raise InputError("not a 2-D instance")
-    l = active[0] if active else 0
-    m = problem.meas_counts[l] if problem.meas_counts else 0
-    mat, cell = _candidate_table(groups, l, m)
-    rows, cols = linear_sum_assignment(mat)
-    sel = []
-    for g, col in zip(rows, cols):
-        if (g, col) not in cell:
-            raise DegenerateBeliefError("2-D instance has no feasible assignment")
-        sel.append(cell[(g, col)])
-    assignments, total = _solution_from_selection(problem, sel)
-    return AssociationSolution(assignments, total, True, 0.0)
 
 
 def _greedy_selection(groups):
@@ -806,17 +800,11 @@ def solve_assignment_relaxed(problem: AssignmentProblem,
     Sensors 2..L are dualized; the remaining (group, sensor-1) layer is a
     rectangular assignment solved exactly per iteration. The Polyak step
     uses the best feasible primal, halving the scale on dual
-    non-improvement. 2-D instances short-circuit to the exact Hungarian.
+    non-improvement. With one active sensor nothing is dualized: exact.
     """
     groups = [_by_cost(g) for g in problem.groups]
-    if not groups:
-        return AssociationSolution([], 0.0, True, 0.0)
-    L = problem.n_sensors
-    active = [l for l in range(L)
-              if any(c.indices[l] > 0 for g in groups for c in g)]
-    if len(active) <= 1:
-        return _hungarian_2d(problem)
-
+    active = [l for l in range(problem.n_sensors)
+              if any(c.indices[l] > 0 for g in groups for c in g)] or [0]
     keep = active[0]
     dual_sets = active[1:]
     m_keep = problem.meas_counts[keep]
@@ -875,22 +863,48 @@ def solve_assignment_relaxed(problem: AssignmentProblem,
         for l in dual_sets:
             u[l] = np.maximum(0.0, u[l] + step * grad[l])
 
-    assignments, total = _solution_from_selection(problem, best_sel)
     gap = max(0.0, (best_primal - best_dual) / max(abs(best_dual), 1e-12))
-    return AssociationSolution(assignments, total, True, gap)
+    return _solution_from_selection(problem, best_sel, gap)
 
 
 def solve_assignment(problem: AssignmentProblem) -> AssociationSolution:
-    """An initiation problem's solution: branch and bound at or below
-    AUTO_EXACT_CANDIDATES candidates, the relaxation above that or when the
-    search hits one of its caps (maintenance is always the exact per-sensor
-    decomposition)."""
-    if problem.n_candidates <= AUTO_EXACT_CANDIDATES:
+    """An initiation problem's solution, cluster by cluster, in group order.
+
+    A group whose cheapest candidate costs >= 0 takes its null (which sorts
+    first, so it wins or ties). The rest split into clusters that share a
+    measurement, each solved by `solve_assignment_exact`, or by
+    `solve_assignment_relaxed` (`gap` is the largest) past a search cap.
+    """
+    if problem.kind != "initiation":
+        raise InputError(f"solve_assignment takes initiation problems, not {problem.kind!r}")
+    live = [g for g, cands in enumerate(problem.groups) if min(c.cost for c in cands) < 0]
+    parent = {}  # union-find over groups and measurement keys, path halving
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for g in live:
+        for c in problem.groups[g]:
+            for k in _meas_keys(c.indices):
+                parent[find(k)] = find(g)
+    clusters = {}
+    for g in live:
+        clusters.setdefault(find(g), []).append(g)
+    indices = np.zeros((len(problem.groups), problem.n_sensors), dtype=int)
+    total, gap = 0.0, 0.0
+    for members in clusters.values():
+        cluster = replace(problem, groups=[problem.groups[g] for g in members])
         try:
-            return solve_assignment_exact(problem)
+            sol = solve_assignment_exact(cluster)
         except ResourceLimitError:
-            pass
-    return solve_assignment_relaxed(problem)
+            sol = solve_assignment_relaxed(cluster)
+        indices[members] = sol.indices
+        total += sol.total_cost
+        gap = max(gap, sol.gap)
+    assignments = [tuple(row) for row in indices.tolist() if any(row)]
+    return AssociationSolution(assignments, total, True, gap, indices)
 
 
 @dataclass(eq=False)

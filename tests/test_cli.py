@@ -227,6 +227,16 @@ class TestSpec:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+    def test_payload_named_twice_exits_with_error(self, tmp_path, capsys):
+        # the arm used to run twice per run and print its summary row twice
+        with pytest.raises(InputError, match="'raw'"):
+            cli.ExperimentSpec(payloads=("raw", "type2", "raw"))
+        rc = cli.main(["run", "--runs", "1", "--payload", "raw,type2,raw",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_config_exits_nonzero(self, capsys):
         rc = cli.main(["run", "--sweep", "banana=1"])
         assert rc == 2

@@ -18,10 +18,12 @@ from trackfuse.checks import (
     enumerate_assignment_minimum,
     enumerate_mda_problem,
     gate_distances,
+    random_initiation_problem,
     random_maintenance_problem,
 )
 from trackfuse.errors import (
     InconsistentTransformError,
+    InputError,
     NumericsError,
     TrackfuseError,
     UnobservableHypothesisError,
@@ -60,7 +62,7 @@ from trackfuse.models import (
     update_raw,
     update_transformed,
 )
-from trackfuse.sim import motion_model, prepare_run, run_mda_fusion, scenario1
+from trackfuse.sim import motion_model, prepare_run, run_mda_fusion, scenario1, scenario2
 from trackfuse.transform import (
     LOG_2PI,
     ClutterModel,
@@ -480,16 +482,39 @@ def disjoint_initiation_problem(n_groups, seed=32):
     return AssignmentProblem("initiation", groups, 2, [n_groups, n_groups])
 
 
+def recording_relaxation(monkeypatch):
+    """The group counts of every problem `solve_assignment` relaxes."""
+    calls = []
+
+    def relaxed(problem, *args, **kwargs):
+        calls.append(len(problem.groups))
+        return solve_assignment_relaxed(problem, *args, **kwargs)
+
+    monkeypatch.setattr(mda_mod, "solve_assignment_relaxed", relaxed)
+    return calls
+
+
 class TestExactDepthCap:
-    def test_auto_mode_falls_back_to_the_relaxation(self):
-        # 3,000 candidates, under AUTO_EXACT_CANDIDATES, used to recurse
-        # 1,500 levels deep and raise RecursionError
+    def test_auto_mode_falls_back_to_the_relaxation(self, monkeypatch):
+        # a second tuple per group links the 1,500 groups into one cluster,
+        # past the depth cap of the search; it used to recurse 1,500 levels
+        # deep and raise RecursionError
         problem = disjoint_initiation_problem(1500)
-        assert problem.n_candidates <= mda_mod.AUTO_EXACT_CANDIDATES
+        for g, cands in enumerate(problem.groups[:-1]):
+            cands.append(Candidate((g + 2, g + 2), -0.5))
+        relaxed = recording_relaxation(monkeypatch)
         sol = solve_assignment(problem)
+        assert relaxed == [1500]
         assert sol.feasible
         assert not constraint_violations(problem, sol)
         assert len(sol.assignments) == 1500
+
+    def test_disjoint_groups_are_solved_exactly_past_the_cap(self, monkeypatch):
+        problem = disjoint_initiation_problem(1500)
+        relaxed = recording_relaxation(monkeypatch)
+        sol = solve_assignment(problem)
+        assert relaxed == []
+        assert sol.assignments == [cands[0].indices for cands in problem.groups]
 
     def test_exact_mode_raises_before_the_search(self):
         from trackfuse.errors import ResourceLimitError
@@ -505,6 +530,52 @@ class TestExactDepthCap:
         assert len(sol.assignments) == EXACT_MAX_GROUPS
         with pytest.raises(ResourceLimitError):
             solve_assignment_exact(disjoint_initiation_problem(EXACT_MAX_GROUPS + 1))
+
+
+class TestClusterSolver:
+    """`solve_assignment`: null for tuples that never win, then one branch
+    and bound per cluster of groups that share a measurement."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_groups=st.integers(0, 10),
+           meas_counts=st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    def test_optimum_equals_the_enumeration_and_the_whole_search(self, seed, n_groups,
+                                                                meas_counts):
+        problem = random_initiation_problem(np.random.default_rng(seed), n_groups,
+                                            meas_counts)
+        sol = solve_assignment(problem)
+        assert sol.total_cost == enumerate_assignment_minimum(problem)[0]
+        assert sol.assignments == solve_assignment_exact(problem).assignments
+        assert not constraint_violations(problem, sol)
+        # group order: the selected rows, each one of its group's candidates
+        rows = [tuple(row) for row in sol.indices.tolist()]
+        assert all(row in [c.indices for c in cands]
+                   for row, cands in zip(rows, problem.groups))
+        assert sol.assignments == [row for row in rows if any(row)]
+
+    def test_tuples_that_never_win_take_the_null(self):
+        # a zero-cost tuple ties its null, and the null sorts first
+        groups = [[Candidate((1, 1), 0.0), Candidate((0, 0), 0.0)],
+                  [Candidate((2, 1), 12.0), Candidate((0, 0), 0.0)],
+                  [Candidate((2, 2), -12.0), Candidate((0, 0), 0.0)]]
+        sol = solve_assignment(AssignmentProblem("initiation", groups, 2, [2, 2]))
+        assert sol.assignments == [(2, 2)]
+        assert sol.indices.tolist() == [[0, 0], [0, 0], [2, 2]]
+
+    def test_other_kinds_are_refused(self):
+        problem = random_maintenance_problem(np.random.default_rng(0), 2, 2, 2)
+        with pytest.raises(InputError, match="initiation"):
+            solve_assignment(problem)
+
+    def test_scenario2_tape2_scan_is_solved_without_the_relaxation(self, monkeypatch):
+        # one scan of this arm has 532 initiation groups, over the depth cap;
+        # the whole problem used to go to the relaxation
+        relaxed = recording_relaxation(monkeypatch)
+        cfg = scenario2()
+        tapes, sends = prepare_run(cfg, 2)
+        record = run_mda_fusion(cfg, tapes, sends, "type2")
+        assert record.card_est.max() > 0
+        assert relaxed == []
 
 
 def maintenance_instance(rng, n_tracks, meas_counts, kind, p_ds=None):
