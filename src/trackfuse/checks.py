@@ -3,8 +3,8 @@
 The paper's losslessness results are identities, and each battery here
 checks a family of them on random instances drawn from a fixed seed:
 `check_lemmas` (pseudoinverse, determinant, clutter-volume and MLE
-identities), `check_solvers` (branch and bound and the initiation cluster
-solver against enumeration, the Lagrangian relaxation against the optimum),
+identities), `check_solvers` (branch and bound and the cluster solver
+against enumeration, the Lagrangian relaxation against the optimum),
 `check_bp_exactness` (BP association marginals against enumeration on
 trees) and `check_metrics` (the byte table and the OSPA metric axioms).
 Each returns a list of `(name, ok, detail)` results; `trackfuse check`
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -114,8 +115,9 @@ def check_lemmas(seed: int = 1234) -> list[Result]:
 
 def random_maintenance_problem(rng: np.random.Generator, n_tracks: int, m1: int,
                                m2: int, keep: float = 0.7):
-    """Two-sensor maintenance problem: each track has its all-miss tuple and
-    keeps each other (i, j) tuple with probability `keep`."""
+    """Two-sensor problem of maintenance shape: groups whose measurement-free
+    candidate costs > 0; each keeps every other (i, j) tuple with
+    probability `keep`."""
     groups = []
     for _ in range(n_tracks):
         cands = [mda_mod.Candidate((0, 0), float(abs(rng.normal())) * 0.5)]
@@ -125,7 +127,7 @@ def random_maintenance_problem(rng: np.random.Generator, n_tracks: int, m1: int,
                     continue
                 cands.append(mda_mod.Candidate((i, j), float(rng.normal())))
         groups.append(cands)
-    return mda_mod.AssignmentProblem("maintenance", groups, 2, [m1, m2])
+    return mda_mod.AssignmentProblem(groups, 2, [m1, m2])
 
 
 def random_initiation_problem(rng: np.random.Generator, n_groups: int,
@@ -142,7 +144,7 @@ def random_initiation_problem(rng: np.random.Generator, n_groups: int,
             tup[l] = int(rng.integers(1, meas_counts[l] + 1))
         groups.append([mda_mod.Candidate(tuple(tup), 12.0 * int(rng.integers(-4, 3))),
                        mda_mod.Candidate((0,) * n_sensors, 0.0)])
-    return mda_mod.AssignmentProblem("initiation", groups, n_sensors, list(meas_counts))
+    return mda_mod.AssignmentProblem(groups, n_sensors, list(meas_counts))
 
 
 def check_solvers(seed: int = 77) -> list[Result]:
@@ -322,7 +324,7 @@ def enumerate_mda_problem(tracks_pred, batches, sensors,
             raise ResourceLimitError(
                 f"maintenance tuple count exceeded cap ({total} > {cfg.max_tuples})")
         groups.append(mda_mod._by_cost(cands))
-    return mda_mod.AssignmentProblem("maintenance", groups, len(batches), meas_counts)
+    return mda_mod.AssignmentProblem(groups, len(batches), meas_counts)
 
 
 def enumerate_assignment_minimum(problem: mda_mod.AssignmentProblem):
@@ -350,23 +352,18 @@ def enumerate_assignment_minimum(problem: mda_mod.AssignmentProblem):
 
 def constraint_violations(problem: mda_mod.AssignmentProblem,
                           solution: mda_mod.AssociationSolution):
-    """Independent check of the one-per-group / one-use-per-measurement sums."""
+    """Independent check of the one-per-group / one-use-per-measurement sums
+    on `solution.indices`, the (groups, L) selection."""
     problems = []
-    if problem.kind == "maintenance":
-        seen_tracks = [a[0] for a in solution.assignments]
-        expected = list(range(1, len(problem.groups) + 1))
-        if sorted(seen_tracks) != expected:
-            problems.append("each track must appear in exactly one tuple")
-        index_tuples = [a[1:] for a in solution.assignments]
-    else:
-        index_tuples = list(solution.assignments)
-    used = {}
-    for tup in index_tuples:
-        for key in mda_mod._meas_keys(tup):
-            used[key] = used.get(key, 0) + 1
-    for key, count in used.items():
-        if count > 1:
-            problems.append(f"measurement {key} used {count} times")
+    index_tuples = [tuple(row) for row in solution.indices.tolist()]
+    if len(index_tuples) != len(problem.groups):
+        problems.append("each group must select exactly one tuple")
+    for g, (tup, cands) in enumerate(zip(index_tuples, problem.groups)):
+        if tup not in [c.indices for c in cands]:
+            problems.append(f"group {g} selected {tup}, not one of its candidates")
+    used = Counter(key for tup in index_tuples for key in mda_mod._meas_keys(tup))
+    problems += [f"measurement {key} used {count} times"
+                 for key, count in used.items() if count > 1]
     for l, count in enumerate(problem.meas_counts):
         for tup in index_tuples:
             if tup[l] > count:

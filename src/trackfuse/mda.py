@@ -32,13 +32,16 @@ mask.
 
 Track initiation is the genuinely multidimensional part: candidate tuples,
 gated pair by pair (one stacked solve per sensor pair), form an assignment
-problem (one tuple per group, each measurement used at most once).
-`solve_assignment` gives each group whose tuple costs >= 0 its null,
-splits the rest into clusters that share a measurement (the track clusters
-of Reid, IEEE TAC 24(6), 1979) and solves each by branch and bound: groups
-cheapest first, bounded by the larger of their cheapest costs and a
-per-measurement sum of cost shares. Only a cluster past a cap of the
-search goes to the Lagrangian relaxation.
+problem (every group picks one of its candidates, each measurement used at
+most once); an initiation group is (tuple, null). `solve_assignment` gives
+each group whose cheapest candidate uses no measurement that candidate
+(an initiation group whose tuple costs >= 0 its null), splits the rest into
+clusters that share a measurement (the track clusters of Reid, IEEE TAC
+24(6), 1979) and solves each by branch and bound: groups cheapest first,
+bounded by the larger of their cheapest costs and a per-measurement sum of
+cost shares. Only a cluster past a cap of the search goes to the
+Lagrangian relaxation, whose primal is a greedy repair of its relaxed
+selection.
 
 Raw and transformed payloads flow through genuinely different numeric
 routes (Cholesky Gaussian vs eigendecomposition/pseudoinverse generalized
@@ -172,12 +175,12 @@ def _log_miss(p_d: float) -> float:
 class AssignmentProblem:
     """One-tuple-per-group selection with measurement-disjointness.
 
-    kind "maintenance": groups are fused tracks; every group must pick one
-    candidate (the all-zero fallback is always present). kind "initiation":
-    groups are optional tuples, each paired with a zero-cost null.
+    Every group picks one of its `Candidate`s, and each measurement (sensor
+    l, index i > 0) is used at most once. An initiation group is (tuple,
+    zero-cost null); the maintenance oracle's groups are tracks, each with
+    its all-zero fallback.
     """
 
-    kind: str
     groups: list
     n_sensors: int
     meas_counts: list
@@ -214,11 +217,13 @@ class MaintenanceProblem:
 
 @dataclass
 class AssociationSolution:
+    # the selected tuples that use a measurement, in group order
+    # (`solve_maintenance`: (tau, i_1..i_L) for every track)
     assignments: list
     total_cost: float
     feasible: bool
     gap: float = 0.0
-    # the (groups, L) measurement indices each group selected (0 for a null)
+    # the (groups, L) measurement indices each group selected (0 for a miss)
     indices: Optional[np.ndarray] = None
 
 
@@ -613,7 +618,7 @@ def build_initiation_problem(batches: Sequence[MeasurementBatch],
     groups = []
     if sum(1 for avail in available if avail) < cfg.init_min_meas:
         # no tuple can pick enough measurements
-        return AssignmentProblem("initiation", groups, n_sensors, meas_counts)
+        return AssignmentProblem(groups, n_sensors, meas_counts)
     back = [_backprojected_positions(b) for b in batches]
     gates = _pair_gates(back, available, chi2_gate(cfg.init_gate_prob, 2))
     # where[l][i]: the position of measurement i in available[l]
@@ -639,7 +644,7 @@ def build_initiation_problem(batches: Sequence[MeasurementBatch],
             if total > cfg.max_tuples:
                 raise ResourceLimitError(
                     f"initiation tuple count exceeded cap ({total})")
-    return AssignmentProblem("initiation", groups, n_sensors, meas_counts)
+    return AssignmentProblem(groups, n_sensors, meas_counts)
 
 
 def _meas_keys(indices):
@@ -652,16 +657,10 @@ def _by_cost(cands):
 
 
 def _solution_from_selection(problem, selection, gap=0.0):
-    assignments = []
-    total = 0.0
-    for g, cand in enumerate(selection):
-        total += cand.cost
-        if problem.kind == "maintenance":
-            assignments.append((g + 1,) + cand.indices)
-        elif any(i > 0 for i in cand.indices):
-            assignments.append(cand.indices)
+    assignments = [c.indices for c in selection if any(c.indices)]
     indices = np.array([c.indices for c in selection], dtype=int).reshape(-1, problem.n_sensors)
-    return AssociationSolution(assignments, total, True, gap, indices)
+    return AssociationSolution(assignments, sum((c.cost for c in selection), 0.0), True, gap,
+                               indices)
 
 
 def solve_assignment_exact(problem: AssignmentProblem,
@@ -755,41 +754,22 @@ def _candidate_table(groups, l: int, m: int, cost=None):
     return table, cell
 
 
-def _greedy_selection(groups):
-    """Always-feasible fallback: cheapest non-conflicting candidate per group."""
+def _repair(groups, first=None):
+    """A feasible selection, group by group: `first[g]` if it conflicts
+    with no earlier pick, else the group's first conflict-free candidate
+    (the cheapest, `groups` sorted by `_by_cost`); None if a group has none."""
     used = set()
     sel = []
-    for cands in groups:
-        pick = None
-        for cand in cands:
+    for g, cands in enumerate(groups):
+        for cand in ([first[g]] if first else []) + cands:
             keys = _meas_keys(cand.indices)
-            if all(k not in used for k in keys):
-                pick = cand
-                used.update(keys)
+            if used.isdisjoint(keys):
                 break
-        if pick is None:
-            raise DegenerateBeliefError("group has no conflict-free candidate")
-        sel.append(pick)
+        else:
+            return None
+        used.update(keys)
+        sel.append(cand)
     return sel
-
-
-def _restore_feasible(problem, groups):
-    """Successive 2-D restoration: commit sensor indices one sensor at a time."""
-    n_groups = len(groups)
-    feasible = [list(cands) for cands in groups]
-    for l in range(problem.n_sensors):
-        m = problem.meas_counts[l]
-        mat, _ = _candidate_table(feasible, l, m)
-        rows, cols = linear_sum_assignment(mat)
-        commit = dict(zip(rows, cols))
-        for g in range(n_groups):
-            col = commit[g]
-            idx = col + 1 if col < m else 0
-            keep = [c for c in feasible[g] if c.indices[l] == idx]
-            if not keep:
-                return None
-            feasible[g] = keep
-    return [min(cands) for cands in feasible]
 
 
 def solve_assignment_relaxed(problem: AssignmentProblem,
@@ -798,9 +778,11 @@ def solve_assignment_relaxed(problem: AssignmentProblem,
     """Lagrangian relaxation with subgradient multiplier updates.
 
     Sensors 2..L are dualized; the remaining (group, sensor-1) layer is a
-    rectangular assignment solved exactly per iteration. The Polyak step
-    uses the best feasible primal, halving the scale on dual
-    non-improvement. With one active sensor nothing is dualized: exact.
+    rectangular assignment solved exactly per iteration. Each iteration's
+    primal is `_repair` of its relaxed selection (the selection itself when
+    it is conflict-free); the incumbent starts as the repair of the empty
+    selection. The Polyak step uses the best primal, halving the scale on
+    dual non-improvement. With one active sensor nothing is dualized: exact.
     """
     groups = [_by_cost(g) for g in problem.groups]
     active = [l for l in range(problem.n_sensors)
@@ -810,7 +792,9 @@ def solve_assignment_relaxed(problem: AssignmentProblem,
     m_keep = problem.meas_counts[keep]
     u = {l: np.zeros(problem.meas_counts[l] + 1) for l in dual_sets}
 
-    best_sel = _greedy_selection(groups)
+    best_sel = _repair(groups)
+    if best_sel is None:
+        raise DegenerateBeliefError("group has no conflict-free candidate")
     best_primal = sum(c.cost for c in best_sel)
     best_dual = -math.inf
     scale = 1.0
@@ -843,10 +827,7 @@ def solve_assignment_relaxed(problem: AssignmentProblem,
             grad[l][0] = 0.0
         grad_norm2 = sum(float(np.sum(g * g)) for g in grad.values())
 
-        if all(np.max(usage[l][1:], initial=0.0) <= 1 for l in dual_sets):
-            primal_sel = relaxed_sel
-        else:
-            primal_sel = _restore_feasible(problem, groups)
+        primal_sel = _repair(groups, relaxed_sel)
         if primal_sel is not None:
             cost = sum(c.cost for c in primal_sel)
             if cost < best_primal:
@@ -868,16 +849,23 @@ def solve_assignment_relaxed(problem: AssignmentProblem,
 
 
 def solve_assignment(problem: AssignmentProblem) -> AssociationSolution:
-    """An initiation problem's solution, cluster by cluster, in group order.
+    """An assignment problem's solution, cluster by cluster, in group order.
 
-    A group whose cheapest candidate costs >= 0 takes its null (which sorts
-    first, so it wins or ties). The rest split into clusters that share a
-    measurement, each solved by `solve_assignment_exact`, or by
-    `solve_assignment_relaxed` (`gap` is the largest) past a search cap.
+    A group whose cheapest candidate, by (cost, indices), uses no
+    measurement takes it: it conflicts with nothing, so this is exact (an
+    initiation group whose tuple costs >= 0 takes its null, which sorts
+    first). The rest split into clusters that share a measurement, each
+    solved by `solve_assignment_exact`, or by `solve_assignment_relaxed`
+    (`gap` is the largest) past a search cap.
     """
-    if problem.kind != "initiation":
-        raise InputError(f"solve_assignment takes initiation problems, not {problem.kind!r}")
-    live = [g for g, cands in enumerate(problem.groups) if min(c.cost for c in cands) < 0]
+    indices = np.zeros((len(problem.groups), problem.n_sensors), dtype=int)
+    total, gap, live = 0.0, 0.0, []
+    for g, cands in enumerate(problem.groups):
+        cand = _by_cost(cands)[0]
+        if any(cand.indices):
+            live.append(g)
+        else:
+            total += cand.cost
     parent = {}  # union-find over groups and measurement keys, path halving
 
     def find(x):
@@ -892,8 +880,6 @@ def solve_assignment(problem: AssignmentProblem) -> AssociationSolution:
     clusters = {}
     for g in live:
         clusters.setdefault(find(g), []).append(g)
-    indices = np.zeros((len(problem.groups), problem.n_sensors), dtype=int)
-    total, gap = 0.0, 0.0
     for members in clusters.values():
         cluster = replace(problem, groups=[problem.groups[g] for g in members])
         try:

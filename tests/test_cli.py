@@ -431,11 +431,23 @@ class RunTooLong(BaseException):
     """Raised into a run that exceeds the fuzzer's time bound."""
 
 
+def arm_disagreements(curves: str) -> list:
+    """The (scan, metric, sweep value, raw, type2) of every curves.csv row
+    whose type2 mean differs from its raw mean by more than 1e-8 x
+    max(1, |raw|): the paper's lossless transformation, end to end."""
+    means = {}
+    for row in curves.splitlines()[1:]:
+        scan, metric, sv, payload, _, mean = row.split(",")
+        means.setdefault((scan, metric, sv), {})[payload] = float(mean)
+    return [(*key, arms["raw"], arms["type2"]) for key, arms in means.items()
+            if not abs(arms["type2"] - arms["raw"]) <= 1e-8 * max(1.0, abs(arms["raw"]))]
+
+
 class TestFuzz:
     """Every generated scenario file, count flag and sweep either runs a
     1-run experiment of at most 3 scans per sweep value to exit code 0
-    inside the time bound, or exits 2 with an `error:` line and leaves no
-    output directory."""
+    inside the time bound, its raw and type2 curves equal, or exits 2 with
+    an `error:` line and leaves no output directory."""
 
     SECONDS = 3.0
 
@@ -468,7 +480,7 @@ class TestFuzz:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
         if rc == 0:
-            assert (out / "curves.csv").exists()
+            assert not arm_disagreements((out / "curves.csv").read_text()), text
         else:
             assert rc == 2, err.getvalue()
             assert "error: " in err.getvalue().splitlines()[-1]

@@ -23,7 +23,6 @@ from trackfuse.checks import (
 )
 from trackfuse.errors import (
     InconsistentTransformError,
-    InputError,
     NumericsError,
     TrackfuseError,
     UnobservableHypothesisError,
@@ -270,10 +269,10 @@ class TestExactSolver:
             [Candidate((1,), 1.0), Candidate((2,), 2.0)],
             [Candidate((1,), 2.0), Candidate((2,), 1.0)],
         ]
-        problem = AssignmentProblem("maintenance", groups, 1, [2])
+        problem = AssignmentProblem(groups, 1, [2])
         sol = solve_assignment_exact(problem)
         assert sol.total_cost == pytest.approx(2.0)
-        assert sol.assignments == [(1, 1), (2, 2)]
+        assert sol.indices.tolist() == [[1], [2]]
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(9)
@@ -293,13 +292,12 @@ class TestExactSolver:
         for _ in range(30):
             problem = random_maintenance_problem(rng, 3, 4, 4)
             jittered = AssignmentProblem(
-                "maintenance",
                 [[Candidate(c.indices, c.cost + 1e-10 * rng.uniform(-1, 1))
                   for c in g] for g in problem.groups],
                 2, problem.meas_counts)
             sol_a = solve_assignment_exact(problem)
             sol_b = solve_assignment_exact(jittered)
-            assert sol_a.assignments == sol_b.assignments
+            assert sol_a.indices.tolist() == sol_b.indices.tolist()
 
 
 class TestRelaxedSolver:
@@ -313,7 +311,7 @@ class TestRelaxedSolver:
                 cands += [Candidate((i + 1,), float(rng.normal()))
                           for i in range(m1)]
                 groups.append(cands)
-            problem = AssignmentProblem("maintenance", groups, 1, [m1])
+            problem = AssignmentProblem(groups, 1, [m1])
             relaxed = solve_assignment_relaxed(problem)
             enum_cost, _ = enumerate_assignment_minimum(problem)
             assert relaxed.total_cost == pytest.approx(enum_cost, abs=1e-12)
@@ -334,6 +332,18 @@ class TestRelaxedSolver:
             if rel <= 0.05:
                 within += 1
         assert within >= 95
+
+    def test_initiation_clusters_close_their_gap(self):
+        # large overlapping (tuple, null) clusters: the primal is the greedy
+        # repair of each relaxed selection
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            n = rng.integers(80, 200)
+            mc = [rng.integers(20, 60) for _ in range(rng.integers(3, 6))]
+            problem = random_initiation_problem(rng, n, mc)
+            sol = solve_assignment_relaxed(problem)
+            assert not constraint_violations(problem, sol)
+            assert sol.gap <= 0.05, seed
 
     def test_raw_vs_transformed_tables_same_argmin(self):
         rng = np.random.default_rng(13)
@@ -358,7 +368,7 @@ class TestRelaxedSolver:
                                            [c.cost for c in g_tr], atol=1e-9)
             sol_raw = solve_assignment_exact(prob_raw)
             sol_tr = solve_assignment_exact(prob_tr)
-            assert sol_raw.assignments == sol_tr.assignments
+            assert sol_raw.indices.tolist() == sol_tr.indices.tolist()
 
 
 def fused_tracks(estimates, hits, labels=None):
@@ -479,7 +489,7 @@ def disjoint_initiation_problem(n_groups, seed=32):
     rng = np.random.default_rng(seed)
     groups = [[Candidate((g + 1, g + 1), -1.0 - float(rng.random())),
                Candidate((0, 0), 0.0)] for g in range(n_groups)]
-    return AssignmentProblem("initiation", groups, 2, [n_groups, n_groups])
+    return AssignmentProblem(groups, 2, [n_groups, n_groups])
 
 
 def recording_relaxation(monkeypatch):
@@ -558,14 +568,20 @@ class TestClusterSolver:
         groups = [[Candidate((1, 1), 0.0), Candidate((0, 0), 0.0)],
                   [Candidate((2, 1), 12.0), Candidate((0, 0), 0.0)],
                   [Candidate((2, 2), -12.0), Candidate((0, 0), 0.0)]]
-        sol = solve_assignment(AssignmentProblem("initiation", groups, 2, [2, 2]))
+        sol = solve_assignment(AssignmentProblem(groups, 2, [2, 2]))
         assert sol.assignments == [(2, 2)]
         assert sol.indices.tolist() == [[0, 0], [0, 0], [2, 2]]
 
-    def test_other_kinds_are_refused(self):
-        problem = random_maintenance_problem(np.random.default_rng(0), 2, 2, 2)
-        with pytest.raises(InputError, match="initiation"):
-            solve_assignment(problem)
+    def test_groups_without_a_free_null_are_solved_exactly(self):
+        # every group's measurement-free candidate costs > 0: a group where
+        # it is cheapest takes it in the first pass, the search solves the rest
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            problem = random_maintenance_problem(rng, 3, 3, 3)
+            sol = solve_assignment(problem)
+            assert sol.total_cost == pytest.approx(
+                enumerate_assignment_minimum(problem)[0], abs=1e-12)
+            assert not constraint_violations(problem, sol)
 
     def test_scenario2_tape2_scan_is_solved_without_the_relaxation(self, monkeypatch):
         # one scan of this arm has 532 initiation groups, over the depth cap;
@@ -655,7 +671,8 @@ class TestSensorSplit:
             sol.total_cost, rel=1e-9, abs=1e-9)
         # Below BIG: no track of the optimum takes the fallback; otherwise
         # the per-sensor selection need only be feasible.
-        if all(oracle_cost(oracle, [a]) < BIG for a in best.assignments):
+        if all(oracle_cost(oracle, [(t + 1, *row)]) < BIG
+               for t, row in enumerate(best.indices.tolist())):
             assert sol.total_cost == pytest.approx(best.total_cost, rel=1e-9, abs=1e-9)
 
     def test_fallback_frees_the_other_sensors_measurement(self):
@@ -753,11 +770,17 @@ class TestSensorSplit:
 
     def test_pipeline_enumerates_no_maintenance_tuples(self, monkeypatch):
         from trackfuse.errors import ResourceLimitError
-        kinds, exact_kinds = [], []
+        shapes, exact_shapes = [], []
         real_solve = mda_mod.solve_assignment
 
+        def initiation_shaped(problem):
+            """Every group is (tuple, zero-cost null)."""
+            null = Candidate((0,) * problem.n_sensors, 0.0)
+            return all(len(g) == 2 and any(g[0].indices) and g[1] == null
+                       for g in problem.groups)
+
         def recording_solve(problem):
-            kinds.append(problem.kind)
+            shapes.append(initiation_shaped(problem))
             return real_solve(problem)
 
         def forbidden(*args, **kwargs):
@@ -765,7 +788,7 @@ class TestSensorSplit:
 
         def capped(problem, *args, **kwargs):
             # every initiation problem goes on to the relaxation
-            exact_kinds.append(problem.kind)
+            exact_shapes.append(initiation_shaped(problem))
             raise ResourceLimitError("search cap")
 
         monkeypatch.setattr(mda_mod, "solve_assignment", recording_solve)
@@ -776,8 +799,8 @@ class TestSensorSplit:
         tapes, sends = prepare_run(cfg, 7)
         record = run_mda_fusion(cfg, tapes, sends, "raw")
         assert record.card_est.max() > 0
-        assert set(kinds) == {"initiation"}
-        assert set(exact_kinds) == {"initiation"}
+        assert set(shapes) == {True}
+        assert set(exact_shapes) == {True}
 
     def test_unit_detection_scenario_arms_agree(self):
         cfg = scenario1().with_overrides(p_d=1.0)
