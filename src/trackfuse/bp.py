@@ -88,7 +88,12 @@ MAX_PARTICLES = 50_000
 # Most particles one sensor step may hold per belief array, (beliefs +
 # measurements) x Np: the scenario-2 step above at MAX_PARTICLES. A larger
 # step (a clutter rate near its cap with many particles) raises before births
-# are drawn.
+# are drawn. It is checked at the step, not before a run: a step's
+# measurements are the tracks its sensor's local tracker transmits, and its
+# beliefs are the earlier steps' survivors and newborns, one newborn per
+# measurement, so both counts follow the local trackers' confirmed tracks.
+# Those grow with the Poisson clutter draws, which no scenario-file number
+# bounds, and a step under the cap on one tape can exceed it on another.
 MAX_STEP_PARTICLES = 136 * MAX_PARTICLES
 
 

@@ -12,13 +12,14 @@ fills every sensor's table in one pass: one (L, N) stack of innovation
 covariances and one stacked factorization of it (Cholesky, or the
 eigendecomposition for transformed payloads), then the gates and costs of
 all sensors at once; only each sensor's whitening runs on its own M_l
-measurements; it keeps each sensor's innovations (and raw Cholesky
-factors) on the problem. `solve_maintenance` makes one
-`linear_sum_assignment` call per sensor, and `update_maintained` updates
-sensor by sensor, one stacked Kalman update per sensor, reusing the kept
-innovations of a sensor whose tracks no earlier sensor has updated in the
-scan. Exact ties resolve per sensor, as `linear_sum_assignment` resolves
-them, not by the visiting order of the branch and bound. A sensor
+measurements; it keeps each sensor's innovations and their factors (the
+Cholesky factors or the eigenpairs) on the problem. `solve_maintenance`
+makes one `linear_sum_assignment` call per sensor, and `update_maintained`
+updates sensor by sensor, one stacked Kalman update per sensor on the
+route of the sensor's payload, reusing the kept innovations and factors
+of a sensor whose tracks no earlier sensor has updated in the scan. Exact
+ties resolve per sensor, as `linear_sum_assignment` resolves them, not by
+the visiting order of the branch and bound. A sensor
 with P_d = 1 has no finite miss cell: a track that lands on a BIG cell on
 any sensor gets the all-zero fallback tuple, and its measurements on the
 other sensors go back to initiation. The tuple enumeration
@@ -199,9 +200,11 @@ class MaintenanceProblem:
     the other tracks' miss columns and the miss of a P_d = 1 sensor hold
     BIG. innovations[l] holds what scoring sensor l computed for the
     predicted tracks, for `update_maintained`: the (N, m) predicted
-    measurements, the (N, m, m) innovation covariances and, for a raw
-    payload, their lower Cholesky factors (None for a transformed one); it
-    is None for a sensor that was not scored (no measurements or no tracks).
+    measurements, the (N, m, m) innovation covariances and their factors,
+    the lower Cholesky factors (N, m, m) for a raw payload or the
+    eigenpairs (w (N, m), v (N, m, m)) of `np.linalg.eigh` for a
+    transformed one; it is None for a sensor that was not scored (no
+    measurements or no tracks).
     """
 
     tables: list
@@ -374,8 +377,8 @@ def _cost_tables(means: np.ndarray, covs: np.ndarray,
     of the with-prior score's term for that sensor (see `score_with_prior`);
     an ungated one is BIG.
 
-    Returns each batch's table and its (z_hat, S, chol) innovations (see
-    `MaintenanceProblem`).
+    Returns each batch's table and its innovations (z_hat, S, factors):
+    the Cholesky factors or the eigenpairs (w, v) (see `MaintenanceProblem`).
     """
     counts = [b.n_meas for b in batches]
     width = max(counts)
@@ -421,7 +424,7 @@ def _cost_tables(means: np.ndarray, covs: np.ndarray,
                       for v in views])[:, :, None, None]
     cost = -(terms[:, 0] + log_lik - terms[:, 1] - terms[:, 2])
     table = np.where(gated, cost, BIG)
-    return [(table[l, :, :m], (z_hat[l], s[l], None if c is None else c[l]))
+    return [(table[l, :, :m], (z_hat[l], s[l], (w[l], v[l]) if c is None else c[l]))
             for l, m in enumerate(counts)]
 
 
@@ -436,7 +439,7 @@ def build_mda_problem(tracks_pred: Sequence[GaussianEstimate],
     measurements is scored at once (`_cost_tables`), one pass per route and
     model shape, on the tracks' stacked arrays (an `EstimateStack` is used
     as it is). A miss costs -log(1 - P_d), BIG when P_d = 1. The problem
-    keeps each scored sensor's innovations (and raw Cholesky factors), which
+    keeps each scored sensor's innovations and their factors, which
     `update_maintained` reuses.
 
     The checks are those of scoring sensor by sensor: when one fails, the
@@ -499,19 +502,20 @@ def update_maintained(preds: Sequence[GaussianEstimate], idx: np.ndarray,
 
     `idx` is the (N, L) array of the measurement each track took on each
     sensor, 0 for a miss. Sensor by sensor, in sensor order, one Kalman
-    update (the core of `update_raw_stack`) updates the tracks that took one
-    of the sensor's measurements, with the covariance-form model of the
-    batch's factor. When no earlier sensor has updated any of these tracks
-    in this scan, they take their innovations (and raw Cholesky factors)
-    from `problem`, the `build_mda_problem` output the predictions were
-    scored by; otherwise, and when `problem` is None, one `innovation_stack`
-    call computes them (a track still at its prediction gets the same bits,
-    and the call costs about the same for any number of rows). A
-    transformed batch with singular R keeps the per-track information form
-    (`update_information` with the factor's pseudoinverse). Each track sees
-    the arithmetic of its own sequential updates, so the estimates equal
-    the per-track ones bit for bit. A track with no measurement keeps its
-    prediction.
+    update (the core of `update_raw_stack`, on its eigen route for a
+    transformed batch) updates the tracks that took one of the sensor's
+    measurements, with the covariance-form model of the batch's factor.
+    When no earlier sensor has updated any of these tracks in this scan,
+    they take their innovations and factors (Cholesky or eigenpairs) from
+    `problem`, the `build_mda_problem` output the predictions were scored
+    by; otherwise, and when `problem` is None, one `innovation_stack` call
+    computes them and the core factors them (a track still at its
+    prediction gets the same bits, and the calls cost about the same for
+    any number of rows). A transformed batch with singular R keeps the
+    per-track information form (`update_information` with the factor's
+    pseudoinverse). Each track sees the arithmetic of its own sequential
+    updates, so the estimates equal the per-track ones bit for bit. A
+    track with no measurement keeps its prediction.
 
     The predictions' arrays are never written: an update of every track
     replaces the arrays, and the first update of only some copies them, so
@@ -542,12 +546,13 @@ def update_maintained(preds: Sequence[GaussianEstimate], idx: np.ndarray,
             held = problem.innovations[l]
         if held is None:
             z_hat, s = innovation_stack(means[sel], covs[sel], model)
-            chol = None
+            factors = None
         else:
-            z_hat, s, chol = held
+            z_hat, s, factors = held
             z_hat, s = z_hat[sel], s[sel]
-            chol = None if chol is None else chol[sel]
-        post = _update_with_innovation(means[sel], covs[sel], zs, model, z_hat, s, chol)
+            factors = tuple(a[sel] for a in factors) if batch.transformed else factors[sel]
+        post = _update_with_innovation(means[sel], covs[sel], zs, model, z_hat, s,
+                                       factors, batch.transformed)
         if whole:
             means, covs = post
         else:

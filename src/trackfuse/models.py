@@ -5,14 +5,16 @@ estimates at a time, (N, n) means and (N, n, n) covariances:
 `predict_stack`, `innovation_stack` and `update_raw_stack`. Their products
 are batched `@`, which makes per slice the BLAS calls of the one-estimate
 form, so a row of a stack equals the N = 1 result bit for bit. There is one
-covariance-form update route: `update_raw_stack` computes the innovations
-and hands them to the core `_update_with_innovation`, which the local GNN
-trackers and the MDA maintenance update call directly with the predicted
-measurements, innovation covariances and (when they have them) Cholesky
-factors that their gates already computed for the same rows. `predict`,
-`innovation` and `update_raw` are thin N = 1 wrappers over the core for
-callers that hold one `GaussianEstimate` (`update_transformed`, and the
-per-track reference loops of the tests); the local GNN trackers and the
+covariance-form update core, `_update_with_innovation`, with two routes to
+the inverse innovation covariance: Cholesky for raw payloads, the
+eigendecomposition for transformed ones. `update_raw_stack` computes the
+innovations and hands them to it; the local GNN trackers and the MDA
+maintenance update call it directly with the predicted measurements,
+innovation covariances and (when they have them) the Cholesky factors or
+eigenpairs that their gates already computed for the same rows.
+`predict`, `innovation`, `update_raw` and `update_transformed` are thin
+N = 1 wrappers over the core for callers that hold one `GaussianEstimate`
+(the per-track reference loops of the tests); the local GNN trackers and the
 MDA pipeline call the core on all their tracks at once, the MDA pipeline
 holding them as an `EstimateStack` (the arrays, item k a `GaussianEstimate`
 of views into row k).
@@ -495,21 +497,30 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-def _update_with_innovation(means, covs, zs, model, z_hat, s, chol=None):
+def _update_with_innovation(means, covs, zs, model, z_hat, s, held=None, eigen=False):
     """The Kalman update core: `update_raw_stack` given the rows' predicted
     measurements z_hat (N, m) and innovation covariances s (N, m, m), as
-    `innovation_stack` gives them (so s is exactly symmetric), and, when the
-    caller holds it, their lower Cholesky factor `chol`.
+    `innovation_stack` gives them (so s is exactly symmetric).
 
     Raises NumericsError if any innovation covariance is not finite, is not
     positive definite or has a condition number above 1e12, in that order.
-    The condition number is the ratio of the extreme eigenvalues of one
-    stacked `eigvalsh` (the 2-norm condition number of an SPD matrix). The
-    inverse of s is that of its Cholesky factor, (L^-1)^T L^-1, symmetrized.
+    The condition number is the ratio of the extreme eigenvalues (the
+    2-norm condition number of an SPD matrix). The Cholesky route (raw
+    payloads) takes them from one stacked `eigvalsh` and the inverse of s
+    from its lower Cholesky factor L, (L^-1)^T L^-1, with `held` L if the
+    caller has it. The eigen route (`eigen`, transformed payloads) takes
+    both from the eigenpairs (w, v) of s, as `held` or from one
+    `np.linalg.eigh` after the finiteness check (which must come first:
+    `eigh` gives NaN eigenvalues, which pass the other checks, or raises
+    LinAlgError on a non-finite s); the inverse is v diag(1/w) v^T. Either
+    inverse is symmetrized.
     """
     if not np.isfinite(s).all():
         raise NumericsError("innovation covariance is not finite")
-    w = np.linalg.eigvalsh(s)
+    if eigen:
+        w, v = np.linalg.eigh(s) if held is None else held
+    else:
+        w = np.linalg.eigvalsh(s)
     if np.any(w[:, 0] < 0):
         raise NumericsError("innovation covariance is not positive definite")
     cond = np.divide(w[:, -1], w[:, 0], out=np.full(len(w), np.inf), where=w[:, 0] > 0)
@@ -517,13 +528,18 @@ def _update_with_innovation(means, covs, zs, model, z_hat, s, chol=None):
     if np.any(bad):
         raise NumericsError("innovation covariance ill-conditioned "
                             f"(cond={cond[bad][0]:.3e})")
-    if chol is None:
-        try:
-            chol = np.linalg.cholesky(s)
-        except np.linalg.LinAlgError as exc:
-            raise NumericsError("innovation covariance is not positive definite") from exc
-    ci = np.linalg.solve(chol, _identity(s.shape[-1]))
-    gain = covs @ model.H.T @ symmetrize(ci.swapaxes(-1, -2) @ ci)
+    if eigen:
+        s_inv = symmetrize((v / w[:, None, :]) @ v.swapaxes(-1, -2))
+    else:
+        chol = held
+        if chol is None:
+            try:
+                chol = np.linalg.cholesky(s)
+            except np.linalg.LinAlgError as exc:
+                raise NumericsError("innovation covariance is not positive definite") from exc
+        ci = np.linalg.solve(chol, _identity(s.shape[-1]))
+        s_inv = symmetrize(ci.swapaxes(-1, -2) @ ci)
+    gain = covs @ model.H.T @ s_inv
     means = means + (gain @ (zs - z_hat)[:, :, None])[:, :, 0]
     i_kh = _identity(means.shape[1]) - gain @ model.H
     covs = symmetrize(i_kh @ covs @ i_kh.swapaxes(1, 2)
@@ -569,16 +585,19 @@ def update_transformed(est_pred: GaussianEstimate, zt: np.ndarray,
 
     Rt may be singular (generic full-column-rank A); the information form
     with the Moore-Penrose pseudoinverse of Rt is used in that case and
-    reproduces the raw update exactly. A nonsingular Rt takes the plain
-    covariance-form route.
+    reproduces the raw update exactly. A nonsingular Rt takes the
+    covariance form on the core's eigen route (N = 1).
     """
-    zt = np.asarray(zt, dtype=float).reshape(-1)
+    zt = np.asarray(zt, dtype=float).reshape(1, -1)
     Ht = np.atleast_2d(np.asarray(Ht, dtype=float))
     Rt = symmetrize(np.atleast_2d(np.asarray(Rt, dtype=float)))
     model = transformed_model(Ht, Rt)
-    if model is not None:
-        return update_raw(est_pred, zt, model)
-    return update_information(est_pred, zt, Ht, pinv_psd(Rt))
+    if model is None:
+        return update_information(est_pred, zt[0], Ht, pinv_psd(Rt))
+    mean, cov = est_pred.mean[None], est_pred.cov[None]
+    z_hat, s = innovation_stack(mean, cov, model)
+    means, covs = _update_with_innovation(mean, cov, zt, model, z_hat, s, eigen=True)
+    return GaussianEstimate._trusted(means[0], covs[0], est_pred.timestamp)
 
 
 def update_information(est_pred: GaussianEstimate, zt: np.ndarray,

@@ -1047,6 +1047,70 @@ class TestHeldInnovations:
             assert got.means is preds.means and got.covs is preds.covs
 
 
+def counted(calls, name, fn):
+    """fn, appending `name` to `calls` on every call."""
+    return lambda *args, **kw: calls.append(name) or fn(*args, **kw)
+
+
+class TestEigenRouteUpdate:
+    """Transformed covariance-form updates take the core's eigen route: no
+    Cholesky factor, `eigvalsh` or inverse solve, the build's eigenpairs
+    where they are held and one `eigh` per sensor where they are not."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_tracks=st.integers(0, 6),
+           meas_counts=st.lists(st.integers(0, 5), min_size=1, max_size=4),
+           kind=st.sampled_from(["type1", "type2"]))
+    def test_factors_each_unheld_sensor_once(self, seed, n_tracks, meas_counts, kind):
+        rng = np.random.default_rng(seed)
+        tracks, _, (batches, views) = maintenance_instance(rng, n_tracks, meas_counts, kind)
+        preds = EstimateStack.of(tracks)
+        idx = np.zeros((n_tracks, len(batches)), dtype=int)
+        for l, m in enumerate(meas_counts):
+            for i, t in enumerate(rng.permutation(n_tracks)[:m]):
+                if rng.random() < 0.7:
+                    idx[t, l] = i + 1
+        problem = build_mda_problem(preds, batches, views, MdaConfig())
+        for b in batches:
+            b.factor  # made on first use, outside the count
+        # the sensors whose rows an earlier sensor updated
+        unheld = 0
+        for l in range(len(batches)):
+            rows = np.flatnonzero(idx[:, l])
+            if rows.size:
+                sel = slice(None) if rows.size == n_tracks else rows
+                unheld += bool(idx[sel, :l].any())
+        calls = []
+        with mock.patch.multiple(np.linalg, **{
+                name: counted(calls, name, getattr(np.linalg, name))
+                for name in ("cholesky", "eigvalsh", "solve", "eigh")}):
+            update_maintained(preds, idx, batches, problem)
+        assert calls == ["eigh"] * unheld
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_unheld_innovation_raises_typed_error(self, bad):
+        rng = np.random.default_rng(7)
+        tracks, _, (batches, views) = maintenance_instance(rng, 2, [2, 2], "type2")
+        preds = EstimateStack.of(tracks)
+        problem = build_mda_problem(preds, batches, views, MdaConfig())
+        # track 0 takes a measurement of sensor 0, then one of sensor 1,
+        # whose innovations are computed again and come out non-finite
+        idx = np.array([[1, 1], [0, 0]])
+        calls = []
+        innovation = mda_mod.innovation_stack
+
+        def corrupted(*args):
+            calls.append(1)
+            z_hat, s = innovation(*args)
+            s[0, 0, 0] = s[0, 1, 1] = bad
+            return z_hat, s
+
+        with mock.patch.object(mda_mod, "innovation_stack", corrupted), \
+                pytest.raises(NumericsError, match="^innovation covariance is not finite$"):
+            update_maintained(preds, idx, batches, problem)
+        assert calls == [1]
+
+
 def reference_initiation_problem(batches, sensors, cfg, available):
     """The initiation build with one `np.linalg.solve` per measurement pair,
     kept as the reference of the per-sensor-pair gate."""

@@ -370,6 +370,36 @@ def update_outcome(fn):
         return type(exc), str(exc)
 
 
+def core_instance(seed, n, m, fault):
+    """(means, covs, zs, model) of n random rows of state dimension m..5
+    and measurement dimension m, with `fault` (None, "nan", "inf",
+    "indefinite" or "ill_conditioned") put into one row's covariance."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(m, 6))
+    h = rng.standard_normal((m, dim))
+    model = MeasurementModel(h, random_spd(rng, m) * rng.uniform(0.1, 30.0))
+    means = rng.standard_normal((n, dim)) * 100.0
+    covs = np.array([random_spd(rng, dim) * 10.0 for _ in range(n)]).reshape(
+        n, dim, dim)
+    zs = rng.standard_normal((n, m)) * 100.0
+    if fault and n:
+        k = int(rng.integers(n))
+        if fault == "nan":
+            covs[k, 0, 0] = np.nan
+        elif fault == "inf":
+            covs[k] = np.inf
+        elif fault == "indefinite":
+            covs[k] = -100.0 * np.max(np.abs(model.R)) * np.eye(dim)
+        elif m > 1:
+            # row k's innovation covariance is a noise covariance of
+            # condition number 1e14
+            covs[k] = 0.0
+            w, v = np.linalg.eigh(model.R)
+            w[0] = 1e-14 * w[-1]
+            model = MeasurementModel(h, (v * w) @ v.T)
+    return means, covs, zs, model
+
+
 class TestUpdateCore:
     """The core fed a caller's innovation rows, and `update_raw_stack`
     computing its own, both equal the reference bit for bit."""
@@ -379,29 +409,7 @@ class TestUpdateCore:
            fault=st.sampled_from([None, None, "nan", "inf", "indefinite",
                                   "ill_conditioned"]))
     def test_core_equals_the_reference(self, seed, n, m, fault):
-        rng = np.random.default_rng(seed)
-        dim = int(rng.integers(m, 6))
-        h = rng.standard_normal((m, dim))
-        model = MeasurementModel(h, random_spd(rng, m) * rng.uniform(0.1, 30.0))
-        means = rng.standard_normal((n, dim)) * 100.0
-        covs = np.array([random_spd(rng, dim) * 10.0 for _ in range(n)]).reshape(
-            n, dim, dim)
-        zs = rng.standard_normal((n, m)) * 100.0
-        if fault and n:
-            k = int(rng.integers(n))
-            if fault == "nan":
-                covs[k, 0, 0] = np.nan
-            elif fault == "inf":
-                covs[k] = np.inf
-            elif fault == "indefinite":
-                covs[k] = -100.0 * np.max(np.abs(model.R)) * np.eye(dim)
-            elif m > 1:
-                # row k's innovation covariance is a noise covariance of
-                # condition number 1e14
-                covs[k] = 0.0
-                w, v = np.linalg.eigh(model.R)
-                w[0] = 1e-14 * w[-1]
-                model = MeasurementModel(h, (v * w) @ v.T)
+        means, covs, zs, model = core_instance(seed, n, m, fault)
         # the NaN feed is meant to reach the typed error, not to warn
         with np.errstate(invalid="ignore"):
             want = update_outcome(lambda: reference_update_raw_stack(means, covs, zs, model))
@@ -415,3 +423,55 @@ class TestUpdateCore:
             for held in (chol, None):
                 assert update_outcome(lambda: _update_with_innovation(
                     means, covs, zs, model, z_hat, s, held)) == want
+
+
+def eigen_outcome(fn):
+    """fn()'s arrays, or the type and message of the NumericsError it
+    raises, the ill-conditioned message cut before its `(cond=` figure."""
+    try:
+        return list(fn())
+    except NumericsError as exc:
+        return type(exc), str(exc).split(" (cond=")[0]
+
+
+class TestEigenRouteCore:
+    """The core on the eigen route, fed the eigenpairs of `np.linalg.eigh`
+    or decomposing the innovation covariances itself, agrees with the
+    reference to 1e-9 and raises its errors in its order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 6), m=st.integers(1, 3),
+           fault=st.sampled_from([None, None, "nan", "inf", "indefinite",
+                                  "ill_conditioned"]))
+    def test_core_agrees_with_the_reference(self, seed, n, m, fault):
+        means, covs, zs, model = core_instance(seed, n, m, fault)
+        with np.errstate(invalid="ignore"):
+            want = eigen_outcome(lambda: reference_update_raw_stack(means, covs, zs, model))
+            z_hat, s = innovation_stack(means, covs, model)
+            try:
+                pairs = np.linalg.eigh(s)
+            except np.linalg.LinAlgError:
+                # an infinite covariance; the core's own decomposition
+                # runs after its finiteness check
+                pairs = None
+            for held in (pairs, None):
+                got = eigen_outcome(lambda: _update_with_innovation(
+                    means, covs, zs, model, z_hat, s, held, eigen=True))
+                if isinstance(want, tuple):
+                    assert got == want
+                    continue
+                assert isinstance(got, list)
+                for a, b in zip(got, want):
+                    scale = max(float(np.max(np.abs(b), initial=0.0)), 1e-300)
+                    assert np.max(np.abs(a - b), initial=0.0) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_transformed_update_raises_typed_error(self, bad):
+        cov = np.diag([4.0, 4.0, 1.0, 1.0])
+        cov[0, 0] = bad
+        pred = GaussianEstimate(np.zeros(4), cov)
+        a = np.array([[2.0, 0.5], [0.0, 1.0]])
+        h = np.hstack([np.eye(2), np.zeros((2, 2))])
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NumericsError, match="^innovation covariance is not finite$"):
+            update_transformed(pred, np.zeros(2), a @ h, a @ (25.0 * np.eye(2)) @ a.T)
