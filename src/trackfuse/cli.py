@@ -62,6 +62,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.fusion not in ("mda", "bp"):
             raise InputError(f"unknown fusion kind: {self.fusion!r}")
+        if not self.payloads:
+            raise InputError("no payload given")
         for p in self.payloads:
             if p not in PAYLOADS:
                 raise InputError(f"unknown payload: {p!r}")

@@ -32,17 +32,18 @@ updates, appends the newborns in initiation order and deletes by one row
 mask.
 
 Track initiation is the genuinely multidimensional part: candidate tuples,
-gated pair by pair (one stacked solve per sensor pair), form an assignment
-problem (every group picks one of its candidates, each measurement used at
-most once); an initiation group is (tuple, null). `solve_assignment` gives
-each group whose cheapest candidate uses no measurement that candidate
-(an initiation group whose tuple costs >= 0 its null), splits the rest into
-clusters that share a measurement (the track clusters of Reid, IEEE TAC
-24(6), 1979) and solves each by branch and bound: groups cheapest first,
-bounded by the larger of their cheapest costs and a per-measurement sum of
-cost shares. Only a cluster past a cap of the search goes to the
-Lagrangian relaxation, whose primal is a greedy repair of its relaxed
-selection.
+grown sensor by sensor from prefixes that pass the pairwise position gate
+(one stacked solve per sensor pair) and can still reach init_min_meas
+measurements, form an assignment problem (every group picks one of its
+candidates, each measurement used at most once); an initiation group is
+(tuple, null). `solve_assignment` gives each group whose cheapest
+candidate uses no measurement that candidate (an initiation group whose
+tuple costs >= 0 its null), splits the rest into clusters that share a
+measurement (the track clusters of Reid, IEEE TAC 24(6), 1979) and solves
+each by branch and bound: groups cheapest first, bounded by the larger of
+their cheapest costs and a per-measurement sum of cost shares. Only a
+cluster past a cap of the search goes to the Lagrangian relaxation, whose
+primal is a greedy repair of its relaxed selection.
 
 Raw and transformed payloads flow through genuinely different numeric
 routes (Cholesky Gaussian vs eigendecomposition/pseudoinverse generalized
@@ -324,7 +325,8 @@ def score_without_prior(meas: Sequence[Optional[np.ndarray]],
 class MdaConfig:
     gate_prob: float = 0.99
     init_gate_prob: float = 0.99
-    # Cap on the candidate tuples of initiation (and of the maintenance
+    # Cap on the prefixes initiation's sensor-by-sensor walk makes, checked
+    # before any tuple is scored (and on the tuples of the maintenance
     # enumeration oracle); maintenance itself builds per-sensor tables.
     max_tuples: int = 200_000
     confirm_hits: int = 2
@@ -345,19 +347,6 @@ def padded_table(meas: np.ndarray, miss: np.ndarray) -> np.ndarray:
     table[:, :m] = meas
     table[np.arange(n), m + np.arange(n)] = miss
     return table
-
-
-def _model_stacks(batches: Sequence[MeasurementBatch]):
-    """(L, m, n) H and (L, m, m) R of the batches: rows of their factors'
-    common `FactorStack` (the batches of one tape scan), else stacked."""
-    factors = [b._factor for b in batches]
-    stack = factors[0].stack if factors[0] is not None else None
-    if stack is None or any(f is None or f.stack is not stack for f in factors):
-        return np.stack([b.H for b in batches]), np.stack([b.R for b in batches])
-    rows = [f.row for f in factors]
-    if rows == list(range(rows[0], rows[0] + len(rows))):
-        rows = slice(rows[0], rows[0] + len(rows))
-    return stack.H[rows], stack.R[rows]
 
 
 def _cost_tables(means: np.ndarray, covs: np.ndarray,
@@ -382,7 +371,7 @@ def _cost_tables(means: np.ndarray, covs: np.ndarray,
     """
     counts = [b.n_meas for b in batches]
     width = max(counts)
-    H, R = _model_stacks(batches)
+    H, R = np.stack([b.H for b in batches]), np.stack([b.R for b in batches])
     z_hat, s = innovation_stack(means, covs, SimpleNamespace(H=H[:, None], R=R[:, None]))
     zs = np.zeros((len(batches), width, H.shape[1]))
     for z, b in zip(zs, batches):
@@ -607,48 +596,54 @@ def build_initiation_problem(batches: Sequence[MeasurementBatch],
                              ) -> AssignmentProblem:
     """Candidate tuples (>= init_min_meas measurements) for new tracks.
 
-    Tuples are pruned by a pairwise position gate where the payload admits
-    a position backprojection; each candidate group is (tuple, null) so the
-    solver may leave any measurement to the clutter explanation. The gate
-    is decided once per sensor pair, for all its available measurement
-    pairs at once (`_pair_gates`); the tuples, in `itertools.product` order
-    over the sensors' options, look their pairs' decisions up. `available`
-    lists each sensor's measurement indices (1-based) that may start a
-    track, all of them by default.
+    Tuples grow sensor by sensor, each prefix over sensor l's options
+    [0] + available[l], so they come out in lexicographic order. A
+    measurement joins a prefix only if it passes the pairwise position gate
+    (`_pair_gates`, one decision table per sensor pair) against every
+    measurement in it; a prefix that can no longer reach init_min_meas
+    measurements is dropped. Every prefix made counts against
+    `cfg.max_tuples` (ResourceLimitError), checked before any tuple is
+    scored. Each complete tuple of finite `score_without_prior` cost becomes
+    a group (tuple, null), so the solver may leave any measurement to the
+    clutter explanation. `available` lists each sensor's measurement
+    indices (1-based) that may start a track, all of them by default.
     """
     n_sensors = len(batches)
     meas_counts = [b.n_meas for b in batches]
     if available is None:
         available = [list(range(1, b.n_meas + 1)) for b in batches]
-    groups = []
-    if sum(1 for avail in available if avail) < cfg.init_min_meas:
-        # no tuple can pick enough measurements
-        return AssignmentProblem(groups, n_sensors, meas_counts)
+    # reach[l]: the sensors from l on that have a measurement to give
+    reach = [sum(1 for avail in available[l:] if avail) for l in range(n_sensors + 1)]
+    if reach[0] < cfg.init_min_meas:
+        return AssignmentProblem([], n_sensors, meas_counts)
     back = [_backprojected_positions(b) for b in batches]
     gates = _pair_gates(back, available, chi2_gate(cfg.init_gate_prob, 2))
-    # where[l][i]: the position of measurement i in available[l]
-    where = [dict(zip(avail, range(len(avail)))) for avail in available]
 
-    options = [[0] + list(avail) for avail in available]
-    total = 0
-    for combo in itertools.product(*options):
-        picked = [(l, i) for l, i in enumerate(combo) if i > 0]
-        if len(picked) < cfg.init_min_meas:
-            continue
-        if not all(gates[l1, l2][where[l1][i1]][where[l2][i2]]
-                   for (l1, i1), (l2, i2) in itertools.combinations(picked, 2)
-                   if (l1, l2) in gates):
-            continue
-        meas = [batches[l].zs[i - 1] if i > 0 else None
-                for l, i in enumerate(combo)]
+    prefixes = [((), ())]  # (indices so far, (sensor, position) of each measurement)
+    made = 0
+    for l, avail in enumerate(available):
+        grown = []
+        for combo, picked in prefixes:
+            # only a miss can lose reach: a measurement uses sensor l's
+            if len(picked) + reach[l + 1] >= cfg.init_min_meas:
+                grown.append((combo + (0,), picked))
+            ks = range(len(avail))
+            for l1, k1 in picked:
+                if (l1, l) in gates:
+                    row = gates[l1, l][k1]
+                    ks = [k for k in ks if row[k]]
+            grown.extend((combo + (avail[k],), picked + ((l, k),)) for k in ks)
+            if made + len(grown) > cfg.max_tuples:
+                raise ResourceLimitError(
+                    f"initiation prefix count exceeded cap ({made + len(grown)})")
+        made += len(grown)
+        prefixes = grown
+    groups = []
+    for combo, _ in prefixes:
+        meas = [batches[l].zs[i - 1] if i > 0 else None for l, i in enumerate(combo)]
         hyp = score_without_prior(meas, sensors, combo)
         if math.isfinite(hyp.cost):
-            groups.append([Candidate(combo, hyp.cost),
-                           Candidate((0,) * n_sensors, 0.0)])
-            total += 1
-            if total > cfg.max_tuples:
-                raise ResourceLimitError(
-                    f"initiation tuple count exceeded cap ({total})")
+            groups.append([Candidate(combo, hyp.cost), Candidate((0,) * n_sensors, 0.0)])
     return AssignmentProblem(groups, n_sensors, meas_counts)
 
 

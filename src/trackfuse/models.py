@@ -260,8 +260,7 @@ class PayloadFactor:
     `info_pinv` is the pseudoinverse of its symmetric part. When H has no
     velocity component and the position information is nonsingular, the
     backprojection of measurements z is z @ `back_gain` @ `back_cov`.T with
-    covariance `back_cov`; otherwise both are None. A factor taken from a
-    `FactorStack` names it and its row there in `stack` and `row`.
+    covariance `back_cov`; otherwise both are None.
     """
 
     H: np.ndarray
@@ -278,9 +277,6 @@ class PayloadFactor:
     info_pinv: np.ndarray
     back_gain: Optional[np.ndarray]
     back_cov: Optional[np.ndarray]
-    # not fields: set by `FactorStack.__getitem__` on the factors it makes
-    stack = None
-    row = 0
 
     def loglik(self, zs: np.ndarray, z_pred: np.ndarray) -> np.ndarray:
         """(G, Np) noise log-likelihoods log N(zs[g]; z_pred, R), zs (G, m).
@@ -391,14 +387,12 @@ class FactorStack:
             _, wg, vg = self.groups[self.group_of[k]]
             w, v = wg[self.row_of[k]], vg[self.row_of[k]]
         back = bool(self.back[k])
-        factor = PayloadFactor(
+        return PayloadFactor(
             H, R, MeasurementModel._trusted(H, R) if self.cov_form[k] else None,
             None if self.chol is None else self.chol[k], w, v,
             int(self.rank[k]), float(self.logdet[k]), self.r_dag[k], self.ht_rdag[k],
             self.htrh[k], self.info_pinv[k],
             self.back_gain[k] if back else None, self.back_cov[k] if back else None)
-        factor.stack, factor.row = self, k
-        return factor
 
 
 def payload_factors(H: np.ndarray, R: np.ndarray, transformed: bool) -> FactorStack:

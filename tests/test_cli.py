@@ -237,6 +237,16 @@ class TestSpec:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+    def test_empty_payload_list_exits_with_error(self, tmp_path, capsys):
+        # it used to simulate every run and write header-only CSVs
+        with pytest.raises(InputError, match="no payload"):
+            cli.ExperimentSpec(payloads=())
+        rc = cli.main(["run", "--runs", "1", "--payload", ",",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_config_exits_nonzero(self, capsys):
         rc = cli.main(["run", "--sweep", "banana=1"])
         assert rc == 2

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import signal
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,7 @@ from trackfuse.checks import (
 from trackfuse.errors import (
     InconsistentTransformError,
     NumericsError,
+    ResourceLimitError,
     TrackfuseError,
     UnobservableHypothesisError,
 )
@@ -1176,16 +1178,18 @@ class TestInitiationGate:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
            kinds=st.lists(st.sampled_from(["raw", "type2", "velocity"]),
-                          min_size=2, max_size=4),
+                          min_size=2, max_size=5),
+           min_meas=st.sampled_from([2, 3]),
            data=st.data())
-    def test_decisions_and_groups_equal_the_per_pair_solves(self, seed, kinds, data):
+    def test_decisions_and_groups_equal_the_per_pair_solves(self, seed, kinds, min_meas,
+                                                            data):
         rng = np.random.default_rng(seed)
         meas_counts = data.draw(st.lists(st.integers(0, 4), min_size=len(kinds),
                                          max_size=len(kinds)))
         batches, views = initiation_instance(rng, kinds, meas_counts)
         available = [sorted(data.draw(st.sets(st.integers(1, m), max_size=m)))
                      if m else [] for m in meas_counts]
-        cfg = MdaConfig()
+        cfg = MdaConfig(init_min_meas=min_meas)
         want_groups, compatible = reference_initiation_problem(batches, views, cfg,
                                                                available)
         back = [_backprojected_positions(b) for b in batches]
@@ -1262,3 +1266,80 @@ class TestInitiationGate:
         # nothing available, sensor 2 no backprojection)
         assert solves == [(18, 2, 1)]
         assert problem.groups
+
+
+class BuildTooLong(BaseException):
+    """Raised into a build that exceeds its time bound."""
+
+
+def separated_instance(rng, n_sensors, n_targets, n_clutter):
+    """Raw batches and views of position sensors that each measure
+    `n_targets` targets 1 km apart without noise, then `n_clutter[l]`
+    clutter points, each at least 1 km from every other point, in a shuffled
+    order; with the measurement's target (-1 for clutter) per sensor."""
+    targets = 1000.0 * np.stack([np.arange(n_targets), np.zeros(n_targets)], axis=1)
+    batches, views, owners = [], [], []
+    for l in range(n_sensors):
+        model = position_model(rng, l)
+        clutter = 1000.0 * np.stack([np.full(n_clutter[l], l + 1.0),
+                                     1.0 + np.arange(n_clutter[l])], axis=1)
+        owner = rng.permutation(np.r_[np.arange(n_targets), np.full(n_clutter[l], -1)])
+        pos = targets[owner]
+        pos[owner < 0] = clutter
+        batches.append(MeasurementBatch(l, pos @ model.H[:, :2].T, model.H, model.R, "raw"))
+        views.append(SensorView(model.H, model.R, 0.9, ClutterModel(10.0, 1e6)))
+        owners.append(owner)
+    return batches, views, owners
+
+
+class TestPrefixWalk:
+    """Initiation tuples grown sensor by sensor, counted before scoring."""
+
+    SECONDS = 5.0
+
+    def test_ten_sensors_with_mostly_failing_pairs_build_in_seconds(self):
+        # 7^4 x 6^6 (1.1e8) tuples in the product; a measurement gates only
+        # with the same target's, so 3 x (2^10 - 11) tuples survive
+        rng = np.random.default_rng(40)
+        n_clutter = [3] * 4 + [2] * 6
+        batches, views, owners = separated_instance(rng, 10, 3, n_clutter)
+        assert math.prod(b.n_meas + 1 for b in batches) >= 6 ** 10
+
+        def too_long(signum, frame):
+            raise BuildTooLong(f"the build ran past {self.SECONDS} s")
+
+        previous = signal.signal(signal.SIGALRM, too_long)
+        signal.setitimer(signal.ITIMER_REAL, self.SECONDS)
+        try:
+            problem = build_initiation_problem(batches, views, MdaConfig())
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        tuples = [g[0].indices for g in problem.groups]
+        assert len(tuples) == 3 * (2 ** 10 - 11)
+        assert tuples == sorted(tuples)
+        for tup in tuples:
+            owner = {owners[l][i - 1] for l, i in enumerate(tup) if i}
+            assert len(owner) == 1 and owner != {-1}
+
+    def test_cap_counts_prefixes_before_any_tuple_is_scored(self, monkeypatch):
+        # three sensors with three measurements of one point each: the walk
+        # makes 4 + 15 + 54 prefixes, the 54 tuples of two or three of them
+        rng = np.random.default_rng(41)
+        batches, views, _ = separated_instance(rng, 3, 1, [0, 0, 0])
+        batches = [MeasurementBatch(l, np.repeat(b.zs, 3, axis=0), b.H, b.R, "raw")
+                   for l, b in enumerate(batches)]
+        scored = []
+
+        def counting(meas, sensors, indices):
+            scored.append(indices)
+            return score_without_prior(meas, sensors, indices)
+
+        monkeypatch.setattr(mda_mod, "score_without_prior", counting)
+        assert len(build_initiation_problem(batches, views, MdaConfig(max_tuples=73)).groups) == 54
+        assert len(scored) == 54
+        scored.clear()
+        for cap in (72, 10, 3):
+            with pytest.raises(ResourceLimitError, match="cap"):
+                build_initiation_problem(batches, views, MdaConfig(max_tuples=cap))
+        assert scored == []
