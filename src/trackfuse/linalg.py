@@ -1,9 +1,12 @@
 """Small shared linear-algebra helpers.
 
-Rank decisions everywhere use a relative cutoff of 1e-12 times the largest
-singular value / eigenvalue, so "nonzero eigenvalues" means the same thing
-in every module. Whether a residual lies in the range of a rank-deficient
-covariance is decided in one place too, `require_in_range`.
+Each cutoff is named once here (`RANK_RTOL`, `SINGULAR_RTOL`, `ZERO_ATOL`),
+so a decision means the same thing in every module, and whether a residual
+lies in the range of a rank-deficient covariance is decided in one place,
+`require_in_range`. Stacked PSD eigendecompositions have one layout, the
+full ascending (w, v) of `np.linalg.eigh` and the mask `keep` of the
+nonzero eigenvalues (`psd_eig_stack`), so a rank-r row keeps its top r
+columns; `psd_eig` is its K = 1 case with those columns sliced out.
 """
 
 from __future__ import annotations
@@ -15,7 +18,13 @@ from scipy.special import gammaincinv
 
 from .errors import InconsistentTransformError, NumericsError
 
+# Eigenvalues of a PSD matrix at most RANK_RTOL times the largest are zero.
 RANK_RTOL = 1e-12
+# A matrix is singular when its smallest singular value (or eigenvalue, for
+# an information matrix) is at most SINGULAR_RTOL times its largest.
+SINGULAR_RTOL = 1e-10
+# A block of H with no entry above ZERO_ATOL in magnitude is zero ("[E, 0]").
+ZERO_ATOL = 1e-12
 # Off-range part of a residual z - z_hat, relative to |z| + |z_hat|, that
 # still counts as in the range (see `require_in_range`).
 RANGE_RTOL = 1e-8
@@ -29,28 +38,28 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + (m.T if m.ndim < 3 else m.swapaxes(-1, -2)))
 
 
-def _psd_keep(w: np.ndarray, rtol: float) -> np.ndarray:
+def psd_keep(w: np.ndarray) -> np.ndarray:
     """Mask of the nonzero eigenvalues of symmetric PSD matrices.
 
     w is (..., m), each row ascending as `np.linalg.eigh` returns it.
-    Eigenvalues below rtol * max count as zero. A matrix whose largest
-    eigenvalue is <= 0 has rank zero and must have no eigenvalue below
-    -rtol; any other must have none below -1e-8 * max. Otherwise raises
-    NumericsError.
+    Eigenvalues at most RANK_RTOL * max count as zero. A matrix whose
+    largest eigenvalue is <= 0 has rank zero and must have no eigenvalue
+    below -RANK_RTOL; any other must have none below -1e-8 * max. Otherwise
+    raises NumericsError.
     """
     if w.shape[-1] == 0:
         return np.zeros(w.shape, dtype=bool)
     wmax, wmin = w[..., -1], w[..., 0]
     flat = wmax <= 0.0
-    if np.any(flat & (wmin < -rtol)):
+    if np.any(flat & (wmin < -RANK_RTOL)):
         raise NumericsError("matrix has negative eigenvalues")
     bad = ~flat & (wmin < -1e-8 * wmax)
     if np.any(bad):
         raise NumericsError(f"matrix not PSD (min eig {np.min(wmin[bad]):.3e})")
-    return (w > (rtol * wmax)[..., None]) & ~flat[..., None]
+    return (w > (RANK_RTOL * wmax)[..., None]) & ~flat[..., None]
 
 
-def _finite(m: np.ndarray) -> np.ndarray:
+def as_finite(m: np.ndarray) -> np.ndarray:
     """m as a float array; raises NumericsError on a nan or inf entry, for
     which `np.linalg.eigh` may return finite eigenpairs."""
     m = np.asarray(m, dtype=float)
@@ -59,56 +68,34 @@ def _finite(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def psd_eig(m: np.ndarray, rtol: float = RANK_RTOL):
-    """Eigendecomposition of a symmetric PSD matrix.
-
-    Returns (nonzero eigenvalues, matching eigenvectors, rank). Eigenvalues
-    below rtol * max are treated as zero. Raises NumericsError if an entry
-    is not finite or a clearly negative eigenvalue is present.
-    """
-    w, v = np.linalg.eigh(symmetrize(_finite(m)))
-    keep = _psd_keep(w, rtol)
-    return w[keep], v[:, keep], int(np.count_nonzero(keep))
-
-
 def psd_eig_stack(mats: np.ndarray):
-    """Stacked `psd_eig` of (B, m, m) symmetric PSD matrices.
+    """Eigendecomposition of (B, m, m) symmetric PSD matrices.
 
-    Returns the full eigenvalues (B, m) and eigenvectors (B, m, m) of one
-    stacked `np.linalg.eigh`, and the (B, m) mask of the nonzero
-    eigenvalues by the rank rule of `psd_eig`, whose NumericsError it
-    raises.
+    Returns the full eigenvalues w (B, m) and eigenvectors v (B, m, m) of
+    one stacked `np.linalg.eigh`, and the (B, m) mask of the nonzero
+    eigenvalues by the rank rule of `psd_keep`. Raises NumericsError if an
+    entry is not finite or a clearly negative eigenvalue is present.
     """
-    w, v = np.linalg.eigh(symmetrize(_finite(mats)))
-    return w, v, _psd_keep(w, RANK_RTOL)
+    w, v = np.linalg.eigh(symmetrize(as_finite(mats)))
+    return w, v, psd_keep(w)
 
 
-def psd_eig_groups(mats: np.ndarray):
-    """`psd_eig` of a (B, m, m) stack, one group per rank.
-
-    Eigenvalues come out of `np.linalg.eigh` ascending, so the nonzero ones
-    are the top r. Yields (idx, w, v) for each rank r present: the slices
-    idx of that rank, their nonzero eigenvalues w (G, r) and eigenvectors v
-    (G, m, r), each row laid out as `psd_eig` returns it, so w[j] and v[j]
-    equal `psd_eig(mats[idx[j]])` bit for bit.
-    """
-    w, v, keep = psd_eig_stack(mats)
-    rank = np.count_nonzero(keep, axis=-1)
-    m = w.shape[-1]
-    for r in np.unique(rank).tolist():
-        idx = np.flatnonzero(rank == r)
-        yield idx, w[idx, m - r:], np.ascontiguousarray(v[idx, :, m - r:])
+def psd_eig(m: np.ndarray):
+    """`psd_eig_stack` of one matrix: (nonzero eigenvalues, matching
+    eigenvectors, rank)."""
+    w, v, keep = psd_eig_stack(np.asarray(m, dtype=float)[None])
+    keep = keep[0]
+    return w[0, keep], v[0][:, keep], int(np.count_nonzero(keep))
 
 
-def pinv_psd_stack(mats: np.ndarray, groups=None) -> np.ndarray:
-    """`pinv_psd` of a (B, m, m) stack: one batched product per rank group,
-    each slice equal to `pinv_psd` bit for bit. `groups` are the
-    `psd_eig_groups` of mats when the caller has them."""
-    out = np.zeros(np.shape(mats))
-    for idx, w, v in psd_eig_groups(mats) if groups is None else groups:
-        if w.shape[1]:
-            out[idx] = symmetrize((v / w[:, None, :]) @ v.swapaxes(1, 2))
-    return out
+def pinv_psd_stack(mats: np.ndarray, eig=None) -> np.ndarray:
+    """`pinv_psd` of a (B, m, m) stack from its `psd_eig_stack` (w, v, keep),
+    or from `eig` when the caller has it: v diag(1/w) v^T over the kept
+    columns, each slice equal to `pinv_psd` bit for bit (the masked columns
+    add exact zeros in front of the kept ones)."""
+    w, v, keep = psd_eig_stack(mats) if eig is None else eig
+    vw = np.divide(v, w[:, None, :], out=np.zeros_like(v), where=keep[:, None, :])
+    return symmetrize(vw @ v.swapaxes(-1, -2))
 
 
 def psd_quadforms(mats: np.ndarray, diffs: np.ndarray) -> np.ndarray:
@@ -149,9 +136,9 @@ def chi2_gate(prob: float, dof: int) -> float:
     return float(2.0 * gammaincinv(dof / 2, prob))
 
 
-def pinv_psd(m: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+def pinv_psd(m: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a symmetric PSD matrix via eigh."""
-    w, v, _ = psd_eig(m, rtol)
+    w, v, _ = psd_eig(m)
     if w.size == 0:
         return np.zeros_like(np.asarray(m, dtype=float))
     return symmetrize((v / w) @ v.T)
@@ -176,34 +163,25 @@ def inv_spd(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     return symmetrize(ci.swapaxes(-1, -2) @ ci)
 
 
-def sym_sqrt_and_invsqrt(m: np.ndarray, clamp: float = 1e-14):
+def sym_sqrt_and_invsqrt(m: np.ndarray):
     """Symmetric square root and inverse square root of an SPD matrix.
 
     m may be a (..., n, n) stack, each slice computed as on its own.
-    Eigenvalues are clamped at `clamp` before the inverse root so that a
+    Eigenvalues are clamped at 1e-14 before the inverse root so that a
     barely-PD input yields a deterministic, symmetric result.
     """
     w, v = np.linalg.eigh(symmetrize(m))
     if np.any(np.max(w, axis=-1) <= 0):
         raise NumericsError("matrix has no positive eigenvalues")
-    root = np.sqrt(np.maximum(w, clamp))[..., None, :]
+    root = np.sqrt(np.maximum(w, 1e-14))[..., None, :]
     vt = v.swapaxes(-1, -2)
     return symmetrize((v * root) @ vt), symmetrize((v / root) @ vt)
 
 
-def matrix_rank_by_sv(a: np.ndarray, rtol: float = 1e-10) -> int:
-    """Rank via singular values with a relative threshold."""
-    return int(ranks_by_sv(np.atleast_2d(a)[None], rtol)[0])
-
-
-def ranks_by_sv(a: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
-    """`matrix_rank_by_sv` of each slice of a (B, m, n) stack."""
+def ranks_by_sv(a: np.ndarray) -> np.ndarray:
+    """Rank of each slice of a (B, m, n) stack: its singular values above
+    SINGULAR_RTOL times the largest."""
     if 0 in a.shape[1:]:
         return np.zeros(a.shape[0], dtype=int)
     sv = np.linalg.svd(a, compute_uv=False)
-    return np.count_nonzero(sv > rtol * sv[:, :1], axis=1)
-
-
-def is_full_column_rank(a: np.ndarray, rtol: float = 1e-10) -> bool:
-    a = np.atleast_2d(a)
-    return a.shape[0] >= a.shape[1] and matrix_rank_by_sv(a, rtol) == a.shape[1]
+    return np.count_nonzero(sv > SINGULAR_RTOL * sv[:, :1], axis=1)

@@ -73,6 +73,7 @@ from .errors import (
     UnobservableHypothesisError,
 )
 from .linalg import (
+    SINGULAR_RTOL,
     chi2_gate,
     cholesky,
     pinv_psd,
@@ -286,7 +287,7 @@ def mle_state(meas: Sequence[Optional[np.ndarray]],
     """
     info, ivec = _stacked_information(meas, sensors)
     w = np.linalg.eigvalsh(info)
-    singular = w[0] <= 1e-10 * max(w[-1], 1e-300)
+    singular = w[0] <= SINGULAR_RTOL * max(w[-1], 1e-300)
     if singular and not observable_subspace:
         raise UnobservableHypothesisError(
             "stacked information matrix is singular")
@@ -939,7 +940,7 @@ def _initial_estimate(meas, sensors, cfg: MdaConfig):
     info, ivec = _stacked_information(meas, sensors)
     w, v = np.linalg.eigh(info)
     wmax = max(float(w[-1]), 1e-300)
-    obs = w > 1e-10 * wmax
+    obs = w > SINGULAR_RTOL * wmax
     cov = np.zeros_like(info)
     mean = np.zeros(info.shape[0])
     if np.any(obs):

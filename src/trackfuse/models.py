@@ -33,7 +33,9 @@ nonzero eigenpairs of a transformed one, the rank and log
 pseudo-determinant, R^dagger, H^T R^dagger H and its pseudoinverse, and the
 position backprojection; its `loglik` is the payload's noise likelihood
 for BP and MDA initiation. `payload_factors` builds them for K models with
-one stacked call per quantity; the simulator's tape pass calls it once per
+one stacked call per quantity, a transformed R stack's covariance-form
+flags, ranks, log pseudo-determinants and pseudoinverses all from its one
+eigendecomposition; the simulator's tape pass calls it once per
 payload arm on every (scan, sensor) model of a tape, before the scan loop.
 A batch built anywhere else computes its factor on first use through the
 same call with K = 1. Raw and transformed payloads keep their own numeric
@@ -54,11 +56,14 @@ from scipy.linalg.blas import dtrsm
 from .errors import ConfigError, InputError, NumericsError
 from .linalg import (
     RANK_RTOL,
+    SINGULAR_RTOL,
+    ZERO_ATOL,
+    as_finite,
     cholesky,
     inv_spd,
     pinv_psd,
     pinv_psd_stack,
-    psd_eig_groups,
+    psd_keep,
     require_in_range,
     symmetrize,
 )
@@ -347,16 +352,18 @@ class FactorStack:
     Item k is a `PayloadFactor` of views into the stacks, made on access,
     so a tape's factors cost their arrays and not K sets of objects.
     `cov_form` flags the models with a covariance-form model and `back`
-    those with a backprojection. For a transformed R, `groups` is the
-    `psd_eig_groups` output of the R stack and `chol` None; for a raw one
-    `groups` is None.
+    those with a backprojection. For a transformed R, `w` (K, m) and `v`
+    (K, m, m) are the full `psd_eig_stack` eigenpairs of the R stack, of
+    which item k keeps the top `rank[k]`, and `chol` is None; for a raw one
+    `w` and `v` are None.
     """
 
     H: np.ndarray
     R: np.ndarray
     cov_form: np.ndarray
     chol: Optional[np.ndarray]
-    groups: Optional[list]
+    w: Optional[np.ndarray]
+    v: Optional[np.ndarray]
     rank: np.ndarray
     logdet: np.ndarray
     r_dag: np.ndarray
@@ -367,14 +374,6 @@ class FactorStack:
     back_gain: np.ndarray
     back_cov: np.ndarray
 
-    def __post_init__(self):
-        # model k's eigenpairs are row row_of[k] of group group_of[k]
-        self.group_of = np.zeros(len(self.H), dtype=int)
-        self.row_of = np.zeros(len(self.H), dtype=int)
-        for g, (idx, _, _) in enumerate(self.groups or []):
-            self.group_of[idx] = g
-            self.row_of[idx] = np.arange(len(idx))
-
     def __len__(self) -> int:
         return len(self.H)
 
@@ -383,9 +382,9 @@ class FactorStack:
             raise IndexError(k)
         H, R = self.H[k], self.R[k]
         w = v = None
-        if self.groups is not None:
-            _, wg, vg = self.groups[self.group_of[k]]
-            w, v = wg[self.row_of[k]], vg[self.row_of[k]]
+        if self.w is not None:
+            lo = self.w.shape[1] - int(self.rank[k])
+            w, v = self.w[k, lo:], np.ascontiguousarray(self.v[k, :, lo:])
         back = bool(self.back[k])
         return PayloadFactor(
             H, R, MeasurementModel._trusted(H, R) if self.cov_form[k] else None,
@@ -398,31 +397,29 @@ class FactorStack:
 def payload_factors(H: np.ndarray, R: np.ndarray, transformed: bool) -> FactorStack:
     """`PayloadFactor`s of K effective models, (K, m, n) H and (K, m, m) R.
 
-    Every quantity comes from one stacked call over the K models (the
-    eigenvalue routes one call per rank present), whose slices equal the
-    one-model calls bit for bit. A raw R must be positive definite
-    (ConfigError, the check of `MeasurementModel`); a transformed R must
-    pass the check of `transformed_model` (InputError) and the rank rule of
-    `psd_eig` (NumericsError).
+    Every quantity comes from one stacked call over the K models, whose
+    slices equal the one-model calls bit for bit; a transformed R stack is
+    decomposed once, by `np.linalg.eigh`. R must be finite (NumericsError).
+    A raw R must then be positive definite (ConfigError, the check of
+    `MeasurementModel`); a transformed R must pass the check of
+    `transformed_model` (InputError) and then the rank rule of `psd_keep`
+    (NumericsError).
     """
     H = np.asarray(H, dtype=float)
-    R = symmetrize(np.asarray(R, dtype=float))
+    R = symmetrize(as_finite(R))
     K, m, n = H.shape
     if R.shape != (K, m, m):
         raise ConfigError("R must be m x m for H with m rows")
-    eigs = np.linalg.eigvalsh(R)
-    chol = groups = None
+    chol = w = v = None
     if transformed:
-        cov_form = _covariance_form(eigs)
-        groups = list(psd_eig_groups(R))
-        rank = np.zeros(K, dtype=int)
-        logdet = np.zeros(K)
-        for idx, wg, _ in groups:
-            rank[idx] = wg.shape[1]
-            logdet[idx] = np.sum(np.log(wg), axis=1)
-        r_dag = pinv_psd_stack(R, groups)
+        w, v = np.linalg.eigh(R)
+        cov_form = _covariance_form(w)
+        keep = psd_keep(w)
+        rank = np.count_nonzero(keep, axis=1)
+        logdet = np.sum(np.log(w, out=np.zeros_like(w), where=keep), axis=1)
+        r_dag = pinv_psd_stack(R, (w, v, keep))
     else:
-        if np.any(eigs[:, 0] <= 0):
+        if np.any(np.linalg.eigvalsh(R)[:, 0] <= 0):
             raise ConfigError("R must be positive definite")
         cov_form = np.ones(K, dtype=bool)
         chol = cholesky(R, "noise covariance")
@@ -436,15 +433,15 @@ def payload_factors(H: np.ndarray, R: np.ndarray, transformed: bool) -> FactorSt
     hp = H[:, :, :POS_DIM]
     back = np.ones(K, dtype=bool)
     if n > POS_DIM:
-        back = np.max(np.abs(H[:, :, POS_DIM:]), axis=(1, 2)) <= 1e-12
+        back = np.max(np.abs(H[:, :, POS_DIM:]), axis=(1, 2)) <= ZERO_ATOL
     pos_info = symmetrize(hp.swapaxes(1, 2) @ r_dag @ hp)
     pw = np.linalg.eigvalsh(pos_info)
-    back &= pw[:, 0] > 1e-10 * np.maximum(pw[:, -1], 1e-300)
+    back &= pw[:, 0] > SINGULAR_RTOL * np.maximum(pw[:, -1], 1e-300)
     back_gain = r_dag @ hp
     back_cov = np.zeros(pos_info.shape)
     back_cov[back] = np.linalg.inv(pos_info[back])
 
-    return FactorStack(H, R, cov_form, chol, groups, rank, logdet, r_dag, ht_rdag,
+    return FactorStack(H, R, cov_form, chol, w, v, rank, logdet, r_dag, ht_rdag,
                        htrh, info_pinv, back, back_gain, back_cov)
 
 
@@ -523,7 +520,7 @@ def _update_with_innovation(means, covs, zs, model, z_hat, s, held=None, eigen=F
         raise NumericsError("innovation covariance ill-conditioned "
                             f"(cond={cond[bad][0]:.3e})")
     if eigen:
-        s_inv = symmetrize((v / w[:, None, :]) @ v.swapaxes(-1, -2))
+        s_inv = pinv_psd_stack(s, (w, v, w > 0))
     else:
         chol = held
         if chol is None:

@@ -34,7 +34,8 @@ import numpy as np
 from .errors import InputError, NumericsError
 from .linalg import (
     RANK_RTOL,
-    is_full_column_rank,
+    SINGULAR_RTOL,
+    ZERO_ATOL,
     psd_eig,
     ranks_by_sv,
     require_in_range,
@@ -61,10 +62,7 @@ class Transformation:
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
         self.Ht = np.atleast_2d(np.asarray(self.Ht, dtype=float))
         self.Rt = symmetrize(np.atleast_2d(np.asarray(self.Rt, dtype=float)))
-        sv = np.linalg.svd(self.A, compute_uv=False)
-        if self.A.shape[0] < self.A.shape[1] or sv[-1] <= 1e-10 * sv[0]:
-            raise InputError("transformation matrix must have full column rank")
-        self.sqrt_det_ata = float(np.prod(sv))
+        self.sqrt_det_ata = float(_column_rank_stack(self.A[None])[0])
 
     @classmethod
     def _trusted(cls, A, kind, Ht, Rt, sqrt_det_ata: float):
@@ -92,9 +90,9 @@ def make_identity(model: MeasurementModel) -> Transformation:
 def _column_rank_stack(a: np.ndarray) -> np.ndarray:
     """sqrt(det(A^T A)) of each slice of a (K, p, m) stack, the product of
     its singular values; raises InputError unless every slice has full
-    column rank (the check of `Transformation`)."""
+    column rank, the one rule of every transformation."""
     sv = np.linalg.svd(a, compute_uv=False)
-    if a.shape[1] < a.shape[2] or np.any(sv[:, -1] <= 1e-10 * sv[:, 0]):
+    if a.shape[1] < a.shape[2] or np.any(sv[:, -1] <= SINGULAR_RTOL * sv[:, 0]):
         raise InputError("transformation matrix must have full column rank")
     return np.prod(sv, axis=1)
 
@@ -135,7 +133,7 @@ def type2_stack(H: np.ndarray, R: np.ndarray):
     K, m, n = H.shape
     e = H[:, :, :m]
     tail = H[:, :, m:]
-    if tail.size and np.max(np.abs(tail)) > 1e-12:
+    if tail.size and np.max(np.abs(tail)) > ZERO_ATOL:
         raise InputError("H is not of the [E, 0] shape")
     if np.any(ranks_by_sv(e) < m):
         raise InputError("leading block of H is singular")
@@ -161,10 +159,15 @@ def make_type2(model: MeasurementModel) -> Transformation:
 
 
 def make_generic(A: np.ndarray, model: MeasurementModel) -> Transformation:
-    """Arbitrary full-column-rank transformation; Rt = A R A^T may be singular."""
+    """Arbitrary full-column-rank transformation; Rt = A R A^T may be singular.
+
+    Raises InputError unless A has one column per measurement component and
+    full column rank (the check of `Transformation`).
+    """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    if not is_full_column_rank(A):
-        raise InputError("A must have full column rank")
+    if A.shape[1] != model.m:
+        raise InputError(f"A must have {model.m} columns, one per measurement "
+                         f"component, not {A.shape[1]}")
     return Transformation(A, GENERIC, A @ model.H, symmetrize(A @ model.R @ A.T))
 
 

@@ -296,12 +296,31 @@ class TestPayloadFactors:
             payload_factors(hts, rts, False)
 
     def test_singular_slice_takes_the_information_form_alone(self):
-        rts = np.stack([np.eye(2), np.diag([1.0, 0.0]), np.eye(2)])
+        # a stack of mixed ranks: each item keeps the top rank[k] eigenpairs
+        # of its row, equal to those of its own matrices bit for bit
+        q = np.linalg.qr(np.random.default_rng(8).standard_normal((2, 2)))[0]
+        rts = symmetrize(q @ np.stack([np.diag([3.0, 7.0]), np.diag([0.0, 4.0]),
+                                       np.diag([0.5, 2.0])]) @ q.T)
         hts = np.tile(np.hstack([np.eye(2), np.zeros((2, 2))]), (3, 1, 1))
         factors = payload_factors(hts, rts, True)
         assert [f.model is None for f in factors] == [False, True, False]
         assert [f.rank for f in factors] == [2, 1, 2]
         assert factors[1].back_cov is None and factors[0].back_cov is not None
+        for f, r in zip(factors, rts):
+            w, v, rank = psd_eig(r)
+            assert same(f.w, w) and same(f.v, v) and f.v.flags.c_contiguous
+            assert f.rank == rank and f.logdet == float(np.sum(np.log(w)))
+            assert same(f.r_dag, pinv_psd(r)) and same(f.info_pinv, pinv_psd(f.htrh))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("transformed", [True, False])
+    def test_non_finite_noise_covariance_raises(self, bad, transformed):
+        # eigh and Cholesky may return factors of a non-finite R: an inf raw
+        # R once passed, with an infinite Cholesky factor and log-determinant
+        rts = np.stack([np.eye(2), np.array([[bad, 0.0], [0.0, 1.0]])])
+        hts = np.tile(np.hstack([np.eye(2), np.zeros((2, 2))]), (2, 1, 1))
+        with pytest.raises(NumericsError, match="not finite"):
+            payload_factors(hts, rts, transformed)
 
     def test_batch_factor_is_lazy_and_kept(self):
         rng = np.random.default_rng(3)

@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from trackfuse.errors import InconsistentTransformError, InputError
-from trackfuse.linalg import matrix_rank_by_sv
+from trackfuse.linalg import ranks_by_sv
 from trackfuse.models import MeasurementModel
 from trackfuse.transform import (
     ClutterModel,
@@ -30,6 +30,25 @@ def position_model(rng, sigma2=25.0):
     h = np.hstack([e, np.zeros((2, 2))])
     r = np.diag(sigma2 + rng.uniform(0.0, 1.0, 2))
     return MeasurementModel(h, r)
+
+
+def rank(a):
+    return int(ranks_by_sv(np.atleast_2d(a)[None])[0])
+
+
+class TestGeneric:
+    def test_wrong_column_count_raises_input_error(self):
+        # A with 3 columns against m = 2 once reached numpy's matmul and
+        # raised its untyped ValueError
+        model = position_model(np.random.default_rng(2))
+        with pytest.raises(InputError, match="2 columns"):
+            make_generic(np.ones((4, 3)) + np.eye(4, 3), model)
+
+    def test_rank_deficient_raises_input_error(self):
+        model = position_model(np.random.default_rng(3))
+        for a in (np.ones((4, 2)), np.ones((1, 2))):
+            with pytest.raises(InputError, match="full column rank"):
+                make_generic(a, model)
 
 
 class TestType1:
@@ -208,7 +227,7 @@ class TestInvariants:
         for _ in range(50):
             m, n = int(rng.integers(1, 4)), int(rng.integers(2, 6))
             h = rng.standard_normal((m, n))
-            r_h = matrix_rank_by_sv(h)
+            r_h = rank(h)
             raw = m + m * n + m * (m + 1) // 2
             type1 = r_h + r_h * n
             assert type1 <= raw
@@ -219,4 +238,4 @@ class TestInvariants:
             model = position_model(rng)
             for tr in (make_type1(model), make_type2(model),
                        make_generic(rng.standard_normal((4, 2)), model)):
-                assert matrix_rank_by_sv(tr.Ht) == matrix_rank_by_sv(model.H)
+                assert rank(tr.Ht) == rank(model.H)
