@@ -15,10 +15,17 @@ work. Every stage walks the rows in stage blocks, the slices of at most
 BLOCK_PARTICLES particles and at least one belief (`_blocks`). Random draws
 stay in belief order, so the partition never changes a number.
 
+A scan runs in one buffer of N + sum(M_l) rows (particles, weights, r,
+missed and labels), allocated after the scan's size is checked against
+MAX_STEP_PARTICLES and before any draw: the predicted beliefs, then each
+sensor's newborns after the rows of the steps before it. Every stage
+writes its rows of it; the caller's beliefs are only read.
+
 Per sensor step:
-- Prediction (once per scan) writes new (N, Np, n) particles, drawing the
-  process noise once per block, and new (N, Np) weights.
-- Births draw each measurement's cloud into one (M, Np, n) array.
+- Prediction (once per scan) writes the predicted particles and weights
+  into the buffer's first rows, drawing the process noise once per block.
+- Births draw each measurement's cloud into the rows after the step's
+  beliefs.
 - Measurement evaluation projects a block's particles into measurement
   space once, z = H x. The gate takes each belief's weighted mean and
   covariance of z and one stacked eigendecomposition of the innovation
@@ -31,23 +38,25 @@ Per sensor step:
 - The update forms kappa(0) (1 - p_d) and adds the gated (tau, i) terms of
   `q_cache` in its order, into one (N, Np) array of unnormalized
   posteriors; the newborns' are one (M, Np) array.
-- Belief calculation writes the updated survivors, then the newborns, into
-  one new (N+M, Np, n) particle array and one (N+M, Np) weight array:
-  weights are normalized block by block in place, particles are copied,
-  and a resampled row is written from its indices.
+- Belief calculation multiplies the survivors' weights by their
+  posteriors and normalizes them in place, block by block, then writes
+  the newborns' posteriors into their rows and normalizes those in place.
+  Only a resampled row's particles are rewritten, gathered from its
+  indices into a temporary first.
 - After the last sensor, pruning keeps the surviving rows by a mask; the
-  copy holds no pruned rows.
+  copy holds no pruned rows, and the buffer is released with it.
 
 The cap bounds the temporaries of a stage, which grow with its stage block
-(the projections and gated likelihoods); the step's arrays hold all its
+(the projections and gated likelihoods); the scan buffer holds all its
 beliefs whatever the cap. It is the smallest power of two at which a
 typical scenario-2 step is one stage block: at Np = 500 a block holds 65
 beliefs, and a step carries 54 on average (p50 51, p95 110, max 136).
-Measured on the `s2-bp` benchmark workload (2-core VM, one BLAS thread),
-the CPU time of both arms' fusion on tape 0 read 10.9 / 10.4 / 10.1 / 9.9 s
-at caps 16384 / 32768 / 65536 / none (medians of four; 11.9 s with
-copy-on-write blocks at 8192), and the benchmark's peak RSS 109.0 / 109.5 /
-110.0-111.9 / 110.4-110.8 MB (103.1-103.5 MB before). Past 32768 the time
+Measured on the `s2-bp` benchmark workload (2-core VM, one BLAS thread)
+with per-step belief arrays, before the scan buffer, the CPU time of both
+arms' fusion on tape 0 read 10.9 / 10.4 / 10.1 / 9.9 s at caps 16384 /
+32768 / 65536 / none (medians of four; 11.9 s with copy-on-write blocks at
+8192), and the benchmark's peak RSS 109.0 / 109.5 / 110.0-111.9 /
+110.4-110.8 MB (103.1-103.5 MB before). Past 32768 the time
 gain is inside the noise while the peak keeps rising, and an unbounded
 block would let the temporaries grow with the whole belief set.
 
@@ -81,19 +90,20 @@ from .transform import ClutterModel
 
 # Most particles in one stage block (see the module docstring).
 BLOCK_PARTICLES = 32768
-# Most particles per belief. A step's input and output arrays together hold
-# up to 2 x 136 beliefs (the most a scenario-2 step carried) x Np x 40 B:
-# about 0.54 GB at this cap.
+# Most particles per belief. A scan's input beliefs and its buffer together
+# hold up to 2 x 136 beliefs (the most a scenario-2 step carried) x Np x
+# 40 B: about 0.54 GB at this cap.
 MAX_PARTICLES = 50_000
-# Most particles one sensor step may hold per belief array, (beliefs +
-# measurements) x Np: the scenario-2 step above at MAX_PARTICLES. A larger
-# step (a clutter rate near its cap with many particles) raises before births
-# are drawn. It is checked at the step, not before a run: a step's
-# measurements are the tracks its sensor's local tracker transmits, and its
-# beliefs are the earlier steps' survivors and newborns, one newborn per
-# measurement, so both counts follow the local trackers' confirmed tracks.
-# Those grow with the Poisson clutter draws, which no scenario-file number
-# bounds, and a step under the cap on one tape can exceed it on another.
+# Most particles one scan buffer may hold, (beliefs + every sensor's
+# measurements) x Np, which is its last sensor step's size: the scenario-2
+# step above at MAX_PARTICLES. A larger scan (a clutter rate near its cap
+# with many particles) raises before its buffer is allocated or any draw is
+# made. It is checked at each scan, not before a run: a scan's measurements
+# are the tracks the local trackers transmit, and its beliefs are the last
+# scan's survivors, so both counts follow the local trackers' confirmed
+# tracks. Those grow with the Poisson clutter draws, which no scenario-file
+# number bounds, and a scan under the cap on one tape can exceed it on
+# another.
 MAX_STEP_PARTICLES = 136 * MAX_PARTICLES
 
 
@@ -183,6 +193,10 @@ class BpSensorInput:
     clutter: ClutterModel
     detect_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
+    def __post_init__(self):
+        if not 0.0 < self.p_d <= 1.0:
+            raise InputError("detection probability must be in (0, 1]")
+
     def detection_probs(self, positions: np.ndarray) -> np.ndarray:
         if self.detect_fn is None:
             return np.full(positions.shape[0], self.p_d)
@@ -232,27 +246,34 @@ def _blocks(n: int, n_particles: int) -> list:
 
 
 def bp_predict(beliefs: Beliefs, motion: MotionModel, survival_prob: float,
-               rng: np.random.Generator) -> Beliefs:
+               rng: np.random.Generator, out: Beliefs) -> Beliefs:
     """Propagate particles through the motion model and decay existence.
 
-    The process noise is drawn once per block, the same stream as one draw
-    per belief.
+    The predicted particles, weights, r and missed counts are written into
+    `out`, as many scan-buffer rows as `beliefs` has (their labels are the
+    buffer's), which is returned; `beliefs` is only read. The process noise
+    is drawn once per block, the same stream as one draw per belief.
     """
+    if out.particles.shape != beliefs.particles.shape:
+        raise InputError(f"predicting {beliefs.particles.shape} particles into "
+                         f"{out.particles.shape}")
     w, v = np.linalg.eigh(motion.Q)
     sqrt_q = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
-    particles = np.empty(beliefs.particles.shape)
     for blk in _blocks(len(beliefs), beliefs.n_particles):
-        parts = beliefs.particles[blk]
+        parts, rows = beliefs.particles[blk], out.particles[blk]
         noise = rng.standard_normal(parts.shape) @ sqrt_q.T
-        np.add(parts @ motion.F.T, noise, out=particles[blk])
-    return Beliefs(particles, beliefs.weights * survival_prob,
-                   beliefs.r * survival_prob, beliefs.missed, beliefs.labels)
+        np.matmul(parts, motion.F.T, out=rows)
+        rows += noise
+    np.multiply(beliefs.weights, survival_prob, out=out.weights)
+    np.multiply(beliefs.r, survival_prob, out=out.r)
+    out.missed[...] = beliefs.missed
+    return out
 
 
-def propose_births(inp: BpSensorInput, cfg: BpConfig, state_dim: int,
+def propose_births(inp: BpSensorInput, cfg: BpConfig, clouds: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray:
-    """Measurement-driven birth particle clouds, one per measurement, as one
-    (M, Np, n) array.
+    """Measurement-driven birth particle clouds, one per measurement, drawn
+    into `clouds` (M, Np, n), the scan buffer's newborn rows, and returned.
 
     Positions are drawn around the WLS backprojection of the measurement
     with the backprojection covariance inflated by cfg.birth_cov_inflation;
@@ -260,6 +281,9 @@ def propose_births(inp: BpSensorInput, cfg: BpConfig, state_dim: int,
     pdf, so downstream importance ratios reduce to the likelihood.
     """
     batch = inp.batch
+    if clouds.shape[:2] != (batch.n_meas, cfg.n_particles):
+        raise InputError(f"drawing {batch.n_meas} clouds of {cfg.n_particles} "
+                         f"particles into {clouds.shape}")
     h = batch.H
     r_dag, info_pinv = batch.factor.r_dag, batch.factor.info_pinv
     pos_cov = cfg.birth_cov_inflation * info_pinv[:POS_DIM, :POS_DIM]
@@ -267,8 +291,8 @@ def propose_births(inp: BpSensorInput, cfg: BpConfig, state_dim: int,
         c_pos = np.linalg.cholesky(symmetrize(pos_cov))
     except np.linalg.LinAlgError as exc:
         raise DegenerateBeliefError("birth position covariance not PD") from exc
-    n_vel = min(2, state_dim - POS_DIM)
-    clouds = np.zeros((batch.n_meas, cfg.n_particles, state_dim))
+    n_vel = min(2, clouds.shape[2] - POS_DIM)
+    clouds[:, :, POS_DIM + n_vel:] = 0.0
     for z, particles in zip(batch.zs, clouds):
         x0 = info_pinv @ (h.T @ (r_dag @ z))
         particles[:, :POS_DIM] = (x0[:POS_DIM]
@@ -502,45 +526,45 @@ def _normalize(weights: np.ndarray, rest: np.ndarray, us: np.ndarray,
     return np.minimum(r, 1.0), resampled
 
 
-def _posteriors(particles: np.ndarray, weights: np.ndarray, r: np.ndarray,
-                src: np.ndarray, rest: np.ndarray, us: np.ndarray, cfg: BpConfig):
-    """Normalize the unnormalized `weights` block by block into beliefs:
-    their r into `r`, the particles of `src` into `particles` (a resampled
-    row's from its indices)."""
+def _posteriors(rows: Beliefs, start: int, posts: Optional[np.ndarray],
+                rest: np.ndarray, us: np.ndarray, cfg: BpConfig):
+    """Normalize the unnormalized weights of rows start.. in place, block by
+    block, their r into rows.r; resample the low-ESS rows' particles in
+    place. A block's weights are first multiplied by `posts` unless that is
+    None (the weights are then the posteriors already)."""
     for blk in _blocks(len(rest), cfg.n_particles):
-        r[blk], resampled = _normalize(weights[blk], rest[blk], us[blk], cfg)
-        particles[blk] = src[blk]
+        at = slice(start + blk.start, start + blk.stop)
+        weights = rows.weights[at]
+        if posts is not None:
+            weights *= posts[blk]
+        rows.r[at], resampled = _normalize(weights, rest[blk], us[blk], cfg)
         for k, idx in resampled:
-            np.take(src[blk][k], idx, axis=0, out=particles[blk][k])
+            row = rows.particles[at.start + k]
+            row[...] = row[idx]
 
 
-def belief_calculation(beliefs: Beliefs, survived, newborn, birth_clouds: np.ndarray,
-                       labels: Sequence, cfg: BpConfig,
+def belief_calculation(rows: Beliefs, survived, newborn, cfg: BpConfig,
                        rng: np.random.Generator) -> Beliefs:
     """Normalize posteriors into updated beliefs; resample when ESS is low.
 
-    survived and newborn are the two pairs of `measurement_update`. One
-    resampling uniform is drawn per belief, survived beliefs first and
+    `rows` are the scan buffer's rows of one sensor step: its N beliefs,
+    then one row per measurement holding the newborn's birth cloud and
+    label, M = len(newborn[0]). survived and newborn are the two pairs of
+    `measurement_update`. The weights and r of every row and the particles
+    of every resampled row are written in place, and `rows` is returned.
+    One resampling uniform is drawn per belief, survived beliefs first and
     newborns after, regardless of whether the resample triggers, so paired
-    runs consume identical random streams. Returns the updated beliefs,
-    then the newborns (labelled by `labels`), in one new particle array and
-    one new weight array.
+    runs consume identical random streams.
     """
-    _check_count(beliefs, cfg)
+    _check_count(rows, cfg)
     (survived, k0), (newborn, iota_sums) = survived, newborn
-    n, m = len(beliefs), len(labels)
-    particles = np.empty((n + m,) + beliefs.particles.shape[1:])
-    weights = np.empty((n + m, cfg.n_particles))
-    r = np.empty(n + m)
-    np.multiply(beliefs.weights, survived, out=weights[:n])
-    _posteriors(particles[:n], weights[:n], r[:n], beliefs.particles,
-                (1.0 - beliefs.r) * k0, rng.random(n), cfg)
-    weights[n:] = newborn
-    _posteriors(particles[n:], weights[n:], r[n:], birth_clouds, iota_sums,
-                rng.random(m), cfg)
-    return Beliefs(particles, weights, r,
-                   np.concatenate([beliefs.missed, np.zeros(m, dtype=int)]),
-                   beliefs.labels + list(labels))
+    n, m = len(survived), len(newborn)
+    if len(rows) != n + m:
+        raise InputError(f"{len(rows)} rows for {n} beliefs and {m} newborns")
+    _posteriors(rows, 0, survived, (1.0 - rows.r[:n]) * k0, rng.random(n), cfg)
+    rows.weights[n:] = newborn
+    _posteriors(rows, n, None, iota_sums, rng.random(m), cfg)
+    return rows
 
 
 def declare_estimate_prune(beliefs: Beliefs, cfg: BpConfig):
@@ -558,34 +582,27 @@ def _mean(particles: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (weights @ particles) / total
 
 
-def _sensor_step(beliefs: Beliefs, inp: BpSensorInput, motion: MotionModel,
-                 cfg: BpConfig, rng_for: Callable[[str, int], np.random.Generator],
-                 l: int, scan: int, trace: Optional[list]):
-    """One sensor's update; returns (updated beliefs then newborns, kappa).
+def _sensor_step(rows: Beliefs, inp: BpSensorInput, cfg: BpConfig,
+                 rng_for: Callable[[str, int], np.random.Generator], l: int,
+                 trace: Optional[list]):
+    """One sensor's update of the scan buffer's first rows (its beliefs, then
+    one newborn row per measurement), in place; returns kappa.
 
     The per-particle terms of measurement evaluation (q_cache, detection
     probabilities, birth likelihoods) are released before belief
     calculation, the unnormalized posteriors right after it, so a step
-    holds no more than one set of them. A step of more than
-    MAX_STEP_PARTICLES particles raises ResourceLimitError before any of
-    them is allocated.
+    holds no more than one set of them.
     """
-    size = (len(beliefs) + inp.batch.n_meas) * cfg.n_particles
-    if size > MAX_STEP_PARTICLES:
-        raise ResourceLimitError(
-            f"sensor step of {len(beliefs)} beliefs and {inp.batch.n_meas} "
-            f"measurements at {cfg.n_particles} particles exceeds the cap "
-            f"({size} > {MAX_STEP_PARTICLES} particles)")
-    clouds = propose_births(inp, cfg, motion.n, rng_for("birth", l))
+    n = len(rows) - inp.batch.n_meas
+    beliefs = rows[:n]
+    clouds = propose_births(inp, cfg, rows.particles[n:], rng_for("birth", l))
     msgs, q_cache, birth_liks = measurement_evaluation(beliefs, inp, cfg, clouds)
     kappa, iota = iterative_association(msgs, cfg.iterations)
     survived, newborn = measurement_update(beliefs, msgs, q_cache, birth_liks, inp, cfg)
     beta, xi = msgs.beta, msgs.xi
     del msgs, q_cache, birth_liks  # not needed past the update
-    labels = [(scan, inp.batch.sensor_id, i) for i in range(inp.batch.n_meas)]
-    out = belief_calculation(beliefs, survived, newborn, clouds, labels, cfg,
-                             rng_for("resample", l))
-    del survived, newborn, clouds
+    out = belief_calculation(rows, survived, newborn, cfg, rng_for("resample", l))
+    del survived, newborn
     if trace is not None:
         trace.append({
             "sensor": inp.batch.sensor_id,
@@ -596,7 +613,7 @@ def _sensor_step(beliefs: Beliefs, inp: BpSensorInput, motion: MotionModel,
             "weights": out.weights.copy(),
             "r_prob": out.r.copy(),
         })
-    return out, kappa
+    return kappa
 
 
 def bp_pipeline_step(beliefs: Beliefs, inputs: Sequence[BpSensorInput],
@@ -605,19 +622,39 @@ def bp_pipeline_step(beliefs: Beliefs, inputs: Sequence[BpSensorInput],
                      scan: int = 0, trace: Optional[list] = None):
     """One scan: predict once, then process every sensor in order.
 
+    The scan runs in one buffer of N + sum(M_l) rows: the predicted beliefs,
+    then each sensor's newborns after the rows of the steps before it; each
+    stage writes its rows of it, and `beliefs` is only read. A scan of more
+    than MAX_STEP_PARTICLES particles in all (its last step's size) raises
+    ResourceLimitError before the buffer is allocated or any draw is made.
+
     rng_for(purpose, sensor) must return an independent deterministic
     stream; paired raw/transformed runs that share the factory consume
     identical draws. Returns (beliefs, estimates).
     """
     _check_count(beliefs, cfg)
-    beliefs = bp_predict(beliefs, motion, cfg.survival_prob, rng_for("predict", -1))
-    supported = np.zeros(len(beliefs), dtype=bool)
-    for l, inp in enumerate(sorted(inputs, key=lambda s: s.batch.sensor_id)):
-        beliefs, kappa = _sensor_step(beliefs, inp, motion, cfg, rng_for, l, scan, trace)
+    inputs = sorted(inputs, key=lambda s: s.batch.sensor_id)
+    n = len(beliefs)
+    total = n + sum(inp.batch.n_meas for inp in inputs)
+    size = total * cfg.n_particles
+    if size > MAX_STEP_PARTICLES:
+        raise ResourceLimitError(
+            f"scan of {n} beliefs and {total - n} measurements at {cfg.n_particles} "
+            f"particles exceeds the step cap ({size} > {MAX_STEP_PARTICLES} "
+            f"particles)")
+    buffer = Beliefs(np.empty((total, cfg.n_particles, motion.n)),
+                     np.empty((total, cfg.n_particles)), np.empty(total),
+                     np.zeros(total, dtype=int),
+                     beliefs.labels + [(scan, inp.batch.sensor_id, i) for inp in inputs
+                                       for i in range(inp.batch.n_meas)])
+    bp_predict(beliefs, motion, cfg.survival_prob, rng_for("predict", -1), buffer[:n])
+    del beliefs  # frees the previous scan's arrays if the caller let them go
+    supported = np.arange(total) >= n  # newborns count as supported
+    for l, inp in enumerate(inputs):
+        kappa = _sensor_step(buffer[:n + inp.batch.n_meas], inp, cfg, rng_for, l, trace)
         if kappa.shape[1] > 1:
-            supported |= kappa[:, 1:].sum(axis=1) >= 0.5 * kappa[:, 0]
-        supported = np.concatenate([supported,
-                                    np.ones(len(beliefs) - len(kappa), dtype=bool)])
-    beliefs.missed = np.where(supported, 0, beliefs.missed + 1)
-    estimates, beliefs = declare_estimate_prune(beliefs, cfg)
+            supported[:n] |= kappa[:, 1:].sum(axis=1) >= 0.5 * kappa[:, 0]
+        n += inp.batch.n_meas
+    buffer.missed = np.where(supported, 0, buffer.missed + 1)
+    estimates, beliefs = declare_estimate_prune(buffer, cfg)
     return beliefs, estimates

@@ -116,8 +116,9 @@ class MeasurementModel:
     sensor_id: int = 0
 
     def __post_init__(self):
-        self.H = np.atleast_2d(np.asarray(self.H, dtype=float))
-        self.R = symmetrize(np.atleast_2d(np.asarray(self.R, dtype=float)))
+        # eigvalsh may give an R with an inf entry positive eigenvalues
+        self.H = np.atleast_2d(as_finite(self.H))
+        self.R = symmetrize(np.atleast_2d(as_finite(self.R)))
         if self.R.shape != (self.H.shape[0], self.H.shape[0]):
             raise ConfigError("R must be m x m for H with m rows")
         if np.min(np.linalg.eigvalsh(self.R)) <= 0:

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from trackfuse.bp import Beliefs
 from trackfuse.models import GaussianEstimate, MeasurementModel
 from trackfuse.mda import SensorView
 from trackfuse.transform import (
@@ -48,3 +49,24 @@ def paired_views(rng, n_sensors, kind, p_d=0.9, clutter_rate=10.0,
 def random_track(rng, spread=100.0):
     return GaussianEstimate(rng.standard_normal(4) * spread,
                             np.diag(rng.uniform(1.0, 50.0, 4)))
+
+
+def scan_buffer(beliefs, births=0, labels=None):
+    """Destination rows for a BP stage called on its own, laid out as
+    `bp.bp_pipeline_step` allocates its scan buffer: a copy of `beliefs` (a
+    `Beliefs`, or a particle count for none), then one newborn row per
+    birth. `births` is a count of rows left for `bp.propose_births` to draw
+    into, or the (M, Np, n) clouds already drawn; the newborns are labelled
+    by `labels`, their row numbers by default."""
+    if not isinstance(beliefs, Beliefs):
+        beliefs = Beliefs.empty(beliefs, 4)
+    n_p, dim = beliefs.particles.shape[1:]
+    if np.ndim(births) == 0:
+        births = np.empty((births, n_p, dim))
+    m = len(births)
+    labels = list(range(len(beliefs), len(beliefs) + m)) if labels is None else labels
+    return Beliefs(np.concatenate([beliefs.particles, births]),
+                   np.concatenate([beliefs.weights, np.empty((m, n_p))]),
+                   np.concatenate([beliefs.r, np.empty(m)]),
+                   np.concatenate([beliefs.missed, np.zeros(m, dtype=int)]),
+                   beliefs.labels + list(labels))

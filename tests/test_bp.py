@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 from scipy.stats import chi2
 
-from conftest import paired_views, position_model
+from conftest import paired_views, position_model, scan_buffer
 from trackfuse import bp
 from trackfuse import mda as mda_mod
 from trackfuse.bp import (
@@ -61,10 +61,9 @@ def stacked(*beliefs):
                    [label for b in beliefs for label in b.labels])
 
 
-def no_newborns(n_p, dim=4):
-    """The newborn posteriors, birth clouds and labels of a measurement-free
-    sensor step."""
-    return (np.zeros((0, n_p)), np.zeros(0)), np.zeros((0, n_p, dim)), []
+def no_newborns(n_p):
+    """The newborn posteriors of a measurement-free sensor step."""
+    return np.zeros((0, n_p)), np.zeros(0)
 
 
 def simple_input(rng, zs, p_d=0.9, rate=10.0, volume=1.13e6, sensor_id=0):
@@ -79,19 +78,21 @@ class TestPredict:
         particles = rng.standard_normal((100, 4))
         belief = uniform_belief(particles, 0.8)
         out = bp_predict(belief, cv_motion(q=0.0), 1.0,
-                         np.random.default_rng(1))
+                         np.random.default_rng(1), scan_buffer(belief))
         np.testing.assert_allclose(out.particles[0],
                                    particles @ cv_motion().F.T)
         assert out.r[0] == pytest.approx(0.8)
 
     def test_nonexistent_stays_nonexistent(self):
         belief = uniform_belief(np.zeros((10, 4)), 0.0)
-        out = bp_predict(belief, cv_motion(), 0.95, np.random.default_rng(2))
+        out = bp_predict(belief, cv_motion(), 0.95, np.random.default_rng(2),
+                         scan_buffer(belief))
         assert out.r[0] == 0.0
 
     def test_survival_decay(self):
         belief = uniform_belief(np.zeros((10, 4)), 0.8)
-        out = bp_predict(belief, cv_motion(), 0.95, np.random.default_rng(3))
+        out = bp_predict(belief, cv_motion(), 0.95, np.random.default_rng(3),
+                         scan_buffer(belief))
         assert out.r[0] == pytest.approx(0.76)
         assert np.sum(out.weights[0]) == pytest.approx(0.76)
 
@@ -104,7 +105,8 @@ class TestPredict:
                                                label=k)
                                 for k in range(n)])
             motion = cv_motion(q=0.3)
-            out = bp_predict(beliefs, motion, 0.9, np.random.default_rng(5))
+            out = bp_predict(beliefs, motion, 0.9, np.random.default_rng(5),
+                             scan_buffer(beliefs))
             w, v = np.linalg.eigh(motion.Q)
             sqrt_q = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
             ref_rng = np.random.default_rng(5)
@@ -125,7 +127,8 @@ class TestMeasurementEvaluation:
         inp = simple_input(rng, np.array([[500.0, 500.0]]))
         particles = np.zeros((200, 4))
         belief = uniform_belief(particles, 0.9)
-        clouds = propose_births(inp, BpConfig(n_particles=200), 4,
+        births = scan_buffer(200, inp.batch.n_meas)
+        clouds = propose_births(inp, BpConfig(n_particles=200), births.particles,
                                 np.random.default_rng(5))
         msgs, _, _ = measurement_evaluation(belief, inp,
                                             BpConfig(n_particles=200), clouds)
@@ -157,7 +160,8 @@ class TestMeasurementEvaluation:
             a = np.array([[2.0, 1.0], [0.5, 3.0]])
             batch = MeasurementBatch(0, zs @ a.T, a @ h, a @ r @ a.T, "type2")
         inp = BpSensorInput(batch, 0.9, ClutterModel(10.0, 1e6))
-        clouds = propose_births(inp, cfg, 4, np.random.default_rng(10))
+        births = scan_buffer(cfg.n_particles, inp.batch.n_meas)
+        clouds = propose_births(inp, cfg, births.particles, np.random.default_rng(10))
         _, q_cache, _ = measurement_evaluation(belief, inp, cfg, clouds)
         assert list(q_cache) == [(0, 0)]
 
@@ -169,7 +173,8 @@ class TestMeasurementEvaluation:
         inp = BpSensorInput(batch, 0.5, ClutterModel(10.0, 1e6),
                             detect_fn=lambda pos: np.zeros(pos.shape[0]))
         belief = uniform_belief(np.zeros((100, 4)), 0.7)
-        clouds = propose_births(inp, BpConfig(n_particles=100), 4,
+        births = scan_buffer(100, inp.batch.n_meas)
+        clouds = propose_births(inp, BpConfig(n_particles=100), births.particles,
                                 np.random.default_rng(7))
         msgs, _, _ = measurement_evaluation(belief, inp,
                                             BpConfig(n_particles=100), clouds)
@@ -190,7 +195,8 @@ class TestMeasurementEvaluation:
         for zt, fails in ((z, False), (off, True)):
             batch = MeasurementBatch(0, zt[None], view.H, view.R, "generic")
             inp = BpSensorInput(batch, 0.9, view.clutter)
-            clouds = propose_births(inp, cfg, 4, np.random.default_rng(17))
+            births = scan_buffer(cfg.n_particles, inp.batch.n_meas)
+            clouds = propose_births(inp, cfg, births.particles, np.random.default_rng(17))
             track = GaussianEstimate(np.zeros(4), np.eye(4))
             runs = (lambda: measurement_evaluation(belief, inp, cfg, clouds),
                     lambda: mda_mod.build_mda_problem([track], [batch], [view],
@@ -220,8 +226,10 @@ class TestMeasurementEvaluation:
             inp_tr = BpSensorInput(batch_tr, 0.9, views_tr[0].clutter)
             rng_a = np.random.default_rng(1234)
             rng_b = np.random.default_rng(1234)
-            clouds_raw = propose_births(inp_raw, cfg, 4, rng_a)
-            clouds_tr = propose_births(inp_tr, cfg, 4, rng_b)
+            births_raw = scan_buffer(cfg.n_particles, inp_raw.batch.n_meas)
+            clouds_raw = propose_births(inp_raw, cfg, births_raw.particles, rng_a)
+            births_tr = scan_buffer(cfg.n_particles, inp_tr.batch.n_meas)
+            clouds_tr = propose_births(inp_tr, cfg, births_tr.particles, rng_b)
             m_raw, q_raw, bl_raw = measurement_evaluation(
                 belief, inp_raw, cfg, clouds_raw)
             m_tr, q_tr, bl_tr = measurement_evaluation(
@@ -301,7 +309,8 @@ class TestMeasurementUpdate:
         z = np.zeros(2)
         inp = simple_input(rng, z[None, :] @ np.eye(2))
         cfg = BpConfig(n_particles=300)
-        clouds = propose_births(inp, cfg, 4, np.random.default_rng(12))
+        births = scan_buffer(cfg.n_particles, inp.batch.n_meas)
+        clouds = propose_births(inp, cfg, births.particles, np.random.default_rng(12))
         msgs, q_cache, bl = measurement_evaluation(belief, inp, cfg, clouds)
         kappa = np.array([[0.0, 1.0]])
         iota = np.ones((1, 2))
@@ -317,7 +326,8 @@ class TestMeasurementUpdate:
         inp = simple_input(rng, np.array([[0.5, -0.5], [30.0, 30.0]]))
         inp.detect_fn = lambda p: 0.5 + 0.4 * (p[:, 0] > 0)
         cfg = BpConfig(n_particles=60)
-        clouds = propose_births(inp, cfg, 4, np.random.default_rng(13))
+        births = scan_buffer(cfg.n_particles, inp.batch.n_meas)
+        clouds = propose_births(inp, cfg, births.particles, np.random.default_rng(13))
         msgs, q_cache, bl = measurement_evaluation(beliefs, inp, cfg, clouds)
         iterative_association(msgs, 3)
         return beliefs, msgs, q_cache, bl, inp, cfg
@@ -339,7 +349,7 @@ class TestBeliefCalculation:
     def test_uninformative_update_keeps_existence(self):
         belief = uniform_belief(np.zeros((40, 4)), 0.55)
         posts = (np.full((1, 40), 2.5), np.array([2.5]))
-        updated = belief_calculation(belief, posts, *no_newborns(40),
+        updated = belief_calculation(scan_buffer(belief), posts, no_newborns(40),
                                      BpConfig(n_particles=40),
                                      np.random.default_rng(13))
         assert updated.r[0] == pytest.approx(0.55, rel=1e-12)
@@ -347,8 +357,8 @@ class TestBeliefCalculation:
     def test_zero_newborn_mass(self):
         clouds = np.zeros((1, 20, 4))
         newborn = belief_calculation(
-            Beliefs.empty(20, 4), (np.zeros((0, 20)), np.zeros(0)),
-            (np.zeros((1, 20)), np.array([3.0])), clouds, ["x"],
+            scan_buffer(20, clouds, ["x"]), (np.zeros((0, 20)), np.zeros(0)),
+            (np.zeros((1, 20)), np.array([3.0])),
             BpConfig(n_particles=20), np.random.default_rng(14))
         assert newborn.labels == ["x"]
         assert newborn.r[0] == 0.0
@@ -392,8 +402,8 @@ class TestBeliefCalculation:
                                                    particles[None].copy())
         msgs.kappa, msgs.iota = kappa, np.ones((1, 2))
         posts, _ = measurement_update(belief, msgs, q_cache, bl, inp, cfg)
-        updated = belief_calculation(belief, posts, *no_newborns(n_p, 2), cfg,
-                                     np.random.default_rng(16))
+        updated = belief_calculation(scan_buffer(belief), posts, no_newborns(n_p),
+                                     cfg, np.random.default_rng(16))
         assert updated.r[0] == pytest.approx(r_oracle, abs=0.01)
 
 
@@ -499,6 +509,31 @@ class TestPipeline:
             for w_raw, w_tr in zip(step_raw["weights"], step_tr["weights"]):
                 np.testing.assert_allclose(w_raw, w_tr, rtol=1e-9,
                                            atol=1e-300)
+
+    def test_scan_leaves_the_callers_beliefs_unchanged(self, monkeypatch):
+        # two scans of three sensors each: the second scan's input is the
+        # first one's output, rows of its scan buffer; both inputs keep every
+        # byte though beliefs are resampled in both scans
+        rng = np.random.default_rng(21)
+        beliefs = spread_beliefs(rng, 4, 300, spread=8.0)
+        zs = np.array([[15.0 + 1.0, -10.0 + 2.0], [30.0 - 2.0, -20.0], [0.5, 0.5]])
+        inputs = [simple_input(rng, zs + 0.3 * l, sensor_id=l) for l in range(3)]
+        cfg = BpConfig(n_particles=300, prune_threshold=1e-300)
+        resampled = []
+        resample = bp._systematic_resample
+        monkeypatch.setattr(bp, "_systematic_resample",
+                            lambda *args: resampled.append(1) or resample(*args))
+        for scan in (1, 2):
+            before = independent(beliefs)
+            count = len(resampled)
+            out, _ = bp_pipeline_step(beliefs, inputs, cv_motion(q=0.1), cfg,
+                                      self._rng_factory(4), scan)
+            assert len(resampled) > count
+            for name in ("particles", "weights", "r", "missed"):
+                assert getattr(beliefs, name).tobytes() == getattr(before, name).tobytes()
+            assert beliefs.labels == before.labels
+            assert not np.shares_memory(out.particles, beliefs.particles)
+            beliefs = out
 
     def test_sensor_count_bookkeeping(self):
         rng = np.random.default_rng(20)
@@ -639,7 +674,8 @@ class TestBatchedSensorStep:
                 inp = BpSensorInput(batch, 0.9, views_tr[0].clutter,
                                     detect_fn=lambda p: 0.8 * (p[:, 0] < 20.0))
             cfg = BpConfig(n_particles=500)
-            clouds = propose_births(inp, cfg, 4, np.random.default_rng(61))
+            births = scan_buffer(cfg.n_particles, inp.batch.n_meas)
+            clouds = propose_births(inp, cfg, births.particles, np.random.default_rng(61))
             msgs, q_cache, _ = measurement_evaluation(beliefs, inp, cfg, clouds)
             beta, xi, q_ref = reference_evaluation(beliefs, inp, cfg, clouds)
             assert sorted(q_cache) == sorted(q_ref)
@@ -656,8 +692,8 @@ class TestBatchedSensorStep:
         # keeps the weights of the others
         posts = peaked_posts(beliefs, (1.0, 1e6, 4.0, 1e6))
         cfg = BpConfig(n_particles=400)
-        updated = belief_calculation(beliefs, posts, *no_newborns(400), cfg,
-                                     np.random.default_rng(63))
+        updated = belief_calculation(scan_buffer(beliefs), posts, no_newborns(400),
+                                     cfg, np.random.default_rng(63))
         expected = reference_belief_calculation(beliefs, posts, cfg,
                                                 np.random.default_rng(63))
         resampled = 0
@@ -673,9 +709,10 @@ class TestBatchedSensorStep:
         # predicted stage blocks of per_block and 4 rows, then 2 newborns
         per_block = bp.BLOCK_PARTICLES // 500
         n = per_block + 4
-        beliefs = bp_predict(stacked(*[uniform_belief(rng.standard_normal((500, 4)) * 5.0,
-                                                      0.5, k) for k in range(n)]),
-                             cv_motion(q=0.1), 1.0, np.random.default_rng(67))
+        prior = stacked(*[uniform_belief(rng.standard_normal((500, 4)) * 5.0, 0.5, k)
+                          for k in range(n)])
+        beliefs = bp_predict(prior, cv_motion(q=0.1), 1.0, np.random.default_rng(67),
+                             scan_buffer(prior))
         before = beliefs.particles.copy()
         gamma = np.ones((n, 500))
         # one peaked row in the second stage block
@@ -685,10 +722,11 @@ class TestBatchedSensorStep:
                                              axis=1))
         cfg = BpConfig(n_particles=500)
         clouds = propose_births(simple_input(rng, np.array([[0.0, 0.0], [5.0, 5.0]])),
-                                cfg, 4, rng)
+                                cfg, scan_buffer(500, 2).particles, rng)
         newborn_posts = (np.ones((2, 500)), np.array([1.0, 2.0]))
-        out = belief_calculation(beliefs, (gamma, np.full(n, 0.3)), newborn_posts,
-                                 clouds, ["a", "b"], cfg, np.random.default_rng(68))
+        out = belief_calculation(scan_buffer(beliefs, clouds, ["a", "b"]),
+                                 (gamma, np.full(n, 0.3)), newborn_posts, cfg,
+                                 np.random.default_rng(68))
         assert out.particles.shape == (n + 2, 500, 4)
         assert out.weights.shape == (n + 2, 500)
         assert out.labels == list(range(n)) + ["a", "b"]
@@ -807,7 +845,8 @@ class TestBlockProperties:
         inp = BpSensorInput(batch, 0.9, clutter,
                             detect_fn=lambda p: 0.8 * (p[:, 0] < 20.0) + 0.1)
         cfg = BpConfig(n_particles=n_p)
-        clouds = propose_births(inp, cfg, 4, rng)
+        births = scan_buffer(cfg.n_particles, inp.batch.n_meas)
+        clouds = propose_births(inp, cfg, births.particles, rng)
 
         msgs, q_cache, _ = measurement_evaluation(beliefs, inp, cfg, clouds)
         beta, xi, q_ref = reference_evaluation(beliefs, inp, cfg, clouds)
@@ -821,8 +860,8 @@ class TestBlockProperties:
 
         # a peaked likelihood on some beliefs forces resampling
         posts = peaked_posts(beliefs, rng.choice((1.0, 1e6), n))
-        updated = belief_calculation(beliefs, posts, *no_newborns(n_p), cfg,
-                                     np.random.default_rng(seed))
+        updated = belief_calculation(scan_buffer(beliefs), posts, no_newborns(n_p),
+                                     cfg, np.random.default_rng(seed))
         expected = reference_belief_calculation(beliefs, posts, cfg,
                                                 np.random.default_rng(seed))
         for t, (particles, weights, r) in enumerate(expected):
@@ -849,7 +888,8 @@ def assert_beliefs_identical(got, expected):
 
 def every_stage(beliefs, inp, cfg, clouds, seed, plain_posts=False):
     """The outputs of every stage of one sensor step on these beliefs."""
-    pred = bp_predict(beliefs, cv_motion(q=0.2), 0.95, np.random.default_rng(seed))
+    pred = bp_predict(beliefs, cv_motion(q=0.2), 0.95, np.random.default_rng(seed),
+                      scan_buffer(beliefs))
     msgs, q_cache, birth_liks = measurement_evaluation(beliefs, inp, cfg, clouds)
     iterative_association(msgs, cfg.iterations)
     survived, newborn_posts = measurement_update(beliefs, msgs, q_cache, birth_liks,
@@ -858,8 +898,8 @@ def every_stage(beliefs, inp, cfg, clouds, seed, plain_posts=False):
         survived = tuple(a.copy() for a in survived)
         newborn_posts = tuple(a.copy() for a in newborn_posts)
     labels = [("new", i) for i in range(inp.batch.n_meas)]
-    out = belief_calculation(beliefs, survived, newborn_posts, clouds, labels, cfg,
-                             np.random.default_rng(seed + 1))
+    out = belief_calculation(scan_buffer(beliefs, clouds, labels), survived,
+                             newborn_posts, cfg, np.random.default_rng(seed + 1))
     return dict(pred=pred, msgs=msgs, q_cache=q_cache, birth_liks=birth_liks,
                 survived=survived, newborn_posts=newborn_posts, out=out)
 
@@ -867,7 +907,8 @@ def every_stage(beliefs, inp, cfg, clouds, seed, plain_posts=False):
 class TestPersistentBlocks:
     """Stages on pipeline-built beliefs (the step's arrays, or copies of
     their rows after pruning or reordering) against the same beliefs on
-    arrays of their own, bit for bit; no stage writes into its inputs."""
+    arrays of their own, bit for bit; no stage writes outside its
+    destination rows."""
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -902,8 +943,10 @@ class TestPersistentBlocks:
         outside.r = rng.uniform(0.05, 0.95, n)
         outside.weights = np.repeat((outside.r / n_p)[:, None], n_p, axis=1)
         first = sensor(0, zs[:3])
-        built = every_stage(bp_predict(outside, cv_motion(q=0.1), 0.99, rng), first,
-                            cfg, propose_births(first, cfg, 4, rng), seed)["out"]
+        predicted = bp_predict(outside, cv_motion(q=0.1), 0.99, rng, scan_buffer(outside))
+        births = scan_buffer(n_p, first.batch.n_meas)
+        built = every_stage(predicted, first, cfg,
+                            propose_births(first, cfg, births.particles, rng), seed)["out"]
         if edit in ("prune", "both"):
             keep = rng.random(len(built)) < 0.6
             keep[int(rng.integers(len(built)))] = True
@@ -913,7 +956,8 @@ class TestPersistentBlocks:
         copies = independent(built)
 
         second = sensor(1, zs[1:])
-        clouds = propose_births(second, cfg, 4, rng)
+        births = scan_buffer(cfg.n_particles, second.batch.n_meas)
+        clouds = propose_births(second, cfg, births.particles, rng)
         got = every_stage(built, second, cfg, clouds, seed + 7)
         assert_beliefs_identical(built, copies)
         expected = every_stage(copies, second, cfg, clouds.copy(), seed + 7,
@@ -1108,12 +1152,13 @@ class TestErrorPaths:
         with pytest.raises(InputError, match="40 particles"):
             bp_pipeline_step(beliefs, [inp], cv_motion(q=0.1), cfg, rng_for)
         assert streams == []
-        clouds = propose_births(inp, cfg, 4, np.random.default_rng(1))
+        births = scan_buffer(cfg.n_particles, inp.batch.n_meas)
+        clouds = propose_births(inp, cfg, births.particles, np.random.default_rng(1))
         with pytest.raises(InputError, match="configured for 50"):
             measurement_evaluation(beliefs, inp, cfg, clouds)
         with pytest.raises(InputError, match="configured for 50"):
-            belief_calculation(beliefs, (np.ones((2, 40)), np.ones(2)),
-                               *no_newborns(40), cfg, np.random.default_rng(2))
+            belief_calculation(scan_buffer(beliefs), (np.ones((2, 40)), np.ones(2)),
+                               no_newborns(40), cfg, np.random.default_rng(2))
 
     def test_step_size_is_capped_before_births_are_drawn(self, monkeypatch):
         # 2 beliefs and 3 measurements at 50 particles: 250 particles a step
@@ -1134,6 +1179,28 @@ class TestErrorPaths:
         bp_pipeline_step(beliefs, [inp], cv_motion(q=0.1), cfg,
                          lambda purpose, sensor: np.random.default_rng(0))
         assert drawn == [1]
+
+        # the same measurements over two sensors: the first step holds 150
+        # particles, the second 250, and the scan raises before any draw
+        inputs = [simple_input(rng, inp.batch.zs[:1], sensor_id=0),
+                  simple_input(rng, inp.batch.zs[1:], sensor_id=1)]
+        drawn.clear()
+        monkeypatch.setattr(bp, "MAX_STEP_PARTICLES", 249)
+        with pytest.raises(ResourceLimitError, match="250 > 249 particles"):
+            bp_pipeline_step(beliefs, inputs, cv_motion(q=0.1), cfg,
+                             lambda purpose, sensor: np.random.default_rng(0))
+        assert drawn == []
+        monkeypatch.setattr(bp, "MAX_STEP_PARTICLES", 250)
+        bp_pipeline_step(beliefs, inputs, cv_motion(q=0.1), cfg,
+                         lambda purpose, sensor: np.random.default_rng(0))
+        assert drawn == [1, 1]
+
+    @pytest.mark.parametrize("p_d", [1.5, 0.0, -0.2, np.nan])
+    def test_detection_probability_outside_the_unit_interval_rejected(self, p_d):
+        rng = np.random.default_rng(43)
+        with pytest.raises(InputError, match="detection probability"):
+            simple_input(rng, np.zeros((1, 2)), p_d=p_d)
+        assert simple_input(rng, np.zeros((1, 2)), p_d=1.0).p_d == 1.0
 
     def test_all_zero_messages_degenerate(self):
         msgs = AssociationMessages(np.zeros((1, 2)), np.ones((1, 2)))
@@ -1161,6 +1228,6 @@ class TestErrorPaths:
     def test_nonpositive_normalization_degenerate(self):
         belief = uniform_belief(np.zeros((5, 4)), 1.0)
         with pytest.raises(DegenerateBeliefError):
-            belief_calculation(belief, (np.zeros((1, 5)), np.zeros(1)), *no_newborns(5),
-                               BpConfig(n_particles=5),
+            belief_calculation(scan_buffer(belief), (np.zeros((1, 5)), np.zeros(1)),
+                               no_newborns(5), BpConfig(n_particles=5),
                                np.random.default_rng(0))

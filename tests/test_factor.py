@@ -43,7 +43,7 @@ from trackfuse.transform import (
     type2_stack,
 )
 
-from conftest import position_model
+from conftest import position_model, scan_buffer
 
 
 # -- reference copies of the per-call code ---------------------------------
@@ -359,7 +359,9 @@ class TestConsumers:
 
             cfg = bp_mod.BpConfig(n_particles=20)
             inp = bp_mod.BpSensorInput(batch, 0.9, ClutterModel(10.0, 1e6))
-            clouds = bp_mod.propose_births(inp, cfg, 4, np.random.default_rng(seed))
+            births = scan_buffer(cfg.n_particles, batch.n_meas)
+            clouds = bp_mod.propose_births(inp, cfg, births.particles,
+                                           np.random.default_rng(seed))
             want = reference_births(inp, cfg, 4, np.random.default_rng(seed))
             assert len(clouds) == len(want)
             assert all(same(c, w) for c, w in zip(clouds, want))

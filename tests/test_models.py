@@ -92,6 +92,20 @@ class TestMotionModelCheck:
                 MotionModel(np.eye(2), np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
+class TestMeasurementModelCheck:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_h_or_r_raises(self, bad):
+        # eigvalsh gives an R with an inf entry positive eigenvalues, so only
+        # the finiteness check refuses it
+        h = np.hstack([np.eye(2), np.zeros((2, 2))])
+        with pytest.raises(NumericsError, match="not finite"):
+            MeasurementModel(h, [[bad, 0.0], [0.0, 1.0]])
+        h_bad = h.copy()
+        h_bad[1, 3] = bad
+        with pytest.raises(NumericsError, match="not finite"):
+            MeasurementModel(h_bad, np.eye(2))
+
+
 class TestInnovation:
     def test_identity_h_zero_r_not_allowed_but_small_r(self):
         # H = I with R -> 0 gives S -> P
