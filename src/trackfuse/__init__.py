@@ -22,7 +22,6 @@ from .transform import (
     gaussian_log_likelihood,
     generalized_log_likelihood,
     make_generic,
-    make_identity,
     make_type1,
     make_type2,
 )
@@ -33,7 +32,7 @@ __all__ = [
     "innovation", "predict", "update_raw", "update_transformed",
     "ClutterModel", "Transformation", "clutter_density_transformed",
     "gaussian_log_likelihood", "generalized_log_likelihood",
-    "make_generic", "make_identity", "make_type1", "make_type2",
+    "make_generic", "make_type1", "make_type2",
     "CommLedger", "OspaParams", "comm_bytes", "ospa", "ospa2",
 ]
 

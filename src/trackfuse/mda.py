@@ -40,10 +40,10 @@ candidates, each measurement used at most once); an initiation group is
 candidate uses no measurement that candidate (an initiation group whose
 tuple costs >= 0 its null), splits the rest into clusters that share a
 measurement (the track clusters of Reid, IEEE TAC 24(6), 1979) and solves
-each by branch and bound: groups cheapest first, bounded by the larger of
-their cheapest costs and a per-measurement sum of cost shares. Only a
-cluster past a cap of the search goes to the Lagrangian relaxation, whose
-primal is a greedy repair of its relaxed selection.
+each by an iterative branch and bound: groups cheapest first, bounded by the
+larger of their cheapest costs and a per-measurement sum of cost shares.
+Only a cluster whose search passes the node cap goes to the Lagrangian
+relaxation, whose primal is a greedy repair of its relaxed selection.
 
 Raw and transformed payloads flow through genuinely different numeric
 routes (Cholesky Gaussian vs eigendecomposition/pseudoinverse generalized
@@ -102,11 +102,10 @@ from .transform import (
 )
 
 BIG = 1e12
-# Deepest branch-and-bound recursion `solve_assignment_exact` starts: one
-# level per group, well under the interpreter's default limit of 1000.
-EXACT_MAX_GROUPS = 500
-# Subgradient iterations of the Lagrangian relaxation.
+# Subgradient iterations of the Lagrangian relaxation, and the relative
+# duality gap at which it stops early.
 SUBGRADIENT_ITERS = 200
+SUBGRADIENT_TOL = 1e-9
 
 
 @dataclass
@@ -226,7 +225,6 @@ class AssociationSolution:
     # (`solve_maintenance`: (tau, i_1..i_L) for every track)
     assignments: list
     total_cost: float
-    feasible: bool
     gap: float = 0.0
     # the (groups, L) measurement indices each group selected (0 for a miss)
     indices: Optional[np.ndarray] = None
@@ -482,7 +480,7 @@ def solve_maintenance(problem: MaintenanceProblem) -> AssociationSolution:
     idx[fallback] = 0
     total = float(np.sum(np.where(fallback, BIG, cost)))
     assignments = [(t + 1,) + tuple(row) for t, row in enumerate(idx.tolist())]
-    return AssociationSolution(assignments, total, True, 0.0, idx)
+    return AssociationSolution(assignments, total, 0.0, idx)
 
 
 def update_maintained(preds: Sequence[GaussianEstimate], idx: np.ndarray,
@@ -660,8 +658,7 @@ def _by_cost(cands):
 def _solution_from_selection(problem, selection, gap=0.0):
     assignments = [c.indices for c in selection if any(c.indices)]
     indices = np.array([c.indices for c in selection], dtype=int).reshape(-1, problem.n_sensors)
-    return AssociationSolution(assignments, sum((c.cost for c in selection), 0.0), True, gap,
-                               indices)
+    return AssociationSolution(assignments, sum((c.cost for c in selection), 0.0), gap, indices)
 
 
 def solve_assignment_exact(problem: AssignmentProblem,
@@ -677,14 +674,10 @@ def solve_assignment_exact(problem: AssignmentProblem,
     uses) plus each group's most negative measurement-free cost. Only a
     strictly cheaper selection replaces the incumbent, so the tie rule is:
     of equal-cost optima, the first in this visiting order wins (for
-    initiation, the tuples of the cheapest groups). The search recurses once
-    per group, so a problem of more than EXACT_MAX_GROUPS groups raises
-    ResourceLimitError before any node is visited.
+    initiation, the tuples of the cheapest groups). The walk is iterative, so
+    it takes any number of groups; past `node_cap` examined candidates (a
+    cut one counts) it raises ResourceLimitError.
     """
-    if len(problem.groups) > EXACT_MAX_GROUPS:
-        raise ResourceLimitError(
-            f"branch and bound over {len(problem.groups)} groups exceeds the "
-            f"depth cap ({EXACT_MAX_GROUPS})")
     order = sorted(range(len(problem.groups)), key=lambda g: (
         min((c.cost for c in problem.groups[g]), default=0.0), g))
     groups = [_by_cost(problem.groups[g]) for g in order]
@@ -706,33 +699,37 @@ def solve_assignment_exact(problem: AssignmentProblem,
                     low[k] = share
         bound[g] = max(cheapest, per_meas)
 
-    best_cost = math.inf
-    best_sel = None
-    sel = [None] * n_groups
-    nodes = 0
-
-    def rec(g, total, used):
-        nonlocal best_cost, best_sel, nodes
+    # per depth g: the candidate position picked, and the cost and the used
+    # measurement bits of the picks above it; k is the position g examines next
+    costs = [[c.cost for c in cands] for cands in groups]
+    pick, total, used = [0] * n_groups, [0.0] * (n_groups + 1), [0] * (n_groups + 1)
+    best_cost, best_pick, nodes, g, k = math.inf, None, 0, 0, 0
+    while True:
         if g == n_groups:
-            if total < best_cost:
-                best_cost = total
-                best_sel = sel.copy()
-            return
-        for cand, mask in zip(groups[g], masks[g]):
+            if total[g] < best_cost:
+                best_cost, best_pick = total[g], pick.copy()
+        elif k < len(costs[g]):
             nodes += 1
             if nodes > node_cap:
                 raise ResourceLimitError("branch-and-bound node cap exceeded")
-            if total + cand.cost + bound[g + 1] >= best_cost:
-                break
-            if used & mask:
+            if total[g] + costs[g][k] + bound[g + 1] < best_cost:
+                if used[g] & masks[g][k]:
+                    k += 1
+                else:
+                    pick[g] = k
+                    total[g + 1] = total[g] + costs[g][k]
+                    used[g + 1] = used[g] | masks[g][k]
+                    g, k = g + 1, 0
                 continue
-            sel[g] = cand
-            rec(g + 1, total + cand.cost, used | mask)
-
-    rec(0, 0.0, 0)
-    if best_sel is None:
+        # depth g is exhausted or cut (its later candidates cost no less)
+        if g == 0:
+            break
+        g -= 1
+        k = pick[g] + 1
+    if best_pick is None:
         raise DegenerateBeliefError("no feasible assignment exists")
-    return _solution_from_selection(problem, [c for _, c in sorted(zip(order, best_sel))])
+    return _solution_from_selection(
+        problem, [cands[k] for _, cands, k in sorted(zip(order, groups, best_pick))])
 
 
 def _candidate_table(groups, l: int, m: int, cost=None):
@@ -773,9 +770,7 @@ def _repair(groups, first=None):
     return sel
 
 
-def solve_assignment_relaxed(problem: AssignmentProblem,
-                             max_iters: int = SUBGRADIENT_ITERS,
-                             tol: float = 1e-9) -> AssociationSolution:
+def solve_assignment_relaxed(problem: AssignmentProblem) -> AssociationSolution:
     """Lagrangian relaxation with subgradient multiplier updates.
 
     Sensors 2..L are dualized; the remaining (group, sensor-1) layer is a
@@ -804,7 +799,7 @@ def solve_assignment_relaxed(problem: AssignmentProblem,
         return cand.cost + sum(u[l][cand.indices[l]]
                                for l in dual_sets if cand.indices[l] > 0)
 
-    for _ in range(max_iters):
+    for _ in range(SUBGRADIENT_ITERS):
         mat, cell = _candidate_table(groups, keep, m_keep, reduced_cost)
         rows, cols = linear_sum_assignment(mat)
         relaxed_sel = []
@@ -835,7 +830,7 @@ def solve_assignment_relaxed(problem: AssignmentProblem,
                 best_primal = cost
                 best_sel = primal_sel
 
-        if best_primal - best_dual <= tol * max(1.0, abs(best_dual)):
+        if best_primal - best_dual <= SUBGRADIENT_TOL * max(1.0, abs(best_dual)):
             break
         if grad_norm2 == 0.0:
             break
@@ -857,7 +852,7 @@ def solve_assignment(problem: AssignmentProblem) -> AssociationSolution:
     initiation group whose tuple costs >= 0 takes its null, which sorts
     first). The rest split into clusters that share a measurement, each
     solved by `solve_assignment_exact`, or by `solve_assignment_relaxed`
-    (`gap` is the largest) past a search cap.
+    (`gap` is the largest) once the search passes its node cap.
     """
     indices = np.zeros((len(problem.groups), problem.n_sensors), dtype=int)
     total, gap, live = 0.0, 0.0, []
@@ -891,7 +886,7 @@ def solve_assignment(problem: AssignmentProblem) -> AssociationSolution:
         total += sol.total_cost
         gap = max(gap, sol.gap)
     assignments = [tuple(row) for row in indices.tolist() if any(row)]
-    return AssociationSolution(assignments, total, True, gap, indices)
+    return AssociationSolution(assignments, total, gap, indices)
 
 
 @dataclass(eq=False)

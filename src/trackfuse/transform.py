@@ -44,7 +44,6 @@ from .linalg import (
 )
 from .models import LOG_2PI, TYPE1, TYPE2, MeasurementModel
 
-IDENTITY = "identity"
 GENERIC = "generic"
 
 
@@ -79,12 +78,6 @@ class Transformation:
         if zs.ndim == 1:
             return self.A @ zs
         return zs @ self.A.T
-
-
-def make_identity(model: MeasurementModel) -> Transformation:
-    """No-op transformation (payload identical to raw)."""
-    eye = np.eye(model.m)
-    return Transformation(eye, IDENTITY, model.H.copy(), model.R.copy())
 
 
 def _column_rank_stack(a: np.ndarray) -> np.ndarray:

@@ -32,7 +32,6 @@ from trackfuse.errors import (
 from trackfuse.linalg import chi2_gate, cholesky, psd_eig_stack
 from trackfuse.mda import (
     BIG,
-    EXACT_MAX_GROUPS,
     AssignmentProblem,
     Candidate,
     FusedTracks,
@@ -506,20 +505,36 @@ def recording_relaxation(monkeypatch):
     return calls
 
 
+def linked_initiation_problem(n_groups):
+    """`disjoint_initiation_problem` with a second tuple per group on the
+    next group's measurements, which links all groups into one cluster; the
+    optimum is every group's own tuple."""
+    problem = disjoint_initiation_problem(n_groups)
+    for g, cands in enumerate(problem.groups[:-1]):
+        cands.append(Candidate((g + 2, g + 2), -0.5))
+    return problem
+
+
 class TestExactDepthCap:
-    def test_auto_mode_falls_back_to_the_relaxation(self, monkeypatch):
-        # a second tuple per group links the 1,500 groups into one cluster,
-        # past the depth cap of the search; it used to recurse 1,500 levels
-        # deep and raise RecursionError
-        problem = disjoint_initiation_problem(1500)
-        for g, cands in enumerate(problem.groups[:-1]):
-            cands.append(Candidate((g + 2, g + 2), -0.5))
+    """The branch and bound has no depth cap: a cluster of any number of
+    groups is searched, and only the node cap sends it to the relaxation."""
+
+    def test_a_linked_cluster_of_1500_groups_is_solved_exactly(self, monkeypatch):
+        problem = linked_initiation_problem(1500)
         relaxed = recording_relaxation(monkeypatch)
         sol = solve_assignment(problem)
-        assert relaxed == [1500]
-        assert sol.feasible
+        assert relaxed == []
         assert not constraint_violations(problem, sol)
         assert len(sol.assignments) == 1500
+        assert sol.total_cost == sum(cands[0].cost for cands in problem.groups)
+
+    def test_the_search_takes_a_cluster_past_the_recursion_limit(self):
+        # 5,000 groups, five times the interpreter's default recursion limit
+        problem = linked_initiation_problem(5000)
+        sol = solve_assignment_exact(problem)
+        assert not constraint_violations(problem, sol)
+        assert sol.indices.tolist() == [list(cands[0].indices) for cands in problem.groups]
+        assert sol.total_cost == sum(cands[0].cost for cands in problem.groups)
 
     def test_disjoint_groups_are_solved_exactly_past_the_cap(self, monkeypatch):
         problem = disjoint_initiation_problem(1500)
@@ -528,20 +543,33 @@ class TestExactDepthCap:
         assert relaxed == []
         assert sol.assignments == [cands[0].indices for cands in problem.groups]
 
-    def test_exact_mode_raises_before_the_search(self):
-        from trackfuse.errors import ResourceLimitError
-        problem = disjoint_initiation_problem(1500)
-        with pytest.raises(ResourceLimitError, match="depth"):
-            solve_assignment_exact(problem)
-        with pytest.raises(ResourceLimitError, match="depth"):
-            solve_assignment_exact(problem, node_cap=10 ** 9)
-
-    def test_cap_is_the_deepest_problem_solved(self):
-        from trackfuse.errors import ResourceLimitError
-        sol = solve_assignment_exact(disjoint_initiation_problem(EXACT_MAX_GROUPS))
-        assert len(sol.assignments) == EXACT_MAX_GROUPS
-        with pytest.raises(ResourceLimitError):
-            solve_assignment_exact(disjoint_initiation_problem(EXACT_MAX_GROUPS + 1))
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_groups=st.integers(0, 20),
+           meas_counts=st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    def test_ties_go_to_the_first_optimum_in_the_search_order(self, seed, n_groups,
+                                                            meas_counts):
+        # costs are multiples of 12, so equal-cost optima are common and exact;
+        # 600 forced measurement-free groups, cheaper than any drawn one, are
+        # visited first and put the drawn groups past depth 600
+        problem = random_initiation_problem(np.random.default_rng(seed), n_groups,
+                                            meas_counts)
+        problem.groups += [[Candidate((0,) * len(meas_counts), -60.0)]] * 600
+        order = sorted(range(len(problem.groups)), key=lambda g: (
+            min(c.cost for c in problem.groups[g]), g))
+        # on one extra sensor each group's tuple takes a measurement of its
+        # own, so the enumeration's tuples name their groups; this adds no
+        # conflict and moves no cost or candidate order
+        tagged = AssignmentProblem(
+            [[Candidate(c.indices + ((g + 1) * any(c.indices),), c.cost)
+              for c in problem.groups[g]] for g in order],
+            len(meas_counts) + 1, meas_counts + [len(problem.groups)])
+        cost, assignments = enumerate_assignment_minimum(tagged)
+        expected = np.zeros((len(problem.groups), len(meas_counts)), dtype=int)
+        for tup in assignments:
+            expected[tup[-1] - 1] = tup[:-1]
+        sol = solve_assignment_exact(problem)
+        assert sol.indices.tolist() == expected.tolist()
+        assert sol.total_cost == cost
 
 
 class TestClusterSolver:
@@ -586,8 +614,7 @@ class TestClusterSolver:
             assert not constraint_violations(problem, sol)
 
     def test_scenario2_tape2_scan_is_solved_without_the_relaxation(self, monkeypatch):
-        # one scan of this arm has 532 initiation groups, over the depth cap;
-        # the whole problem used to go to the relaxation
+        # one scan of this arm has 532 initiation groups
         relaxed = recording_relaxation(monkeypatch)
         cfg = scenario2()
         tapes, sends = prepare_run(cfg, 2)
