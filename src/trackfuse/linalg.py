@@ -7,6 +7,8 @@ lies in the range of a rank-deficient covariance is decided in one place,
 full ascending (w, v) of `np.linalg.eigh` and the mask `keep` of the
 nonzero eigenvalues (`psd_eig_stack`), so a rank-r row keeps its top r
 columns; `psd_eig` is its K = 1 case with those columns sliced out.
+Gates against Cholesky factors whiten by `mahalanobis_sq`, whose result
+for a residual does not depend on the batch it is whitened in.
 """
 
 from __future__ import annotations
@@ -154,6 +156,30 @@ def cholesky(m: np.ndarray, what: str = "matrix") -> np.ndarray:
         return np.linalg.cholesky(symmetrize(m))
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"{what} is not positive definite") from exc
+
+
+def mahalanobis_sq(chol: np.ndarray, z: np.ndarray, z_hat: np.ndarray) -> np.ndarray:
+    """Squared whitened norms |L^-1 d|^2 of residuals d = z - z_hat against
+    lower Cholesky factors L.
+
+    chol is (..., m, m) and z, z_hat (..., m), m >= 1; the leading axes of
+    all three broadcast. Forward substitution, y_k = (d_k - sum_{j<k} L_kj
+    y_j) / L_kk in j order, then the squares summed in k order, all
+    elementwise: a residual's distance has the same bits in any batch,
+    unlike a LAPACK solve, which rounds differently at other sizes. Each
+    d_k is taken as one (...) array, never the (..., m) stack of residuals,
+    whose broadcast subtraction costs more than the whitening.
+    """
+    ys = []
+    for k in range(z.shape[-1]):
+        acc = z[..., k] - z_hat[..., k]
+        for j, y in enumerate(ys):
+            acc = acc - chol[..., k, j] * y
+        ys.append(acc / chol[..., k, k])
+    out = ys[0] * ys[0]
+    for y in ys[1:]:
+        out = out + y * y
+    return out
 
 
 def inv_spd(m: np.ndarray, what: str = "matrix") -> np.ndarray:

@@ -11,15 +11,17 @@ decomposable case of the S-D assignment problem). `build_mda_problem`
 fills every sensor's table in one pass: one (L, N) stack of innovation
 covariances and one stacked factorization of it (Cholesky, or the
 eigendecomposition for transformed payloads), then the gates and costs of
-all sensors at once; only each sensor's whitening runs on its own M_l
-measurements; it keeps each sensor's innovations and their factors (the
-Cholesky factors or the eigenpairs) on the problem. `solve_maintenance`
-makes one `linear_sum_assignment` call per sensor, and `update_maintained`
-updates sensor by sensor, one stacked Kalman update per sensor on the
-route of the sensor's payload, reusing the kept innovations and factors
-of a sensor whose tracks no earlier sensor has updated in the scan. Exact
-ties resolve per sensor, as `linear_sum_assignment` resolves them, not by
-the visiting order of the branch and bound. A sensor
+all sensors at once (the raw whitening by one elementwise forward
+substitution over the padded stack, the transformed eigen projection on
+each sensor's own M_l measurements); it keeps each sensor's innovations
+and their factors (the Cholesky factors or the eigenpairs) on the problem.
+`solve_maintenance` makes one `linear_sum_assignment` call per sensor, and
+`update_maintained` updates sensor by sensor, one stacked Kalman update
+per sensor on the route of the sensor's payload, reusing the kept
+innovations and factors of a sensor whose tracks no earlier sensor has
+updated in the scan. Exact ties resolve per sensor, as
+`linear_sum_assignment` resolves them, not by the visiting order of the
+branch and bound. A sensor
 with P_d = 1 has no finite miss cell: a track that lands on a BIG cell on
 any sensor gets the all-zero fallback tuple, and its measurements on the
 other sensors go back to initiation. The tuple enumeration
@@ -33,7 +35,7 @@ mask.
 
 Track initiation is the genuinely multidimensional part: candidate tuples,
 grown sensor by sensor from prefixes that pass the pairwise position gate
-(one stacked solve per sensor pair) and can still reach init_min_meas
+(one Cholesky factor per sensor pair) and can still reach init_min_meas
 measurements, form an assignment problem (every group picks one of its
 candidates, each measurement used at most once); an initiation group is
 (tuple, null). `solve_assignment` gives each group whose cheapest
@@ -76,6 +78,7 @@ from .linalg import (
     SINGULAR_RTOL,
     chi2_gate,
     cholesky,
+    mahalanobis_sq,
     pinv_psd,
     psd_eig,  # noqa: F401 -- bench/layers.py counts its calls through this binding
     psd_eig_stack,
@@ -359,9 +362,11 @@ def _cost_tables(means: np.ndarray, covs: np.ndarray,
     for raw payloads; for transformed ones the eigendecomposition with the
     PSD rank rule, the rank's chi-square gate and the range check on the
     gated pairs of rank-deficient rows. Measurements are padded
-    to the widest batch, but each batch's whitening (the raw solve, the
-    transformed eigen projection) takes exactly its own M_l rows, as these
-    calls round differently for other sizes. A gated cell is the negative
+    to the widest batch. The raw route whitens the whole padded stack by
+    one forward substitution (`mahalanobis_sq`), elementwise, so a cell has
+    the same bits at any width; the transformed eigen projection takes
+    exactly each batch's own M_l rows, as a matrix product rounds
+    differently for other sizes. A gated cell is the negative
     of the with-prior score's term for that sensor (see `score_with_prior`);
     an ungated one is BIG.
 
@@ -375,10 +380,10 @@ def _cost_tables(means: np.ndarray, covs: np.ndarray,
     zs = np.zeros((len(batches), width, H.shape[1]))
     for z, b in zip(zs, batches):
         z[:b.n_meas] = b.zs
-    diffs = zs[:, None, :, :] - z_hat[:, :, None, :]
     valid = (np.arange(width) < np.array(counts)[:, None])[:, None, :]
     c = None
     if batches[0].transformed:
+        diffs = zs[:, None, :, :] - z_hat[:, :, None, :]
         w, v, keep = psd_eig_stack(s)
         rank = np.count_nonzero(keep, axis=-1)
         sq = np.zeros(diffs.shape)
@@ -400,10 +405,7 @@ def _cost_tables(means: np.ndarray, covs: np.ndarray,
                                        axis=-1)
     else:
         c = cholesky(s, "innovation covariance")
-        d2 = np.zeros(diffs.shape[:-1])
-        for l, m in enumerate(counts):
-            y = np.linalg.solve(c[l], diffs[l, :, :m].swapaxes(1, 2))
-            d2[l, :, :m] = np.sum(y * y, axis=1)
+        d2 = mahalanobis_sq(c[:, :, None], zs[:, None], z_hat[:, :, None])
         gated = valid & (d2 <= chi2_gate(gate_prob, s.shape[-1]))
         norm = (s.shape[-1] * LOG_2PI
                 + 2.0 * np.sum(np.log(np.diagonal(c, axis1=-2, axis2=-1)), axis=-1))
@@ -570,10 +572,9 @@ def _pair_gates(back, available, gamma: float) -> dict:
     gate[k1][k2] (nested lists over the positions k1, k2 of measurements in
     `available[l1]` and `available[l2]`) is d^T (C1 + C2)^-1 d <= gamma for
     the difference d of the two measurements' backprojected positions,
-    whose covariances are C1 and C2. One `np.linalg.solve` over all
-    available pairs and one stacked (K, 1, 2) @ (K, 2, 1) product give the
-    sensor pair's decisions; each slice rounds as the solve of one 2-vector
-    and its dot product do.
+    whose covariances are C1 and C2. One Cholesky factor of C1 + C2 per
+    sensor pair whitens all its measurement pairs at once (`mahalanobis_sq`,
+    elementwise, so each form has the bits of its pair whitened alone).
     """
     pos = [None if b is None or not a else b[0].take([i - 1 for i in a], axis=0)
            for b, a in zip(back, available)]
@@ -581,9 +582,8 @@ def _pair_gates(back, available, gamma: float) -> dict:
     for l1, l2 in itertools.combinations(range(len(back)), 2):
         if pos[l1] is None or pos[l2] is None:
             continue
-        d = (pos[l1][:, None] - pos[l2]).reshape(-1, 2, 1)
-        x = np.linalg.solve(back[l1][1] + back[l2][1], d)
-        form = (d.swapaxes(1, 2) @ x).reshape(len(pos[l1]), len(pos[l2]))
+        chol = cholesky(back[l1][1] + back[l2][1], "backprojected position covariance")
+        form = mahalanobis_sq(chol, pos[l1][:, None], pos[l2])
         gates[l1, l2] = (form <= gamma).tolist()
     return gates
 

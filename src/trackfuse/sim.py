@@ -47,7 +47,7 @@ from scipy.optimize import linear_sum_assignment
 from . import bp as bp_mod
 from . import mda as mda_mod
 from .errors import ConfigError, InputError
-from .linalg import chi2_gate, cholesky, symmetrize
+from .linalg import chi2_gate, cholesky, mahalanobis_sq, symmetrize
 from .mda import BIG, padded_table
 from .metrics import CommLedger, OspaParams, TrackHistory, ospa, ospa2
 from .models import (
@@ -359,8 +359,9 @@ class GnnTracker:
     `covs` (N, 4, 4), `timestamps`, `hits`, `misses` and `confirmed`;
     pending initiator j is row j of `init_pos` (K, 2) and `init_covs`
     (K, 2, 2). A scan is one `predict_stack`, one `innovation_stack` and
-    one Cholesky of the innovation covariances for the log-determinants
-    and whitened residuals, the (N, M) cost table by `np.where`, one
+    one Cholesky of the innovation covariances for the log-determinants,
+    the (N, M) squared distances by one forward substitution on those
+    factors (`mahalanobis_sq`), the cost table by `np.where`, one
     `linear_sum_assignment`, and one Kalman update of the tracks that got a
     measurement, which reuses the gate's predicted measurements, innovation
     covariances and Cholesky factors for those rows (the core of
@@ -394,7 +395,9 @@ class GnnTracker:
         if n_i and n_left:
             capture = cfg.capture_speed * dt + 4.0 * math.sqrt(
                 float(np.max(np.linalg.eigvalsh(2.0 * pos_cov))))
-            d = np.linalg.norm(positions[None, :, :] - self.init_pos[:, None, :], axis=2)
+            dx = positions[:, 0] - self.init_pos[:, None, 0]
+            dy = positions[:, 1] - self.init_pos[:, None, 1]
+            d = np.sqrt(dx * dx + dy * dy)
             mat = np.full((n_i, n_left + n_i), capture ** 2)
             mat[:, :n_left] = np.where(d <= capture, d ** 2, capture ** 2)
             rows, cols = linear_sum_assignment(mat)
@@ -434,17 +437,14 @@ class GnnTracker:
         those taken by confirmed tracks (the sends).
         """
         cfg = self.cfg
-        n_t, m = self.means.shape[0], zs.shape[0]
+        m = zs.shape[0]
         means, covs = predict_stack(self.means, self.covs, self.motion)
         z_hat, s = innovation_stack(means, covs, model)
         c = cholesky(s, "innovation covariance")
         logdet = 2.0 * np.sum(np.log(np.diagonal(c, axis1=1, axis2=2)), axis=1)
         base = logdet + model.m * LOG_2PI
         gamma = chi2_gate(cfg.gate_prob, model.m)
-        d2 = np.empty((n_t, 0))
-        if m:
-            y = np.linalg.solve(c, (zs[None, :, :] - z_hat[:, None, :]).swapaxes(1, 2))
-            d2 = np.sum(y * y, axis=1)
+        d2 = mahalanobis_sq(c[:, None], zs[None, :, :], z_hat[:, None, :])
         mat = padded_table(np.where(d2 <= gamma, 0.5 * (d2 + base[:, None]), BIG),
                            0.5 * (gamma + base))
         # rows is every track in order: the table has more columns than rows

@@ -1,4 +1,5 @@
-"""Shared linear-algebra helpers: the stacked PSD gate and the chi-square gate."""
+"""Shared linear-algebra helpers: the stacked PSD gate, the Cholesky
+whitening and the chi-square gate."""
 
 import os
 import subprocess
@@ -15,6 +16,7 @@ from trackfuse.bp import BpConfig
 from trackfuse.errors import NumericsError
 from trackfuse.linalg import (
     chi2_gate,
+    mahalanobis_sq,
     pinv_psd,
     psd_eig,
     psd_eig_stack,
@@ -110,6 +112,56 @@ class TestPsdQuadforms:
         mats = np.array([random_psd(rng, dim, r) for r in ranks])
         diffs = rng.standard_normal((stack, 4, dim))
         assert_same_forms(mats, diffs)
+
+
+def lower_factor(rng, dim, log_cond):
+    """A lower triangular factor with a positive diagonal and condition
+    number 10 ** log_cond, at a random scale: the L of the LQ
+    decomposition of U diag(sv) V for random orthogonal U, V."""
+    u, v = (np.linalg.qr(rng.standard_normal((dim, dim)))[0] for _ in range(2))
+    sv = np.logspace(0.0, log_cond, dim) * 10.0 ** rng.uniform(-4.0, 4.0)
+    low = np.linalg.qr(((u * sv) @ v).T)[1].T
+    return low * np.sign(np.diag(low))
+
+
+class TestMahalanobisSq:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 4),
+           stack=st.integers(1, 5), width=st.integers(1, 6))
+    def test_a_residual_has_the_same_bits_in_any_batch(self, seed, dim, stack, width):
+        rng = np.random.default_rng(seed)
+        chol = np.array([lower_factor(rng, dim, rng.uniform(0.0, 8.0))
+                         for _ in range(stack)])
+        scale = 10.0 ** rng.uniform(-3, 3)
+        zs = rng.standard_normal((width, dim)) * scale
+        z_hat = rng.standard_normal((stack, dim)) * scale
+        alone = np.array([[mahalanobis_sq(c, z, zh) for z in zs]
+                          for c, zh in zip(chol, z_hat)])
+        assert alone.shape == (stack, width)
+        # a stack of factors, each against every measurement
+        assert np.array_equal(mahalanobis_sq(chol[:, None], zs[None], z_hat[:, None]), alone)
+        # the residuals given as one stack against zero
+        diffs = zs[None] - z_hat[:, None]
+        assert np.array_equal(mahalanobis_sq(chol[:, None], diffs, np.zeros(dim)), alone)
+        # one factor broadcast over many residuals
+        for b in range(stack):
+            assert np.array_equal(mahalanobis_sq(chol[b], zs, z_hat[b]), alone[b])
+        # strided residuals, factors broadcast along the other axis
+        assert np.array_equal(mahalanobis_sq(chol, diffs.swapaxes(0, 1), np.zeros(dim)),
+                              alone.T)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 4),
+           log_cond=st.floats(0.0, 8.0))
+    def test_equals_a_solve_and_dot_product_to_1e_12(self, seed, dim, log_cond):
+        rng = np.random.default_rng(seed)
+        chol = lower_factor(rng, dim, log_cond)
+        assert np.linalg.cond(chol) <= 1e8 * (1.0 + 1e-6)
+        zs = rng.standard_normal((8, dim)) * 10.0 ** rng.uniform(-3, 3)
+        z_hat = rng.standard_normal(dim)
+        want = np.array([float(x @ x) for x in np.linalg.solve(chol, (zs - z_hat).T).T])
+        np.testing.assert_allclose(mahalanobis_sq(chol, zs, z_hat), want, rtol=1e-12,
+                                   atol=0)
 
 
 class TestChi2Gate:

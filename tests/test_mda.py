@@ -840,9 +840,25 @@ class TestSensorSplit:
         assert np.all(raw.card_est == type2.card_est)
 
 
+def whitened_sq(chol, d):
+    """|chol^-1 d|^2 of one residual by forward substitution in Python
+    floats, one row at a time: the reference of the stacked whitening."""
+    y = []
+    for k in range(len(d)):
+        acc = float(d[k])
+        for j in range(k):
+            acc -= float(chol[k, j]) * y[j]
+        y.append(acc / float(chol[k, k]))
+    total = y[0] * y[0]
+    for v in y[1:]:
+        total += v * v
+    return total
+
+
 def measurement_costs(means, covs, batch, view, gate_prob):
     """The per-sensor cost route the one-pass build replaced, kept as its
-    reference: one sensor's (N, M) table from its own innovation stack."""
+    reference: one sensor's (N, M) table from its own innovation stack,
+    each raw cell whitened on its own (`whitened_sq`)."""
     z_hat, s = innovation_stack(means, covs, batch)
     diffs = batch.zs[None, :, :] - z_hat[:, None, :]
     if batch.transformed:
@@ -865,8 +881,8 @@ def measurement_costs(means, covs, batch, view, gate_prob):
                                        axis=1)
     else:
         c = cholesky(s, "innovation covariance")
-        y = np.linalg.solve(c, diffs.swapaxes(1, 2))
-        d2 = np.sum(y * y, axis=1)
+        d2 = np.array([[whitened_sq(ct, d) for d in dt] for ct, dt in zip(c, diffs)],
+                      dtype=float).reshape(diffs.shape[:2])
         gated = d2 <= chi2_gate(gate_prob, s.shape[-1])
         norm = (s.shape[-1] * LOG_2PI
                 + 2.0 * np.sum(np.log(np.diagonal(c, axis1=1, axis2=2)), axis=1))
@@ -950,8 +966,9 @@ class TestOnePassBuild:
         assert got.n_candidates == sum(int(np.count_nonzero(t < BIG)) for t in want)
 
     def test_single_measurement_sensors_and_the_first_failing_sensor(self):
-        # M_l = 1 next to wider sensors takes its own one-row whitening; when
-        # two sensors fail, the first in sensor order raises its own error
+        # M_l = 1 next to wider sensors, whitened in the padded stack, has
+        # the bits of its own row; when two sensors fail, the first in
+        # sensor order raises its own error
         rng = np.random.default_rng(44)
         cfg = MdaConfig()
         for _ in range(10):
@@ -1141,8 +1158,9 @@ class TestEigenRouteUpdate:
 
 
 def reference_initiation_problem(batches, sensors, cfg, available):
-    """The initiation build with one `np.linalg.solve` per measurement pair,
-    kept as the reference of the per-sensor-pair gate."""
+    """The initiation build with one Cholesky factor and one forward
+    substitution (`whitened_sq`) per measurement pair, kept as the
+    reference of the per-sensor-pair gate."""
     n_sensors = len(batches)
     back = [_backprojected_positions(b) for b in batches]
     gamma = chi2_gate(cfg.init_gate_prob, 2)
@@ -1152,8 +1170,7 @@ def reference_initiation_problem(batches, sensors, cfg, available):
             return True
         p1, c1 = back[l1][0][i1 - 1], back[l1][1]
         p2, c2 = back[l2][0][i2 - 1], back[l2][1]
-        d = p1 - p2
-        return float(d @ np.linalg.solve(c1 + c2, d)) <= gamma
+        return whitened_sq(np.linalg.cholesky(c1 + c2), p1 - p2) <= gamma
 
     groups = []
     for combo in itertools.product(*[[0] + list(avail) for avail in available]):
@@ -1200,7 +1217,7 @@ def initiation_instance(rng, kinds, meas_counts):
 
 
 class TestInitiationGate:
-    """One stacked gate per sensor pair against the per-pair solves."""
+    """One stacked gate per sensor pair against the per-pair whitening."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -1247,7 +1264,7 @@ class TestInitiationGate:
     def test_decisions_at_the_threshold_equal_the_per_pair_solves(self):
         # sensor 1's backprojected positions put the quadratic form within
         # about 20 ulps of the gate, where a form rounded differently from
-        # the per-pair solve and dot product flips decisions
+        # the per-pair forward substitution flips decisions
         rng = np.random.default_rng(11)
         batches, views = initiation_instance(rng, ["raw", "type2"], [1, 1])
         back = [_backprojected_positions(b) for b in batches]
@@ -1256,7 +1273,7 @@ class TestInitiationGate:
         c = back[0][1] + back[1][1]
         angle = rng.uniform(0.0, 2.0 * math.pi, 60)
         u = np.stack([np.cos(angle), np.sin(angle)], axis=1)
-        q = np.array([float(v @ np.linalg.solve(c, v)) for v in u])
+        q = np.array([whitened_sq(np.linalg.cholesky(c), v) for v in u])
         r = np.sqrt(gamma / q) * (1.0 + rng.uniform(-2e-15, 2e-15, 60))
         # a type2 payload's measurements are positions
         batches[1] = MeasurementBatch(1, back[0][0][0] + r[:, None] * u, batches[1].H,
@@ -1270,28 +1287,30 @@ class TestInitiationGate:
         assert 0 < sum(gate) < 60
         assert build_initiation_problem(batches, views, cfg, available).groups == want_groups
 
-    def test_one_stacked_solve_per_sensor_pair(self, monkeypatch):
+    def test_one_cholesky_and_no_solve_per_sensor_pair(self, monkeypatch):
         rng = np.random.default_rng(9)
         kinds = ["raw", "type2", "velocity", "raw"]
         batches, views = initiation_instance(rng, kinds, [6, 5, 4, 6])
         for b in batches:
             b.factor  # factored before counting
-        solves = []
-        solve = np.linalg.solve
+        calls = []
 
-        def counting(a, b):
-            solves.append(np.shape(b))
-            return solve(a, b)
+        def counting(name, call):
+            def counted(a, *args):
+                calls.append((name, np.shape(a)))
+                return call(a, *args)
+            return counted
 
-        # scoring solves per tuple; stubbed, the gate's solves are all that is left
+        # scoring factors per tuple; stubbed, the gate's calls are all that is left
         monkeypatch.setattr(mda_mod, "score_without_prior",
                             lambda meas, sensors, combo: HypothesisCost(combo, 0.0))
-        monkeypatch.setattr(np.linalg, "solve", counting)
+        monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
+        monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", np.linalg.cholesky))
         problem = build_initiation_problem(batches, views, MdaConfig(),
                                            [[1, 2, 3, 4, 5, 6], [2, 3, 5], [1, 4], []])
-        # the pairs of the backprojecting sensors 0 and 1 (sensor 3 has
-        # nothing available, sensor 2 no backprojection)
-        assert solves == [(18, 2, 1)]
+        # one factor for the 18 pairs of the backprojecting sensors 0 and 1
+        # (sensor 3 has nothing available, sensor 2 no backprojection)
+        assert calls == [("cholesky", (2, 2))]
         assert problem.groups
 
 

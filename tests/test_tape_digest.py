@@ -151,6 +151,28 @@ def test_mda_steps_command_prints_one_digest_per_tape_and_arm():
     assert len(set(out[2::3])) == 3
 
 
+def test_mda_steps_with_curves_prints_both_digests_from_one_pass(monkeypatch):
+    # --curves was once dropped silently when --mda-steps was given
+    setup = _setup("s1-mda-c40")
+    curves = tape_digest.curve_digests(sim, setup, 0)
+    steps = tape_digest.mda_step_digests(sim, setup, 0)
+    run, fused = sim.run_mda_fusion, []
+
+    def counted(*args, **kwargs):
+        fused.append(args[3])
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "run_mda_fusion", counted)
+    monkeypatch.setattr(tape_digest, "_load", lambda checkout: (sim, _setup))
+    lines = []
+    monkeypatch.setattr("builtins.print", lambda *args, **kw: lines.append(args))
+    tape_digest.main(["--checkout", str(ROOT), "--workload", "s1-mda-c40", "--seeds", "0",
+                      "--mda-steps", "--curves"])
+    arms = ["raw", "type1", "type2"]
+    assert lines == [(0, arm, f"{curves[arm]} {steps[arm]}") for arm in arms]
+    assert fused == arms
+
+
 def test_mda_step_digest_changes_with_one_track_value(monkeypatch):
     from trackfuse import mda
     setup = _setup("s1-mda-c40")

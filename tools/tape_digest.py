@@ -24,7 +24,9 @@ every scan of the arm's MDA pipeline instead: the selected maintenance and
 initiation tuples and the fused tracks it returns (each track's label,
 timestamp, hits, misses, confirmation, mean and covariance, in track
 order). It reads the tracks as a list of track objects or as one struct of
-arrays, so checkouts on either side of that change compare.
+arrays, so checkouts on either side of that change compare. With
+`--curves` as well, a line holds the seed, the arm, the curve digest and
+the step digest, from one fusion pass.
 
 With `--bp-traces` (BP workloads) each tape and arm gets a SHA-256 over
 the arm's per-sensor BP traces instead (beta, xi, kappa, iota, the
@@ -165,8 +167,18 @@ class StepHasher:
         return self.hash.hexdigest()
 
 
-def mda_step_digests(sim, setup, seed: int) -> dict:
-    """{arm: digest of the arm's MDA steps} for one tape of an MDA workload."""
+def _curve_digest(record) -> str:
+    """SHA-256 over a fusion record's `CURVES`."""
+    h = hashlib.sha256()
+    for name in CURVES:
+        h.update(name.encode())
+        _array(h, getattr(record, name))
+    return h.hexdigest()
+
+
+def mda_step_digests(sim, setup, seed: int, curves: bool = False) -> dict:
+    """{arm: digest of the arm's MDA steps} for one tape of an MDA workload;
+    with `curves`, {arm: (curve digest, step digest)}."""
     if setup.wl.fusion != "mda":
         raise SystemExit(f"--mda-steps needs an MDA workload, not {setup.wl.fusion}")
     cfg = setup.cfg
@@ -174,8 +186,9 @@ def mda_step_digests(sim, setup, seed: int) -> dict:
     out = {}
     for arm in setup.wl.arms:
         with StepHasher(sim.mda_mod) as steps:
-            sim.run_mda_fusion(cfg, tapes, sends, arm, setup.mda_cfg, setup.ospa_params)
-        out[arm] = steps.hexdigest()
+            record = sim.run_mda_fusion(cfg, tapes, sends, arm, setup.mda_cfg,
+                                        setup.ospa_params)
+        out[arm] = (_curve_digest(record), steps.hexdigest()) if curves else steps.hexdigest()
     return out
 
 
@@ -195,11 +208,8 @@ def curve_digests(sim, setup, seed: int, bp_traces: bool = False) -> dict:
         else:
             record = sim.run_bp_fusion(cfg, tapes, sends, arm, seed, setup.bp_cfg,
                                        setup.ospa_params, traces)
-        h = hashlib.sha256()
-        for name in CURVES:
-            h.update(name.encode())
-            _array(h, getattr(record, name))
-        out[arm] = (h.hexdigest(), traces.hexdigest()) if bp_traces else h.hexdigest()
+        curve = _curve_digest(record)
+        out[arm] = (curve, traces.hexdigest()) if bp_traces else curve
     return out
 
 
@@ -224,8 +234,8 @@ def main(argv=None) -> int:
         setup.cfg = setup.cfg.with_overrides(clutter_rate=args.clutter_rate)
     for seed in args.seeds:
         if args.mda_steps:
-            for arm, digest in mda_step_digests(sim, setup, seed).items():
-                print(seed, arm, digest, flush=True)
+            for arm, digests in mda_step_digests(sim, setup, seed, args.curves).items():
+                print(seed, arm, " ".join(digests) if args.curves else digests, flush=True)
         elif args.curves or args.bp_traces:
             for arm, digests in curve_digests(sim, setup, seed, args.bp_traces).items():
                 if args.bp_traces:
