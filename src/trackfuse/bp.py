@@ -1,8 +1,8 @@
 """Scalable BP-based multisensor association and fusion.
 
 Each scan is processed sensor by sensor: measurement evaluation builds the
-target->association factors (beta) and the newborn factors (xi), a fixed
-number of message-passing iterations produces the association products
+target->association factors (beta) and the newborn factors (xi), ITERATIONS
+message-passing iterations produce the association products
 kappa and iota, and the particle beliefs are reweighted, normalized and
 augmented with one potential newborn per measurement.
 
@@ -105,6 +105,15 @@ MAX_PARTICLES = 50_000
 # number bounds, and a scan under the cap on one tape can exceed it on
 # another.
 MAX_STEP_PARTICLES = 136 * MAX_PARTICLES
+# The filter's fixed settings, as in the paper's numerical examples.
+ITERATIONS = 10  # message-passing iterations per sensor step
+DECLARE_THRESHOLD = 0.7  # existence probability above which a belief is declared
+MAX_MISSED_SCANS = 3  # a belief is pruned after more scans without support
+BIRTH_RATE = 0.1  # Poisson mean of the newborns per sensor step
+VEL_PRIOR_STD = 10.0  # newborns' velocity prior standard deviation (m/s)
+BIRTH_COV_INFLATION = 4.0  # of the backprojection covariance births are drawn from
+GATE_PROB = 1.0 - 1e-6  # of the (belief, measurement) gate
+RESAMPLE_ESS_FRAC = 0.5  # a belief is resampled when its ESS falls below this x Np
 
 
 @dataclass
@@ -160,23 +169,13 @@ class Beliefs:
 
 @dataclass
 class BpConfig:
-    iterations: int = 10
     n_particles: int = 1000
-    declare_threshold: float = 0.7
     prune_threshold: float = 1e-6
-    max_missed_scans: int = 3
-    birth_rate: float = 0.1
     survival_prob: float = 0.999
-    vel_prior_std: float = 10.0
-    birth_cov_inflation: float = 4.0
-    gate_prob: float = 1.0 - 1e-6
-    resample_ess_frac: float = 0.5
 
     def __post_init__(self):
-        if not (0.0 < self.prune_threshold < self.declare_threshold < 1.0):
-            raise InputError("need 0 < P_pr < P_th < 1")
-        if self.iterations < 1:
-            raise InputError("need at least one message-passing iteration")
+        if not 0.0 < self.prune_threshold < DECLARE_THRESHOLD:
+            raise InputError(f"need 0 < prune_threshold < {DECLARE_THRESHOLD}")
         n = self.n_particles
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise InputError("need an integer particle count >= 1")
@@ -276,7 +275,7 @@ def propose_births(inp: BpSensorInput, cfg: BpConfig, clouds: np.ndarray,
     into `clouds` (M, Np, n), the scan buffer's newborn rows, and returned.
 
     Positions are drawn around the WLS backprojection of the measurement
-    with the backprojection covariance inflated by cfg.birth_cov_inflation;
+    with the backprojection covariance inflated by BIRTH_COV_INFLATION;
     velocities from a zero-mean prior. The same cloud doubles as the birth
     pdf, so downstream importance ratios reduce to the likelihood.
     """
@@ -286,7 +285,7 @@ def propose_births(inp: BpSensorInput, cfg: BpConfig, clouds: np.ndarray,
                          f"particles into {clouds.shape}")
     h = batch.H
     r_dag, info_pinv = batch.factor.r_dag, batch.factor.info_pinv
-    pos_cov = cfg.birth_cov_inflation * info_pinv[:POS_DIM, :POS_DIM]
+    pos_cov = BIRTH_COV_INFLATION * info_pinv[:POS_DIM, :POS_DIM]
     try:
         c_pos = np.linalg.cholesky(symmetrize(pos_cov))
     except np.linalg.LinAlgError as exc:
@@ -300,7 +299,7 @@ def propose_births(inp: BpSensorInput, cfg: BpConfig, clouds: np.ndarray,
                                   @ c_pos.T)
         if n_vel > 0:
             particles[:, POS_DIM:POS_DIM + n_vel] = (
-                cfg.vel_prior_std * rng.standard_normal((cfg.n_particles, n_vel)))
+                VEL_PRIOR_STD * rng.standard_normal((cfg.n_particles, n_vel)))
     return clouds
 
 
@@ -318,7 +317,7 @@ def measurement_evaluation(beliefs: Beliefs, inp: BpSensorInput, cfg: BpConfig,
     n, m = len(beliefs), batch.n_meas
     h, loglik = batch.H, batch.factor.loglik
     log_clutter_intensity = math.log(inp.clutter.rate) + inp.clutter.log_density
-    gamma_gate = chi2_gate(cfg.gate_prob, batch.factor.rank) if m else None
+    gamma_gate = chi2_gate(GATE_PROB, batch.factor.rank) if m else None
 
     beta = np.zeros((n, m + 1))
     p_detect = np.empty(beliefs.weights.shape)
@@ -350,7 +349,7 @@ def measurement_evaluation(beliefs: Beliefs, inp: BpSensorInput, cfg: BpConfig,
         birth_pred = h @ birth_clouds.reshape(-1, birth_clouds.shape[-1]).T
         birth_liks = np.exp(loglik(batch.zs, birth_pred.reshape(h.shape[0], m, -1)))
         for i, lk in enumerate(birth_liks):
-            ratio = cfg.birth_rate * float(np.mean(lk)) * math.exp(-log_clutter_intensity)
+            ratio = BIRTH_RATE * float(np.mean(lk)) * math.exp(-log_clutter_intensity)
             xi[i, 0] = 1.0 + ratio
     return AssociationMessages(beta, xi, p_detect=p_detect), q_cache, birth_liks
 
@@ -486,7 +485,7 @@ def measurement_update(beliefs: Beliefs, msgs: AssociationMessages, q_cache: dic
             survived[tau] += k * q
 
     log_clutter_intensity = math.log(inp.clutter.rate) + inp.clutter.log_density
-    scale = cfg.birth_rate * math.exp(-log_clutter_intensity) / cfg.n_particles
+    scale = BIRTH_RATE * math.exp(-log_clutter_intensity) / cfg.n_particles
     newborn = (iota[:, 0] * scale)[:, None] * birth_liks
     return (survived, k0), (newborn, iota.sum(axis=1))
 
@@ -498,8 +497,7 @@ def _systematic_resample(weights: np.ndarray, n: int, u: float) -> np.ndarray:
     return cumulative.searchsorted(positions)
 
 
-def _normalize(weights: np.ndarray, rest: np.ndarray, us: np.ndarray,
-               cfg: BpConfig):
+def _normalize(weights: np.ndarray, rest: np.ndarray, us: np.ndarray):
     """Normalize the rows of one block of unnormalized weights in place;
     pick the low-ESS rows to resample.
 
@@ -520,7 +518,7 @@ def _normalize(weights: np.ndarray, rest: np.ndarray, us: np.ndarray,
     ess = np.divide(1.0, (wn * wn).sum(axis=1), out=np.full(r.shape, np.inf),
                     where=live)
     resampled = []
-    for k in np.flatnonzero(ess < cfg.resample_ess_frac * n).tolist():
+    for k in np.flatnonzero(ess < RESAMPLE_ESS_FRAC * n).tolist():
         resampled.append((k, _systematic_resample(wn[k], n, us[k])))
         weights[k] = r[k] / n
     return np.minimum(r, 1.0), resampled
@@ -537,7 +535,7 @@ def _posteriors(rows: Beliefs, start: int, posts: Optional[np.ndarray],
         weights = rows.weights[at]
         if posts is not None:
             weights *= posts[blk]
-        rows.r[at], resampled = _normalize(weights, rest[blk], us[blk], cfg)
+        rows.r[at], resampled = _normalize(weights, rest[blk], us[blk])
         for k, idx in resampled:
             row = rows.particles[at.start + k]
             row[...] = row[idx]
@@ -570,8 +568,8 @@ def belief_calculation(rows: Beliefs, survived, newborn, cfg: BpConfig,
 def declare_estimate_prune(beliefs: Beliefs, cfg: BpConfig):
     """MMSE estimates of declared targets; prune dead or stale beliefs."""
     estimates = [(beliefs.labels[t], _mean(beliefs.particles[t], beliefs.weights[t]))
-                 for t in np.flatnonzero(beliefs.r > cfg.declare_threshold)]
-    keep = (beliefs.r >= cfg.prune_threshold) & (beliefs.missed <= cfg.max_missed_scans)
+                 for t in np.flatnonzero(beliefs.r > DECLARE_THRESHOLD)]
+    keep = (beliefs.r >= cfg.prune_threshold) & (beliefs.missed <= MAX_MISSED_SCANS)
     return estimates, beliefs if keep.all() else beliefs[keep]
 
 
@@ -597,7 +595,7 @@ def _sensor_step(rows: Beliefs, inp: BpSensorInput, cfg: BpConfig,
     beliefs = rows[:n]
     clouds = propose_births(inp, cfg, rows.particles[n:], rng_for("birth", l))
     msgs, q_cache, birth_liks = measurement_evaluation(beliefs, inp, cfg, clouds)
-    kappa, iota = iterative_association(msgs, cfg.iterations)
+    kappa, iota = iterative_association(msgs, ITERATIONS)
     survived, newborn = measurement_update(beliefs, msgs, q_cache, birth_liks, inp, cfg)
     beta, xi = msgs.beta, msgs.xi
     del msgs, q_cache, birth_liks  # not needed past the update

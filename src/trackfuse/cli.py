@@ -199,8 +199,7 @@ def parse_scenario_file(path: Path) -> sim_mod.ScenarioConfig:
     if not sensors or not targets:
         raise InputError(f"{path}: need at least one [sensor] and one [target]")
     return sim_mod.ScenarioConfig(duration=duration, dt=dt, q=q, sigma=sigma,
-                                  sensors=sensors, targets=targets,
-                                  name=path.stem)
+                                  sensors=sensors, targets=targets)
 
 
 def run_experiment(spec: ExperimentSpec) -> int:
@@ -355,7 +354,10 @@ def spec_from_args(args) -> ExperimentSpec:
             raise InputError(f"--sweep values must be numeric: {values!r}") from exc
         if not sweep_values:
             raise InputError("--sweep needs at least one value")
-    seed = int(os.environ.get(ENV_SEED, args.seed))
+    try:
+        seed = int(os.environ.get(ENV_SEED, args.seed))
+    except ValueError as exc:
+        raise InputError(f"{ENV_SEED} must be an integer: {os.environ[ENV_SEED]!r}") from exc
     out = os.environ.get(ENV_OUT, args.out)
     return ExperimentSpec(
         scenario=args.scenario, fusion=args.fusion,

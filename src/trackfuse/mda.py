@@ -109,6 +109,10 @@ BIG = 1e12
 # duality gap at which it stops early.
 SUBGRADIENT_ITERS = 200
 SUBGRADIENT_TOL = 1e-9
+INIT_GATE_PROB = 0.99  # of initiation's pairwise position gate
+CONFIRM_HITS = 2  # associated measurements that confirm a fused track
+DELETE_MISSES = 3  # consecutive missed scans that delete a fused track
+VELOCITY_PRIOR_VAR = 1e4  # newborns' prior variance on unobservable directions
 
 
 @dataclass
@@ -326,15 +330,11 @@ def score_without_prior(meas: Sequence[Optional[np.ndarray]],
 @dataclass
 class MdaConfig:
     gate_prob: float = 0.99
-    init_gate_prob: float = 0.99
     # Cap on the prefixes initiation's sensor-by-sensor walk makes, checked
     # before any tuple is scored (and on the tuples of the maintenance
     # enumeration oracle); maintenance itself builds per-sensor tables.
     max_tuples: int = 200_000
-    confirm_hits: int = 2
-    delete_misses: int = 3
     init_min_meas: int = 2
-    velocity_prior_var: float = 1e4
 
 
 def padded_table(meas: np.ndarray, miss: np.ndarray) -> np.ndarray:
@@ -616,7 +616,7 @@ def build_initiation_problem(batches: Sequence[MeasurementBatch],
     if reach[0] < cfg.init_min_meas:
         return AssignmentProblem([], n_sensors, meas_counts)
     back = [_backprojected_positions(b) for b in batches]
-    gates = _pair_gates(back, available, chi2_gate(cfg.init_gate_prob, 2))
+    gates = _pair_gates(back, available, chi2_gate(INIT_GATE_PROB, 2))
 
     prefixes = [((), ())]  # (indices so far, (sensor, position) of each measurement)
     made = 0
@@ -926,11 +926,11 @@ class FusedTracks:
         return FusedTracks(*map(np.concatenate, zip(self._arrays(), other._arrays())))
 
 
-def _initial_estimate(meas, sensors, cfg: MdaConfig):
+def _initial_estimate(meas, sensors):
     """Newborn (mean, covariance) from a tuple: WLS on the observable subspace.
 
     Unobservable directions (velocity for position-only payloads) get a
-    zero-mean prior with variance cfg.velocity_prior_var.
+    zero-mean prior with variance VELOCITY_PRIOR_VAR.
     """
     info, ivec = _stacked_information(meas, sensors)
     w, v = np.linalg.eigh(info)
@@ -944,7 +944,7 @@ def _initial_estimate(meas, sensors, cfg: MdaConfig):
         mean = vo @ ((vo.T @ ivec) / w[obs])
     if np.any(~obs):
         vn = v[:, ~obs]
-        cov += cfg.velocity_prior_var * (vn @ vn.T)
+        cov += VELOCITY_PRIOR_VAR * (vn @ vn.T)
     return mean, symmetrize(cov)
 
 
@@ -955,9 +955,10 @@ def mda_pipeline_step(tracks: FusedTracks, batches: Sequence[MeasurementBatch],
 
     Maintenance is the per-sensor decomposition (`build_mda_problem`,
     `solve_maintenance`, `update_maintained`) on the tracks' arrays, with
-    hits, misses and confirmation as array updates; initiation goes through
-    `solve_assignment`. The newborns (timestamp `scan`) follow the tracks in
-    initiation order, and deletion is one row mask over both. Returns
+    hits, misses and confirmation (at CONFIRM_HITS hits) as array updates;
+    initiation goes through `solve_assignment`. The newborns (timestamp
+    `scan`) follow the tracks in initiation order, and deletion (at
+    DELETE_MISSES consecutive misses) is one row mask over both. Returns
     (tracks, next_label, info), new `FusedTracks` and info the selected
     maintenance and initiation tuples for diagnostics.
     """
@@ -977,7 +978,7 @@ def mda_pipeline_step(tracks: FusedTracks, batches: Sequence[MeasurementBatch],
     hits = tracks.hits + n_hit
     tracks = FusedTracks(posts.means, posts.covs, posts.timestamps, tracks.labels, hits,
                          np.where(n_hit > 0, 0, tracks.misses + 1),
-                         tracks.confirmed | (hits >= cfg.confirm_hits))
+                         tracks.confirmed | (hits >= CONFIRM_HITS))
 
     taken = [set(col) for col in idx.T.tolist()]
     available = [[i for i in range(1, b.n_meas + 1) if i not in taken[l]]
@@ -987,24 +988,23 @@ def mda_pipeline_step(tracks: FusedTracks, batches: Sequence[MeasurementBatch],
         if init_problem.groups:
             info["initiation"] = list(solve_assignment(init_problem).assignments)
     if info["initiation"]:
-        tracks = tracks.extended(_newborns(info["initiation"], batches, sensors, cfg,
+        tracks = tracks.extended(_newborns(info["initiation"], batches, sensors,
                                            next_label, scan))
         next_label += len(info["initiation"])
 
-    keep = tracks.misses < cfg.delete_misses
+    keep = tracks.misses < DELETE_MISSES
     return (tracks if keep.all() else tracks[keep]), next_label, info
 
 
-def _newborns(tuples, batches, sensors, cfg: MdaConfig, first_label: int,
-              scan: int) -> FusedTracks:
+def _newborns(tuples, batches, sensors, first_label: int, scan: int) -> FusedTracks:
     """One newborn per initiation tuple (at least one), labelled from
     `first_label` in tuple order."""
     born = [_initial_estimate([batches[l].zs[i - 1] if i > 0 else None
-                               for l, i in enumerate(tup)], sensors, cfg)
+                               for l, i in enumerate(tup)], sensors)
             for tup in tuples]
     k = len(born)
     n_meas = np.count_nonzero(np.array(tuples, dtype=int), axis=1)
     return FusedTracks(np.stack([mean for mean, _ in born]),
                        np.stack([cov for _, cov in born]), np.full(k, scan),
                        np.arange(first_label, first_label + k), n_meas,
-                       np.zeros(k, dtype=int), n_meas >= cfg.confirm_hits)
+                       np.zeros(k, dtype=int), n_meas >= CONFIRM_HITS)

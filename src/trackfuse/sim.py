@@ -191,10 +191,6 @@ class ScenarioConfig:
     sigma: float
     sensors: list
     targets: list
-    theta_range: tuple = (-0.02, 0.02)
-    vartheta_range: tuple = (0.0, 1.0)
-    seed: int = 0
-    name: str = "custom"
 
     def __post_init__(self):
         for tgt in self.targets:
@@ -243,7 +239,7 @@ def scenario1() -> ScenarioConfig:
         TargetConfig(10, 80, [0.0, 300.0, 1.0, -7.0]),
     ]
     return ScenarioConfig(duration=100, dt=1.0, q=0.1, sigma=5.0,
-                          sensors=sensors, targets=targets, name="scenario1")
+                          sensors=sensors, targets=targets)
 
 
 def scenario2(state_seed: int = 20230) -> ScenarioConfig:
@@ -268,7 +264,7 @@ def scenario2(state_seed: int = 20230) -> ScenarioConfig:
         vel = speed * np.array([math.cos(heading), math.sin(heading)])
         targets.append(TargetConfig(birth, death, np.concatenate([pos, vel])))
     return ScenarioConfig(duration=100, dt=1.0, q=0.1, sigma=5.0,
-                          sensors=sensors, targets=targets, name="scenario2")
+                          sensors=sensors, targets=targets)
 
 
 def generate_truth(cfg: ScenarioConfig, seed: int):
@@ -303,22 +299,26 @@ class SensorScan:
         return self.zs.shape[0]
 
 
+THETA_RANGE = (-0.02, 0.02)
+VARTHETA_RANGE = (0.0, 1.0)
+
+
 def generate_measurements(truth, cfg: ScenarioConfig, scan: int, seed: int):
     """One scan of detections plus clutter for every sensor.
 
     The time-varying H = [diag(1 + theta), 0] and R = diag(sigma^2 +
-    vartheta) parameters are drawn per scan and sensor and are carried in
-    the returned models (they are known to all trackers). Each sensor tests
-    all alive targets against its field of view in one call before its
-    draws.
+    vartheta) parameters are drawn per scan and sensor, uniform over
+    THETA_RANGE and VARTHETA_RANGE, and are carried in the returned models
+    (they are known to all trackers). Each sensor tests all alive targets
+    against its field of view in one call before its draws.
     """
     scans = []
     alive = [traj[scan] for traj in truth if scan in traj]
     alive_pos = np.array([x[:2] for x in alive]).reshape(-1, 2)
     for sensor_id, sc in enumerate(cfg.sensors):
         rng = rng_stream(seed, "meas", scan, sensor_id)
-        theta = rng.uniform(cfg.theta_range[0], cfg.theta_range[1], 2)
-        vartheta = rng.uniform(cfg.vartheta_range[0], cfg.vartheta_range[1], 2)
+        theta = rng.uniform(THETA_RANGE[0], THETA_RANGE[1], 2)
+        vartheta = rng.uniform(VARTHETA_RANGE[0], VARTHETA_RANGE[1], 2)
         e = np.diag(1.0 + theta)
         h = np.hstack([e, np.zeros((2, 2))])
         r = np.diag(cfg.sigma ** 2 + vartheta)
@@ -339,21 +339,21 @@ def generate_measurements(truth, cfg: ScenarioConfig, scan: int, seed: int):
     return scans
 
 
-@dataclass
-class LocalTrackerConfig:
-    confirm_hits: int = 4
-    delete_misses: int = 3
-    gate_prob: float = 0.99
-    capture_speed: float = 30.0
+# The local GNN trackers' fixed settings (see `GnnTracker`).
+CONFIRM_HITS = 4
+DELETE_MISSES = 3
+GATE_PROB = 0.99
+CAPTURE_SPEED = 30.0  # m/s
 
 
 class GnnTracker:
     """Single-sensor global-nearest-neighbor tracker.
 
-    Gated 2-D assignment on negative log-likelihood costs, two-point
-    differencing initiation, M-of-N style confirmation/deletion. Returns
-    the measurement indices of confirmed tracks updated this scan (the
-    payload the sensor transmits).
+    Gated 2-D assignment on negative log-likelihood costs (chi-square gate
+    GATE_PROB), two-point differencing initiation (capture speed
+    CAPTURE_SPEED), confirmation at CONFIRM_HITS hits and deletion after
+    DELETE_MISSES consecutive misses. Returns the measurement indices of
+    confirmed tracks updated this scan (the payload the sensor transmits).
 
     The state is a struct of arrays. Track k is row k of `means` (N, 4),
     `covs` (N, 4, 4), `timestamps`, `hits`, `misses` and `confirmed`;
@@ -370,18 +370,16 @@ class GnnTracker:
     built as one block and follow the surviving rows, in assignment order.
     """
 
-    def __init__(self, motion: MotionModel, dt: float,
-                 cfg: Optional[LocalTrackerConfig] = None):
+    def __init__(self, motion: MotionModel, dt: float):
         self.motion = motion
         self.dt = dt
-        self.cfg = cfg or LocalTrackerConfig()
         self.means, self.covs = np.zeros((0, 4)), np.zeros((0, 4, 4))
         self.timestamps, self.hits, self.misses = (np.zeros(0, dtype=int) for _ in range(3))
         self.confirmed = np.zeros(0, dtype=bool)
         self.init_pos, self.init_covs = np.zeros((0, 2)), np.zeros((0, 2, 2))
 
     def step(self, scan_data: SensorScan):
-        cfg, dt = self.cfg, self.dt
+        dt = self.dt
         zs, model = scan_data.zs, scan_data.model
         free = np.ones(zs.shape[0], dtype=bool)  # measurements no track took
         transmit = self._maintain(zs, model, free) if len(self.means) else []
@@ -393,7 +391,7 @@ class GnnTracker:
         left = np.ones(n_left, dtype=bool)
         born = np.zeros((0, 4)), np.zeros((0, 4, 4))
         if n_i and n_left:
-            capture = cfg.capture_speed * dt + 4.0 * math.sqrt(
+            capture = CAPTURE_SPEED * dt + 4.0 * math.sqrt(
                 float(np.max(np.linalg.eigvalsh(2.0 * pos_cov))))
             dx = positions[:, 0] - self.init_pos[:, None, 0]
             dy = positions[:, 1] - self.init_pos[:, None, 1]
@@ -413,7 +411,7 @@ class GnnTracker:
             cov[:, 2:, 2:] = (self.init_covs[rows] + pos_cov) / (dt ** 2)
             # symmetric by construction: pos_cov and the initiators' are symmetrized
             born = np.concatenate([p1, (p1 - self.init_pos[rows]) / dt], axis=1), cov
-        self._keep_and_add(self.misses < cfg.delete_misses, *born)
+        self._keep_and_add(self.misses < DELETE_MISSES, *born)
         self.init_pos = positions[left]
         self.init_covs = np.repeat(pos_cov[None], self.init_pos.shape[0], axis=0)
         return sorted(transmit)
@@ -436,14 +434,13 @@ class GnnTracker:
         Clears `free` at the measurements taken and returns the indices of
         those taken by confirmed tracks (the sends).
         """
-        cfg = self.cfg
         m = zs.shape[0]
         means, covs = predict_stack(self.means, self.covs, self.motion)
         z_hat, s = innovation_stack(means, covs, model)
         c = cholesky(s, "innovation covariance")
         logdet = 2.0 * np.sum(np.log(np.diagonal(c, axis1=1, axis2=2)), axis=1)
         base = logdet + model.m * LOG_2PI
-        gamma = chi2_gate(cfg.gate_prob, model.m)
+        gamma = chi2_gate(GATE_PROB, model.m)
         d2 = mahalanobis_sq(c[:, None], zs[None, :, :], z_hat[:, None, :])
         mat = padded_table(np.where(d2 <= gamma, 0.5 * (d2 + base[:, None]), BIG),
                            0.5 * (gamma + base))
@@ -457,7 +454,7 @@ class GnnTracker:
         self.timestamps = self.timestamps + 1
         self.hits = self.hits + hit
         self.misses = np.where(hit, 0, self.misses + 1)
-        self.confirmed = self.confirmed | (hit & (self.hits >= cfg.confirm_hits))
+        self.confirmed = self.confirmed | (hit & (self.hits >= CONFIRM_HITS))
         free[cols[hit]] = False
         return cols[hit & self.confirmed].tolist()
 
@@ -644,8 +641,7 @@ def _fov_detect_fn(fov: FieldOfView, p_d: float):
     return detect
 
 
-def prepare_run(cfg: ScenarioConfig, seed: int,
-                local_cfg: Optional[LocalTrackerConfig] = None):
+def prepare_run(cfg: ScenarioConfig, seed: int):
     """Generate truth, measurements and the local trackers' transmissions.
 
     The returned (tapes, sends) pair is shared verbatim by every payload
@@ -653,7 +649,7 @@ def prepare_run(cfg: ScenarioConfig, seed: int,
     """
     truth = generate_truth(cfg, seed)
     motion = motion_model(cfg)
-    trackers = [GnnTracker(motion, cfg.dt, local_cfg) for _ in cfg.sensors]
+    trackers = [GnnTracker(motion, cfg.dt) for _ in cfg.sensors]
     scans = []
     sends = []
     for scan in range(1, cfg.duration + 1):
@@ -665,11 +661,10 @@ def prepare_run(cfg: ScenarioConfig, seed: int,
 
 def run_single(cfg: ScenarioConfig, fusion: str, payloads: Sequence[str],
                run_idx: int, base_seed: int,
-               mda_cfg=None, bp_cfg=None, ospa_params=None,
-               local_cfg=None):
+               mda_cfg=None, bp_cfg=None, ospa_params=None):
     """One Monte Carlo run across payload arms sharing one realization."""
     seed = base_seed + run_idx
-    tapes, sends = prepare_run(cfg, seed, local_cfg)
+    tapes, sends = prepare_run(cfg, seed)
     out = {}
     for payload in payloads:
         if fusion == "mda":
@@ -691,15 +686,14 @@ def pool_size(workers: int, n_jobs: int) -> int:
 
 def monte_carlo_sweep(cfgs: Sequence[ScenarioConfig], fusion: str,
                       payloads: Sequence[str], runs: int, base_seed: int = 0,
-                      mda_cfg=None, bp_cfg=None, ospa_params=None, local_cfg=None,
-                      workers: int = 1):
+                      mda_cfg=None, bp_cfg=None, ospa_params=None, workers: int = 1):
     """`run_single` over every (config, run index) job, in-process or in one
     pool of `pool_size(workers, jobs)` processes: one results[payload] per
     config, each a list of RunRecords in run order whatever `workers`."""
     if runs < 1:
         raise InputError("need at least one run")
     run = partial(run_single, base_seed=base_seed, mda_cfg=mda_cfg, bp_cfg=bp_cfg,
-                  ospa_params=ospa_params, local_cfg=local_cfg)
+                  ospa_params=ospa_params)
     cfg_args = [cfg for cfg in cfgs for _ in range(runs)]
     args = (cfg_args, repeat(fusion), repeat(payloads), list(range(runs)) * len(cfgs))
     n_procs = pool_size(workers, len(cfg_args))
@@ -714,8 +708,8 @@ def monte_carlo_sweep(cfgs: Sequence[ScenarioConfig], fusion: str,
 
 def monte_carlo(cfg: ScenarioConfig, fusion: str, payloads: Sequence[str],
                 runs: int, base_seed: int = 0, mda_cfg=None, bp_cfg=None,
-                ospa_params=None, local_cfg=None, workers: int = 1):
+                ospa_params=None, workers: int = 1):
     """`monte_carlo_sweep` on one config: results[payload] is a list of
     RunRecords in run order."""
     return monte_carlo_sweep([cfg], fusion, payloads, runs, base_seed, mda_cfg,
-                             bp_cfg, ospa_params, local_cfg, workers)[0]
+                             bp_cfg, ospa_params, workers)[0]

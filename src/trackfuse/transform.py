@@ -210,8 +210,8 @@ class ClutterModel:
     region_volume: float
 
     def __post_init__(self):
-        if self.rate < 0 or self.region_volume <= 0:
-            raise InputError("clutter rate must be >= 0 and volume > 0")
+        if not (self.rate > 0 and self.region_volume > 0):
+            raise InputError("clutter rate and volume must be > 0")
 
     @property
     def density(self) -> float:

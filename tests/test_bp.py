@@ -149,7 +149,7 @@ class TestMeasurementEvaluation:
         cov = (centred * weights[:, None]).T @ centred / total
         s_cov = h @ cov @ h.T + r
         cfg = BpConfig(n_particles=400)
-        gamma = chi2.ppf(cfg.gate_prob, 2)
+        gamma = chi2.ppf(bp.GATE_PROB, 2)
         # two measurements along one direction at squared distances just
         # inside and just outside the gate
         u = np.array([0.6, 0.8])
@@ -577,7 +577,7 @@ def reference_evaluation(beliefs, inp, cfg, birth_clouds):
         return -0.5 * (rank * LOG_2PI + logdet + quad(z - particles @ h.T))
 
     log_ci = math.log(inp.clutter.rate) + inp.clutter.log_density
-    gamma = chi2.ppf(cfg.gate_prob, rank)
+    gamma = chi2.ppf(bp.GATE_PROB, rank)
     beta = np.zeros((n, m + 1))
     q_cache = {}
     for tau in range(n):
@@ -599,7 +599,7 @@ def reference_evaluation(beliefs, inp, cfg, birth_clouds):
     xi = np.ones((m, n + 1))
     for i in range(m):
         mean_lik = float(np.mean(np.exp(loglik(zs[i], birth_clouds[i]))))
-        xi[i, 0] = 1.0 + cfg.birth_rate * mean_lik * math.exp(-log_ci)
+        xi[i, 0] = 1.0 + bp.BIRTH_RATE * mean_lik * math.exp(-log_ci)
     return beta, xi, q_cache
 
 
@@ -616,7 +616,7 @@ def reference_belief_calculation(beliefs, survived_posts, cfg, rng):
         particles = beliefs.particles[tau]
         if r > 0:
             wn = weights / r
-            if 1.0 / float(np.sum(wn * wn)) < cfg.resample_ess_frac * n_p:
+            if 1.0 / float(np.sum(wn * wn)) < bp.RESAMPLE_ESS_FRAC * n_p:
                 cumulative = np.cumsum(wn)
                 cumulative[-1] = 1.0
                 idx = np.searchsorted(cumulative, (u + np.arange(n_p)) / n_p)
@@ -891,7 +891,7 @@ def every_stage(beliefs, inp, cfg, clouds, seed, plain_posts=False):
     pred = bp_predict(beliefs, cv_motion(q=0.2), 0.95, np.random.default_rng(seed),
                       scan_buffer(beliefs))
     msgs, q_cache, birth_liks = measurement_evaluation(beliefs, inp, cfg, clouds)
-    iterative_association(msgs, cfg.iterations)
+    iterative_association(msgs, bp.ITERATIONS)
     survived, newborn_posts = measurement_update(beliefs, msgs, q_cache, birth_liks,
                                                  inp, cfg)
     if plain_posts:
@@ -1123,6 +1123,12 @@ class TestErrorPaths:
         assert BpConfig(n_particles=bp.MAX_PARTICLES).n_particles == 50_000
         with pytest.raises(InputError, match="at most 50000 particles"):
             BpConfig(n_particles=bp.MAX_PARTICLES + 1)
+
+    @pytest.mark.parametrize("threshold", [0.0, -1e-6, bp.DECLARE_THRESHOLD, 0.9, 1.5])
+    def test_prune_threshold_must_lie_below_the_declare_threshold(self, threshold):
+        with pytest.raises(InputError, match="prune_threshold"):
+            BpConfig(prune_threshold=threshold)
+        assert BpConfig(prune_threshold=1e-300).prune_threshold == 1e-300
 
     def test_weights_not_matching_particles_rejected(self):
         with pytest.raises(InputError):

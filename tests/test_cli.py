@@ -2,7 +2,9 @@
 
 import contextlib
 import io
+import os
 import signal
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -165,6 +167,16 @@ class TestSpec:
                        "--out", str(tmp_path / "out")] + flags)
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["abc", "", "1.5", "7x"])
+    def test_seed_variable_not_an_integer_exits_with_error(self, tmp_path, capsys,
+                                                          monkeypatch, value):
+        # it used to end in int()'s untyped ValueError
+        monkeypatch.setenv(cli.ENV_SEED, value)
+        rc = cli.main(["run", "--runs", "1", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"error: {cli.ENV_SEED} must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_particle_count_at_the_cap_is_accepted(self):
@@ -437,6 +449,14 @@ def job_flags(draw):
     return draw(count_flag("runs", ("1",))) + sweep
 
 
+def seed_values():
+    """A `TRACKFUSE_SEED` value: an integer string three times in four, else
+    a string that is no integer."""
+    integers = st.integers(-2 ** 63, 2 ** 63).map(str)
+    return st.one_of(integers, integers, integers,
+                     st.sampled_from(("abc", "", " ", "1.5", "0x10", "1e3", "nan")))
+
+
 class RunTooLong(BaseException):
     """Raised into a run that exceeds the fuzzer's time bound."""
 
@@ -454,10 +474,10 @@ def arm_disagreements(curves: str) -> list:
 
 
 class TestFuzz:
-    """Every generated scenario file, count flag and sweep either runs a
-    1-run experiment of at most 3 scans per sweep value to exit code 0
-    inside the time bound, its raw and type2 curves equal, or exits 2 with
-    an `error:` line and leaves no output directory."""
+    """Every generated scenario file, count flag, sweep and `TRACKFUSE_SEED`
+    value either runs a 1-run experiment of at most 3 scans per sweep value
+    to exit code 0 inside the time bound, its raw and type2 curves equal, or
+    exits 2 with an `error:` line and leaves no output directory."""
 
     SECONDS = 3.0
 
@@ -465,9 +485,9 @@ class TestFuzz:
     @given(text=scenario_texts(), fusion=st.sampled_from(("mda", "bp")),
            particles=count_flag("particles", ("1", "20", "50001")),
            workers=count_flag("workers", ("1", "99999999999")),
-           runs=job_flags())
-    def test_inputs_run_or_exit_with_a_typed_error(self, tmp_path_factory, text,
-                                                   fusion, particles, workers, runs):
+           runs=job_flags(), env_seed=seed_values())
+    def test_inputs_run_or_exit_with_a_typed_error(self, tmp_path_factory, text, fusion,
+                                                   particles, workers, runs, env_seed):
         tmp = tmp_path_factory.mktemp("fuzz")
         scenario, out = tmp / "fuzz.cfg", tmp / "out"
         scenario.write_text(text)
@@ -482,7 +502,8 @@ class TestFuzz:
         previous = signal.signal(signal.SIGALRM, too_long)
         signal.setitimer(signal.ITIMER_REAL, self.SECONDS)
         try:
-            with contextlib.redirect_stderr(err):
+            with (contextlib.redirect_stderr(err),
+                  mock.patch.dict(os.environ, {cli.ENV_SEED: env_seed})):
                 rc = cli.main(argv)
         except SystemExit as exc:  # argparse rejects a count that is no integer
             rc = exc.code

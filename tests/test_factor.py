@@ -149,13 +149,13 @@ def reference_births(inp, cfg, state_dim, rng):
     r_dag = pinv_psd(r) if batch.transformed else np.linalg.inv(r)
     info_pinv = pinv_psd(symmetrize(h.T @ r_dag @ h))
     c_pos = np.linalg.cholesky(symmetrize(
-        cfg.birth_cov_inflation * info_pinv[:2, :2]))
+        bp_mod.BIRTH_COV_INFLATION * info_pinv[:2, :2]))
     clouds = []
     for z in batch.zs:
         x0 = info_pinv @ (h.T @ (r_dag @ z))
         particles = np.zeros((cfg.n_particles, state_dim))
         particles[:, :2] = x0[:2] + rng.standard_normal((cfg.n_particles, 2)) @ c_pos.T
-        particles[:, 2:4] = cfg.vel_prior_std * rng.standard_normal((cfg.n_particles, 2))
+        particles[:, 2:4] = bp_mod.VEL_PRIOR_STD * rng.standard_normal((cfg.n_particles, 2))
         clouds.append(particles)
     return clouds
 

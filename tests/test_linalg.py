@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 import trackfuse
-from trackfuse.bp import BpConfig
+from trackfuse import bp, mda, sim
 from trackfuse.errors import NumericsError
 from trackfuse.linalg import (
     chi2_gate,
@@ -22,8 +22,6 @@ from trackfuse.linalg import (
     psd_eig_stack,
     psd_quadforms,
 )
-from trackfuse.mda import MdaConfig
-from trackfuse.sim import LocalTrackerConfig
 
 
 def per_matrix_quadforms(mats, diffs):
@@ -166,8 +164,7 @@ class TestMahalanobisSq:
 
 class TestChi2Gate:
     def test_equals_chi2_ppf_at_the_configured_gates(self):
-        probs = {BpConfig().gate_prob, MdaConfig().gate_prob,
-                 MdaConfig().init_gate_prob, LocalTrackerConfig().gate_prob}
+        probs = {bp.GATE_PROB, mda.MdaConfig().gate_prob, mda.INIT_GATE_PROB, sim.GATE_PROB}
         for prob in probs:
             for dof in range(1, 7):
                 assert chi2_gate(prob, dof) == chi2.ppf(prob, dof)

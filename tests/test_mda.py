@@ -1163,7 +1163,7 @@ def reference_initiation_problem(batches, sensors, cfg, available):
     reference of the per-sensor-pair gate."""
     n_sensors = len(batches)
     back = [_backprojected_positions(b) for b in batches]
-    gamma = chi2_gate(cfg.init_gate_prob, 2)
+    gamma = chi2_gate(mda_mod.INIT_GATE_PROB, 2)
 
     def compatible(l1, i1, l2, i2):
         if back[l1] is None or back[l2] is None:
@@ -1237,7 +1237,7 @@ class TestInitiationGate:
         want_groups, compatible = reference_initiation_problem(batches, views, cfg,
                                                                available)
         back = [_backprojected_positions(b) for b in batches]
-        gates = _pair_gates(back, available, chi2_gate(cfg.init_gate_prob, 2))
+        gates = _pair_gates(back, available, chi2_gate(mda_mod.INIT_GATE_PROB, 2))
         for l1, l2 in itertools.combinations(range(len(kinds)), 2):
             both = back[l1] is not None and back[l2] is not None
             assert ((l1, l2) in gates) == (both and bool(available[l1])
@@ -1269,7 +1269,7 @@ class TestInitiationGate:
         batches, views = initiation_instance(rng, ["raw", "type2"], [1, 1])
         back = [_backprojected_positions(b) for b in batches]
         cfg = MdaConfig()
-        gamma = chi2_gate(cfg.init_gate_prob, 2)
+        gamma = chi2_gate(mda_mod.INIT_GATE_PROB, 2)
         c = back[0][1] + back[1][1]
         angle = rng.uniform(0.0, 2.0 * math.pi, 60)
         u = np.stack([np.cos(angle), np.sin(angle)], axis=1)

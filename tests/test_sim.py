@@ -14,7 +14,8 @@ from scipy.optimize import linear_sum_assignment
 
 from trackfuse import bp as bp_mod
 from trackfuse import mda as mda_mod
-from trackfuse.errors import NumericsError
+from trackfuse import sim as sim_mod
+from trackfuse.errors import InputError, NumericsError
 from trackfuse.linalg import chi2_gate, symmetrize
 from trackfuse.models import GaussianEstimate, innovation, predict, update_raw
 from trackfuse.sim import (
@@ -134,8 +135,8 @@ def reference_measurements(truth, cfg, scan, seed):
     alive = [traj[scan] for traj in truth if scan in traj]
     for sensor_id, sc in enumerate(cfg.sensors):
         rng = rng_stream(seed, "meas", scan, sensor_id)
-        theta = rng.uniform(cfg.theta_range[0], cfg.theta_range[1], 2)
-        vartheta = rng.uniform(cfg.vartheta_range[0], cfg.vartheta_range[1], 2)
+        theta = rng.uniform(sim_mod.THETA_RANGE[0], sim_mod.THETA_RANGE[1], 2)
+        vartheta = rng.uniform(sim_mod.VARTHETA_RANGE[0], sim_mod.VARTHETA_RANGE[1], 2)
         e = np.diag(1.0 + theta)
         h = np.hstack([e, np.zeros((2, 2))])
         r = np.diag(cfg.sigma ** 2 + vartheta)
@@ -435,7 +436,6 @@ def reference_gnn_step(tracker, scan_data):
     predict, innovation, Cholesky and update call per track, on one record
     per track and per initiator read from the tracker's arrays and written
     back to them at the end."""
-    cfg = tracker.cfg
     zs, model = scan_data.zs, scan_data.model
     m = zs.shape[0]
     tracks = [SimpleNamespace(est=GaussianEstimate._trusted(mean, cov, stamp),
@@ -448,7 +448,7 @@ def reference_gnn_step(tracker, scan_data):
     for t in tracks:
         t.est = predict(t.est, tracker.motion)
 
-    gamma = chi2_gate(cfg.gate_prob, model.m)
+    gamma = chi2_gate(sim_mod.GATE_PROB, model.m)
     assigned_meas = set()
     transmit = []
     if tracks:
@@ -473,13 +473,13 @@ def reference_gnn_step(tracker, scan_data):
                 t.hits += 1
                 t.misses = 0
                 assigned_meas.add(int(col))
-                if t.hits >= cfg.confirm_hits:
+                if t.hits >= sim_mod.CONFIRM_HITS:
                     t.confirmed = True
                 if t.confirmed:
                     transmit.append(int(col))
             else:
                 t.misses += 1
-    tracks = [t for t in tracks if t.misses < cfg.delete_misses]
+    tracks = [t for t in tracks if t.misses < sim_mod.DELETE_MISSES]
 
     leftovers = [i for i in range(m) if i not in assigned_meas]
     e_inv = np.linalg.inv(scan_data.E)
@@ -488,7 +488,7 @@ def reference_gnn_step(tracker, scan_data):
 
     paired = set()
     if initiators and leftovers:
-        capture = cfg.capture_speed * tracker.dt + 4.0 * math.sqrt(
+        capture = sim_mod.CAPTURE_SPEED * tracker.dt + 4.0 * math.sqrt(
             float(np.max(np.linalg.eigvalsh(2.0 * pos_cov))))
         n_i = len(initiators)
         mat = np.full((n_i, len(leftovers) + n_i), capture ** 2)
@@ -666,6 +666,20 @@ class TestHarness:
                          base_seed=12)
         assert out["raw"].mean_comm_bytes > out["type1"].mean_comm_bytes
         assert out["type1"].mean_comm_bytes > out["type2"].mean_comm_bytes
+
+    @pytest.mark.parametrize("fusion", ["mda", "bp"])
+    def test_zero_clutter_rate_is_refused_with_a_typed_error(self, fusion):
+        # a zero rate used to reach math.log(rate) in the fusion's scores and
+        # end in its untyped ValueError
+        cfg = scenario1().with_overrides(clutter_rate=0.0)
+        cfg.duration = 8
+        tapes, sends = prepare_run(cfg, 3)
+        assert any(any(sent) for sent in sends)
+        with pytest.raises(InputError, match="clutter rate"):
+            if fusion == "mda":
+                run_mda_fusion(cfg, tapes, sends, "raw")
+            else:
+                run_bp_fusion(cfg, tapes, sends, "raw", 3, bp_mod.BpConfig(n_particles=20))
 
     def test_monte_carlo_shapes(self):
         cfg = scenario1()

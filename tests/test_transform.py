@@ -172,6 +172,14 @@ class TestGeneralizedLikelihood:
 
 
 class TestClutter:
+    @pytest.mark.parametrize("rate, volume", [(0.0, 1e6), (-1.0, 1e6), (math.nan, 1e6),
+                                              (10.0, 0.0), (10.0, -1.0)])
+    def test_rate_and_volume_must_be_positive(self, rate, volume):
+        # a zero rate used to pass here and end every score in math.log's
+        # untyped ValueError
+        with pytest.raises(InputError, match="must be > 0"):
+            ClutterModel(rate, volume)
+
     def test_identity_transform_keeps_density(self):
         clutter = ClutterModel(10.0, 1e6)
         model = position_model(np.random.default_rng(0))
