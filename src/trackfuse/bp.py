@@ -83,10 +83,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateBeliefError, InputError, ResourceLimitError
+from .errors import DegenerateBeliefError, InputError, ResourceLimitError, require_count
 from .linalg import chi2_gate, psd_quadforms, symmetrize
 from .models import POS_DIM, MeasurementBatch, MotionModel
-from .transform import ClutterModel
+from .transform import SensorInput
 
 # Most particles in one stage block (see the module docstring).
 BLOCK_PARTICLES = 32768
@@ -176,30 +176,11 @@ class BpConfig:
     def __post_init__(self):
         if not 0.0 < self.prune_threshold < DECLARE_THRESHOLD:
             raise InputError(f"need 0 < prune_threshold < {DECLARE_THRESHOLD}")
-        n = self.n_particles
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise InputError("need an integer particle count >= 1")
-        if n > MAX_PARTICLES:
-            raise InputError(f"need at most {MAX_PARTICLES} particles, got {n}")
-
-
-@dataclass
-class BpSensorInput:
-    """One sensor's payload plus its detection/clutter context."""
-
-    batch: MeasurementBatch
-    p_d: float
-    clutter: ClutterModel
-    detect_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def __post_init__(self):
-        if not 0.0 < self.p_d <= 1.0:
-            raise InputError("detection probability must be in (0, 1]")
-
-    def detection_probs(self, positions: np.ndarray) -> np.ndarray:
-        if self.detect_fn is None:
-            return np.full(positions.shape[0], self.p_d)
-        return self.detect_fn(positions)
+        require_count(self.n_particles, "particle count")
+        if self.n_particles > MAX_PARTICLES:
+            raise InputError(f"need at most {MAX_PARTICLES} particles, got {self.n_particles}")
+        if not 0.0 < self.survival_prob <= 1.0:
+            raise InputError("need 0 < survival_prob <= 1")
 
 
 @dataclass
@@ -269,7 +250,7 @@ def bp_predict(beliefs: Beliefs, motion: MotionModel, survival_prob: float,
     return out
 
 
-def propose_births(inp: BpSensorInput, cfg: BpConfig, clouds: np.ndarray,
+def propose_births(inp: SensorInput, cfg: BpConfig, clouds: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray:
     """Measurement-driven birth particle clouds, one per measurement, drawn
     into `clouds` (M, Np, n), the scan buffer's newborn rows, and returned.
@@ -303,7 +284,7 @@ def propose_births(inp: BpSensorInput, cfg: BpConfig, clouds: np.ndarray,
     return clouds
 
 
-def measurement_evaluation(beliefs: Beliefs, inp: BpSensorInput, cfg: BpConfig,
+def measurement_evaluation(beliefs: Beliefs, inp: SensorInput, cfg: BpConfig,
                            birth_clouds: np.ndarray):
     """Factors beta (survived) and xi (newborn) for one sensor.
 
@@ -463,7 +444,7 @@ def _check_messages(arr: np.ndarray):
 
 
 def measurement_update(beliefs: Beliefs, msgs: AssociationMessages, q_cache: dict,
-                       birth_liks: np.ndarray, inp: BpSensorInput, cfg: BpConfig):
+                       birth_liks: np.ndarray, inp: SensorInput, cfg: BpConfig):
     """Unnormalized posteriors for survived targets and newborns.
 
     msgs must come from `measurement_evaluation` of the same beliefs: the
@@ -580,7 +561,7 @@ def _mean(particles: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (weights @ particles) / total
 
 
-def _sensor_step(rows: Beliefs, inp: BpSensorInput, cfg: BpConfig,
+def _sensor_step(rows: Beliefs, inp: SensorInput, cfg: BpConfig,
                  rng_for: Callable[[str, int], np.random.Generator], l: int,
                  trace: Optional[list]):
     """One sensor's update of the scan buffer's first rows (its beliefs, then
@@ -614,7 +595,7 @@ def _sensor_step(rows: Beliefs, inp: BpSensorInput, cfg: BpConfig,
     return kappa
 
 
-def bp_pipeline_step(beliefs: Beliefs, inputs: Sequence[BpSensorInput],
+def bp_pipeline_step(beliefs: Beliefs, inputs: Sequence[SensorInput],
                      motion: MotionModel, cfg: BpConfig,
                      rng_for: Callable[[str, int], np.random.Generator],
                      scan: int = 0, trace: Optional[list] = None):

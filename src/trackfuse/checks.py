@@ -28,8 +28,8 @@ from . import mda as mda_mod
 from .errors import ResourceLimitError
 from .linalg import chi2_gate, pinv_psd, psd_eig, symmetrize
 from .metrics import INFO_FILTER, OspaParams, comm_bytes, ospa
-from .models import RAW, TYPE1, TYPE2, MeasurementModel
-from .transform import ClutterModel, clutter_density_transformed, make_generic
+from .models import RAW, TYPE1, TYPE2, MeasurementBatch, MeasurementModel
+from .transform import ClutterModel, SensorInput, clutter_density_transformed, make_generic
 
 Result = tuple[str, bool, str]
 
@@ -71,7 +71,7 @@ def check_lemmas(seed: int = 1234) -> list[Result]:
     rng2 = np.random.default_rng(seed + 1)
     done = 0
     while done < 200:
-        views_raw, views_tr, meas, meas_t = [], [], [], []
+        inputs_raw, inputs_tr, meas, meas_t = [], [], [], []
         x_true = rng2.standard_normal(4) * 50
         conditioned = True
         for l in range(2):
@@ -90,16 +90,16 @@ def check_lemmas(seed: int = 1234) -> list[Result]:
             z = h @ x_true + rng2.standard_normal(2)
             meas.append(z)
             meas_t.append(a @ z)
-            views_raw.append(mda_mod.SensorView(h, r, 0.9, clut, False))
-            views_tr.append(mda_mod.SensorView(
-                tr.Ht, tr.Rt, 0.9, clutter_density_transformed(clut, tr), True))
+            inputs_raw.append(SensorInput(MeasurementBatch(l, [], h, r, RAW), 0.9, clut))
+            inputs_tr.append(SensorInput(MeasurementBatch(l, [], tr.Ht, tr.Rt, tr.kind),
+                                          0.9, clutter_density_transformed(clut, tr)))
         if not conditioned:
             continue
-        info, _ = mda_mod._stacked_information(meas, views_raw)
+        info, _ = mda_mod._stacked_information(meas, inputs_raw)
         if np.linalg.cond(info) > 1e6:
             continue
-        x_raw = mda_mod.mle_state(meas, views_raw)
-        x_tr = mda_mod.mle_state(meas_t, views_tr)
+        x_raw = mda_mod.mle_state(meas, inputs_raw)
+        x_tr = mda_mod.mle_state(meas_t, inputs_tr)
         worst["mle"] = max(worst["mle"],
                            np.linalg.norm(x_raw - x_tr)
                            / max(np.linalg.norm(x_raw), 1e-12))

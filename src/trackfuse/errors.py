@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config classes' count check."""
+
+from numbers import Integral
 
 
 class TrackfuseError(Exception):
@@ -32,3 +34,9 @@ class DegenerateBeliefError(NumericsError):
 
 class InconsistentTransformError(InputError):
     """Transformed residual falls outside the range of the transformed covariance."""
+
+
+def require_count(value, what: str):
+    """Raise InputError unless `value` is an integer >= 1 (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise InputError(f"need an integer {what} >= 1, got {value!r}")

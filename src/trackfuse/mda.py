@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from types import SimpleNamespace
 from typing import NamedTuple, Optional, Sequence
 
@@ -73,6 +73,7 @@ from .errors import (
     ResourceLimitError,
     TrackfuseError,
     UnobservableHypothesisError,
+    require_count,
 )
 from .linalg import (
     SINGULAR_RTOL,
@@ -91,15 +92,13 @@ from .models import (
     GaussianEstimate,
     MeasurementBatch,
     MotionModel,
-    PayloadFactor,
     _update_with_innovation,
     innovation_stack,
-    payload_factors,
     predict_stack,
     update_information,
 )
 from .transform import (
-    ClutterModel,
+    SensorInput,
     gaussian_log_likelihood,
     generalized_log_likelihood,
 )
@@ -113,50 +112,6 @@ INIT_GATE_PROB = 0.99  # of initiation's pairwise position gate
 CONFIRM_HITS = 2  # associated measurements that confirm a fused track
 DELETE_MISSES = 3  # consecutive missed scans that delete a fused track
 VELOCITY_PRIOR_VAR = 1e4  # newborns' prior variance on unobservable directions
-
-
-@dataclass
-class SensorView:
-    """Per-sensor scoring context: effective (H, R), detection, clutter.
-
-    For transformed payloads R may be singular PSD and the clutter model
-    must already live in the transformed measurement space.
-    """
-
-    H: np.ndarray
-    R: np.ndarray
-    p_d: float
-    clutter: ClutterModel
-    transformed: bool = False
-    _factor: Optional[PayloadFactor] = field(default=None, init=False,
-                                             repr=False, compare=False)
-
-    def __post_init__(self):
-        self.H = np.atleast_2d(np.asarray(self.H, dtype=float))
-        self.R = symmetrize(np.atleast_2d(np.asarray(self.R, dtype=float)))
-        if not 0.0 < self.p_d <= 1.0:
-            raise InputError("detection probability must be in (0, 1]")
-
-    @classmethod
-    def from_batch(cls, batch: MeasurementBatch, p_d: float,
-                   clutter: ClutterModel) -> "SensorView":
-        """The view of a batch's payload; it shares the batch's (H, R),
-        validated when the batch was made, and its factor."""
-        if not 0.0 < p_d <= 1.0:
-            raise InputError("detection probability must be in (0, 1]")
-        view = cls.__new__(cls)
-        view.H, view.R, view.transformed = batch.H, batch.R, batch.transformed
-        view.p_d, view.clutter, view._factor = p_d, clutter, batch.factor
-        return view
-
-    @property
-    def factor(self) -> PayloadFactor:
-        """The factored (H, R) (see `PayloadFactor`), computed on first use
-        unless the view came from a batch."""
-        if self._factor is None:
-            self._factor = payload_factors(self.H[None], self.R[None],
-                                           self.transformed)[0]
-        return self._factor
 
 
 @dataclass
@@ -239,25 +194,26 @@ class AssociationSolution:
 
 def score_with_prior(track_pred: GaussianEstimate,
                      meas: Sequence[Optional[np.ndarray]],
-                     sensors: Sequence[SensorView],
+                     sensors: Sequence[SensorInput],
                      indices: Optional[tuple] = None) -> HypothesisCost:
     """Score of one (track, i_1..i_L) hypothesis given the predicted track.
 
     Each detecting sensor contributes P_d times the measurement likelihood
-    (innovation covariance H P H^T + R) over the clutter intensity; each
-    missing sensor contributes 1 - P_d.
+    (innovation covariance H P H^T + R of its batch's effective model) over
+    the clutter intensity; each missing sensor contributes 1 - P_d.
     """
     log_l = 0.0
-    for z, sv in zip(meas, sensors):
+    for z, inp in zip(meas, sensors):
         if z is None:
-            log_l += _log_miss(sv.p_d)
+            log_l += _log_miss(inp.p_d)
         else:
-            z_hat = sv.H @ track_pred.mean
-            s = symmetrize(sv.H @ track_pred.cov @ sv.H.T + sv.R)
-            loglik = (generalized_log_likelihood if sv.transformed
+            b = inp.batch
+            z_hat = b.H @ track_pred.mean
+            s = symmetrize(b.H @ track_pred.cov @ b.H.T + b.R)
+            loglik = (generalized_log_likelihood if b.transformed
                       else gaussian_log_likelihood)
-            log_l += (math.log(sv.p_d) + loglik(z, z_hat, s)
-                      - math.log(sv.clutter.rate) - sv.clutter.log_density)
+            log_l += (math.log(inp.p_d) + loglik(z, z_hat, s)
+                      - math.log(inp.clutter.rate) - inp.clutter.log_density)
     return HypothesisCost(indices, log_l)
 
 
@@ -265,10 +221,10 @@ def _stacked_information(meas, sensors):
     """Stacked (info matrix, info vector) over the detecting sensors."""
     info = None
     ivec = None
-    for z, sv in zip(meas, sensors):
+    for z, inp in zip(meas, sensors):
         if z is None:
             continue
-        f = sv.factor
+        f = inp.batch.factor
         if info is None:
             n = f.htrh.shape[0]
             info = np.zeros((n, n))
@@ -281,7 +237,7 @@ def _stacked_information(meas, sensors):
 
 
 def mle_state(meas: Sequence[Optional[np.ndarray]],
-              sensors: Sequence[SensorView],
+              sensors: Sequence[SensorInput],
               observable_subspace: bool = False) -> np.ndarray:
     """Weighted least-squares state estimate from one tuple of measurements.
 
@@ -302,12 +258,12 @@ def mle_state(meas: Sequence[Optional[np.ndarray]],
 
 
 def score_without_prior(meas: Sequence[Optional[np.ndarray]],
-                        sensors: Sequence[SensorView],
+                        sensors: Sequence[SensorInput],
                         indices: Optional[tuple] = None) -> HypothesisCost:
     """Generalized likelihood-ratio score for a prior-free tuple.
 
     The likelihood is evaluated at the WLS estimate with the measurement
-    noise covariance itself (no prior spread), by the view's factor.
+    noise covariance itself (no prior spread), by the batch's factor.
     Tuples with fewer than two measurements cannot corroborate a new track
     and get cost +inf.
     """
@@ -316,14 +272,14 @@ def score_without_prior(meas: Sequence[Optional[np.ndarray]],
         return HypothesisCost(indices, -math.inf)
     x_ml = mle_state(meas, sensors, observable_subspace=True)
     log_l = 0.0
-    for z, sv in zip(meas, sensors):
+    for z, inp in zip(meas, sensors):
         if z is None:
-            log_l += _log_miss(sv.p_d)
+            log_l += _log_miss(inp.p_d)
         else:
-            loglik = sv.factor.loglik(np.asarray(z, dtype=float).reshape(1, -1),
-                                      (sv.H @ x_ml)[:, None])
-            log_l += (math.log(sv.p_d) + float(loglik[0, 0])
-                      - math.log(sv.clutter.rate) - sv.clutter.log_density)
+            loglik = inp.batch.factor.loglik(np.asarray(z, dtype=float).reshape(1, -1),
+                                             (inp.batch.H @ x_ml)[:, None])
+            log_l += (math.log(inp.p_d) + float(loglik[0, 0])
+                      - math.log(inp.clutter.rate) - inp.clutter.log_density)
     return HypothesisCost(indices, log_l)
 
 
@@ -335,6 +291,12 @@ class MdaConfig:
     # enumeration oracle); maintenance itself builds per-sensor tables.
     max_tuples: int = 200_000
     init_min_meas: int = 2
+
+    def __post_init__(self):
+        if not 0.0 < self.gate_prob <= 1.0:
+            raise InputError("need 0 < gate_prob <= 1")
+        require_count(self.max_tuples, "max_tuples")
+        require_count(self.init_min_meas, "init_min_meas")
 
 
 def padded_table(meas: np.ndarray, miss: np.ndarray) -> np.ndarray:
@@ -352,7 +314,7 @@ def padded_table(meas: np.ndarray, miss: np.ndarray) -> np.ndarray:
 
 
 def _cost_tables(means: np.ndarray, covs: np.ndarray,
-                 batches: Sequence[MeasurementBatch], views: Sequence[SensorView],
+                 batches: Sequence[MeasurementBatch], sensors: Sequence[SensorInput],
                  gate_prob: float) -> list:
     """(N, M_l) costs of N predicted tracks against each batch's measurements,
     for batches of one route (raw or transformed) and one model shape.
@@ -410,8 +372,8 @@ def _cost_tables(means: np.ndarray, covs: np.ndarray,
         norm = (s.shape[-1] * LOG_2PI
                 + 2.0 * np.sum(np.log(np.diagonal(c, axis1=-2, axis2=-1)), axis=-1))
     log_lik = -0.5 * (norm[..., None] + d2)
-    terms = np.array([(math.log(v.p_d), math.log(v.clutter.rate), v.clutter.log_density)
-                      for v in views])[:, :, None, None]
+    terms = np.array([(math.log(inp.p_d), math.log(inp.clutter.rate),
+                       inp.clutter.log_density) for inp in sensors])[:, :, None, None]
     cost = -(terms[:, 0] + log_lik - terms[:, 1] - terms[:, 2])
     table = np.where(gated, cost, BIG)
     return [(table[l, :, :m], (z_hat[l], s[l], (w[l], v[l]) if c is None else c[l]))
@@ -420,12 +382,12 @@ def _cost_tables(means: np.ndarray, covs: np.ndarray,
 
 def build_mda_problem(tracks_pred: Sequence[GaussianEstimate],
                       batches: Sequence[MeasurementBatch],
-                      sensors: Sequence[SensorView],
+                      sensors: Sequence[SensorInput],
                       cfg: MdaConfig) -> MaintenanceProblem:
     """Per-sensor maintenance tables (see `MaintenanceProblem`), in one pass.
 
     The batch supplies the measurements and the effective (H, R) that gate
-    and score them, the view P_d and the clutter model. Every sensor with
+    and score them, the input P_d and the clutter model. Every sensor with
     measurements is scored at once (`_cost_tables`), one pass per route and
     model shape, on the tracks' stacked arrays (an `EstimateStack` is used
     as it is). A miss costs -log(1 - P_d), BIG when P_d = 1. The problem
@@ -456,8 +418,8 @@ def build_mda_problem(tracks_pred: Sequence[GaussianEstimate],
             _cost_tables(preds.means, preds.covs, [batches[l]], [sensors[l]],
                          cfg.gate_prob)
         raise
-    tables = [padded_table(c, np.full(n, min(-_log_miss(v.p_d), BIG)))
-              for c, v in zip(costs, sensors)]
+    tables = [padded_table(c, np.full(n, min(-_log_miss(inp.p_d), BIG)))
+              for c, inp in zip(costs, sensors)]
     return MaintenanceProblem(tables, n, counts, innovations)
 
 
@@ -589,7 +551,7 @@ def _pair_gates(back, available, gamma: float) -> dict:
 
 
 def build_initiation_problem(batches: Sequence[MeasurementBatch],
-                             sensors: Sequence[SensorView],
+                             sensors: Sequence[SensorInput],
                              cfg: MdaConfig,
                              available: Optional[Sequence[Sequence[int]]] = None
                              ) -> AssignmentProblem:
@@ -949,10 +911,11 @@ def _initial_estimate(meas, sensors):
 
 
 def mda_pipeline_step(tracks: FusedTracks, batches: Sequence[MeasurementBatch],
-                      sensors: Sequence[SensorView], motion: MotionModel,
+                      sensors: Sequence[SensorInput], motion: MotionModel,
                       cfg: MdaConfig, next_label: int, scan: int = 0):
     """One scan of predict / maintain / update / initiate / manage.
 
+    `sensors[l]` is sensor l's `SensorInput` and `batches[l]` its batch.
     Maintenance is the per-sensor decomposition (`build_mda_problem`,
     `solve_maintenance`, `update_maintained`) on the tracks' arrays, with
     hits, misses and confirmation (at CONFIRM_HITS hits) as array updates;

@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import InputError
+from .errors import InputError, require_count
 from .models import RAW, TYPE1, TYPE2
 
 BYTES_PER_SCALAR = 8
@@ -23,8 +23,9 @@ class OspaParams:
     w: int = 10
 
     def __post_init__(self):
-        if self.c <= 0 or self.p < 1 or self.w < 1:
-            raise InputError("need c > 0, p >= 1, w >= 1")
+        if not (0 < self.c < np.inf and 1 <= self.p < np.inf):
+            raise InputError("need a finite c > 0 and a finite p >= 1")
+        require_count(self.w, "OSPA(2) window w")
 
 
 def _as_points(x) -> np.ndarray:

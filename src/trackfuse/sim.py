@@ -16,8 +16,8 @@ scan. `encode_batch` is the same pass over one (scan, sensor)
 transmission; its batches equal the tape pass's bit for bit.
 
 Both engines run in one per-scan fusion loop (`_fuse`); `run_mda_fusion`
-and `run_bp_fusion` supply only its engine step, and the BP step builds
-its inputs from one scan of `encode_tape` with `bp_inputs`.
+and `run_bp_fusion` supply only its engine step, which the loop hands the
+scan's per-sensor `transform.SensorInput`s (`sensor_inputs`).
 
 The sensor side (`prepare_run`) works on arrays too: `generate_measurements`
 makes one field-of-view test of all alive targets per sensor and scan, and
@@ -63,7 +63,7 @@ from .models import (
     payload_factors,
     predict_stack,
 )
-from .transform import ClutterModel, type1_stack, type2_stack
+from .transform import ClutterModel, SensorInput, type1_stack, type2_stack
 
 
 def _key_part(part) -> int:
@@ -539,9 +539,8 @@ class RunRecord:
 def _fuse(cfg: ScenarioConfig, tapes, sends, payload: str,
           ospa_params: Optional[OspaParams], step) -> RunRecord:
     """Encode the tape, then per scan book the transmissions, run
-    `step(scan, scan_list, pairs) -> [(label, position)]` on the scan's
-    sensor outputs and encoded (batch, clutter) pairs, and score its
-    estimates (OSPA, OSPA(2), cardinalities, bytes)."""
+    `step(scan, inputs) -> [(label, position)]` on the scan's `sensor_inputs`
+    and score its estimates (OSPA, OSPA(2), cardinalities, bytes)."""
     params = ospa_params or OspaParams()
     truth = tapes["truth"]
     truth_tracks = {i: {s: x[:2] for s, x in traj.items()}
@@ -550,13 +549,13 @@ def _fuse(cfg: ScenarioConfig, tapes, sends, payload: str,
     est_history = TrackHistory()
     ospa2_cache: dict = {}
     rows = []  # per scan: OSPA, OSPA(2), estimated and true cardinality, bytes
-    encoded = encode_tape(cfg, tapes, sends, payload)
-    for scan, scan_list, sent_list, pairs in zip(
-            range(1, cfg.duration + 1), tapes["scans"], sends, encoded):
+    for scan, scan_list, sent_list, inputs in zip(
+            range(1, cfg.duration + 1), tapes["scans"], sends,
+            sensor_inputs(cfg, tapes, sends, payload)):
         for scan_data, sent in zip(scan_list, sent_list):
             ledger.record(scan, scan_data.sensor_id, len(sent), payload,
                           scan_data.model.m, scan_data.model.n)
-        estimates = step(scan, scan_list, pairs)
+        estimates = step(scan, inputs)
         for label, pos in estimates:
             est_history.record(label, scan, np.asarray(pos, dtype=float))
         est_pos = [pos for _, pos in estimates]
@@ -576,13 +575,10 @@ def run_mda_fusion(cfg: ScenarioConfig, tapes, sends, payload: str,
     motion = motion_model(cfg)
     tracks, next_label = mda_mod.FusedTracks.empty(motion.n), 0
 
-    def step(scan, scan_list, pairs):
+    def step(scan, inputs):
         nonlocal tracks, next_label
-        views = [mda_mod.SensorView.from_batch(
-                     batch, cfg.sensors[scan_data.sensor_id].p_d, clutter)
-                 for scan_data, (batch, clutter) in zip(scan_list, pairs)]
         tracks, next_label, _ = mda_mod.mda_pipeline_step(
-            tracks, [batch for batch, _ in pairs], views, motion, mda_cfg,
+            tracks, [inp.batch for inp in inputs], inputs, motion, mda_cfg,
             next_label, scan)
         confirmed = tracks.confirmed
         return list(zip(tracks.labels[confirmed].tolist(), tracks.means[confirmed, :2]))
@@ -590,13 +586,15 @@ def run_mda_fusion(cfg: ScenarioConfig, tapes, sends, payload: str,
     return _fuse(cfg, tapes, sends, payload, ospa_params, step)
 
 
-def bp_inputs(cfg: ScenarioConfig, scan_list, pairs):
-    """Per-sensor BP inputs of one scan: the sensor outputs `scan_list` and
-    their encoded (batch, clutter) `pairs`, one item of `encode_tape`."""
-    sensors = [cfg.sensors[scan_data.sensor_id] for scan_data in scan_list]
-    return [bp_mod.BpSensorInput(batch, sensor.p_d, clutter,
-                                 detect_fn=_fov_detect_fn(sensor.fov(), sensor.p_d))
-            for sensor, (batch, clutter) in zip(sensors, pairs)]
+def sensor_inputs(cfg: ScenarioConfig, tapes, sends, payload: str):
+    """`encode_tape`, each (batch, clutter) pair given as its sensor's
+    `SensorInput`; each sensor's field-of-view detection function is made
+    once, on the call."""
+    encoded = encode_tape(cfg, tapes, sends, payload)
+    detect = [_fov_detect_fn(sensor.fov(), sensor.p_d) for sensor in cfg.sensors]
+    return ([SensorInput(batch, cfg.sensors[s.sensor_id].p_d, clutter, detect[s.sensor_id])
+             for s, (batch, clutter) in zip(scan_list, pairs)]
+            for scan_list, pairs in zip(tapes["scans"], encoded))
 
 
 def bp_rng_factory(seed: int, scan: int):
@@ -622,11 +620,11 @@ def run_bp_fusion(cfg: ScenarioConfig, tapes, sends, payload: str, seed: int,
     # them, so that its prediction frees the previous scan's arrays
     carried = [bp_mod.Beliefs.empty(bp_cfg.n_particles, motion.n)]
 
-    def step(scan, scan_list, pairs):
+    def step(scan, inputs):
         trace = [] if trace_scans is not None else None
         beliefs, estimates = bp_mod.bp_pipeline_step(
-            carried.pop(), bp_inputs(cfg, scan_list, pairs), motion, bp_cfg,
-            bp_rng_factory(seed, scan), scan, trace)
+            carried.pop(), inputs, motion, bp_cfg, bp_rng_factory(seed, scan), scan,
+            trace)
         carried.append(beliefs)
         if trace_scans is not None:
             trace_scans[scan] = trace

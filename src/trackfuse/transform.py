@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .linalg import (
     sym_sqrt_and_invsqrt,
     symmetrize,
 )
-from .models import LOG_2PI, TYPE1, TYPE2, MeasurementModel
+from .models import LOG_2PI, TYPE1, TYPE2, MeasurementBatch, MeasurementModel
 
 GENERIC = "generic"
 
@@ -220,6 +221,29 @@ class ClutterModel:
     @property
     def log_density(self) -> float:
         return -math.log(self.region_volume)
+
+
+@dataclass
+class SensorInput:
+    """One sensor's payload with its detection and clutter context, the
+    per-sensor input of both fusion engines. A transformed batch's clutter
+    model lives in the transformed space (`clutter_density_transformed`).
+    Without `detect_fn`, which maps (P, 2) positions to detection
+    probabilities, every position is detected with probability `p_d`."""
+
+    batch: MeasurementBatch
+    p_d: float
+    clutter: ClutterModel
+    detect_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        if not 0.0 < self.p_d <= 1.0:
+            raise InputError("detection probability must be in (0, 1]")
+
+    def detection_probs(self, positions: np.ndarray) -> np.ndarray:
+        if self.detect_fn is None:
+            return np.full(positions.shape[0], self.p_d)
+        return self.detect_fn(positions)
 
 
 def clutter_density_transformed(clutter: ClutterModel,

@@ -3,10 +3,11 @@
 import numpy as np
 
 from trackfuse.bp import Beliefs
-from trackfuse.models import GaussianEstimate, MeasurementModel
-from trackfuse.mda import SensorView
+from trackfuse.models import RAW, GaussianEstimate, MeasurementBatch, MeasurementModel
 from trackfuse.transform import (
+    GENERIC,
     ClutterModel,
+    SensorInput,
     clutter_density_transformed,
     make_generic,
     make_type1,
@@ -20,6 +21,13 @@ def position_model(rng, sensor_id=0, sigma2=25.0):
     h = np.hstack([e, np.zeros((2, 2))])
     r = np.diag(sigma2 + rng.uniform(0.0, 1.0, 2))
     return MeasurementModel(h, r, sensor_id)
+
+
+def sensor_input(H, R, p_d, clutter, transformed=False):
+    """A `SensorInput` of the effective (H, R) with no measurements, its
+    batch of a transformed kind when `transformed`."""
+    batch = MeasurementBatch(0, [], H, R, GENERIC if transformed else RAW)
+    return SensorInput(batch, p_d, clutter)
 
 
 def make_transformation(kind, model, rng):
@@ -38,10 +46,10 @@ def paired_views(rng, n_sensors, kind, p_d=0.9, clutter_rate=10.0,
         model = position_model(rng, l)
         tr = make_transformation(kind, model, rng)
         clutter = ClutterModel(clutter_rate, volume)
-        views_raw.append(SensorView(model.H, model.R, p_d, clutter, False))
-        views_tr.append(SensorView(tr.Ht, tr.Rt, p_d,
-                                   clutter_density_transformed(clutter, tr),
-                                   True))
+        views_raw.append(sensor_input(model.H, model.R, p_d, clutter, False))
+        views_tr.append(sensor_input(tr.Ht, tr.Rt, p_d,
+                                     clutter_density_transformed(clutter, tr),
+                                     True))
         transforms.append(tr)
     return views_raw, views_tr, transforms
 

@@ -61,7 +61,7 @@ def test_criterion_03_score_equivalence():
         meas, meas_t = [], []
         for v, tr in zip(views_raw, trs):
             if rng.random() < 0.85:
-                z = v.H @ est.mean + 5 * rng.standard_normal(2)
+                z = v.batch.H @ est.mean + 5 * rng.standard_normal(2)
                 meas.append(z)
                 meas_t.append(tr.A @ z)
             else:
@@ -72,7 +72,7 @@ def test_criterion_03_score_equivalence():
         worst_prior = max(worst_prior, abs(s_raw.log_score - s_tr.log_score))
 
         x_true = rng.standard_normal(4) * 50
-        meas2 = [v.H @ x_true + rng.standard_normal(2) for v in views_raw]
+        meas2 = [v.batch.H @ x_true + rng.standard_normal(2) for v in views_raw]
         meas2_t = [tr.A @ z for tr, z in zip(trs, meas2)]
         w_raw = mda_mod.score_without_prior(meas2, views_raw)
         w_tr = mda_mod.score_without_prior(meas2_t, views_tr)
@@ -130,8 +130,7 @@ def test_criterion_04_bp_single_scan_equivalence():
     base = _synthetic_scenario2_beliefs(cfg, truth, scan, 500, seed)
     traces = {}
     for payload in ("raw", "type2"):
-        pairs = next(sim_mod.encode_tape(cfg, {"scans": [scan_list]}, [sends], payload))
-        inputs = sim_mod.bp_inputs(cfg, scan_list, pairs)
+        inputs = next(sim_mod.sensor_inputs(cfg, {"scans": [scan_list]}, [sends], payload))
         trace = []
         bp_mod.bp_pipeline_step(_copy_beliefs(base), inputs, motion, bp_cfg,
                                 sim_mod.bp_rng_factory(seed, scan), scan,
@@ -214,14 +213,13 @@ def test_criterion_08_scenario2_scaled():
         seed = 100 + run
         tapes, sends = sim_mod.prepare_run(cfg, seed)
         beliefs = {p: bp_mod.Beliefs.empty(500, 4) for p in ("raw", "type2")}
-        encoded = {p: sim_mod.encode_tape(cfg, tapes, sends, p) for p in beliefs}
+        encoded = {p: sim_mod.sensor_inputs(cfg, tapes, sends, p) for p in beliefs}
         reached_ten = False
         for scan in range(1, cfg.duration + 1):
             traces = {}
             cards = {}
             for payload in ("raw", "type2"):
-                inputs = sim_mod.bp_inputs(
-                    cfg, tapes["scans"][scan - 1], next(encoded[payload]))
+                inputs = next(encoded[payload])
                 trace = []
                 beliefs[payload], estimates = bp_mod.bp_pipeline_step(
                     beliefs[payload], inputs, motion, bp_cfg,

@@ -17,7 +17,6 @@ from trackfuse.bp import (
     AssociationMessages,
     Beliefs,
     BpConfig,
-    BpSensorInput,
     belief_calculation,
     bp_pipeline_step,
     bp_predict,
@@ -37,7 +36,7 @@ from trackfuse.errors import (
 )
 from trackfuse.linalg import psd_eig
 from trackfuse.models import GaussianEstimate, MeasurementBatch, MotionModel
-from trackfuse.transform import LOG_2PI, ClutterModel
+from trackfuse.transform import LOG_2PI, ClutterModel, SensorInput
 
 
 def cv_motion(q=0.0):
@@ -69,7 +68,7 @@ def no_newborns(n_p):
 def simple_input(rng, zs, p_d=0.9, rate=10.0, volume=1.13e6, sensor_id=0):
     model = position_model(rng, sensor_id)
     batch = MeasurementBatch(sensor_id, zs, model.H, model.R, "raw")
-    return BpSensorInput(batch, p_d, ClutterModel(rate, volume))
+    return SensorInput(batch, p_d, ClutterModel(rate, volume))
 
 
 class TestPredict:
@@ -159,7 +158,7 @@ class TestMeasurementEvaluation:
         if kind == "type2":
             a = np.array([[2.0, 1.0], [0.5, 3.0]])
             batch = MeasurementBatch(0, zs @ a.T, a @ h, a @ r @ a.T, "type2")
-        inp = BpSensorInput(batch, 0.9, ClutterModel(10.0, 1e6))
+        inp = SensorInput(batch, 0.9, ClutterModel(10.0, 1e6))
         births = scan_buffer(cfg.n_particles, inp.batch.n_meas)
         clouds = propose_births(inp, cfg, births.particles, np.random.default_rng(10))
         _, q_cache, _ = measurement_evaluation(belief, inp, cfg, clouds)
@@ -170,7 +169,7 @@ class TestMeasurementEvaluation:
         zs = np.array([[0.0, 0.0]])
         model = position_model(rng)
         batch = MeasurementBatch(0, zs, model.H, model.R, "raw")
-        inp = BpSensorInput(batch, 0.5, ClutterModel(10.0, 1e6),
+        inp = SensorInput(batch, 0.5, ClutterModel(10.0, 1e6),
                             detect_fn=lambda pos: np.zeros(pos.shape[0]))
         belief = uniform_belief(np.zeros((100, 4)), 0.7)
         births = scan_buffer(100, inp.batch.n_meas)
@@ -190,11 +189,11 @@ class TestMeasurementEvaluation:
         belief = uniform_belief(np.hstack([rng.uniform(-5, 5, (200, 2)),
                                            np.zeros((200, 2))]), 0.9)
         z = trs[0].A @ np.array([1.0, -1.0])
-        off = z + 1e-3 * np.linalg.norm(z) * np.linalg.eigh(view.R)[1][:, 0]
+        off = z + 1e-3 * np.linalg.norm(z) * np.linalg.eigh(view.batch.R)[1][:, 0]
         cfg = BpConfig(n_particles=200)
         for zt, fails in ((z, False), (off, True)):
-            batch = MeasurementBatch(0, zt[None], view.H, view.R, "generic")
-            inp = BpSensorInput(batch, 0.9, view.clutter)
+            batch = MeasurementBatch(0, zt[None], view.batch.H, view.batch.R, "generic")
+            inp = SensorInput(batch, 0.9, view.clutter)
             births = scan_buffer(cfg.n_particles, inp.batch.n_meas)
             clouds = propose_births(inp, cfg, births.particles, np.random.default_rng(17))
             track = GaussianEstimate(np.zeros(4), np.eye(4))
@@ -217,13 +216,13 @@ class TestMeasurementEvaluation:
                                    rng.standard_normal((400, 2))])
             belief = uniform_belief(particles, 0.85)
             zs = rng.uniform(-25, 25, (4, 2))
-            batch_raw = MeasurementBatch(0, zs @ views_raw[0].H[:, :2].T,
-                                         views_raw[0].H, views_raw[0].R, "raw")
+            batch_raw = MeasurementBatch(0, zs @ views_raw[0].batch.H[:, :2].T,
+                                         views_raw[0].batch.H, views_raw[0].batch.R, "raw")
             batch_tr = MeasurementBatch(0, batch_raw.zs @ tr.A.T,
-                                        views_tr[0].H, views_tr[0].R, kind)
+                                        views_tr[0].batch.H, views_tr[0].batch.R, kind)
             cfg = BpConfig(n_particles=400)
-            inp_raw = BpSensorInput(batch_raw, 0.9, views_raw[0].clutter)
-            inp_tr = BpSensorInput(batch_tr, 0.9, views_tr[0].clutter)
+            inp_raw = SensorInput(batch_raw, 0.9, views_raw[0].clutter)
+            inp_tr = SensorInput(batch_tr, 0.9, views_tr[0].clutter)
             rng_a = np.random.default_rng(1234)
             rng_b = np.random.default_rng(1234)
             births_raw = scan_buffer(cfg.n_particles, inp_raw.batch.n_meas)
@@ -396,7 +395,7 @@ class TestBeliefCalculation:
             [2.0, 3.0])
         belief = uniform_belief(particles, r0)
         batch = MeasurementBatch(0, z[None, :], h, r_meas, "raw")
-        inp = BpSensorInput(batch, p_d, ClutterModel(lam, vol))
+        inp = SensorInput(batch, p_d, ClutterModel(lam, vol))
         cfg = BpConfig(n_particles=n_p)
         msgs, q_cache, bl = measurement_evaluation(belief, inp, cfg,
                                                    particles[None].copy())
@@ -441,7 +440,7 @@ class TestPipeline:
         rng = np.random.default_rng(17)
         model = position_model(rng)
         batch = MeasurementBatch(0, np.zeros((0, 2)), model.H, model.R, "raw")
-        blind = BpSensorInput(batch, 0.9, ClutterModel(10.0, 1e6),
+        blind = SensorInput(batch, 0.9, ClutterModel(10.0, 1e6),
                               detect_fn=lambda pos: np.zeros(pos.shape[0]))
         belief = uniform_belief(rng.standard_normal((100, 4)), 0.9)
         cfg = BpConfig(n_particles=100, survival_prob=0.95)
@@ -468,7 +467,7 @@ class TestPipeline:
         model = position_model(rng)
         z = model.H @ pred
         batch = MeasurementBatch(0, z[None, :], model.H, model.R, "raw")
-        inp = BpSensorInput(batch, 0.9, ClutterModel(10.0, 1.13e6))
+        inp = SensorInput(batch, 0.9, ClutterModel(10.0, 1.13e6))
         cfg = BpConfig(n_particles=500)
         beliefs, _ = bp_pipeline_step(belief, [inp], motion, cfg,
                                       self._rng_factory(2), scan=1)
@@ -485,14 +484,14 @@ class TestPipeline:
         zs = rng.uniform(-30, 30, (4, 2))
         inputs_raw, inputs_tr = [], []
         for l in range(3):
-            raw_z = zs @ views_raw[l].H[:, :2].T
-            batch_raw = MeasurementBatch(l, raw_z, views_raw[l].H,
-                                         views_raw[l].R, "raw")
-            batch_tr = MeasurementBatch(l, raw_z @ trs[l].A.T, views_tr[l].H,
-                                        views_tr[l].R, "type2")
-            inputs_raw.append(BpSensorInput(batch_raw, 0.9,
+            raw_z = zs @ views_raw[l].batch.H[:, :2].T
+            batch_raw = MeasurementBatch(l, raw_z, views_raw[l].batch.H,
+                                         views_raw[l].batch.R, "raw")
+            batch_tr = MeasurementBatch(l, raw_z @ trs[l].A.T, views_tr[l].batch.H,
+                                        views_tr[l].batch.R, "type2")
+            inputs_raw.append(SensorInput(batch_raw, 0.9,
                                             views_raw[l].clutter))
-            inputs_tr.append(BpSensorInput(batch_tr, 0.9,
+            inputs_tr.append(SensorInput(batch_tr, 0.9,
                                            views_tr[l].clutter))
         cfg = BpConfig(n_particles=300)
         motion = cv_motion(q=0.1)
@@ -663,15 +662,15 @@ class TestBatchedSensorStep:
                                                np.zeros((1, 500)), [0.0], [0],
                                                ["empty"]))
             zs = np.array([[0.0, 0.0], [15.0, -10.0], [31.0, -19.0], [400.0, 0.0]])
-            raw_z = zs @ views_raw[0].H[:, :2].T
+            raw_z = zs @ views_raw[0].batch.H[:, :2].T
             if kind == "raw":
-                batch = MeasurementBatch(0, raw_z, views_raw[0].H, views_raw[0].R)
-                inp = BpSensorInput(batch, 0.9, views_raw[0].clutter,
+                batch = MeasurementBatch(0, raw_z, views_raw[0].batch.H, views_raw[0].batch.R)
+                inp = SensorInput(batch, 0.9, views_raw[0].clutter,
                                     detect_fn=lambda p: 0.8 * (p[:, 0] < 20.0))
             else:
-                batch = MeasurementBatch(0, raw_z @ trs[0].A.T, views_tr[0].H,
-                                         views_tr[0].R, kind)
-                inp = BpSensorInput(batch, 0.9, views_tr[0].clutter,
+                batch = MeasurementBatch(0, raw_z @ trs[0].A.T, views_tr[0].batch.H,
+                                         views_tr[0].batch.R, kind)
+                inp = SensorInput(batch, 0.9, views_tr[0].clutter,
                                     detect_fn=lambda p: 0.8 * (p[:, 0] < 20.0))
             cfg = BpConfig(n_particles=500)
             births = scan_buffer(cfg.n_particles, inp.batch.n_meas)
@@ -773,13 +772,13 @@ class TestBatchedSensorStep:
         zs = np.array([[1.0, 0.5], [16.0, -9.0], [-30.0, 25.0]])
         inputs_raw, inputs_tr = [], []
         for l in range(2):
-            raw_z = zs @ views_raw[l].H[:, :2].T
-            inputs_raw.append(BpSensorInput(
-                MeasurementBatch(l, raw_z, views_raw[l].H, views_raw[l].R, "raw"),
+            raw_z = zs @ views_raw[l].batch.H[:, :2].T
+            inputs_raw.append(SensorInput(
+                MeasurementBatch(l, raw_z, views_raw[l].batch.H, views_raw[l].batch.R, "raw"),
                 0.9, views_raw[l].clutter))
-            inputs_tr.append(BpSensorInput(
-                MeasurementBatch(l, raw_z @ trs[l].A.T, views_tr[l].H,
-                                 views_tr[l].R, "type2"),
+            inputs_tr.append(SensorInput(
+                MeasurementBatch(l, raw_z @ trs[l].A.T, views_tr[l].batch.H,
+                                 views_tr[l].batch.R, "type2"),
                 0.9, views_tr[l].clutter))
         cfg = BpConfig(n_particles=n_p)
         trace_raw, trace_tr = [], []
@@ -834,15 +833,15 @@ class TestBlockProperties:
               "near": np.array([[0.0, 0.0], [16.0, -9.0], [44.0, -31.0],
                                 [-30.0, 25.0]])}[meas]
         views_raw, views_tr, trs = paired_views(rng, 1, "type2")
-        raw_z = zs @ views_raw[0].H[:, :2].T
+        raw_z = zs @ views_raw[0].batch.H[:, :2].T
         if kind == "raw":
-            batch = MeasurementBatch(0, raw_z, views_raw[0].H, views_raw[0].R)
+            batch = MeasurementBatch(0, raw_z, views_raw[0].batch.H, views_raw[0].batch.R)
             clutter = views_raw[0].clutter
         else:
-            batch = MeasurementBatch(0, raw_z @ trs[0].A.T, views_tr[0].H,
-                                     views_tr[0].R, kind)
+            batch = MeasurementBatch(0, raw_z @ trs[0].A.T, views_tr[0].batch.H,
+                                     views_tr[0].batch.R, kind)
             clutter = views_tr[0].clutter
-        inp = BpSensorInput(batch, 0.9, clutter,
+        inp = SensorInput(batch, 0.9, clutter,
                             detect_fn=lambda p: 0.8 * (p[:, 0] < 20.0) + 0.1)
         cfg = BpConfig(n_particles=n_p)
         births = scan_buffer(cfg.n_particles, inp.batch.n_meas)
@@ -924,15 +923,15 @@ class TestPersistentBlocks:
         views_raw, views_tr, trs = paired_views(rng, 3, "type2")
 
         def sensor(l, zs):
-            raw_z = zs @ views_raw[l].H[:, :2].T
+            raw_z = zs @ views_raw[l].batch.H[:, :2].T
             if kind == "raw":
-                batch = MeasurementBatch(l, raw_z, views_raw[l].H, views_raw[l].R)
+                batch = MeasurementBatch(l, raw_z, views_raw[l].batch.H, views_raw[l].batch.R)
                 clutter = views_raw[l].clutter
             else:
-                batch = MeasurementBatch(l, raw_z @ trs[l].A.T, views_tr[l].H,
-                                         views_tr[l].R, kind)
+                batch = MeasurementBatch(l, raw_z @ trs[l].A.T, views_tr[l].batch.H,
+                                         views_tr[l].batch.R, kind)
                 clutter = views_tr[l].clutter
-            return BpSensorInput(batch, 0.9, clutter,
+            return SensorInput(batch, 0.9, clutter,
                                  detect_fn=lambda p: 0.8 * (p[:, 0] < 20.0) + 0.1)
 
         zs = np.array([[0.0, 0.0], [16.0, -9.0], [44.0, -31.0], [-30.0, 25.0]])
@@ -1123,6 +1122,12 @@ class TestErrorPaths:
         assert BpConfig(n_particles=bp.MAX_PARTICLES).n_particles == 50_000
         with pytest.raises(InputError, match="at most 50000 particles"):
             BpConfig(n_particles=bp.MAX_PARTICLES + 1)
+
+    @pytest.mark.parametrize("prob", [1.5, -1.0, 0.0, math.nan])
+    def test_survival_prob_must_lie_in_the_unit_interval(self, prob):
+        with pytest.raises(InputError, match="survival_prob"):
+            BpConfig(survival_prob=prob)
+        assert BpConfig(survival_prob=1.0).survival_prob == 1.0
 
     @pytest.mark.parametrize("threshold", [0.0, -1e-6, bp.DECLARE_THRESHOLD, 0.9, 1.5])
     def test_prune_threshold_must_lie_below_the_declare_threshold(self, threshold):

@@ -32,6 +32,7 @@ from trackfuse.sim import (
 )
 from trackfuse.transform import (
     ClutterModel,
+    SensorInput,
     Transformation,
     clutter_density_transformed,
     gaussian_log_likelihood,
@@ -43,7 +44,7 @@ from trackfuse.transform import (
     type2_stack,
 )
 
-from conftest import position_model, scan_buffer
+from conftest import position_model, scan_buffer, sensor_input
 
 
 # -- reference copies of the per-call code ---------------------------------
@@ -124,11 +125,11 @@ def reference_information(meas, sensors):
     for z, sv in zip(meas, sensors):
         if z is None:
             continue
-        h, r = sv.H, sv.R
+        h, r = sv.batch.H, sv.batch.R
         if info is None:
             info = np.zeros((h.shape[1], h.shape[1]))
             ivec = np.zeros(h.shape[1])
-        r_dag = pinv_psd(r) if sv.transformed else np.linalg.inv(r)
+        r_dag = pinv_psd(r) if sv.batch.transformed else np.linalg.inv(r)
         info += h.T @ r_dag @ h
         ivec += h.T @ r_dag @ np.asarray(z, dtype=float)
     return symmetrize(info), ivec
@@ -348,9 +349,9 @@ class TestConsumers:
             assert same(f.chol, chol) and same(f.w, w) and same(f.v, v)
             assert f.rank == rank and f.logdet == logdet
 
-            view = mda_mod.SensorView.from_batch(batch, 0.9, ClutterModel(10.0, 1e6))
-            lone = mda_mod.SensorView(batch.H, batch.R, 0.9, ClutterModel(10.0, 1e6),
-                                      batch.transformed)
+            view = SensorInput(batch, 0.9, ClutterModel(10.0, 1e6))
+            lone = sensor_input(batch.H, batch.R, 0.9, ClutterModel(10.0, 1e6),
+                                batch.transformed)
             meas = [batch.zs[0], None, batch.zs[1]]
             want_info = reference_information(meas, [view] * 3)
             for sv in (view, lone):
@@ -358,7 +359,7 @@ class TestConsumers:
                 assert same(info[0], want_info[0]) and same(info[1], want_info[1])
 
             cfg = bp_mod.BpConfig(n_particles=20)
-            inp = bp_mod.BpSensorInput(batch, 0.9, ClutterModel(10.0, 1e6))
+            inp = SensorInput(batch, 0.9, ClutterModel(10.0, 1e6))
             births = scan_buffer(cfg.n_particles, batch.n_meas)
             clouds = bp_mod.propose_births(inp, cfg, births.particles,
                                            np.random.default_rng(seed))

@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from conftest import make_transformation, paired_views, position_model, random_track
+from conftest import (
+    make_transformation,
+    paired_views,
+    position_model,
+    random_track,
+    sensor_input,
+)
 from trackfuse import checks as checks_mod
 from trackfuse import mda as mda_mod
 from trackfuse.checks import (
@@ -24,6 +30,7 @@ from trackfuse.checks import (
 )
 from trackfuse.errors import (
     InconsistentTransformError,
+    InputError,
     NumericsError,
     ResourceLimitError,
     TrackfuseError,
@@ -37,7 +44,6 @@ from trackfuse.mda import (
     FusedTracks,
     HypothesisCost,
     MdaConfig,
-    SensorView,
     build_initiation_problem,
     build_mda_problem,
     mda_pipeline_step,
@@ -66,6 +72,7 @@ from trackfuse.sim import motion_model, prepare_run, run_mda_fusion, scenario1, 
 from trackfuse.transform import (
     LOG_2PI,
     ClutterModel,
+    SensorInput,
     gaussian_log_likelihood,
     generalized_log_likelihood,
 )
@@ -92,7 +99,7 @@ class TestScoreWithPrior:
                 meas, meas_t = [], []
                 for v, tr in zip(views_raw, trs):
                     if rng.random() < 0.8:
-                        z = v.H @ est.mean + 5 * rng.standard_normal(2)
+                        z = v.batch.H @ est.mean + 5 * rng.standard_normal(2)
                         meas.append(z)
                         meas_t.append(tr.A @ z)
                     else:
@@ -108,14 +115,14 @@ class TestMleState:
     def test_square_invertible_single_sensor(self):
         rng = np.random.default_rng(2)
         h = rng.standard_normal((4, 4)) + 4 * np.eye(4)
-        view = SensorView(h, np.eye(4), 0.9, ClutterModel(1.0, 1e6))
+        view = sensor_input(h, np.eye(4), 0.9, ClutterModel(1.0, 1e6))
         z = rng.standard_normal(4)
         x = mle_state([z], [view])
         np.testing.assert_allclose(x, np.linalg.solve(h, z), rtol=1e-9)
 
     def test_two_identical_position_sensors_unobservable(self):
         h = np.hstack([np.eye(2), np.zeros((2, 2))])
-        views = [SensorView(h, np.eye(2), 0.9, ClutterModel(1.0, 1e6))] * 2
+        views = [sensor_input(h, np.eye(2), 0.9, ClutterModel(1.0, 1e6))] * 2
         z1, z2 = np.array([1.0, 2.0]), np.array([3.0, 4.0])
         with pytest.raises(UnobservableHypothesisError):
             mle_state([z1, z2], views)
@@ -129,7 +136,7 @@ class TestMleState:
         for _ in range(100):
             views_raw, views_tr, trs = paired_views(rng, 2, "generic")
             x_true = rng.standard_normal(4) * 50
-            meas = [v.H @ x_true + rng.standard_normal(2) for v in views_raw]
+            meas = [v.batch.H @ x_true + rng.standard_normal(2) for v in views_raw]
             meas_t = [tr.A @ z for tr, z in zip(trs, meas)]
             x_raw = mle_state(meas, views_raw, observable_subspace=True)
             x_tr = mle_state(meas_t, views_tr, observable_subspace=True)
@@ -141,7 +148,7 @@ class TestScoreWithoutPrior:
         rng = np.random.default_rng(4)
         views, _, _ = paired_views(rng, 2, "type2")
         assert score_without_prior([None, None], views).cost == math.inf
-        z = views[0].H @ np.array([10.0, 10.0, 0.0, 0.0])
+        z = views[0].batch.H @ np.array([10.0, 10.0, 0.0, 0.0])
         assert score_without_prior([z, None], views).cost == math.inf
 
     def test_raw_and_transformed_scores_agree(self):
@@ -150,7 +157,7 @@ class TestScoreWithoutPrior:
             for _ in range(60):
                 views_raw, views_tr, trs = paired_views(rng, 2, kind)
                 x_true = rng.standard_normal(4) * 50
-                meas = [v.H @ x_true + rng.standard_normal(2)
+                meas = [v.batch.H @ x_true + rng.standard_normal(2)
                         for v in views_raw]
                 meas_t = [tr.A @ z for tr, z in zip(trs, meas)]
                 s_raw = score_without_prior(meas, views_raw)
@@ -166,14 +173,14 @@ class TestScoreWithoutPrior:
             for _ in range(20):
                 views_raw, views_tr, trs = paired_views(rng, 2, kind)
                 x_true = rng.standard_normal(4) * 50
-                meas = [v.H @ x_true + rng.standard_normal(2) for v in views_raw]
+                meas = [v.batch.H @ x_true + rng.standard_normal(2) for v in views_raw]
                 meas_t = [tr.A @ z for tr, z in zip(trs, meas)]
                 for views, zs, loglik in ((views_raw, meas, gaussian_log_likelihood),
                                           (views_tr, meas_t, generalized_log_likelihood)):
                     x_ml = mle_state(zs, views, observable_subspace=True)
                     want = 0.0
                     for z, v in zip(zs, views):
-                        want += (math.log(v.p_d) + loglik(z, v.H @ x_ml, v.R)
+                        want += (math.log(v.p_d) + loglik(z, v.batch.H @ x_ml, v.batch.R)
                                  - math.log(v.clutter.rate) - v.clutter.log_density)
                     assert score_without_prior(zs, views).log_score == want
 
@@ -185,7 +192,7 @@ class TestScoreWithoutPrior:
         for _ in range(100):
             views_raw, views_tr, trs = paired_views(rng, 3, "generic")
             x_true = rng.standard_normal(4) * 50
-            meas = [v.H @ x_true for v in views_raw]
+            meas = [v.batch.H @ x_true for v in views_raw]
             meas_t = [tr.A @ z for tr, z in zip(trs, meas)]
             raw = score_without_prior(meas, views_raw).log_score
             pick = rng.random(3) < 0.5  # the sensors that send generic payloads
@@ -197,7 +204,7 @@ class TestScoreWithoutPrior:
 
     def test_residual_outside_the_noise_range_is_rejected(self):
         h = np.hstack([np.eye(2), np.zeros((2, 2))])
-        views = [SensorView(h, np.diag([25.0, 0.0]), 0.9, ClutterModel(5.0, 1e6),
+        views = [sensor_input(h, np.diag([25.0, 0.0]), 0.9, ClutterModel(5.0, 1e6),
                             transformed=True) for _ in range(2)]
         in_range = [np.array([1.0, 0.0]), np.array([2.0, 0.0])]
         assert math.isfinite(score_without_prior(in_range, views).log_score)
@@ -216,7 +223,7 @@ class TestBuildProblem:
         est = GaussianEstimate([0.0, 0.0, 0.0, 0.0], np.diag([10.0] * 4))
         z = model.H @ est.mean  # dead center, surely gated
         batch = MeasurementBatch(0, z[None, :], model.H, model.R, "raw")
-        view = SensorView(model.H, model.R, 0.9, ClutterModel(10.0, 1e6))
+        view = sensor_input(model.H, model.R, 0.9, ClutterModel(10.0, 1e6))
         problem = enumerate_mda_problem([est], [batch], [view], MdaConfig())
         assert sorted(c.indices for c in problem.groups[0]) == [(0,), (1,)]
         init = build_initiation_problem([batch], [view], MdaConfig())
@@ -233,7 +240,7 @@ class TestBuildProblem:
             zs = rng.uniform(-150, 150, (13, 2))
             batches.append(MeasurementBatch(model.sensor_id, zs, model.H,
                                             model.R, "raw"))
-        views = [SensorView(m.H, m.R, 0.9, ClutterModel(10.0, 1e6))
+        views = [sensor_input(m.H, m.R, 0.9, ClutterModel(10.0, 1e6))
                  for m in (model0, model1)]
         problem = enumerate_mda_problem(tracks, batches, views, cfg)
         # oracle: per-track gate recount via direct quadratic forms
@@ -254,10 +261,10 @@ class TestBuildProblem:
         est = random_track(rng)
         zs = est.mean[:2] + rng.uniform(-30, 30, (6, 2))
         zs = zs @ np.diag([1.0, 1.0])
-        raw_batch = MeasurementBatch(0, zs @ views_raw[0].H[:, :2].T,
-                                     views_raw[0].H, views_raw[0].R, "raw")
+        raw_batch = MeasurementBatch(0, zs @ views_raw[0].batch.H[:, :2].T,
+                                     views_raw[0].batch.H, views_raw[0].batch.R, "raw")
         tr_batch = MeasurementBatch(0, raw_batch.zs @ trs[0].A.T,
-                                    views_tr[0].H, views_tr[0].R, "generic")
+                                    views_tr[0].batch.H, views_tr[0].batch.R, "generic")
         d_raw, dof_raw = gate_distances(est, raw_batch)
         d_tr, dof_tr = gate_distances(est, tr_batch)
         assert dof_raw == dof_tr == 2
@@ -352,13 +359,13 @@ class TestRelaxedSolver:
             views_raw, views_tr, trs = paired_views(rng, 2, kind)
             tracks = [random_track(rng, spread=30.0) for _ in range(3)]
             zs = [np.vstack([t.mean[:2] for t in tracks])
-                  @ views_raw[l].H[:, :2].T + rng.standard_normal((3, 2)) * 4
+                  @ views_raw[l].batch.H[:, :2].T + rng.standard_normal((3, 2)) * 4
                   for l in range(2)]
-            batches_raw = [MeasurementBatch(l, zs[l], views_raw[l].H,
-                                            views_raw[l].R, "raw")
+            batches_raw = [MeasurementBatch(l, zs[l], views_raw[l].batch.H,
+                                            views_raw[l].batch.R, "raw")
                            for l in range(2)]
             batches_tr = [MeasurementBatch(l, zs[l] @ trs[l].A.T,
-                                           views_tr[l].H, views_tr[l].R, kind)
+                                           views_tr[l].batch.H, views_tr[l].batch.R, kind)
                           for l in range(2)]
             cfg = MdaConfig()
             prob_raw = enumerate_mda_problem(tracks, batches_raw, views_raw, cfg)
@@ -395,7 +402,7 @@ class TestPipeline:
         track = fused_tracks([random_track(rng)], hits=3)
         batches = [MeasurementBatch(l, np.zeros((0, 2)), m.H, m.R, "raw")
                    for l, m in enumerate((model0, model1))]
-        views = [SensorView(m.H, m.R, 0.9, ClutterModel(10.0, 1e6))
+        views = [sensor_input(m.H, m.R, 0.9, ClutterModel(10.0, 1e6))
                  for m in (model0, model1)]
         before = track.means[0].copy()
         tracks, _, _ = mda_pipeline_step(track, batches, views, motion,
@@ -414,7 +421,7 @@ class TestPipeline:
             z = model.H @ pred_mean + np.array([1.0, -1.0])
             batches.append(MeasurementBatch(l, z[None, :], model.H, model.R,
                                             "raw"))
-            views.append(SensorView(model.H, model.R, 0.9,
+            views.append(sensor_input(model.H, model.R, 0.9,
                                     ClutterModel(10.0, 1e6)))
         tracks, _, info = mda_pipeline_step(track, batches, views, motion,
                                             MdaConfig(), 1)
@@ -452,7 +459,7 @@ class TestPipeline:
                 batch, clutter = encode_batch(s, idx, payload,
                                               sensor.clutter_rate)
                 batches.append(batch)
-                views.append(SensorView.from_batch(batch, sensor.p_d, clutter))
+                views.append(SensorInput(batch, sensor.p_d, clutter))
             arms[payload], _, _ = mda_pipeline_step(
                 tracks, batches, views, motion, MdaConfig(), 100, scan=50)
         a, b = arms["raw"], arms["type2"]
@@ -471,7 +478,7 @@ class TestErrorPaths:
         batches = [MeasurementBatch(m.sensor_id,
                                     rng.uniform(-20, 20, (6, 2)), m.H, m.R,
                                     "raw") for m in (model0, model1)]
-        views = [SensorView(m.H, m.R, 0.9, ClutterModel(10.0, 1e6))
+        views = [sensor_input(m.H, m.R, 0.9, ClutterModel(10.0, 1e6))
                  for m in (model0, model1)]
         from trackfuse.errors import ResourceLimitError
         with pytest.raises(ResourceLimitError, match="cap"):
@@ -483,6 +490,16 @@ class TestErrorPaths:
         problem = random_maintenance_problem(rng, 3, 5, 5, keep=1.0)
         with pytest.raises(ResourceLimitError):
             solve_assignment_exact(problem, node_cap=3)
+
+    @pytest.mark.parametrize("field, bad", [
+        ("gate_prob", 1.5), ("gate_prob", 0.0), ("gate_prob", -0.5),
+        ("gate_prob", math.nan), ("max_tuples", 2.5), ("max_tuples", 0),
+        ("max_tuples", True), ("init_min_meas", -3), ("init_min_meas", 2.0)])
+    def test_config_rejects_out_of_range_values(self, field, bad):
+        # a gate_prob above 1 made a NaN gate that silently gated every pair out
+        with pytest.raises(InputError, match=field):
+            MdaConfig(**{field: bad})
+        assert MdaConfig(gate_prob=1.0, max_tuples=np.int64(1), init_min_meas=1)
 
 
 def disjoint_initiation_problem(n_groups, seed=32):
@@ -636,10 +653,11 @@ def maintenance_instance(rng, n_tracks, meas_counts, kind, p_ds=None):
         for k in range(m):
             if tracks and rng.random() < 0.5:
                 pos[k] = tracks[rng.integers(n_tracks)].mean[:2] + 6.0 * rng.standard_normal(2)
-        zs = pos @ views_raw[l].H[:, :2].T
-        batches_raw.append(MeasurementBatch(l, zs, views_raw[l].H, views_raw[l].R, "raw"))
-        batches_tr.append(MeasurementBatch(l, zs @ trs[l].A.T, views_tr[l].H,
-                                           views_tr[l].R, kind))
+        zs = pos @ views_raw[l].batch.H[:, :2].T
+        batches_raw.append(MeasurementBatch(l, zs, views_raw[l].batch.H,
+                                            views_raw[l].batch.R, "raw"))
+        batches_tr.append(MeasurementBatch(l, zs @ trs[l].A.T, views_tr[l].batch.H,
+                                           views_tr[l].batch.R, kind))
     return tracks, (batches_raw, views_raw), (batches_tr, views_tr)
 
 
@@ -714,8 +732,8 @@ class TestSensorSplit:
         batches = [MeasurementBatch(0, [[500.0, 500.0]], model0.H, model0.R),
                    MeasurementBatch(1, [model1.H[:, :2] @ [1.0, 1.0]],
                                     model1.H, model1.R)]
-        views = [SensorView(model0.H, model0.R, 1.0, ClutterModel(10.0, 1e6)),
-                 SensorView(model1.H, model1.R, 0.9, ClutterModel(10.0, 1e6))]
+        views = [sensor_input(model0.H, model0.R, 1.0, ClutterModel(10.0, 1e6)),
+                 sensor_input(model1.H, model1.R, 0.9, ClutterModel(10.0, 1e6))]
         problem = build_mda_problem([est], batches, views, MdaConfig())
         assert problem.tables[0].tolist() == [[BIG, BIG]]
         assert problem.tables[1][0, 0] < BIG
@@ -769,10 +787,11 @@ class TestSensorSplit:
         for _ in range(100):
             views_raw, views_tr, trs = paired_views(rng, 1, "generic")
             est = random_track(rng)
-            z = views_raw[0].H @ est.mean
-            raw = MeasurementBatch(0, z[None], views_raw[0].H, views_raw[0].R, "raw")
-            tr = MeasurementBatch(0, trs[0].apply(z)[None], views_tr[0].H,
-                                  views_tr[0].R, "generic")
+            z = views_raw[0].batch.H @ est.mean
+            raw = MeasurementBatch(0, z[None], views_raw[0].batch.H,
+                                   views_raw[0].batch.R, "raw")
+            tr = MeasurementBatch(0, trs[0].apply(z)[None], views_tr[0].batch.H,
+                                  views_tr[0].batch.R, "generic")
             want = -score_with_prior(est, [z], views_raw).log_score
             assert -score_with_prior(est, [tr.zs[0]], views_tr).log_score == \
                 pytest.approx(want, rel=0, abs=1e-9)
@@ -784,15 +803,15 @@ class TestSensorSplit:
         rng = np.random.default_rng(43)
         tracks, _, (batches, views) = maintenance_instance(rng, 1, [1], "generic")
         est = tracks[0]
-        z = views[0].H @ est.mean
-        _, v = np.linalg.eigh(views[0].R)
+        z = views[0].batch.H @ est.mean
+        _, v = np.linalg.eigh(views[0].batch.R)
         off_range = v[:, 0] * 1e-3 * np.linalg.norm(z)  # null direction of Rt
-        bad = MeasurementBatch(0, (z + off_range)[None], views[0].H, views[0].R,
+        bad = MeasurementBatch(0, (z + off_range)[None], views[0].batch.H, views[0].batch.R,
                                "generic")
         with pytest.raises(InconsistentTransformError):
             build_mda_problem(tracks, [bad], views, MdaConfig())
         far = MeasurementBatch(0, (z + off_range + 1e4 * v[:, -1])[None],
-                               views[0].H, views[0].R, "generic")
+                               views[0].batch.H, views[0].batch.R, "generic")
         # an ungated measurement is never scored, as in the enumeration
         problem = build_mda_problem(tracks, [far], views, MdaConfig())
         assert problem.tables[0][0, 0] == BIG
@@ -978,10 +997,10 @@ class TestOnePassBuild:
                                 per_sensor_tables(tracks, batches, views, cfg)):
                     assert np.array_equal(g, w)
         est = tracks[0]
-        _, v = np.linalg.eigh(views[0].R)
-        z = views[0].H @ est.mean
+        _, v = np.linalg.eigh(views[0].batch.R)
+        z = views[0].batch.H @ est.mean
         off_range = MeasurementBatch(0, (z + v[:, 0] * 1e-3 * np.linalg.norm(z))[None],
-                                     views[0].H, views[0].R, "generic")
+                                     views[0].batch.H, views[0].batch.R, "generic")
         nan_noise = MeasurementBatch(1, batches[1].zs, batches[1].H,
                                      np.full(batches[1].R.shape, np.nan), "generic")
         for pair, error in (((off_range, nan_noise), InconsistentTransformError),
@@ -1029,8 +1048,8 @@ class TestStackedMaintenanceUpdate:
                 h, r = np.hstack([np.eye(2), np.zeros((2, 2))]), np.diag([25.0, 30.0])
                 batches.append(MeasurementBatch(l, zs, h, r, "raw"))
             else:
-                batches.append(MeasurementBatch(l, zs @ trs[0].A.T, tr_views[0].H,
-                                                tr_views[0].R, kind))
+                batches.append(MeasurementBatch(l, zs @ trs[0].A.T, tr_views[0].batch.H,
+                                                tr_views[0].batch.R, kind))
             takers = rng.permutation(n_tracks)[:min(m, n_tracks)]
             for i, t in enumerate(takers):
                 if rng.random() < 0.8:
@@ -1209,10 +1228,10 @@ def initiation_instance(rng, kinds, meas_counts):
         if kind == "type2":
             tr = make_transformation("type2", model, rng)
             batches.append(MeasurementBatch(l, zs @ tr.A.T, tr.Ht, tr.Rt, "type2"))
-            views.append(SensorView(tr.Ht, tr.Rt, 0.9, clutter, True))
+            views.append(sensor_input(tr.Ht, tr.Rt, 0.9, clutter, True))
         else:
             batches.append(MeasurementBatch(l, zs, model.H, model.R, "raw"))
-            views.append(SensorView(model.H, model.R, 0.9, clutter, False))
+            views.append(sensor_input(model.H, model.R, 0.9, clutter, False))
     return batches, views
 
 
@@ -1333,7 +1352,7 @@ def separated_instance(rng, n_sensors, n_targets, n_clutter):
         pos = targets[owner]
         pos[owner < 0] = clutter
         batches.append(MeasurementBatch(l, pos @ model.H[:, :2].T, model.H, model.R, "raw"))
-        views.append(SensorView(model.H, model.R, 0.9, ClutterModel(10.0, 1e6)))
+        views.append(sensor_input(model.H, model.R, 0.9, ClutterModel(10.0, 1e6)))
         owners.append(owner)
     return batches, views, owners
 

@@ -18,6 +18,17 @@ from trackfuse.metrics import (
 PARAMS = OspaParams(c=50.0, p=2.0, w=10)
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("c", 0.0), ("c", np.nan), ("c", np.inf), ("p", 0.5), ("p", np.nan), ("p", np.inf),
+    ("w", 0), ("w", 2.5), ("w", True)])
+def test_params_reject_out_of_range_values(field, bad):
+    # a fractional w raised a TypeError in ospa2 and a NaN c a ValueError;
+    # a NaN p or an infinite c gave NaN distances
+    with pytest.raises(InputError):
+        OspaParams(**{field: bad})
+    assert OspaParams(c=1e-3, p=1.0, w=np.int64(1)).w == 1
+
+
 class TestOspa:
     def test_identical_sets(self):
         pts = [np.array([1.0, 2.0]), np.array([-3.0, 4.0])]
