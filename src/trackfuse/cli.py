@@ -37,8 +37,12 @@ SWEEP_PARAMS = ("clutter_rate", "p_d")
 # overflow; dt and q keep Q = q^2 G G^T inside the absolute tolerance of the
 # motion model's positive-semidefinite test (q^2 dt^4 <= 1e8). A clutter rate
 # below CLUTTER_RATE[0] would overflow the inverse clutter intensity.
+# "coordinate" bounds each component of a target's state and a sensor's
+# position: in MAX_SCANS scans at the largest dt a position moves by at most
+# 1e14, plus process noise of standard deviation about q dt^2 MAX_SCANS^1.5
+# = 1e10, so no truth position, distance or square of one can overflow.
 MAX_SCANS = 10_000
-MAX_SCALE = {"dt": 10.0, "q": 100.0, "sigma": 1e4, "fov_range": 1e6}
+MAX_SCALE = {"dt": 10.0, "q": 100.0, "sigma": 1e4, "fov_range": 1e6, "coordinate": 1e9}
 CLUTTER_RATE = (1e-6, 1e3)
 # Most jobs (runs x sweep values) of one experiment: each job is a Monte
 # Carlo run over every payload arm, and the harness lists every job's config
@@ -140,10 +144,11 @@ def parse_scenario_file(path: Path) -> sim_mod.ScenarioConfig:
             raise InputError(f"{path}:{lineno}: '{key}' needs {n} values")
         return vals
 
-    def finite(sec, key, n, default=None):
+    def finite(sec, key, n, default=None, high=math.inf):
         vals = floats(sec, key, n, default)
-        if not all(map(math.isfinite, vals)):
-            raise InputError(f"{path}:{sec[1][key][1]}: '{key}' must be finite")
+        if not all(math.isfinite(v) and abs(v) <= high for v in vals):
+            bound = f" and in [{-high:g}, {high:g}]" if high < math.inf else ""
+            raise InputError(f"{path}:{sec[1][key][1]}: '{key}' must be finite{bound}")
         return vals
 
     def checked(sec, key, default, ok, rule):
@@ -174,7 +179,7 @@ def parse_scenario_file(path: Path) -> sim_mod.ScenarioConfig:
     for sec in sections:
         name = sec[0]
         if name == "sensor":
-            position = finite(sec, "position", 2)
+            position = finite(sec, "position", 2, high=MAX_SCALE["coordinate"])
             if "boresight" in sec[1]:
                 boresight = finite(sec, "boresight", 1)[0]
             else:
@@ -193,7 +198,7 @@ def parse_scenario_file(path: Path) -> sim_mod.ScenarioConfig:
             birth = integer(sec, "birth", 0, duration - 1)
             targets.append(sim_mod.TargetConfig(
                 birth, integer(sec, "death", birth + 1, duration),
-                np.array(finite(sec, "state", 4))))
+                np.array(finite(sec, "state", 4, high=MAX_SCALE["coordinate"]))))
         elif name != "scenario":
             raise InputError(f"{path}:{sec[2]}: unknown section [{name}]")
     if not sensors or not targets:

@@ -5,28 +5,27 @@ hypothesis.
 
 Track maintenance: the with-prior score of a (track, i_1..i_L) tuple is a
 sum of per-(track, sensor, measurement) terms, so the maintenance problem
-splits exactly into L independent rectangular assignments, one
-N x (M_l + N) table per sensor with one miss column per track (the
+splits exactly into L independent assign-or-miss problems, one per sensor:
+each track takes one of the sensor's measurements or misses it (the
 decomposable case of the S-D assignment problem). `build_mda_problem`
-fills every sensor's table in one pass: one (L, N) stack of innovation
+scores every sensor in one pass: one (L, N) stack of innovation
 covariances and one stacked factorization of it (Cholesky, or the
 eigendecomposition for transformed payloads), then the gates and costs of
 all sensors at once (the raw whitening by one elementwise forward
 substitution over the padded stack, the transformed eigen projection on
-each sensor's own M_l measurements); it keeps each sensor's innovations
-and their factors (the Cholesky factors or the eigenpairs) on the problem.
-`solve_maintenance` makes one `linear_sum_assignment` call per sensor, and
-`update_maintained` updates sensor by sensor, one stacked Kalman update
-per sensor on the route of the sensor's payload, reusing the kept
+each sensor's own M_l measurements); the problem keeps each sensor's
+costs, misses, innovations and factors. `solve_maintenance` makes one
+`assign_or_miss` call per sensor (the routine of the local GNN trackers
+too), so exact ties resolve by its rule, not by the branch and bound's
+visiting order; `update_maintained` updates sensor by sensor, one stacked
+Kalman update per sensor on the route of its payload, reusing the kept
 innovations and factors of a sensor whose tracks no earlier sensor has
-updated in the scan. Exact ties resolve per sensor, as
-`linear_sum_assignment` resolves them, not by the visiting order of the
-branch and bound. A sensor
-with P_d = 1 has no finite miss cell: a track that lands on a BIG cell on
-any sensor gets the all-zero fallback tuple, and its measurements on the
-other sensors go back to initiation. The tuple enumeration
-(`checks.enumerate_mda_problem`, scored by `score_with_prior`) and the
-exact solver are the oracle of this decomposition.
+updated in the scan. A sensor with P_d = 1 has no finite miss: a track
+that lands on a BIG cell on any sensor gets the all-zero fallback tuple,
+and its measurements on the other sensors go back to initiation. The
+tuple enumeration (`checks.enumerate_mda_problem`, scored by
+`score_with_prior`) and the exact solver are the oracle of this
+decomposition.
 
 The fused tracks are one struct of arrays (`FusedTracks`): a scan predicts,
 scores and updates them as stacks, counts hits and misses as array
@@ -156,29 +155,28 @@ class AssignmentProblem:
 
 @dataclass
 class MaintenanceProblem:
-    """Per-sensor maintenance assignment tables.
+    """Per-sensor maintenance costs, for `assign_or_miss`.
 
-    tables[l] is (N, M_l + N): row t holds track t's costs against sensor
-    l's M_l measurements, then its miss in column M_l + t. Ungated cells,
-    the other tracks' miss columns and the miss of a P_d = 1 sensor hold
-    BIG. innovations[l] holds what scoring sensor l computed for the
-    predicted tracks, for `update_maintained`: the (N, m) predicted
-    measurements, the (N, m, m) innovation covariances and their factors,
-    the lower Cholesky factors (N, m, m) for a raw payload or the
-    eigenpairs (w (N, m), v (N, m, m)) of `np.linalg.eigh` for a
-    transformed one; it is None for a sensor that was not scored (no
-    measurements or no tracks).
+    costs[l] is (N, M_l): row t holds track t's costs against sensor l's
+    M_l measurements, BIG where ungated. misses[l] is (N,): each track's
+    miss, -log(1 - P_d), inf for a P_d = 1 sensor. innovations[l] holds
+    what scoring sensor l computed for the predicted tracks, for
+    `update_maintained`: the (N, m) predicted measurements, the (N, m, m)
+    innovation covariances and their factors, the lower Cholesky factors
+    (N, m, m) for a raw payload or the eigenpairs (w (N, m), v (N, m, m))
+    of `np.linalg.eigh` for a transformed one; it is None for a sensor that
+    was not scored (no measurements or no tracks).
     """
 
-    tables: list
+    costs: list
+    misses: list
     n_tracks: int
-    meas_counts: list
     innovations: list
 
     @property
     def n_candidates(self) -> int:
         """Cells below BIG: gated (track, measurement) pairs and finite misses."""
-        return sum(int(np.count_nonzero(t < BIG)) for t in self.tables)
+        return sum(int(np.count_nonzero(a < BIG)) for a in self.costs + self.misses)
 
 
 @dataclass
@@ -299,18 +297,25 @@ class MdaConfig:
         require_count(self.init_min_meas, "init_min_meas")
 
 
-def padded_table(meas: np.ndarray, miss: np.ndarray) -> np.ndarray:
-    """(N, M + N) rectangular assignment table of N rows over M columns.
+def assign_or_miss(costs: np.ndarray, miss: np.ndarray):
+    """Each row's gated column, or -1 for its miss, at the least total cost.
 
-    Row t holds meas[t] in the first M columns and miss[t] in its own
-    column M + t; the other miss columns hold BIG, so every row can always
-    be assigned somewhere.
+    Row t of the (N, M) `costs` takes one column, each at most once, or its
+    miss at miss[t]; a cell at or above BIG (np.inf, say) is ungated, and a
+    miss above BIG costs BIG. One `linear_sum_assignment` runs on the
+    (N, M + N) table whose column M + t holds row t's miss and BIG for the
+    other rows, and ties resolve as it resolves them on that table. Returns
+    (cols, taken): each row's column, -1 for a miss column or a BIG cell
+    (only a row whose miss costs BIG is forced there), and the cost it took.
     """
-    n, m = meas.shape
+    n, m = costs.shape
     table = np.full((n, m + n), BIG)
-    table[:, :m] = meas
-    table[np.arange(n), m + np.arange(n)] = miss
-    return table
+    table[:, :m] = np.minimum(costs, BIG)
+    table[np.arange(n), m + np.arange(n)] = np.minimum(miss, BIG)
+    # the table has more columns than rows, so rows is 0..N-1 in order
+    rows, cols = linear_sum_assignment(table)
+    taken = table[rows, cols]
+    return np.where((cols < m) & (taken < BIG), cols, -1), taken
 
 
 def _cost_tables(means: np.ndarray, covs: np.ndarray,
@@ -390,7 +395,7 @@ def build_mda_problem(tracks_pred: Sequence[GaussianEstimate],
     and score them, the input P_d and the clutter model. Every sensor with
     measurements is scored at once (`_cost_tables`), one pass per route and
     model shape, on the tracks' stacked arrays (an `EstimateStack` is used
-    as it is). A miss costs -log(1 - P_d), BIG when P_d = 1. The problem
+    as it is). A miss costs -log(1 - P_d), inf when P_d = 1. The problem
     keeps each scored sensor's innovations and their factors, which
     `update_maintained` reuses.
 
@@ -418,29 +423,28 @@ def build_mda_problem(tracks_pred: Sequence[GaussianEstimate],
             _cost_tables(preds.means, preds.covs, [batches[l]], [sensors[l]],
                          cfg.gate_prob)
         raise
-    tables = [padded_table(c, np.full(n, min(-_log_miss(inp.p_d), BIG)))
-              for c, inp in zip(costs, sensors)]
-    return MaintenanceProblem(tables, n, counts, innovations)
+    misses = [np.full(n, -_log_miss(inp.p_d)) for inp in sensors]
+    return MaintenanceProblem(costs, misses, n, innovations)
 
 
 def solve_maintenance(problem: MaintenanceProblem) -> AssociationSolution:
-    """Optimal maintenance selection: one `linear_sum_assignment` per sensor.
+    """Optimal maintenance selection: one `assign_or_miss` per sensor.
 
     Assignments are (tau, i_1..i_L) in track order, i_l = 0 for a miss,
-    and `indices` is their (N, L) array of i_l. A track that lands on a
-    BIG cell on any sensor takes the all-zero fallback tuple at cost BIG,
-    which frees its other measurements; the selection is then feasible but
-    need not be optimal.
+    and `indices` is their (N, L) array of i_l. A track that takes a BIG
+    cell on any sensor (its miss there costs BIG) takes the all-zero
+    fallback tuple at cost BIG, which frees its other measurements; the
+    selection is then feasible but need not be optimal.
     """
     n = problem.n_tracks
-    idx = np.zeros((n, len(problem.tables)), dtype=int)
+    idx = np.zeros((n, len(problem.costs)), dtype=int)
     cost = np.zeros(n)
     fallback = np.zeros(n, dtype=bool)
-    for l, (table, m) in enumerate(zip(problem.tables, problem.meas_counts)):
-        rows, cols = linear_sum_assignment(table)
-        idx[rows, l] = np.where(cols < m, cols + 1, 0)
-        cost[rows] += table[rows, cols]
-        fallback[rows] |= table[rows, cols] >= BIG
+    for l, (costs, miss) in enumerate(zip(problem.costs, problem.misses)):
+        cols, taken = assign_or_miss(costs, miss)
+        idx[:, l] = cols + 1
+        cost += taken
+        fallback |= taken >= BIG
     idx[fallback] = 0
     total = float(np.sum(np.where(fallback, BIG, cost)))
     assignments = [(t + 1,) + tuple(row) for t, row in enumerate(idx.tolist())]
@@ -694,24 +698,21 @@ def solve_assignment_exact(problem: AssignmentProblem,
         problem, [cands[k] for _, cands, k in sorted(zip(order, groups, best_pick))])
 
 
-def _candidate_table(groups, l: int, m: int, cost=None):
-    """Sensor l's padded table over candidate groups.
-
-    Each cell holds the cheapest candidate (by `cost`, default its own
-    cost) whose sensor-l index falls there, index 0 in the group's miss
-    column. Returns (table, {(group, column): candidate}).
-    """
-    n_groups = len(groups)
-    table = padded_table(np.full((n_groups, m), BIG), np.full(n_groups, BIG))
+def _candidate_table(groups, l: int, m: int, cost):
+    """Sensor l's (groups, m) costs and (groups,) misses: each cell holds the
+    cheapest candidate, by `cost`, whose sensor-l index falls there (index 0
+    on the miss), BIG where none does. Returns (costs, misses, {(group,
+    column): candidate}), column -1 for the miss."""
+    table = np.full((len(groups), m + 1), BIG)  # the last column is the miss
     cell = {}
     for g, cands in enumerate(groups):
         for cand in cands:
-            c = cand.cost if cost is None else cost(cand)
-            col = cand.indices[l] - 1 if cand.indices[l] > 0 else m + g
+            c = cost(cand)
+            col = cand.indices[l] - 1
             if c < table[g, col]:
                 table[g, col] = c
                 cell[(g, col)] = cand
-    return table, cell
+    return table[:, :m], table[:, m], cell
 
 
 def _repair(groups, first=None):
@@ -762,13 +763,12 @@ def solve_assignment_relaxed(problem: AssignmentProblem) -> AssociationSolution:
                                for l in dual_sets if cand.indices[l] > 0)
 
     for _ in range(SUBGRADIENT_ITERS):
-        mat, cell = _candidate_table(groups, keep, m_keep, reduced_cost)
-        rows, cols = linear_sum_assignment(mat)
-        relaxed_sel = []
+        costs, misses, cell = _candidate_table(groups, keep, m_keep, reduced_cost)
+        cols, taken = assign_or_miss(costs, misses)
+        relaxed_sel = [cell[(g, col)] for g, col in enumerate(cols.tolist())]
         inner = 0.0
-        for g, col in zip(rows, cols):
-            relaxed_sel.append(cell[(g, col)])
-            inner += mat[g, col]
+        for value in taken.tolist():
+            inner += value
         dual = inner - sum(np.sum(u[l][1:]) for l in dual_sets)
         if dual > best_dual + 1e-12:
             best_dual = dual

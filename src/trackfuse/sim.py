@@ -42,13 +42,12 @@ from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import bp as bp_mod
 from . import mda as mda_mod
 from .errors import ConfigError, InputError
 from .linalg import chi2_gate, cholesky, mahalanobis_sq, symmetrize
-from .mda import BIG, padded_table
+from .mda import assign_or_miss
 from .metrics import CommLedger, OspaParams, TrackHistory, ospa, ospa2
 from .models import (
     LOG_2PI,
@@ -81,13 +80,9 @@ def rng_stream(seed: int, *key) -> np.random.Generator:
 
 
 # Relative band around max_range^2 in which `FieldOfView.contains` falls
-# back to hypot, the ranges for which squares stay normal floats, and the
-# fewest points for which the squared test is the cheaper one (measured:
-# 3 us against 1-2 us below a few hundred points, 15 us against 92 us at
-# 8,000).
+# back to hypot, and the ranges for which squares stay normal floats.
 RANGE_BAND = 2e-12
 RANGE_SQUARED_SAFE = (1e-100, 1e100)
-RANGE_SQUARED_MIN_POINTS = 512
 
 
 @dataclass
@@ -112,11 +107,11 @@ class FieldOfView:
         which is >= 0 exactly when |dtheta| <= h for 0 < h <= pi. The sensor
         origin (the wedge apex) is inside; half_angle = pi is the full disc.
 
-        The range test decides hypot(x, y) <= max_range. On large arrays it
-        compares x^2 + y^2 with max_range^2 and calls hypot only where the
-        two lie within 2e-12 relative of each other: the rounding of the
-        squared form (a few 1e-16 relative) cannot flip a decision outside
-        that band.
+        The range test decides hypot(x, y) <= max_range. It compares
+        x^2 + y^2 with max_range^2 and calls hypot only where the two lie
+        within 2e-12 relative of each other: the rounding of the squared
+        form (a few 1e-16 relative) cannot flip a decision outside that
+        band.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         x = pts[:, 0] - self.origin[0]
@@ -133,8 +128,7 @@ class FieldOfView:
     def _in_range(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """hypot(x, y) <= max_range, elementwise (see `contains`)."""
         r = self.max_range
-        if (x.size < RANGE_SQUARED_MIN_POINTS
-                or not RANGE_SQUARED_SAFE[0] <= r <= RANGE_SQUARED_SAFE[1]):
+        if not RANGE_SQUARED_SAFE[0] <= r <= RANGE_SQUARED_SAFE[1]:
             return np.hypot(x, y) <= r
         r2 = r * r
         s = x * x + y * y
@@ -361,13 +355,14 @@ class GnnTracker:
     (K, 2, 2). A scan is one `predict_stack`, one `innovation_stack` and
     one Cholesky of the innovation covariances for the log-determinants,
     the (N, M) squared distances by one forward substitution on those
-    factors (`mahalanobis_sq`), the cost table by `np.where`, one
-    `linear_sum_assignment`, and one Kalman update of the tracks that got a
-    measurement, which reuses the gate's predicted measurements, innovation
-    covariances and Cholesky factors for those rows (the core of
-    `update_raw_stack`); hits, misses, confirmation and deletion are masks
-    over the assignment's rows. The newborns of all initiator pairings are
-    built as one block and follow the surviving rows, in assignment order.
+    factors (`mahalanobis_sq`), one `mda.assign_or_miss` on the gated
+    costs, and one Kalman update of the tracks that got a measurement, which
+    reuses the gate's predicted measurements, innovation covariances and
+    Cholesky factors for those rows (the core of `update_raw_stack`); hits,
+    misses, confirmation and deletion are masks over the assignment's rows.
+    The initiators pair with the measurements left by one more
+    `assign_or_miss`, and the newborns follow the surviving rows as one
+    block, in initiator order.
     """
 
     def __init__(self, motion: MotionModel, dt: float):
@@ -395,13 +390,13 @@ class GnnTracker:
                 float(np.max(np.linalg.eigvalsh(2.0 * pos_cov))))
             dx = positions[:, 0] - self.init_pos[:, None, 0]
             dy = positions[:, 1] - self.init_pos[:, None, 1]
-            d = np.sqrt(dx * dx + dy * dy)
-            mat = np.full((n_i, n_left + n_i), capture ** 2)
-            mat[:, :n_left] = np.where(d <= capture, d ** 2, capture ** 2)
-            rows, cols = linear_sum_assignment(mat)
-            # the padding columns hold capture^2, so they never pair
-            paired = mat[rows, cols] < capture ** 2
-            rows, cols = rows[paired], cols[paired]
+            # a pair costs d^2, the square of the rounded distance d; only one
+            # below the miss, capture^2, pairs
+            d2 = np.sqrt(dx * dx + dy * dy) ** 2
+            cols, _ = assign_or_miss(np.where(d2 < capture ** 2, d2, np.inf),
+                                     np.full(n_i, capture ** 2))
+            rows = np.flatnonzero(cols >= 0)
+            cols = cols[rows]
             left[cols] = False
             p1 = positions[cols]
             cov = np.zeros((cols.size, 4, 4))
@@ -434,7 +429,6 @@ class GnnTracker:
         Clears `free` at the measurements taken and returns the indices of
         those taken by confirmed tracks (the sends).
         """
-        m = zs.shape[0]
         means, covs = predict_stack(self.means, self.covs, self.motion)
         z_hat, s = innovation_stack(means, covs, model)
         c = cholesky(s, "innovation covariance")
@@ -442,11 +436,9 @@ class GnnTracker:
         base = logdet + model.m * LOG_2PI
         gamma = chi2_gate(GATE_PROB, model.m)
         d2 = mahalanobis_sq(c[:, None], zs[None, :, :], z_hat[:, None, :])
-        mat = padded_table(np.where(d2 <= gamma, 0.5 * (d2 + base[:, None]), BIG),
-                           0.5 * (gamma + base))
-        # rows is every track in order: the table has more columns than rows
-        rows, cols = linear_sum_assignment(mat)
-        hit = (cols < m) & (mat[rows, cols] < BIG)
+        cols, _ = assign_or_miss(np.where(d2 <= gamma, 0.5 * (d2 + base[:, None]), np.inf),
+                                 0.5 * (gamma + base))
+        hit = cols >= 0
         if np.any(hit):
             means[hit], covs[hit] = _update_with_innovation(
                 means[hit], covs[hit], zs[cols[hit]], model, z_hat[hit], s[hit], c[hit])

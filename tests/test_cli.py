@@ -278,6 +278,30 @@ class TestRunExperiment:
         assert "'state' must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, bad, flags", [
+        ("state=-100,-100,8,1", "state=1e308,0,1e308,0",
+         ["--fusion", "mda", "--payload", "raw,type2"]),
+        ("state=-100,-100,8,1", "state=1e308,0,1e308,0",
+         ["--fusion", "bp", "--particles", "100"]),
+        ("position=-600,-800", "position=1e308,-800",
+         ["--fusion", "bp", "--particles", "100"])])
+    def test_overflowing_coordinates_exit_before_the_run(self, tmp_path, capsys, line, bad,
+                                                         flags):
+        # a state that overflowed x + dt v crashed the run with an untyped
+        # ValueError from the OSPA, and a huge sensor position raised only
+        # after the output directory was made
+        text = SCENARIO_FILE.replace(line, bad)
+        lineno = text.splitlines().index(bad) + 1
+        scenario, out = tmp_path / "toy.cfg", tmp_path / "toy_out"
+        scenario.write_text(text)
+        rc = cli.main(["run", "--scenario", str(scenario), "--runs", "1", "--out", str(out)]
+                      + flags)
+        assert rc == 2
+        key = bad.split("=")[0]
+        assert f"toy.cfg:{lineno}: '{key}' must be finite and in [-1e+09, 1e+09]" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_outputs_and_determinism(self, tmp_path):
         scenario = tmp_path / "toy.cfg"
         scenario.write_text(SCENARIO_FILE)
@@ -389,7 +413,7 @@ VALID_SCENARIO = {
 }
 # what a mutation writes over a value
 BAD_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e308", "-1e308", "2.5", "abc", "",
-              "1,2", "1,2,3,4,5", "0x10", "1e-320")
+              "1,2", "1,2,3,4,5", "0x10", "1e-320", "1e308,0,1e308,0", "1e300,1e300")
 
 
 @st.composite

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 from scipy.stats import chi2
 
 from conftest import (
@@ -44,11 +45,11 @@ from trackfuse.mda import (
     FusedTracks,
     HypothesisCost,
     MdaConfig,
+    assign_or_miss,
     build_initiation_problem,
     build_mda_problem,
     mda_pipeline_step,
     mle_state,
-    padded_table,
     score_with_prior,
     score_without_prior,
     solve_assignment,
@@ -672,6 +673,69 @@ def oracle_cost(oracle, assignments):
     return total
 
 
+@st.composite
+def assign_or_miss_tables(draw):
+    """(costs, miss) of up to 4 x 4 with ties on purpose: small integer
+    costs, a duplicated column, cells equal to their row's miss, rows with
+    no gated cell, ungated cells marked BIG or inf, and BIG or infinite
+    misses as at P_d = 1."""
+    n, m = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    values = st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0])
+    costs = np.array(draw(st.lists(st.lists(values, min_size=m, max_size=m),
+                                   min_size=n, max_size=n)), dtype=float).reshape(n, m)
+    miss = np.array(draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0, BIG, np.inf]),
+                                  min_size=n, max_size=n)), dtype=float)
+    gated = np.array(draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m)),
+                     dtype=bool).reshape(n, m)
+    if m > 1 and draw(st.booleans()):
+        costs[:, 1], gated[:, 1] = costs[:, 0], gated[:, 0]
+    for t in range(n):
+        if m and draw(st.booleans()):
+            costs[t, draw(st.integers(0, m - 1))] = miss[t]
+        if draw(st.integers(0, 3)) == 0:
+            gated[t] = False
+    marked = np.where(gated, costs, draw(st.sampled_from([BIG, np.inf])))
+    return marked, miss
+
+
+class TestAssignOrMiss:
+    """The one assign-or-miss routine of the GNN trackers and maintenance."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(table=assign_or_miss_tables())
+    def test_optimum_tie_rule_and_feasibility(self, table):
+        costs, miss = table
+        n, m = costs.shape
+        capped = np.minimum(miss, BIG)
+        gated = costs < BIG
+        cols, taken = assign_or_miss(costs, miss)
+        # the minimum over every assign-or-miss matching (exact: integer costs)
+        best = math.inf
+        options = [[-1] + np.flatnonzero(row).tolist() for row in gated]
+        for pick in itertools.product(*options):
+            used = [c for c in pick if c >= 0]
+            if len(used) == len(set(used)):
+                best = min(best, sum(capped[t] if c < 0 else costs[t, c]
+                                     for t, c in enumerate(pick)))
+        assert float(np.sum(taken)) == best
+        # the tie rule: linear_sum_assignment on the explicitly padded table
+        padded = np.full((n, m + n), BIG)
+        padded[:, :m] = np.where(gated, costs, BIG)
+        padded[np.arange(n), m + np.arange(n)] = capped
+        rows, want = linear_sum_assignment(padded)
+        assert rows.tolist() == list(range(n))
+        on_gated = (want < m) & (padded[rows, want] < BIG)
+        assert cols.tolist() == np.where(on_gated, want, -1).tolist()
+        assert taken.tolist() == padded[rows, want].tolist()
+        hits = cols[cols >= 0]
+        assert len(set(hits.tolist())) == hits.size
+        assert all(gated[t, c] for t, c in enumerate(cols.tolist()) if c >= 0)
+        # a row lands on an ungated cell (or another row's miss) only when
+        # its own miss is BIG
+        forced = ~on_gated & (want != m + rows)
+        assert np.all(capped[forced] == BIG)
+
+
 class TestSensorSplit:
     """Per-sensor tables and assignments against the tuple enumeration."""
 
@@ -707,9 +771,8 @@ class TestSensorSplit:
             rng, n_tracks, meas_counts, "type2", p_ds)
         cfg = MdaConfig()
         problem = build_mda_problem(tracks, batches, views, cfg)
-        for table, view, m in zip(problem.tables, views, meas_counts):
-            miss = table[np.arange(n_tracks), m + np.arange(n_tracks)]
-            assert np.all(miss == BIG) if view.p_d == 1.0 else np.all(miss < BIG)
+        for miss, view in zip(problem.misses, views):
+            assert np.all(miss >= BIG) if view.p_d == 1.0 else np.all(miss < BIG)
         oracle = enumerate_mda_problem(tracks, batches, views, cfg)
         best = solve_assignment_exact(oracle)
         sol = solve_maintenance(problem)
@@ -735,8 +798,9 @@ class TestSensorSplit:
         views = [sensor_input(model0.H, model0.R, 1.0, ClutterModel(10.0, 1e6)),
                  sensor_input(model1.H, model1.R, 0.9, ClutterModel(10.0, 1e6))]
         problem = build_mda_problem([est], batches, views, MdaConfig())
-        assert problem.tables[0].tolist() == [[BIG, BIG]]
-        assert problem.tables[1][0, 0] < BIG
+        assert problem.costs[0].tolist() == [[BIG]]
+        assert problem.misses[0][0] >= BIG
+        assert problem.costs[1][0, 0] < BIG
         sol = solve_maintenance(problem)
         assert sol.assignments == [(1, 0, 0)]
         assert sol.total_cost == BIG
@@ -749,7 +813,7 @@ class TestSensorSplit:
                     rng, 4, [5, 0, 4], kind)
                 p_raw = build_mda_problem(tracks, b_raw, v_raw, MdaConfig())
                 p_tr = build_mda_problem(tracks, b_tr, v_tr, MdaConfig())
-                for t_raw, t_tr in zip(p_raw.tables, p_tr.tables):
+                for t_raw, t_tr in zip(p_raw.costs + p_raw.misses, p_tr.costs + p_tr.misses):
                     np.testing.assert_allclose(t_raw, t_tr, rtol=1e-12, atol=1e-9)
                 assert p_raw.n_candidates == p_tr.n_candidates
                 assert (solve_maintenance(p_raw).assignments
@@ -762,21 +826,20 @@ class TestSensorSplit:
             batches, views = raw if kind == "raw" else tr
             problem = build_mda_problem(tracks, batches, views, MdaConfig())
             count = 0
-            for table, batch, view in zip(problem.tables, batches, views):
-                m = batch.n_meas
+            for table, misses, batch, view in zip(problem.costs, problem.misses, batches,
+                                                  views):
+                assert table.shape == (len(tracks), batch.n_meas)
                 for t, est in enumerate(tracks):
                     miss = -score_with_prior(est, [None], [view]).log_score
-                    assert table[t, m + t] == pytest.approx(miss, rel=1e-12)
+                    assert misses[t] == pytest.approx(miss, rel=1e-12)
                     d2, dof = gate_distances(est, batch)
-                    for i in range(m):
+                    for i in range(batch.n_meas):
                         if d2[i] <= chi2.ppf(0.99, dof):
                             hit = -score_with_prior(est, [batch.zs[i]], [view]).log_score
                             assert table[t, i] == pytest.approx(hit, rel=1e-12)
                             count += 1
                         else:
                             assert table[t, i] == BIG
-                    off = np.delete(table[t, m:], t)
-                    assert np.all(off == BIG)
             assert problem.n_candidates == count + 3 * len(batches)
 
     def test_generic_measurement_at_the_prediction_scores(self):
@@ -796,7 +859,7 @@ class TestSensorSplit:
             assert -score_with_prior(est, [tr.zs[0]], views_tr).log_score == \
                 pytest.approx(want, rel=0, abs=1e-9)
             for batch, views in ((raw, views_raw), (tr, views_tr)):
-                table = build_mda_problem([est], [batch], views, cfg).tables[0]
+                table = build_mda_problem([est], [batch], views, cfg).costs[0]
                 assert table[0, 0] == pytest.approx(want, rel=0, abs=1e-9)
 
     def test_gated_measurement_outside_the_range_raises(self):
@@ -814,7 +877,7 @@ class TestSensorSplit:
                                views[0].batch.H, views[0].batch.R, "generic")
         # an ungated measurement is never scored, as in the enumeration
         problem = build_mda_problem(tracks, [far], views, MdaConfig())
-        assert problem.tables[0][0, 0] == BIG
+        assert problem.costs[0][0, 0] == BIG
 
     def test_pipeline_enumerates_no_maintenance_tuples(self, monkeypatch):
         from trackfuse.errors import ResourceLimitError
@@ -912,7 +975,8 @@ def measurement_costs(means, covs, batch, view, gate_prob):
 
 
 def per_sensor_tables(preds, batches, views, cfg):
-    """Maintenance tables scored sensor by sensor (`measurement_costs`)."""
+    """Maintenance (costs, misses) scored sensor by sensor (`measurement_costs`),
+    costs then misses per sensor."""
     n = len(preds)
     if n:
         means = np.stack([e.mean for e in preds])
@@ -922,9 +986,13 @@ def per_sensor_tables(preds, batches, views, cfg):
         meas = np.full((n, batch.n_meas), BIG)
         if n and batch.n_meas:
             meas = measurement_costs(means, covs, batch, view, cfg.gate_prob)
-        tables.append(padded_table(meas, np.full(n, min(-math.log1p(-view.p_d), BIG)
-                                                 if view.p_d < 1 else BIG)))
+        tables += [meas, np.full(n, -math.log1p(-view.p_d) if view.p_d < 1 else np.inf)]
     return tables
+
+
+def problem_tables(problem):
+    """A maintenance problem's costs then misses per sensor, as `per_sensor_tables`."""
+    return [a for pair in zip(problem.costs, problem.misses) for a in pair]
 
 
 def outcome(fn):
@@ -979,8 +1047,8 @@ class TestOnePassBuild:
         if isinstance(want, tuple):
             assert got == want
             return
-        assert [t.shape for t in got.tables] == [t.shape for t in want]
-        for g, w in zip(got.tables, want):
+        assert [t.shape for t in problem_tables(got)] == [t.shape for t in want]
+        for g, w in zip(problem_tables(got), want):
             assert np.array_equal(g, w)
         assert got.n_candidates == sum(int(np.count_nonzero(t < BIG)) for t in want)
 
@@ -993,7 +1061,7 @@ class TestOnePassBuild:
         for _ in range(10):
             tracks, raw, tr = maintenance_instance(rng, 3, [1, 4, 1], "generic")
             for batches, views in (raw, tr):
-                for g, w in zip(build_mda_problem(tracks, batches, views, cfg).tables,
+                for g, w in zip(problem_tables(build_mda_problem(tracks, batches, views, cfg)),
                                 per_sensor_tables(tracks, batches, views, cfg)):
                     assert np.array_equal(g, w)
         est = tracks[0]

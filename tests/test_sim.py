@@ -17,9 +17,9 @@ from trackfuse import mda as mda_mod
 from trackfuse import sim as sim_mod
 from trackfuse.errors import InputError, NumericsError
 from trackfuse.linalg import chi2_gate, symmetrize
+from trackfuse.mda import BIG
 from trackfuse.models import GaussianEstimate, innovation, predict, update_raw
 from trackfuse.sim import (
-    BIG,
     FieldOfView,
     GnnTracker,
     SensorConfig,
@@ -266,7 +266,7 @@ class TestFieldOfView:
            max_range=st.one_of(st.floats(1e-3, 1e6),
                                st.sampled_from((1e-120, 1e-100, 1e100, 1e120))),
            seed=st.integers(0, 2 ** 32 - 1),
-           # below and above RANGE_SQUARED_MIN_POINTS in all
+           # 19 or 2,403 points in all: one path decides both sizes
            n_ring=st.sampled_from((2, 300)))
     def test_range_test_equals_hypot_rule(self, origin, max_range, seed, n_ring):
         # half_angle = pi leaves the range test alone

@@ -1,6 +1,7 @@
 """tools/tape_digest.py: one digest per tape, sensitive to tracker state."""
 
 import importlib.util
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -248,3 +249,34 @@ def test_clutter_rate_overrides_the_workload_scenario_in_every_mode(monkeypatch)
                       "--curves"])
     assert rates == [[40.0]] * 3 + [sorted({s.clutter_rate
                                             for s in sim.scenario2().sensors})]
+
+
+def against(checkout, other, *flags):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "tape_digest.py"), "--checkout", str(checkout),
+         "--workload", "s1-mda-c40", *flags, "--against", str(other)],
+        capture_output=True, text=True)
+
+
+def test_against_the_same_checkout_prints_nothing_and_exits_0():
+    proc = against(ROOT, ROOT, "--seeds", "0")
+    assert (proc.returncode, proc.stdout) == (0, "")
+
+
+def test_against_a_changed_tracker_names_the_seed_and_exits_1(tmp_path):
+    copy = tmp_path / "copy"
+    for part in ("src", "bench"):
+        shutil.copytree(ROOT / part, copy / part,
+                        ignore=shutil.ignore_patterns("__pycache__", "out"))
+    sim_py = copy / "src" / "trackfuse" / "sim.py"
+    text = sim_py.read_text()
+    assert "CAPTURE_SPEED = 30.0" in text
+    sim_py.write_text(text.replace("CAPTURE_SPEED = 30.0", "CAPTURE_SPEED = 20.0"))
+    proc = against(ROOT, copy, "--seeds", "0", "1")
+    assert proc.returncode == 1
+    lines = proc.stdout.splitlines()
+    assert lines and len(lines) % 2 == 0
+    for mine, theirs in zip(lines[0::2], lines[1::2]):
+        seed = mine.split()[1]
+        assert mine.startswith(f"{ROOT}: ") and theirs.startswith(f"{copy}: {seed} ")
+        assert seed in ("0", "1")

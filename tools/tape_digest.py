@@ -1,7 +1,7 @@
 """SHA-256 digests of the measurement tapes and local-tracker transmissions.
 
     python3 tools/tape_digest.py --checkout DIR --workload NAME --seeds 0 1 2 ...
-        [--curves] [--bp-traces | --mda-steps] [--clutter-rate R]
+        [--curves] [--bp-traces | --mda-steps] [--clutter-rate R] [--against DIR2]
 
 Imports the program from `DIR/src` and the workload's scenario from
 `DIR/bench/inputs.py`, runs `sim.prepare_run` on each tape seed and prints
@@ -38,13 +38,20 @@ digest, from one fusion pass.
 `--clutter-rate R` sets every sensor's clutter rate of the workload's
 scenario to R in each mode, so that a workload can be compared across
 checkouts at a clutter rate it does not declare (say `s2-mda` at 40).
+
+`--against DIR2` runs the same digests on a second checkout, in a
+subprocess alongside, and prints only the lines that differ, each pair
+prefixed by its checkout: nothing, and exit code 0, when every line is
+equal; exit code 1 when any line differs, and 2 when the second run fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -213,6 +220,51 @@ def curve_digests(sim, setup, seed: int, bp_traces: bool = False) -> dict:
     return out
 
 
+def digest_lines(args):
+    """The fields of each output line for one checkout, one tape (and arm)
+    at a time."""
+    sim, build_setup = _load(args.checkout.resolve())
+    setup = build_setup(args.workload)
+    if args.clutter_rate is not None:
+        setup.cfg = setup.cfg.with_overrides(clutter_rate=args.clutter_rate)
+    for seed in args.seeds:
+        if args.mda_steps:
+            for arm, digests in mda_step_digests(sim, setup, seed, args.curves).items():
+                yield seed, arm, " ".join(digests) if args.curves else digests
+        elif args.curves or args.bp_traces:
+            for arm, digests in curve_digests(sim, setup, seed, args.bp_traces).items():
+                if args.bp_traces:
+                    digests = " ".join(digests if args.curves else digests[1:])
+                yield seed, arm, digests
+        else:
+            yield seed, tape_digest(sim, setup.cfg, seed)
+
+
+def compare(args) -> int:
+    """Print the lines that differ between `args.checkout` and
+    `args.against`, each prefixed by its checkout; 1 if any does."""
+    flags = ["--checkout", str(args.against), "--workload", args.workload,
+             "--seeds", *map(str, args.seeds)]
+    flags += [f"--{name.replace('_', '-')}" for name in ("curves", "bp_traces", "mda_steps")
+              if getattr(args, name)]
+    if args.clutter_rate is not None:
+        flags += ["--clutter-rate", repr(args.clutter_rate)]
+    # the second checkout runs alongside, in its own process and import path
+    with subprocess.Popen([sys.executable, str(Path(__file__).resolve()), *flags],
+                          stdout=subprocess.PIPE, text=True) as other:
+        mine = [" ".join(map(str, fields)) for fields in digest_lines(args)]
+        theirs = other.communicate()[0].splitlines()
+    if other.returncode:
+        print(f"{args.against}: digests failed (exit {other.returncode})", file=sys.stderr)
+        return 2
+    same = True
+    for a, b in itertools.zip_longest(mine, theirs, fillvalue="(no line)"):
+        if a != b:
+            same = False
+            print(f"{args.checkout}: {a}\n{args.against}: {b}", flush=True)
+    return 0 if same else 1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="tape digests of one checkout")
     parser.add_argument("--checkout", type=Path, required=True)
@@ -227,22 +279,13 @@ def main(argv=None) -> int:
                        help="digest each MDA arm's per-scan selections and tracks")
     parser.add_argument("--clutter-rate", type=float,
                         help="every sensor's clutter rate, in place of the workload's")
+    parser.add_argument("--against", type=Path,
+                        help="a second checkout: print only the lines that differ")
     args = parser.parse_args(argv)
-    sim, build_setup = _load(args.checkout.resolve())
-    setup = build_setup(args.workload)
-    if args.clutter_rate is not None:
-        setup.cfg = setup.cfg.with_overrides(clutter_rate=args.clutter_rate)
-    for seed in args.seeds:
-        if args.mda_steps:
-            for arm, digests in mda_step_digests(sim, setup, seed, args.curves).items():
-                print(seed, arm, " ".join(digests) if args.curves else digests, flush=True)
-        elif args.curves or args.bp_traces:
-            for arm, digests in curve_digests(sim, setup, seed, args.bp_traces).items():
-                if args.bp_traces:
-                    digests = " ".join(digests if args.curves else digests[1:])
-                print(seed, arm, digests, flush=True)
-        else:
-            print(seed, tape_digest(sim, setup.cfg, seed), flush=True)
+    if args.against is not None:
+        return compare(args)
+    for fields in digest_lines(args):
+        print(*fields, flush=True)
     return 0
 
 
